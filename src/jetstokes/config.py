@@ -15,6 +15,12 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent configuration input."""
 
 
+def _check_int(value, name):
+    # JSON numbers like 12.5 or 1.0 and booleans are not integers here
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError("%s must be an integer, got %r" % (name, value))
+
+
 @dataclasses.dataclass(frozen=True)
 class DomainConfig:
     """Discretization of the periodic cylinder {r < kappa} x (0, ell).
@@ -42,6 +48,8 @@ class DomainConfig:
     solver_tol: float = 1e-10
 
     def __post_init__(self):
+        for name in ("n_r", "n_theta", "n_z", "quad_order"):
+            _check_int(getattr(self, name), "domain." + name)
         if not (0.0 < self.kappa < 1.0):
             raise ConfigError(
                 "domain.kappa must lie in (0, 1); radii >= 1 are not supported"
@@ -92,6 +100,7 @@ class SolveModeBlock:
     path: str = ""
 
     def __post_init__(self):
+        _check_int(self.n, "solve_mode.n")
         if self.forcing not in ("constant", "file"):
             raise ConfigError("solve_mode.forcing must be 'constant' or 'file'")
         if self.forcing == "file" and not self.path:
@@ -118,10 +127,11 @@ class SpectrumBlock:
     export_blocks: bool = False
 
     def __post_init__(self):
+        _check_int(self.count, "spectrum.count")
         if self.count < 1:
             raise ConfigError("spectrum.count must be at least 1")
-        if any(not isinstance(n, int) for n in self.modes):
-            raise ConfigError("spectrum.modes must be integers")
+        for n in self.modes:
+            _check_int(n, "spectrum.modes entry")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -202,6 +212,7 @@ class EvolveBlock:
             raise ConfigError("evolve.dt must be positive")
         if self.t_final < self.dt:
             raise ConfigError("evolve.t_final must be at least dt")
+        _check_int(self.snapshot_stride, "evolve.snapshot_stride")
         if self.snapshot_stride < 0:
             raise ConfigError("evolve.snapshot_stride must be nonnegative")
 
@@ -232,6 +243,7 @@ class RunConfig:
     verify: VerifyBlock = dataclasses.field(default_factory=VerifyBlock)
 
     def __post_init__(self):
+        _check_int(self.seed, "seed")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
 

@@ -1,34 +1,42 @@
 """Linearized time evolution on the constrained subspaces.
 
 Each axial mode evolves independently in its reduced coordinates: with
-M = M_block and G = G_block the implicit Euler step solves
-(M + dt G) y' = M y + dt f(t') and Crank-Nicolson solves
-(M + dt/2 G) y' = (M - dt/2 G) y + dt (f(t) + f(t'))/2, where f are the
-reduced forcing functionals. Both matrices are Hermitian positive
-definite, factored once per run with Cholesky.
+M = M_block, G = G_block and f the reduced forcing functionals, the
+Galerkin system is M y' + G y = f. The pencil (G, M) is diagonal in the
+M-orthonormal eigenbasis V of stokesop._eigen, so with y = V c it
+decouples into c' + w c = V^H f and both schemes are scalar recurrences:
 
-At mode 0 the stepping matrix uses the kernel-deflated form: rows and
-columns of G at the exact kernel columns are zeroed. G is orthogonal to
-those columns only up to roundoff, and zeroing makes the deflated form
-exactly positive semidefinite with an exact kernel, so homogeneous
-energies are monotone and constant states persist to solver precision.
-Per-step residuals and dissipation are still measured against the full
-blocks, so nothing the deflation changes goes unreported.
+  implicit Euler   (1 + dt w) c' = c + dt V^H f(t'),
+  Crank-Nicolson   (1 + dt/2 w) c' = (1 - dt/2 w) c + dt V^H (f(t) + f(t'))/2.
 
-Negative modes reuse the positive factorizations through conjugation.
+The eigenvalues w are real and nonnegative, so homogeneous energies are
+monotone, and the mode-0 kernel is deflated exactly in the eigenbasis, so
+constant states persist to roundoff. Energies are sum |c|^2 and
+sum w |c|^2. The per-step residual is measured against the full M and G
+blocks, so every step checks the eigenbasis instead of trusting it.
+
+Negative modes step in mode-|n| coordinates: w is real, so the
+recurrences are those of mode |n| and only the coordinate maps conjugate.
 """
 
 import dataclasses
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .fields import VectorField, norm_L2, trace_norm_L2, trace_SF, zeros_vector
 from .fields import grad, inner_product_Hkp
 from .helmholtz import _potential_slice, operator_Q, project_P
 from .fields import _truncate
-from .stokesop import mode_operator, project_constrained, reduce_slice, expand_slice
+from .stokesop import (
+    _adjoint_apply,
+    _eigen,
+    _signed,
+    expand_slice,
+    mode_operator,
+    project_constrained,
+    reduce_slice,
+)
 
 SCHEMES = ("implicit-euler", "crank-nicolson")
 
@@ -80,27 +88,6 @@ class EvolutionResult:
     coords: dict
 
 
-def _deflated(op):
-    """G_block with kernel rows and columns zeroed exactly."""
-    if not op.kernel_columns:
-        return op.G_block
-    g = op.G_block.copy()
-    idx = list(op.kernel_columns)
-    g[idx, :] = 0.0
-    g[:, idx] = 0.0
-    return g
-
-
-def _reduce_field(ws, f):
-    """Reduced functionals of a field, one coordinate vector per mode."""
-    cfg = ws.config
-    out = {}
-    for i_n in range(cfg.n_modes_z):
-        n = i_n - cfg.n_z
-        out[n] = reduce_slice(ws, n, f.coeffs[:, i_n])
-    return out
-
-
 def _field_from_coords(ws, coords):
     cfg = ws.config
     out = zeros_vector(cfg)
@@ -108,34 +95,6 @@ def _field_from_coords(ws, coords):
         out.coeffs[:, cfg.n_z + n] = expand_slice(ws, n, y)
     out.real_flag = False
     return out
-
-
-class _ModeStepper:
-    """Stepping algebra of one |n|, serving both signs via conjugation."""
-
-    def __init__(self, ws, n_abs, dt, scheme):
-        op = mode_operator(ws, n_abs)
-        self.op = op
-        self.g_step = _deflated(op)
-        c = dt if scheme == "implicit-euler" else 0.5 * dt
-        self.factor = scipy.linalg.cho_factor(op.M_block + c * self.g_step)
-        if op.kernel_columns:
-            g = op.G_block
-            sc = float(np.linalg.norm(g))
-            idx = list(op.kernel_columns)
-            self.kernel_defect = float(np.linalg.norm(g[idx, :])) / max(sc, 1e-300)
-        else:
-            self.kernel_defect = 0.0
-
-    def solve(self, b, conj):
-        if conj:
-            return np.conj(scipy.linalg.cho_solve(self.factor, np.conj(b)))
-        return scipy.linalg.cho_solve(self.factor, b)
-
-    def apply(self, mat, y, conj):
-        if conj:
-            return np.conj(mat @ np.conj(y))
-        return mat @ y
 
 
 def evolve(ws, evo):
@@ -164,20 +123,27 @@ def evolve(ws, evo):
         )
 
     modes = list(range(-cfg.n_z, cfg.n_z + 1))
-    steppers = {a: _ModeStepper(ws, a, dt, evo.scheme) for a in range(cfg.n_z + 1)}
-    for a, st in steppers.items():
-        if st.kernel_defect > 1e-8:
-            warnings.append(
-                "mode %d: dissipation form couples to the kernel (%.3e)"
-                % (a, st.kernel_defect)
-            )
+    ops = {a: mode_operator(ws, a) for a in range(cfg.n_z + 1)}
+    # the eigenbasis deflates the mode-0 kernel columns, which is exact
+    # only while G couples to them at roundoff level
+    g0 = ops[0].G_block
+    coupling = float(np.linalg.norm(g0[list(ops[0].kernel_columns), :]))
+    coupling /= max(float(np.linalg.norm(g0)), 1e-300)
+    if coupling > 1e-8:
+        warnings.append("mode 0: dissipation form couples to the kernel (%.3e)" % coupling)
+    eig = {a: _eigen(ws, a) for a in ops}
 
-    # initial coordinates
+    # The state is held in mode-|n| terms: eigen coordinates c[n] and basis
+    # coordinates y[n] = V c[n].
     if evo.initial is None:
-        y = {n: np.zeros(steppers[abs(n)].op.basis.shape[1], dtype=complex) for n in modes}
+        c = {n: np.zeros(eig[abs(n)][0].size, dtype=complex) for n in modes}
     else:
         vnorm = norm_L2(evo.initial)
-        proj, y = project_constrained(ws, evo.initial)
+        proj, coords = project_constrained(ws, evo.initial)
+        c = {}
+        for n in modes:
+            m_y = ops[abs(n)].M_block @ _signed(n, coords[n])
+            c[n] = _adjoint_apply(eig[abs(n)][1], m_y)
         if vnorm > 0.0:
             defect = norm_L2(evo.initial - proj) / vnorm
             if defect > 1e-8:
@@ -185,15 +151,19 @@ def evolve(ws, evo):
                     "initial state lies outside the constrained subspace "
                     "(relative defect %.3e); evolving its projection" % defect
                 )
+    y = {n: eig[abs(n)][1] @ c[n] for n in modes}
 
-    # forcing bookkeeping
     def reduced_forcing(t):
+        """Forcing functionals of every mode in mode-|n| terms, or None."""
         if evo.forcing is None:
             return None
         f = evo.forcing(t)
         if not isinstance(f, VectorField):
             raise ValueError("forcing callable must return a VectorField")
-        return _reduce_field(ws, f)
+        return {
+            n: _signed(n, reduce_slice(ws, n, f.coeffs[:, cfg.n_z + n]))
+            for n in modes
+        }
 
     if evo.forcing is not None:
         f0 = evo.forcing(0.0)
@@ -208,17 +178,17 @@ def evolve(ws, evo):
                     "the evolution hypothesis requires P f(0) = 0" % sol_part
                 )
 
-    def energies(ycur, reval=None, yeval=None):
-        l2 = 0.0
-        diss = 0.0
-        for n in modes:
-            st = steppers[abs(n)]
-            u = np.conj(ycur[n]) if n < 0 else ycur[n]
-            l2 += float(np.real(np.conj(u) @ (st.op.M_block @ u)))
-            ue = u if yeval is None else (np.conj(yeval[n]) if n < 0 else yeval[n])
-            diss += float(np.real(np.conj(ue) @ (st.op.G_block @ ue)))
+    def energies(cur):
+        l2 = sum(float(np.sum(np.abs(cur[n]) ** 2)) for n in modes)
+        diss = sum(float(np.sum(eig[abs(n)][0] * np.abs(cur[n]) ** 2)) for n in modes)
         return l2, diss
 
+    def signed_coords(cur):
+        return {n: _signed(n, cur[n]) for n in modes}
+
+    # implicit Euler evaluates G and f at the new time, Crank-Nicolson at
+    # the midpoint
+    theta = 1.0 if evo.scheme == "implicit-euler" else 0.5
     t_grid = dt * np.arange(steps + 1)
     l2_arr = np.zeros(steps + 1)
     diss_arr = np.zeros(steps + 1)
@@ -226,58 +196,43 @@ def evolve(ws, evo):
     ident_res = np.zeros(steps) if evo.scheme == "crank-nicolson" else None
     ident_scale = np.zeros(steps) if evo.scheme == "crank-nicolson" else None
 
-    l2_arr[0], diss_arr[0] = energies(y)
+    l2_arr[0], diss_arr[0] = energies(c)
     fields = []
     if evo.store_trajectory:
-        fields.append(_field_from_coords(ws, y))
+        fields.append(_field_from_coords(ws, signed_coords(y)))
 
     r_prev = reduced_forcing(0.0)
     for k in range(steps):
-        t_next = dt * (k + 1)
-        r_next = reduced_forcing(t_next)
-        ynew = {}
+        r_next = reduced_forcing(dt * (k + 1))
+        c_new = {}
+        y_new = {}
         defect_sq = 0.0
         scale_sq = 0.0
         fp_mid = 0.0
         diss_mid = 0.0
         for n in modes:
-            st = steppers[abs(n)]
-            cj = n < 0
-            mm, gg = st.op.M_block, st.op.G_block
-            if evo.scheme == "implicit-euler":
-                b = st.apply(mm, y[n], cj)
-                if r_next is not None:
-                    b = b + dt * r_next[n]
-                yn = st.solve(b, cj)
-                y_eval = yn
-                r_eval = None if r_next is None else r_next[n]
-            else:
-                b = st.apply(mm, y[n], cj) - 0.5 * dt * st.apply(st.g_step, y[n], cj)
-                if r_next is not None:
-                    b = b + 0.5 * dt * (r_prev[n] + r_next[n])
-                yn = st.solve(b, cj)
-                y_eval = 0.5 * (y[n] + yn)
-                r_eval = (
-                    None if r_next is None else 0.5 * (r_prev[n] + r_next[n])
-                )
-            ynew[n] = yn
-            dy = st.apply(mm, (yn - y[n]) / dt, cj)
-            ge = st.apply(gg, y_eval, cj)
+            w, vec, _ = eig[abs(n)]
+            op = ops[abs(n)]
+            b = (1.0 - (1.0 - theta) * dt * w) * c[n]
+            if r_next is not None:
+                r_eval = theta * r_next[n] + (1.0 - theta) * r_prev[n]
+                f_eval = _adjoint_apply(vec, r_eval)
+                b += dt * f_eval
+            c_new[n] = b / (1.0 + theta * dt * w)
+            y_new[n] = vec @ c_new[n]
+            c_eval = theta * c_new[n] + (1.0 - theta) * c[n]
+            dy = op.M_block @ ((y_new[n] - y[n]) / dt)
+            ge = op.G_block @ (theta * y_new[n] + (1.0 - theta) * y[n])
             d = dy + ge
-            if r_eval is not None:
-                d = d - r_eval
-            defect_sq += float(np.linalg.norm(d) ** 2)
             s = np.linalg.norm(dy) + np.linalg.norm(ge)
-            if r_eval is not None:
+            if r_next is not None:
+                d -= r_eval
                 s += np.linalg.norm(r_eval)
+                fp_mid += float(np.real(np.vdot(c_eval, f_eval)))
+            defect_sq += float(np.linalg.norm(d) ** 2)
             scale_sq += float(s * s)
-            if evo.scheme == "crank-nicolson":
-                ue = np.conj(y_eval) if cj else y_eval
-                diss_mid += float(np.real(np.conj(ue) @ (gg @ ue)))
-                if r_eval is not None:
-                    se = np.conj(r_eval) if cj else r_eval
-                    fp_mid += float(np.real(np.conj(ue) @ se))
-        l2_new, diss_new = energies(ynew)
+            diss_mid += float(np.sum(w * np.abs(c_eval) ** 2))
+        l2_new, diss_new = energies(c_new)
         l2_arr[k + 1] = l2_new
         diss_arr[k + 1] = diss_new
         res_arr[k + 1] = (
@@ -288,12 +243,14 @@ def evolve(ws, evo):
             rhs = -2.0 * diss_mid + 2.0 * fp_mid
             ident_res[k] = abs(lhs - rhs)
             ident_scale[k] = abs(lhs) + 2.0 * abs(diss_mid) + 2.0 * abs(fp_mid) + 1e-300
-        y = ynew
+        c = c_new
+        y = y_new
         r_prev = r_next
         if evo.store_trajectory:
-            fields.append(_field_from_coords(ws, y))
+            fields.append(_field_from_coords(ws, signed_coords(y)))
 
-    final = fields[-1] if fields else _field_from_coords(ws, y)
+    coords = signed_coords(y)
+    final = fields[-1] if fields else _field_from_coords(ws, coords)
     trace = EnergyTrace(
         t=t_grid,
         l2_norm_sq=l2_arr,
@@ -303,7 +260,7 @@ def evolve(ws, evo):
         identity_residual=ident_res,
         identity_scale=ident_scale,
     )
-    return EvolutionResult(fields=fields, trace=trace, final=final, coords=y)
+    return EvolutionResult(fields=fields, trace=trace, final=final, coords=coords)
 
 
 def recover_pressure(ws, v, f=None):

@@ -31,6 +31,11 @@ def _write_payload(path, arr):
         fh.write(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
 
 
+def _check_finite(arr, payload):
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("payload %s holds non-finite values (NaN or Inf)" % payload)
+
+
 def write_field(path, field):
     """Write a field as header JSON plus binary payload.
 
@@ -127,6 +132,7 @@ def read_field(path, mu=1.0, quad_order=0):
         raise ValueError(
             "field payload %s holds %d values, expected %d" % (payload, arr.size, count)
         )
+    _check_finite(arr, payload)
     coeffs = arr.astype(np.complex128).reshape(shape)
     kind = VectorField if header["components"] == 3 else ScalarField
     return kind(cfg, coeffs, bool(header["real_flag"]))
@@ -179,5 +185,6 @@ def read_matrix(path):
     shape = (header["rows"], header["cols"])
     if arr.size != shape[0] * shape[1]:
         raise ValueError("matrix payload size mismatch in %s" % payload)
+    _check_finite(arr, payload)
     out = arr.reshape(shape)
     return out.astype(np.complex128 if header["dtype"] == "c128" else np.float64)

@@ -27,13 +27,12 @@ class RadialOperator:
     """Collocation matrix of one (|n|, |m|) Dirichlet problem.
 
     Attributes:
-        matrix: -lap2d(|m|) + beta^2 with row bc_rows[0] replaced by identity.
-        bc_rows: indices of boundary condition rows (the surface node).
+        matrix: -lap2d(|m|) + beta^2 with row 0 (the surface node)
+            replaced by identity.
         lu: scipy lu_factor output for matrix.
     """
 
     matrix: np.ndarray
-    bc_rows: tuple
     lu: tuple
 
 
@@ -46,7 +45,7 @@ def radial_operator(ws, n, m):
         mat = -ws.tables.lap2d(key[1]) + beta * beta * np.eye(ws.config.n_r)
         mat[0, :] = 0.0
         mat[0, 0] = 1.0
-        op = RadialOperator(mat, (0,), scipy.linalg.lu_factor(mat))
+        op = RadialOperator(mat, scipy.linalg.lu_factor(mat))
         ws.radial_ops[key] = op
     return op
 

@@ -1,12 +1,13 @@
 """Spectrum and resolvent of the assembled per-mode operators.
 
 Eigenvalues come from the Hermitian pencil (G_block, M_block) of each
-mode: G_block is the dissipation form, exactly Hermitian and positive
-semidefinite by construction, so the computed spectrum is real and clean
-down to roundoff. Near-zero values are re-evaluated through the
-nonnegative quadrature form on their eigenvectors, which pins kernel
-eigenvalues at tiny nonnegative numbers instead of order eps*||G||
-jitter.
+mode, diagonalized once per mode by stokesop._eigen: G_block is the
+dissipation form, exactly Hermitian and positive semidefinite by
+construction, so the computed spectrum is real and clean down to
+roundoff. The mode-0 kernel is deflated exactly and near-zero values are
+measured through the nonnegative quadrature form on their eigenvectors,
+which pins kernel eigenvalues at tiny nonnegative numbers instead of
+order eps*||G|| jitter.
 
 Resolvent solves reuse the eigendecomposition: with V M-orthonormal,
 (G - lam M)^{-1} r = V diag(1/(w - lam)) V^H r, followed by one
@@ -22,11 +23,12 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .fields import norm_Hkp, norm_L2, random_smooth_vector, zeros_vector
 from .stokesop import (
-    _dissipation_slice,
+    _adjoint_apply,
+    _eigen,
+    _signed,
     expand_slice,
     mode_operator,
     reduce_slice,
@@ -64,24 +66,6 @@ class ResolventSample:
     l2_bound: float
     hk_gain: float
     bound_ok: bool
-
-
-def _eigen(ws, n):
-    """Cached eigendecomposition (w, V, lam_max) of mode |n|."""
-    op = mode_operator(ws, abs(n))
-    if op.eigen is None:
-        w, v = scipy.linalg.eigh(op.G_block, op.M_block)
-        lam_max = float(np.max(np.abs(w))) if w.size else 0.0
-        cfg = ws.config
-        small = np.abs(w) < 1e-8 * lam_max
-        for i in np.nonzero(small)[0]:
-            varr = (op.basis @ v[:, i]).reshape(3, cfg.n_modes_theta, cfg.n_r)
-            num = _dissipation_slice(ws, abs(n), varr)
-            den = float(np.real(v[:, i].conj() @ (op.M_block @ v[:, i])))
-            w[i] = num / den
-        order = np.argsort(w, kind="stable")
-        op.eigen = (w[order], v[:, order], lam_max)
-    return op.eigen
 
 
 def eigensolve(ws, n, count):
@@ -130,21 +114,28 @@ def spectral_report(ws, modes, count, tolerance=SECTOR_TOL):
 
 
 def _pencil_solve(ws, n, lam, r):
-    """Solve (G - lam M) y = r in mode-n coordinates (any sign of n)."""
-    if n < 0:
-        return np.conj(_pencil_solve(ws, -n, np.conj(lam), np.conj(r)))
-    op = mode_operator(ws, n)
+    """Solve (G - lam M) y = r in mode-n coordinates (any sign of n).
+
+    Returns y and the relative algebraic residual ||r - (G - lam M) y|| /
+    ||r|| of the full blocks after one refinement pass.
+    """
+    op = mode_operator(ws, abs(n))
     w, v, lam_max = _eigen(ws, n)
-    gap = np.min(np.abs(w - lam))
+    # the pencil of mode -n is the conjugate of the mode |n| one
+    shift = _signed(n, lam)
+    gap = np.min(np.abs(w - shift))
     if gap < 1e-12 * max(lam_max, 1.0):
         raise RuntimeError(
             "resolvent parameter %s is within %.3e of the mode-%d spectrum"
             % (lam, gap, n)
         )
-    y = v @ ((np.conj(v.T) @ r) / (w - lam))
-    res = r - (op.G_block @ y - lam * (op.M_block @ y))
-    y += v @ ((np.conj(v.T) @ res) / (w - lam))
-    return y
+    r = _signed(n, r)
+    y = np.zeros_like(r)
+    res = r
+    for _ in range(2):  # the solve, then one refinement pass
+        y += v @ (_adjoint_apply(v, res) / (w - shift))
+        res = r - (op.G_block @ y - shift * (op.M_block @ y))
+    return _signed(n, y), float(np.linalg.norm(res) / np.linalg.norm(r))
 
 
 def resolve(ws, lam, g):
@@ -172,18 +163,9 @@ def resolve(ws, lam, g):
     for i_n in range(cfg.n_modes_z):
         n = i_n - cfg.n_z
         r = reduce_slice(ws, n, g.coeffs[:, i_n])
-        rnorm = float(np.linalg.norm(r))
-        if rnorm == 0.0:
+        if not np.any(r):
             continue
-        y = _pencil_solve(ws, n, lam, r)
-        op = mode_operator(ws, abs(n))
-        if n < 0:
-            defect = np.conj(r) - (
-                op.G_block @ np.conj(y) - np.conj(lam) * (op.M_block @ np.conj(y))
-            )
-        else:
-            defect = r - (op.G_block @ y - lam * (op.M_block @ y))
-        rel = float(np.linalg.norm(defect)) / rnorm
+        y, rel = _pencil_solve(ws, n, lam, r)
         worst = max(worst, rel)
         if rel > 1e-8:
             warnings.append("mode %d residual %.3e" % (n, rel))

@@ -97,12 +97,7 @@ class ModeOperator:
     kernel_columns: tuple
     hermiticity_defect: float
     info: dict
-    eigen: object = None
-    m_chol: object = None
-
-    def form_block(self, lam):
-        """Matrix of the sesquilinear form at spectral parameter lam."""
-        return self.G_block - lam * self.M_block
+    eigen: object = None  # (w, V, lam_max), filled by _eigen
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +483,50 @@ def mode_operator(ws, n):
     return op
 
 
-def mode_chol(op):
-    """Cached Cholesky factor of M_block."""
-    if op.m_chol is None:
-        op.m_chol = scipy.linalg.cho_factor(op.M_block)
-    return op.m_chol
+def _eigen(ws, n):
+    """Cached eigendecomposition (w, V, lam_max) of the pencil of mode |n|.
+
+    V is M-orthonormal and diagonalizes (G_block, M_block); its columns are
+    ordered by ascending w. At mode 0 the installed kernel columns are
+    deflated: eigh sees only the remaining rows and columns, and the kernel
+    columns, scaled to unit M-norm, are eigenvectors as they stand. A
+    full-pencil eigh would mix them into the rest at eps * lam_max / gap.
+    Eigenvalues below 1e-8 * lam_max, the kernel ones included, are
+    measured as quadrature-dissipation quotients of their eigenvectors,
+    which are nonnegative by construction.
+    """
+    op = mode_operator(ws, abs(n))
+    if op.eigen is None:
+        cfg = ws.config
+        g, m = op.G_block, op.M_block
+        nk = len(op.kernel_columns)  # installed kernel columns lead the basis
+        w = np.zeros(g.shape[0])
+        v = np.zeros_like(g)
+        v[:nk, :nk] = np.diag(1.0 / np.sqrt(np.diag(m)[:nk].real))
+        w[nk:], v[nk:, nk:] = scipy.linalg.eigh(g[nk:, nk:], m[nk:, nk:])
+        lam_max = float(np.max(np.abs(w))) if w.size else 0.0
+        for i in np.nonzero(np.abs(w) < 1e-8 * lam_max)[0]:
+            varr = (op.basis @ v[:, i]).reshape(3, cfg.n_modes_theta, cfg.n_r)
+            den = float(np.real(np.conj(v[:, i]) @ (m @ v[:, i])))
+            w[i] = _dissipation_slice(ws, abs(n), varr) / den
+        order = np.argsort(w, kind="stable")
+        op.eigen = (w[order], v[:, order], lam_max)
+    return op.eigen
+
+
+def _adjoint_apply(mat, x):
+    """mat^H x without forming the conjugate transpose of mat."""
+    return np.conj(np.conj(x) @ mat)
+
+
+def _signed(n, y):
+    """Mode-|n| coordinates of mode-n coordinates y, and back.
+
+    Mode -n quantities are the complex conjugates of mode +n ones (see
+    reduce_slice), so the map conjugates for n < 0 and is its own inverse.
+    Every cached block and eigenbasis lives in mode-|n| coordinates.
+    """
+    return np.conj(y) if n < 0 else y
 
 
 # ---------------------------------------------------------------------------
@@ -509,23 +543,20 @@ def reduce_slice(ws, n, arr):
     arr is (3, n_m, n_r), the mode-n slice of a field. For n < 0 the
     pairing is carried out against the conjugated mode |n| basis. The
     coordinates of the L^2 projection onto the subspace are
-    cho_solve(mode_chol(op), reduce_slice(...)).
+    V V^H reduce_slice(...) with V the eigenbasis of _eigen.
     """
     op = mode_operator(ws, abs(n))
     if n < 0:
         arr = _conj_flip(arr)
     wg = _apply_weight(ws.tables, ws.config.ell, arr).reshape(-1)
-    y = np.conj(op.basis.T) @ wg
-    return np.conj(y) if n < 0 else y
+    return _signed(n, _adjoint_apply(op.basis, wg))
 
 
 def expand_slice(ws, n, y):
     """Field slice of mode-n coordinates y (inverse of coordinate maps)."""
     op = mode_operator(ws, abs(n))
     cfg = ws.config
-    if n < 0:
-        y = np.conj(y)
-    v = (op.basis @ y).reshape(3, cfg.n_modes_theta, cfg.n_r)
+    v = (op.basis @ _signed(n, y)).reshape(3, cfg.n_modes_theta, cfg.n_r)
     if n < 0:
         v = _conj_flip(v)
     return v
@@ -534,6 +565,9 @@ def expand_slice(ws, n, y):
 def project_constrained(ws, v):
     """L^2-orthogonal projection of a field onto the constrained subspace.
 
+    The coordinates are y = V V^H r = M^{-1} r, with V the M-orthonormal
+    eigenbasis of _eigen and r the reduced functionals.
+
     Returns (projected VectorField, per-mode coordinate dict).
     """
     cfg = ws.config
@@ -541,13 +575,9 @@ def project_constrained(ws, v):
     coords = {}
     for i_n in range(cfg.n_modes_z):
         n = i_n - cfg.n_z
-        op = mode_operator(ws, abs(n))
-        r = reduce_slice(ws, n, v.coeffs[:, i_n])
-        if n < 0:
-            y = np.conj(scipy.linalg.cho_solve(mode_chol(op), np.conj(r)))
-        else:
-            y = scipy.linalg.cho_solve(mode_chol(op), r)
-        coords[n] = y
+        vec = _eigen(ws, n)[1]
+        r = _signed(n, reduce_slice(ws, n, v.coeffs[:, i_n]))
+        y = coords[n] = _signed(n, vec @ _adjoint_apply(vec, r))
         out.coeffs[:, i_n] = expand_slice(ws, n, y)
     out.real_flag = False
     return out, coords

@@ -12,6 +12,7 @@ import json
 import math
 
 import numpy as np
+import scipy.special
 
 from .config import DomainConfig
 from .evolution import EvolutionConfig, estimate_report, evolve, recover_pressure
@@ -54,19 +55,6 @@ def _record(ok, measured, target, tolerance):
     }
 
 
-def _bessel_i0(x):
-    """Modified Bessel function I0 by its power series (small arguments)."""
-    x = np.asarray(x, dtype=float)
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    for k in range(1, 80):
-        term = term * (x * x) / (4.0 * k * k)
-        total = total + term
-        if float(np.max(term)) < 1e-20 * float(np.max(total)):
-            break
-    return total
-
-
 def _c01_mode_solver(ws, seed):
     """Dirichlet mode solve against the closed-form Bessel solution."""
     del seed
@@ -82,7 +70,7 @@ def _c01_mode_solver(ws, seed):
         f = scalar_from_profile(cfg, 1, 0, np.ones(nr))
         u = solve_mode_dirichlet(w, 1, f)
         prof = (
-            _bessel_i0(beta * w.tables.r) / float(_bessel_i0(beta * cfg.kappa))
+            scipy.special.i0(beta * w.tables.r) / scipy.special.i0(beta * cfg.kappa)
             - 1.0
         ) / beta**2
         ref = scalar_from_profile(cfg, 1, 0, prof)
@@ -453,14 +441,7 @@ def _c10_determinism(config, seed, determinism):
 
 def run_all(config, seed, determinism="reduced", echo=True):
     """Run every check and return (records, all_pass)."""
-    records = {}
-    ws = Workspace(config)
-    for name, fn in _CORE:
-        rec = fn(ws, seed)
-        records[name] = rec
-        if echo:
-            print_line(name, rec)
-    del ws
+    records = run_core(config, seed, echo)
     rec = _c10_determinism(config, seed, determinism)
     records["10_determinism"] = rec
     if echo:

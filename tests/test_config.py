@@ -41,6 +41,10 @@ def test_beta_and_ranges():
         {"quad_order": 5, "n_r": 8},
         {"svd_tol": 0.0},
         {"solver_tol": -1e-10},
+        {"n_r": 12.5},
+        {"n_theta": True},
+        {"n_z": 2.0},
+        {"quad_order": 64.0},
     ],
 )
 def test_domain_validation(kwargs):
@@ -77,6 +81,22 @@ def test_unknown_key_rejected(tmp_path):
     path.write_text(json.dumps({"domain": {"n_rr": 8}}))
     with pytest.raises(js.ConfigError, match="unknown config key 'domain.n_rr'"):
         js.load_run_config(path)
+
+
+def test_integer_entries_reject_floats_and_bools(tmp_path):
+    path = tmp_path / "run.json"
+    for doc in (
+        {"domain": {"n_r": 12.5}},
+        {"seed": 1.5},
+        {"seed": True},
+        {"spectrum": {"count": 3.0}},
+        {"spectrum": {"modes": [True]}},
+        {"solve_mode": {"n": 1.5}},
+        {"evolve": {"snapshot_stride": 1.0}},
+    ):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(js.ConfigError, match="must be an integer"):
+            js.load_run_config(path)
 
 
 def test_malformed_json(tmp_path):

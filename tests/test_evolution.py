@@ -15,8 +15,7 @@ from jetstokes.fields import (
 )
 from jetstokes.helmholtz import operator_Q
 from jetstokes.rng import stream
-from jetstokes.spectral import _eigen
-from jetstokes.stokesop import expand_slice, random_constrained_vector
+from jetstokes.stokesop import _eigen, expand_slice, random_constrained_vector
 
 
 def _eigen_initial(ws, j):

@@ -87,6 +87,19 @@ def test_field_payload_size_mismatch(cfg_small, tmp_path):
         js.read_field(path)
 
 
+def test_non_finite_payloads_rejected(cfg_small, tmp_path):
+    u = random_smooth_vector(cfg_small, stream(77, "tests"))
+    u.coeffs[1, 0, 0, 0] = np.nan
+    js.write_field(tmp_path / "nan.json", u)
+    with pytest.raises(ValueError, match="nan.bin holds non-finite"):
+        js.read_field(tmp_path / "nan.json")
+    mat = np.eye(3)
+    mat[2, 1] = -np.inf
+    js.write_matrix(tmp_path / "inf.json", mat)
+    with pytest.raises(ValueError, match="inf.bin holds non-finite"):
+        js.read_matrix(tmp_path / "inf.json")
+
+
 def test_matrix_round_trip(tmp_path):
     rng = stream(76, "tests")
     mc = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))

@@ -15,6 +15,7 @@ from jetstokes.fields import (
 from jetstokes.rng import stream
 from jetstokes.stokesop import (
     _apply_weight,
+    _eigen,
     assemble_A,
     dissipation_value,
     kernel_rayleigh_quotients,
@@ -45,6 +46,20 @@ def test_kernel_columns_are_exact(ws_small):
     proj, coords = project_constrained(ws_small, rot)
     assert js.norm_L2(proj - rot) / js.norm_L2(rot) < 1e-12
     assert np.max(np.abs(coords[0][4:])) < 1e-10
+
+
+def test_eigen_cache_holds_kernel_columns_exactly(ws_small):
+    op = js.mode_operator(ws_small, 0)
+    w, v, lam_max = _eigen(ws_small, 0)
+    kern = v[:, :4]
+    # supported on the installed kernel coordinates only, with no leak
+    # into the rest of the basis
+    assert np.all(kern[4:] == 0.0)
+    mnorm = np.einsum("ki,ki->i", np.conj(kern), op.M_block @ kern)
+    assert np.max(np.abs(mnorm - 1.0)) < 1e-13
+    assert np.all(w[:4] >= 0.0)
+    assert np.all(w[:4] <= 1e-20 * lam_max)
+    assert w[4] > 1e-8 * lam_max
 
 
 def test_kernel_rayleigh_quotients(ws_small):
