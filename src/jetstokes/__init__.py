@@ -39,13 +39,12 @@ from .fields import (
     laplacian,
     norm_L2,
     norm_Hkp,
-    periodicity_defect,
     sym_grad,
     synthesize,
     trace_SF,
 )
 from .fieldio import read_field, read_matrix, write_field, write_matrix
-from .modesolve import RadialOperator, harmonic_extension, solve_mode_dirichlet, stability_constant
+from .modesolve import harmonic_extension, solve_mode_dirichlet, stability_constant
 from .helmholtz import DecompositionResult, operator_Q, project_P, projector_norm_Hk
 from .stokesop import (
     ModeOperator,

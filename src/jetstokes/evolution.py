@@ -2,12 +2,12 @@
 
 Each axial mode evolves independently in its reduced coordinates: with
 M = M_block, G = G_block and f the reduced forcing functionals, the
-Galerkin system is M y' + G y = f. The pencil (G, M) is diagonal in the
-M-orthonormal eigenbasis V of stokesop._eigen, so with y = V c it
-decouples into c' + w c = V^H f and both schemes are scalar recurrences:
+Galerkin system is M c' + G c = f. Every mode is stored in the
+M-orthonormal eigenbasis of its pencil (see stokesop), where M = I and
+G = diag(w) up to roundoff, so both schemes are scalar recurrences:
 
-  implicit Euler   (1 + dt w) c' = c + dt V^H f(t'),
-  Crank-Nicolson   (1 + dt/2 w) c' = (1 - dt/2 w) c + dt V^H (f(t) + f(t'))/2.
+  implicit Euler   (1 + dt w) c' = c + dt f(t'),
+  Crank-Nicolson   (1 + dt/2 w) c' = (1 - dt/2 w) c + dt (f(t) + f(t'))/2.
 
 The eigenvalues w are real and nonnegative, so homogeneous energies are
 monotone, and the mode-0 kernel is deflated exactly in the eigenbasis, so
@@ -29,8 +29,6 @@ from .fields import grad, inner_product_Hkp
 from .helmholtz import _potential_slice, operator_Q, project_P
 from .fields import _truncate
 from .stokesop import (
-    _adjoint_apply,
-    _eigen,
     _signed,
     expand_slice,
     mode_operator,
@@ -131,19 +129,15 @@ def evolve(ws, evo):
     coupling /= max(float(np.linalg.norm(g0)), 1e-300)
     if coupling > 1e-8:
         warnings.append("mode 0: dissipation form couples to the kernel (%.3e)" % coupling)
-    eig = {a: _eigen(ws, a) for a in ops}
+    eig = {a: op.eigen[0] for a, op in ops.items()}
 
-    # The state is held in mode-|n| terms: eigen coordinates c[n] and basis
-    # coordinates y[n] = V c[n].
+    # the state is held in mode-|n| eigen coordinates
     if evo.initial is None:
-        c = {n: np.zeros(eig[abs(n)][0].size, dtype=complex) for n in modes}
+        c = {n: np.zeros(eig[abs(n)].size, dtype=complex) for n in modes}
     else:
         vnorm = norm_L2(evo.initial)
         proj, coords = project_constrained(ws, evo.initial)
-        c = {}
-        for n in modes:
-            m_y = ops[abs(n)].M_block @ _signed(n, coords[n])
-            c[n] = _adjoint_apply(eig[abs(n)][1], m_y)
+        c = {n: _signed(n, coords[n]) for n in modes}
         if vnorm > 0.0:
             defect = norm_L2(evo.initial - proj) / vnorm
             if defect > 1e-8:
@@ -151,7 +145,6 @@ def evolve(ws, evo):
                     "initial state lies outside the constrained subspace "
                     "(relative defect %.3e); evolving its projection" % defect
                 )
-    y = {n: eig[abs(n)][1] @ c[n] for n in modes}
 
     def reduced_forcing(t):
         """Forcing functionals of every mode in mode-|n| terms, or None."""
@@ -180,7 +173,7 @@ def evolve(ws, evo):
 
     def energies(cur):
         l2 = sum(float(np.sum(np.abs(cur[n]) ** 2)) for n in modes)
-        diss = sum(float(np.sum(eig[abs(n)][0] * np.abs(cur[n]) ** 2)) for n in modes)
+        diss = sum(float(np.sum(eig[abs(n)] * np.abs(cur[n]) ** 2)) for n in modes)
         return l2, diss
 
     def signed_coords(cur):
@@ -199,36 +192,33 @@ def evolve(ws, evo):
     l2_arr[0], diss_arr[0] = energies(c)
     fields = []
     if evo.store_trajectory:
-        fields.append(_field_from_coords(ws, signed_coords(y)))
+        fields.append(_field_from_coords(ws, signed_coords(c)))
 
     r_prev = reduced_forcing(0.0)
     for k in range(steps):
         r_next = reduced_forcing(dt * (k + 1))
         c_new = {}
-        y_new = {}
         defect_sq = 0.0
         scale_sq = 0.0
         fp_mid = 0.0
         diss_mid = 0.0
         for n in modes:
-            w, vec, _ = eig[abs(n)]
+            w = eig[abs(n)]
             op = ops[abs(n)]
             b = (1.0 - (1.0 - theta) * dt * w) * c[n]
             if r_next is not None:
                 r_eval = theta * r_next[n] + (1.0 - theta) * r_prev[n]
-                f_eval = _adjoint_apply(vec, r_eval)
-                b += dt * f_eval
+                b += dt * r_eval
             c_new[n] = b / (1.0 + theta * dt * w)
-            y_new[n] = vec @ c_new[n]
             c_eval = theta * c_new[n] + (1.0 - theta) * c[n]
-            dy = op.M_block @ ((y_new[n] - y[n]) / dt)
-            ge = op.G_block @ (theta * y_new[n] + (1.0 - theta) * y[n])
-            d = dy + ge
-            s = np.linalg.norm(dy) + np.linalg.norm(ge)
+            dc = op.M_block @ ((c_new[n] - c[n]) / dt)
+            ge = op.G_block @ c_eval
+            d = dc + ge
+            s = np.linalg.norm(dc) + np.linalg.norm(ge)
             if r_next is not None:
                 d -= r_eval
                 s += np.linalg.norm(r_eval)
-                fp_mid += float(np.real(np.vdot(c_eval, f_eval)))
+                fp_mid += float(np.real(np.vdot(c_eval, r_eval)))
             defect_sq += float(np.linalg.norm(d) ** 2)
             scale_sq += float(s * s)
             diss_mid += float(np.sum(w * np.abs(c_eval) ** 2))
@@ -244,12 +234,11 @@ def evolve(ws, evo):
             ident_res[k] = abs(lhs - rhs)
             ident_scale[k] = abs(lhs) + 2.0 * abs(diss_mid) + 2.0 * abs(fp_mid) + 1e-300
         c = c_new
-        y = y_new
         r_prev = r_next
         if evo.store_trajectory:
-            fields.append(_field_from_coords(ws, signed_coords(y)))
+            fields.append(_field_from_coords(ws, signed_coords(c)))
 
-    coords = signed_coords(y)
+    coords = signed_coords(c)
     final = fields[-1] if fields else _field_from_coords(ws, coords)
     trace = EnergyTrace(
         t=t_grid,

@@ -485,28 +485,6 @@ def trace_norm_L2(tr):
     return math.sqrt(val)
 
 
-def periodicity_defect(field, order=1):
-    """Max mismatch of z-derivatives up to `order` between z = 0 and z = ell.
-
-    The axial phases are evaluated through the fractional part of z/ell, so
-    the defect is exactly zero for stored fields by construction; the check
-    guards the synthesis path rather than the data.
-    """
-    cfg = field.config
-    n = np.arange(-cfg.n_z, cfg.n_z + 1)
-    ph0 = np.exp(2j * math.pi * n * math.modf(0.0 / cfg.ell)[0])
-    ph1 = np.exp(2j * math.pi * n * math.modf(cfg.ell / cfg.ell)[0])
-    factors = _axial_factors(cfg)[:, 0, 0]
-    worst = 0.0
-    for arr in _component_arrays(field):
-        for o in range(order + 1):
-            w = factors**o
-            s0 = np.tensordot(w * ph0, arr, axes=(0, 0))
-            s1 = np.tensordot(w * ph1, arr, axes=(0, 0))
-            worst = max(worst, float(np.max(np.abs(s1 - s0))))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # nodal synthesis grid
 

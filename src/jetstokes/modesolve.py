@@ -2,19 +2,20 @@
 
 At axial mode n the Laplacian acts on an azimuthal channel m as
 lap2d(|m|) - beta^2 with beta = 2*pi*n/ell. Dirichlet problems on the free
-surface are solved by direct collocation: the operator matrix is
-L = -lap2d + beta^2 with the boundary row replaced by the identity, LU
-factored once per (|n|, |m|) and cached in the workspace. Solves apply one
-step of iterative refinement, which pushes relative residuals to the order
-of machine epsilon times the interpolation constant even though L itself
-is badly conditioned at fine grids.
+surface are solved by direct collocation: the operator matrix of a
+channel is L = -lap2d(|m|) + beta^2 with the boundary row replaced by the
+identity. The matrices of all channels of a band form one stack, LU
+factored once per (|n|, band) and cached in the workspace, so one batched
+solve serves every channel and right-hand side. Solves apply one step of
+iterative refinement, which pushes relative residuals to the order of
+machine epsilon times the interpolation constant even though L itself is
+badly conditioned at fine grids.
 """
-
-import dataclasses
 
 import numpy as np
 import scipy.linalg
 
+from .discretization import apply_stack
 from .fields import ScalarField, norm_Hkp, norm_L2, random_smooth_scalar, zeros_scalar
 
 
@@ -22,32 +23,21 @@ def _band(arr):
     return (arr.shape[-2] - 1) // 2
 
 
-@dataclasses.dataclass
-class RadialOperator:
-    """Collocation matrix of one (|n|, |m|) Dirichlet problem.
+def _dirichlet_stack(ws, n, band):
+    """Cached (matrices, LU) of the channels m = -band..band at mode |n|.
 
-    Attributes:
-        matrix: -lap2d(|m|) + beta^2 with row 0 (the surface node)
-            replaced by identity.
-        lu: scipy lu_factor output for matrix.
+    The LU factorization checks its input for finite values once, so the
+    solves skip that check.
     """
-
-    matrix: np.ndarray
-    lu: tuple
-
-
-def radial_operator(ws, n, m):
-    """Cached RadialOperator for axial mode n, azimuthal channel m."""
-    key = (abs(int(n)), abs(int(m)))
-    op = ws.radial_ops.get(key)
-    if op is None:
+    key = (abs(int(n)), int(band))
+    got = ws.radial_ops.get(key)
+    if got is None:
         beta = ws.config.beta(key[0])
-        mat = -ws.tables.lap2d(key[1]) + beta * beta * np.eye(ws.config.n_r)
-        mat[0, :] = 0.0
-        mat[0, 0] = 1.0
-        op = RadialOperator(mat, scipy.linalg.lu_factor(mat))
-        ws.radial_ops[key] = op
-    return op
+        mat = beta * beta * np.eye(ws.config.n_r) - ws.tables.stacks(band).lap
+        mat[:, 0, :] = 0.0
+        mat[:, 0, 0] = 1.0
+        got = ws.radial_ops[key] = (mat, scipy.linalg.lu_factor(mat))
+    return got
 
 
 def laplace_solve_channels(ws, n, f_arr, bc_arr=None):
@@ -60,26 +50,17 @@ def laplace_solve_channels(ws, n, f_arr, bc_arr=None):
         bc_arr: surface values (..., n_channels); zeros when omitted.
 
     Returns:
-        u with the same shape as f_arr, solved channel by channel with one
-        iterative refinement pass.
+        u with the same shape as f_arr, solved for all channels at once
+        with one iterative refinement pass.
     """
-    band = _band(f_arr)
-    lead = f_arr.shape[:-2]
-    nr = f_arr.shape[-1]
-    nm = 2 * band + 1
-    k = int(np.prod(lead, dtype=int)) if lead else 1
-    f2 = f_arr.reshape(k, nm, nr)
-    bc2 = None if bc_arr is None else bc_arr.reshape(k, nm)
-    out = np.empty_like(f2, dtype=complex)
-    for im in range(nm):
-        m = im - band
-        op = radial_operator(ws, n, m)
-        b = -f2[:, im, :].T.astype(complex).copy()
-        b[0] = 0.0 if bc2 is None else bc2[:, im]
-        y = scipy.linalg.lu_solve(op.lu, b)
-        y -= scipy.linalg.lu_solve(op.lu, op.matrix @ y - b)
-        out[:, im, :] = y.T
-    return out.reshape(f_arr.shape)
+    mat, lu = _dirichlet_stack(ws, n, _band(f_arr))
+    nm, nr = f_arr.shape[-2:]
+    # channels lead and right-hand sides trail: (n_channels, n_r, k)
+    b = -np.moveaxis(f_arr.reshape(-1, nm, nr), 0, -1).astype(complex)
+    b[:, 0, :] = 0.0 if bc_arr is None else np.moveaxis(bc_arr.reshape(-1, nm), 0, -1)
+    y = scipy.linalg.lu_solve(lu, b, check_finite=False)
+    y -= scipy.linalg.lu_solve(lu, mat @ y - b, check_finite=False)
+    return np.moveaxis(y, -1, 0).reshape(f_arr.shape)
 
 
 def solve_mode_dirichlet(ws, n, f):
@@ -111,15 +92,11 @@ def dirichlet_residual(ws, n, f, u):
     """Relative interior collocation residual of laplacian(u) = f at mode n."""
     cfg = ws.config
     i_n = cfg.n_z + n
-    num = 0.0
-    den = 0.0
-    for im in range(cfg.n_modes_theta):
-        m = im - cfg.n_theta
-        op = radial_operator(ws, n, m)
-        b = -f.coeffs[i_n, im, :]
-        r = op.matrix @ u.coeffs[i_n, im, :] - np.concatenate(([0.0], b[1:]))
-        num += float(np.sum(np.abs(r[1:]) ** 2))
-        den += float(np.sum(np.abs(b[1:]) ** 2))
+    mat, _ = _dirichlet_stack(ws, n, cfg.n_theta)
+    b = -f.coeffs[i_n]
+    r = apply_stack(mat, u.coeffs[i_n]) - b
+    num = float(np.sum(np.abs(r[:, 1:]) ** 2))
+    den = float(np.sum(np.abs(b[:, 1:]) ** 2))
     if den == 0.0:
         return 0.0 if num == 0.0 else float("inf")
     return float(np.sqrt(num / den))

@@ -1,18 +1,19 @@
 """Spectrum and resolvent of the assembled per-mode operators.
 
-Eigenvalues come from the Hermitian pencil (G_block, M_block) of each
-mode, diagonalized once per mode by stokesop._eigen: G_block is the
-dissipation form, exactly Hermitian and positive semidefinite by
-construction, so the computed spectrum is real and clean down to
-roundoff. The mode-0 kernel is deflated exactly and near-zero values are
-measured through the nonnegative quadrature form on their eigenvectors,
-which pins kernel eigenvalues at tiny nonnegative numbers instead of
-order eps*||G|| jitter.
+Every mode is stored in the M-orthonormal eigenbasis of its Hermitian
+pencil (G_block, M_block), see stokesop: G_block is the dissipation form,
+exactly Hermitian and positive semidefinite by construction, so the
+spectrum is real and clean down to roundoff, and eigenvalues and their
+residuals are read from ModeOperator.eigen. The mode-0 kernel is deflated
+exactly and near-zero values are measured through the nonnegative
+quadrature form on their eigenvectors, which pins kernel eigenvalues at
+tiny nonnegative numbers instead of order eps*||G|| jitter.
 
-Resolvent solves reuse the eigendecomposition: with V M-orthonormal,
-(G - lam M)^{-1} r = V diag(1/(w - lam)) V^H r, followed by one
-refinement pass. Negative modes are conjugate m-reversals of positive
-ones; the solve conjugates lam and the data instead of assembling them.
+In those coordinates a resolvent solve is the diagonal scaling
+(G - lam M)^{-1} r = r / (w - lam), followed by one refinement pass
+against the full blocks. Negative modes are conjugate m-reversals of
+positive ones; the solve conjugates lam and the data instead of
+assembling them.
 
 Eigenvalues of mode -n equal those of mode n, so spectral reports for
 negative modes are served from the |n| decomposition.
@@ -25,14 +26,7 @@ import math
 import numpy as np
 
 from .fields import norm_Hkp, norm_L2, random_smooth_vector, zeros_vector
-from .stokesop import (
-    _adjoint_apply,
-    _eigen,
-    _signed,
-    expand_slice,
-    mode_operator,
-    reduce_slice,
-)
+from .stokesop import _signed, expand_slice, mode_operator, reduce_slice
 
 # slack for sector membership |Im lam| <= Re lam + SECTOR_TOL
 SECTOR_TOL = 1e-8
@@ -71,30 +65,24 @@ class ResolventSample:
 def eigensolve(ws, n, count):
     """The count smallest eigenvalues of mode n, ascending.
 
-    Returns a list of SpectralEntry. The residual is the absolute pencil
-    defect ||G y - lam M y||_2 / ||y||_M of each eigenpair; in_sector
-    records |Im lam| <= Re lam + SECTOR_TOL (imaginary parts are zero by
-    construction of the Hermitian pencil).
+    Returns a list of SpectralEntry. The residual is the pencil defect
+    ||G e_i - lam M e_i|| / sqrt(M_ii) of each eigenpair in eigen
+    coordinates; in_sector records |Im lam| <= Re lam + SECTOR_TOL
+    (imaginary parts are zero by construction of the Hermitian pencil).
     """
-    op = mode_operator(ws, abs(n))
-    w, v, _ = _eigen(ws, n)
-    count = min(int(count), w.size)
-    vs = v[:, :count]
-    ws_ = w[:count]
-    defect = op.G_block @ vs - (op.M_block @ vs) * ws_
-    mnorm = np.sqrt(np.abs(np.einsum("ki,ki->i", np.conj(vs), op.M_block @ vs)))
-    res = np.linalg.norm(defect, axis=0) / mnorm
+    w, residual = mode_operator(ws, abs(n)).eigen
     entries = []
-    for i in range(count):
-        lam = complex(ws_[i], 0.0)
+    for i in range(min(int(count), w.size)):
+        lam = complex(w[i], 0.0)
         in_sector = abs(lam.imag) <= lam.real + SECTOR_TOL
-        entries.append(SpectralEntry(int(n), lam, float(res[i]), bool(in_sector)))
+        entries.append(SpectralEntry(int(n), lam, float(residual[i]), bool(in_sector)))
     return entries
 
 
 def kernel_dimension(ws, tol=1e-10):
     """Number of mode-0 eigenvalues below tol * max|eigenvalue|."""
-    w, _, lam_max = _eigen(ws, 0)
+    w = mode_operator(ws, 0).eigen[0]
+    lam_max = float(np.max(np.abs(w))) if w.size else 0.0
     if lam_max == 0.0:
         return int(w.size)
     return int(np.sum(np.abs(w) < tol * lam_max))
@@ -120,11 +108,12 @@ def _pencil_solve(ws, n, lam, r):
     ||r|| of the full blocks after one refinement pass.
     """
     op = mode_operator(ws, abs(n))
-    w, v, lam_max = _eigen(ws, n)
     # the pencil of mode -n is the conjugate of the mode |n| one
     shift = _signed(n, lam)
-    gap = np.min(np.abs(w - shift))
-    if gap < 1e-12 * max(lam_max, 1.0):
+    w = op.eigen[0]
+    d = w - shift
+    gap = np.min(np.abs(d))
+    if gap < 1e-12 * max(float(np.max(np.abs(w))), 1.0):
         raise RuntimeError(
             "resolvent parameter %s is within %.3e of the mode-%d spectrum"
             % (lam, gap, n)
@@ -133,7 +122,7 @@ def _pencil_solve(ws, n, lam, r):
     y = np.zeros_like(r)
     res = r
     for _ in range(2):  # the solve, then one refinement pass
-        y += v @ (_adjoint_apply(v, res) / (w - shift))
+        y += res / d
         res = r - (op.G_block @ y - shift * (op.M_block @ y))
     return _signed(n, y), float(np.linalg.norm(res) / np.linalg.norm(r))
 

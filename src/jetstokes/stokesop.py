@@ -3,35 +3,44 @@
 Per axial mode n the velocity space is cut down to the constrained
 subspace: divergence-free fields whose tangential surface traction
 vanishes and whose Cartesian channel profiles are smooth through the axis.
-The subspace is found as the numerical nullspace of a stacked constraint
+The subspace is found as the numerical nullspace N of a stacked constraint
 matrix (divergence rows, tangential traction rows, pole regularity rows)
 via a singular value decomposition with a relative cutoff.
 
-On that basis three K x K blocks are assembled:
+On N the Galerkin pencil is sampled by quadrature:
 
-  M_block[i, j] = (b_j, b_i)            L^2 Gram matrix,
-  G_block[i, j] = (mu/2) sum_ij integral E(b_j) conj(E(b_i))
-                                         dissipation form (Hermitian PSD),
-  A_block[i, j] = (A b_j, b_i)          strong operator columns,
-                  A v = -mu P laplacian(v) + grad(Q v).
+  M[i, j] = (b_j, b_i)                  L^2 Gram matrix,
+  G[i, j] = (mu/2) sum_ij integral E(b_j) conj(E(b_i))
+                                         dissipation form (Hermitian PSD).
 
-G_block is the Galerkin realization of the operator on the subspace; the
-independently assembled A_block must agree with it to high relative
-accuracy, which criterion checks enforce. Spectral and evolution routines
-work with (G_block, M_block).
+Each mode is stored in the M-orthonormal eigenbasis V of that pencil:
+basis = N V, M_block = V^H M V ~ I and G_block = V^H G V ~ diag(w). In
+these coordinates the L^2 projection, the resolvent and both time
+steppers are diagonal scalings; the blocks are kept to measure residuals
+against. The strong block
+
+  A_block[i, j] = (A b_j, b_i),         A v = -mu P laplacian(v) + grad(Q v),
+
+is assembled on first read only; criterion checks compare it with G_block.
 
 Mode n = 0 receives special treatment: the three constant fields and the
 rigid rotation are installed as exact leading basis columns, orthonormal
-in the L^2 inner product, and the remaining columns are projected and
-whitened against them. This pins the kernel of the operator to known
-coordinates so that later deflation is exact.
+in the L^2 inner product, and the remaining columns are M-projected
+against them. The pencil eigh sees only the non-kernel rows and columns,
+so the kernel columns, scaled to unit M-norm, are eigenvectors as they
+stand; a full-pencil eigh would mix them into the rest at
+eps * lam_max / gap. Eigenvalues below 1e-8 * lam_max, the kernel ones
+included, are measured as quadrature-dissipation quotients of their
+eigenvectors, which are nonnegative by construction.
 
 Negative modes are never assembled: coefficients of mode -n are conjugate
 m-reversals of mode +n quantities, see reduce_slice / expand_slice.
 """
 
 import dataclasses
+import functools
 import math
+import weakref
 
 import numpy as np
 import scipy.linalg
@@ -87,17 +96,33 @@ class Traction:
 
 @dataclasses.dataclass
 class ModeOperator:
-    """Assembled operator of one axial mode on its constrained basis."""
+    """One axial mode in the eigenbasis of its pencil.
+
+    basis holds the eigenvector fields as columns; eigen is (w, residual)
+    with the ascending eigenvalues and each pair's pencil residual
+    ||G e_i - w_i M e_i|| / sqrt(M_ii) in these coordinates. ws is a weak
+    reference to the owning Workspace, so the cache holds no reference
+    cycle; reading A_block needs that workspace alive.
+    """
 
     n: int
     basis: np.ndarray
-    A_block: np.ndarray
     M_block: np.ndarray
     G_block: np.ndarray
+    eigen: tuple
     kernel_columns: tuple
-    hermiticity_defect: float
     info: dict
-    eigen: object = None  # (w, V, lam_max), filled by _eigen
+    ws: object = dataclasses.field(repr=False, compare=False)
+
+    @functools.cached_property
+    def A_block(self):
+        """Strong operator block (A b_j, b_i), assembled on first read."""
+        ws = self.ws()
+        cfg = ws.config
+        k = self.basis.shape[1]
+        barr = np.ascontiguousarray(self.basis.T).reshape(k, 3, cfg.n_modes_theta, cfg.n_r)
+        wb = _apply_weight(ws.tables, cfg.ell, barr).reshape(k, -1)
+        return np.conj(wb) @ _apply_A_slice(ws, self.n, barr).reshape(k, -1).T
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +293,12 @@ def build_constrained_basis(ws, n, svd_tol=None):
         singular value split at the cutoff (sv_at_rank / sv_past_rank,
         worth checking when changing svd_tol or pushing the resolution),
         and kernel bookkeeping. For n = 0 the first four columns are
-        exactly the constants and the rigid rotation, L^2-orthonormalized.
+        exactly the constants and the rigid rotation, L^2-orthonormalized,
+        and the rest are L^2-orthogonal to them.
 
     Raises:
-        RuntimeError if the known kernel fields fail the constraints.
+        RuntimeError if the known kernel fields fail the constraints or do
+        not lie in the computed nullspace.
     """
     cfg = ws.config
     t = ws.tables
@@ -357,23 +384,20 @@ def build_constrained_basis(ws, n, svd_tol=None):
     kern = kern @ linv.conj().T
     wkern = wkern @ linv.conj().T
 
-    # project the kernel directions out of the nullspace and whiten what
-    # remains; four Gram eigenvalues must collapse to zero
-    proj = null - kern @ (wkern.conj().T @ null)
-    wproj = (
-        _apply_weight(t, cfg.ell, proj.T.reshape(-1, 3, nm, nr))
-        .reshape(-1, nfield)
-        .conj()
-    )
-    gram = wproj @ proj
-    gram = 0.5 * (gram + gram.conj().T)
-    w, v = scipy.linalg.eigh(gram)
-    if not (w[3] < 1e-8 * w[-1] < w[4]):
+    # exactly four nullspace directions must be the kernel: each kernel
+    # field lies in the nullspace span, and the complement of their
+    # coordinates there, M-projected against the kernel, spans the rest
+    coef = null.conj().T @ kern
+    dist = np.linalg.norm(kern - null @ coef, axis=0) ** 2
+    dist /= np.linalg.norm(kern, axis=0) ** 2
+    if not np.all(dist < 1e-8):
         raise RuntimeError(
             "mode-0 kernel deflation expected exactly four null directions, "
-            "got Gram eigenvalues %s" % w[:6]
+            "got squared relative distances %s of the kernel fields from the "
+            "nullspace" % dist
         )
-    rest = proj @ (v[:, 4:] / np.sqrt(w[4:]))
+    comp = scipy.linalg.qr(coef)[0][:, 4:]
+    rest = null @ comp - kern @ ((wkern.conj().T @ null) @ comp)
     basis = np.concatenate([kern, rest], axis=1)
     info["kernel_columns"] = (0, 1, 2, 3)
     info["dim"] = int(basis.shape[1])
@@ -417,53 +441,61 @@ def apply_A(ws, v):
 
 
 def assemble_A(ws, n):
-    """Assemble the mode-n operator blocks on a fresh constrained basis.
+    """Assemble mode n on a fresh constrained basis, in its pencil eigenbasis.
 
     Returns a ModeOperator; use mode_operator for the cached accessor.
     """
     cfg = ws.config
     t = ws.tables
-    basis, info = build_constrained_basis(ws, n)
-    k = basis.shape[1]
+    null, info = build_constrained_basis(ws, n)
+    k = null.shape[1]
     nm, nr = cfg.n_modes_theta, cfg.n_r
-    barr = np.ascontiguousarray(basis.T).reshape(k, 3, nm, nr)
-    beta = cfg.beta(n)
+    barr = np.ascontiguousarray(null.T).reshape(k, 3, nm, nr)
 
     ym = _sample_matrix(t, cfg.ell, barr)
-    m_blk = np.conj(ym) @ ym.T
-    m_blk = 0.5 * (m_blk + m_blk.conj().T)
+    m = np.conj(ym) @ ym.T
+    m = 0.5 * (m + m.conj().T)
     del ym
 
-    g_blk = np.zeros((k, k), dtype=complex)
-    entries = _sym_entries(t, barr, beta)
+    g = np.zeros((k, k), dtype=complex)
+    entries = _sym_entries(t, barr, cfg.beta(n))
     for (i, j), wgt in _PAIRS:
         y = _sample_matrix(t, cfg.ell, entries[(i, j)])
-        g_blk += wgt * (np.conj(y) @ y.T)
-    g_blk *= 0.5 * cfg.mu
+        g += wgt * (np.conj(y) @ y.T)
+    g *= 0.5 * cfg.mu
+    g = 0.5 * (g + g.conj().T)
+    del entries, barr
+
+    # the installed kernel columns lead the basis and are deflated
+    nk = len(info.get("kernel_columns", ()))
+    w = np.zeros(k)
+    v = np.zeros_like(g)
+    v[:nk, :nk] = np.diag(1.0 / np.sqrt(np.diag(m)[:nk].real))
+    w[nk:], v[nk:, nk:] = scipy.linalg.eigh(g[nk:, nk:], m[nk:, nk:])
+    basis = null @ v
+    del null
+    lam_max = float(np.max(np.abs(w))) if k else 0.0
+    for i in np.nonzero(np.abs(w) < 1e-8 * lam_max)[0]:
+        den = float(np.real(np.conj(v[:, i]) @ (m @ v[:, i])))
+        w[i] = _dissipation_slice(ws, n, basis[:, i].reshape(3, nm, nr)) / den
+    order = np.argsort(w, kind="stable")
+    w, v, basis = w[order], v[:, order], basis[:, order]
+
+    vh = v.conj().T
+    m_blk = vh @ (m @ v)
+    m_blk = 0.5 * (m_blk + m_blk.conj().T)
+    g_blk = vh @ (g @ v)
     g_blk = 0.5 * (g_blk + g_blk.conj().T)
-    del entries
-
-    wb = _apply_weight(t, cfg.ell, barr).reshape(k, -1)
-    a_blk = np.conj(wb) @ _apply_A_slice(ws, n, barr).reshape(k, -1).T
-    del wb
-
-    scale = float(np.linalg.norm(a_blk))
-    herm = float(np.linalg.norm(a_blk - a_blk.conj().T)) / max(scale, 1e-300)
-    agree = float(np.linalg.norm(a_blk - g_blk)) / max(
-        float(np.linalg.norm(g_blk)), 1e-300
-    )
-    info["hermiticity_defect"] = herm
-    info["strong_weak_rel_frobenius"] = agree
-    kernel_columns = tuple(info.get("kernel_columns", ()))
+    residual = np.linalg.norm(g_blk - m_blk * w, axis=0) / np.sqrt(np.diag(m_blk).real)
     return ModeOperator(
         n=int(n),
         basis=basis,
-        A_block=a_blk,
         M_block=m_blk,
         G_block=g_blk,
-        kernel_columns=kernel_columns,
-        hermiticity_defect=herm,
+        eigen=(w, residual),
+        kernel_columns=tuple(sorted(int(i) for i in np.argsort(order)[:nk])),
         info=info,
+        ws=weakref.ref(ws),
     )
 
 
@@ -481,37 +513,6 @@ def mode_operator(ws, n):
         op = assemble_A(ws, n)
         ws.mode_ops[n] = op
     return op
-
-
-def _eigen(ws, n):
-    """Cached eigendecomposition (w, V, lam_max) of the pencil of mode |n|.
-
-    V is M-orthonormal and diagonalizes (G_block, M_block); its columns are
-    ordered by ascending w. At mode 0 the installed kernel columns are
-    deflated: eigh sees only the remaining rows and columns, and the kernel
-    columns, scaled to unit M-norm, are eigenvectors as they stand. A
-    full-pencil eigh would mix them into the rest at eps * lam_max / gap.
-    Eigenvalues below 1e-8 * lam_max, the kernel ones included, are
-    measured as quadrature-dissipation quotients of their eigenvectors,
-    which are nonnegative by construction.
-    """
-    op = mode_operator(ws, abs(n))
-    if op.eigen is None:
-        cfg = ws.config
-        g, m = op.G_block, op.M_block
-        nk = len(op.kernel_columns)  # installed kernel columns lead the basis
-        w = np.zeros(g.shape[0])
-        v = np.zeros_like(g)
-        v[:nk, :nk] = np.diag(1.0 / np.sqrt(np.diag(m)[:nk].real))
-        w[nk:], v[nk:, nk:] = scipy.linalg.eigh(g[nk:, nk:], m[nk:, nk:])
-        lam_max = float(np.max(np.abs(w))) if w.size else 0.0
-        for i in np.nonzero(np.abs(w) < 1e-8 * lam_max)[0]:
-            varr = (op.basis @ v[:, i]).reshape(3, cfg.n_modes_theta, cfg.n_r)
-            den = float(np.real(np.conj(v[:, i]) @ (m @ v[:, i])))
-            w[i] = _dissipation_slice(ws, abs(n), varr) / den
-        order = np.argsort(w, kind="stable")
-        op.eigen = (w[order], v[:, order], lam_max)
-    return op.eigen
 
 
 def _adjoint_apply(mat, x):
@@ -542,8 +543,8 @@ def reduce_slice(ws, n, arr):
 
     arr is (3, n_m, n_r), the mode-n slice of a field. For n < 0 the
     pairing is carried out against the conjugated mode |n| basis. The
-    coordinates of the L^2 projection onto the subspace are
-    V V^H reduce_slice(...) with V the eigenbasis of _eigen.
+    basis is M-orthonormal, so these are also the coordinates of the L^2
+    projection onto the subspace.
     """
     op = mode_operator(ws, abs(n))
     if n < 0:
@@ -565,8 +566,8 @@ def expand_slice(ws, n, y):
 def project_constrained(ws, v):
     """L^2-orthogonal projection of a field onto the constrained subspace.
 
-    The coordinates are y = V V^H r = M^{-1} r, with V the M-orthonormal
-    eigenbasis of _eigen and r the reduced functionals.
+    The basis is M-orthonormal, so the coordinates are the reduced
+    functionals r themselves.
 
     Returns (projected VectorField, per-mode coordinate dict).
     """
@@ -575,9 +576,7 @@ def project_constrained(ws, v):
     coords = {}
     for i_n in range(cfg.n_modes_z):
         n = i_n - cfg.n_z
-        vec = _eigen(ws, n)[1]
-        r = _signed(n, reduce_slice(ws, n, v.coeffs[:, i_n]))
-        y = coords[n] = _signed(n, vec @ _adjoint_apply(vec, r))
+        y = coords[n] = reduce_slice(ws, n, v.coeffs[:, i_n])
         out.coeffs[:, i_n] = expand_slice(ws, n, y)
     out.real_flag = False
     return out, coords

@@ -2,7 +2,7 @@
 
 A Workspace owns the radial tables plus every factorization and operator
 block derived from one DomainConfig: LU factors of the per-mode elliptic
-operators and the assembled constrained-mode operators. All caches are
+operator stacks and the assembled constrained-mode operators. All caches are
 filled lazily and never invalidated (configs are frozen).
 """
 
@@ -15,7 +15,7 @@ class Workspace:
     def __init__(self, config):
         self.config = config
         self.tables = tables_for(config)
-        # (|n|, |m|) -> RadialOperator, filled by modesolve.radial_operator
+        # (|n|, band) -> (matrix stack, its LU), filled by modesolve._dirichlet_stack
         self.radial_ops = {}
         # n >= 0 -> ModeOperator, filled by stokesop.mode_operator
         self.mode_ops = {}

@@ -1,29 +1,40 @@
-"""The traced benchmark run wraps package functions at their import sites.
+"""The benchmark reads package names that only its runs would exercise.
 
-bench/spans.instrument looks those functions up as module attributes, so a
-refactor that drops one of the imports would otherwise break only the
-traced benchmark run. Entering the instrumentation fails on a missing name;
-leaving it must put every original function back.
+bench/spans.instrument looks functions up as module attributes and
+bench/workloads.mode_cache_mb reads ModeOperator fields, so a refactor that
+drops one of those names would otherwise break only the traced benchmark
+run. Entering the instrumentation fails on a missing name; leaving it must
+put every original function back.
 """
 
 import importlib.util
+import math
 import pathlib
 
+import jetstokes as js
 from jetstokes import evolution, helmholtz, spectral, stokesop, workspace
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 MODULES = (workspace, stokesop, spectral, evolution, helmholtz)
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location("bench_" + name, BENCH / (name + ".py"))
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
 
+def test_mode_cache_size_reads_every_field():
+    workloads = _load("workloads")
+    ws = js.Workspace(js.DomainConfig(n_r=8, n_theta=2, n_z=0))
+    js.mode_operator(ws, 0)
+    mb = workloads.mode_cache_mb(ws)
+    assert math.isfinite(mb) and mb > 0.0
+
+
 def test_tracer_sites_resolve_and_are_restored():
-    spans = _load_spans()
+    spans = _load("spans")
     before = [dict(vars(m)) for m in MODULES]
     with spans.instrument(spans.Tracer()):
         during = [dict(vars(m)) for m in MODULES]

@@ -15,14 +15,15 @@ from jetstokes.fields import (
 )
 from jetstokes.helmholtz import operator_Q
 from jetstokes.rng import stream
-from jetstokes.stokesop import _eigen, expand_slice, random_constrained_vector
+from jetstokes.stokesop import expand_slice, random_constrained_vector
 
 
 def _eigen_initial(ws, j):
     """Initial field along the j-th mode-1 eigenvector, plus its eigenvalue."""
     cfg = ws.config
-    w, v, _ = _eigen(ws, 1)
-    y0 = v[:, j].copy()
+    w = js.mode_operator(ws, 1).eigen[0]
+    y0 = np.zeros(w.size, dtype=complex)
+    y0[j] = 1.0
     u = zeros_vector(cfg)
     u.coeffs[:, cfg.n_z + 1] = expand_slice(ws, 1, y0)
     u.real_flag = False

@@ -160,12 +160,6 @@ def test_trace_closed_form(cfg_small):
     assert got == pytest.approx(want_norm, rel=1e-13)
 
 
-def test_periodicity_defect_is_exact_zero(cfg_small):
-    u = random_smooth_vector(cfg_small, stream(5, "tests"))
-    assert js.periodicity_defect(u) == 0.0
-    assert js.periodicity_defect(u, order=2) == 0.0
-
-
 def test_synthesize_analyze_round_trip(cfg_small):
     u = random_smooth_scalar(cfg_small, stream(9, "tests"), real=False)
     vals = synthesize(u)

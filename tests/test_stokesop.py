@@ -12,10 +12,11 @@ from jetstokes.fields import (
     zeros_scalar,
     zeros_vector,
 )
+from jetstokes import stokesop
 from jetstokes.rng import stream
 from jetstokes.stokesop import (
     _apply_weight,
-    _eigen,
+    _kernel_slice_arrays,
     assemble_A,
     dissipation_value,
     kernel_rayleigh_quotients,
@@ -49,17 +50,63 @@ def test_kernel_columns_are_exact(ws_small):
 
 
 def test_eigen_cache_holds_kernel_columns_exactly(ws_small):
+    cfg = ws_small.config
     op = js.mode_operator(ws_small, 0)
-    w, v, lam_max = _eigen(ws_small, 0)
-    kern = v[:, :4]
-    # supported on the installed kernel coordinates only, with no leak
-    # into the rest of the basis
-    assert np.all(kern[4:] == 0.0)
-    mnorm = np.einsum("ki,ki->i", np.conj(kern), op.M_block @ kern)
-    assert np.max(np.abs(mnorm - 1.0)) < 1e-13
+    w, _ = op.eigen
+    assert op.kernel_columns == (0, 1, 2, 3)
+    # each leading column is one installed kernel field as it stands, with
+    # no leak into the rest of the nullspace
+    kern = _kernel_slice_arrays(cfg, ws_small.tables).reshape(4, -1)
+    matched = set()
+    for j in range(4):
+        col = op.basis[:, j]
+        hits = [i for i in range(4) if np.array_equal(col != 0.0, kern[i] != 0.0)]
+        assert len(hits) == 1
+        support = kern[hits[0]] != 0.0
+        ratio = col[support] / kern[hits[0]][support]
+        assert np.max(np.abs(ratio - ratio[0])) < 1e-13 * abs(ratio[0])
+        matched.add(hits[0])
+    assert matched == {0, 1, 2, 3}
+    assert np.max(np.abs(op.M_block[:4, :4] - np.eye(4))) < 1e-13
     assert np.all(w[:4] >= 0.0)
-    assert np.all(w[:4] <= 1e-20 * lam_max)
-    assert w[4] > 1e-8 * lam_max
+    assert np.all(w[:4] <= 1e-20 * w[-1])
+    assert w[4] > 1e-8 * w[-1]
+
+
+def test_blocks_are_diagonal_in_eigen_coordinates(ws_small):
+    for n in range(ws_small.config.n_z + 1):
+        op = js.mode_operator(ws_small, n)
+        w, residual = op.eigen
+        k = w.size
+        assert op.basis.shape[1] == k
+        assert np.all(np.diff(w) >= 0.0)
+        assert np.max(np.abs(op.M_block - np.eye(k))) < 1e-12
+        off = op.G_block - np.diag(np.diag(op.G_block))
+        assert np.max(np.abs(off)) < 1e-12 * w[-1]
+        assert np.max(np.abs(np.diag(op.G_block).real - w)) < 1e-12 * w[-1]
+        assert np.max(residual) < 1e-10
+
+
+def test_strong_block_stays_off_the_solve_path(cfg_small, monkeypatch):
+    ws = js.Workspace(cfg_small)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("strong operator evaluated")
+
+    monkeypatch.setattr(stokesop, "_apply_A_slice", refuse)
+    for n in range(cfg_small.n_z + 1):
+        js.mode_operator(ws, n)
+    g = random_smooth_vector(cfg_small, stream(47, "tests"), real=False)
+    _, info = js.resolve(ws, 2j, g)
+    assert info["max_rel_residual"] < 1e-8
+    u = random_constrained_vector(ws, stream(48, "tests"))
+    evo = js.EvolutionConfig(t_final=0.04, dt=0.02, initial=u, forcing=lambda t: g * t)
+    assert js.evolve(ws, evo).trace.t.size == 3
+    monkeypatch.undo()
+    for n in range(cfg_small.n_z + 1):
+        op = js.mode_operator(ws, n)
+        agree = np.linalg.norm(op.A_block - op.G_block) / np.linalg.norm(op.G_block)
+        assert agree < 1e-8
 
 
 def test_kernel_rayleigh_quotients(ws_small):
@@ -127,8 +174,9 @@ def test_form_sector_coercivity(ws_small):
 def test_hermiticity_and_agreement(ws_small):
     for n in range(ws_small.config.n_z + 1):
         op = js.mode_operator(ws_small, n)
-        assert op.hermiticity_defect < 1e-10
-        assert op.info["strong_weak_rel_frobenius"] < 1e-8
+        a, g = op.A_block, op.G_block
+        assert np.linalg.norm(a - a.conj().T) / np.linalg.norm(a) < 1e-10
+        assert np.linalg.norm(a - g) / np.linalg.norm(g) < 1e-8
         assert op.info["dim"] == op.basis.shape[1]
         assert op.info["sv_at_rank"] > op.info["sv_past_rank"]
 
