@@ -33,7 +33,7 @@ class DomainConfig:
         n_theta: azimuthal cutoff, modes m = -n_theta..n_theta are stored.
         n_z: axial cutoff, modes n = -n_z..n_z are stored.
         quad_order: radial Gauss-Legendre points, 0 means 2*n_r.
-        svd_tol: relative singular-value cutoff for constrained-basis ranks.
+        svd_tol: relative singular-value cutoff of each sector's constraint SVD.
         solver_tol: relative residual bound for direct elliptic solves.
     """
 

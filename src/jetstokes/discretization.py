@@ -88,12 +88,11 @@ def apply_stack(stack, arr):
 class _BandStacks:
     """Per-channel operator stacks for azimuthal modes m = -band..band."""
 
-    __slots__ = ("band", "ms", "ddr", "raising", "lowering", "lap", "resample", "gram")
+    __slots__ = ("band", "ms", "raising", "lowering", "lap", "resample", "gram")
 
-    def __init__(self, band, ms, ddr, raising, lowering, lap, resample, gram):
+    def __init__(self, band, ms, raising, lowering, lap, resample, gram):
         self.band = band
         self.ms = ms
-        self.ddr = ddr
         self.raising = raising
         self.lowering = lowering
         self.lap = lap
@@ -195,7 +194,6 @@ class RadialTables:
         ms = np.arange(-band, band + 1)
         nr = self.n_r
         nm = ms.size
-        ddr = np.empty((nm, nr, nr))
         raising = np.empty((nm, nr, nr))
         lowering = np.empty((nm, nr, nr))
         lap = np.empty((nm, nr, nr))
@@ -205,13 +203,12 @@ class RadialTables:
             p = 1 if m % 2 == 0 else -1
             d = self._d1[p]
             mr = np.diag(m * self.inv_r)
-            ddr[im] = d
             raising[im] = d - mr
             lowering[im] = d + mr
             lap[im] = self.lap2d(abs(int(m)))
             resample[im] = self._resample[p]
             gram[im] = self._gram[p]
-        out = _BandStacks(band, ms, ddr, raising, lowering, lap, resample, gram)
+        out = _BandStacks(band, ms, raising, lowering, lap, resample, gram)
         self._stacks[band] = out
         return out
 

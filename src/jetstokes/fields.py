@@ -270,10 +270,6 @@ def _match(a, b):
     return a, _pad(b, ba - bb)
 
 
-def _ddr(t, arr):
-    return apply_stack(t.stacks(_band(arr)).ddr, arr)
-
-
 def _shift_up(t, arr):
     """Apply (d/dr - m/r) per channel and move content from m to m+1."""
     st = t.stacks(_band(arr))

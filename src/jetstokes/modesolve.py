@@ -16,11 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .discretization import apply_stack
-from .fields import ScalarField, norm_Hkp, norm_L2, random_smooth_scalar, zeros_scalar
-
-
-def _band(arr):
-    return (arr.shape[-2] - 1) // 2
+from .fields import ScalarField, _band, norm_Hkp, norm_L2, random_smooth_scalar, zeros_scalar
 
 
 def _dirichlet_stack(ws, n, band):

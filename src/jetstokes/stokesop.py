@@ -3,34 +3,37 @@
 Per axial mode n the velocity space is cut down to the constrained
 subspace: divergence-free fields whose tangential surface traction
 vanishes and whose Cartesian channel profiles are smooth through the axis.
-The subspace is found as the numerical nullspace N of a stacked constraint
-matrix (divergence rows, tangential traction rows, pole regularity rows)
-via a singular value decomposition with a relative cutoff.
+Every constraint commutes with rotations about the axis, so the subspace
+is an exact direct sum of angular-momentum sectors j: sector j holds
+u+ = u_x + i u_y at m = j + 1, u- = u_x - i u_y at m = j - 1 and u_z at
+m = j, at most 3 * n_r unknowns. Each sector's part is the numerical
+nullspace of its own stacked constraint rows (divergence, tangential
+traction, pole regularity), found by a small SVD with a relative cutoff.
 
-On N the Galerkin pencil is sampled by quadrature:
+On each sector's nullspace N the Galerkin pencil is sampled by quadrature:
 
   M[i, j] = (b_j, b_i)                  L^2 Gram matrix,
   G[i, j] = (mu/2) sum_ij integral E(b_j) conj(E(b_i))
                                          dissipation form (Hermitian PSD).
 
-Each mode is stored in the M-orthonormal eigenbasis V of that pencil:
-basis = N V, M_block = V^H M V ~ I and G_block = V^H G V ~ diag(w). In
-these coordinates the L^2 projection, the resolvent and both time
-steppers are diagonal scalings; the blocks are kept to measure residuals
-against. The strong block
+Each mode is stored in the M-orthonormal eigenbasis V of that pencil,
+solved sector by sector and merged in ascending order: basis = N V,
+M_block = V^H M V ~ I and G_block = V^H G V ~ diag(w), both block-diagonal
+over the sectors. In these coordinates the L^2 projection, the resolvent
+and both time steppers are diagonal scalings; the blocks are kept to
+measure residuals against. The strong block
 
   A_block[i, j] = (A b_j, b_i),         A v = -mu P laplacian(v) + grad(Q v),
 
 is assembled on first read only; criterion checks compare it with G_block.
 
-Mode n = 0 receives special treatment: the three constant fields and the
-rigid rotation are installed as exact leading basis columns, orthonormal
-in the L^2 inner product, and the remaining columns are M-projected
-against them. The pencil eigh sees only the non-kernel rows and columns,
-so the kernel columns, scaled to unit M-norm, are eigenvectors as they
-stand; a full-pencil eigh would mix them into the rest at
-eps * lam_max / gap. Eigenvalues below 1e-8 * lam_max, the kernel ones
-included, are measured as quadrature-dissipation quotients of their
+Mode n = 0 receives special treatment: the kernel fields e1 + i e2
+(sector 1), e1 - i e2 (sector -1), e3 and the rigid rotation (sector 0)
+are installed as exact leading columns of their sectors with unit L^2
+norm, and the remaining columns are M-projected against them. The sector
+eigh sees only the non-kernel rows and columns, so the kernel columns are
+eigenvectors as they stand. Eigenvalues below 1e-8 * lam_max, the kernel
+ones included, are measured as quadrature-dissipation quotients of their
 eigenvectors, which are nonnegative by construction.
 
 Negative modes are never assembled: coefficients of mode -n are conjugate
@@ -52,13 +55,13 @@ from .fields import (
     _disk_inner_per_n,
     _dx,
     _dy,
-    _mul_x,
-    _mul_y,
     _pad,
     _truncate,
+    constant_vector,
     inner_product_Hkp,
     norm_L2,
     random_smooth_vector,
+    rigid_rotation,
     zeros_vector,
 )
 from .helmholtz import _div_slice, _potential_slice, _q_slice
@@ -98,9 +101,11 @@ class Traction:
 class ModeOperator:
     """One axial mode in the eigenbasis of its pencil.
 
-    basis holds the eigenvector fields as columns; eigen is (w, residual)
-    with the ascending eigenvalues and each pair's pencil residual
-    ||G e_i - w_i M e_i|| / sqrt(M_ii) in these coordinates. ws is a weak
+    basis holds the eigenvector fields as columns, each in one sector;
+    eigen is (w, residual) with the ascending eigenvalues and each pair's
+    pencil residual ||G e_i - w_i M e_i|| / sqrt(M_ii) in these
+    coordinates. info holds the per-sector basis records and the smallest
+    kept / largest dropped singular value over the sectors. ws is a weak
     reference to the owning Workspace, so the cache holds no reference
     cycle; reading A_block needs that workspace alive.
     """
@@ -242,19 +247,6 @@ def tangential_traction(ws, v):
 # constrained basis
 
 
-def _kernel_slice_arrays(cfg, t):
-    """Constants e1, e2, e3 and the rigid rotation as mode-0 slices."""
-    nm, nr = cfg.n_modes_theta, cfg.n_r
-    out = np.zeros((4, 3, nm, nr), dtype=complex)
-    for c in range(3):
-        out[c, c, cfg.n_theta, :] = 1.0
-    one = np.zeros((nm, nr), dtype=complex)
-    one[cfg.n_theta, :] = 1.0
-    out[3, 0] = _truncate(-_mul_y(t, one), cfg.n_theta)
-    out[3, 1] = _truncate(_mul_x(t, one), cfg.n_theta)
-    return out
-
-
 def _apply_weight(t, ell, arr):
     """Apply the L^2 weight (2*pi*ell times the per-channel Gram) to arr."""
     return 2.0 * math.pi * ell * apply_stack(t.stacks(_band(arr)).gram, arr)
@@ -273,28 +265,63 @@ def _sample_matrix(t, ell, arr):
     return vals.reshape(arr.shape[0], -1)
 
 
-def build_constrained_basis(ws, n, svd_tol=None):
-    """Orthonormal spanning set of the constrained subspace of mode n.
+def _sector_units(cfg, j):
+    """Unit fields of angular-momentum sector j as Cartesian slices.
 
-    Constraint rows: divergence at every collocation point (band + 1),
-    tangential traction surface channels (band + 4), and pole regularity
-    rows per component and azimuthal channel. Rows are normalized to unit
-    length before the SVD so the relative cutoff is meaningful.
+    Sector j holds u+ = u_x + i u_y at m = j + 1, u- = u_x - i u_y at
+    m = j - 1 and u_z at m = j; pieces outside the band are dropped. The
+    entries 1/sqrt(2) and +-i/sqrt(2) make the embedding unitary.
+
+    Returns (units, m_abs): units (k, 3, n_m, n_r) with k = n_r per piece,
+    and the |m| of each piece in order.
+    """
+    nm, nr = cfg.n_modes_theta, cfg.n_r
+    h = math.sqrt(0.5)
+    pieces = [(j + 1, (h, -1j * h, 0.0)), (j - 1, (h, 1j * h, 0.0)), (j, (0.0, 0.0, 1.0))]
+    pieces = [(m, vec) for m, vec in pieces if abs(m) <= cfg.n_theta]
+    units = np.zeros((len(pieces), nr, 3, nm, nr), dtype=complex)
+    for p, (m, vec) in enumerate(pieces):
+        for c in range(3):
+            units[p, :, c, cfg.n_theta + m, :] = vec[c] * np.eye(nr)
+    return units.reshape(-1, 3, nm, nr), [abs(m) for m, _ in pieces]
+
+
+def _kernel_fields(cfg, j):
+    """Mode-0 kernel fields of sector j as flattened Cartesian slices.
+
+    e1 + i e2 lies in sector 1, e1 - i e2 in sector -1, and e3 and the
+    rigid rotation in sector 0; every other sector has none.
+    """
+    if j == 0:
+        fields = [constant_vector(cfg, (0.0, 0.0, 1.0)), rigid_rotation(cfg)]
+    elif abs(j) == 1:
+        fields = [constant_vector(cfg, (1.0, 1j * j, 0.0))]
+    else:
+        fields = []
+    return [f.coeffs[:, cfg.n_z].reshape(-1) for f in fields]
+
+
+def build_constrained_basis(ws, n, j):
+    """Spanning set of sector j of the constrained subspace of mode n.
+
+    Constraint rows: divergence at every collocation point (band + 1) and
+    tangential traction surface channels (band + 4), applied to the
+    sector's unit fields, and the pole regularity rows of each piece.
+    Rows are normalized to unit length before the SVD so the relative
+    cutoff svd_tol * s_max of the sector is meaningful.
 
     Args:
         ws: Workspace.
-        n: axial mode (any sign; the constraints depend on beta^2 only
-            through the matrix, so the result is the mode-n space).
-        svd_tol: relative singular value cutoff, defaults to the config.
+        n: axial mode (any sign).
+        j: angular-momentum sector, -n_theta-1..n_theta+1.
 
     Returns:
-        (basis, info): basis is (3*n_m*n_r, K) complex with columns
-        flattened in (component, m, r) order; info records sizes, the
-        singular value split at the cutoff (sv_at_rank / sv_past_rank,
-        worth checking when changing svd_tol or pushing the resolution),
-        and kernel bookkeeping. For n = 0 the first four columns are
-        exactly the constants and the rigid rotation, L^2-orthonormalized,
-        and the rest are L^2-orthogonal to them.
+        (basis, info): basis is (3*n_m*n_r, K_j) complex with Cartesian
+        columns flattened in (component, m, r) order; info records sizes
+        and the singular value split at the cutoff (sv_at_rank /
+        sv_past_rank). For n = 0 the sector's kernel fields (see
+        _kernel_fields) lead the basis with unit L^2 norm, their indices
+        in info["kernel_columns"], and the rest is L^2-orthogonal to them.
 
     Raises:
         RuntimeError if the known kernel fields fail the constraints or do
@@ -302,106 +329,72 @@ def build_constrained_basis(ws, n, svd_tol=None):
     """
     cfg = ws.config
     t = ws.tables
-    if svd_tol is None:
-        svd_tol = cfg.svd_tol
-    nm, nr = cfg.n_modes_theta, cfg.n_r
-    nfield = 3 * nm * nr
+    units, m_abs = _sector_units(cfg, j)
+    k = units.shape[0]
     beta = cfg.beta(n)
-
-    unit = np.eye(nfield, dtype=complex).reshape(nfield, 3, nm, nr)
-    rows_div = _div_slice(t, unit, beta).reshape(nfield, -1).T
-    rows_tan = np.concatenate(
-        [a.reshape(nfield, -1).T for a in _tangential_arrays(t, unit, beta, cfg.mu)]
+    cmat = np.concatenate(
+        [_div_slice(t, units, beta).reshape(k, -1).T]
+        + [a.reshape(k, -1).T for a in _tangential_arrays(t, units, beta, cfg.mu)]
+        + [scipy.linalg.block_diag(*[t.pole_rows(m) for m in m_abs])]
     )
-    pole_blocks = []
-    for c in range(3):
-        for im in range(nm):
-            p = t.pole_rows(abs(im - cfg.n_theta))
-            if p.shape[0] == 0:
-                continue
-            block = np.zeros((p.shape[0], nfield), dtype=complex)
-            start = (c * nm + im) * nr
-            block[:, start : start + nr] = p
-            pole_blocks.append(block)
-    rows_pole = (
-        np.concatenate(pole_blocks)
-        if pole_blocks
-        else np.zeros((0, nfield), dtype=complex)
-    )
-
-    cmat = np.concatenate([rows_div, rows_tan, rows_pole])
     norms = np.linalg.norm(cmat, axis=1)
     keep = norms > 1e-14 * norms.max()
     cmat = cmat[keep] / norms[keep][:, None]
 
-    _, s, vh = scipy.linalg.svd(cmat, full_matrices=True)
-    thr = svd_tol * s[0]
+    _, s, vh = scipy.linalg.svd(cmat)
     # Differentiation-matrix conditioning smears exact row dependencies
     # into a noise cloud that climbs toward the cutoff on fine grids, so
     # the rank call is tolerance-based by nature. The split is recorded
     # in info; directions near the cutoff violate the constraints at the
     # cutoff level either way, which is harmless at the tolerances the
     # operators are used at. The kernel checks below stay hard.
-    rank = int((s > thr).sum())
+    rank = int((s > cfg.svd_tol * s[0]).sum())
     null = vh[rank:].conj().T
-
     info = {
         "n": int(n),
-        "rows_div": int(rows_div.shape[0]),
-        "rows_tan": int(rows_tan.shape[0]),
-        "rows_pole": int(rows_pole.shape[0]),
+        "j": int(j),
         "rows_kept": int(cmat.shape[0]),
         "rank": rank,
         "dim": int(null.shape[1]),
         "sv_max": float(s[0]),
         "sv_at_rank": float(s[rank - 1]) if rank else 0.0,
         "sv_past_rank": float(s[rank]) if rank < s.size else 0.0,
-        "svd_tol": float(svd_tol),
     }
+    embed = units.reshape(k, -1).T  # sector coordinates -> Cartesian
+    kern = _kernel_fields(cfg, j) if n == 0 else []
+    if not kern:
+        return embed @ null, info
 
-    if n != 0:
-        return null, info
-
-    # mode 0: install the known kernel as exact leading columns
-    kern = _kernel_slice_arrays(cfg, t).reshape(4, nfield).T
-    worst = 0.0
-    for col in range(4):
-        worst = max(
-            worst,
-            float(np.linalg.norm(cmat @ kern[:, col]))
-            / float(np.linalg.norm(kern[:, col])),
-        )
+    # mode 0: install the sector's known kernel as exact leading columns
+    nk = len(kern)
+    kc = np.conj(embed.T) @ np.array(kern).T
+    worst = np.max(np.linalg.norm(cmat @ kc, axis=0) / np.linalg.norm(kc, axis=0))
     if worst > 1e-8:
         raise RuntimeError(
             "known kernel fields violate the mode-0 constraints by %.3e" % worst
         )
-    info["kernel_constraint_residual"] = worst
-
-    wkern = _apply_weight(t, cfg.ell, kern.T.reshape(4, 3, nm, nr)).reshape(4, nfield).T
-    gk = kern.conj().T @ wkern
-    lk = scipy.linalg.cholesky(0.5 * (gk + gk.conj().T), lower=True)
-    linv = scipy.linalg.solve_triangular(lk, np.eye(4), lower=True)
-    kern = kern @ linv.conj().T
-    wkern = wkern @ linv.conj().T
-
-    # exactly four nullspace directions must be the kernel: each kernel
-    # field lies in the nullspace span, and the complement of their
-    # coordinates there, M-projected against the kernel, spans the rest
-    coef = null.conj().T @ kern
-    dist = np.linalg.norm(kern - null @ coef, axis=0) ** 2
-    dist /= np.linalg.norm(kern, axis=0) ** 2
+    # each kernel field lies in the nullspace span, and the complement of
+    # their coordinates there, M-projected against the kernel, spans the
+    # rest; within a sector the kernel fields have disjoint supports, so
+    # they are L^2-orthogonal and need only be normalized
+    coef = null.conj().T @ kc
+    dist = np.linalg.norm(kc - null @ coef, axis=0) ** 2
+    dist /= np.linalg.norm(kc, axis=0) ** 2
     if not np.all(dist < 1e-8):
         raise RuntimeError(
-            "mode-0 kernel deflation expected exactly four null directions, "
-            "got squared relative distances %s of the kernel fields from the "
-            "nullspace" % dist
+            "mode-0 kernel deflation expected exactly %d null directions in "
+            "sector %d, got squared relative distances %s of the kernel fields "
+            "from the nullspace" % (nk, j, dist)
         )
-    comp = scipy.linalg.qr(coef)[0][:, 4:]
-    rest = null @ comp - kern @ ((wkern.conj().T @ null) @ comp)
-    basis = np.concatenate([kern, rest], axis=1)
-    info["kernel_columns"] = (0, 1, 2, 3)
-    info["dim"] = int(basis.shape[1])
-    return basis, info
+    kern = embed @ kc
+    wkern = _apply_weight(t, cfg.ell, kern.T.reshape(nk, 3, cfg.n_modes_theta, cfg.n_r))
+    wkern = wkern.reshape(nk, -1).T
+    scale = 1.0 / np.sqrt(np.sum(np.conj(kern) * wkern, axis=0).real)
+    kern, wkern = kern * scale, wkern * scale
+    null = embed @ null
+    comp = null @ scipy.linalg.qr(coef)[0][:, nk:]
+    info["kernel_columns"] = tuple(range(nk))
+    return np.concatenate([kern, comp - kern @ (wkern.conj().T @ comp)], axis=1), info
 
 
 # ---------------------------------------------------------------------------
@@ -441,50 +434,56 @@ def apply_A(ws, v):
 
 
 def assemble_A(ws, n):
-    """Assemble mode n on a fresh constrained basis, in its pencil eigenbasis.
+    """Assemble mode n sector by sector, in the eigenbasis of its pencil.
 
-    Returns a ModeOperator; use mode_operator for the cached accessor.
+    Each angular-momentum sector gets its own constrained basis, its own
+    M and G samples and a pencil eigh on its non-kernel columns; the
+    eigenpairs of all sectors are merged in ascending order, so the blocks
+    are block-diagonal. Returns a ModeOperator; use mode_operator for the
+    cached accessor.
     """
     cfg = ws.config
     t = ws.tables
-    null, info = build_constrained_basis(ws, n)
-    k = null.shape[1]
     nm, nr = cfg.n_modes_theta, cfg.n_r
-    barr = np.ascontiguousarray(null.T).reshape(k, 3, nm, nr)
+    parts = []
+    for j in range(-cfg.n_theta - 1, cfg.n_theta + 2):
+        null, info = build_constrained_basis(ws, n, j)
+        k = null.shape[1]
+        if k == 0:
+            continue
+        barr = np.ascontiguousarray(null.T).reshape(k, 3, nm, nr)
+        ym = _sample_matrix(t, cfg.ell, barr)
+        m = np.conj(ym) @ ym.T
+        m = 0.5 * (m + m.conj().T)
+        g = np.zeros((k, k), dtype=complex)
+        entries = _sym_entries(t, barr, cfg.beta(n))
+        for (a, b), wgt in _PAIRS:
+            y = _sample_matrix(t, cfg.ell, entries[(a, b)])
+            g += wgt * (np.conj(y) @ y.T)
+        g *= 0.5 * cfg.mu
+        g = 0.5 * (g + g.conj().T)
 
-    ym = _sample_matrix(t, cfg.ell, barr)
-    m = np.conj(ym) @ ym.T
-    m = 0.5 * (m + m.conj().T)
-    del ym
+        # the installed kernel columns lead the sector and are deflated
+        nk = len(info.get("kernel_columns", ()))
+        w = np.zeros(k)
+        v = np.zeros_like(g)
+        v[:nk, :nk] = np.diag(1.0 / np.sqrt(np.diag(m)[:nk].real))
+        w[nk:], v[nk:, nk:] = scipy.linalg.eigh(g[nk:, nk:], m[nk:, nk:])
+        vh = v.conj().T
+        parts.append((null @ v, w, vh @ (m @ v), vh @ (g @ v), np.arange(k) < nk, info))
 
-    g = np.zeros((k, k), dtype=complex)
-    entries = _sym_entries(t, barr, cfg.beta(n))
-    for (i, j), wgt in _PAIRS:
-        y = _sample_matrix(t, cfg.ell, entries[(i, j)])
-        g += wgt * (np.conj(y) @ y.T)
-    g *= 0.5 * cfg.mu
-    g = 0.5 * (g + g.conj().T)
-    del entries, barr
-
-    # the installed kernel columns lead the basis and are deflated
-    nk = len(info.get("kernel_columns", ()))
-    w = np.zeros(k)
-    v = np.zeros_like(g)
-    v[:nk, :nk] = np.diag(1.0 / np.sqrt(np.diag(m)[:nk].real))
-    w[nk:], v[nk:, nk:] = scipy.linalg.eigh(g[nk:, nk:], m[nk:, nk:])
-    basis = null @ v
-    del null
-    lam_max = float(np.max(np.abs(w))) if k else 0.0
+    bases, eigvals, m_blks, g_blks, kernel, sectors = zip(*parts)
+    basis = np.concatenate(bases, axis=1)
+    w = np.concatenate(eigvals)
+    m_blk = scipy.linalg.block_diag(*m_blks)
+    lam_max = float(np.max(np.abs(w)))
     for i in np.nonzero(np.abs(w) < 1e-8 * lam_max)[0]:
-        den = float(np.real(np.conj(v[:, i]) @ (m @ v[:, i])))
-        w[i] = _dissipation_slice(ws, n, basis[:, i].reshape(3, nm, nr)) / den
+        w[i] = _dissipation_slice(ws, n, basis[:, i].reshape(3, nm, nr)) / m_blk[i, i].real
     order = np.argsort(w, kind="stable")
-    w, v, basis = w[order], v[:, order], basis[:, order]
-
-    vh = v.conj().T
-    m_blk = vh @ (m @ v)
+    w, basis = w[order], basis[:, order]
+    m_blk = m_blk[np.ix_(order, order)]
     m_blk = 0.5 * (m_blk + m_blk.conj().T)
-    g_blk = vh @ (g @ v)
+    g_blk = scipy.linalg.block_diag(*g_blks)[np.ix_(order, order)]
     g_blk = 0.5 * (g_blk + g_blk.conj().T)
     residual = np.linalg.norm(g_blk - m_blk * w, axis=0) / np.sqrt(np.diag(m_blk).real)
     return ModeOperator(
@@ -493,8 +492,14 @@ def assemble_A(ws, n):
         M_block=m_blk,
         G_block=g_blk,
         eigen=(w, residual),
-        kernel_columns=tuple(sorted(int(i) for i in np.argsort(order)[:nk])),
-        info=info,
+        kernel_columns=tuple(int(i) for i in np.nonzero(np.concatenate(kernel)[order])[0]),
+        info={
+            "n": int(n),
+            "dim": int(w.size),
+            "sv_at_rank": min(i["sv_at_rank"] for i in sectors),
+            "sv_past_rank": max(i["sv_past_rank"] for i in sectors),
+            "sectors": sectors,
+        },
         ws=weakref.ref(ws),
     )
 

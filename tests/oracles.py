@@ -3,7 +3,9 @@
 Everything here is deliberately built from scratch: power series, a
 finite-volume radial solver on a staggered grid, and hand-derived closed
 forms. None of it shares code paths with the package, so agreement is
-evidence rather than tautology.
+evidence rather than tautology. The one exception is
+dense_constrained_nullspace, which reuses the package's constraint rows
+but none of its angular-momentum sector split.
 """
 
 import math
@@ -133,6 +135,34 @@ def shear_q_profile(r, kappa, mu):
     m = -2.
     """
     return mu * (np.asarray(r) / kappa) ** 2
+
+
+def dense_constrained_nullspace(ws, n):
+    """Constrained space of mode n from one SVD over all unit fields.
+
+    The package's divergence, tangential-traction and pole rows are
+    applied to every one of the 3*n_m*n_r Cartesian unit fields at once;
+    rows are normalized, and the nullspace is cut at svd_tol * s_max of
+    the whole mode. Returns orthonormal columns in (component, m, r) order.
+    """
+    from jetstokes.helmholtz import _div_slice
+    from jetstokes.stokesop import _tangential_arrays
+
+    cfg, t = ws.config, ws.tables
+    nfield = 3 * cfg.n_modes_theta * cfg.n_r
+    beta = cfg.beta(n)
+    unit = np.eye(nfield, dtype=complex).reshape(nfield, 3, cfg.n_modes_theta, cfg.n_r)
+    ms = range(-cfg.n_theta, cfg.n_theta + 1)
+    cmat = np.concatenate(
+        [_div_slice(t, unit, beta).reshape(nfield, -1).T]
+        + [a.reshape(nfield, -1).T for a in _tangential_arrays(t, unit, beta, cfg.mu)]
+        + [scipy.linalg.block_diag(*[t.pole_rows(abs(m)) for _ in range(3) for m in ms])]
+    )
+    norms = np.linalg.norm(cmat, axis=1)
+    keep = norms > 1e-14 * norms.max()
+    _, s, vh = scipy.linalg.svd(cmat[keep] / norms[keep][:, None])
+    rank = int((s > cfg.svd_tol * s[0]).sum())
+    return vh[rank:].conj().T
 
 
 # time stepping recurrences (scalar model problems)

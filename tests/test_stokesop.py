@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import jetstokes as js
+import oracles
 from jetstokes.fields import (
     constant_vector,
     random_smooth_vector,
@@ -16,7 +17,6 @@ from jetstokes import stokesop
 from jetstokes.rng import stream
 from jetstokes.stokesop import (
     _apply_weight,
-    _kernel_slice_arrays,
     assemble_A,
     dissipation_value,
     kernel_rayleigh_quotients,
@@ -55,16 +55,24 @@ def test_eigen_cache_holds_kernel_columns_exactly(ws_small):
     w, _ = op.eigen
     assert op.kernel_columns == (0, 1, 2, 3)
     # each leading column is one installed kernel field as it stands, with
-    # no leak into the rest of the nullspace
-    kern = _kernel_slice_arrays(cfg, ws_small.tables).reshape(4, -1)
+    # no leak into the rest of the nullspace; e1 + i e2 and e1 - i e2 share
+    # their support, so a match needs the support and a constant ratio
+    kern = [
+        constant_vector(cfg, vals).coeffs[:, cfg.n_z].reshape(-1)
+        for vals in ((1.0, 1j, 0.0), (1.0, -1j, 0.0), (0.0, 0.0, 1.0))
+    ]
+    kern.append(rigid_rotation(cfg).coeffs[:, cfg.n_z].reshape(-1))
     matched = set()
     for j in range(4):
         col = op.basis[:, j]
-        hits = [i for i in range(4) if np.array_equal(col != 0.0, kern[i] != 0.0)]
+        hits = []
+        for i in range(4):
+            support = kern[i] != 0.0
+            if np.array_equal(col != 0.0, support):
+                ratio = col[support] / kern[i][support]
+                if np.max(np.abs(ratio - ratio[0])) < 1e-13 * abs(ratio[0]):
+                    hits.append(i)
         assert len(hits) == 1
-        support = kern[hits[0]] != 0.0
-        ratio = col[support] / kern[hits[0]][support]
-        assert np.max(np.abs(ratio - ratio[0])) < 1e-13 * abs(ratio[0])
         matched.add(hits[0])
     assert matched == {0, 1, 2, 3}
     assert np.max(np.abs(op.M_block[:4, :4] - np.eye(4))) < 1e-13
@@ -85,6 +93,27 @@ def test_blocks_are_diagonal_in_eigen_coordinates(ws_small):
         assert np.max(np.abs(off)) < 1e-12 * w[-1]
         assert np.max(np.abs(np.diag(op.G_block).real - w)) < 1e-12 * w[-1]
         assert np.max(residual) < 1e-10
+
+
+def test_basis_columns_lie_in_one_sector(ws_small):
+    cfg = ws_small.config
+    nm, nr = cfg.n_modes_theta, cfg.n_r
+    for n in range(cfg.n_z + 1):
+        op = js.mode_operator(ws_small, n)
+        arr = op.basis.T.reshape(-1, 3, nm, nr)
+        # coefficient energy per sector j = -n_theta-1..n_theta+1: u+ at m
+        # counts in j = m - 1, u_z at m in j = m, u- at m in j = m + 1
+        energy = np.zeros((arr.shape[0], nm + 2))
+        energy[:, :-2] += 0.5 * np.sum(np.abs(arr[:, 0] + 1j * arr[:, 1]) ** 2, axis=-1)
+        energy[:, 1:-1] += np.sum(np.abs(arr[:, 2]) ** 2, axis=-1)
+        energy[:, 2:] += 0.5 * np.sum(np.abs(arr[:, 0] - 1j * arr[:, 1]) ** 2, axis=-1)
+        off = np.sort(energy, axis=1)[:, :-1].sum(axis=1)
+        assert np.all(np.sqrt(off / energy.sum(axis=1)) < 1e-12)
+        # the sectors together span the dense single-SVD nullspace
+        null = oracles.dense_constrained_nullspace(ws_small, n)
+        assert null.shape[1] == op.basis.shape[1]
+        leak = op.basis - null @ (null.conj().T @ op.basis)
+        assert np.linalg.norm(leak) < 1e-10 * np.linalg.norm(op.basis)
 
 
 def test_strong_block_stays_off_the_solve_path(cfg_small, monkeypatch):
