@@ -33,7 +33,6 @@ class DomainConfig:
         n_theta: azimuthal cutoff, modes m = -n_theta..n_theta are stored.
         n_z: axial cutoff, modes n = -n_z..n_z are stored.
         quad_order: radial Gauss-Legendre points, 0 means 2*n_r.
-        svd_tol: relative singular-value cutoff of each sector's constraint SVD.
         solver_tol: relative residual bound for direct elliptic solves.
     """
 
@@ -44,7 +43,6 @@ class DomainConfig:
     n_theta: int = 8
     n_z: int = 8
     quad_order: int = 0
-    svd_tol: float = 1e-9
     solver_tol: float = 1e-10
 
     def __post_init__(self):
@@ -68,8 +66,8 @@ class DomainConfig:
             object.__setattr__(self, "quad_order", 2 * self.n_r)
         if self.quad_order < self.n_r:
             raise ConfigError("domain.quad_order must be at least n_r")
-        if self.svd_tol <= 0.0 or self.solver_tol <= 0.0:
-            raise ConfigError("domain tolerances must be positive")
+        if self.solver_tol <= 0.0:
+            raise ConfigError("domain.solver_tol must be positive")
 
     def beta(self, n):
         """Axial wavenumber 2*pi*n/ell of mode n."""

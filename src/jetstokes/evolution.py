@@ -1,10 +1,10 @@
 """Linearized time evolution on the constrained subspaces.
 
 Each axial mode evolves independently in its reduced coordinates: with
-M = M_block, G = G_block and f the reduced forcing functionals, the
-Galerkin system is M c' + G c = f. Every mode is stored in the
-M-orthonormal eigenbasis of its pencil (see stokesop), where M = I and
-G = diag(w) up to roundoff, so both schemes are scalar recurrences:
+M and G its pencil blocks and f the reduced forcing functionals, the
+Galerkin system is M c' + G c = f. Every mode is stored sector by sector
+in the M-orthonormal eigenbasis of its pencil (see stokesop), where M = I
+and G = diag(w) up to roundoff, so both schemes are scalar recurrences:
 
   implicit Euler   (1 + dt w) c' = c + dt f(t'),
   Crank-Nicolson   (1 + dt/2 w) c' = (1 - dt/2 w) c + dt (f(t) + f(t'))/2.
@@ -12,11 +12,11 @@ G = diag(w) up to roundoff, so both schemes are scalar recurrences:
 The eigenvalues w are real and nonnegative, so homogeneous energies are
 monotone, and the mode-0 kernel is deflated exactly in the eigenbasis, so
 constant states persist to roundoff. Energies are sum |c|^2 and
-sum w |c|^2. The per-step residual is measured against the full M and G
-blocks, so every step checks the eigenbasis instead of trusting it.
+sum w |c|^2. The per-step residual is measured against the per-sector M
+and G blocks, so every step checks the eigenbasis instead of trusting it.
 
-Negative modes step in mode-|n| coordinates: w is real, so the
-recurrences are those of mode |n| and only the coordinate maps conjugate.
+Negative modes step in mode-|n| coordinates, the ones reduce_slice and
+expand_slice use: w is real, so the recurrences are those of mode |n|.
 """
 
 import dataclasses
@@ -28,13 +28,7 @@ from .fields import VectorField, norm_L2, trace_norm_L2, trace_SF, zeros_vector
 from .fields import grad, inner_product_Hkp
 from .helmholtz import _potential_slice, operator_Q, project_P
 from .fields import _truncate
-from .stokesop import (
-    _signed,
-    expand_slice,
-    mode_operator,
-    project_constrained,
-    reduce_slice,
-)
+from .stokesop import expand_slice, mode_operator, project_constrained, reduce_slice
 
 SCHEMES = ("implicit-euler", "crank-nicolson")
 
@@ -80,6 +74,11 @@ class EnergyTrace:
 
 @dataclasses.dataclass
 class EvolutionResult:
+    """Trajectory, energy trace, final field and final eigen coordinates.
+
+    coords of a mode n < 0 are mode-|n| coordinates, see reduce_slice.
+    """
+
     fields: list
     trace: EnergyTrace
     final: VectorField
@@ -124,20 +123,18 @@ def evolve(ws, evo):
     ops = {a: mode_operator(ws, a) for a in range(cfg.n_z + 1)}
     # the eigenbasis deflates the mode-0 kernel columns, which is exact
     # only while G couples to them at roundoff level
-    g0 = ops[0].G_block
-    coupling = float(np.linalg.norm(g0[list(ops[0].kernel_columns), :]))
-    coupling /= max(float(np.linalg.norm(g0)), 1e-300)
+    sectors = ops[0].sectors
+    coupling = math.sqrt(sum(np.linalg.norm(s.G[: s.nk]) ** 2 for s in sectors))
+    coupling /= max(math.sqrt(sum(np.linalg.norm(s.G) ** 2 for s in sectors)), 1e-300)
     if coupling > 1e-8:
         warnings.append("mode 0: dissipation form couples to the kernel (%.3e)" % coupling)
     eig = {a: op.eigen[0] for a, op in ops.items()}
 
-    # the state is held in mode-|n| eigen coordinates
     if evo.initial is None:
         c = {n: np.zeros(eig[abs(n)].size, dtype=complex) for n in modes}
     else:
         vnorm = norm_L2(evo.initial)
-        proj, coords = project_constrained(ws, evo.initial)
-        c = {n: _signed(n, coords[n]) for n in modes}
+        proj, c = project_constrained(ws, evo.initial)
         if vnorm > 0.0:
             defect = norm_L2(evo.initial - proj) / vnorm
             if defect > 1e-8:
@@ -147,16 +144,13 @@ def evolve(ws, evo):
                 )
 
     def reduced_forcing(t):
-        """Forcing functionals of every mode in mode-|n| terms, or None."""
+        """Forcing functionals of every mode, or None."""
         if evo.forcing is None:
             return None
         f = evo.forcing(t)
         if not isinstance(f, VectorField):
             raise ValueError("forcing callable must return a VectorField")
-        return {
-            n: _signed(n, reduce_slice(ws, n, f.coeffs[:, cfg.n_z + n]))
-            for n in modes
-        }
+        return {n: reduce_slice(ws, n, f.coeffs[:, cfg.n_z + n]) for n in modes}
 
     if evo.forcing is not None:
         f0 = evo.forcing(0.0)
@@ -176,9 +170,6 @@ def evolve(ws, evo):
         diss = sum(float(np.sum(eig[abs(n)] * np.abs(cur[n]) ** 2)) for n in modes)
         return l2, diss
 
-    def signed_coords(cur):
-        return {n: _signed(n, cur[n]) for n in modes}
-
     # implicit Euler evaluates G and f at the new time, Crank-Nicolson at
     # the midpoint
     theta = 1.0 if evo.scheme == "implicit-euler" else 0.5
@@ -192,7 +183,7 @@ def evolve(ws, evo):
     l2_arr[0], diss_arr[0] = energies(c)
     fields = []
     if evo.store_trajectory:
-        fields.append(_field_from_coords(ws, signed_coords(c)))
+        fields.append(_field_from_coords(ws, c))
 
     r_prev = reduced_forcing(0.0)
     for k in range(steps):
@@ -211,8 +202,8 @@ def evolve(ws, evo):
                 b += dt * r_eval
             c_new[n] = b / (1.0 + theta * dt * w)
             c_eval = theta * c_new[n] + (1.0 - theta) * c[n]
-            dc = op.M_block @ ((c_new[n] - c[n]) / dt)
-            ge = op.G_block @ c_eval
+            dc = op.apply("M", (c_new[n] - c[n]) / dt)
+            ge = op.apply("G", c_eval)
             d = dc + ge
             s = np.linalg.norm(dc) + np.linalg.norm(ge)
             if r_next is not None:
@@ -236,10 +227,9 @@ def evolve(ws, evo):
         c = c_new
         r_prev = r_next
         if evo.store_trajectory:
-            fields.append(_field_from_coords(ws, signed_coords(c)))
+            fields.append(_field_from_coords(ws, c))
 
-    coords = signed_coords(c)
-    final = fields[-1] if fields else _field_from_coords(ws, coords)
+    final = fields[-1] if fields else _field_from_coords(ws, c)
     trace = EnergyTrace(
         t=t_grid,
         l2_norm_sq=l2_arr,
@@ -249,7 +239,7 @@ def evolve(ws, evo):
         identity_residual=ident_res,
         identity_scale=ident_scale,
     )
-    return EvolutionResult(fields=fields, trace=trace, final=final, coords=coords)
+    return EvolutionResult(fields=fields, trace=trace, final=final, coords=c)
 
 
 def recover_pressure(ws, v, f=None):

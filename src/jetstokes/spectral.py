@@ -1,7 +1,7 @@
 """Spectrum and resolvent of the assembled per-mode operators.
 
-Every mode is stored in the M-orthonormal eigenbasis of its Hermitian
-pencil (G_block, M_block), see stokesop: G_block is the dissipation form,
+Every mode is stored sector by sector in the M-orthonormal eigenbasis of
+its Hermitian pencil (G, M), see stokesop: G is the dissipation form,
 exactly Hermitian and positive semidefinite by construction, so the
 spectrum is real and clean down to roundoff, and eigenvalues and their
 residuals are read from ModeOperator.eigen. The mode-0 kernel is deflated
@@ -11,9 +11,10 @@ tiny nonnegative numbers instead of order eps*||G|| jitter.
 
 In those coordinates a resolvent solve is the diagonal scaling
 (G - lam M)^{-1} r = r / (w - lam), followed by one refinement pass
-against the full blocks. Negative modes are conjugate m-reversals of
-positive ones; the solve conjugates lam and the data instead of
-assembling them.
+against the per-sector blocks. Negative modes are conjugate m-reversals
+of positive ones: their coordinates are mode-|n| coordinates of the
+flipped slice (see stokesop.reduce_slice), so the solve conjugates only
+lam instead of assembling them.
 
 Eigenvalues of mode -n equal those of mode n, so spectral reports for
 negative modes are served from the |n| decomposition.
@@ -26,7 +27,7 @@ import math
 import numpy as np
 
 from .fields import norm_Hkp, norm_L2, random_smooth_vector, zeros_vector
-from .stokesop import _signed, expand_slice, mode_operator, reduce_slice
+from .stokesop import expand_slice, mode_operator, reduce_slice
 
 # slack for sector membership |Im lam| <= Re lam + SECTOR_TOL
 SECTOR_TOL = 1e-8
@@ -102,14 +103,14 @@ def spectral_report(ws, modes, count, tolerance=SECTOR_TOL):
 
 
 def _pencil_solve(ws, n, lam, r):
-    """Solve (G - lam M) y = r in mode-n coordinates (any sign of n).
+    """Solve (G - lam M) y = r of mode n in mode-|n| coordinates (any n).
 
     Returns y and the relative algebraic residual ||r - (G - lam M) y|| /
-    ||r|| of the full blocks after one refinement pass.
+    ||r|| of the sector blocks after one refinement pass.
     """
     op = mode_operator(ws, abs(n))
     # the pencil of mode -n is the conjugate of the mode |n| one
-    shift = _signed(n, lam)
+    shift = np.conj(lam) if n < 0 else lam
     w = op.eigen[0]
     d = w - shift
     gap = np.min(np.abs(d))
@@ -118,13 +119,12 @@ def _pencil_solve(ws, n, lam, r):
             "resolvent parameter %s is within %.3e of the mode-%d spectrum"
             % (lam, gap, n)
         )
-    r = _signed(n, r)
     y = np.zeros_like(r)
     res = r
     for _ in range(2):  # the solve, then one refinement pass
         y += res / d
-        res = r - (op.G_block @ y - shift * (op.M_block @ y))
-    return _signed(n, y), float(np.linalg.norm(res) / np.linalg.norm(r))
+        res = r - (op.apply("G", y) - shift * op.apply("M", y))
+    return y, float(np.linalg.norm(res) / np.linalg.norm(r))
 
 
 def resolve(ws, lam, g):

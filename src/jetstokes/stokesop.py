@@ -16,12 +16,12 @@ On each sector's nullspace N the Galerkin pencil is sampled by quadrature:
   G[i, j] = (mu/2) sum_ij integral E(b_j) conj(E(b_i))
                                          dissipation form (Hermitian PSD).
 
-Each mode is stored in the M-orthonormal eigenbasis V of that pencil,
-solved sector by sector and merged in ascending order: basis = N V,
-M_block = V^H M V ~ I and G_block = V^H G V ~ diag(w), both block-diagonal
-over the sectors. In these coordinates the L^2 projection, the resolvent
-and both time steppers are diagonal scalings; the blocks are kept to
-measure residuals against. The strong block
+Each mode is stored as its sectors, each in the M-orthonormal eigenbasis
+V of its pencil: the fields N V on the entries the sector reaches,
+V^H M V ~ I, V^H G V ~ diag(w) and its eigenvalues' ranks in the mode. In
+these coordinates the L^2 projection, the resolvent and both time
+steppers are diagonal scalings done sector by sector; the blocks are kept
+to measure residuals against. The strong block
 
   A_block[i, j] = (A b_j, b_i),         A v = -mu P laplacian(v) + grad(Q v),
 
@@ -37,7 +37,8 @@ ones included, are measured as quadrature-dissipation quotients of their
 eigenvectors, which are nonnegative by construction.
 
 Negative modes are never assembled: coefficients of mode -n are conjugate
-m-reversals of mode +n quantities, see reduce_slice / expand_slice.
+m-reversals of mode +n quantities. reduce_slice / expand_slice flip the
+field slice, so mode -n uses mode-|n| coordinates everywhere else.
 """
 
 import dataclasses
@@ -65,6 +66,9 @@ from .fields import (
     zeros_vector,
 )
 from .helmholtz import _div_slice, _potential_slice, _q_slice
+
+# relative singular-value cutoff of each sector's constraint SVD
+SVD_TOL = 1e-9
 
 # pair -> multiplicity in sum_ij over the full symmetric table
 _PAIRS = (
@@ -98,36 +102,84 @@ class Traction:
 
 
 @dataclasses.dataclass
-class ModeOperator:
-    """One axial mode in the eigenbasis of its pencil.
+class Sector:
+    """One angular-momentum sector of a mode in its pencil eigenbasis.
 
-    basis holds the eigenvector fields as columns, each in one sector;
-    eigen is (w, residual) with the ascending eigenvalues and each pair's
-    pencil residual ||G e_i - w_i M e_i|| / sqrt(M_ii) in these
-    coordinates. info holds the per-sector basis records and the smallest
+    rows are the flat Cartesian-slice entries the sector reaches (x and y
+    at m = j +- 1, z at m = j), cols the positions of its coordinates in
+    the mode's ascending order, coef its eigenvector fields on those rows,
+    M ~ I and G ~ diag(w) its pencil blocks, and nk its number of leading
+    kernel columns.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    coef: np.ndarray
+    M: np.ndarray
+    G: np.ndarray
+    nk: int
+
+
+@dataclasses.dataclass
+class ModeOperator:
+    """One axial mode in the eigenbasis of its pencil, stored as sectors.
+
+    The cols of the sectors partition the mode's coordinates; for a mode
+    -n slice these are the mode-n coordinates of its conjugate m-reversal
+    (see reduce_slice). eigen is (w, residual) with the ascending
+    eigenvalues and each pair's pencil residual ||G e_i - w_i M e_i|| /
+    sqrt(M_ii). info holds the per-sector basis records and the smallest
     kept / largest dropped singular value over the sectors. ws is a weak
     reference to the owning Workspace, so the cache holds no reference
-    cycle; reading A_block needs that workspace alive.
+    cycle. basis, M_block and G_block are dense views built on each read
+    for checks and export; no solve reads them, and basis and A_block need
+    that workspace alive.
     """
 
     n: int
-    basis: np.ndarray
-    M_block: np.ndarray
-    G_block: np.ndarray
+    sectors: tuple
     eigen: tuple
     kernel_columns: tuple
     info: dict
     ws: object = dataclasses.field(repr=False, compare=False)
 
+    def apply(self, name, y):
+        """Product of the block "M" or "G" with coordinates y, per sector."""
+        out = np.empty(y.shape, dtype=complex)
+        for s in self.sectors:
+            out[s.cols] = getattr(s, name) @ y[s.cols]
+        return out
+
+    @property
+    def M_block(self):
+        return self.apply("M", np.eye(self.eigen[0].size))
+
+    @property
+    def G_block(self):
+        return self.apply("G", np.eye(self.eigen[0].size))
+
+    @property
+    def basis(self):
+        """Eigenvector fields as Cartesian columns in (component, m, r) order."""
+        cfg = self.ws().config
+        out = np.zeros((3 * cfg.n_modes_theta * cfg.n_r, self.eigen[0].size), dtype=complex)
+        for s in self.sectors:
+            out[s.rows[:, None], s.cols] = s.coef
+        return out
+
     @functools.cached_property
     def A_block(self):
-        """Strong operator block (A b_j, b_i), assembled on first read."""
+        """Strong block (A b_j, b_i) on first read; A is applied sector by sector."""
         ws = self.ws()
         cfg = ws.config
-        k = self.basis.shape[1]
-        barr = np.ascontiguousarray(self.basis.T).reshape(k, 3, cfg.n_modes_theta, cfg.n_r)
-        wb = _apply_weight(ws.tables, cfg.ell, barr).reshape(k, -1)
-        return np.conj(wb) @ _apply_A_slice(ws, self.n, barr).reshape(k, -1).T
+        barr = self.basis.T.reshape(-1, 3, cfg.n_modes_theta, cfg.n_r)
+        k = barr.shape[0]
+        wb = np.conj(_apply_weight(ws.tables, cfg.ell, barr)).reshape(k, -1)
+        out = np.empty((k, k), dtype=complex)
+        for s in self.sectors:
+            ab = _apply_A_slice(ws, self.n, barr[s.cols])
+            out[:, s.cols] = wb @ ab.reshape(s.cols.size, -1).T
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +360,7 @@ def build_constrained_basis(ws, n, j):
     tangential traction surface channels (band + 4), applied to the
     sector's unit fields, and the pole regularity rows of each piece.
     Rows are normalized to unit length before the SVD so the relative
-    cutoff svd_tol * s_max of the sector is meaningful.
+    cutoff SVD_TOL * s_max of the sector is meaningful.
 
     Args:
         ws: Workspace.
@@ -348,7 +400,7 @@ def build_constrained_basis(ws, n, j):
     # in info; directions near the cutoff violate the constraints at the
     # cutoff level either way, which is harmless at the tolerances the
     # operators are used at. The kernel checks below stay hard.
-    rank = int((s > cfg.svd_tol * s[0]).sum())
+    rank = int((s > SVD_TOL * s[0]).sum())
     null = vh[rank:].conj().T
     info = {
         "n": int(n),
@@ -438,14 +490,14 @@ def assemble_A(ws, n):
 
     Each angular-momentum sector gets its own constrained basis, its own
     M and G samples and a pencil eigh on its non-kernel columns; the
-    eigenpairs of all sectors are merged in ascending order, so the blocks
-    are block-diagonal. Returns a ModeOperator; use mode_operator for the
-    cached accessor.
+    eigenvalues of all sectors are ranked in ascending order, and each
+    sector records the positions of its own. Returns a ModeOperator; use
+    mode_operator for the cached accessor.
     """
     cfg = ws.config
     t = ws.tables
     nm, nr = cfg.n_modes_theta, cfg.n_r
-    parts = []
+    sectors, eigvals, infos = [], [], []
     for j in range(-cfg.n_theta - 1, cfg.n_theta + 2):
         null, info = build_constrained_basis(ws, n, j)
         k = null.shape[1]
@@ -470,35 +522,38 @@ def assemble_A(ws, n):
         v[:nk, :nk] = np.diag(1.0 / np.sqrt(np.diag(m)[:nk].real))
         w[nk:], v[nk:, nk:] = scipy.linalg.eigh(g[nk:, nk:], m[nk:, nk:])
         vh = v.conj().T
-        parts.append((null @ v, w, vh @ (m @ v), vh @ (g @ v), np.arange(k) < nk, info))
+        m, g, basis = vh @ (m @ v), vh @ (g @ v), null @ v
+        # the sector's support: its columns are exactly zero elsewhere
+        rows = np.flatnonzero(basis.any(axis=1))
+        m, g = 0.5 * (m + m.conj().T), 0.5 * (g + g.conj().T)
+        sectors.append(Sector(rows, None, basis[rows], m, g, nk))
+        eigvals.append(w)
+        infos.append(info)
 
-    bases, eigvals, m_blks, g_blks, kernel, sectors = zip(*parts)
-    basis = np.concatenate(bases, axis=1)
+    lam_max = max(float(np.max(np.abs(w))) for w in eigvals)
+    for s, w in zip(sectors, eigvals):
+        for i in np.nonzero(np.abs(w) < 1e-8 * lam_max)[0]:
+            col = np.zeros(3 * nm * nr, dtype=complex)
+            col[s.rows] = s.coef[:, i]
+            w[i] = _dissipation_slice(ws, n, col.reshape(3, nm, nr)) / s.M[i, i].real
     w = np.concatenate(eigvals)
-    m_blk = scipy.linalg.block_diag(*m_blks)
-    lam_max = float(np.max(np.abs(w)))
-    for i in np.nonzero(np.abs(w) < 1e-8 * lam_max)[0]:
-        w[i] = _dissipation_slice(ws, n, basis[:, i].reshape(3, nm, nr)) / m_blk[i, i].real
-    order = np.argsort(w, kind="stable")
-    w, basis = w[order], basis[:, order]
-    m_blk = m_blk[np.ix_(order, order)]
-    m_blk = 0.5 * (m_blk + m_blk.conj().T)
-    g_blk = scipy.linalg.block_diag(*g_blks)[np.ix_(order, order)]
-    g_blk = 0.5 * (g_blk + g_blk.conj().T)
-    residual = np.linalg.norm(g_blk - m_blk * w, axis=0) / np.sqrt(np.diag(m_blk).real)
+    rank = np.argsort(np.argsort(w, kind="stable"))
+    residual = np.empty(w.size)
+    splits = np.cumsum([sw.size for sw in eigvals])[:-1]
+    for s, sw, cols in zip(sectors, eigvals, np.split(rank, splits)):
+        s.cols = cols
+        residual[cols] = np.linalg.norm(s.G - s.M * sw, axis=0) / np.sqrt(np.diag(s.M).real)
     return ModeOperator(
         n=int(n),
-        basis=basis,
-        M_block=m_blk,
-        G_block=g_blk,
-        eigen=(w, residual),
-        kernel_columns=tuple(int(i) for i in np.nonzero(np.concatenate(kernel)[order])[0]),
+        sectors=tuple(sectors),
+        eigen=(np.sort(w, kind="stable"), residual),
+        kernel_columns=tuple(sorted(int(i) for s in sectors for i in s.cols[: s.nk])),
         info={
             "n": int(n),
             "dim": int(w.size),
-            "sv_at_rank": min(i["sv_at_rank"] for i in sectors),
-            "sv_past_rank": max(i["sv_past_rank"] for i in sectors),
-            "sectors": sectors,
+            "sv_at_rank": min(i["sv_at_rank"] for i in infos),
+            "sv_past_rank": max(i["sv_past_rank"] for i in infos),
+            "sectors": tuple(infos),
         },
         ws=weakref.ref(ws),
     )
@@ -520,21 +575,6 @@ def mode_operator(ws, n):
     return op
 
 
-def _adjoint_apply(mat, x):
-    """mat^H x without forming the conjugate transpose of mat."""
-    return np.conj(np.conj(x) @ mat)
-
-
-def _signed(n, y):
-    """Mode-|n| coordinates of mode-n coordinates y, and back.
-
-    Mode -n quantities are the complex conjugates of mode +n ones (see
-    reduce_slice), so the map conjugates for n < 0 and is its own inverse.
-    Every cached block and eigenbasis lives in mode-|n| coordinates.
-    """
-    return np.conj(y) if n < 0 else y
-
-
 # ---------------------------------------------------------------------------
 # reduction to and expansion from mode coordinates
 
@@ -546,33 +586,39 @@ def _conj_flip(arr):
 def reduce_slice(ws, n, arr):
     """Functional values r_i = (g, b_i) of one axial slice g.
 
-    arr is (3, n_m, n_r), the mode-n slice of a field. For n < 0 the
-    pairing is carried out against the conjugated mode |n| basis. The
-    basis is M-orthonormal, so these are also the coordinates of the L^2
-    projection onto the subspace.
+    arr is (3, n_m, n_r), the mode-n slice of a field. For n < 0 the slice
+    is conjugated and m-reversed first, so the values are mode-|n|
+    coordinates of that image. The basis is M-orthonormal, so these are
+    also the coordinates of the L^2 projection onto the subspace.
     """
     op = mode_operator(ws, abs(n))
     if n < 0:
         arr = _conj_flip(arr)
-    wg = _apply_weight(ws.tables, ws.config.ell, arr).reshape(-1)
-    return _signed(n, _adjoint_apply(op.basis, wg))
+    # r = conj(coef^T conj(W g)): the conjugates stay out of the sector loop
+    wg = np.conj(_apply_weight(ws.tables, ws.config.ell, arr).reshape(-1))
+    y = np.empty(op.eigen[0].size, dtype=complex)
+    for s in op.sectors:
+        y[s.cols] = s.coef.T @ wg[s.rows]
+    return np.conj(y)
 
 
 def expand_slice(ws, n, y):
-    """Field slice of mode-n coordinates y (inverse of coordinate maps)."""
-    op = mode_operator(ws, abs(n))
+    """Mode-n field slice of mode-|n| coordinates y (inverse of reduce_slice)."""
     cfg = ws.config
-    v = (op.basis @ _signed(n, y)).reshape(3, cfg.n_modes_theta, cfg.n_r)
-    if n < 0:
-        v = _conj_flip(v)
-    return v
+    op = mode_operator(ws, abs(n))
+    v = np.zeros(3 * cfg.n_modes_theta * cfg.n_r, dtype=complex)
+    for s in op.sectors:
+        v[s.rows] += s.coef @ y[s.cols]
+    v = v.reshape(3, cfg.n_modes_theta, cfg.n_r)
+    return _conj_flip(v) if n < 0 else v
 
 
 def project_constrained(ws, v):
     """L^2-orthogonal projection of a field onto the constrained subspace.
 
     The basis is M-orthonormal, so the coordinates are the reduced
-    functionals r themselves.
+    functionals r themselves. Coordinates of a mode n < 0 are mode-|n|
+    coordinates (see reduce_slice): for a real field, n and -n share them.
 
     Returns (projected VectorField, per-mode coordinate dict).
     """
@@ -653,7 +699,8 @@ def kernel_rayleigh_quotients(ws):
     using the strong A_block.
     """
     op = mode_operator(ws, 0)
+    m = op.M_block
     out = []
     for k in op.kernel_columns:
-        out.append(float(abs(op.A_block[k, k])) / float(op.M_block[k, k].real))
+        out.append(float(abs(op.A_block[k, k])) / float(m[k, k].real))
     return out

@@ -142,11 +142,11 @@ def dense_constrained_nullspace(ws, n):
 
     The package's divergence, tangential-traction and pole rows are
     applied to every one of the 3*n_m*n_r Cartesian unit fields at once;
-    rows are normalized, and the nullspace is cut at svd_tol * s_max of
+    rows are normalized, and the nullspace is cut at SVD_TOL * s_max of
     the whole mode. Returns orthonormal columns in (component, m, r) order.
     """
     from jetstokes.helmholtz import _div_slice
-    from jetstokes.stokesop import _tangential_arrays
+    from jetstokes.stokesop import SVD_TOL, _tangential_arrays
 
     cfg, t = ws.config, ws.tables
     nfield = 3 * cfg.n_modes_theta * cfg.n_r
@@ -161,7 +161,7 @@ def dense_constrained_nullspace(ws, n):
     norms = np.linalg.norm(cmat, axis=1)
     keep = norms > 1e-14 * norms.max()
     _, s, vh = scipy.linalg.svd(cmat[keep] / norms[keep][:, None])
-    rank = int((s > cfg.svd_tol * s[0]).sum())
+    rank = int((s > SVD_TOL * s[0]).sum())
     return vh[rank:].conj().T
 
 

@@ -173,8 +173,10 @@ def test_exit_code_on_malformed_json(tmp_path, capsys):
 
 def test_exit_code_on_unknown_key(tmp_path):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"domain": {"n_rr": 12}}))
-    assert main(["spectrum", "--config", str(path)]) == 2
+    # the SVD cutoff is the constant stokesop.SVD_TOL, not a config key
+    for key in ("n_rr", "svd_tol"):
+        path.write_text(json.dumps({"domain": {key: 12}}))
+        assert main(["spectrum", "--config", str(path)]) == 2
 
 
 def test_exit_code_on_missing_field_file(tmp_path, capsys):

@@ -39,7 +39,6 @@ def test_beta_and_ranges():
         {"n_theta": 0},
         {"n_z": -1},
         {"quad_order": 5, "n_r": 8},
-        {"svd_tol": 0.0},
         {"solver_tol": -1e-10},
         {"n_r": 12.5},
         {"n_theta": True},

@@ -123,6 +123,9 @@ def test_strong_block_stays_off_the_solve_path(cfg_small, monkeypatch):
         raise AssertionError("strong operator evaluated")
 
     monkeypatch.setattr(stokesop, "_apply_A_slice", refuse)
+    # the dense views are for checks and export; no solve reads them
+    for name in ("basis", "M_block", "G_block"):
+        monkeypatch.setattr(stokesop.ModeOperator, name, property(refuse))
     for n in range(cfg_small.n_z + 1):
         js.mode_operator(ws, n)
     g = random_smooth_vector(cfg_small, stream(47, "tests"), real=False)
@@ -277,6 +280,15 @@ def test_negative_mode_projection_matches_direct(ws_small):
     direct = (op_m.basis @ y).reshape(proj.coeffs[:, i_n].shape)
     err = np.linalg.norm(direct - proj.coeffs[:, i_n])
     assert err < 1e-10 * max(np.linalg.norm(direct), 1e-30)
+
+
+def test_real_field_shares_coordinates_across_signs(ws_small):
+    cfg = ws_small.config
+    u = random_smooth_vector(cfg, stream(49, "tests"), real=True)
+    _, coords = project_constrained(ws_small, u)
+    for n in range(1, cfg.n_z + 1):
+        err = np.linalg.norm(coords[-n] - coords[n])
+        assert err < 1e-12 * np.linalg.norm(coords[n])
 
 
 def test_mode_operator_rejects_negative(ws_small):
