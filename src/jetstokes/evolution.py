@@ -26,8 +26,7 @@ import numpy as np
 
 from .fields import VectorField, norm_L2, trace_norm_L2, trace_SF, zeros_vector
 from .fields import grad, inner_product_Hkp
-from .helmholtz import _potential_slice, operator_Q, project_P
-from .fields import _truncate
+from .helmholtz import operator_Q, project_P
 from .stokesop import expand_slice, mode_operator, project_constrained, reduce_slice
 
 SCHEMES = ("implicit-euler", "crank-nicolson")
@@ -243,19 +242,12 @@ def evolve(ws, evo):
 
 
 def recover_pressure(ws, v, f=None):
-    """Pressure field of a trajectory snapshot.
+    """Pressure field of a trajectory snapshot, one solve per axial slice.
 
     q = Q v plus, when a forcing snapshot f is given, the zero-trace
-    potential solving laplacian(phi) = div(f).
+    potential solving laplacian(phi) = div(f); see helmholtz.operator_Q.
     """
-    cfg = ws.config
-    q = operator_Q(ws, v)
-    if f is not None:
-        for i_n in range(cfg.n_modes_z):
-            n = i_n - cfg.n_z
-            phi = _potential_slice(ws, n, f.coeffs[:, i_n])[0]
-            q.coeffs[i_n] += _truncate(phi, cfg.n_theta)
-    return q
+    return operator_Q(ws, v, f)
 
 
 def energy_csv_rows(trace):

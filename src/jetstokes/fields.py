@@ -326,8 +326,8 @@ def _disk_inner_per_n(t, a, b):
     result has shape (n_modes_z,).
     """
     a, b = _match(a, b)
-    g = t.stacks(_band(a)).gram
-    return 2.0 * np.pi * np.einsum("mij,nmj,nmi->n", g, a, np.conj(b))
+    ga = apply_stack(t.stacks(_band(a)).gram, a)
+    return 2.0 * np.pi * np.einsum("nmi,nmi->n", ga, np.conj(b))
 
 
 # ---------------------------------------------------------------------------
@@ -432,20 +432,16 @@ def inner_product_Hkp(u, v, k=0):
     for ua, va in zip(_component_arrays(u), _component_arrays(v)):
         # order_sums[j] = sum over |alpha| = j of the per-n disk inners
         order_sums = []
-        du = {(0, 0): ua}
-        dv = {(0, 0): va}
+        # a norm call passes one field twice and builds one derivative chain
+        chains = [{(0, 0): ua}] if u is v else [{(0, 0): ua}, {(0, 0): va}]
         for order in range(kk + 1):
             s = np.zeros(n.size, dtype=complex)
             for px in range(order, -1, -1):
                 py = order - px
                 if order > 0:
-                    if px > 0:
-                        du[(px, py)] = _dx(t, du[(px - 1, py)])
-                        dv[(px, py)] = _dx(t, dv[(px - 1, py)])
-                    else:
-                        du[(0, py)] = _dy(t, du[(0, py - 1)])
-                        dv[(0, py)] = _dy(t, dv[(0, py - 1)])
-                s += _disk_inner_per_n(t, du[(px, py)], dv[(px, py)])
+                    for d in chains:
+                        d[(px, py)] = _dx(t, d[(px - 1, py)]) if px > 0 else _dy(t, d[(0, py - 1)])
+                s += _disk_inner_per_n(t, chains[0][(px, py)], chains[-1][(px, py)])
             order_sums.append(s)
         for mm in range(kk + 1):
             weight = cfg.ell * beta_sq**mm

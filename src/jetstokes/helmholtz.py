@@ -5,7 +5,8 @@ laplacian(q) = div(u) with q = 0 on the free surface, mode by mode, and
 P u = u - grad(q). The operator Q produces the pressure contribution of
 the free surface: its boundary data is mu/kappa^2 times the quadratic-
 coordinate contraction of the transversal strain entries, harmonically
-extended into the cylinder.
+extended into the cylinder; given a forcing field, the same solve per axial
+slice adds the forcing's zero-trace potential.
 
 Azimuthal bands: div(u) lives one band above u and q inherits that band;
 grad(q) is formed there and truncated back, so the reported reconstruction
@@ -130,12 +131,14 @@ def projector_norm_Hk(ws, k, sample_count, rng):
     return worst
 
 
-def _q_slice(ws, n, varr, out_band):
+def _q_slice(ws, n, varr, out_band, farr=None):
     """Surface pressure potential of one axial slice.
 
     varr has shape (..., 3, n_m, n_r); the result is harmonically extended
     boundary data on band out_band (content genuinely occupies the input
-    band + 3).
+    band + 3). A forcing slice farr of the same shape adds its zero-trace
+    potential, laplacian(phi) = div(farr), through the same solve: the
+    channels are independent, so div(farr) is the right-hand side.
     """
     t = ws.tables
     cfg = ws.config
@@ -148,16 +151,22 @@ def _q_slice(ws, n, varr, out_band):
     data += _mul_y(t, _mul_y(t, e22))
     data *= cfg.mu / cfg.kappa**2
     tr = data[..., :, 0]
-    ext = laplace_solve_channels(ws, n, np.zeros_like(data), tr)
+    rhs = np.zeros_like(data) if farr is None else _pad(_div_slice(t, farr, cfg.beta(n)), 2)
+    ext = laplace_solve_channels(ws, n, rhs, tr)
     return _truncate(ext, out_band)
 
 
-def operator_Q(ws, v):
-    """Free-surface pressure potential Q v as a ScalarField."""
+def operator_Q(ws, v, f=None):
+    """Free-surface pressure potential Q v as a ScalarField.
+
+    With a forcing field f the result also holds the zero-trace potential
+    phi of f, laplacian(phi) = div(f), from one solve per axial slice.
+    """
     cfg = ws.config
     out = zeros_scalar(cfg)
     for i_n in range(cfg.n_modes_z):
         n = i_n - cfg.n_z
-        out.coeffs[i_n] = _q_slice(ws, n, v.coeffs[:, i_n], cfg.n_theta)
+        farr = None if f is None else f.coeffs[:, i_n]
+        out.coeffs[i_n] = _q_slice(ws, n, v.coeffs[:, i_n], cfg.n_theta, farr)
     out.real_flag = False
     return out

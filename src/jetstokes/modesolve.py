@@ -4,26 +4,25 @@ At axial mode n the Laplacian acts on an azimuthal channel m as
 lap2d(|m|) - beta^2 with beta = 2*pi*n/ell. Dirichlet problems on the free
 surface are solved by direct collocation: the operator matrix of a
 channel is L = -lap2d(|m|) + beta^2 with the boundary row replaced by the
-identity. The matrices of all channels of a band form one stack, LU
-factored once per (|n|, band) and cached in the workspace, so one batched
-solve serves every channel and right-hand side. Solves apply one step of
+identity. The matrices of all channels of a band form one stack, inverted
+once per (|n|, band) and cached in the workspace, so one batched matrix
+product serves every channel and right-hand side. Solves apply one step of
 iterative refinement, which pushes relative residuals to the order of
 machine epsilon times the interpolation constant even though L itself is
 badly conditioned at fine grids.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .discretization import apply_stack
 from .fields import ScalarField, _band, norm_Hkp, norm_L2, random_smooth_scalar, zeros_scalar
 
 
 def _dirichlet_stack(ws, n, band):
-    """Cached (matrices, LU) of the channels m = -band..band at mode |n|.
+    """Cached (matrices, inverses) of the channels m = -band..band at mode |n|.
 
-    The LU factorization checks its input for finite values once, so the
-    solves skip that check.
+    The matrices are checked for finite values once, here, so the solves
+    are plain batched products.
     """
     key = (abs(int(n)), int(band))
     got = ws.radial_ops.get(key)
@@ -32,7 +31,9 @@ def _dirichlet_stack(ws, n, band):
         mat = beta * beta * np.eye(ws.config.n_r) - ws.tables.stacks(band).lap
         mat[:, 0, :] = 0.0
         mat[:, 0, 0] = 1.0
-        got = ws.radial_ops[key] = (mat, scipy.linalg.lu_factor(mat))
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("modesolve: non-finite Dirichlet matrix at mode %d" % key[0])
+        got = ws.radial_ops[key] = (mat, np.linalg.inv(mat))
     return got
 
 
@@ -49,13 +50,13 @@ def laplace_solve_channels(ws, n, f_arr, bc_arr=None):
         u with the same shape as f_arr, solved for all channels at once
         with one iterative refinement pass.
     """
-    mat, lu = _dirichlet_stack(ws, n, _band(f_arr))
+    mat, inv = _dirichlet_stack(ws, n, _band(f_arr))
     nm, nr = f_arr.shape[-2:]
     # channels lead and right-hand sides trail: (n_channels, n_r, k)
     b = -np.moveaxis(f_arr.reshape(-1, nm, nr), 0, -1).astype(complex)
     b[:, 0, :] = 0.0 if bc_arr is None else np.moveaxis(bc_arr.reshape(-1, nm), 0, -1)
-    y = scipy.linalg.lu_solve(lu, b, check_finite=False)
-    y -= scipy.linalg.lu_solve(lu, mat @ y - b, check_finite=False)
+    y = inv @ b
+    y -= inv @ (mat @ y - b)
     return np.moveaxis(y, -1, 0).reshape(f_arr.shape)
 
 

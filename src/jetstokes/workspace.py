@@ -1,7 +1,7 @@
 """Shared per-configuration caches.
 
 A Workspace owns the radial tables plus every factorization and operator
-block derived from one DomainConfig: LU factors of the per-mode elliptic
+block derived from one DomainConfig: inverses of the per-mode elliptic
 operator stacks and the assembled constrained-mode operators. All caches are
 filled lazily and never invalidated (configs are frozen).
 """
@@ -15,7 +15,7 @@ class Workspace:
     def __init__(self, config):
         self.config = config
         self.tables = tables_for(config)
-        # (|n|, band) -> (matrix stack, its LU), filled by modesolve._dirichlet_stack
+        # (|n|, band) -> (matrix stack, its inverse), filled by modesolve._dirichlet_stack
         self.radial_ops = {}
         # n >= 0 -> ModeOperator, filled by stokesop.mode_operator
         self.mode_ops = {}

@@ -165,6 +165,15 @@ def dense_constrained_nullspace(ws, n):
     return vh[rank:].conj().T
 
 
+def disk_inner_einsum(gram, a, b):
+    """2*pi * sum_m b_m^H gram_m a_m per axial slice, one three-operand einsum.
+
+    The package applies the Gram stack first and contracts two operands;
+    gram is (n_channels, n_r, n_r), a and b (n_modes_z, n_channels, n_r).
+    """
+    return 2.0 * np.pi * np.einsum("mij,nmj,nmi->n", gram, a, np.conj(b))
+
+
 # time stepping recurrences (scalar model problems)
 
 def implicit_euler_decay(lam, dt, steps):

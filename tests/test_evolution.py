@@ -177,6 +177,18 @@ def test_recover_pressure_forcing_part(ws_small):
     assert num / js.norm_L2(psi) < 1e-10
 
 
+@pytest.mark.parametrize("n_r, n_theta, n_z", [(12, 3, 2), (24, 6, 4)])
+def test_recover_pressure_is_q_plus_forcing_potential(n_r, n_theta, n_z):
+    cfg = js.DomainConfig(n_r=n_r, n_theta=n_theta, n_z=n_z)
+    ws = js.Workspace(cfg)
+    rng = stream(67, "tests")
+    v = random_smooth_vector(cfg, rng, real=False)
+    f = random_smooth_vector(cfg, rng, real=False)
+    got = js.recover_pressure(ws, v, f).coeffs
+    want = operator_Q(ws, v).coeffs + js.project_P(ws, f).potential.coeffs
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_estimate_report_hand_values(ws_small):
     cfg = ws_small.config
     dt = 0.1

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import jetstokes as js
+from jetstokes.discretization import tables_for
 from jetstokes.fields import (
+    _disk_inner_per_n,
     analyze,
     conj_reflect,
     constant_scalar,
@@ -119,6 +121,25 @@ def test_sym_grad_closed_forms(cfg_small):
     assert js.norm_L2(e[1][1] + two) < 1e-12
     for i, j in ((0, 1), (0, 2), (1, 2)):
         assert js.norm_L2(e[i][j]) < 1e-12
+
+
+def test_disk_inner_matches_three_operand_einsum(cfg_small):
+    t = tables_for(cfg_small)
+    rng = stream(4, "tests")
+    u = random_smooth_vector(cfg_small, rng, real=False)
+    v = random_smooth_vector(cfg_small, rng, real=False)
+    for a, b in zip(u.coeffs, v.coeffs):
+        got = _disk_inner_per_n(t, a, b)
+        want = oracles.disk_inner_einsum(t.stacks(cfg_small.n_theta).gram, a, b)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_norm_shares_one_derivative_chain(cfg_small, k):
+    u = random_smooth_vector(cfg_small, stream(5, "tests"), real=False)
+    same = js.inner_product_Hkp(u, u, k)
+    apart = js.inner_product_Hkp(u, u.copy(), k)
+    assert abs(same - apart) <= 1e-13 * abs(apart)
 
 
 def test_inner_product_structure(cfg_small):

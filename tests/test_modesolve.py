@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import jetstokes as js
 from jetstokes.discretization import tables_for
 from jetstokes.fields import (
     constant_scalar,
     random_smooth_scalar,
+    random_smooth_vector,
     random_zero_trace_potential,
     scalar_from_profile,
 )
-from jetstokes.modesolve import dirichlet_residual
+from jetstokes.modesolve import _dirichlet_stack, dirichlet_residual, laplace_solve_channels
 from jetstokes.rng import stream
 
 import oracles
@@ -126,6 +128,44 @@ def test_mode_laplacian_self_adjoint(ws_small):
     b = js.inner_product_Hkp(u, js.laplacian(v), 0)
     scale = js.norm_L2(js.laplacian(u)) * js.norm_L2(v)
     assert abs(a - b) / scale < 1e-10
+
+
+@pytest.mark.parametrize(
+    "n_r, n_theta, tol",
+    # 128/1 is criterion 01's finest grid, where L has condition about 1e10
+    [(24, 6, 1e-13), (128, 1, 1e-12)],
+)
+def test_channel_solve_matches_dense_solve(n_r, n_theta, tol):
+    ws = js.Workspace(js.DomainConfig(n_r=n_r, n_theta=n_theta, n_z=1))
+    rng = stream(23, "tests")
+    shape = (3, 2 * n_theta + 1)
+    for n in (0, 1):
+        f = rng.standard_normal(shape + (n_r,)) + 1j * rng.standard_normal(shape + (n_r,))
+        bc = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = laplace_solve_channels(ws, n, f, bc)
+        mat, _ = _dirichlet_stack(ws, n, n_theta)
+        b = -f
+        b[..., 0] = bc
+        want = np.array([[scipy.linalg.solve(m, bm) for m, bm in zip(mat, bk)] for bk in b])
+        assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+
+def test_field_layer_stays_off_lu(cfg_small, monkeypatch):
+    ws = js.Workspace(cfg_small)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LU factorization used")
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", refuse)
+    monkeypatch.setattr(scipy.linalg, "lu_solve", refuse)
+    g = random_smooth_vector(cfg_small, stream(24, "tests"), real=False)
+    evo = js.EvolutionConfig(t_final=0.04, dt=0.02, forcing=lambda t: g * t)
+    res = js.evolve(ws, evo)
+    forcings = [g * t for t in res.trace.t]
+    pressures = [js.recover_pressure(ws, v, f) for v, f in zip(res.fields, forcings)]
+    rep = js.estimate_report(ws, res.fields, pressures, forcings, evo.dt, evo.t_final)
+    assert np.isfinite(rep["ratio"])
+    assert js.project_P(ws, g).residual < 1e-8
 
 
 def test_dirichlet_residual_and_tolerance(ws_small):
