@@ -53,11 +53,13 @@ def laplace_solve_channels(ws, n, f_arr, bc_arr=None):
     mat, inv = _dirichlet_stack(ws, n, _band(f_arr))
     nm, nr = f_arr.shape[-2:]
     # channels lead and right-hand sides trail: (n_channels, n_r, k)
-    b = -np.moveaxis(f_arr.reshape(-1, nm, nr), 0, -1).astype(complex)
+    b = -np.moveaxis(f_arr.reshape(-1, nm, nr), 0, -1).astype(complex, order="C")
     b[:, 0, :] = 0.0 if bc_arr is None else np.moveaxis(bc_arr.reshape(-1, nm), 0, -1)
+    # the stacks are real: act on the interleaved real view (n_channels, n_r, 2k)
+    b = b.view(float)
     y = inv @ b
     y -= inv @ (mat @ y - b)
-    return np.moveaxis(y, -1, 0).reshape(f_arr.shape)
+    return np.moveaxis(y.view(complex), -1, 0).reshape(f_arr.shape)
 
 
 def solve_mode_dirichlet(ws, n, f):

@@ -21,11 +21,14 @@ V of its pencil: the fields N V on the entries the sector reaches,
 V^H M V ~ I, V^H G V ~ diag(w) and its eigenvalues' ranks in the mode. In
 these coordinates the L^2 projection, the resolvent and both time
 steppers are diagonal scalings done sector by sector; the blocks are kept
-to measure residuals against. The strong block
+to measure residuals against. The strong operator
 
-  A_block[i, j] = (A b_j, b_i),         A v = -mu P laplacian(v) + grad(Q v),
+  A v = -mu P laplacian(v) + grad(Q v)
 
-is assembled on first read only; criterion checks compare it with G_block.
+commutes with rotations about the axis, so it maps each sector into
+itself. Its per-sector blocks A[i, c] = (A b_c, b_i) are assembled on
+first use only, together with the part of A b that leaves the sector (an
+exact zero, measured in roundoff); criterion checks compare them with G.
 
 Mode n = 0 receives special treatment: the kernel fields e1 + i e2
 (sector 1), e1 - i e2 (sector -1), e3 and the rigid rotation (sector 0)
@@ -42,7 +45,6 @@ field slice, so mode -n uses mode-|n| coordinates everywhere else.
 """
 
 import dataclasses
-import functools
 import math
 import weakref
 
@@ -65,7 +67,7 @@ from .fields import (
     rigid_rotation,
     zeros_vector,
 )
-from .helmholtz import _div_slice, _potential_slice, _q_slice
+from .helmholtz import _div_slice, _q_slice
 
 # relative singular-value cutoff of each sector's constraint SVD
 SVD_TOL = 1e-9
@@ -109,7 +111,9 @@ class Sector:
     at m = j +- 1, z at m = j), cols the positions of its coordinates in
     the mode's ascending order, coef its eigenvector fields on those rows,
     M ~ I and G ~ diag(w) its pencil blocks, and nk its number of leading
-    kernel columns.
+    kernel columns. A is its strong block and leak the relative norm of
+    A b outside the sector's unit embedding; both stay None until
+    ModeOperator.assemble_strong fills them.
     """
 
     rows: np.ndarray
@@ -118,6 +122,8 @@ class Sector:
     M: np.ndarray
     G: np.ndarray
     nk: int
+    A: np.ndarray = None
+    leak: float = None
 
 
 @dataclasses.dataclass
@@ -131,9 +137,9 @@ class ModeOperator:
     sqrt(M_ii). info holds the per-sector basis records and the smallest
     kept / largest dropped singular value over the sectors. ws is a weak
     reference to the owning Workspace, so the cache holds no reference
-    cycle. basis, M_block and G_block are dense views built on each read
-    for checks and export; no solve reads them, and basis and A_block need
-    that workspace alive.
+    cycle. basis, M_block, G_block and A_block are dense views built on
+    each read for checks and export; no solve reads them, and basis and
+    the first strong read need that workspace alive.
     """
 
     n: int
@@ -144,11 +150,38 @@ class ModeOperator:
     ws: object = dataclasses.field(repr=False, compare=False)
 
     def apply(self, name, y):
-        """Product of the block "M" or "G" with coordinates y, per sector."""
+        """Product of the block "M", "G" or "A" with coordinates y, per sector."""
+        if name == "A":
+            self.assemble_strong()
         out = np.empty(y.shape, dtype=complex)
         for s in self.sectors:
             out[s.cols] = getattr(s, name) @ y[s.cols]
         return out
+
+    def assemble_strong(self):
+        """Strong block of each sector on first call; returns the largest leak.
+
+        A is applied to the sector's own columns only: the block is
+        coef^H (W A b) on the sector's rows, and the leak is the relative
+        Euclidean norm of A b outside the sector's unit embedding, which
+        bounds every off-sector entry of (A b_c, b_i).
+        """
+        ws = self.ws()
+        cfg = ws.config
+        shape = (3, cfg.n_modes_theta, cfg.n_r)
+        for s, info in zip(self.sectors, self.info["sectors"]):
+            if s.A is not None:
+                continue
+            barr = np.zeros((s.cols.size, math.prod(shape)), dtype=complex)
+            barr[:, s.rows] = s.coef.T
+            ab = _apply_A_slice(ws, self.n, barr.reshape(-1, *shape))
+            wab = _apply_weight(ws.tables, cfg.ell, ab).reshape(s.cols.size, -1)
+            s.A = s.coef.conj().T @ wab[:, s.rows].T
+            ab = ab.reshape(s.cols.size, -1)
+            units = _sector_units(cfg, info["j"])[0].reshape(-1, ab.shape[1])
+            off = ab - (ab @ units.conj().T) @ units
+            s.leak = float(np.linalg.norm(off) / np.linalg.norm(ab))
+        return max(s.leak for s in self.sectors)
 
     @property
     def M_block(self):
@@ -159,26 +192,16 @@ class ModeOperator:
         return self.apply("G", np.eye(self.eigen[0].size))
 
     @property
+    def A_block(self):
+        return self.apply("A", np.eye(self.eigen[0].size))
+
+    @property
     def basis(self):
         """Eigenvector fields as Cartesian columns in (component, m, r) order."""
         cfg = self.ws().config
         out = np.zeros((3 * cfg.n_modes_theta * cfg.n_r, self.eigen[0].size), dtype=complex)
         for s in self.sectors:
             out[s.rows[:, None], s.cols] = s.coef
-        return out
-
-    @functools.cached_property
-    def A_block(self):
-        """Strong block (A b_j, b_i) on first read; A is applied sector by sector."""
-        ws = self.ws()
-        cfg = ws.config
-        barr = self.basis.T.reshape(-1, 3, cfg.n_modes_theta, cfg.n_r)
-        k = barr.shape[0]
-        wb = np.conj(_apply_weight(ws.tables, cfg.ell, barr)).reshape(k, -1)
-        out = np.empty((k, k), dtype=complex)
-        for s in self.sectors:
-            ab = _apply_A_slice(ws, self.n, barr[s.cols])
-            out[:, s.cols] = wb @ ab.reshape(s.cols.size, -1).T
         return out
 
 
@@ -463,14 +486,13 @@ def _apply_A_slice(ws, n, varr):
     band = _band(varr)
     beta = cfg.beta(n)
     lap = apply_stack(t.stacks(band).lap, varr) - beta * beta * varr
-    _, gx, gy, gz = _potential_slice(ws, n, lap)
-    qb = _q_slice(ws, n, varr, band + 3)
-    out = np.empty_like(varr)
-    out[..., 0, :, :] = -cfg.mu * (lap[..., 0, :, :] - gx) + _truncate(_dx(t, qb), band)
-    out[..., 1, :, :] = -cfg.mu * (lap[..., 1, :, :] - gy) + _truncate(_dy(t, qb), band)
-    out[..., 2, :, :] = -cfg.mu * (lap[..., 2, :, :] - gz) + 1j * beta * _truncate(
-        qb, band
-    )
+    # -mu P lap v = -mu lap v + mu grad(phi) with laplacian(phi) = div lap v,
+    # so one solve with forcing mu lap v yields the whole pressure Q v + mu phi
+    qb = _q_slice(ws, n, varr, band + 3, cfg.mu * lap)
+    out = -cfg.mu * lap
+    out[..., 0, :, :] += _truncate(_dx(t, qb), band)
+    out[..., 1, :, :] += _truncate(_dy(t, qb), band)
+    out[..., 2, :, :] += 1j * beta * _truncate(qb, band)
     return out
 
 
@@ -696,11 +718,8 @@ def kernel_rayleigh_quotients(ws):
     """Rayleigh quotients of the four installed kernel fields at mode 0.
 
     Returns a list of |(A b_k, b_k)| / (b_k, b_k) over the kernel columns,
-    using the strong A_block.
+    sector by sector, read off each sector's strong and mass blocks.
     """
     op = mode_operator(ws, 0)
-    m = op.M_block
-    out = []
-    for k in op.kernel_columns:
-        out.append(float(abs(op.A_block[k, k])) / float(m[k, k].real))
-    return out
+    op.assemble_strong()
+    return [float(abs(s.A[i, i]) / s.M[i, i].real) for s in op.sectors for i in range(s.nk)]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 import jetstokes as js
 from jetstokes.fields import constant_vector, random_smooth_vector
@@ -66,6 +67,23 @@ def test_eigenvalues_stable_under_refinement(ws_medium):
     vals = [e.lam.real for e in entries]
     for k, want in enumerate(MODE1_SMALLEST):
         assert vals[k] == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("ws_name", ["ws_small", "ws_medium"])
+def test_mode0_antiplane_family_matches_bessel_zeros(ws_name, request):
+    # u_z = J_j(s r) e^{i j theta} with J_j'(s kappa) = 0 is stress-free and
+    # pressure-free at beta = 0, with eigenvalue mu s^2
+    ws = request.getfixturevalue(ws_name)
+    cfg = ws.config
+    op = js.mode_operator(ws, 0)
+    w = op.eigen[0]
+    for s, info in zip(op.sectors, op.info["sectors"]):
+        j = info["j"]
+        if abs(j) > cfg.n_theta - 1:
+            continue
+        for zero in scipy.special.jnp_zeros(abs(j), 3):
+            want = cfg.mu * (zero / cfg.kappa) ** 2
+            assert np.min(np.abs(w[s.cols] - want)) <= 1e-9 * want
 
 
 def test_spectral_report(ws_small):

@@ -124,7 +124,7 @@ def test_strong_block_stays_off_the_solve_path(cfg_small, monkeypatch):
 
     monkeypatch.setattr(stokesop, "_apply_A_slice", refuse)
     # the dense views are for checks and export; no solve reads them
-    for name in ("basis", "M_block", "G_block"):
+    for name in ("basis", "M_block", "G_block", "A_block"):
         monkeypatch.setattr(stokesop.ModeOperator, name, property(refuse))
     for n in range(cfg_small.n_z + 1):
         js.mode_operator(ws, n)
@@ -137,14 +137,70 @@ def test_strong_block_stays_off_the_solve_path(cfg_small, monkeypatch):
     monkeypatch.undo()
     for n in range(cfg_small.n_z + 1):
         op = js.mode_operator(ws, n)
-        agree = np.linalg.norm(op.A_block - op.G_block) / np.linalg.norm(op.G_block)
-        assert agree < 1e-8
+        op.assemble_strong()
+        for s in op.sectors:
+            assert np.linalg.norm(s.A - s.G) / np.linalg.norm(s.G) < 1e-8
 
 
 def test_kernel_rayleigh_quotients(ws_small):
     op = js.mode_operator(ws_small, 0)
-    scale = float(np.linalg.norm(op.A_block))
+    op.assemble_strong()
+    scale = math.sqrt(sum(np.linalg.norm(s.A) ** 2 for s in op.sectors))
     assert float(np.max(kernel_rayleigh_quotients(ws_small))) < 1e-10 * scale
+
+
+@pytest.mark.parametrize("ws_name", ["ws_small", "ws_medium"])
+def test_strong_operator_stays_in_its_sector(ws_name, request):
+    ws = request.getfixturevalue(ws_name)
+    for n in range(ws.config.n_z + 1):
+        op = js.mode_operator(ws, n)
+        assert op.assemble_strong() < 1e-12
+        # the dense view is the per-sector blocks: exact zeros off-sector
+        a = op.A_block
+        for s in op.sectors:
+            assert np.array_equal(a[np.ix_(s.cols, s.cols)], s.A)
+        assert np.count_nonzero(a) <= sum(s.A.size for s in op.sectors)
+
+
+def _cached_arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for val in obj.values():
+            yield from _cached_arrays(val)
+    elif isinstance(obj, (tuple, list)):
+        for val in obj:
+            yield from _cached_arrays(val)
+    elif isinstance(obj, (stokesop.ModeOperator, stokesop.Sector)):
+        yield from _cached_arrays(vars(obj))
+
+
+def test_mode_operator_caches_no_dense_block(cfg_small):
+    ws = js.Workspace(cfg_small)
+    # the reads of criteria 03 and 06 and of the block export
+    kernel_rayleigh_quotients(ws)
+    for n in range(cfg_small.n_z + 1):
+        op = js.mode_operator(ws, n)
+        op.assemble_strong()
+        for name in ("basis", "M_block", "G_block", "A_block"):
+            getattr(op, name)
+    for op in ws.mode_ops.values():
+        k = op.eigen[0].size
+        assert all(s.A is not None for s in op.sectors)
+        assert max(a.size for a in _cached_arrays(op)) < k * k
+
+
+def test_mirror_sectors_share_their_spectra(ws_small):
+    for n in range(ws_small.config.n_z + 1):
+        op = js.mode_operator(ws_small, n)
+        w = op.eigen[0]
+        by_j = {info["j"]: s for s, info in zip(op.sectors, op.info["sectors"])}
+        assert set(by_j) == {-j for j in by_j}
+        for j, s in by_j.items():
+            mirror = by_j[-j]
+            assert s.cols.size == mirror.cols.size
+            gap = np.max(np.abs(np.sort(w[s.cols]) - np.sort(w[mirror.cols])))
+            assert gap <= 1e-12 * w[-1]
 
 
 def test_mass_matrix_matches_inner_product(ws_small):
@@ -206,9 +262,11 @@ def test_form_sector_coercivity(ws_small):
 def test_hermiticity_and_agreement(ws_small):
     for n in range(ws_small.config.n_z + 1):
         op = js.mode_operator(ws_small, n)
-        a, g = op.A_block, op.G_block
-        assert np.linalg.norm(a - a.conj().T) / np.linalg.norm(a) < 1e-10
-        assert np.linalg.norm(a - g) / np.linalg.norm(g) < 1e-8
+        op.assemble_strong()
+        for s in op.sectors:
+            a, g = s.A, s.G
+            assert np.linalg.norm(a - a.conj().T) / np.linalg.norm(a) < 1e-10
+            assert np.linalg.norm(a - g) / np.linalg.norm(g) < 1e-8
         assert op.info["dim"] == op.basis.shape[1]
         assert op.info["sv_at_rank"] > op.info["sv_past_rank"]
 
