@@ -29,37 +29,28 @@ from .config import ConfigError, DomainConfig, RunConfig, default_run_config, lo
 from .workspace import Workspace
 from .fields import (
     ScalarField,
-    SobolevIndex,
     TraceField,
     VectorField,
-    analyze,
     div,
     grad,
     inner_product_Hkp,
     laplacian,
     norm_L2,
     norm_Hkp,
-    sym_grad,
-    synthesize,
     trace_SF,
 )
 from .fieldio import read_field, read_matrix, write_field, write_matrix
-from .modesolve import harmonic_extension, solve_mode_dirichlet, stability_constant
-from .helmholtz import DecompositionResult, operator_Q, project_P, projector_norm_Hk
+from .modesolve import harmonic_extension, solve_mode_dirichlet
+from .helmholtz import DecompositionResult, operator_Q, project_P
 from .stokesop import (
     ModeOperator,
-    Traction,
-    apply_A,
     assemble_A,
     build_constrained_basis,
-    form_value,
     mode_operator,
     tangential_traction,
-    traction,
 )
 from .spectral import (
     ResolventSample,
-    SpectralReport,
     eigensolve,
     kernel_dimension,
     resolve,

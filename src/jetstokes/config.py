@@ -21,9 +21,19 @@ def _check_int(value, name):
         raise ConfigError("%s must be an integer, got %r" % (name, value))
 
 
+def _check_float(value, name):
+    # json.load accepts NaN and Infinity; neither is a usable setting
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError("%s must be a finite number, got %r" % (name, value))
+
+
 @dataclasses.dataclass(frozen=True)
 class DomainConfig:
     """Discretization of the periodic cylinder {r < kappa} x (0, ell).
+
+    Radial quadrature always uses 2*n_r Gauss-Legendre points (see
+    discretization.RadialTables), and the residual bound of the Dirichlet
+    solves is the constant modesolve.SOLVER_TOL; neither is a setting.
 
     Attributes:
         kappa: free-surface radius, 0 < kappa < 1 (larger radii unsupported).
@@ -32,8 +42,6 @@ class DomainConfig:
         n_r: radial grid size per azimuthal mode (half of the diameter grid).
         n_theta: azimuthal cutoff, modes m = -n_theta..n_theta are stored.
         n_z: axial cutoff, modes n = -n_z..n_z are stored.
-        quad_order: radial Gauss-Legendre points, 0 means 2*n_r.
-        solver_tol: relative residual bound for direct elliptic solves.
     """
 
     kappa: float = 0.5
@@ -42,11 +50,11 @@ class DomainConfig:
     n_r: int = 32
     n_theta: int = 8
     n_z: int = 8
-    quad_order: int = 0
-    solver_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("n_r", "n_theta", "n_z", "quad_order"):
+        for name in ("kappa", "ell", "mu"):
+            _check_float(getattr(self, name), "domain." + name)
+        for name in ("n_r", "n_theta", "n_z"):
             _check_int(getattr(self, name), "domain." + name)
         if not (0.0 < self.kappa < 1.0):
             raise ConfigError(
@@ -62,12 +70,6 @@ class DomainConfig:
             raise ConfigError("domain.n_theta must be at least 1")
         if self.n_z < 0:
             raise ConfigError("domain.n_z must be nonnegative")
-        if self.quad_order == 0:
-            object.__setattr__(self, "quad_order", 2 * self.n_r)
-        if self.quad_order < self.n_r:
-            raise ConfigError("domain.quad_order must be at least n_r")
-        if self.solver_tol <= 0.0:
-            raise ConfigError("domain.solver_tol must be positive")
 
     def beta(self, n):
         """Axial wavenumber 2*pi*n/ell of mode n."""
@@ -81,12 +83,6 @@ class DomainConfig:
     def n_modes_z(self):
         return 2 * self.n_z + 1
 
-    def n_values(self):
-        return range(-self.n_z, self.n_z + 1)
-
-    def m_values(self):
-        return range(-self.n_theta, self.n_theta + 1)
-
 
 @dataclasses.dataclass(frozen=True)
 class SolveModeBlock:
@@ -99,6 +95,7 @@ class SolveModeBlock:
 
     def __post_init__(self):
         _check_int(self.n, "solve_mode.n")
+        _check_float(self.amplitude, "solve_mode.amplitude")
         if self.forcing not in ("constant", "file"):
             raise ConfigError("solve_mode.forcing must be 'constant' or 'file'")
         if self.forcing == "file" and not self.path:
@@ -145,6 +142,7 @@ class ResolventBlock:
     epsilon: float = 0.5
 
     def __post_init__(self):
+        _check_float(self.epsilon, "resolvent.epsilon")
         if self.epsilon <= 0.0:
             raise ConfigError("resolvent.epsilon must be positive")
         if not self.rays or not self.magnitudes:
@@ -152,6 +150,8 @@ class ResolventBlock:
         for ray in self.rays:
             if len(ray) != 2:
                 raise ConfigError("resolvent.rays entries must be [re, im] pairs")
+            for x in ray:
+                _check_float(x, "resolvent.rays entry")
             re, im = float(ray[0]), float(ray[1])
             if re > 0.0 or (re == 0.0 and im == 0.0):
                 raise ConfigError(
@@ -162,6 +162,7 @@ class ResolventBlock:
                     "resolvent.rays must satisfy |im| > |re| (sector of the form bound)"
                 )
         for t in self.magnitudes:
+            _check_float(t, "resolvent.magnitudes entry")
             if t <= 0.0:
                 raise ConfigError("resolvent.magnitudes must be positive")
         lo = min(
@@ -198,6 +199,8 @@ class EvolveBlock:
     snapshot_stride: int = 0
 
     def __post_init__(self):
+        for name in ("t_final", "dt", "amplitude", "omega"):
+            _check_float(getattr(self, name), "evolve." + name)
         if self.scheme not in ("implicit-euler", "crank-nicolson"):
             raise ConfigError(
                 "evolve.scheme must be 'implicit-euler' or 'crank-nicolson'"

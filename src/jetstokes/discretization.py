@@ -103,19 +103,22 @@ class _BandStacks:
 class RadialTables:
     """Folded differentiation, quadrature and resampling tables.
 
+    All quadrature uses quad_order = 2*n_r Gauss-Legendre points on
+    (0, kappa), exact for the products of two profiles the grid carries.
+    Shared instances come from tables_for / tables_for_key, which cache
+    one per (kappa, n_r).
+
     Args:
         kappa: surface radius.
         n_r: stored radial nodes per profile.
-        quad_order: Gauss-Legendre points on (0, kappa) for all quadrature.
     """
 
-    def __init__(self, kappa, n_r, quad_order):
+    def __init__(self, kappa, n_r):
         self.kappa = float(kappa)
         self.n_r = int(n_r)
-        self.quad_order = int(quad_order)
+        self.quad_order = 2 * self.n_r
 
         x, d1, d2 = chebyshev_lobatto(self.n_r, self.kappa)
-        self.x_full = x
         self.r = x[: self.n_r]
         self.inv_r = 1.0 / self.r
         mirror = np.arange(2 * self.n_r - 1, self.n_r - 1, -1)
@@ -144,9 +147,6 @@ class RadialTables:
 
     def ddr(self, parity):
         return self._d1[parity]
-
-    def resample(self, parity):
-        return self._resample[parity]
 
     def gram(self, parity):
         return self._gram[parity]
@@ -214,10 +214,10 @@ class RadialTables:
 
 
 @functools.lru_cache(maxsize=None)
-def tables_for_key(kappa, n_r, quad_order):
-    return RadialTables(kappa, n_r, quad_order)
+def tables_for_key(kappa, n_r):
+    return RadialTables(kappa, n_r)
 
 
 def tables_for(config):
     """Shared RadialTables instance for a DomainConfig."""
-    return tables_for_key(config.kappa, config.n_r, config.quad_order)
+    return tables_for_key(config.kappa, config.n_r)

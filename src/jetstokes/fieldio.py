@@ -87,11 +87,12 @@ _FIELD_KEYS = {
 }
 
 
-def read_field(path, mu=1.0, quad_order=0):
+def read_field(path, mu=1.0):
     """Read a field file written by write_field.
 
-    The header does not store mu or the quadrature order; pass them when
-    the field is meant for a specific DomainConfig.
+    The header stores every DomainConfig field but mu; pass mu when the
+    field is meant for a specific DomainConfig, and the field comes back
+    with exactly the config it was written from.
 
     Returns:
         ScalarField or VectorField according to the components entry.
@@ -118,7 +119,6 @@ def read_field(path, mu=1.0, quad_order=0):
         n_r=header["n_r"],
         n_theta=header["n_theta"],
         n_z=header["n_z"],
-        quad_order=quad_order,
     )
     shape = (cfg.n_modes_z, cfg.n_modes_theta, cfg.n_r)
     if header["components"] == 3:

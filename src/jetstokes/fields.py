@@ -13,6 +13,12 @@ through r/2 shifts. The internal helpers therefore return arrays on a
 widened azimuthal band, and public operations truncate back to the stored
 band. Truncation is exact whenever the input keeps band margins, which the
 random field generators guarantee via their margin arguments.
+
+The helpers act on raw arrays with any leading axes, so one call serves an
+axial slice (..., 3, n_m, n_r) or a stack of them. _div_slice is the one
+divergence kernel: div, the Helmholtz projection and the constraint rows of
+stokesop all call it. The field-level div and laplacian are reference
+operators that the tests check closed forms and solves against.
 """
 
 import dataclasses
@@ -26,28 +32,12 @@ from .discretization import apply_stack, tables_for
 MAX_SOBOLEV_ORDER = 4
 
 
-@dataclasses.dataclass(frozen=True)
-class SobolevIndex:
-    """Order k of the periodic Sobolev inner product H^k_p."""
-
-    k: int
-
-    def __post_init__(self):
-        if not (0 <= self.k <= MAX_SOBOLEV_ORDER):
-            raise ValueError(
-                "Sobolev order must lie in 0..%d, got %r" % (MAX_SOBOLEV_ORDER, self.k)
-            )
-
-
 def _as_order(k):
-    if isinstance(k, SobolevIndex):
-        return k.k
-    kk = int(k)
-    if kk != k or not (0 <= kk <= MAX_SOBOLEV_ORDER):
+    if not isinstance(k, int) or not 0 <= k <= MAX_SOBOLEV_ORDER:
         raise ValueError(
             "Sobolev order must lie in 0..%d, got %r" % (MAX_SOBOLEV_ORDER, k)
         )
-    return kk
+    return k
 
 
 @dataclasses.dataclass
@@ -229,12 +219,6 @@ def rigid_rotation(config):
     return f
 
 
-def conj_reflect(field):
-    """Complex conjugate of the field (reflects both mode indices)."""
-    arr = np.conj(field.coeffs[..., ::-1, ::-1, :])
-    return type(field)(field.config, np.ascontiguousarray(arr), field.real_flag)
-
-
 # ---------------------------------------------------------------------------
 # band-aware raw-array helpers (leading axes pass through)
 
@@ -346,11 +330,22 @@ def grad(u):
     return out
 
 
+def _div_slice(t, varr, beta):
+    """Divergence of one or many axial slices varr (..., 3, n_m, n_r), band + 1.
+
+    beta is the axial wavenumber, a scalar or an array broadcasting with
+    the slice axes.
+    """
+    s = _dx(t, varr[..., 0, :, :]) + _dy(t, varr[..., 1, :, :])
+    s += _pad(1j * beta * varr[..., 2, :, :], 1)
+    return s
+
+
 def div(v):
     """Divergence of a VectorField as a ScalarField."""
     t = tables_for(v.config)
-    s = _dx(t, v.coeffs[0]) + _dy(t, v.coeffs[1])
-    s += _pad(_axial_factors(v.config) * v.coeffs[2], 1)
+    beta = _axial_factors(v.config).imag
+    s = _div_slice(t, np.moveaxis(v.coeffs, 0, 1), beta)
     return ScalarField(v.config, _truncate(s, v.config.n_theta), v.real_flag)
 
 
@@ -372,31 +367,6 @@ def laplacian(field):
     return out
 
 
-def sym_grad(v):
-    """Symmetrized derivative table E[i][j] = D_j v_i + D_i v_j.
-
-    Note the convention: no factor 1/2, matching the energy form
-    (mu/2) * sum_ij integral |E_ij|^2. Returns a 3x3 nested tuple of
-    ScalarFields; E[i][j] == E[j][i].
-    """
-    t = tables_for(v.config)
-    cfg = v.config
-    ax = _axial_factors(cfg)
-    d = [
-        [_dx(t, v.coeffs[c]) for c in range(3)],
-        [_dy(t, v.coeffs[c]) for c in range(3)],
-        [_pad(ax * v.coeffs[c], 1) for c in range(3)],
-    ]
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            arr = _truncate(d[j][i] + d[i][j], cfg.n_theta)
-            row.append(ScalarField(cfg, arr, v.real_flag))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 # ---------------------------------------------------------------------------
 # inner products, norms, traces
 
@@ -416,7 +386,7 @@ def inner_product_Hkp(u, v, k=0):
 
     Args:
         u, v: fields of the same kind on the same config.
-        k: integer order or SobolevIndex, at most MAX_SOBOLEV_ORDER.
+        k: integer order, at most MAX_SOBOLEV_ORDER.
 
     Returns:
         complex inner product value (real for u = v up to roundoff).
@@ -475,63 +445,6 @@ def trace_norm_L2(tr):
     cfg = tr.config
     val = cfg.kappa * cfg.ell * 2.0 * math.pi * np.sum(np.abs(tr.coeffs) ** 2)
     return math.sqrt(val)
-
-
-# ---------------------------------------------------------------------------
-# nodal synthesis grid
-
-
-def _phase_matrices(config):
-    nz, nm = config.n_modes_z, config.n_modes_theta
-    n = np.arange(-config.n_z, config.n_z + 1)
-    m = np.arange(-config.n_theta, config.n_theta + 1)
-    ez = np.exp(2j * math.pi * np.outer(np.arange(nz), n) / nz)
-    et = np.exp(2j * math.pi * np.outer(np.arange(nm), m) / nm)
-    return ez, et
-
-
-def synthesize(field):
-    """Evaluate on the nodal grid (z_j, theta_k, r_i).
-
-    z_j = j*ell/(2*n_z+1), theta_k = 2*pi*k/(2*n_theta+1). Vector fields
-    get a leading component axis. Values are complex; real_flag fields have
-    imaginary parts at roundoff level.
-    """
-    ez, et = _phase_matrices(field.config)
-    return np.einsum("zn,tm,...nmr->...ztr", ez, et, field.coeffs)
-
-
-def analyze(config, values, real_flag=None):
-    """Inverse of synthesize: nodal values back to coefficients.
-
-    Args:
-        config: target DomainConfig.
-        values: array (2*n_z+1, 2*n_theta+1, n_r), with a leading 3-axis
-            for vector fields.
-        real_flag: override the real/complex tag; defaults to whether the
-            input dtype is real.
-
-    Returns:
-        ScalarField or VectorField.
-    """
-    ez, et = _phase_matrices(config)
-    nz, nm = config.n_modes_z, config.n_modes_theta
-    want = (nz, nm, config.n_r)
-    if values.shape == want:
-        kind = ScalarField
-    elif values.shape == (3,) + want:
-        kind = VectorField
-    else:
-        raise ValueError(
-            "nodal value shape %s matches neither scalar %s nor vector"
-            % (values.shape, want)
-        )
-    coeffs = np.einsum(
-        "zn,tm,...ztr->...nmr", np.conj(ez) / nz, np.conj(et) / nm, values
-    )
-    if real_flag is None:
-        real_flag = bool(np.isrealobj(values))
-    return kind(config, coeffs, real_flag)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .fields import (
     ScalarField,
     VectorField,
     _band,
+    _div_slice,
     _dx,
     _dy,
     _mul_x,
@@ -28,9 +29,7 @@ from .fields import (
     _pad,
     _truncate,
     grad,
-    norm_Hkp,
     norm_L2,
-    random_smooth_vector,
     zeros_scalar,
     zeros_vector,
 )
@@ -48,13 +47,6 @@ class DecompositionResult:
     solenoidal: VectorField
     potential: ScalarField
     residual: float
-
-
-def _div_slice(t, varr, beta):
-    """Divergence of one axial slice varr (..., 3, n_m, n_r), band + 1."""
-    s = _dx(t, varr[..., 0, :, :]) + _dy(t, varr[..., 1, :, :])
-    s += _pad(1j * beta * varr[..., 2, :, :], 1)
-    return s
 
 
 def _potential_slice(ws, n, varr):
@@ -104,31 +96,6 @@ def project_P(ws, u):
         defect = u - sol - grad(pot)
         residual = norm_L2(defect) / unorm
     return DecompositionResult(sol, pot, residual)
-
-
-def projector_norm_Hk(ws, k, sample_count, rng):
-    """Empirical H^k operator norm of the projection.
-
-    Args:
-        k: Sobolev order, one of 0, 1, 2.
-        sample_count: number of random pole-regular samples, at least 1.
-        rng: numpy Generator.
-
-    Returns:
-        max over samples of ||P u||_{H^k_p} / ||u||_{H^k_p}.
-    """
-    if k not in (0, 1, 2):
-        raise ValueError("projector norm is tracked for k in {0, 1, 2}")
-    if sample_count < 1:
-        raise ValueError("projector_norm_Hk requires sample_count >= 1")
-    worst = 0.0
-    for _ in range(sample_count):
-        u = random_smooth_vector(ws.config, rng, real=False)
-        denom = norm_Hkp(u, k)
-        if denom == 0.0:
-            continue
-        worst = max(worst, norm_Hkp(project_P(ws, u).solenoidal, k) / denom)
-    return worst
 
 
 def _q_slice(ws, n, varr, out_band, farr=None):

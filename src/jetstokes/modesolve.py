@@ -15,7 +15,10 @@ badly conditioned at fine grids.
 import numpy as np
 
 from .discretization import apply_stack
-from .fields import ScalarField, _band, norm_Hkp, norm_L2, random_smooth_scalar, zeros_scalar
+from .fields import _band, zeros_scalar
+
+# relative interior residual bound of solve_mode_dirichlet
+SOLVER_TOL = 1e-10
 
 
 def _dirichlet_stack(ws, n, band):
@@ -69,7 +72,7 @@ def solve_mode_dirichlet(ws, n, f):
 
     Returns:
         ScalarField. Raises RuntimeError if the relative collocation
-        residual exceeds the configured solver tolerance.
+        residual exceeds SOLVER_TOL.
     """
     cfg = ws.config
     if abs(n) > cfg.n_z:
@@ -79,10 +82,10 @@ def solve_mode_dirichlet(ws, n, f):
     u.coeffs[i_n] = laplace_solve_channels(ws, n, f.coeffs[i_n])
     u.real_flag = False
     res = dirichlet_residual(ws, n, f, u)
-    if res > cfg.solver_tol:
+    if res > SOLVER_TOL:
         raise RuntimeError(
-            "modesolve: mode %d collocation residual %.3e exceeds solver_tol %.3e"
-            % (n, res, cfg.solver_tol)
+            "modesolve: mode %d collocation residual %.3e exceeds SOLVER_TOL %.3e"
+            % (n, res, SOLVER_TOL)
         )
     return u
 
@@ -125,33 +128,3 @@ def harmonic_extension(ws, g):
     u.real_flag = False
     return u
 
-
-def stability_constant(ws, n, sample_count, rng):
-    """Empirical H^2/L^2 stability ratio of the mode-n Dirichlet solve.
-
-    Args:
-        ws: Workspace.
-        n: axial mode.
-        sample_count: number of random forcing samples, at least 1.
-        rng: numpy Generator used for the samples.
-
-    Returns:
-        max over samples of ||u||_{H^2_p} / ||f||_{L^2} with
-        laplacian(u) = f concentrated on mode n.
-    """
-    if sample_count < 1:
-        raise ValueError("stability_constant requires sample_count >= 1")
-    cfg = ws.config
-    i_n = cfg.n_z + n
-    worst = 0.0
-    for _ in range(sample_count):
-        f = random_smooth_scalar(cfg, rng, real=False)
-        mask = np.zeros_like(f.coeffs)
-        mask[i_n] = f.coeffs[i_n]
-        f = ScalarField(cfg, mask, real_flag=False)
-        fnorm = norm_L2(f)
-        if fnorm == 0.0:
-            continue
-        u = solve_mode_dirichlet(ws, n, f)
-        worst = max(worst, norm_Hkp(u, 2) / fnorm)
-    return worst

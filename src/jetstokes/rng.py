@@ -14,7 +14,6 @@ STREAM_IDS = {
     "sweep-rhs": 3,
     "evolution-initial": 4,
     "evolution-forcing": 5,
-    "stability-samples": 6,
     "verify-projector-fields": 7,
     "verify-projector-pairs": 8,
     "verify-zero-trace": 9,

@@ -16,8 +16,8 @@ of positive ones: their coordinates are mode-|n| coordinates of the
 flipped slice (see stokesop.reduce_slice), so the solve conjugates only
 lam instead of assembling them.
 
-Eigenvalues of mode -n equal those of mode n, so spectral reports for
-negative modes are served from the |n| decomposition.
+Eigenvalues of mode -n equal those of mode n, so eigensolve serves
+negative modes from the |n| decomposition.
 """
 
 import csv
@@ -31,6 +31,10 @@ from .stokesop import expand_slice, mode_operator, reduce_slice
 
 # slack for sector membership |Im lam| <= Re lam + SECTOR_TOL
 SECTOR_TOL = 1e-8
+# kernel eigenvalues lie below KERNEL_TOL * max|eigenvalue| of mode 0
+KERNEL_TOL = 1e-10
+# slack of the resolvent bound check l2_gain <= sqrt(2)/|lam| + BOUND_TOL
+BOUND_TOL = 1e-8
 
 
 @dataclasses.dataclass
@@ -39,19 +43,6 @@ class SpectralEntry:
     lam: complex
     residual: float
     in_sector: bool
-
-
-@dataclasses.dataclass
-class SpectralReport:
-    """Eigenvalue listing with kernel bookkeeping.
-
-    entries are sorted by mode, then ascending eigenvalue; kernel_dim is
-    None unless mode 0 was part of the request.
-    """
-
-    entries: list
-    kernel_dim: object
-    tolerance: float
 
 
 @dataclasses.dataclass
@@ -80,22 +71,13 @@ def eigensolve(ws, n, count):
     return entries
 
 
-def kernel_dimension(ws, tol=1e-10):
-    """Number of mode-0 eigenvalues below tol * max|eigenvalue|."""
+def kernel_dimension(ws):
+    """Number of mode-0 eigenvalues below KERNEL_TOL * max|eigenvalue|."""
     w = mode_operator(ws, 0).eigen[0]
     lam_max = float(np.max(np.abs(w))) if w.size else 0.0
     if lam_max == 0.0:
         return int(w.size)
-    return int(np.sum(np.abs(w) < tol * lam_max))
-
-
-def spectral_report(ws, modes, count, tolerance=SECTOR_TOL):
-    """Assemble a SpectralReport over several modes."""
-    entries = []
-    for n in sorted(modes):
-        entries.extend(eigensolve(ws, n, count))
-    kd = kernel_dimension(ws) if 0 in set(modes) else None
-    return SpectralReport(entries, kd, tolerance)
+    return int(np.sum(np.abs(w) < KERNEL_TOL * lam_max))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +145,7 @@ def resolve(ws, lam, g):
     return out, {"max_rel_residual": worst, "warnings": warnings}
 
 
-def resolvent_sweep(ws, lam_grid, rng, tolerance=1e-8):
+def resolvent_sweep(ws, lam_grid, rng):
     """Gain measurements over a grid of spectral parameters.
 
     One random pole-regular right-hand side is drawn and reused across the
@@ -184,31 +166,9 @@ def resolvent_sweep(ws, lam_grid, rng, tolerance=1e-8):
         bound = math.sqrt(2.0) / abs(lam)
         hk = norm_Hkp(v, 2) / gl2
         samples.append(
-            ResolventSample(complex(lam), l2, bound, hk, bool(l2 <= bound + tolerance))
+            ResolventSample(complex(lam), l2, bound, hk, bool(l2 <= bound + BOUND_TOL))
         )
     return samples
-
-
-def ray_exponents(samples):
-    """Log-log slope of hk_gain vs |lam| per ray direction.
-
-    Returns {direction: slope} with directions keyed by rounded unit
-    vectors; rays with fewer than two points are skipped.
-    """
-    groups = {}
-    for s in samples:
-        d = s.lam / abs(s.lam)
-        key = (round(d.real, 12), round(d.imag, 12))
-        groups.setdefault(key, []).append((abs(s.lam), s.hk_gain))
-    out = {}
-    for key, pts in groups.items():
-        if len(pts) < 2:
-            continue
-        pts.sort()
-        x = np.log([p[0] for p in pts])
-        y = np.log([max(p[1], 1e-300) for p in pts])
-        out[key] = float(np.polyfit(x, y, 1)[0])
-    return out
 
 
 # ---------------------------------------------------------------------------

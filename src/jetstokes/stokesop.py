@@ -55,19 +55,18 @@ from .discretization import apply_stack
 from .fields import (
     _axial_factors,
     _band,
-    _disk_inner_per_n,
+    _div_slice,
     _dx,
     _dy,
     _pad,
     _truncate,
     constant_vector,
-    inner_product_Hkp,
     norm_L2,
     random_smooth_vector,
     rigid_rotation,
     zeros_vector,
 )
-from .helmholtz import _div_slice, _q_slice
+from .helmholtz import _q_slice
 
 # relative singular-value cutoff of each sector's constraint SVD
 SVD_TOL = 1e-9
@@ -81,26 +80,6 @@ _PAIRS = (
     ((0, 2), 2.0),
     ((1, 2), 2.0),
 )
-
-
-@dataclasses.dataclass
-class Traction:
-    """Surface traction trace with components on the first axis.
-
-    coeffs has shape (3, 2*n_z+1, 2*band+1); the azimuthal band exceeds the
-    field band because the normal vector couples neighboring modes.
-    """
-
-    config: object
-    coeffs: np.ndarray
-    band: int
-
-    def __post_init__(self):
-        want = (3, self.config.n_modes_z, 2 * self.band + 1)
-        if self.coeffs.shape != want:
-            raise ValueError(
-                "traction shape %s does not match band %d" % (self.coeffs.shape, self.band)
-            )
 
 
 @dataclasses.dataclass
@@ -255,20 +234,17 @@ def _tr_pad(arr, extra):
     return np.pad(arr, pad)
 
 
-def _traction_arrays(t, varr, beta, mu, q_tr=None):
-    """Traction traces S_i = q n_i - mu sum_j E_ij n_j on band + 2.
+def _traction_arrays(t, varr, beta, mu):
+    """Viscous traction traces S_i = -mu sum_j E_ij n_j on band + 2.
 
-    varr (..., 3, n_m, n_r); q_tr optional (..., n_m) surface values of the
-    pressure. Returns a list of three (..., n_m + 4) arrays.
+    varr (..., 3, n_m, n_r); beta is a scalar or broadcasts with the slice
+    axes. Returns a list of three (..., n_m + 4) arrays.
     """
     e = _sym_entries(t, varr, beta)
     tr = {key: val[..., :, 0] for key, val in e.items()}
     s1 = -mu * (_tr_cos(tr[(0, 0)]) + _tr_sin(tr[(0, 1)]))
     s2 = -mu * (_tr_cos(tr[(0, 1)]) + _tr_sin(tr[(1, 1)]))
     s3 = -mu * (_tr_cos(tr[(0, 2)]) + _tr_sin(tr[(1, 2)]))
-    if q_tr is not None:
-        s1 += _tr_pad(_tr_cos(q_tr), 1)
-        s2 += _tr_pad(_tr_sin(q_tr), 1)
     return [s1, s2, s3]
 
 
@@ -282,40 +258,20 @@ def _tangential_arrays(t, varr, beta, mu):
     return [st1, st2, st3]
 
 
-def traction(ws, v, q):
-    """Surface traction of a velocity field and a pressure field.
-
-    Args:
-        ws: Workspace.
-        v: VectorField.
-        q: ScalarField (pass a zero field for the velocity part alone).
-
-    Returns:
-        Traction on band n_theta + 2.
-    """
-    cfg = ws.config
-    t = ws.tables
-    varr = np.moveaxis(v.coeffs, 0, 1)
-    beta = np.real(_axial_factors(cfg) / 1j)
-    s = _traction_arrays(t, varr, beta, cfg.mu, q.coeffs[..., 0])
-    return Traction(cfg, np.stack(s), cfg.n_theta + 2)
-
-
 def tangential_traction(ws, v):
     """Tangential surface traction S - (S . n) n of a velocity field.
 
     The pressure contribution q n is purely normal and drops out, so no
-    pressure argument is needed.
+    pressure argument is needed. This is the field-level check of the
+    stress-free surface condition.
 
     Returns:
-        Traction on band n_theta + 4.
+        complex array (3, 2*n_z+1, 2*(n_theta+4)+1): the Cartesian
+        components of the trace, each on azimuthal band n_theta + 4.
     """
     cfg = ws.config
-    t = ws.tables
     varr = np.moveaxis(v.coeffs, 0, 1)
-    beta = np.real(_axial_factors(cfg) / 1j)
-    s = _tangential_arrays(t, varr, beta, cfg.mu)
-    return Traction(cfg, np.stack(s), cfg.n_theta + 4)
+    return np.stack(_tangential_arrays(ws.tables, varr, _axial_factors(cfg).imag, cfg.mu))
 
 
 # ---------------------------------------------------------------------------
@@ -496,17 +452,6 @@ def _apply_A_slice(ws, n, varr):
     return out
 
 
-def apply_A(ws, v):
-    """Strong application of the projected Stokes operator to a field."""
-    cfg = ws.config
-    out = zeros_vector(cfg)
-    for i_n in range(cfg.n_modes_z):
-        n = i_n - cfg.n_z
-        out.coeffs[:, i_n] = _apply_A_slice(ws, n, v.coeffs[:, i_n])
-    out.real_flag = False
-    return out
-
-
 def assemble_A(ws, n):
     """Assemble mode n sector by sector, in the eigenbasis of its pencil.
 
@@ -666,25 +611,7 @@ def random_constrained_vector(ws, rng):
 
 
 # ---------------------------------------------------------------------------
-# sesquilinear form and dissipation
-
-
-def form_value(ws, v, u, lam=0.0):
-    """Value of the form <v, u> = -lam (v, u) + dissipation pairing.
-
-    The dissipation pairing is (mu/2) sum_ij integral E_ij(v) conj(E_ij(u))
-    evaluated on the untruncated band + 1 entries.
-    """
-    cfg = ws.config
-    t = ws.tables
-    beta = np.real(_axial_factors(cfg) / 1j)
-    ev = _sym_entries(t, np.moveaxis(v.coeffs, 0, 1), beta)
-    eu = _sym_entries(t, np.moveaxis(u.coeffs, 0, 1), beta)
-    diss = 0.0 + 0.0j
-    for key, wgt in _PAIRS:
-        diss += wgt * np.sum(_disk_inner_per_n(t, ev[key], eu[key]))
-    diss *= 0.5 * cfg.mu * cfg.ell
-    return complex(-lam * inner_product_Hkp(v, u, 0) + diss)
+# dissipation
 
 
 def _dissipation_slice(ws, n, varr):
@@ -703,15 +630,6 @@ def _dissipation_slice(ws, n, varr):
         vals = apply_stack(t.stacks(_band(arr)).resample, arr)
         total += wgt * float(np.sum(t.w_quad * np.abs(vals) ** 2))
     return 0.5 * cfg.mu * 2.0 * math.pi * cfg.ell * total
-
-
-def dissipation_value(ws, v):
-    """Total dissipation of a field (the form at lam = 0, real and >= 0)."""
-    cfg = ws.config
-    total = 0.0
-    for i_n in range(cfg.n_modes_z):
-        total += _dissipation_slice(ws, i_n - cfg.n_z, v.coeffs[:, i_n])
-    return total
 
 
 def kernel_rayleigh_quotients(ws):

@@ -150,9 +150,7 @@ def _c03_kernel(ws, seed):
     scale = math.sqrt(sum(np.linalg.norm(s.A) ** 2 for s in op0.sectors))
     ray = float(np.max(kernel_rayleigh_quotients(ws))) / scale
     dim0 = kernel_dimension(ws)
-    cfg2 = dataclasses.replace(
-        cfg, n_r=cfg.n_r + 8, n_theta=cfg.n_theta + 2, quad_order=0
-    )
+    cfg2 = dataclasses.replace(cfg, n_r=cfg.n_r + 8, n_theta=cfg.n_theta + 2)
     ws2 = Workspace(cfg2)
     dim2 = kernel_dimension(ws2)
     info2 = mode_operator(ws2, 0).info

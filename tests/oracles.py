@@ -145,7 +145,7 @@ def dense_constrained_nullspace(ws, n):
     rows are normalized, and the nullspace is cut at SVD_TOL * s_max of
     the whole mode. Returns orthonormal columns in (component, m, r) order.
     """
-    from jetstokes.helmholtz import _div_slice
+    from jetstokes.fields import _div_slice
     from jetstokes.stokesop import SVD_TOL, _tangential_arrays
 
     cfg, t = ws.config, ws.tables

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -82,6 +83,22 @@ def test_project_is_deterministic(tmp_path):
     assert ba == bb
     assert main(["project", "--config", cfg_b, "--seed", "8"]) == 0
     assert (tmp_path / "b" / "solenoidal.bin").read_bytes() != ba
+
+
+def test_project_accepts_its_own_output(tmp_path):
+    # the solenoidal field file read back as a source must match the
+    # configured domain and pass through the projection unchanged
+    first = _config(tmp_path, name="first.json", output_dir=str(tmp_path / "first"))
+    assert main(["project", "--config", first]) == 0
+    src = tmp_path / "first" / "solenoidal.json"
+    again = _config(
+        tmp_path, name="again.json", output_dir=str(tmp_path / "again"),
+        project={"source": str(src)},
+    )
+    assert main(["project", "--config", again]) == 0
+    u = js.read_field(src)
+    pu = js.read_field(tmp_path / "again" / "solenoidal.json")
+    assert np.linalg.norm(pu.coeffs - u.coeffs) <= 1e-10 * np.linalg.norm(u.coeffs)
 
 
 def test_spectrum_with_block_export(tmp_path):
@@ -173,10 +190,36 @@ def test_exit_code_on_malformed_json(tmp_path, capsys):
 
 def test_exit_code_on_unknown_key(tmp_path):
     path = tmp_path / "run.json"
-    # the SVD cutoff is the constant stokesop.SVD_TOL, not a config key
-    for key in ("n_rr", "svd_tol"):
+    # the SVD cutoff, the quadrature order and the solve tolerance are
+    # constants, not config keys
+    for key in ("n_rr", "svd_tol", "quad_order", "solver_tol"):
         path.write_text(json.dumps({"domain": {key: 12}}))
         assert main(["spectrum", "--config", str(path)]) == 2
+
+
+NON_FINITE_CLI = [
+    ("evolve", "amplitude", math.nan),
+    ("domain", "mu", math.nan),
+    ("domain", "ell", math.inf),
+    ("evolve", "dt", math.nan),
+    ("resolvent", "magnitudes", [math.inf]),
+    ("resolvent", "rays", [["a", 1]]),
+]
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    NON_FINITE_CLI,
+    ids=["%s.%s=%s" % case for case in NON_FINITE_CLI],
+)
+def test_exit_code_on_non_finite_value(tmp_path, capsys, section, key, value):
+    blocks = {section: dict(SMALL_DOMAIN, **{key: value}) if section == "domain" else {key: value}}
+    cfgp = _config(tmp_path, **blocks)
+    command = "resolvent-sweep" if section == "resolvent" else "evolve"
+    assert main([command, "--config", cfgp]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config:") and "%s.%s" % (section, key) in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_on_missing_field_file(tmp_path, capsys):

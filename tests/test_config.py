@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -14,7 +15,7 @@ def test_domain_defaults():
     assert cfg.ell == 2.0 * math.pi
     assert cfg.mu == 1.0
     assert (cfg.n_r, cfg.n_theta, cfg.n_z) == (32, 8, 8)
-    assert cfg.quad_order == 64
+    assert len(dataclasses.fields(cfg)) == 6
     assert cfg.n_modes_theta == 17
     assert cfg.n_modes_z == 17
 
@@ -23,8 +24,7 @@ def test_beta_and_ranges():
     cfg = js.DomainConfig(ell=4.0, n_z=2, n_theta=1, n_r=8)
     assert cfg.beta(1) == pytest.approx(math.pi / 2.0)
     assert cfg.beta(-2) == -cfg.beta(2)
-    assert list(cfg.n_values()) == [-2, -1, 0, 1, 2]
-    assert list(cfg.m_values()) == [-1, 0, 1]
+    assert (cfg.n_modes_z, cfg.n_modes_theta) == (5, 3)
 
 
 @pytest.mark.parametrize(
@@ -38,12 +38,12 @@ def test_beta_and_ranges():
         {"n_r": 3},
         {"n_theta": 0},
         {"n_z": -1},
-        {"quad_order": 5, "n_r": 8},
-        {"solver_tol": -1e-10},
+        {"mu": math.nan},
+        {"ell": math.inf},
         {"n_r": 12.5},
         {"n_theta": True},
         {"n_z": 2.0},
-        {"quad_order": 64.0},
+        {"kappa": "0.5"},
     ],
 )
 def test_domain_validation(kwargs):
@@ -96,6 +96,35 @@ def test_integer_entries_reject_floats_and_bools(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(js.ConfigError, match="must be an integer"):
             js.load_run_config(path)
+
+
+NON_FINITE = [
+    ("domain", "kappa", math.nan),
+    ("domain", "mu", math.nan),
+    ("domain", "ell", math.inf),
+    ("solve_mode", "amplitude", -math.inf),
+    ("resolvent", "epsilon", math.nan),
+    ("resolvent", "magnitudes", [math.inf]),
+    ("resolvent", "rays", [["a", 1]]),
+    ("resolvent", "rays", [[math.nan, 1]]),
+    ("evolve", "t_final", math.inf),
+    ("evolve", "dt", math.nan),
+    ("evolve", "amplitude", math.nan),
+    ("evolve", "omega", "1.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    NON_FINITE,
+    ids=["%s.%s=%s" % case for case in NON_FINITE],
+)
+def test_non_finite_and_non_numeric_values_rejected(tmp_path, section, key, value):
+    # json.dumps writes NaN and Infinity, which json.load reads back
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    with pytest.raises(js.ConfigError, match="%s.%s" % (section, key)):
+        js.load_run_config(path)
 
 
 def test_malformed_json(tmp_path):

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 import jetstokes as js
 from jetstokes.discretization import tables_for
@@ -10,7 +9,6 @@ from jetstokes.fields import (
     scalar_from_profile,
     zeros_vector,
 )
-from jetstokes.helmholtz import projector_norm_Hk
 from jetstokes.rng import stream
 
 import oracles
@@ -93,11 +91,3 @@ def test_operator_q_kills_rotation(ws_small):
     q = js.operator_Q(ws_small, rot)
     assert js.norm_L2(q) < 1e-12
 
-
-def test_projector_norm_sampler(ws_small):
-    for k in (0, 1, 2):
-        val = projector_norm_Hk(ws_small, k, 4, stream(34, "tests"))
-        assert np.isfinite(val)
-        assert 0.1 < val < 100.0
-    with pytest.raises(ValueError):
-        projector_norm_Hk(ws_small, 3, 4, stream(34, "tests"))

@@ -11,6 +11,7 @@ from jetstokes.fields import (
     random_zero_trace_potential,
     scalar_from_profile,
 )
+from jetstokes import modesolve
 from jetstokes.modesolve import _dirichlet_stack, dirichlet_residual, laplace_solve_channels
 from jetstokes.rng import stream
 
@@ -168,15 +169,14 @@ def test_field_layer_stays_off_lu(cfg_small, monkeypatch):
     assert js.project_P(ws, g).residual < 1e-8
 
 
-def test_dirichlet_residual_and_tolerance(ws_small):
+def test_dirichlet_residual_and_tolerance(ws_small, monkeypatch):
     cfg = ws_small.config
     f = constant_scalar(cfg, 1.0)
     u = js.solve_mode_dirichlet(ws_small, 0, f)
-    assert dirichlet_residual(ws_small, 0, f, u) < cfg.solver_tol
-    strict = js.DomainConfig(n_r=12, n_theta=3, n_z=2, solver_tol=1e-30)
-    ws = js.Workspace(strict)
+    assert dirichlet_residual(ws_small, 0, f, u) < modesolve.SOLVER_TOL
+    monkeypatch.setattr(modesolve, "SOLVER_TOL", 1e-30)
     with pytest.raises(RuntimeError, match="modesolve"):
-        js.solve_mode_dirichlet(ws, 0, constant_scalar(strict, 1.0))
+        js.solve_mode_dirichlet(ws_small, 0, f)
 
 
 def test_stability_constant_closed_form(ws_small):
@@ -187,15 +187,6 @@ def test_stability_constant_closed_form(ws_small):
     assert ratio == pytest.approx(
         oracles.stability_ratio_const_forcing(cfg.kappa), rel=1e-11
     )
-
-
-def test_stability_constant_sampler(ws_small):
-    got = js.stability_constant(ws_small, 0, 4, stream(6, "stability-samples"))
-    assert np.isfinite(got) and got > 0.0
-    again = js.stability_constant(ws_small, 0, 4, stream(6, "stability-samples"))
-    assert got == again
-    with pytest.raises(ValueError):
-        js.stability_constant(ws_small, 0, 0, stream(6, "stability-samples"))
 
 
 def test_chebyshev_derivative_exactness(cfg_small):

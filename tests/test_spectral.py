@@ -6,13 +6,7 @@ import scipy.special
 import jetstokes as js
 from jetstokes.fields import constant_vector, random_smooth_vector
 from jetstokes.rng import stream
-from jetstokes.spectral import (
-    ResolventSample,
-    ray_exponents,
-    spectral_report,
-    write_eigenvalues_csv,
-    write_resolvent_csv,
-)
+from jetstokes.spectral import write_eigenvalues_csv, write_resolvent_csv
 from jetstokes.stokesop import _apply_weight, assemble_A
 
 # Regression values, converged to nine digits under radial and azimuthal
@@ -86,14 +80,6 @@ def test_mode0_antiplane_family_matches_bessel_zeros(ws_name, request):
             assert np.min(np.abs(w[s.cols] - want)) <= 1e-9 * want
 
 
-def test_spectral_report(ws_small):
-    rep = spectral_report(ws_small, [1, 0], 3)
-    assert rep.kernel_dim == 4
-    assert [e.n for e in rep.entries] == [0, 0, 0, 1, 1, 1]
-    rep1 = spectral_report(ws_small, [1], 3)
-    assert rep1.kernel_dim is None
-
-
 def test_resolve_constant_right_hand_side(ws_small):
     g = constant_vector(ws_small.config, (0.4, -0.3, 0.9))
     v, info = js.resolve(ws_small, -1.0, g)
@@ -146,20 +132,12 @@ def test_resolvent_sweep(ws_small):
         js.resolvent_sweep(ws_small, [], stream(53, "tests"))
 
 
-def test_ray_exponents_synthetic():
-    samples = []
-    for a in (2.0, 4.0, 8.0):
-        samples.append(ResolventSample(a * 1j, 0.0, 0.0, 3.7 / a, True))
-    samples.append(ResolventSample(-3.0 + 4.0j, 0.0, 0.0, 1.0, True))
-    slopes = ray_exponents(samples)
-    assert set(slopes) == {(0.0, 1.0)}
-    assert slopes[(0.0, 1.0)] == pytest.approx(-1.0, abs=1e-12)
-
-
 def test_ray_exponent_measured_decay(ws_small):
     samples = js.resolvent_sweep(ws_small, [8j, 16j, 32j], stream(54, "tests"))
-    slopes = ray_exponents(samples)
-    slope = slopes[(0.0, 1.0)]
+    # log-log slope of the H^2 gain along the imaginary ray
+    x = np.log([abs(s.lam) for s in samples])
+    y = np.log([s.hk_gain for s in samples])
+    slope = np.polyfit(x, y, 1)[0]
     assert -1.6 < slope < -0.3
 
 
