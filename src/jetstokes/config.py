@@ -27,6 +27,17 @@ def _check_float(value, name):
         raise ConfigError("%s must be a finite number, got %r" % (name, value))
 
 
+def _check_str(value, name):
+    if not isinstance(value, str):
+        raise ConfigError("%s must be a string, got %r" % (name, value))
+
+
+def _check_bool(value, name):
+    # 0 and 1 are not booleans here, and neither is the string "no"
+    if not isinstance(value, bool):
+        raise ConfigError("%s must be true or false, got %r" % (name, value))
+
+
 @dataclasses.dataclass(frozen=True)
 class DomainConfig:
     """Discretization of the periodic cylinder {r < kappa} x (0, ell).
@@ -96,6 +107,8 @@ class SolveModeBlock:
     def __post_init__(self):
         _check_int(self.n, "solve_mode.n")
         _check_float(self.amplitude, "solve_mode.amplitude")
+        for name in ("forcing", "path"):
+            _check_str(getattr(self, name), "solve_mode." + name)
         if self.forcing not in ("constant", "file"):
             raise ConfigError("solve_mode.forcing must be 'constant' or 'file'")
         if self.forcing == "file" and not self.path:
@@ -109,6 +122,7 @@ class ProjectBlock:
     source: str = "random"
 
     def __post_init__(self):
+        _check_str(self.source, "project.source")
         if not self.source:
             raise ConfigError("project.source must be 'random' or a field file path")
 
@@ -123,6 +137,7 @@ class SpectrumBlock:
 
     def __post_init__(self):
         _check_int(self.count, "spectrum.count")
+        _check_bool(self.export_blocks, "spectrum.export_blocks")
         if self.count < 1:
             raise ConfigError("spectrum.count must be at least 1")
         for n in self.modes:
@@ -201,6 +216,8 @@ class EvolveBlock:
     def __post_init__(self):
         for name in ("t_final", "dt", "amplitude", "omega"):
             _check_float(getattr(self, name), "evolve." + name)
+        for name in ("scheme", "forcing", "initial"):
+            _check_str(getattr(self, name), "evolve." + name)
         if self.scheme not in ("implicit-euler", "crank-nicolson"):
             raise ConfigError(
                 "evolve.scheme must be 'implicit-euler' or 'crank-nicolson'"
@@ -225,6 +242,7 @@ class VerifyBlock:
     determinism: str = "reduced"
 
     def __post_init__(self):
+        _check_str(self.determinism, "verify.determinism")
         if self.determinism not in ("reduced", "full"):
             raise ConfigError("verify.determinism must be 'reduced' or 'full'")
 
@@ -245,6 +263,7 @@ class RunConfig:
 
     def __post_init__(self):
         _check_int(self.seed, "seed")
+        _check_str(self.output_dir, "output_dir")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
 

@@ -76,13 +76,37 @@ def lagrange_eval_matrix(x, targets, kappa):
     return b
 
 
+def _channels_first(arr, dtype=None):
+    """arr (..., n_channels, q) as one contiguous (n_channels, q, k) array.
+
+    k is the size of the flattened leading axes; the copy is skipped when
+    arr already is a _channels_last view.
+    """
+    lead = tuple(range(arr.ndim - 2))
+    b = np.ascontiguousarray(arr.transpose((arr.ndim - 2, arr.ndim - 1) + lead), dtype=dtype)
+    return b.reshape(arr.shape[-2:] + (-1,))
+
+
+def _channels_last(y, lead):
+    """The (..., n_channels, p) view of a (n_channels, p, k) array, k = prod(lead)."""
+    return y.transpose(2, 0, 1).reshape(lead + y.shape[:2])
+
+
 def apply_stack(stack, arr):
     """Apply a per-channel matrix stack to the trailing radial axis.
 
     stack has shape (n_channels, p, q) and arr (..., n_channels, q); the
-    result is (..., n_channels, p).
+    result is (..., n_channels, p). Channels lead and the flattened leading
+    axes of arr trail, so the whole product is one batched GEMM over
+    (n_channels, q, k). A real stack meets a complex arr on its interleaved
+    real view (n_channels, q, 2k), so the stack is never cast to complex.
     """
-    return np.matmul(stack, arr[..., None])[..., 0]
+    b = _channels_first(arr)
+    if arr.dtype.kind == "c" and stack.dtype.kind != "c":
+        y = (stack @ b.view(float)).view(complex)
+    else:
+        y = stack @ b
+    return _channels_last(y, arr.shape[:-2])
 
 
 class _BandStacks:

@@ -15,6 +15,14 @@ constant states persist to roundoff. Energies are sum |c|^2 and
 sum w |c|^2. The per-step residual is measured against the per-sector M
 and G blocks, so every step checks the eigenbasis instead of trusting it.
 
+Only the recurrence itself runs step by step. Everything around it works
+over the step axis in blocks of STEP_BLOCK steps: the forcing of a block is
+reduced with one product per (|n|, sector), and so are the M and G residual
+products and the snapshot expansions; energies and the Crank-Nicolson
+identity terms are summed per mode for the whole block. The forcing
+callable is still called once per time point, in time order (after one
+extra call at t = 0 for the hypothesis check).
+
 Negative modes step in mode-|n| coordinates, the ones reduce_slice and
 expand_slice use: w is real, so the recurrences are those of mode |n|.
 """
@@ -30,6 +38,11 @@ from .helmholtz import operator_Q, project_P
 from .stokesop import expand_slice, mode_operator, project_constrained, reduce_slice
 
 SCHEMES = ("implicit-euler", "crank-nicolson")
+
+# steps per block: the recurrence runs step by step, and the forcing
+# reductions, residual products, energies and snapshot expansions run once
+# per block, so transient memory is bounded by the block, not the run
+STEP_BLOCK = 16
 
 
 @dataclasses.dataclass
@@ -84,15 +97,6 @@ class EvolutionResult:
     coords: dict
 
 
-def _field_from_coords(ws, coords):
-    cfg = ws.config
-    out = zeros_vector(cfg)
-    for n, y in coords.items():
-        out.coeffs[:, cfg.n_z + n] = expand_slice(ws, n, y)
-    out.real_flag = False
-    return out
-
-
 def evolve(ws, evo):
     """Run the linearized evolution described by an EvolutionConfig.
 
@@ -127,13 +131,17 @@ def evolve(ws, evo):
     coupling /= max(math.sqrt(sum(np.linalg.norm(s.G) ** 2 for s in sectors)), 1e-300)
     if coupling > 1e-8:
         warnings.append("mode 0: dissipation form couples to the kernel (%.3e)" % coupling)
-    eig = {a: op.eigen[0] for a, op in ops.items()}
+    # one state is a row holding every mode's coordinates; mode n owns span[n]
+    edges = np.cumsum([0] + [ops[abs(n)].eigen[0].size for n in modes])
+    span = {n: slice(edges[i], edges[i + 1]) for i, n in enumerate(modes)}
+    w = np.concatenate([ops[abs(n)].eigen[0] for n in modes])
 
-    if evo.initial is None:
-        c = {n: np.zeros(eig[abs(n)].size, dtype=complex) for n in modes}
-    else:
+    c = np.zeros((1, edges[-1]), dtype=complex)
+    if evo.initial is not None:
         vnorm = norm_L2(evo.initial)
-        proj, c = project_constrained(ws, evo.initial)
+        proj, coords = project_constrained(ws, evo.initial)
+        for n in modes:
+            c[0, span[n]] = coords[n]
         if vnorm > 0.0:
             defect = norm_L2(evo.initial - proj) / vnorm
             if defect > 1e-8:
@@ -141,15 +149,6 @@ def evolve(ws, evo):
                     "initial state lies outside the constrained subspace "
                     "(relative defect %.3e); evolving its projection" % defect
                 )
-
-    def reduced_forcing(t):
-        """Forcing functionals of every mode, or None."""
-        if evo.forcing is None:
-            return None
-        f = evo.forcing(t)
-        if not isinstance(f, VectorField):
-            raise ValueError("forcing callable must return a VectorField")
-        return {n: reduce_slice(ws, n, f.coeffs[:, cfg.n_z + n]) for n in modes}
 
     if evo.forcing is not None:
         f0 = evo.forcing(0.0)
@@ -164,14 +163,32 @@ def evolve(ws, evo):
                     "the evolution hypothesis requires P f(0) = 0" % sol_part
                 )
 
-    def energies(cur):
-        l2 = sum(float(np.sum(np.abs(cur[n]) ** 2)) for n in modes)
-        diss = sum(float(np.sum(eig[abs(n)] * np.abs(cur[n]) ** 2)) for n in modes)
-        return l2, diss
+    def reduce_forcing(k, out):
+        """Write the forcing functionals at time points k, k + 1, ... into out's rows."""
+        stack = np.empty((len(out), 3, cfg.n_modes_z, cfg.n_modes_theta, cfg.n_r), complex)
+        for i in range(len(out)):
+            f = evo.forcing(dt * (k + i))
+            if not isinstance(f, VectorField):
+                raise ValueError("forcing callable must return a VectorField")
+            stack[i] = f.coeffs
+        for n in modes:
+            out[:, span[n]] = reduce_slice(ws, n, stack[:, :, cfg.n_z + n]).T
+
+    def snapshots(x):
+        """VectorFields of the states in the rows of x."""
+        out = [zeros_vector(cfg) for _ in x]
+        for n in modes:
+            for f, v in zip(out, expand_slice(ws, n, x[:, span[n]].T)):
+                f.coeffs[:, cfg.n_z + n] = v
+        for f in out:
+            f.real_flag = False
+        return out
 
     # implicit Euler evaluates G and f at the new time, Crank-Nicolson at
     # the midpoint
     theta = 1.0 if evo.scheme == "implicit-euler" else 0.5
+    keep = 1.0 - (1.0 - theta) * dt * w
+    denom = 1.0 + theta * dt * w
     t_grid = dt * np.arange(steps + 1)
     l2_arr = np.zeros(steps + 1)
     diss_arr = np.zeros(steps + 1)
@@ -179,56 +196,67 @@ def evolve(ws, evo):
     ident_res = np.zeros(steps) if evo.scheme == "crank-nicolson" else None
     ident_scale = np.zeros(steps) if evo.scheme == "crank-nicolson" else None
 
-    l2_arr[0], diss_arr[0] = energies(c)
     fields = []
-    if evo.store_trajectory:
-        fields.append(_field_from_coords(ws, c))
+    r = None
+    for k0 in range(0, steps, STEP_BLOCK):
+        k1 = min(k0 + STEP_BLOCK, steps)
+        # rows of x and r are the time points k0..k1; row 0 carries over,
+        # except in the first block, where it is t = 0 itself
+        first = 1 if k0 else 0
+        x = np.empty((k1 - k0 + 1, c.shape[1]), dtype=complex)
+        x[0] = c[-1]
+        if evo.forcing is not None:
+            r_block = np.empty_like(x)
+            if k0:
+                r_block[0] = r[-1]
+            r = r_block
+            reduce_forcing(k0 + first, r[first:])
+        for i in range(k1 - k0):
+            b = keep * x[i]
+            if r is not None:
+                b += dt * (theta * r[i + 1] + (1.0 - theta) * r[i])
+            x[i + 1] = b / denom
+        c = x
 
-    r_prev = reduced_forcing(0.0)
-    for k in range(steps):
-        r_next = reduced_forcing(dt * (k + 1))
-        c_new = {}
-        defect_sq = 0.0
-        scale_sq = 0.0
-        fp_mid = 0.0
-        diss_mid = 0.0
+        # per mode: residuals against the M and G blocks, energies and the
+        # midpoint terms of the Crank-Nicolson identity, for every step
+        rows = k1 - k0
+        defect_sq, scale_sq = np.zeros(rows), np.zeros(rows)
+        diss_mid, fp_mid = np.zeros(rows), np.zeros(rows)
+        l2, diss = np.zeros(rows + 1 - first), np.zeros(rows + 1 - first)
         for n in modes:
-            w = eig[abs(n)]
-            op = ops[abs(n)]
-            b = (1.0 - (1.0 - theta) * dt * w) * c[n]
-            if r_next is not None:
-                r_eval = theta * r_next[n] + (1.0 - theta) * r_prev[n]
-                b += dt * r_eval
-            c_new[n] = b / (1.0 + theta * dt * w)
-            c_eval = theta * c_new[n] + (1.0 - theta) * c[n]
-            dc = op.apply("M", (c_new[n] - c[n]) / dt)
-            ge = op.apply("G", c_eval)
+            op, wn, xn = ops[abs(n)], w[span[n]], x[:, span[n]]
+            c_eval = theta * xn[1:] + (1.0 - theta) * xn[:-1]
+            dc = op.apply("M", ((xn[1:] - xn[:-1]) / dt).T)
+            ge = op.apply("G", c_eval.T)
             d = dc + ge
-            s = np.linalg.norm(dc) + np.linalg.norm(ge)
-            if r_next is not None:
-                d -= r_eval
-                s += np.linalg.norm(r_eval)
-                fp_mid += float(np.real(np.vdot(c_eval, r_eval)))
-            defect_sq += float(np.linalg.norm(d) ** 2)
-            scale_sq += float(s * s)
-            diss_mid += float(np.sum(w * np.abs(c_eval) ** 2))
-        l2_new, diss_new = energies(c_new)
-        l2_arr[k + 1] = l2_new
-        diss_arr[k + 1] = diss_new
-        res_arr[k + 1] = (
-            math.sqrt(defect_sq) / math.sqrt(scale_sq) if scale_sq > 0.0 else 0.0
-        )
+            s = np.linalg.norm(dc, axis=0) + np.linalg.norm(ge, axis=0)
+            if r is not None:
+                r_eval = theta * r[1:, span[n]] + (1.0 - theta) * r[:-1, span[n]]
+                d -= r_eval.T
+                s += np.linalg.norm(r_eval, axis=1)
+                fp_mid += np.sum(np.real(np.conj(c_eval) * r_eval), axis=1)
+            defect_sq += np.linalg.norm(d, axis=0) ** 2
+            scale_sq += s * s
+            diss_mid += np.sum(wn * np.abs(c_eval) ** 2, axis=1)
+            power = np.abs(xn[first:]) ** 2
+            l2 += np.sum(power, axis=1)
+            diss += np.sum(wn * power, axis=1)
+        l2_arr[k0 + first : k1 + 1] = l2
+        diss_arr[k0 + first : k1 + 1] = diss
+        scaled = scale_sq > 0.0
+        res_arr[k0 + 1 : k1 + 1][scaled] = np.sqrt(defect_sq[scaled]) / np.sqrt(scale_sq[scaled])
         if evo.scheme == "crank-nicolson":
-            lhs = (l2_new - l2_arr[k]) / dt
+            lhs = np.diff(l2_arr[k0 : k1 + 1]) / dt
             rhs = -2.0 * diss_mid + 2.0 * fp_mid
-            ident_res[k] = abs(lhs - rhs)
-            ident_scale[k] = abs(lhs) + 2.0 * abs(diss_mid) + 2.0 * abs(fp_mid) + 1e-300
-        c = c_new
-        r_prev = r_next
+            ident_res[k0:k1] = np.abs(lhs - rhs)
+            ident_scale[k0:k1] = (
+                np.abs(lhs) + 2.0 * np.abs(diss_mid) + 2.0 * np.abs(fp_mid) + 1e-300
+            )
         if evo.store_trajectory:
-            fields.append(_field_from_coords(ws, c))
+            fields += snapshots(x[first:])
 
-    final = fields[-1] if fields else _field_from_coords(ws, c)
+    final = fields[-1] if fields else snapshots(c[-1:])[0]
     trace = EnergyTrace(
         t=t_grid,
         l2_norm_sq=l2_arr,
@@ -238,7 +266,8 @@ def evolve(ws, evo):
         identity_residual=ident_res,
         identity_scale=ident_scale,
     )
-    return EvolutionResult(fields=fields, trace=trace, final=final, coords=c)
+    coords = {n: c[-1, span[n]].copy() for n in modes}
+    return EvolutionResult(fields=fields, trace=trace, final=final, coords=coords)
 
 
 def recover_pressure(ws, v, f=None):

@@ -15,10 +15,18 @@ band. Truncation is exact whenever the input keeps band margins, which the
 random field generators guarantee via their margin arguments.
 
 The helpers act on raw arrays with any leading axes, so one call serves an
-axial slice (..., 3, n_m, n_r) or a stack of them. _div_slice is the one
-divergence kernel: div, the Helmholtz projection and the constraint rows of
-stokesop all call it. The field-level div and laplacian are reference
-operators that the tests check closed forms and solves against.
+axial slice (..., 3, n_m, n_r) or a stack of them, and each stack product
+runs as one batched GEMM (discretization.apply_stack). _dxy is the one
+derivative kernel: with up and down the raising and lowering applications,
+d/dx = (up + down)/2 and d/dy = -i (up - down)/2, so every caller gets both
+derivatives from two stack applications. _div_slice is the one divergence
+kernel, built on the same identity: d/dx v1 + d/dy v2 = up(v1 - i v2)/2 +
+down(v1 + i v2)/2, again two applications; div, the Helmholtz projection
+and the constraint rows of stokesop all call it. The Sobolev inner product
+stacks all derivatives of one order of a component on a leading axis, so
+each order costs one derivative pair per component. The field-level div and
+laplacian are reference operators that the tests check closed forms and
+solves against.
 """
 
 import dataclasses
@@ -26,7 +34,7 @@ import math
 
 import numpy as np
 
-from .discretization import apply_stack, tables_for
+from .discretization import _channels_first, _channels_last, apply_stack, tables_for
 
 # Highest Sobolev order the inner product supports.
 MAX_SOBOLEV_ORDER = 4
@@ -237,48 +245,60 @@ def _truncate(arr, band_out):
     return arr[..., cut:-cut, :]
 
 
+def _widened(arr, extra=1):
+    """Zeros shaped like arr on band + extra."""
+    shape = arr.shape[:-2] + (arr.shape[-2] + 2 * extra, arr.shape[-1])
+    return np.zeros(shape, dtype=complex)
+
+
 def _pad(arr, extra):
     if extra == 0:
         return arr
-    pad = [(0, 0)] * arr.ndim
-    pad[-2] = (extra, extra)
-    return np.pad(arr, pad)
-
-
-def _match(a, b):
-    ba, bb = _band(a), _band(b)
-    if ba == bb:
-        return a, b
-    if ba < bb:
-        return _pad(a, bb - ba), b
-    return a, _pad(b, ba - bb)
-
-
-def _shift_up(t, arr):
-    """Apply (d/dr - m/r) per channel and move content from m to m+1."""
-    st = t.stacks(_band(arr))
-    out = np.zeros(arr.shape[:-2] + (arr.shape[-2] + 2, arr.shape[-1]), dtype=complex)
-    out[..., 2:, :] = apply_stack(st.raising, arr)
-    return out
-
-def _shift_down(t, arr):
-    """Apply (d/dr + m/r) per channel and move content from m to m-1."""
-    st = t.stacks(_band(arr))
-    out = np.zeros(arr.shape[:-2] + (arr.shape[-2] + 2, arr.shape[-1]), dtype=complex)
-    out[..., :-2, :] = apply_stack(st.lowering, arr)
+    out = _widened(arr, extra)
+    out[..., extra:-extra, :] = arr
     return out
 
 
-def _dx(t, arr):
-    return 0.5 * (_shift_up(t, arr) + _shift_down(t, arr))
+def _up_down(t, a, b=None):
+    """The raising application to a and the lowering one to b (default a).
+
+    up = (d/dr - m/r) moves channel m to m+1 and down = (d/dr + m/r) moves
+    it to m-1. Both products write straight into widened channel-major
+    buffers (n_m + 2, n_r, 2k) of floats, the interleaved real view of
+    complex values on band + 1, so either becomes a field array through
+    _channels_last without a copy.
+    """
+    st = t.stacks(_band(a))
+    ra = _channels_first(a, complex).view(float)
+    rb = ra if b is None else _channels_first(b, complex).view(float)
+    up = np.empty((ra.shape[0] + 2,) + ra.shape[1:])
+    down = np.empty_like(up)
+    up[:2] = 0.0
+    down[-2:] = 0.0
+    np.matmul(st.raising, ra, out=up[2:])
+    np.matmul(st.lowering, rb, out=down[:-2])
+    return up, down
 
 
-def _dy(t, arr):
-    return -0.5j * (_shift_up(t, arr) - _shift_down(t, arr))
+def _dxy(t, arr):
+    """The derivative pair (d/dx, d/dy) of arr, both on band + 1.
+
+    d/dx = (up + down)/2 and d/dy = -i (up - down)/2 (see _up_down), so one
+    raising and one lowering application give both derivatives.
+    """
+    up, down = _up_down(t, arr)
+    dx = up + down
+    dx *= 0.5
+    up -= down
+    del down
+    dy = up.view(complex)
+    dy *= -0.5j
+    lead = arr.shape[:-2]
+    return _channels_last(dx.view(complex), lead), _channels_last(dy, lead)
 
 
 def _mul_x(t, arr):
-    out = np.zeros(arr.shape[:-2] + (arr.shape[-2] + 2, arr.shape[-1]), dtype=complex)
+    out = _widened(arr)
     half_r = 0.5 * t.r * arr
     out[..., 2:, :] += half_r
     out[..., :-2, :] += half_r
@@ -286,7 +306,7 @@ def _mul_x(t, arr):
 
 
 def _mul_y(t, arr):
-    out = np.zeros(arr.shape[:-2] + (arr.shape[-2] + 2, arr.shape[-1]), dtype=complex)
+    out = _widened(arr)
     half_r = 0.5 * t.r * arr
     out[..., 2:, :] += -1j * half_r
     out[..., :-2, :] += 1j * half_r
@@ -306,12 +326,15 @@ def _axial_factors(config):
 def _disk_inner_per_n(t, a, b):
     """2*pi * sum_m (a_m, b_m)_{L^2(r dr)} for each axial slice.
 
-    a and b carry shape (n_modes_z, n_channels, n_r) on a common band; the
-    result has shape (n_modes_z,).
+    a and b carry shape (..., n_modes_z, n_channels, n_r) on a common band;
+    the leading axes are summed too, and the result has shape (n_modes_z,).
     """
-    a, b = _match(a, b)
-    ga = apply_stack(t.stacks(_band(a)).gram, a)
-    return 2.0 * np.pi * np.einsum("nmi,nmi->n", ga, np.conj(b))
+    shape = (-1,) + a.shape[-3:]
+    ga = apply_stack(t.stacks(_band(a)).gram, a).reshape(shape)
+    # the Gram stack is real, so sum (G a) conj(b) = conj(sum conj(G a) b):
+    # ga, a fresh array, is conjugated in place instead of copying b
+    np.conj(ga, out=ga)
+    return 2.0 * np.pi * np.conj(np.einsum("knmi,knmi->n", ga, b.reshape(shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +346,9 @@ def grad(u):
     t = tables_for(u.config)
     arr = u.coeffs
     out = zeros_vector(u.config)
-    out.coeffs[0] = _truncate(_dx(t, arr), u.config.n_theta)
-    out.coeffs[1] = _truncate(_dy(t, arr), u.config.n_theta)
+    dx, dy = _dxy(t, arr)
+    out.coeffs[0] = _truncate(dx, u.config.n_theta)
+    out.coeffs[1] = _truncate(dy, u.config.n_theta)
     out.coeffs[2] = _axial_factors(u.config) * arr
     out.real_flag = u.real_flag
     return out
@@ -334,10 +358,17 @@ def _div_slice(t, varr, beta):
     """Divergence of one or many axial slices varr (..., 3, n_m, n_r), band + 1.
 
     beta is the axial wavenumber, a scalar or an array broadcasting with
-    the slice axes.
+    the slice axes. d/dx v1 + d/dy v2 = up(v1 - i v2)/2 + down(v1 + i v2)/2
+    (see _dxy), so the transversal part costs one raising and one lowering
+    application.
     """
-    s = _dx(t, varr[..., 0, :, :]) + _dy(t, varr[..., 1, :, :])
-    s += _pad(1j * beta * varr[..., 2, :, :], 1)
+    v1 = varr[..., 0, :, :]
+    v2 = varr[..., 1, :, :]
+    up, down = _up_down(t, v1 - 1j * v2, v1 + 1j * v2)
+    up += down
+    up *= 0.5
+    s = _channels_last(up.view(complex), v1.shape[:-2])
+    s[..., 1:-1, :] += 1j * beta * varr[..., 2, :, :]
     return s
 
 
@@ -398,25 +429,29 @@ def inner_product_Hkp(u, v, k=0):
     t = tables_for(cfg)
     n = np.arange(-cfg.n_z, cfg.n_z + 1)
     beta_sq = (2.0 * math.pi * n / cfg.ell) ** 2
-    total = 0.0 + 0.0j
+    # order_sums[j] = sum over |alpha| = j of the per-n disk inners
+    order_sums = np.zeros((kk + 1, n.size), dtype=complex)
     for ua, va in zip(_component_arrays(u), _component_arrays(v)):
-        # order_sums[j] = sum over |alpha| = j of the per-n disk inners
-        order_sums = []
-        # a norm call passes one field twice and builds one derivative chain
-        chains = [{(0, 0): ua}] if u is v else [{(0, 0): ua}, {(0, 0): va}]
-        for order in range(kk + 1):
-            s = np.zeros(n.size, dtype=complex)
-            for px in range(order, -1, -1):
-                py = order - px
-                if order > 0:
-                    for d in chains:
-                        d[(px, py)] = _dx(t, d[(px - 1, py)]) if px > 0 else _dy(t, d[(0, py - 1)])
-                s += _disk_inner_per_n(t, chains[0][(px, py)], chains[-1][(px, py)])
-            order_sums.append(s)
-        for mm in range(kk + 1):
-            weight = cfg.ell * beta_sq**mm
-            for order in range(kk + 1 - mm):
-                total += (weight * order_sums[order]).sum()
+        # a chain holds every derivative of one order of its component,
+        # stacked with entry p = d_x^(order - p) d_y^p; the next order is
+        # d/dx of every entry and d/dy of the last. A norm call passes one
+        # field twice and builds one chain.
+        chains = [ua[None]] if u is v else [ua[None], va[None]]
+        order_sums[0] += _disk_inner_per_n(t, chains[0], chains[-1])
+        for order in range(1, kk + 1):
+            pairs = [_dxy(t, c) for c in chains]
+            (dxu, dyu), (dxv, dyv) = pairs[0], pairs[-1]
+            order_sums[order] += _disk_inner_per_n(t, dxu, dxv)
+            order_sums[order] += _disk_inner_per_n(t, dyu[-1:], dyv[-1:])
+            if order < kk:
+                chains = [np.concatenate([dx, dy[-1:]]) for dx, dy in pairs]
+            # free this order before the next one is built
+            del pairs, dxu, dyu, dxv, dyv
+    total = 0.0 + 0.0j
+    for mm in range(kk + 1):
+        weight = cfg.ell * beta_sq**mm
+        for order in range(kk + 1 - mm):
+            total += (weight * order_sums[order]).sum()
     return complex(total)
 
 

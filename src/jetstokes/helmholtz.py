@@ -22,8 +22,7 @@ from .fields import (
     VectorField,
     _band,
     _div_slice,
-    _dx,
-    _dy,
+    _dxy,
     _mul_x,
     _mul_y,
     _pad,
@@ -59,10 +58,9 @@ def _potential_slice(ws, n, varr):
     band = _band(varr)
     beta = ws.config.beta(n)
     q = laplace_solve_channels(ws, n, _div_slice(t, varr, beta))
-    gx = _truncate(_dx(t, q), band)
-    gy = _truncate(_dy(t, q), band)
+    gx, gy = _dxy(t, q)
     gz = 1j * beta * _truncate(q, band)
-    return q, gx, gy, gz
+    return q, _truncate(gx, band), _truncate(gy, band), gz
 
 
 def project_P(ws, u):
@@ -109,11 +107,10 @@ def _q_slice(ws, n, varr, out_band, farr=None):
     """
     t = ws.tables
     cfg = ws.config
-    v1 = varr[..., 0, :, :]
-    v2 = varr[..., 1, :, :]
-    e11 = 2.0 * _dx(t, v1)
-    e12 = _dy(t, v1) + _dx(t, v2)
-    e22 = 2.0 * _dy(t, v2)
+    dx, dy = _dxy(t, varr[..., :2, :, :])
+    e11 = 2.0 * dx[..., 0, :, :]
+    e12 = dy[..., 0, :, :] + dx[..., 1, :, :]
+    e22 = 2.0 * dy[..., 1, :, :]
     data = _mul_x(t, _mul_x(t, e11)) + 2.0 * _mul_x(t, _mul_y(t, e12))
     data += _mul_y(t, _mul_y(t, e22))
     data *= cfg.mu / cfg.kappa**2

@@ -14,7 +14,7 @@ badly conditioned at fine grids.
 
 import numpy as np
 
-from .discretization import apply_stack
+from .discretization import _channels_first, _channels_last, apply_stack
 from .fields import _band, zeros_scalar
 
 # relative interior residual bound of solve_mode_dirichlet
@@ -54,15 +54,14 @@ def laplace_solve_channels(ws, n, f_arr, bc_arr=None):
         with one iterative refinement pass.
     """
     mat, inv = _dirichlet_stack(ws, n, _band(f_arr))
-    nm, nr = f_arr.shape[-2:]
     # channels lead and right-hand sides trail: (n_channels, n_r, k)
-    b = -np.moveaxis(f_arr.reshape(-1, nm, nr), 0, -1).astype(complex, order="C")
-    b[:, 0, :] = 0.0 if bc_arr is None else np.moveaxis(bc_arr.reshape(-1, nm), 0, -1)
+    b = np.negative(_channels_first(f_arr, complex))
+    b[:, 0, :] = 0.0 if bc_arr is None else bc_arr.reshape(-1, b.shape[0]).T
     # the stacks are real: act on the interleaved real view (n_channels, n_r, 2k)
     b = b.view(float)
     y = inv @ b
     y -= inv @ (mat @ y - b)
-    return np.moveaxis(y.view(complex), -1, 0).reshape(f_arr.shape)
+    return _channels_last(y.view(complex), f_arr.shape[:-2])
 
 
 def solve_mode_dirichlet(ws, n, f):

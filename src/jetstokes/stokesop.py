@@ -56,8 +56,7 @@ from .fields import (
     _axial_factors,
     _band,
     _div_slice,
-    _dx,
-    _dy,
+    _dxy,
     _pad,
     _truncate,
     constant_vector,
@@ -129,7 +128,10 @@ class ModeOperator:
     ws: object = dataclasses.field(repr=False, compare=False)
 
     def apply(self, name, y):
-        """Product of the block "M", "G" or "A" with coordinates y, per sector."""
+        """Product of the block "M", "G" or "A" with coordinates y, per sector.
+
+        y is (dim,) or (dim, k): each column is one coordinate vector.
+        """
         if name == "A":
             self.assemble_strong()
         out = np.empty(y.shape, dtype=complex)
@@ -194,12 +196,9 @@ def _sym_entries(t, varr, beta):
     varr has shape (..., 3, n_m, n_r); beta is a scalar or broadcasts with
     the slice axes. Returns a dict keyed (i, j), i <= j, on band + 1.
     """
-    v1 = varr[..., 0, :, :]
-    v2 = varr[..., 1, :, :]
-    v3 = varr[..., 2, :, :]
-    d1 = [_dx(t, v) for v in (v1, v2, v3)]
-    d2 = [_dy(t, v) for v in (v1, v2, v3)]
-    dz = [_pad(1j * beta * v, 1) for v in (v1, v2, v3)]
+    # one derivative pair per component keeps each array a third of varr
+    d1, d2 = zip(*[_dxy(t, varr[..., c, :, :]) for c in range(3)])
+    dz = [_pad(1j * beta * varr[..., c, :, :], 1) for c in range(3)]
     return {
         (0, 0): 2.0 * d1[0],
         (1, 1): 2.0 * d2[1],
@@ -227,11 +226,10 @@ def _tr_sin(arr):
 
 
 def _tr_pad(arr, extra):
-    if extra == 0:
-        return arr
-    pad = [(0, 0)] * arr.ndim
-    pad[-1] = (extra, extra)
-    return np.pad(arr, pad)
+    """Zero-pad a trace coefficient array by extra bands on each side."""
+    out = np.zeros(arr.shape[:-1] + (arr.shape[-1] + 2 * extra,), dtype=complex)
+    out[..., extra : out.shape[-1] - extra] = arr
+    return out
 
 
 def _traction_arrays(t, varr, beta, mu):
@@ -446,8 +444,9 @@ def _apply_A_slice(ws, n, varr):
     # so one solve with forcing mu lap v yields the whole pressure Q v + mu phi
     qb = _q_slice(ws, n, varr, band + 3, cfg.mu * lap)
     out = -cfg.mu * lap
-    out[..., 0, :, :] += _truncate(_dx(t, qb), band)
-    out[..., 1, :, :] += _truncate(_dy(t, qb), band)
+    gx, gy = _dxy(t, qb)
+    out[..., 0, :, :] += _truncate(gx, band)
+    out[..., 1, :, :] += _truncate(gy, band)
     out[..., 2, :, :] += 1j * beta * _truncate(qb, band)
     return out
 
@@ -551,32 +550,42 @@ def _conj_flip(arr):
 
 
 def reduce_slice(ws, n, arr):
-    """Functional values r_i = (g, b_i) of one axial slice g.
+    """Functional values r_i = (g, b_i) of one axial slice g or a stack of them.
 
-    arr is (3, n_m, n_r), the mode-n slice of a field. For n < 0 the slice
-    is conjugated and m-reversed first, so the values are mode-|n|
-    coordinates of that image. The basis is M-orthonormal, so these are
-    also the coordinates of the L^2 projection onto the subspace.
+    arr is (..., 3, n_m, n_r): mode-n slices of fields, with any leading
+    stack axes. The result is (dim, ...): coordinates lead and the stack
+    axes trail, as ModeOperator.apply takes them, so each sector costs one
+    product for the whole stack. For n < 0 the slices are conjugated and
+    m-reversed first, so the values are mode-|n| coordinates of that image.
+    The basis is M-orthonormal, so these are also the coordinates of the
+    L^2 projection onto the subspace.
     """
     op = mode_operator(ws, abs(n))
     if n < 0:
         arr = _conj_flip(arr)
+    lead = arr.shape[:-3]
     # r = conj(coef^T conj(W g)): the conjugates stay out of the sector loop
-    wg = np.conj(_apply_weight(ws.tables, ws.config.ell, arr).reshape(-1))
-    y = np.empty(op.eigen[0].size, dtype=complex)
+    wg = _apply_weight(ws.tables, ws.config.ell, arr).reshape(-1, math.prod(arr.shape[-3:]))
+    wg = np.conj(wg.T)
+    y = np.empty((op.eigen[0].size, wg.shape[1]), dtype=complex)
     for s in op.sectors:
         y[s.cols] = s.coef.T @ wg[s.rows]
-    return np.conj(y)
+    return np.conj(y).reshape(y.shape[:1] + lead)
 
 
 def expand_slice(ws, n, y):
-    """Mode-n field slice of mode-|n| coordinates y (inverse of reduce_slice)."""
+    """Mode-n field slices of mode-|n| coordinates y (inverse of reduce_slice).
+
+    y is (dim, ...) with any trailing stack axes; the result is
+    (..., 3, n_m, n_r).
+    """
     cfg = ws.config
     op = mode_operator(ws, abs(n))
-    v = np.zeros(3 * cfg.n_modes_theta * cfg.n_r, dtype=complex)
+    yk = y.reshape(y.shape[0], -1)
+    v = np.zeros((3 * cfg.n_modes_theta * cfg.n_r, yk.shape[1]), dtype=complex)
     for s in op.sectors:
-        v[s.rows] += s.coef @ y[s.cols]
-    v = v.reshape(3, cfg.n_modes_theta, cfg.n_r)
+        v[s.rows] += s.coef @ yk[s.cols]
+    v = v.T.reshape(y.shape[1:] + (3, cfg.n_modes_theta, cfg.n_r))
     return _conj_flip(v) if n < 0 else v
 
 

@@ -3,9 +3,13 @@
 Everything here is deliberately built from scratch: power series, a
 finite-volume radial solver on a staggered grid, and hand-derived closed
 forms. None of it shares code paths with the package, so agreement is
-evidence rather than tautology. The one exception is
+evidence rather than tautology. The exceptions are
 dense_constrained_nullspace, which reuses the package's constraint rows
-but none of its angular-momentum sector split.
+but none of its angular-momentum sector split, and the reference kernels at
+the end: the per-channel stack product, the four-application derivatives,
+divergence and surface pressure, and the step-by-step evolution loop. They
+are the package's earlier implementations, kept so the batched ones can be
+held to them.
 """
 
 import math
@@ -184,3 +188,181 @@ def implicit_euler_decay(lam, dt, steps):
 def crank_nicolson_decay(lam, dt, steps):
     """y_K for y' = -lam y, y0 = 1, the trapezoidal rule."""
     return ((1.0 - 0.5 * dt * lam) / (1.0 + 0.5 * dt * lam)) ** steps
+
+
+# reference kernels: the earlier per-channel and per-step implementations
+
+
+def apply_stack_per_channel(stack, arr):
+    """One mat-vec per channel, the stack cast to the dtype of arr."""
+    return np.matmul(stack, arr[..., None])[..., 0]
+
+
+def _shifted(t, arr, raising):
+    st = t.stacks((arr.shape[-2] - 1) // 2)
+    out = np.zeros(arr.shape[:-2] + (arr.shape[-2] + 2, arr.shape[-1]), dtype=complex)
+    if raising:
+        out[..., 2:, :] = apply_stack_per_channel(st.raising, arr)
+    else:
+        out[..., :-2, :] = apply_stack_per_channel(st.lowering, arr)
+    return out
+
+
+def dx_four(t, arr):
+    """d/dx from its own raising and lowering applications."""
+    return 0.5 * (_shifted(t, arr, True) + _shifted(t, arr, False))
+
+
+def dy_four(t, arr):
+    """d/dy from its own raising and lowering applications."""
+    return -0.5j * (_shifted(t, arr, True) - _shifted(t, arr, False))
+
+
+def div_four(t, varr, beta):
+    """Divergence as d/dx v1 + d/dy v2 + i beta v3: four stack applications."""
+    s = dx_four(t, varr[..., 0, :, :]) + dy_four(t, varr[..., 1, :, :])
+    s[..., 1:-1, :] += 1j * beta * varr[..., 2, :, :]
+    return s
+
+
+def q_slice_four(ws, n, varr, out_band, farr=None):
+    """Surface pressure of one axial slice from the four-application kernels.
+
+    Strain entries and the forcing's divergence come from dx_four, dy_four
+    and div_four; the coordinate products and the Dirichlet solve are the
+    package's.
+    """
+    from jetstokes.fields import _mul_x, _mul_y, _pad, _truncate
+    from jetstokes.modesolve import laplace_solve_channels
+
+    t, cfg = ws.tables, ws.config
+    v1 = varr[..., 0, :, :]
+    v2 = varr[..., 1, :, :]
+    e11 = 2.0 * dx_four(t, v1)
+    e12 = dy_four(t, v1) + dx_four(t, v2)
+    e22 = 2.0 * dy_four(t, v2)
+    data = _mul_x(t, _mul_x(t, e11)) + 2.0 * _mul_x(t, _mul_y(t, e12))
+    data += _mul_y(t, _mul_y(t, e22))
+    data *= cfg.mu / cfg.kappa**2
+    rhs = np.zeros_like(data) if farr is None else _pad(div_four(t, farr, cfg.beta(n)), 2)
+    return _truncate(laplace_solve_channels(ws, n, rhs, data[..., :, 0]), out_band)
+
+
+def evolve_per_step(ws, evo):
+    """The evolution loop with one reduction, expansion and M/G product per step.
+
+    Same arguments and result type as jetstokes.evolve; the warnings are
+    abbreviated and the argument checks left out.
+    """
+    from jetstokes.evolution import EnergyTrace, EvolutionResult
+    from jetstokes.fields import norm_L2, zeros_vector
+    from jetstokes.helmholtz import project_P
+    from jetstokes.stokesop import (
+        expand_slice,
+        mode_operator,
+        project_constrained,
+        reduce_slice,
+    )
+
+    cfg = ws.config
+    steps = max(int(round(evo.t_final / evo.dt)), 1)
+    dt = evo.dt
+    warnings = []
+    if abs(steps * dt - evo.t_final) > 1e-9 * max(evo.t_final, 1.0):
+        warnings.append(
+            "horizon adjusted to %d steps of dt=%g (t_final=%g)" % (steps, dt, evo.t_final)
+        )
+    modes = list(range(-cfg.n_z, cfg.n_z + 1))
+    ops = {a: mode_operator(ws, a) for a in range(cfg.n_z + 1)}
+    eig = {a: op.eigen[0] for a, op in ops.items()}
+
+    def field_from_coords(coords):
+        out = zeros_vector(cfg)
+        for n, y in coords.items():
+            out.coeffs[:, cfg.n_z + n] = expand_slice(ws, n, y)
+        out.real_flag = False
+        return out
+
+    if evo.initial is None:
+        c = {n: np.zeros(eig[abs(n)].size, dtype=complex) for n in modes}
+    else:
+        vnorm = norm_L2(evo.initial)
+        proj, c = project_constrained(ws, evo.initial)
+        if vnorm > 0.0 and norm_L2(evo.initial - proj) / vnorm > 1e-8:
+            warnings.append("initial state lies outside the constrained subspace")
+
+    def reduced_forcing(t):
+        if evo.forcing is None:
+            return None
+        f = evo.forcing(t)
+        return {n: reduce_slice(ws, n, f.coeffs[:, cfg.n_z + n]) for n in modes}
+
+    if evo.forcing is not None:
+        f0 = evo.forcing(0.0)
+        n0 = norm_L2(f0)
+        if n0 > 0.0 and norm_L2(project_P(ws, f0).solenoidal) / n0 > 1e-8:
+            warnings.append("forcing has a solenoidal part at t = 0")
+
+    def energies(cur):
+        l2 = sum(float(np.sum(np.abs(cur[n]) ** 2)) for n in modes)
+        diss = sum(float(np.sum(eig[abs(n)] * np.abs(cur[n]) ** 2)) for n in modes)
+        return l2, diss
+
+    theta = 1.0 if evo.scheme == "implicit-euler" else 0.5
+    cn = evo.scheme == "crank-nicolson"
+    l2_arr = np.zeros(steps + 1)
+    diss_arr = np.zeros(steps + 1)
+    res_arr = np.zeros(steps + 1)
+    ident_res = np.zeros(steps) if cn else None
+    ident_scale = np.zeros(steps) if cn else None
+    l2_arr[0], diss_arr[0] = energies(c)
+    fields = [field_from_coords(c)] if evo.store_trajectory else []
+    r_prev = reduced_forcing(0.0)
+    for k in range(steps):
+        r_next = reduced_forcing(dt * (k + 1))
+        c_new = {}
+        defect_sq = scale_sq = fp_mid = diss_mid = 0.0
+        for n in modes:
+            w = eig[abs(n)]
+            op = ops[abs(n)]
+            b = (1.0 - (1.0 - theta) * dt * w) * c[n]
+            if r_next is not None:
+                r_eval = theta * r_next[n] + (1.0 - theta) * r_prev[n]
+                b += dt * r_eval
+            c_new[n] = b / (1.0 + theta * dt * w)
+            c_eval = theta * c_new[n] + (1.0 - theta) * c[n]
+            dc = op.apply("M", (c_new[n] - c[n]) / dt)
+            ge = op.apply("G", c_eval)
+            d = dc + ge
+            s = np.linalg.norm(dc) + np.linalg.norm(ge)
+            if r_next is not None:
+                d -= r_eval
+                s += np.linalg.norm(r_eval)
+                fp_mid += float(np.real(np.vdot(c_eval, r_eval)))
+            defect_sq += float(np.linalg.norm(d) ** 2)
+            scale_sq += float(s * s)
+            diss_mid += float(np.sum(w * np.abs(c_eval) ** 2))
+        l2_new, diss_new = energies(c_new)
+        l2_arr[k + 1] = l2_new
+        diss_arr[k + 1] = diss_new
+        res_arr[k + 1] = math.sqrt(defect_sq) / math.sqrt(scale_sq) if scale_sq > 0.0 else 0.0
+        if cn:
+            lhs = (l2_new - l2_arr[k]) / dt
+            rhs = -2.0 * diss_mid + 2.0 * fp_mid
+            ident_res[k] = abs(lhs - rhs)
+            ident_scale[k] = abs(lhs) + 2.0 * abs(diss_mid) + 2.0 * abs(fp_mid) + 1e-300
+        c = c_new
+        r_prev = r_next
+        if evo.store_trajectory:
+            fields.append(field_from_coords(c))
+    final = fields[-1] if fields else field_from_coords(c)
+    trace = EnergyTrace(
+        t=dt * np.arange(steps + 1),
+        l2_norm_sq=l2_arr,
+        dissipation=diss_arr,
+        residual=res_arr,
+        warnings=warnings,
+        identity_residual=ident_res,
+        identity_scale=ident_scale,
+    )
+    return EvolutionResult(fields=fields, trace=trace, final=final, coords=c)

@@ -222,6 +222,27 @@ def test_exit_code_on_non_finite_value(tmp_path, capsys, section, key, value):
     assert not (tmp_path / "out").exists()
 
 
+NOT_STR_OR_BOOL_CLI = [
+    ("project", {"output_dir": 5}, "output_dir"),
+    ("spectrum", {"spectrum": {"export_blocks": "no"}}, "spectrum.export_blocks"),
+    ("project", {"project": {"source": 9}}, "project.source"),
+    ("solve-mode", {"solve_mode": {"forcing": "file", "path": 7}}, "solve_mode.path"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, blocks, key",
+    NOT_STR_OR_BOOL_CLI,
+    ids=[key for _, _, key in NOT_STR_OR_BOOL_CLI],
+)
+def test_exit_code_on_non_string_or_bool_value(tmp_path, capsys, command, blocks, key):
+    cfgp = _config(tmp_path, **blocks)
+    assert main([command, "--config", cfgp]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config:") and key in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_on_missing_field_file(tmp_path, capsys):
     cfgp = _config(tmp_path, project={"source": str(tmp_path / "absent.json")})
     assert main(["project", "--config", cfgp]) == 1

@@ -127,6 +127,30 @@ def test_non_finite_and_non_numeric_values_rejected(tmp_path, section, key, valu
         js.load_run_config(path)
 
 
+NOT_STR_OR_BOOL = [
+    ({"output_dir": 5}, "output_dir"),
+    ({"project": {"source": 9}}, "project.source"),
+    ({"solve_mode": {"forcing": "file", "path": 3}}, "solve_mode.path"),
+    ({"solve_mode": {"forcing": ["constant"]}}, "solve_mode.forcing"),
+    ({"evolve": {"scheme": None}}, "evolve.scheme"),
+    ({"evolve": {"forcing": 0}}, "evolve.forcing"),
+    ({"evolve": {"initial": False}}, "evolve.initial"),
+    ({"verify": {"determinism": 1}}, "verify.determinism"),
+    ({"spectrum": {"export_blocks": "no"}}, "spectrum.export_blocks"),
+    ({"spectrum": {"export_blocks": 1}}, "spectrum.export_blocks"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, key", NOT_STR_OR_BOOL, ids=[json.dumps(doc) for doc, _ in NOT_STR_OR_BOOL]
+)
+def test_string_and_bool_entries_type_checked(tmp_path, doc, key):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(js.ConfigError, match="%s must be" % key):
+        js.load_run_config(path)
+
+
 def test_malformed_json(tmp_path):
     path = tmp_path / "run.json"
     path.write_text("{not json")

@@ -223,3 +223,64 @@ def test_estimate_report_homogeneous_and_validation(ws_small):
         js.estimate_report(ws_small, fields[:1], pressures[:1], None, 0.1, 0.1)
     with pytest.raises(ValueError, match="align"):
         js.estimate_report(ws_small, fields, pressures[:1], None, 0.1, 0.1)
+
+
+def _rel(got, want):
+    """||got - want|| / ||want||, and exact agreement required of zeros."""
+    scale = np.linalg.norm(want)
+    return np.linalg.norm(got - want) / scale if scale > 0.0 else np.linalg.norm(got)
+
+
+@pytest.mark.parametrize("store", [True, False], ids=["stored", "final-only"])
+@pytest.mark.parametrize("initial", [True, False], ids=["initial", "rest"])
+@pytest.mark.parametrize("forced", [True, False], ids=["forced", "homogeneous"])
+@pytest.mark.parametrize("scheme", js.evolution.SCHEMES)
+def test_evolve_matches_per_step_loop(ws_small, scheme, forced, initial, store):
+    cfg = ws_small.config
+    rng = stream(68, "tests")
+    profile = random_smooth_vector(cfg, rng, real=False)
+    u0 = random_constrained_vector(ws_small, rng)
+    seen = {"batched": [], "per-step": []}
+
+    def recording(key):
+        def forcing(t):
+            seen[key].append(t)
+            return profile * np.sin(3.0 * t)
+
+        return forcing
+
+    # 37 steps: two full blocks of STEP_BLOCK steps and a partial one
+    runs = {}
+    for key, run in (("batched", js.evolve), ("per-step", oracles.evolve_per_step)):
+        evo = js.EvolutionConfig(
+            t_final=0.37,
+            dt=0.01,
+            scheme=scheme,
+            forcing=recording(key) if forced else None,
+            initial=u0 if initial else None,
+            store_trajectory=store,
+        )
+        runs[key] = run(ws_small, evo)
+    got, want = runs["batched"], runs["per-step"]
+    assert seen["batched"] == seen["per-step"]
+    assert all(type(t) is float for t in seen["batched"])
+    assert len(seen["batched"]) == (39 if forced else 0)
+    assert np.array_equal(got.trace.t, want.trace.t)
+    for name in ("l2_norm_sq", "dissipation"):
+        assert _rel(getattr(got.trace, name), getattr(want.trace, name)) <= 1e-12
+    # residual and identity_residual are roundoff-level defects already
+    # divided by their scales, so they are compared on that scale
+    assert np.max(np.abs(got.trace.residual - want.trace.residual)) <= 1e-12
+    if scheme == "crank-nicolson":
+        assert _rel(got.trace.identity_scale, want.trace.identity_scale) <= 1e-12
+        ratio = got.trace.identity_residual / got.trace.identity_scale
+        ref = want.trace.identity_residual / want.trace.identity_scale
+        assert np.max(np.abs(ratio - ref)) <= 1e-12
+    else:
+        assert got.trace.identity_residual is None
+    assert len(got.fields) == len(want.fields) == (38 if store else 0)
+    for a, b in zip(got.fields + [got.final], want.fields + [want.final]):
+        assert _rel(a.coeffs, b.coeffs) <= 1e-12
+    assert got.coords.keys() == want.coords.keys()
+    for n in got.coords:
+        assert _rel(got.coords[n], want.coords[n]) <= 1e-12
