@@ -40,8 +40,8 @@ from .fields import (
     trace_SF,
 )
 from .fieldio import read_field, read_matrix, write_field, write_matrix
-from .modesolve import harmonic_extension, solve_mode_dirichlet
-from .helmholtz import DecompositionResult, operator_Q, project_P
+from .modesolve import solve_mode_dirichlet
+from .helmholtz import DecompositionResult, harmonic_extension, operator_Q, project_P
 from .stokesop import (
     ModeOperator,
     assemble_A,

@@ -271,10 +271,11 @@ def evolve(ws, evo):
 
 
 def recover_pressure(ws, v, f=None):
-    """Pressure field of a trajectory snapshot, one solve per axial slice.
+    """Pressure field of a trajectory snapshot, one Dirichlet solve per |n|.
 
     q = Q v plus, when a forcing snapshot f is given, the zero-trace
     potential solving laplacian(phi) = div(f); see helmholtz.operator_Q.
+    Both fields must be on ws.config (ValueError otherwise).
     """
     return operator_Q(ws, v, f)
 

@@ -1,12 +1,17 @@
-"""Helmholtz projection and the surface pressure operator.
+"""Helmholtz projection, harmonic extension and the surface pressure operator.
 
 The projection P removes the gradient part of a velocity field: q solves
 laplacian(q) = div(u) with q = 0 on the free surface, mode by mode, and
 P u = u - grad(q). The operator Q produces the pressure contribution of
 the free surface: its boundary data is mu/kappa^2 times the quadratic-
 coordinate contraction of the transversal strain entries, harmonically
-extended into the cylinder; given a forcing field, the same solve per axial
-slice adds the forcing's zero-trace potential.
+extended into the cylinder; given a forcing field, the same solve adds the
+forcing's zero-trace potential.
+
+Each entry point forms its right-hand sides and surface data for all axial
+slices at once and makes one Dirichlet solve per |n|: modes n and -n share
+the cached (|n|, band) inverse stack, so both ride on the leading axis of
+one laplace_solve_channels call.
 
 Azimuthal bands: div(u) lives one band above u and q inherits that band;
 grad(q) is formed there and truncated back, so the reported reconstruction
@@ -20,17 +25,13 @@ import numpy as np
 from .fields import (
     ScalarField,
     VectorField,
+    _axial_factors,
     _band,
     _div_slice,
     _dxy,
-    _mul_x,
-    _mul_y,
-    _pad,
     _truncate,
     grad,
     norm_L2,
-    zeros_scalar,
-    zeros_vector,
 )
 from .modesolve import laplace_solve_channels
 
@@ -48,19 +49,34 @@ class DecompositionResult:
     residual: float
 
 
-def _potential_slice(ws, n, varr):
-    """Pressure potential of one axial slice and its gradient.
+def _require_config(ws, field, role):
+    """Raise ValueError unless field (or trace) lives on the workspace's config."""
+    if field.config != ws.config:
+        raise ValueError(
+            "%s is on %r, but the workspace is on %r" % (role, field.config, ws.config)
+        )
 
-    Returns (q, gx, gy, gz): q on band + 1, gradient components truncated
-    to the band of varr.
+
+def _slices(field):
+    """The (n_modes_z, 3, n_m, n_r) slice-major view of a VectorField."""
+    return np.moveaxis(field.coeffs, 0, 1)
+
+
+def _solve_per_abs_n(ws, rhs, surface=None):
+    """Dirichlet solves of all axial slices, one call per |n|.
+
+    rhs (n_modes_z, n_m, n_r) and surface (n_modes_z, n_m) are indexed by
+    n + n_z. Modes n and -n share the cached (|n|, band) stack, so they are
+    stacked on the leading axis of one laplace_solve_channels call.
     """
-    t = ws.tables
-    band = _band(varr)
-    beta = ws.config.beta(n)
-    q = laplace_solve_channels(ws, n, _div_slice(t, varr, beta))
-    gx, gy = _dxy(t, q)
-    gz = 1j * beta * _truncate(q, band)
-    return q, _truncate(gx, band), _truncate(gy, band), gz
+    n_z = ws.config.n_z
+    out = np.empty_like(rhs)
+    for a in range(n_z + 1):
+        idx = [n_z - a, n_z + a] if a else [n_z]
+        out[idx] = laplace_solve_channels(
+            ws, a, rhs[idx], None if surface is None else surface[idx]
+        )
+    return out
 
 
 def project_P(ws, u):
@@ -68,25 +84,24 @@ def project_P(ws, u):
 
     Args:
         ws: Workspace.
-        u: VectorField.
+        u: VectorField on ws.config.
 
     Returns:
         DecompositionResult with P u, the potential, and the relative
         reconstruction residual.
     """
+    _require_config(ws, u, "project_P: field")
     cfg = ws.config
-    sol = zeros_vector(cfg)
-    pot = zeros_scalar(cfg)
-    for i_n in range(cfg.n_modes_z):
-        n = i_n - cfg.n_z
-        varr = u.coeffs[:, i_n]
-        q, gx, gy, gz = _potential_slice(ws, n, varr)
-        sol.coeffs[0, i_n] = varr[0] - gx
-        sol.coeffs[1, i_n] = varr[1] - gy
-        sol.coeffs[2, i_n] = varr[2] - gz
-        pot.coeffs[i_n] = _truncate(q, cfg.n_theta)
-    sol.real_flag = False
-    pot.real_flag = False
+    t = ws.tables
+    i_beta = _axial_factors(cfg)
+    # q on band n_theta + 1, the band of div(u)
+    q = _solve_per_abs_n(ws, _div_slice(t, _slices(u), i_beta.imag))
+    gx, gy = _dxy(t, q)
+    pot = ScalarField(cfg, np.ascontiguousarray(_truncate(q, cfg.n_theta)), False)
+    grad_q = np.stack(
+        [_truncate(gx, cfg.n_theta), _truncate(gy, cfg.n_theta), i_beta * pot.coeffs]
+    )
+    sol = VectorField(cfg, u.coeffs - grad_q, False)
     unorm = norm_L2(u)
     if unorm == 0.0:
         residual = 0.0
@@ -96,41 +111,83 @@ def project_P(ws, u):
     return DecompositionResult(sol, pot, residual)
 
 
-def _q_slice(ws, n, varr, out_band, farr=None):
-    """Surface pressure potential of one axial slice.
+def _surface_datum(t, mu, varr):
+    """Q's surface datum for slices varr (..., 3, n_m, n_r), shape (..., n_m + 2).
 
-    varr has shape (..., 3, n_m, n_r); the result is harmonically extended
-    boundary data on band out_band (content genuinely occupies the input
-    band + 3). A forcing slice farr of the same shape adds its zero-trace
-    potential, laplacian(phi) = div(farr), through the same solve: the
-    channels are independent, so div(farr) is the right-hand side.
+    With e = grad v + grad v^T, mu/kappa^2 (x^2 e11 + 2xy e12 + y^2 e22) is
+    2 mu d_r v_r at r = kappa, and 2 v_r = e^{i theta} (v1 - i v2) +
+    e^{-i theta} (v1 + i v2). So channel m of the datum, on band + 1, is mu
+    times d_r (v1 - i v2) from channel m - 1 plus d_r (v1 + i v2) from m + 1,
+    each read from row 0 (node 0 is r = kappa) of its channel's derivative.
     """
-    t = ws.tables
-    cfg = ws.config
-    dx, dy = _dxy(t, varr[..., :2, :, :])
-    e11 = 2.0 * dx[..., 0, :, :]
-    e12 = dy[..., 0, :, :] + dx[..., 1, :, :]
-    e22 = 2.0 * dy[..., 1, :, :]
-    data = _mul_x(t, _mul_x(t, e11)) + 2.0 * _mul_x(t, _mul_y(t, e12))
-    data += _mul_y(t, _mul_y(t, e22))
-    data *= cfg.mu / cfg.kappa**2
-    tr = data[..., :, 0]
-    rhs = np.zeros_like(data) if farr is None else _pad(_div_slice(t, farr, cfg.beta(n)), 2)
-    ext = laplace_solve_channels(ws, n, rhs, tr)
-    return _truncate(ext, out_band)
+    ms = t.stacks(_band(varr)).ms
+    d0 = np.where(ms[:, None] % 2 == 0, t.ddr(1)[0], t.ddr(-1)[0])
+    dr = np.einsum("mi,...cmi->...cm", d0, varr[..., :2, :, :])
+    out = np.zeros(dr.shape[:-2] + (ms.size + 2,), dtype=complex)
+    out[..., 2:] = dr[..., 0, :] - 1j * dr[..., 1, :]
+    out[..., :-2] += dr[..., 0, :] + 1j * dr[..., 1, :]
+    out *= mu
+    return out
+
+
+def _q_data(t, cfg, varr, beta, farr=None):
+    """Right-hand side and surface data of the pressure solve, on band + 1.
+
+    varr (..., 3, n_m, n_r) holds velocity slices and beta their axial
+    wavenumbers, a scalar or an array broadcasting with the slice axes. A
+    forcing farr of the same shape adds its zero-trace potential,
+    laplacian(phi) = div(farr), through the same solve: the channels are
+    independent, so div(farr) is the right-hand side.
+    """
+    surface = _surface_datum(t, cfg.mu, varr)
+    if farr is None:
+        return np.zeros(surface.shape + varr.shape[-1:], dtype=complex), surface
+    return _div_slice(t, farr, beta), surface
+
+
+def _q_slice(ws, n, varr, out_band, farr=None):
+    """Surface pressure potential of one axial slice at mode n, on band out_band.
+
+    varr (..., 3, n_m, n_r); the potential occupies band + 1. farr adds the
+    forcing's zero-trace potential as in _q_data.
+    """
+    rhs, surface = _q_data(ws.tables, ws.config, varr, ws.config.beta(n), farr)
+    return _truncate(laplace_solve_channels(ws, n, rhs, surface), out_band)
 
 
 def operator_Q(ws, v, f=None):
     """Free-surface pressure potential Q v as a ScalarField.
 
     With a forcing field f the result also holds the zero-trace potential
-    phi of f, laplacian(phi) = div(f), from one solve per axial slice.
+    phi of f, laplacian(phi) = div(f), from the same solves: one per |n|,
+    with the surface datum and div(f) of all slices formed at once.
     """
+    _require_config(ws, v, "operator_Q: velocity field")
+    if f is not None:
+        _require_config(ws, f, "operator_Q: forcing field")
     cfg = ws.config
-    out = zeros_scalar(cfg)
-    for i_n in range(cfg.n_modes_z):
-        n = i_n - cfg.n_z
-        farr = None if f is None else f.coeffs[:, i_n]
-        out.coeffs[i_n] = _q_slice(ws, n, v.coeffs[:, i_n], cfg.n_theta, farr)
-    out.real_flag = False
-    return out
+    beta = _axial_factors(cfg).imag
+    farr = None if f is None else _slices(f)
+    q = _solve_per_abs_n(ws, *_q_data(ws.tables, cfg, _slices(v), beta, farr))
+    return ScalarField(cfg, np.ascontiguousarray(_truncate(q, cfg.n_theta)), False)
+
+
+def harmonic_extension(ws, g):
+    """Harmonically extend surface data into the cylinder.
+
+    Args:
+        g: TraceField on ws.config with band at most n_theta.
+
+    Returns:
+        ScalarField u with laplacian(u) = 0 and trace_SF(u) = g.
+    """
+    _require_config(ws, g, "harmonic_extension: trace")
+    cfg = ws.config
+    if g.band > cfg.n_theta:
+        raise ValueError(
+            "trace band %d exceeds the stored field band %d" % (g.band, cfg.n_theta)
+        )
+    pad = cfg.n_theta - g.band
+    surface = np.pad(g.coeffs, [(0, 0), (pad, pad)])
+    rhs = np.zeros(surface.shape + (cfg.n_r,), dtype=complex)
+    return ScalarField(cfg, _solve_per_abs_n(ws, rhs, surface), False)

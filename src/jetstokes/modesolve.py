@@ -101,29 +101,3 @@ def dirichlet_residual(ws, n, f, u):
     if den == 0.0:
         return 0.0 if num == 0.0 else float("inf")
     return float(np.sqrt(num / den))
-
-
-def harmonic_extension(ws, g):
-    """Harmonically extend surface data into the cylinder.
-
-    Args:
-        g: TraceField with band at most n_theta.
-
-    Returns:
-        ScalarField u with laplacian(u) = 0 and trace_SF(u) = g.
-    """
-    cfg = ws.config
-    if g.band > cfg.n_theta:
-        raise ValueError(
-            "trace band %d exceeds the stored field band %d" % (g.band, cfg.n_theta)
-        )
-    pad = cfg.n_theta - g.band
-    gc = np.pad(g.coeffs, [(0, 0), (pad, pad)])
-    u = zeros_scalar(cfg)
-    zero_rhs = np.zeros((cfg.n_modes_theta, cfg.n_r), dtype=complex)
-    for i_n in range(cfg.n_modes_z):
-        n = i_n - cfg.n_z
-        u.coeffs[i_n] = laplace_solve_channels(ws, n, zero_rhs, gc[i_n])
-    u.real_flag = False
-    return u
-

@@ -442,7 +442,7 @@ def _apply_A_slice(ws, n, varr):
     lap = apply_stack(t.stacks(band).lap, varr) - beta * beta * varr
     # -mu P lap v = -mu lap v + mu grad(phi) with laplacian(phi) = div lap v,
     # so one solve with forcing mu lap v yields the whole pressure Q v + mu phi
-    qb = _q_slice(ws, n, varr, band + 3, cfg.mu * lap)
+    qb = _q_slice(ws, n, varr, band + 1, cfg.mu * lap)
     out = -cfg.mu * lap
     gx, gy = _dxy(t, qb)
     out[..., 0, :, :] += _truncate(gx, band)

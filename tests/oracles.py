@@ -248,6 +248,51 @@ def q_slice_four(ws, n, varr, out_band, farr=None):
     return _truncate(laplace_solve_channels(ws, n, rhs, data[..., :, 0]), out_band)
 
 
+def operator_Q_per_slice(ws, v, f=None):
+    """Q v (plus the zero-trace potential of f) from q_slice_four, slice by slice."""
+    cfg = ws.config
+    out = np.zeros((cfg.n_modes_z, cfg.n_modes_theta, cfg.n_r), dtype=complex)
+    for i_n in range(cfg.n_modes_z):
+        farr = None if f is None else f.coeffs[:, i_n]
+        out[i_n] = q_slice_four(ws, i_n - cfg.n_z, v.coeffs[:, i_n], cfg.n_theta, farr)
+    return out
+
+
+def project_P_per_slice(ws, u):
+    """Helmholtz projection with one divergence, solve and gradient per axial slice.
+
+    Returns (solenoidal coefficients, potential coefficients, residual).
+    """
+    from jetstokes.fields import (
+        ScalarField,
+        VectorField,
+        _div_slice,
+        _dxy,
+        _truncate,
+        grad,
+        norm_L2,
+    )
+    from jetstokes.modesolve import laplace_solve_channels
+
+    t, cfg = ws.tables, ws.config
+    sol = np.zeros_like(u.coeffs)
+    pot = np.zeros(u.coeffs.shape[1:], dtype=complex)
+    for i_n in range(cfg.n_modes_z):
+        n = i_n - cfg.n_z
+        varr = u.coeffs[:, i_n]
+        beta = cfg.beta(n)
+        q = laplace_solve_channels(ws, n, _div_slice(t, varr, beta))
+        gx, gy = _dxy(t, q)
+        sol[0, i_n] = varr[0] - _truncate(gx, cfg.n_theta)
+        sol[1, i_n] = varr[1] - _truncate(gy, cfg.n_theta)
+        sol[2, i_n] = varr[2] - 1j * beta * _truncate(q, cfg.n_theta)
+        pot[i_n] = _truncate(q, cfg.n_theta)
+    unorm = norm_L2(u)
+    defect = u - VectorField(cfg, sol, False) - grad(ScalarField(cfg, pot, False))
+    residual = 0.0 if unorm == 0.0 else norm_L2(defect) / unorm
+    return sol, pot, residual
+
+
 def evolve_per_step(ws, evo):
     """The evolution loop with one reduction, expansion and M/G product per step.
 

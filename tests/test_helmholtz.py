@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
+import pytest
 
 import jetstokes as js
+from jetstokes import helmholtz
 from jetstokes.discretization import tables_for
 from jetstokes.fields import (
     random_smooth_vector,
@@ -91,3 +95,89 @@ def test_operator_q_kills_rotation(ws_small):
     q = js.operator_Q(ws_small, rot)
     assert js.norm_L2(q) < 1e-12
 
+
+
+REF = 1e-12
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("forced", [False, True], ids=["velocity", "forced"])
+@pytest.mark.parametrize("ws_name", ["ws_small", "ws_medium"])
+def test_operator_q_matches_per_slice_reference(request, ws_name, forced, real):
+    ws = request.getfixturevalue(ws_name)
+    rng = stream(34, "tests")
+    v = random_smooth_vector(ws.config, rng, real=real)
+    f = random_smooth_vector(ws.config, rng, real=real) if forced else None
+    got = js.operator_Q(ws, v, f).coeffs
+    assert _rel(got, oracles.operator_Q_per_slice(ws, v, f)) < REF
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("ws_name", ["ws_small", "ws_medium"])
+def test_project_p_matches_per_slice_reference(request, ws_name, real):
+    ws = request.getfixturevalue(ws_name)
+    u = random_smooth_vector(ws.config, stream(35, "tests"), real=real)
+    d = js.project_P(ws, u)
+    sol, pot, residual = oracles.project_P_per_slice(ws, u)
+    assert _rel(d.solenoidal.coeffs, sol) < REF
+    assert _rel(d.potential.coeffs, pot) < REF
+    assert abs(d.residual - residual) < REF
+
+
+def test_one_dirichlet_solve_per_abs_n(cfg_small, monkeypatch):
+    ws = js.Workspace(cfg_small)
+    rng = stream(36, "tests")
+    v = random_smooth_vector(cfg_small, rng)
+    f = random_smooth_vector(cfg_small, rng)
+    calls = []
+    solve = helmholtz.laplace_solve_channels
+
+    def counted(ws, n, *args):
+        calls.append(n)
+        return solve(ws, n, *args)
+
+    monkeypatch.setattr(helmholtz, "laplace_solve_channels", counted)
+    for run in (lambda: js.operator_Q(ws, v, f), lambda: js.project_P(ws, v)):
+        calls.clear()
+        run()
+        assert sorted(calls) == list(range(cfg_small.n_z + 1))
+
+
+def _calls(ws, v):
+    """Every entry point, given v as its velocity, forcing, field or trace."""
+    own = zeros_vector(ws.config)
+    return {
+        "operator_Q-v": lambda: js.operator_Q(ws, v),
+        "operator_Q-f": lambda: js.operator_Q(ws, own, v),
+        "recover_pressure-v": lambda: js.recover_pressure(ws, v, own),
+        "recover_pressure-f": lambda: js.recover_pressure(ws, own, v),
+        "project_P": lambda: js.project_P(ws, v),
+        "harmonic_extension": lambda: js.harmonic_extension(ws, js.trace_SF(v.x)),
+    }
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "operator_Q-v",
+        "operator_Q-f",
+        "recover_pressure-v",
+        "recover_pressure-f",
+        "project_P",
+        "harmonic_extension",
+    ],
+)
+@pytest.mark.parametrize(
+    "other", [dict(n_z=3), dict(mu=2.0), dict(n_z=1)], ids=["nz3", "mu2", "nz1"]
+)
+def test_field_from_another_config_is_rejected(ws_small, call, other):
+    cfg = ws_small.config
+    foreign = dataclasses.replace(cfg, **other)
+    v = random_smooth_vector(foreign, stream(37, "tests"))
+    with pytest.raises(ValueError) as err:
+        _calls(ws_small, v)[call]()
+    assert repr(foreign) in str(err.value) and repr(cfg) in str(err.value)
