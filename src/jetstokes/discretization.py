@@ -109,13 +109,12 @@ def apply_stack(stack, arr):
     return _channels_last(y, arr.shape[:-2])
 
 
-class _BandStacks:
-    """Per-channel operator stacks for azimuthal modes m = -band..band."""
+class _ChannelStacks:
+    """Per-channel operator stacks for the azimuthal modes m = lo..hi."""
 
-    __slots__ = ("band", "ms", "raising", "lowering", "lap", "resample", "gram")
+    __slots__ = ("ms", "raising", "lowering", "lap", "resample", "gram")
 
-    def __init__(self, band, ms, raising, lowering, lap, resample, gram):
-        self.band = band
+    def __init__(self, ms, raising, lowering, lap, resample, gram):
         self.ms = ms
         self.raising = raising
         self.lowering = lowering
@@ -210,12 +209,16 @@ class RadialTables:
         q, _ = np.linalg.qr(self.smooth_basis(m_abs), mode="complete")
         return q[:, self.n_r - n_pole :].T.copy()
 
-    def stacks(self, band):
-        """Operator stacks for channels m = -band..band (cached)."""
-        got = self._stacks.get(band)
+    def stacks(self, lo, hi):
+        """Operator stacks for the contiguous channels m = lo..hi (cached).
+
+        A field on the symmetric band b asks for (-b, b); an angular-momentum
+        sector asks for its own channel window.
+        """
+        got = self._stacks.get((lo, hi))
         if got is not None:
             return got
-        ms = np.arange(-band, band + 1)
+        ms = np.arange(lo, hi + 1)
         nr = self.n_r
         nm = ms.size
         raising = np.empty((nm, nr, nr))
@@ -232,8 +235,8 @@ class RadialTables:
             lap[im] = self.lap2d(abs(int(m)))
             resample[im] = self._resample[p]
             gram[im] = self._gram[p]
-        out = _BandStacks(band, ms, raising, lowering, lap, resample, gram)
-        self._stacks[band] = out
+        out = _ChannelStacks(ms, raising, lowering, lap, resample, gram)
+        self._stacks[(lo, hi)] = out
         return out
 
 

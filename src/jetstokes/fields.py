@@ -27,6 +27,13 @@ stacks all derivatives of one order of a component on a leading axis, so
 each order costs one derivative pair per component. The field-level div and
 laplacian are reference operators that the tests check closed forms and
 solves against.
+
+An array's channels need not be the symmetric band: the stack kernels
+(_up_down, _dxy, _div_slice) take lo, the azimuthal mode of channel index
+0, and read the stacks of the contiguous range lo..hi (_stacks). Fields
+leave it unset and get -b..b; an angular-momentum sector of stokesop passes
+its own window, so its kernels never touch a channel outside it. Padding
+and band widening act on both ends alike, so they serve either kind.
 """
 
 import dataclasses
@@ -259,16 +266,29 @@ def _pad(arr, extra):
     return out
 
 
-def _up_down(t, a, b=None):
+def _stacks(t, arr, lo=None):
+    """Stacks of the channels arr carries on its next-to-last axis.
+
+    Channel index 0 is m = lo; by default arr holds the symmetric band
+    m = -b..b of a field. A sector passes the low end of its window.
+    """
+    n = arr.shape[-2]
+    if lo is None:
+        lo = -((n - 1) // 2)
+    return t.stacks(lo, lo + n - 1)
+
+
+def _up_down(t, a, b=None, lo=None):
     """The raising application to a and the lowering one to b (default a).
 
     up = (d/dr - m/r) moves channel m to m+1 and down = (d/dr + m/r) moves
     it to m-1. Both products write straight into widened channel-major
     buffers (n_m + 2, n_r, 2k) of floats, the interleaved real view of
-    complex values on band + 1, so either becomes a field array through
-    _channels_last without a copy.
+    complex values on channels lo - 1..hi + 1, so either becomes a field
+    array through _channels_last without a copy. lo is the channel of
+    index 0 (see _stacks).
     """
-    st = t.stacks(_band(a))
+    st = _stacks(t, a, lo)
     ra = _channels_first(a, complex).view(float)
     rb = ra if b is None else _channels_first(b, complex).view(float)
     up = np.empty((ra.shape[0] + 2,) + ra.shape[1:])
@@ -280,13 +300,14 @@ def _up_down(t, a, b=None):
     return up, down
 
 
-def _dxy(t, arr):
-    """The derivative pair (d/dx, d/dy) of arr, both on band + 1.
+def _dxy(t, arr, lo=None):
+    """The derivative pair (d/dx, d/dy) of arr, both one channel wider each side.
 
     d/dx = (up + down)/2 and d/dy = -i (up - down)/2 (see _up_down), so one
-    raising and one lowering application give both derivatives.
+    raising and one lowering application give both derivatives. lo is the
+    channel of index 0 (see _stacks).
     """
-    up, down = _up_down(t, arr)
+    up, down = _up_down(t, arr, lo=lo)
     dx = up + down
     dx *= 0.5
     up -= down
@@ -314,7 +335,7 @@ def _mul_y(t, arr):
 
 
 def _lap2d(t, arr):
-    return apply_stack(t.stacks(_band(arr)).lap, arr)
+    return apply_stack(_stacks(t, arr).lap, arr)
 
 
 def _axial_factors(config):
@@ -330,7 +351,7 @@ def _disk_inner_per_n(t, a, b):
     the leading axes are summed too, and the result has shape (n_modes_z,).
     """
     shape = (-1,) + a.shape[-3:]
-    ga = apply_stack(t.stacks(_band(a)).gram, a).reshape(shape)
+    ga = apply_stack(_stacks(t, a).gram, a).reshape(shape)
     # the Gram stack is real, so sum (G a) conj(b) = conj(sum conj(G a) b):
     # ga, a fresh array, is conjugated in place instead of copying b
     np.conj(ga, out=ga)
@@ -354,17 +375,18 @@ def grad(u):
     return out
 
 
-def _div_slice(t, varr, beta):
-    """Divergence of one or many axial slices varr (..., 3, n_m, n_r), band + 1.
+def _div_slice(t, varr, beta, lo=None):
+    """Divergence of one or many axial slices varr (..., 3, n_m, n_r).
 
-    beta is the axial wavenumber, a scalar or an array broadcasting with
-    the slice axes. d/dx v1 + d/dy v2 = up(v1 - i v2)/2 + down(v1 + i v2)/2
-    (see _dxy), so the transversal part costs one raising and one lowering
-    application.
+    The result is one channel wider on each side. beta is the axial
+    wavenumber, a scalar or an array broadcasting with the slice axes; lo
+    is the channel of index 0 (see _stacks). d/dx v1 + d/dy v2 =
+    up(v1 - i v2)/2 + down(v1 + i v2)/2 (see _dxy), so the transversal part
+    costs one raising and one lowering application.
     """
     v1 = varr[..., 0, :, :]
     v2 = varr[..., 1, :, :]
-    up, down = _up_down(t, v1 - 1j * v2, v1 + 1j * v2)
+    up, down = _up_down(t, v1 - 1j * v2, v1 + 1j * v2, lo)
     up += down
     up *= 0.5
     s = _channels_last(up.view(complex), v1.shape[:-2])

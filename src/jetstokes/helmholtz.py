@@ -14,11 +14,13 @@ the cached (|n|, band) inverse stack, so both ride on the leading axis of
 one laplace_solve_channels call.
 
 Azimuthal bands: div(u) lives one band above u and q inherits that band;
-grad(q) is formed there and truncated back, so the reported reconstruction
-residual honestly reflects what the stored band can represent.
+grad(q) is formed there and truncated back, so the reconstruction residual
+(computed when first read) honestly reflects what the stored band can
+represent.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -26,9 +28,9 @@ from .fields import (
     ScalarField,
     VectorField,
     _axial_factors,
-    _band,
     _div_slice,
     _dxy,
+    _stacks,
     _truncate,
     grad,
     norm_L2,
@@ -41,12 +43,21 @@ class DecompositionResult:
     """Outcome of the Helmholtz projection u = solenoidal + grad(potential).
 
     residual is the relative reconstruction defect
-    ||u - solenoidal - grad(potential)|| / ||u|| in L^2.
+    ||u - solenoidal - grad(potential)|| / ||u|| in L^2. It costs two norms
+    and a gradient, so it is computed on first read only, from a copy of
+    u held in source.
     """
 
     solenoidal: VectorField
     potential: ScalarField
-    residual: float
+    source: VectorField = dataclasses.field(repr=False)
+
+    @functools.cached_property
+    def residual(self):
+        unorm = norm_L2(self.source)
+        if unorm == 0.0:
+            return 0.0
+        return norm_L2(self.source - self.solenoidal - grad(self.potential)) / unorm
 
 
 def _require_config(ws, field, role):
@@ -88,7 +99,7 @@ def project_P(ws, u):
 
     Returns:
         DecompositionResult with P u, the potential, and the relative
-        reconstruction residual.
+        reconstruction residual, computed when it is first read.
     """
     _require_config(ws, u, "project_P: field")
     cfg = ws.config
@@ -102,13 +113,7 @@ def project_P(ws, u):
         [_truncate(gx, cfg.n_theta), _truncate(gy, cfg.n_theta), i_beta * pot.coeffs]
     )
     sol = VectorField(cfg, u.coeffs - grad_q, False)
-    unorm = norm_L2(u)
-    if unorm == 0.0:
-        residual = 0.0
-    else:
-        defect = u - sol - grad(pot)
-        residual = norm_L2(defect) / unorm
-    return DecompositionResult(sol, pot, residual)
+    return DecompositionResult(sol, pot, u.copy())
 
 
 def _surface_datum(t, mu, varr):
@@ -120,7 +125,7 @@ def _surface_datum(t, mu, varr):
     times d_r (v1 - i v2) from channel m - 1 plus d_r (v1 + i v2) from m + 1,
     each read from row 0 (node 0 is r = kappa) of its channel's derivative.
     """
-    ms = t.stacks(_band(varr)).ms
+    ms = _stacks(t, varr).ms
     d0 = np.where(ms[:, None] % 2 == 0, t.ddr(1)[0], t.ddr(-1)[0])
     dr = np.einsum("mi,...cmi->...cm", d0, varr[..., :2, :, :])
     out = np.zeros(dr.shape[:-2] + (ms.size + 2,), dtype=complex)

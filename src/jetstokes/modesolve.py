@@ -31,7 +31,7 @@ def _dirichlet_stack(ws, n, band):
     got = ws.radial_ops.get(key)
     if got is None:
         beta = ws.config.beta(key[0])
-        mat = beta * beta * np.eye(ws.config.n_r) - ws.tables.stacks(band).lap
+        mat = beta * beta * np.eye(ws.config.n_r) - ws.tables.stacks(-band, band).lap
         mat[:, 0, :] = 0.0
         mat[:, 0, 0] = 1.0
         if not np.all(np.isfinite(mat)):

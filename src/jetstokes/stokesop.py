@@ -9,6 +9,9 @@ u+ = u_x + i u_y at m = j + 1, u- = u_x - i u_y at m = j - 1 and u_z at
 m = j, at most 3 * n_r unknowns. Each sector's part is the numerical
 nullspace of its own stacked constraint rows (divergence, tangential
 traction, pole regularity), found by a small SVD with a relative cutoff.
+A sector is carried on its own channel window m in [j - 1, j + 1]: its
+constraint rows, samples and eigenvectors are computed there, and every
+kernel widens the window by its own band growth only.
 
 On each sector's nullspace N the Galerkin pencil is sampled by quadrature:
 
@@ -39,9 +42,15 @@ eigenvectors as they stand. Eigenvalues below 1e-8 * lam_max, the kernel
 ones included, are measured as quadrature-dissipation quotients of their
 eigenvectors, which are nonnegative by construction.
 
-Negative modes are never assembled: coefficients of mode -n are conjugate
-m-reversals of mode +n quantities. reduce_slice / expand_slice flip the
-field slice, so mode -n uses mode-|n| coordinates everywhere else.
+Negative modes are never assembled, and negative sectors are never built.
+Coefficients of mode -n are conjugate m-reversals of mode +n quantities:
+reduce_slice / expand_slice flip the field slice, so mode -n uses mode-|n|
+coordinates everywhere else. Within a mode, the mirror theta -> -theta
+with u_y -> -u_y sends channel m to -m and negates the y component; it
+commutes with every constraint and with both forms and maps sector j onto
+sector -j. So only j = 0..n_theta+1 are built, and sector -j is stored as
+the mirror image of sector j (_mirror_sector), with the same blocks and
+eigenvalues.
 """
 
 import dataclasses
@@ -58,6 +67,7 @@ from .fields import (
     _div_slice,
     _dxy,
     _pad,
+    _stacks,
     _truncate,
     constant_vector,
     norm_L2,
@@ -150,8 +160,15 @@ class ModeOperator:
         ws = self.ws()
         cfg = ws.config
         shape = (3, cfg.n_modes_theta, cfg.n_r)
-        for s, info in zip(self.sectors, self.info["sectors"]):
+        by_j = {info["j"]: s for s, info in zip(self.sectors, self.info["sectors"])}
+        # built sectors first: a mirrored one takes its source's block
+        pairs = sorted(zip(self.sectors, self.info["sectors"]), key=lambda p: "mirror_of" in p[1])
+        for s, info in pairs:
             if s.A is not None:
+                continue
+            if "mirror_of" in info:
+                src = by_j[info["mirror_of"]]
+                s.A, s.leak = src.A, src.leak
                 continue
             barr = np.zeros((s.cols.size, math.prod(shape)), dtype=complex)
             barr[:, s.rows] = s.coef.T
@@ -159,9 +176,13 @@ class ModeOperator:
             wab = _apply_weight(ws.tables, cfg.ell, ab).reshape(s.cols.size, -1)
             s.A = s.coef.conj().T @ wab[:, s.rows].T
             ab = ab.reshape(s.cols.size, -1)
-            units = _sector_units(cfg, info["j"])[0].reshape(-1, ab.shape[1])
-            off = ab - (ab @ units.conj().T) @ units
-            s.leak = float(np.linalg.norm(off) / np.linalg.norm(ab))
+            total = np.linalg.norm(ab)
+            # the unit embedding lives on the sector's window
+            units = _sector_units(cfg, info["j"])[0]
+            units = units.reshape(units.shape[0], -1)
+            wrows = _window_rows(cfg, *info["window"])
+            ab[:, wrows] -= (ab[:, wrows] @ units.conj().T) @ units
+            s.leak = float(np.linalg.norm(ab) / total)
         return max(s.leak for s in self.sectors)
 
     @property
@@ -190,14 +211,15 @@ class ModeOperator:
 # symmetric derivative entries and traction
 
 
-def _sym_entries(t, varr, beta):
+def _sym_entries(t, varr, beta, lo=None):
     """Entries E_ij = D_j v_i + D_i v_j of one or many axial slices.
 
-    varr has shape (..., 3, n_m, n_r); beta is a scalar or broadcasts with
-    the slice axes. Returns a dict keyed (i, j), i <= j, on band + 1.
+    varr has shape (..., 3, n_m, n_r) on the channels lo..hi (the symmetric
+    band by default); beta is a scalar or broadcasts with the slice axes.
+    Returns a dict keyed (i, j), i <= j, on the channels lo - 1..hi + 1.
     """
     # one derivative pair per component keeps each array a third of varr
-    d1, d2 = zip(*[_dxy(t, varr[..., c, :, :]) for c in range(3)])
+    d1, d2 = zip(*[_dxy(t, varr[..., c, :, :], lo) for c in range(3)])
     dz = [_pad(1j * beta * varr[..., c, :, :], 1) for c in range(3)]
     return {
         (0, 0): 2.0 * d1[0],
@@ -232,13 +254,14 @@ def _tr_pad(arr, extra):
     return out
 
 
-def _traction_arrays(t, varr, beta, mu):
-    """Viscous traction traces S_i = -mu sum_j E_ij n_j on band + 2.
+def _traction_arrays(t, varr, beta, mu, lo=None):
+    """Viscous traction traces S_i = -mu sum_j E_ij n_j, two channels wider.
 
-    varr (..., 3, n_m, n_r); beta is a scalar or broadcasts with the slice
-    axes. Returns a list of three (..., n_m + 4) arrays.
+    varr (..., 3, n_m, n_r) on the channels lo..hi (see _sym_entries);
+    beta is a scalar or broadcasts with the slice axes. Returns a list of
+    three (..., n_m + 4) arrays on lo - 2..hi + 2.
     """
-    e = _sym_entries(t, varr, beta)
+    e = _sym_entries(t, varr, beta, lo)
     tr = {key: val[..., :, 0] for key, val in e.items()}
     s1 = -mu * (_tr_cos(tr[(0, 0)]) + _tr_sin(tr[(0, 1)]))
     s2 = -mu * (_tr_cos(tr[(0, 1)]) + _tr_sin(tr[(1, 1)]))
@@ -246,9 +269,9 @@ def _traction_arrays(t, varr, beta, mu):
     return [s1, s2, s3]
 
 
-def _tangential_arrays(t, varr, beta, mu):
-    """Tangential traction traces on band + 4 (pressure independent)."""
-    s = _traction_arrays(t, varr, beta, mu)
+def _tangential_arrays(t, varr, beta, mu, lo=None):
+    """Tangential traction traces on lo - 4..hi + 4 (pressure independent)."""
+    s = _traction_arrays(t, varr, beta, mu, lo)
     sn = _tr_cos(s[0]) + _tr_sin(s[1])
     st1 = _tr_pad(s[0], 2) - _tr_cos(sn)
     st2 = _tr_pad(s[1], 2) - _tr_sin(sn)
@@ -276,47 +299,62 @@ def tangential_traction(ws, v):
 # constrained basis
 
 
-def _apply_weight(t, ell, arr):
-    """Apply the L^2 weight (2*pi*ell times the per-channel Gram) to arr."""
-    return 2.0 * math.pi * ell * apply_stack(t.stacks(_band(arr)).gram, arr)
+def _apply_weight(t, ell, arr, lo=None):
+    """Apply the L^2 weight (2*pi*ell times the per-channel Gram) to arr.
+
+    lo is the channel of arr's index 0 (fields._stacks).
+    """
+    return 2.0 * math.pi * ell * apply_stack(_stacks(t, arr, lo).gram, arr)
 
 
-def _sample_matrix(t, ell, arr):
+def _sample_matrix(t, ell, arr, lo=None):
     """Weighted quadrature samples of channel profiles, flattened per row.
 
-    arr has shape (K, ..., n_m, n_r); rows of the result are ready for
-    Gram products: conj(Y) @ Y.T reproduces the L^2 pairing exactly for
-    the polynomial degrees the grid carries.
+    arr has shape (K, ..., n_m, n_r) on the channels lo..hi; rows of the
+    result are ready for Gram products: conj(Y) @ Y.T reproduces the L^2
+    pairing exactly for the polynomial degrees the grid carries.
     """
-    st = t.stacks(_band(arr))
-    vals = apply_stack(st.resample, arr)
+    vals = apply_stack(_stacks(t, arr, lo).resample, arr)
     vals *= np.sqrt(2.0 * math.pi * ell * t.w_quad)
     return vals.reshape(arr.shape[0], -1)
 
 
+def _sector_window(cfg, j):
+    """The channel window (lo, hi) of sector j: m in [j - 1, j + 1] within the band."""
+    return max(j - 1, -cfg.n_theta), min(j + 1, cfg.n_theta)
+
+
+def _window_rows(cfg, lo, hi):
+    """Flat Cartesian-slice rows of the channels lo..hi, in (component, m, r) order."""
+    full = np.arange(3 * cfg.n_modes_theta * cfg.n_r).reshape(3, cfg.n_modes_theta, cfg.n_r)
+    return full[:, cfg.n_theta + lo : cfg.n_theta + hi + 1].reshape(-1)
+
+
 def _sector_units(cfg, j):
-    """Unit fields of angular-momentum sector j as Cartesian slices.
+    """Unit fields of angular-momentum sector j on its channel window.
 
     Sector j holds u+ = u_x + i u_y at m = j + 1, u- = u_x - i u_y at
     m = j - 1 and u_z at m = j; pieces outside the band are dropped. The
     entries 1/sqrt(2) and +-i/sqrt(2) make the embedding unitary.
 
-    Returns (units, m_abs): units (k, 3, n_m, n_r) with k = n_r per piece,
-    and the |m| of each piece in order.
+    Returns (units, m_abs): units (k, 3, n_w, n_r) on the n_w channels of
+    _sector_window(cfg, j), k = n_r per piece, and the |m| of each piece
+    in order.
     """
-    nm, nr = cfg.n_modes_theta, cfg.n_r
+    lo, hi = _sector_window(cfg, j)
+    nr = cfg.n_r
     h = math.sqrt(0.5)
     pieces = [(j + 1, (h, -1j * h, 0.0)), (j - 1, (h, 1j * h, 0.0)), (j, (0.0, 0.0, 1.0))]
     pieces = [(m, vec) for m, vec in pieces if abs(m) <= cfg.n_theta]
-    units = np.zeros((len(pieces), nr, 3, nm, nr), dtype=complex)
+    units = np.zeros((len(pieces), nr, 3, hi - lo + 1, nr), dtype=complex)
     for p, (m, vec) in enumerate(pieces):
         for c in range(3):
-            units[p, :, c, cfg.n_theta + m, :] = vec[c] * np.eye(nr)
-    return units.reshape(-1, 3, nm, nr), [abs(m) for m, _ in pieces]
+            units[p, :, c, m - lo, :] = vec[c] * np.eye(nr)
+    return units.reshape(-1, 3, hi - lo + 1, nr), [abs(m) for m, _ in pieces]
 
 
 def _kernel_fields(cfg, j):
-    """Mode-0 kernel fields of sector j as flattened Cartesian slices.
+    """Mode-0 kernel fields of sector j, flattened on its channel window.
 
     e1 + i e2 lies in sector 1, e1 - i e2 in sector -1, and e3 and the
     rigid rotation in sector 0; every other sector has none.
@@ -327,17 +365,32 @@ def _kernel_fields(cfg, j):
         fields = [constant_vector(cfg, (1.0, 1j * j, 0.0))]
     else:
         fields = []
-    return [f.coeffs[:, cfg.n_z].reshape(-1) for f in fields]
+    lo, hi = _sector_window(cfg, j)
+    window = slice(cfg.n_theta + lo, cfg.n_theta + hi + 1)
+    return [f.coeffs[:, cfg.n_z, window].reshape(-1) for f in fields]
+
+
+def _unit_columns(t, cfg, kern, lo):
+    """Window columns kern (size, nk) scaled to unit L^2 norm, and their weighted images."""
+    nk = kern.shape[1]
+    wkern = _apply_weight(t, cfg.ell, kern.T.reshape(nk, 3, -1, cfg.n_r), lo)
+    wkern = wkern.reshape(nk, -1).T
+    scale = 1.0 / np.sqrt(np.sum(np.conj(kern) * wkern, axis=0).real)
+    return kern * scale, wkern * scale
 
 
 def build_constrained_basis(ws, n, j):
     """Spanning set of sector j of the constrained subspace of mode n.
 
-    Constraint rows: divergence at every collocation point (band + 1) and
-    tangential traction surface channels (band + 4), applied to the
-    sector's unit fields, and the pole regularity rows of each piece.
-    Rows are normalized to unit length before the SVD so the relative
-    cutoff SVD_TOL * s_max of the sector is meaningful.
+    Everything is computed on the sector's channel window
+    _sector_window(cfg, j), never on the whole band. Constraint rows:
+    divergence at every collocation point (window + 1) and tangential
+    traction surface channels (window + 4), applied to the sector's unit
+    fields, and the pole regularity rows of each piece; they are flattened
+    in (component, m, r) order, so they come in the same order as over the
+    whole band. Rows are normalized to unit length before the SVD so the
+    relative cutoff SVD_TOL * s_max of the sector is meaningful. Works for
+    any sign of j; assemble_A calls it for j >= 0 only.
 
     Args:
         ws: Workspace.
@@ -345,12 +398,13 @@ def build_constrained_basis(ws, n, j):
         j: angular-momentum sector, -n_theta-1..n_theta+1.
 
     Returns:
-        (basis, info): basis is (3*n_m*n_r, K_j) complex with Cartesian
-        columns flattened in (component, m, r) order; info records sizes
-        and the singular value split at the cutoff (sv_at_rank /
-        sv_past_rank). For n = 0 the sector's kernel fields (see
-        _kernel_fields) lead the basis with unit L^2 norm, their indices
-        in info["kernel_columns"], and the rest is L^2-orthogonal to them.
+        (basis, info): basis is (3*n_w*n_r, K_j) complex with Cartesian
+        columns on the window's n_w channels, flattened in (component, m,
+        r) order; info records the window as (lo, hi), sizes and the
+        singular value split at the cutoff (sv_at_rank / sv_past_rank).
+        For n = 0 the sector's kernel fields (see _kernel_fields) lead the
+        basis with unit L^2 norm, their indices in info["kernel_columns"],
+        and the rest is L^2-orthogonal to them.
 
     Raises:
         RuntimeError if the known kernel fields fail the constraints or do
@@ -358,12 +412,13 @@ def build_constrained_basis(ws, n, j):
     """
     cfg = ws.config
     t = ws.tables
+    lo, hi = _sector_window(cfg, j)
     units, m_abs = _sector_units(cfg, j)
     k = units.shape[0]
     beta = cfg.beta(n)
     cmat = np.concatenate(
-        [_div_slice(t, units, beta).reshape(k, -1).T]
-        + [a.reshape(k, -1).T for a in _tangential_arrays(t, units, beta, cfg.mu)]
+        [_div_slice(t, units, beta, lo).reshape(k, -1).T]
+        + [a.reshape(k, -1).T for a in _tangential_arrays(t, units, beta, cfg.mu, lo)]
         + [scipy.linalg.block_diag(*[t.pole_rows(m) for m in m_abs])]
     )
     norms = np.linalg.norm(cmat, axis=1)
@@ -382,6 +437,7 @@ def build_constrained_basis(ws, n, j):
     info = {
         "n": int(n),
         "j": int(j),
+        "window": (lo, hi),
         "rows_kept": int(cmat.shape[0]),
         "rank": rank,
         "dim": int(null.shape[1]),
@@ -389,7 +445,7 @@ def build_constrained_basis(ws, n, j):
         "sv_at_rank": float(s[rank - 1]) if rank else 0.0,
         "sv_past_rank": float(s[rank]) if rank < s.size else 0.0,
     }
-    embed = units.reshape(k, -1).T  # sector coordinates -> Cartesian
+    embed = units.reshape(k, -1).T  # sector coordinates -> window Cartesian
     kern = _kernel_fields(cfg, j) if n == 0 else []
     if not kern:
         return embed @ null, info
@@ -415,15 +471,36 @@ def build_constrained_basis(ws, n, j):
             "sector %d, got squared relative distances %s of the kernel fields "
             "from the nullspace" % (nk, j, dist)
         )
-    kern = embed @ kc
-    wkern = _apply_weight(t, cfg.ell, kern.T.reshape(nk, 3, cfg.n_modes_theta, cfg.n_r))
-    wkern = wkern.reshape(nk, -1).T
-    scale = 1.0 / np.sqrt(np.sum(np.conj(kern) * wkern, axis=0).real)
-    kern, wkern = kern * scale, wkern * scale
+    kern, wkern = _unit_columns(t, cfg, embed @ kc, lo)
     null = embed @ null
     comp = null @ scipy.linalg.qr(coef)[0][:, nk:]
     info["kernel_columns"] = tuple(range(nk))
     return np.concatenate([kern, comp - kern @ (wkern.conj().T @ comp)], axis=1), info
+
+
+def _mirror_sector(cfg, s, info):
+    """Sector -j of a built sector j, by the mirror theta -> -theta, u_y -> -u_y.
+
+    The mirror sends channel m to -m and flips the sign of the y
+    component, so u+ at m = j + 1 becomes u- at -(j + 1): it maps sector j
+    onto sector -j of the same mode. On the flat Cartesian rows it is a
+    signed permutation that commutes with every constraint, with the L^2
+    weight and with the dissipation form, so the mirrored columns span
+    sector -j and share M, G, the eigenvalues and the kernel count nk.
+
+    Returns (Sector, info) with rows re-sorted, coef permuted and its y
+    rows negated; info is the source record with j and the window negated
+    and "mirror_of" naming the source sector.
+    """
+    shape = (3, cfg.n_modes_theta, cfg.n_r)
+    c, im, r = np.unravel_index(s.rows, shape)
+    rows = np.ravel_multi_index((c, shape[1] - 1 - im, r), shape)
+    order = np.argsort(rows)
+    coef = s.coef[order]
+    coef[c[order] == 1] *= -1.0
+    lo, hi = info["window"]
+    mirror = dict(info, j=-info["j"], window=(-hi, -lo), mirror_of=info["j"])
+    return Sector(rows[order], None, coef, s.M, s.G, s.nk), mirror
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +516,7 @@ def _apply_A_slice(ws, n, varr):
     cfg = ws.config
     band = _band(varr)
     beta = cfg.beta(n)
-    lap = apply_stack(t.stacks(band).lap, varr) - beta * beta * varr
+    lap = apply_stack(_stacks(t, varr).lap, varr) - beta * beta * varr
     # -mu P lap v = -mu lap v + mu grad(phi) with laplacian(phi) = div lap v,
     # so one solve with forcing mu lap v yields the whole pressure Q v + mu phi
     qb = _q_slice(ws, n, varr, band + 1, cfg.mu * lap)
@@ -454,29 +531,37 @@ def _apply_A_slice(ws, n, varr):
 def assemble_A(ws, n):
     """Assemble mode n sector by sector, in the eigenbasis of its pencil.
 
-    Each angular-momentum sector gets its own constrained basis, its own
-    M and G samples and a pencil eigh on its non-kernel columns; the
-    eigenvalues of all sectors are ranked in ascending order, and each
-    sector records the positions of its own. Returns a ModeOperator; use
-    mode_operator for the cached accessor.
+    Only the sectors j = 0..n_theta+1 are built: each gets its own
+    constrained basis, its own M and G samples and a pencil eigh on its
+    non-kernel columns, all on its channel window. Sector -j is the image
+    of sector j under the mirror (_mirror_sector) and shares its blocks
+    and eigenvalues. The eigenvalues of all sectors are ranked in
+    ascending order, and each sector records the positions of its own.
+    Returns a ModeOperator; use mode_operator for the cached accessor.
+
+    Raises:
+        RuntimeError at n = 0 if the mirrored sector -1 does not lead with
+        its kernel field e1 - i e2.
     """
     cfg = ws.config
     t = ws.tables
-    nm, nr = cfg.n_modes_theta, cfg.n_r
-    sectors, eigvals, infos = [], [], []
-    for j in range(-cfg.n_theta - 1, cfg.n_theta + 2):
+    nr = cfg.n_r
+    beta = cfg.beta(n)
+    built = []
+    for j in range(cfg.n_theta + 2):
         null, info = build_constrained_basis(ws, n, j)
         k = null.shape[1]
         if k == 0:
             continue
-        barr = np.ascontiguousarray(null.T).reshape(k, 3, nm, nr)
-        ym = _sample_matrix(t, cfg.ell, barr)
+        lo, hi = info["window"]
+        barr = np.ascontiguousarray(null.T).reshape(k, 3, hi - lo + 1, nr)
+        ym = _sample_matrix(t, cfg.ell, barr, lo)
         m = np.conj(ym) @ ym.T
         m = 0.5 * (m + m.conj().T)
         g = np.zeros((k, k), dtype=complex)
-        entries = _sym_entries(t, barr, cfg.beta(n))
+        entries = _sym_entries(t, barr, beta, lo)
         for (a, b), wgt in _PAIRS:
-            y = _sample_matrix(t, cfg.ell, entries[(a, b)])
+            y = _sample_matrix(t, cfg.ell, entries[(a, b)], lo - 1)
             g += wgt * (np.conj(y) @ y.T)
         g *= 0.5 * cfg.mu
         g = 0.5 * (g + g.conj().T)
@@ -488,20 +573,29 @@ def assemble_A(ws, n):
         v[:nk, :nk] = np.diag(1.0 / np.sqrt(np.diag(m)[:nk].real))
         w[nk:], v[nk:, nk:] = scipy.linalg.eigh(g[nk:, nk:], m[nk:, nk:])
         vh = v.conj().T
-        m, g, basis = vh @ (m @ v), vh @ (g @ v), null @ v
-        # the sector's support: its columns are exactly zero elsewhere
-        rows = np.flatnonzero(basis.any(axis=1))
+        m, g = vh @ (m @ v), vh @ (g @ v)
         m, g = 0.5 * (m + m.conj().T), 0.5 * (g + g.conj().T)
-        sectors.append(Sector(rows, None, basis[rows], m, g, nk))
-        eigvals.append(w)
-        infos.append(info)
+        built.append((null @ v, m, g, w, nk, info))
 
-    lam_max = max(float(np.max(np.abs(w))) for w in eigvals)
-    for s, w in zip(sectors, eigvals):
+    # mirror pairs share their spectra, so the built half holds lam_max
+    lam_max = max(float(np.max(np.abs(w))) for _, _, _, w, _, _ in built)
+    half = []
+    for basis, m, g, w, nk, info in built:
+        lo, hi = info["window"]
         for i in np.nonzero(np.abs(w) < 1e-8 * lam_max)[0]:
-            col = np.zeros(3 * nm * nr, dtype=complex)
-            col[s.rows] = s.coef[:, i]
-            w[i] = _dissipation_slice(ws, n, col.reshape(3, nm, nr)) / s.M[i, i].real
+            col = basis[:, i].reshape(3, hi - lo + 1, nr)
+            w[i] = _dissipation_slice(ws, n, col, lo) / m[i, i].real
+        # the sector's support: its columns are exactly zero elsewhere
+        local = np.flatnonzero(basis.any(axis=1))
+        rows = _window_rows(cfg, lo, hi)[local]
+        half.append((Sector(rows, None, basis[local], m, g, nk), info, w))
+    mirrored = [
+        _mirror_sector(cfg, s, info) + (w,) for s, info, w in reversed(half) if info["j"] > 0
+    ]
+    sectors, infos, eigvals = zip(*(mirrored + half))
+    if n == 0:
+        _check_mirrored_kernel(ws, sectors[[i["j"] for i in infos].index(-1)])
+
     w = np.concatenate(eigvals)
     rank = np.argsort(np.argsort(w, kind="stable"))
     residual = np.empty(w.size)
@@ -511,7 +605,7 @@ def assemble_A(ws, n):
         residual[cols] = np.linalg.norm(s.G - s.M * sw, axis=0) / np.sqrt(np.diag(s.M).real)
     return ModeOperator(
         n=int(n),
-        sectors=tuple(sectors),
+        sectors=sectors,
         eigen=(np.sort(w, kind="stable"), residual),
         kernel_columns=tuple(sorted(int(i) for s in sectors for i in s.cols[: s.nk])),
         info={
@@ -519,10 +613,29 @@ def assemble_A(ws, n):
             "dim": int(w.size),
             "sv_at_rank": min(i["sv_at_rank"] for i in infos),
             "sv_past_rank": max(i["sv_past_rank"] for i in infos),
-            "sectors": tuple(infos),
+            "sectors": infos,
         },
         ws=weakref.ref(ws),
     )
+
+
+def _check_mirrored_kernel(ws, s):
+    """Raise RuntimeError unless s, the mirrored sector -1 of mode 0, leads with e1 - i e2.
+
+    The column must equal the kernel field of _kernel_fields(cfg, -1) at
+    unit L^2 norm to 1e-12, so the kernel check still covers every sector.
+    """
+    cfg = ws.config
+    lo, hi = _sector_window(cfg, -1)
+    kern, _ = _unit_columns(ws.tables, cfg, np.array(_kernel_fields(cfg, -1)).T, lo)
+    col = np.zeros(kern.shape[0], dtype=complex)
+    col[np.searchsorted(_window_rows(cfg, lo, hi), s.rows)] = s.coef[:, 0]
+    err = np.max(np.abs(col - kern[:, 0])) / np.max(np.abs(kern))
+    if s.nk != 1 or not err <= 1e-12:
+        raise RuntimeError(
+            "mirrored sector -1 of mode 0 does not lead with e1 - i e2: "
+            "%d kernel columns, relative deviation %.3e" % (s.nk, err)
+        )
 
 
 def mode_operator(ws, n):
@@ -623,20 +736,21 @@ def random_constrained_vector(ws, rng):
 # dissipation
 
 
-def _dissipation_slice(ws, n, varr):
+def _dissipation_slice(ws, n, varr, lo=None):
     """Quadrature dissipation of one axial slice, structurally >= 0.
 
-    Computed as a weighted sum of squared sample values, so the result is
-    nonnegative no matter the rounding; used to pin near-zero Rayleigh
-    quotients.
+    varr (3, n_m, n_r) is on the channels lo..hi, the whole band by
+    default. Computed as a weighted sum of squared sample values, so the
+    result is nonnegative no matter the rounding; used to pin near-zero
+    Rayleigh quotients.
     """
     cfg = ws.config
     t = ws.tables
-    entries = _sym_entries(t, varr, cfg.beta(n))
+    entries = _sym_entries(t, varr, cfg.beta(n), lo)
     total = 0.0
     for key, wgt in _PAIRS:
         arr = entries[key]
-        vals = apply_stack(t.stacks(_band(arr)).resample, arr)
+        vals = apply_stack(_stacks(t, arr, None if lo is None else lo - 1).resample, arr)
         total += wgt * float(np.sum(t.w_quad * np.abs(vals) ** 2))
     return 0.5 * cfg.mu * 2.0 * math.pi * cfg.ell * total
 

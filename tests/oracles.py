@@ -5,11 +5,14 @@ finite-volume radial solver on a staggered grid, and hand-derived closed
 forms. None of it shares code paths with the package, so agreement is
 evidence rather than tautology. The exceptions are
 dense_constrained_nullspace, which reuses the package's constraint rows
-but none of its angular-momentum sector split, and the reference kernels at
-the end: the per-channel stack product, the four-application derivatives,
-divergence and surface pressure, and the step-by-step evolution loop. They
-are the package's earlier implementations, kept so the batched ones can be
-held to them.
+but none of its angular-momentum sector split; the all-channel sector path
+(unit fields, constraint rows and M/G samples over every channel of the
+band), the layout the package used before each sector was carried on its
+own channel window; and the reference kernels at the end: the
+per-channel stack product, the four-application derivatives, divergence
+and surface pressure, and the step-by-step evolution loop. They are the
+package's earlier implementations, kept so the batched ones can be held
+to them.
 """
 
 import math
@@ -169,6 +172,79 @@ def dense_constrained_nullspace(ws, n):
     return vh[rank:].conj().T
 
 
+def sector_units_all_channels(cfg, j):
+    """Unit fields of sector j in full Cartesian slices, (k, 3, n_m, n_r).
+
+    The earlier layout of the sector path: every piece of the sector sits
+    in a slice over all channels of the band, so each kernel applied to
+    these runs on every channel. Returns (units, |m| of each piece).
+    """
+    nm, nr = cfg.n_modes_theta, cfg.n_r
+    h = math.sqrt(0.5)
+    pieces = [(j + 1, (h, -1j * h, 0.0)), (j - 1, (h, 1j * h, 0.0)), (j, (0.0, 0.0, 1.0))]
+    pieces = [(m, vec) for m, vec in pieces if abs(m) <= cfg.n_theta]
+    units = np.zeros((len(pieces), nr, 3, nm, nr), dtype=complex)
+    for p, (m, vec) in enumerate(pieces):
+        for c in range(3):
+            units[p, :, c, cfg.n_theta + m, :] = vec[c] * np.eye(nr)
+    return units.reshape(-1, 3, nm, nr), [abs(m) for m, _ in pieces]
+
+
+def sector_constraints_all_channels(ws, n, j):
+    """Kept, row-normalized constraint rows of sector j over all channels.
+
+    Returns (cmat, embed): cmat acts on the sector's unit coordinates and
+    embed (3*n_m*n_r, k) maps those coordinates to full Cartesian columns.
+    """
+    from jetstokes.fields import _div_slice
+    from jetstokes.stokesop import _tangential_arrays
+
+    cfg, t = ws.config, ws.tables
+    units, m_abs = sector_units_all_channels(cfg, j)
+    k = units.shape[0]
+    beta = cfg.beta(n)
+    cmat = np.concatenate(
+        [_div_slice(t, units, beta).reshape(k, -1).T]
+        + [a.reshape(k, -1).T for a in _tangential_arrays(t, units, beta, cfg.mu)]
+        + [scipy.linalg.block_diag(*[t.pole_rows(m) for m in m_abs])]
+    )
+    norms = np.linalg.norm(cmat, axis=1)
+    keep = norms > 1e-14 * norms.max()
+    return cmat[keep] / norms[keep][:, None], units.reshape(k, -1).T
+
+
+def sector_nullspace_all_channels(ws, n, j):
+    """Sector j's constraint nullspace over all channels.
+
+    Returns (columns in full Cartesian layout, kept-row count, rank) with
+    the rank cut at SVD_TOL * s_max, as the sector SVD cuts it.
+    """
+    from jetstokes.stokesop import SVD_TOL
+
+    cmat, embed = sector_constraints_all_channels(ws, n, j)
+    _, s, vh = scipy.linalg.svd(cmat)
+    rank = int((s > SVD_TOL * s[0]).sum())
+    return embed @ vh[rank:].conj().T, cmat.shape[0], rank
+
+
+def pencil_all_channels(ws, n, basis):
+    """M and G of full Cartesian columns basis (3*n_m*n_r, K), sampled on every channel."""
+    from jetstokes.stokesop import _PAIRS, _sample_matrix, _sym_entries
+
+    cfg, t = ws.config, ws.tables
+    k = basis.shape[1]
+    barr = np.ascontiguousarray(basis.T).reshape(k, 3, cfg.n_modes_theta, cfg.n_r)
+    ym = _sample_matrix(t, cfg.ell, barr)
+    m = np.conj(ym) @ ym.T
+    g = np.zeros((k, k), dtype=complex)
+    entries = _sym_entries(t, barr, cfg.beta(n))
+    for key, wgt in _PAIRS:
+        y = _sample_matrix(t, cfg.ell, entries[key])
+        g += wgt * (np.conj(y) @ y.T)
+    g *= 0.5 * cfg.mu
+    return 0.5 * (m + m.conj().T), 0.5 * (g + g.conj().T)
+
+
 def disk_inner_einsum(gram, a, b):
     """2*pi * sum_m b_m^H gram_m a_m per axial slice, one three-operand einsum.
 
@@ -199,7 +275,8 @@ def apply_stack_per_channel(stack, arr):
 
 
 def _shifted(t, arr, raising):
-    st = t.stacks((arr.shape[-2] - 1) // 2)
+    b = (arr.shape[-2] - 1) // 2
+    st = t.stacks(-b, b)
     out = np.zeros(arr.shape[:-2] + (arr.shape[-2] + 2, arr.shape[-1]), dtype=complex)
     if raising:
         out[..., 2:, :] = apply_stack_per_channel(st.raising, arr)

@@ -138,7 +138,7 @@ def test_disk_inner_matches_three_operand_einsum(cfg_small):
     v = random_smooth_vector(cfg_small, rng, real=False)
     for a, b in zip(u.coeffs, v.coeffs):
         got = _disk_inner_per_n(t, a, b)
-        want = oracles.disk_inner_einsum(t.stacks(cfg_small.n_theta).gram, a, b)
+        want = oracles.disk_inner_einsum(t.stacks(-cfg_small.n_theta, cfg_small.n_theta).gram, a, b)
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 

@@ -147,6 +147,23 @@ def test_one_dirichlet_solve_per_abs_n(cfg_small, monkeypatch):
         assert sorted(calls) == list(range(cfg_small.n_z + 1))
 
 
+def test_project_p_residual_is_computed_when_read(ws_small, monkeypatch):
+    u = random_smooth_vector(ws_small.config, stream(35, "tests"), real=False)
+    _, _, want = oracles.project_P_per_slice(ws_small, u)
+
+    def refuse(*args):
+        raise AssertionError("residual computed before it was read")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(helmholtz, "norm_L2", refuse)
+        patch.setattr(helmholtz, "grad", refuse)
+        d = js.project_P(ws_small, u)
+    # the residual belongs to the input at the call, not to later edits of it
+    u.coeffs[:] = 0.0
+    assert abs(d.residual - want) < REF
+    assert d.residual == js.project_P(ws_small, d.source).residual
+
+
 def _calls(ws, v):
     """Every entry point, given v as its velocity, forcing, field or trace."""
     own = zeros_vector(ws.config)

@@ -36,7 +36,7 @@ def _close(got, want):
 @pytest.mark.parametrize("lead", LEADS, ids=str)
 @pytest.mark.parametrize("name", ["raising", "lap", "resample", "gram"])
 def test_apply_stack_matches_per_channel(ws_small, name, lead, complex_values):
-    st = getattr(ws_small.tables.stacks(4), name)
+    st = getattr(ws_small.tables.stacks(-4, 4), name)
     arr = _random(stream(91, "tests"), lead + (st.shape[0], st.shape[2]), complex_values)
     got = apply_stack(st, arr)
     want = oracles.apply_stack_per_channel(st, arr)

@@ -14,6 +14,7 @@ from jetstokes.fields import (
     zeros_vector,
 )
 from jetstokes import stokesop
+from jetstokes.discretization import RadialTables
 from jetstokes.rng import stream
 from jetstokes.stokesop import (
     _apply_A_slice,
@@ -209,17 +210,135 @@ def test_mode_operator_caches_no_dense_block(cfg_small):
         assert max(a.size for a in _cached_arrays(op)) < k * k
 
 
-def test_mirror_sectors_share_their_spectra(ws_small):
-    for n in range(ws_small.config.n_z + 1):
-        op = js.mode_operator(ws_small, n)
+def _full_columns(cfg, s):
+    """A sector's columns as full Cartesian slices in (component, m, r) order."""
+    out = np.zeros((3 * cfg.n_modes_theta * cfg.n_r, s.coef.shape[1]), dtype=complex)
+    out[s.rows] = s.coef
+    return out
+
+
+def _direct_columns(ws, n, j):
+    """Sector j of mode n built directly, as full Cartesian columns, and its info."""
+    cfg = ws.config
+    null, info = stokesop.build_constrained_basis(ws, n, j)
+    out = np.zeros((3 * cfg.n_modes_theta * cfg.n_r, null.shape[1]), dtype=complex)
+    out[stokesop._window_rows(cfg, *info["window"])] = null
+    return out, info
+
+
+@pytest.mark.parametrize("ws_name", ["ws_small", "ws_medium"])
+def test_mirrored_sectors_match_direct_builds(ws_name, request):
+    # set-up builds j >= 0 and mirrors them; sector -j built directly must
+    # span the same space with the same pencil spectrum
+    ws = request.getfixturevalue(ws_name)
+    cfg = ws.config
+    for n in range(3):
+        op = js.mode_operator(ws, n)
         w = op.eigen[0]
-        by_j = {info["j"]: s for s, info in zip(op.sectors, op.info["sectors"])}
-        assert set(by_j) == {-j for j in by_j}
-        for j, s in by_j.items():
-            mirror = by_j[-j]
-            assert s.cols.size == mirror.cols.size
-            gap = np.max(np.abs(np.sort(w[s.cols]) - np.sort(w[mirror.cols])))
-            assert gap <= 1e-12 * w[-1]
+        mirrored = [(s, i) for s, i in zip(op.sectors, op.info["sectors"]) if "mirror_of" in i]
+        built = [i["j"] for i in op.info["sectors"] if "mirror_of" not in i]
+        assert sorted(-i["j"] for _, i in mirrored) == [j for j in built if j > 0]
+        for s, info in mirrored:
+            j = info["j"]
+            assert info["mirror_of"] == -j
+            direct, dinfo = _direct_columns(ws, n, j)
+            assert direct.shape[1] == s.cols.size
+            nk = len(dinfo.get("kernel_columns", ()))
+            assert s.nk == nk
+            m, g = oracles.pencil_all_channels(ws, n, direct)
+            wd = scipy.linalg.eigh(g[nk:, nk:], m[nk:, nk:], eigvals_only=True)
+            assert np.max(np.abs(wd - w[s.cols[nk:]])) <= 1e-12 * w[-1]
+            # both sets meet sector -j's stacked div/traction/pole rows to
+            # roundoff of the same rows
+            cmat, embed = oracles.sector_constraints_all_channels(ws, n, j)
+
+            def worst(cols):
+                res = np.linalg.norm(cmat @ (embed.conj().T @ cols), axis=0)
+                return np.max(res / np.linalg.norm(cols, axis=0))
+
+            mirror = _full_columns(cfg, s)
+            assert worst(mirror) <= 2.0 * worst(direct) + 1e-14
+            q, _ = np.linalg.qr(direct)
+            leak = mirror - q @ (q.conj().T @ mirror)
+            assert np.linalg.norm(leak) < 1e-10 * np.linalg.norm(mirror)
+
+
+def test_mirrored_kernel_column_is_checked(cfg_small, monkeypatch):
+    # a mirror that forgets the sign of u_y maps e1 + i e2 onto itself, not
+    # onto e1 - i e2, and mode 0's set-up must refuse it
+    mirror = stokesop._mirror_sector
+    shape = (3, cfg_small.n_modes_theta, cfg_small.n_r)
+
+    def unsigned(cfg, s, info):
+        out, rec = mirror(cfg, s, info)
+        out.coef[np.unravel_index(out.rows, shape)[0] == 1] *= -1.0
+        return out, rec
+
+    monkeypatch.setattr(stokesop, "_mirror_sector", unsigned)
+    with pytest.raises(RuntimeError, match="mirrored sector -1"):
+        assemble_A(js.Workspace(cfg_small), 0)
+    assemble_A(js.Workspace(cfg_small), 1)
+
+
+def test_set_up_builds_nonnegative_sectors_on_their_windows(cfg_small, monkeypatch):
+    ws = js.Workspace(cfg_small)
+    calls, ranges, eighs = [], [], []
+    build = stokesop.build_constrained_basis
+    stacks = RadialTables.stacks
+    eigh = scipy.linalg.eigh
+
+    def counted_build(ws_, n, j):
+        calls.append((n, j))
+        return build(ws_, n, j)
+
+    def recorded_stacks(self, lo, hi):
+        ranges.append((lo, hi))
+        return stacks(self, lo, hi)
+
+    def counted_eigh(*args, **kwargs):
+        eighs.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(stokesop, "build_constrained_basis", counted_build)
+    monkeypatch.setattr(RadialTables, "stacks", recorded_stacks)
+    monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+    for n in range(cfg_small.n_z + 1):
+        js.mode_operator(ws, n)
+    nt = cfg_small.n_theta
+    assert calls == [(n, j) for n in range(cfg_small.n_z + 1) for j in range(nt + 2)]
+    assert len(eighs) <= (cfg_small.n_z + 1) * (nt + 2)
+    # each kernel ran on a sector window [j - 1, j + 1], j >= 0, widened by
+    # at most one channel on each side for the strain entries; sector -1's
+    # window [-2, 0] is read once at mode 0 for its kernel check
+    assert ranges
+    assert all(hi - lo <= 4 and lo >= -2 for lo, hi in ranges)
+
+
+@pytest.mark.parametrize("ws_name", ["ws_small", "ws_medium"])
+def test_windowed_sectors_match_all_channel_reference(ws_name, request):
+    ws = request.getfixturevalue(ws_name)
+    cfg = ws.config
+    for n in range(cfg.n_z + 1):
+        # the windowed constraint SVD keeps the same rows and rank
+        for j in range(-cfg.n_theta - 1, cfg.n_theta + 2):
+            _, info = stokesop.build_constrained_basis(ws, n, j)
+            _, kept, rank = oracles.sector_nullspace_all_channels(ws, n, j)
+            assert (info["rows_kept"], info["rank"]) == (kept, rank)
+        op = js.mode_operator(ws, n)
+        w = op.eigen[0]
+        for s, info in zip(op.sectors, op.info["sectors"]):
+            m, g = oracles.pencil_all_channels(ws, n, _full_columns(cfg, s))
+            assert np.max(np.abs(m - s.M)) <= 1e-12 * np.max(np.abs(m))
+            assert np.max(np.abs(g - s.G)) <= 1e-12 * np.max(np.abs(g))
+            null, _, _ = oracles.sector_nullspace_all_channels(ws, n, info["j"])
+            mo, go = oracles.pencil_all_channels(ws, n, null)
+            wo = scipy.linalg.eigh(go, mo, eigvals_only=True)
+            assert np.max(np.abs(wo - np.sort(w[s.cols]))) <= 1e-12 * w[-1]
+        null = oracles.dense_constrained_nullspace(ws, n)
+        assert null.shape[1] == w.size
+        basis = op.basis
+        leak = basis - null @ (null.conj().T @ basis)
+        assert np.linalg.norm(leak) < 1e-10 * np.linalg.norm(basis)
 
 
 def test_mass_matrix_matches_inner_product(ws_small):
