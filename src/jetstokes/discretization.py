@@ -13,6 +13,7 @@ Node 0 of a stored profile sits exactly at r = kappa, so boundary traces and
 boundary condition rows always address index 0.
 """
 
+import collections
 import functools
 
 import numpy as np
@@ -109,18 +110,24 @@ def apply_stack(stack, arr):
     return _channels_last(y, arr.shape[:-2])
 
 
-class _ChannelStacks:
-    """Per-channel operator stacks for the azimuthal modes m = lo..hi."""
+def band_views(cached, lo, hi, build):
+    """Channels lo..hi of a stack kept on the widest symmetric band asked for.
 
-    __slots__ = ("ms", "raising", "lowering", "lap", "resample", "gram")
+    cached is None or (band, arrays), where build(band) made the arrays on
+    the channels -band..band, one channel per leading index. A range outside
+    the cached band builds a wider stack in its place.
 
-    def __init__(self, ms, raising, lowering, lap, resample, gram):
-        self.ms = ms
-        self.raising = raising
-        self.lowering = lowering
-        self.lap = lap
-        self.resample = resample
-        self.gram = gram
+    Returns (cached, views): the pair to keep and the arrays' channels lo..hi.
+    """
+    band = max(-lo, hi)
+    if cached is None or cached[0] < band:
+        cached = (band, build(band))
+    cut = slice(lo + cached[0], hi + cached[0] + 1)
+    return cached, tuple(a[cut] for a in cached[1])
+
+
+# per-channel operator stacks for the azimuthal modes m = lo..hi
+_ChannelStacks = collections.namedtuple("_ChannelStacks", "ms raising lowering lap resample gram")
 
 
 class RadialTables:
@@ -166,7 +173,7 @@ class RadialTables:
         for p in (1, -1):
             g = self._resample[p].T @ (self.w_quad[:, None] * self._resample[p])
             self._gram[p] = 0.5 * (g + g.T)
-        self._stacks = {}
+        self._full, self._stacks = None, {}
 
     def ddr(self, parity):
         return self._d1[parity]
@@ -213,12 +220,20 @@ class RadialTables:
         """Operator stacks for the contiguous channels m = lo..hi (cached).
 
         A field on the symmetric band b asks for (-b, b); an angular-momentum
-        sector asks for its own channel window.
+        sector asks for its own channel window. Every range is a view of one
+        set of stacks (see band_views).
         """
         got = self._stacks.get((lo, hi))
-        if got is not None:
-            return got
-        ms = np.arange(lo, hi + 1)
+        if got is None:
+            full, views = band_views(self._full, lo, hi, self._band_stacks)
+            if full is not self._full:
+                # views already handed out stay valid; only the new ones are kept
+                self._full, self._stacks = full, {}
+            got = self._stacks[(lo, hi)] = _ChannelStacks(*views)
+        return got
+
+    def _band_stacks(self, band):
+        ms = np.arange(-band, band + 1)
         nr = self.n_r
         nm = ms.size
         raising = np.empty((nm, nr, nr))
@@ -235,9 +250,7 @@ class RadialTables:
             lap[im] = self.lap2d(abs(int(m)))
             resample[im] = self._resample[p]
             gram[im] = self._gram[p]
-        out = _ChannelStacks(ms, raising, lowering, lap, resample, gram)
-        self._stacks[(lo, hi)] = out
-        return out
+        return ms, raising, lowering, lap, resample, gram
 
 
 @functools.lru_cache(maxsize=None)

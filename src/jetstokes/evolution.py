@@ -34,7 +34,7 @@ import numpy as np
 
 from .fields import VectorField, norm_L2, trace_norm_L2, trace_SF, zeros_vector
 from .fields import grad, inner_product_Hkp
-from .helmholtz import operator_Q, project_P
+from .helmholtz import _require_config, operator_Q, project_P
 from .stokesop import expand_slice, mode_operator, project_constrained, reduce_slice
 
 SCHEMES = ("implicit-euler", "crank-nicolson")
@@ -43,6 +43,11 @@ SCHEMES = ("implicit-euler", "crank-nicolson")
 # reductions, residual products, energies and snapshot expansions run once
 # per block, so transient memory is bounded by the block, not the run
 STEP_BLOCK = 16
+
+
+def _off_grid(steps, dt, t_final):
+    """Whether t_final differs from steps * dt by more than 1e-9 * max(t_final, 1)."""
+    return abs(steps * dt - t_final) > 1e-9 * max(t_final, 1.0)
 
 
 @dataclasses.dataclass
@@ -116,7 +121,7 @@ def evolve(ws, evo):
     steps = max(int(round(evo.t_final / evo.dt)), 1)
     dt = evo.dt
     warnings = []
-    if abs(steps * dt - evo.t_final) > 1e-9 * max(evo.t_final, 1.0):
+    if _off_grid(steps, dt, evo.t_final):
         warnings.append(
             "horizon adjusted to %d steps of dt=%g (t_final=%g)"
             % (steps, dt, evo.t_final)
@@ -317,7 +322,9 @@ def estimate_report(ws, fields, pressures, forcings, dt, t_final):
 
     Args:
         fields, pressures, forcings: aligned lists over the time grid,
-        starting at t = 0; forcings may be None for homogeneous runs.
+        starting at t = 0, all on ws.config; forcings may be None for
+        homogeneous runs. The k steps of dt must reach t_final to the
+        tolerance evolve accepts (ValueError otherwise).
 
     Returns:
         dict {ratio, surrogate_terms, T, dt}; ratio is 0.0 when the
@@ -330,6 +337,13 @@ def estimate_report(ws, fields, pressures, forcings, dt, t_final):
         raise ValueError("pressures must align with fields")
     if forcings is not None and len(forcings) != len(fields):
         raise ValueError("forcings must align with fields")
+    if _off_grid(k_steps, dt, t_final):
+        raise ValueError(
+            "estimate_report: t_final=%g is not the %d steps of dt=%g" % (t_final, k_steps, dt)
+        )
+    for role, items in (("field", fields), ("pressure", pressures), ("forcing", forcings or ())):
+        for item in items:
+            _require_config(ws, item, "estimate_report: " + role)
     s_h2 = 0.0
     s_dv = 0.0
     s_gq = 0.0
@@ -339,7 +353,7 @@ def estimate_report(ws, fields, pressures, forcings, dt, t_final):
         v = fields[k]
         q = pressures[k]
         s_h2 += dt * inner_product_Hkp(v, v, 2).real
-        s_dv += dt * (norm_L2(fields[k] - fields[k - 1]) / dt) ** 2
+        s_dv += dt * (norm_L2(v - fields[k - 1]) / dt) ** 2
         s_gq += dt * norm_L2(grad(q)) ** 2
         s_qt += dt * trace_norm_L2(trace_SF(q)) ** 2
         if forcings is not None:

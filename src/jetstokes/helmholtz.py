@@ -10,7 +10,7 @@ forcing's zero-trace potential.
 
 Each entry point forms its right-hand sides and surface data for all axial
 slices at once and makes one Dirichlet solve per |n|: modes n and -n share
-the cached (|n|, band) inverse stack, so both ride on the leading axis of
+the cached inverse stack of their band, so both ride on the leading axis of
 one laplace_solve_channels call.
 
 Azimuthal bands: div(u) lives one band above u and q inherits that band;
@@ -77,7 +77,7 @@ def _solve_per_abs_n(ws, rhs, surface=None):
     """Dirichlet solves of all axial slices, one call per |n|.
 
     rhs (n_modes_z, n_m, n_r) and surface (n_modes_z, n_m) are indexed by
-    n + n_z. Modes n and -n share the cached (|n|, band) stack, so they are
+    n + n_z. Modes n and -n share the cached stack of their band, so they are
     stacked on the leading axis of one laplace_solve_channels call.
     """
     n_z = ws.config.n_z
@@ -116,7 +116,7 @@ def project_P(ws, u):
     return DecompositionResult(sol, pot, u.copy())
 
 
-def _surface_datum(t, mu, varr):
+def _surface_datum(t, mu, varr, lo=None):
     """Q's surface datum for slices varr (..., 3, n_m, n_r), shape (..., n_m + 2).
 
     With e = grad v + grad v^T, mu/kappa^2 (x^2 e11 + 2xy e12 + y^2 e22) is
@@ -124,8 +124,9 @@ def _surface_datum(t, mu, varr):
     e^{-i theta} (v1 + i v2). So channel m of the datum, on band + 1, is mu
     times d_r (v1 - i v2) from channel m - 1 plus d_r (v1 + i v2) from m + 1,
     each read from row 0 (node 0 is r = kappa) of its channel's derivative.
+    lo is the channel of varr's index 0 (fields._stacks).
     """
-    ms = _stacks(t, varr).ms
+    ms = _stacks(t, varr, lo).ms
     d0 = np.where(ms[:, None] % 2 == 0, t.ddr(1)[0], t.ddr(-1)[0])
     dr = np.einsum("mi,...cmi->...cm", d0, varr[..., :2, :, :])
     out = np.zeros(dr.shape[:-2] + (ms.size + 2,), dtype=complex)
@@ -135,29 +136,31 @@ def _surface_datum(t, mu, varr):
     return out
 
 
-def _q_data(t, cfg, varr, beta, farr=None):
-    """Right-hand side and surface data of the pressure solve, on band + 1.
+def _q_data(t, cfg, varr, beta, farr=None, lo=None):
+    """Right-hand side and surface data of the pressure solve, one channel wider.
 
-    varr (..., 3, n_m, n_r) holds velocity slices and beta their axial
-    wavenumbers, a scalar or an array broadcasting with the slice axes. A
-    forcing farr of the same shape adds its zero-trace potential,
-    laplacian(phi) = div(farr), through the same solve: the channels are
-    independent, so div(farr) is the right-hand side.
+    varr (..., 3, n_m, n_r) holds velocity slices on the channels lo..hi
+    (the symmetric band by default) and beta their axial wavenumbers, a
+    scalar or an array broadcasting with the slice axes. A forcing farr of
+    the same shape adds its zero-trace potential, laplacian(phi) =
+    div(farr), through the same solve: the channels are independent, so
+    div(farr) is the right-hand side.
     """
-    surface = _surface_datum(t, cfg.mu, varr)
+    surface = _surface_datum(t, cfg.mu, varr, lo)
     if farr is None:
         return np.zeros(surface.shape + varr.shape[-1:], dtype=complex), surface
-    return _div_slice(t, farr, beta), surface
+    return _div_slice(t, farr, beta, lo), surface
 
 
-def _q_slice(ws, n, varr, out_band, farr=None):
-    """Surface pressure potential of one axial slice at mode n, on band out_band.
+def _q_slice(ws, n, varr, farr=None, lo=None):
+    """Surface pressure potential of one axial slice at mode n, one channel wider.
 
-    varr (..., 3, n_m, n_r); the potential occupies band + 1. farr adds the
-    forcing's zero-trace potential as in _q_data.
+    varr (..., 3, n_m, n_r) on the channels lo..hi, the symmetric band by
+    default; the potential occupies lo - 1..hi + 1. farr adds the forcing's
+    zero-trace potential as in _q_data.
     """
-    rhs, surface = _q_data(ws.tables, ws.config, varr, ws.config.beta(n), farr)
-    return _truncate(laplace_solve_channels(ws, n, rhs, surface), out_band)
+    rhs, surface = _q_data(ws.tables, ws.config, varr, ws.config.beta(n), farr, lo)
+    return laplace_solve_channels(ws, n, rhs, surface, None if lo is None else lo - 1)
 
 
 def operator_Q(ws, v, f=None):

@@ -4,56 +4,61 @@ At axial mode n the Laplacian acts on an azimuthal channel m as
 lap2d(|m|) - beta^2 with beta = 2*pi*n/ell. Dirichlet problems on the free
 surface are solved by direct collocation: the operator matrix of a
 channel is L = -lap2d(|m|) + beta^2 with the boundary row replaced by the
-identity. The matrices of all channels of a band form one stack, inverted
-once per (|n|, band) and cached in the workspace, so one batched matrix
-product serves every channel and right-hand side. Solves apply one step of
-iterative refinement, which pushes relative residuals to the order of
-machine epsilon times the interpolation constant even though L itself is
-badly conditioned at fine grids.
+identity. The matrices of the channels of a band form one stack, inverted
+once per |n| and cached in the workspace; a contiguous channel range lo..hi
+is a view of it, so one batched matrix product serves every channel and
+right-hand side. Solves apply one step of iterative refinement, which
+pushes relative residuals to the order of machine epsilon times the
+interpolation constant even though L itself is badly conditioned at fine
+grids.
 """
 
 import numpy as np
 
-from .discretization import _channels_first, _channels_last, apply_stack
+from .discretization import _channels_first, _channels_last, apply_stack, band_views
 from .fields import _band, zeros_scalar
 
 # relative interior residual bound of solve_mode_dirichlet
 SOLVER_TOL = 1e-10
 
 
-def _dirichlet_stack(ws, n, band):
-    """Cached (matrices, inverses) of the channels m = -band..band at mode |n|.
+def _dirichlet_stack(ws, n, lo, hi):
+    """(matrices, inverses) of the channels m = lo..hi at mode |n|.
 
-    The matrices are checked for finite values once, here, so the solves
-    are plain batched products.
+    One stack per |n| is cached and every range is a view of it (see
+    band_views). The matrices are checked for finite values once, when
+    built, so the solves are plain batched products.
     """
-    key = (abs(int(n)), int(band))
-    got = ws.radial_ops.get(key)
-    if got is None:
-        beta = ws.config.beta(key[0])
+    a = abs(int(n))
+
+    def build(band):
+        beta = ws.config.beta(a)
         mat = beta * beta * np.eye(ws.config.n_r) - ws.tables.stacks(-band, band).lap
         mat[:, 0, :] = 0.0
         mat[:, 0, 0] = 1.0
         if not np.all(np.isfinite(mat)):
-            raise ValueError("modesolve: non-finite Dirichlet matrix at mode %d" % key[0])
-        got = ws.radial_ops[key] = (mat, np.linalg.inv(mat))
-    return got
+            raise ValueError("modesolve: non-finite Dirichlet matrix at mode %d" % a)
+        return mat, np.linalg.inv(mat)
+
+    ws.radial_ops[a], views = band_views(ws.radial_ops.get(a), lo, hi, build)
+    return views
 
 
-def laplace_solve_channels(ws, n, f_arr, bc_arr=None):
+def laplace_solve_channels(ws, n, f_arr, bc_arr=None, lo=None):
     """Solve laplacian(u) = f at axial mode n with Dirichlet surface data.
 
     Args:
         ws: Workspace.
-        f_arr: right-hand side, complex (..., n_channels, n_r) on any
-            azimuthal band.
+        f_arr: right-hand side, complex (..., n_channels, n_r) on the
+            channels lo..hi, the symmetric band -b..b when lo is omitted.
         bc_arr: surface values (..., n_channels); zeros when omitted.
 
     Returns:
         u with the same shape as f_arr, solved for all channels at once
         with one iterative refinement pass.
     """
-    mat, inv = _dirichlet_stack(ws, n, _band(f_arr))
+    lo = -_band(f_arr) if lo is None else lo
+    mat, inv = _dirichlet_stack(ws, n, lo, lo + f_arr.shape[-2] - 1)
     # channels lead and right-hand sides trail: (n_channels, n_r, k)
     b = np.negative(_channels_first(f_arr, complex))
     b[:, 0, :] = 0.0 if bc_arr is None else bc_arr.reshape(-1, b.shape[0]).T
@@ -93,7 +98,7 @@ def dirichlet_residual(ws, n, f, u):
     """Relative interior collocation residual of laplacian(u) = f at mode n."""
     cfg = ws.config
     i_n = cfg.n_z + n
-    mat, _ = _dirichlet_stack(ws, n, cfg.n_theta)
+    mat, _ = _dirichlet_stack(ws, n, -cfg.n_theta, cfg.n_theta)
     b = -f.coeffs[i_n]
     r = apply_stack(mat, u.coeffs[i_n]) - b
     num = float(np.sum(np.abs(r[:, 1:]) ** 2))

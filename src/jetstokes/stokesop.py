@@ -30,8 +30,10 @@ to measure residuals against. The strong operator
 
 commutes with rotations about the axis, so it maps each sector into
 itself. Its per-sector blocks A[i, c] = (A b_c, b_i) are assembled on
-first use only, together with the part of A b that leaves the sector (an
-exact zero, measured in roundoff); criterion checks compare them with G.
+first use only, on each sector's reach (its window plus the two channels
+A adds on each side), together with the part of A b that leaves the
+sector (an exact zero, measured in roundoff); criterion checks compare
+them with G.
 
 Mode n = 0 receives special treatment: the kernel fields e1 + i e2
 (sector 1), e1 - i e2 (sector -1), e3 and the rigid rotation (sector 0)
@@ -44,13 +46,13 @@ eigenvectors, which are nonnegative by construction.
 
 Negative modes are never assembled, and negative sectors are never built.
 Coefficients of mode -n are conjugate m-reversals of mode +n quantities:
-reduce_slice / expand_slice flip the field slice, so mode -n uses mode-|n|
-coordinates everywhere else. Within a mode, the mirror theta -> -theta
-with u_y -> -u_y sends channel m to -m and negates the y component; it
-commutes with every constraint and with both forms and maps sector j onto
-sector -j. So only j = 0..n_theta+1 are built, and sector -j is stored as
-the mirror image of sector j (_mirror_sector), with the same blocks and
-eigenvalues.
+reduce_slice / expand_slice flip the field slice (_conj_flip), so mode -n
+uses mode-|n| coordinates everywhere else. Within a mode, the mirror
+theta -> -theta with u_y -> -u_y sends channel m to -m and negates the y
+component (_mirror_rows); it commutes with every constraint and with both
+forms and maps sector j onto sector -j. So only j = 0..n_theta+1 are built.
+Sector -j is a view of sector j: it shares its rows, coefficients, blocks
+and eigenvalues, and every reader takes its fields through the mirror.
 """
 
 import dataclasses
@@ -63,12 +65,10 @@ import scipy.linalg
 from .discretization import apply_stack
 from .fields import (
     _axial_factors,
-    _band,
     _div_slice,
     _dxy,
     _pad,
     _stacks,
-    _truncate,
     constant_vector,
     norm_L2,
     random_smooth_vector,
@@ -99,9 +99,14 @@ class Sector:
     at m = j +- 1, z at m = j), cols the positions of its coordinates in
     the mode's ascending order, coef its eigenvector fields on those rows,
     M ~ I and G ~ diag(w) its pencil blocks, and nk its number of leading
-    kernel columns. A is its strong block and leak the relative norm of
-    A b outside the sector's unit embedding; both stay None until
-    ModeOperator.assemble_strong fills them.
+    kernel columns. info is its basis record (build_constrained_basis),
+    with its j and channel window. A is its strong block and leak the
+    relative norm of A b outside the sector's unit embedding; both stay
+    None until ModeOperator.assemble_strong fills them.
+
+    A mirrored sector -j names its source sector j in mirror_of and shares
+    that sector's rows, coef, M, G and nk: its fields are the _mirror_rows
+    image of the source's. Only cols and info are its own.
     """
 
     rows: np.ndarray
@@ -110,6 +115,8 @@ class Sector:
     M: np.ndarray
     G: np.ndarray
     nk: int
+    info: dict
+    mirror_of: "Sector" = None
     A: np.ndarray = None
     leak: float = None
 
@@ -122,19 +129,17 @@ class ModeOperator:
     -n slice these are the mode-n coordinates of its conjugate m-reversal
     (see reduce_slice). eigen is (w, residual) with the ascending
     eigenvalues and each pair's pencil residual ||G e_i - w_i M e_i|| /
-    sqrt(M_ii). info holds the per-sector basis records and the smallest
-    kept / largest dropped singular value over the sectors. ws is a weak
-    reference to the owning Workspace, so the cache holds no reference
-    cycle. basis, M_block, G_block and A_block are dense views built on
-    each read for checks and export; no solve reads them, and basis and
-    the first strong read need that workspace alive.
+    sqrt(M_ii); each sector keeps its own basis record in Sector.info. ws
+    is a weak reference to the owning Workspace, so the cache holds no
+    reference cycle. basis, M_block, G_block and A_block are dense views
+    built on each read for checks and export; no solve reads them, and
+    basis and the first strong read need that workspace alive.
     """
 
     n: int
     sectors: tuple
     eigen: tuple
     kernel_columns: tuple
-    info: dict
     ws: object = dataclasses.field(repr=False, compare=False)
 
     def apply(self, name, y):
@@ -152,37 +157,38 @@ class ModeOperator:
     def assemble_strong(self):
         """Strong block of each sector on first call; returns the largest leak.
 
-        A is applied to the sector's own columns only: the block is
-        coef^H (W A b) on the sector's rows, and the leak is the relative
-        Euclidean norm of A b outside the sector's unit embedding, which
-        bounds every off-sector entry of (A b_c, b_i).
+        A is applied to each built sector's columns on its reach, the window
+        [lo - 2, hi + 2] clipped to the band, which holds all of A b: the
+        block is coef^H (W A b) on the sector's rows, and the leak is the
+        relative Euclidean norm of A b outside the sector's unit embedding,
+        which bounds every off-sector entry of (A b_c, b_i). A mirrored
+        sector takes its source's block and leak.
         """
         ws = self.ws()
         cfg = ws.config
-        shape = (3, cfg.n_modes_theta, cfg.n_r)
-        by_j = {info["j"]: s for s, info in zip(self.sectors, self.info["sectors"])}
-        # built sectors first: a mirrored one takes its source's block
-        pairs = sorted(zip(self.sectors, self.info["sectors"]), key=lambda p: "mirror_of" in p[1])
-        for s, info in pairs:
-            if s.A is not None:
+        # widest reach first, so each cached stack is built once on its band
+        for s in reversed(self.sectors):
+            if s.A is not None or s.mirror_of is not None:
                 continue
-            if "mirror_of" in info:
-                src = by_j[info["mirror_of"]]
-                s.A, s.leak = src.A, src.leak
-                continue
-            barr = np.zeros((s.cols.size, math.prod(shape)), dtype=complex)
-            barr[:, s.rows] = s.coef.T
-            ab = _apply_A_slice(ws, self.n, barr.reshape(-1, *shape))
-            wab = _apply_weight(ws.tables, cfg.ell, ab).reshape(s.cols.size, -1)
-            s.A = s.coef.conj().T @ wab[:, s.rows].T
+            lo, hi = s.info["window"]
+            rlo, rhi = max(lo - 2, -cfg.n_theta), min(hi + 2, cfg.n_theta)
+            reach = _window_rows(cfg, rlo, rhi)
+            rows = np.searchsorted(reach, s.rows)
+            barr = np.zeros((s.cols.size, reach.size), dtype=complex)
+            barr[:, rows] = s.coef.T
+            ab = _apply_A_slice(ws, self.n, barr.reshape(-1, 3, rhi - rlo + 1, cfg.n_r), rlo)
+            wab = _apply_weight(ws.tables, cfg.ell, ab, rlo).reshape(s.cols.size, -1)
+            s.A = s.coef.conj().T @ wab[:, rows].T
             ab = ab.reshape(s.cols.size, -1)
             total = np.linalg.norm(ab)
             # the unit embedding lives on the sector's window
-            units = _sector_units(cfg, info["j"])[0]
-            units = units.reshape(units.shape[0], -1)
-            wrows = _window_rows(cfg, *info["window"])
+            wrows = np.searchsorted(reach, _window_rows(cfg, lo, hi))
+            units = _sector_units(cfg, s.info["j"])[0].reshape(-1, wrows.size)
             ab[:, wrows] -= (ab[:, wrows] @ units.conj().T) @ units
             s.leak = float(np.linalg.norm(ab) / total)
+        for s in self.sectors:
+            if s.mirror_of is not None:
+                s.A, s.leak = s.mirror_of.A, s.mirror_of.leak
         return max(s.leak for s in self.sectors)
 
     @property
@@ -197,14 +203,25 @@ class ModeOperator:
     def A_block(self):
         return self.apply("A", np.eye(self.eigen[0].size))
 
+    def synthesize(self, y):
+        """Flat Cartesian slices (3 * n_m * n_r, k) of coordinates y (dim, k).
+
+        The mirrored sectors sum on their sources' rows first; mirroring
+        that sum puts them in place, and the built sectors add onto it.
+        """
+        cfg = self.ws().config
+        v = np.zeros((3 * cfg.n_modes_theta * cfg.n_r, y.shape[1]), dtype=complex)
+        for mirrored in (True, False):
+            for s in self.sectors:
+                if (s.mirror_of is not None) is mirrored:
+                    v[s.rows] += s.coef @ y[s.cols]
+            v = _mirror_rows(cfg, v) if mirrored else v
+        return v
+
     @property
     def basis(self):
         """Eigenvector fields as Cartesian columns in (component, m, r) order."""
-        cfg = self.ws().config
-        out = np.zeros((3 * cfg.n_modes_theta * cfg.n_r, self.eigen[0].size), dtype=complex)
-        for s in self.sectors:
-            out[s.rows[:, None], s.cols] = s.coef
-        return out
+        return self.synthesize(np.eye(self.eigen[0].size))
 
 
 # ---------------------------------------------------------------------------
@@ -478,53 +495,29 @@ def build_constrained_basis(ws, n, j):
     return np.concatenate([kern, comp - kern @ (wkern.conj().T @ comp)], axis=1), info
 
 
-def _mirror_sector(cfg, s, info):
-    """Sector -j of a built sector j, by the mirror theta -> -theta, u_y -> -u_y.
-
-    The mirror sends channel m to -m and flips the sign of the y
-    component, so u+ at m = j + 1 becomes u- at -(j + 1): it maps sector j
-    onto sector -j of the same mode. On the flat Cartesian rows it is a
-    signed permutation that commutes with every constraint, with the L^2
-    weight and with the dissipation form, so the mirrored columns span
-    sector -j and share M, G, the eigenvalues and the kernel count nk.
-
-    Returns (Sector, info) with rows re-sorted, coef permuted and its y
-    rows negated; info is the source record with j and the window negated
-    and "mirror_of" naming the source sector.
-    """
-    shape = (3, cfg.n_modes_theta, cfg.n_r)
-    c, im, r = np.unravel_index(s.rows, shape)
-    rows = np.ravel_multi_index((c, shape[1] - 1 - im, r), shape)
-    order = np.argsort(rows)
-    coef = s.coef[order]
-    coef[c[order] == 1] *= -1.0
-    lo, hi = info["window"]
-    mirror = dict(info, j=-info["j"], window=(-hi, -lo), mirror_of=info["j"])
-    return Sector(rows[order], None, coef, s.M, s.G, s.nk), mirror
-
-
 # ---------------------------------------------------------------------------
 # strong application and assembly
 
 
-def _apply_A_slice(ws, n, varr):
+def _apply_A_slice(ws, n, varr, lo=None):
     """Strong operator A = -mu P laplacian + grad Q on one axial slice.
 
-    varr (..., 3, n_m, n_r) -> same shape, truncated to the input band.
+    varr (..., 3, n_m, n_r) on the channels lo..hi, the symmetric band by
+    default -> same shape, truncated to those channels.
     """
     t = ws.tables
     cfg = ws.config
-    band = _band(varr)
     beta = cfg.beta(n)
-    lap = apply_stack(_stacks(t, varr).lap, varr) - beta * beta * varr
+    lap = apply_stack(_stacks(t, varr, lo).lap, varr) - beta * beta * varr
     # -mu P lap v = -mu lap v + mu grad(phi) with laplacian(phi) = div lap v,
-    # so one solve with forcing mu lap v yields the whole pressure Q v + mu phi
-    qb = _q_slice(ws, n, varr, band + 1, cfg.mu * lap)
+    # so one solve with forcing mu lap v yields the whole pressure Q v + mu phi,
+    # one channel wider on each side, and its gradient two
+    qb = _q_slice(ws, n, varr, cfg.mu * lap, lo)
     out = -cfg.mu * lap
-    gx, gy = _dxy(t, qb)
-    out[..., 0, :, :] += _truncate(gx, band)
-    out[..., 1, :, :] += _truncate(gy, band)
-    out[..., 2, :, :] += 1j * beta * _truncate(qb, band)
+    gx, gy = _dxy(t, qb, None if lo is None else lo - 1)
+    out[..., 0, :, :] += gx[..., 2:-2, :]
+    out[..., 1, :, :] += gy[..., 2:-2, :]
+    out[..., 2, :, :] += 1j * beta * qb[..., 1:-1, :]
     return out
 
 
@@ -533,10 +526,11 @@ def assemble_A(ws, n):
 
     Only the sectors j = 0..n_theta+1 are built: each gets its own
     constrained basis, its own M and G samples and a pencil eigh on its
-    non-kernel columns, all on its channel window. Sector -j is the image
-    of sector j under the mirror (_mirror_sector) and shares its blocks
-    and eigenvalues. The eigenvalues of all sectors are ranked in
-    ascending order, and each sector records the positions of its own.
+    non-kernel columns, all on its channel window. Sector -j is a view of
+    sector j read through the mirror (_mirror_rows): it shares sector j's
+    arrays and eigenvalues, and its record negates j and the window. The
+    eigenvalues of all sectors are ranked in ascending order, and each
+    sector records the positions of its own.
     Returns a ModeOperator; use mode_operator for the cached accessor.
 
     Raises:
@@ -547,7 +541,7 @@ def assemble_A(ws, n):
     t = ws.tables
     nr = cfg.n_r
     beta = cfg.beta(n)
-    built = []
+    half = []
     for j in range(cfg.n_theta + 2):
         null, info = build_constrained_basis(ws, n, j)
         k = null.shape[1]
@@ -575,26 +569,26 @@ def assemble_A(ws, n):
         vh = v.conj().T
         m, g = vh @ (m @ v), vh @ (g @ v)
         m, g = 0.5 * (m + m.conj().T), 0.5 * (g + g.conj().T)
-        built.append((null @ v, m, g, w, nk, info))
-
-    # mirror pairs share their spectra, so the built half holds lam_max
-    lam_max = max(float(np.max(np.abs(w))) for _, _, _, w, _, _ in built)
-    half = []
-    for basis, m, g, w, nk, info in built:
-        lo, hi = info["window"]
-        for i in np.nonzero(np.abs(w) < 1e-8 * lam_max)[0]:
-            col = basis[:, i].reshape(3, hi - lo + 1, nr)
-            w[i] = _dissipation_slice(ws, n, col, lo) / m[i, i].real
+        basis = null @ v
         # the sector's support: its columns are exactly zero elsewhere
         local = np.flatnonzero(basis.any(axis=1))
         rows = _window_rows(cfg, lo, hi)[local]
-        half.append((Sector(rows, None, basis[local], m, g, nk), info, w))
-    mirrored = [
-        _mirror_sector(cfg, s, info) + (w,) for s, info, w in reversed(half) if info["j"] > 0
-    ]
-    sectors, infos, eigvals = zip(*(mirrored + half))
+        half.append((Sector(rows, None, basis[local], m, g, nk, info), w, basis))
+
+    # mirror pairs share their spectra, so the built half holds lam_max
+    lam_max = max(float(np.max(np.abs(w))) for _, w, _ in half)
+    mirrored = []
+    for s, w, basis in half:
+        lo, hi = s.info["window"]
+        for i in np.nonzero(np.abs(w) < 1e-8 * lam_max)[0]:
+            col = basis[:, i].reshape(3, hi - lo + 1, nr)
+            w[i] = _dissipation_slice(ws, n, col, lo) / s.M[i, i].real
+        if s.info["j"] > 0:
+            info = dict(s.info, j=-s.info["j"], window=(-hi, -lo))
+            mirrored.insert(0, (dataclasses.replace(s, info=info, mirror_of=s), w, None))
+    sectors, eigvals, _ = zip(*(mirrored + half))
     if n == 0:
-        _check_mirrored_kernel(ws, sectors[[i["j"] for i in infos].index(-1)])
+        _check_mirrored_kernel(ws, next(s for s in sectors if s.info["j"] == -1))
 
     w = np.concatenate(eigvals)
     rank = np.argsort(np.argsort(w, kind="stable"))
@@ -608,13 +602,6 @@ def assemble_A(ws, n):
         sectors=sectors,
         eigen=(np.sort(w, kind="stable"), residual),
         kernel_columns=tuple(sorted(int(i) for s in sectors for i in s.cols[: s.nk])),
-        info={
-            "n": int(n),
-            "dim": int(w.size),
-            "sv_at_rank": min(i["sv_at_rank"] for i in infos),
-            "sv_past_rank": max(i["sv_past_rank"] for i in infos),
-            "sectors": infos,
-        },
         ws=weakref.ref(ws),
     )
 
@@ -622,14 +609,16 @@ def assemble_A(ws, n):
 def _check_mirrored_kernel(ws, s):
     """Raise RuntimeError unless s, the mirrored sector -1 of mode 0, leads with e1 - i e2.
 
-    The column must equal the kernel field of _kernel_fields(cfg, -1) at
-    unit L^2 norm to 1e-12, so the kernel check still covers every sector.
+    The column, read through _mirror_rows from sector 1, must equal the
+    kernel field of _kernel_fields(cfg, -1) at unit L^2 norm to 1e-12, so
+    the kernel check still covers every sector.
     """
     cfg = ws.config
-    lo, hi = _sector_window(cfg, -1)
+    lo, hi = s.info["window"]
     kern, _ = _unit_columns(ws.tables, cfg, np.array(_kernel_fields(cfg, -1)).T, lo)
-    col = np.zeros(kern.shape[0], dtype=complex)
-    col[np.searchsorted(_window_rows(cfg, lo, hi), s.rows)] = s.coef[:, 0]
+    col = np.zeros(3 * cfg.n_modes_theta * cfg.n_r, dtype=complex)
+    col[s.rows] = s.coef[:, 0]
+    col = _mirror_rows(cfg, col)[_window_rows(cfg, lo, hi)]
     err = np.max(np.abs(col - kern[:, 0])) / np.max(np.abs(kern))
     if s.nk != 1 or not err <= 1e-12:
         raise RuntimeError(
@@ -662,6 +651,19 @@ def _conj_flip(arr):
     return np.conj(arr[..., ::-1, :])
 
 
+def _mirror_rows(cfg, arr):
+    """Image of flat Cartesian-slice rows under theta -> -theta, u_y -> -u_y.
+
+    arr (3 * n_m * n_r, ...) holds slices in (component, m, r) order on its
+    leading axis; the image moves channel m to -m and negates the y rows.
+    The map is a signed permutation and its own inverse, so it reads a
+    mirrored sector's fields off its source's and pairs them with a slice.
+    """
+    out = arr.reshape((3, cfg.n_modes_theta, cfg.n_r) + arr.shape[1:])[:, ::-1].copy()
+    out[1] *= -1.0
+    return out.reshape(arr.shape)
+
+
 def reduce_slice(ws, n, arr):
     """Functional values r_i = (g, b_i) of one axial slice g or a stack of them.
 
@@ -680,9 +682,11 @@ def reduce_slice(ws, n, arr):
     # r = conj(coef^T conj(W g)): the conjugates stay out of the sector loop
     wg = _apply_weight(ws.tables, ws.config.ell, arr).reshape(-1, math.prod(arr.shape[-3:]))
     wg = np.conj(wg.T)
+    # a mirrored sector pairs its source's fields with the mirrored slice
+    wgs = (wg, _mirror_rows(ws.config, wg))
     y = np.empty((op.eigen[0].size, wg.shape[1]), dtype=complex)
     for s in op.sectors:
-        y[s.cols] = s.coef.T @ wg[s.rows]
+        y[s.cols] = s.coef.T @ wgs[s.mirror_of is not None][s.rows]
     return np.conj(y).reshape(y.shape[:1] + lead)
 
 
@@ -694,10 +698,7 @@ def expand_slice(ws, n, y):
     """
     cfg = ws.config
     op = mode_operator(ws, abs(n))
-    yk = y.reshape(y.shape[0], -1)
-    v = np.zeros((3 * cfg.n_modes_theta * cfg.n_r, yk.shape[1]), dtype=complex)
-    for s in op.sectors:
-        v[s.rows] += s.coef @ yk[s.cols]
+    v = op.synthesize(y.reshape(y.shape[0], -1))
     v = v.T.reshape(y.shape[1:] + (3, cfg.n_modes_theta, cfg.n_r))
     return _conj_flip(v) if n < 0 else v
 

@@ -15,7 +15,7 @@ class Workspace:
     def __init__(self, config):
         self.config = config
         self.tables = tables_for(config)
-        # (|n|, band) -> (matrix stack, its inverse), filled by modesolve._dirichlet_stack
+        # |n| -> (band, (matrix stack, its inverse)), filled by modesolve._dirichlet_stack
         self.radial_ops = {}
         # n >= 0 -> ModeOperator, filled by stokesop.mode_operator
         self.mode_ops = {}

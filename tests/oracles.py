@@ -8,11 +8,13 @@ dense_constrained_nullspace, which reuses the package's constraint rows
 but none of its angular-momentum sector split; the all-channel sector path
 (unit fields, constraint rows and M/G samples over every channel of the
 band), the layout the package used before each sector was carried on its
-own channel window; and the reference kernels at the end: the
-per-channel stack product, the four-application derivatives, divergence
-and surface pressure, and the step-by-step evolution loop. They are the
-package's earlier implementations, kept so the batched ones can be held
-to them.
+own channel window; the full-band strong assembly, which applies A to a
+sector's columns over the whole band, as the package did before each
+sector's strong block was assembled on its own reach; and the reference
+kernels at the end: the per-channel stack product, the four-application
+derivatives, divergence and surface pressure, and the step-by-step
+evolution loop. They are the package's earlier implementations, kept so
+the batched and windowed ones can be held to them.
 """
 
 import math
@@ -245,6 +247,36 @@ def pencil_all_channels(ws, n, basis):
     return 0.5 * (m + m.conj().T), 0.5 * (g + g.conj().T)
 
 
+def strong_block_full_band(ws, n, cols, j):
+    """Strong block and leak of sector j from A applied over the whole band.
+
+    cols (3*n_m*n_r, K) are the sector's columns as full Cartesian slices
+    in (component, m, r) order. Returns (cols^H W A cols, leak), the leak
+    being the relative Euclidean norm of A cols outside the sector's unit
+    embedding, as the full-band strong path computed them.
+    """
+    from jetstokes.stokesop import (
+        _apply_A_slice,
+        _apply_weight,
+        _sector_units,
+        _sector_window,
+        _window_rows,
+    )
+
+    cfg = ws.config
+    k = cols.shape[1]
+    ab = _apply_A_slice(ws, n, np.ascontiguousarray(cols.T).reshape(k, 3, cfg.n_modes_theta, cfg.n_r))
+    wab = _apply_weight(ws.tables, cfg.ell, ab).reshape(k, -1)
+    block = cols.conj().T @ wab.T
+    ab = ab.reshape(k, -1)
+    total = np.linalg.norm(ab)
+    units = _sector_units(cfg, j)[0]
+    units = units.reshape(units.shape[0], -1)
+    wrows = _window_rows(cfg, *_sector_window(cfg, j))
+    ab[:, wrows] -= (ab[:, wrows] @ units.conj().T) @ units
+    return block, float(np.linalg.norm(ab) / total)
+
+
 def disk_inner_einsum(gram, a, b):
     """2*pi * sum_m b_m^H gram_m a_m per axial slice, one three-operand einsum.
 
@@ -264,6 +296,18 @@ def implicit_euler_decay(lam, dt, steps):
 def crank_nicolson_decay(lam, dt, steps):
     """y_K for y' = -lam y, y0 = 1, the trapezoidal rule."""
     return ((1.0 - 0.5 * dt * lam) / (1.0 + 0.5 * dt * lam)) ** steps
+
+
+def duhamel_sine(w, r, omega, t):
+    """Exact c(t) of c' = -w c + r sin(omega t), c(0) = 0, per coordinate.
+
+    The Duhamel integral of the forcing against e^{-w (t - s)}:
+    c(t) = r (w sin(omega t) - omega cos(omega t) + omega e^{-w t}) / (w^2 + omega^2).
+    w and r broadcast; w >= 0 keeps every term bounded.
+    """
+    w = np.asarray(w, dtype=float)
+    wave = w * math.sin(omega * t) - omega * math.cos(omega * t) + omega * np.exp(-w * t)
+    return r * wave / (w * w + omega * omega)
 
 
 # reference kernels: the earlier per-channel and per-step implementations

@@ -225,6 +225,30 @@ def test_estimate_report_homogeneous_and_validation(ws_small):
         js.estimate_report(ws_small, fields, pressures[:1], None, 0.1, 0.1)
 
 
+def _report_inputs(cfg):
+    fields = [zeros_vector(cfg), constant_vector(cfg, (0.3, 0.0, 0.0))]
+    pressures = [zeros_scalar(cfg), constant_scalar(cfg, 0.7)]
+    forcings = [zeros_vector(cfg), constant_vector(cfg, (0.0, 0.5, 0.0))]
+    return {"field": fields, "pressure": pressures, "forcing": forcings}
+
+
+@pytest.mark.parametrize("role", ["field", "pressure", "forcing"])
+def test_estimate_report_rejects_another_config(ws_small, cfg_medium, role):
+    inputs = _report_inputs(ws_small.config)
+    inputs[role][1] = _report_inputs(cfg_medium)[role][1]
+    with pytest.raises(ValueError, match="estimate_report: %s is on .*n_r=24.* workspace is on .*n_r=12" % role):
+        js.estimate_report(ws_small, inputs["field"], inputs["pressure"], inputs["forcing"], 0.1, 0.1)
+
+
+def test_estimate_report_checks_the_horizon(ws_small):
+    inputs = _report_inputs(ws_small.config)
+    args = (ws_small, inputs["field"], inputs["pressure"], inputs["forcing"], 0.1)
+    with pytest.raises(ValueError, match="t_final=0.15 is not the 1 steps of dt=0.1"):
+        js.estimate_report(*args, 0.15)
+    # evolve's tolerance, 1e-9 * max(t_final, 1), is accepted
+    assert js.estimate_report(*args, 0.1 + 5e-10)["T"] == pytest.approx(0.1)
+
+
 def _rel(got, want):
     """||got - want|| / ||want||, and exact agreement required of zeros."""
     scale = np.linalg.norm(want)

@@ -69,6 +69,7 @@ def test_q_slice_matches_four_applications(ws_small, n, forced):
     shape = (3, cfg.n_modes_theta, cfg.n_r)
     varr = _random(rng, shape, True)
     farr = _random(rng, shape, True) if forced else None
-    got = _q_slice(ws_small, n, varr, cfg.n_theta, farr)
-    want = oracles.q_slice_four(ws_small, n, varr, cfg.n_theta, farr)
+    got = _q_slice(ws_small, n, varr, farr)
+    # the potential occupies band + 1, where the oracle's cut is a no-op
+    want = oracles.q_slice_four(ws_small, n, varr, cfg.n_theta + 1, farr)
     assert _close(got, want)

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import jetstokes as js
-from jetstokes.discretization import tables_for
+from jetstokes.discretization import band_views, tables_for
 from jetstokes.fields import (
     constant_scalar,
     random_smooth_scalar,
@@ -144,7 +144,7 @@ def test_channel_solve_matches_dense_solve(n_r, n_theta, tol):
         f = rng.standard_normal(shape + (n_r,)) + 1j * rng.standard_normal(shape + (n_r,))
         bc = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         got = laplace_solve_channels(ws, n, f, bc)
-        mat, _ = _dirichlet_stack(ws, n, n_theta)
+        mat, _ = _dirichlet_stack(ws, n, -n_theta, n_theta)
         b = -f
         b[..., 0] = bc
         want = np.array([[scipy.linalg.solve(m, bm) for m, bm in zip(mat, bk)] for bk in b])
@@ -222,3 +222,40 @@ def test_pole_rows_annihilate_smooth_basis(cfg_small):
             continue
         basis = t.smooth_basis(m_abs)
         assert np.max(np.abs(rows @ basis)) < 1e-12
+
+
+def test_channel_ranges_are_views_of_one_band_stack():
+    # a sector's channel range solves on the rows of the band's stack:
+    # the same numbers as the band solve, from one cached stack per |n|
+    ws = js.Workspace(js.DomainConfig(n_r=12, n_theta=3, n_z=1))
+    t = ws.tables
+    rng = stream(25, "tests")
+    shape = (2, 7, 12)
+    f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    bc = rng.standard_normal(shape[:-1]) + 1j * rng.standard_normal(shape[:-1])
+    full = laplace_solve_channels(ws, 1, f, bc)
+    for lo, hi in ((-1, 2), (-3, -2), (0, 3)):
+        cut = slice(lo + 3, hi + 4)
+        part = laplace_solve_channels(ws, 1, f[:, cut], bc[:, cut], lo)
+        assert np.array_equal(part, full[:, cut])
+        assert np.shares_memory(_dirichlet_stack(ws, 1, lo, hi)[1], ws.radial_ops[1][1][1])
+        st = t.stacks(lo, hi)
+        assert list(st.ms) == list(range(lo, hi + 1))
+        assert all(np.array_equal(st.lap[i], t.lap2d(abs(m))) for i, m in enumerate(st.ms))
+    assert sorted(ws.radial_ops) == [1]
+
+
+def test_band_views_grow_only_for_a_wider_range():
+    builds = []
+
+    def build(band):
+        builds.append(band)
+        return (np.arange(-band, band + 1),)
+
+    cached, (ms,) = band_views(None, -1, 2, build)
+    assert cached[0] == 2 and list(ms) == [-1, 0, 1, 2]
+    same, (ms,) = band_views(cached, -2, 0, build)
+    assert same is cached and list(ms) == [-2, -1, 0]
+    wider, (ms,) = band_views(cached, 0, 3, build)
+    assert wider[0] == 3 and list(ms) == [0, 1, 2, 3]
+    assert builds == [2, 3]

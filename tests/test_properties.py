@@ -1,0 +1,91 @@
+"""Sector invariants over randomized small configurations.
+
+Hypothesis draws kappa, n_r and n_theta (derandomized, so every run sees
+the same draws) and each test checks one structural fact of the sector
+layout on modes 0 and 1:
+
+- the projection P = expand o reduce commutes with the mirror
+  theta -> -theta, u_y -> -u_y, for modes n and -n;
+- a mirrored sector's columns, read through the mirror, have their
+  source's pencil, hence its eigenvalues;
+- every sector pencil is Hermitian, with M positive definite and G
+  positive semidefinite;
+- the kernel has dimension 4 at n = 0 and is empty at n = 1.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import jetstokes as js
+import oracles
+from jetstokes.rng import stream
+from jetstokes.spectral import KERNEL_TOL
+from jetstokes.stokesop import _mirror_rows, expand_slice, reduce_slice
+
+CONFIGS = st.builds(
+    lambda kappa, n_r, n_theta: js.DomainConfig(kappa=kappa, n_r=n_r, n_theta=n_theta, n_z=1),
+    st.floats(0.1, 0.95),
+    st.integers(6, 16),
+    st.integers(1, 4),
+)
+PROPERTY = settings(derandomize=True, max_examples=10, deadline=None)
+
+
+def _mirror_slice(cfg, arr):
+    return _mirror_rows(cfg, arr.reshape(-1)).reshape(arr.shape)
+
+
+@PROPERTY
+@given(CONFIGS)
+def test_projection_commutes_with_the_mirror(cfg):
+    ws = js.Workspace(cfg)
+    rng = stream(81, "tests")
+    shape = (3, cfg.n_modes_theta, cfg.n_r)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for n in (1, -1):
+
+        def project(arr):
+            return expand_slice(ws, n, reduce_slice(ws, n, arr))
+
+        pg = project(g)
+        err = np.linalg.norm(project(_mirror_slice(cfg, g)) - _mirror_slice(cfg, pg))
+        assert err <= 1e-12 * np.linalg.norm(pg)
+
+
+@PROPERTY
+@given(CONFIGS)
+def test_mirrored_sectors_carry_their_source_pencil(cfg):
+    ws = js.Workspace(cfg)
+    for n in (0, 1):
+        op = js.mode_operator(ws, n)
+        w = op.eigen[0]
+        for s in op.sectors:
+            if s.mirror_of is None:
+                continue
+            cols = np.zeros((3 * cfg.n_modes_theta * cfg.n_r, s.coef.shape[1]), dtype=complex)
+            cols[s.rows] = s.coef
+            m, g = oracles.pencil_all_channels(ws, n, _mirror_rows(cfg, cols))
+            assert np.max(np.abs(m - s.M)) <= 1e-12 * np.max(np.abs(m))
+            assert np.max(np.abs(g - s.G)) <= 1e-12 * np.max(np.abs(g))
+            assert np.array_equal(w[s.cols], w[s.mirror_of.cols])
+
+
+@PROPERTY
+@given(CONFIGS)
+def test_sector_pencils_are_hermitian_psd(cfg):
+    ws = js.Workspace(cfg)
+    for n in (0, 1):
+        for s in js.mode_operator(ws, n).sectors:
+            assert np.array_equal(s.M, s.M.conj().T)
+            assert np.array_equal(s.G, s.G.conj().T)
+            assert np.min(np.linalg.eigvalsh(s.M)) > 0.0
+            assert np.min(np.linalg.eigvalsh(s.G)) >= -1e-12 * np.max(np.abs(s.G))
+
+
+@PROPERTY
+@given(CONFIGS)
+def test_kernel_is_four_dimensional_at_mode_0_only(cfg):
+    ws = js.Workspace(cfg)
+    assert js.kernel_dimension(ws) == 4
+    w = js.mode_operator(ws, 1).eigen[0]
+    assert np.sum(np.abs(w) < KERNEL_TOL * np.max(np.abs(w))) == 0

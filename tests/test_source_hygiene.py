@@ -1,13 +1,16 @@
 """Static checks on the package source, using only the standard library.
 
-No linter ships with the project, so two of the checks a linter would make
-run here on the syntax trees of src/jetstokes:
+No linter ships with the project, so three of the checks a linter would
+make run here on the syntax trees of src/jetstokes:
 
 - every module-level import of a module other than __init__.py is used in
   that module (__init__.py re-exports by design);
 - every module-level function or class whose name starts with one
   underscore is referenced somewhere in the package, so a deletion cannot
-  leave a private helper behind.
+  leave a private helper behind;
+- every parameter of every function, method or lambda is read in its body
+  (loaded, or discarded with an explicit del), so an argument a caller
+  passes cannot be silently ignored.
 """
 
 import ast
@@ -73,3 +76,45 @@ def test_private_definitions_are_referenced():
         and node.name not in referenced
     ]
     assert not dead, "private definitions nothing references: %s" % dead
+
+
+def _unread_parameters(tree):
+    """(line, function, parameter) for each parameter its body never reads."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            sub.id
+            for stmt in body
+            for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, (ast.Load, ast.Del))
+        }
+        name = getattr(node, "name", "<lambda>")
+        out += [(node.lineno, name, a.arg) for a in params if a.arg not in read]
+    return out
+
+
+def test_parameters_are_read():
+    unread = [
+        "%s:%d %s(%s)" % (path.name, line, func, arg)
+        for path in MODULES
+        for line, func, arg in _unread_parameters(_tree(path))
+    ]
+    assert not unread, "parameters never read in their function: %s" % unread
+
+
+def test_unread_parameter_check_sees_a_dropped_argument():
+    tree = ast.parse(
+        "def f(ws, a, b, seed):\n    del seed\n    return a\n"
+        "g = lambda x, y: x\n"
+    )
+    assert [(f, a) for _, f, a in _unread_parameters(tree)] == [
+        ("f", "ws"),
+        ("f", "b"),
+        ("<lambda>", "y"),
+    ]

@@ -71,8 +71,8 @@ def test_mode0_antiplane_family_matches_bessel_zeros(ws_name, request):
     cfg = ws.config
     op = js.mode_operator(ws, 0)
     w = op.eigen[0]
-    for s, info in zip(op.sectors, op.info["sectors"]):
-        j = info["j"]
+    for s in op.sectors:
+        j = s.info["j"]
         if abs(j) > cfg.n_theta - 1:
             continue
         for zero in scipy.special.jnp_zeros(abs(j), 3):

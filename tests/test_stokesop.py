@@ -13,7 +13,7 @@ from jetstokes.fields import (
     rigid_rotation,
     zeros_vector,
 )
-from jetstokes import stokesop
+from jetstokes import modesolve, stokesop
 from jetstokes.discretization import RadialTables
 from jetstokes.rng import stream
 from jetstokes.stokesop import (
@@ -211,10 +211,13 @@ def test_mode_operator_caches_no_dense_block(cfg_small):
 
 
 def _full_columns(cfg, s):
-    """A sector's columns as full Cartesian slices in (component, m, r) order."""
+    """A sector's columns as full Cartesian slices in (component, m, r) order.
+
+    A mirrored sector's columns are its source's, read through the mirror.
+    """
     out = np.zeros((3 * cfg.n_modes_theta * cfg.n_r, s.coef.shape[1]), dtype=complex)
     out[s.rows] = s.coef
-    return out
+    return out if s.mirror_of is None else stokesop._mirror_rows(cfg, out)
 
 
 def _direct_columns(ws, n, j):
@@ -235,12 +238,12 @@ def test_mirrored_sectors_match_direct_builds(ws_name, request):
     for n in range(3):
         op = js.mode_operator(ws, n)
         w = op.eigen[0]
-        mirrored = [(s, i) for s, i in zip(op.sectors, op.info["sectors"]) if "mirror_of" in i]
-        built = [i["j"] for i in op.info["sectors"] if "mirror_of" not in i]
-        assert sorted(-i["j"] for _, i in mirrored) == [j for j in built if j > 0]
-        for s, info in mirrored:
-            j = info["j"]
-            assert info["mirror_of"] == -j
+        mirrored = [s for s in op.sectors if s.mirror_of is not None]
+        built = [s.info["j"] for s in op.sectors if s.mirror_of is None]
+        assert sorted(-s.info["j"] for s in mirrored) == [j for j in built if j > 0]
+        for s in mirrored:
+            j = s.info["j"]
+            assert s.mirror_of.info["j"] == -j
             direct, dinfo = _direct_columns(ws, n, j)
             assert direct.shape[1] == s.cols.size
             nk = len(dinfo.get("kernel_columns", ()))
@@ -266,18 +269,97 @@ def test_mirrored_sectors_match_direct_builds(ws_name, request):
 def test_mirrored_kernel_column_is_checked(cfg_small, monkeypatch):
     # a mirror that forgets the sign of u_y maps e1 + i e2 onto itself, not
     # onto e1 - i e2, and mode 0's set-up must refuse it
-    mirror = stokesop._mirror_sector
-    shape = (3, cfg_small.n_modes_theta, cfg_small.n_r)
+    mirror = stokesop._mirror_rows
 
-    def unsigned(cfg, s, info):
-        out, rec = mirror(cfg, s, info)
-        out.coef[np.unravel_index(out.rows, shape)[0] == 1] *= -1.0
-        return out, rec
+    def unsigned(cfg, arr):
+        out = mirror(cfg, arr).reshape((3, -1) + arr.shape[1:])
+        out[1] *= -1.0
+        return out.reshape(arr.shape)
 
-    monkeypatch.setattr(stokesop, "_mirror_sector", unsigned)
+    monkeypatch.setattr(stokesop, "_mirror_rows", unsigned)
     with pytest.raises(RuntimeError, match="mirrored sector -1"):
         assemble_A(js.Workspace(cfg_small), 0)
     assemble_A(js.Workspace(cfg_small), 1)
+
+
+def test_mirrored_sectors_are_views_of_their_sources(cfg_small):
+    ws = js.Workspace(cfg_small)
+    for n in range(cfg_small.n_z + 1):
+        op = js.mode_operator(ws, n)
+        op.assemble_strong()
+        built = [s for s in op.sectors if s.mirror_of is None]
+        mirrored = [s for s in op.sectors if s.mirror_of is not None]
+        assert len(mirrored) == len(built) - 1
+        for s in mirrored:
+            src = s.mirror_of
+            assert any(src is b for b in built)
+            lo, hi = src.info["window"]
+            assert (s.info["j"], s.info["window"]) == (-src.info["j"], (-hi, -lo))
+            for name in ("rows", "coef", "M", "G", "A"):
+                assert getattr(s, name) is getattr(src, name)
+        # no coefficient array is stored twice
+        assert len({id(s.coef) for s in op.sectors}) == len(built)
+
+
+def test_strong_assembly_stays_on_each_sector_reach(cfg_medium, monkeypatch):
+    # A acts on each built sector's reach, its window [lo, hi] widened by 2
+    # and clipped to the band; the pressure solve and its gradient stacks
+    # sit one channel wider, and no kernel asks for the whole band
+    ws = js.Workspace(cfg_medium)
+    nt = cfg_medium.n_theta
+    ops = [js.mode_operator(ws, n) for n in range(cfg_medium.n_z + 1)]
+    ranges, solves, building = [], [], []
+    stacks = RadialTables.stacks
+    dirichlet = modesolve._dirichlet_stack
+
+    def recorded_stacks(self, lo, hi):
+        if not building:
+            ranges.append((lo, hi))
+        return stacks(self, lo, hi)
+
+    def recorded_dirichlet(ws_, n, lo, hi):
+        # the cache reads the band stacks it slices the range from
+        solves.append((n, lo, hi))
+        building.append(n)
+        try:
+            return dirichlet(ws_, n, lo, hi)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(RadialTables, "stacks", recorded_stacks)
+    monkeypatch.setattr(modesolve, "_dirichlet_stack", recorded_dirichlet)
+    windows = set()
+    for op in ops:
+        op.assemble_strong()
+        reach = set()
+        for s in op.sectors:
+            if s.mirror_of is None:
+                lo, hi = s.info["window"]
+                windows.add((lo, hi))
+                reach.add((max(lo - 2, -nt), min(hi + 2, nt)))
+        assert {key for key in solves if key[0] == op.n} == {
+            (op.n, lo - 1, hi + 1) for lo, hi in reach
+        }
+    assert ranges
+    for lo, hi in [key[1:] for key in solves] + ranges:
+        assert any(wlo - 3 <= lo and hi <= whi + 3 for wlo, whi in windows)
+        assert hi - lo <= 8 < 2 * nt
+    # one cached Dirichlet stack per |n|, on at most the pressure band
+    assert sorted(ws.radial_ops) == [0, 1, 2]
+    assert all(band <= nt + 1 for band, _ in ws.radial_ops.values())
+
+
+@pytest.mark.parametrize("ws_name", ["ws_small", "ws_medium"])
+def test_windowed_strong_blocks_match_full_band_reference(ws_name, request):
+    ws = request.getfixturevalue(ws_name)
+    cfg = ws.config
+    for n in range(cfg.n_z + 1):
+        op = js.mode_operator(ws, n)
+        op.assemble_strong()
+        for s in op.sectors:
+            a, leak = oracles.strong_block_full_band(ws, n, _full_columns(cfg, s), s.info["j"])
+            assert np.linalg.norm(s.A - a) <= 1e-12 * np.linalg.norm(a)
+            assert abs(s.leak - leak) <= 1e-12
 
 
 def test_set_up_builds_nonnegative_sectors_on_their_windows(cfg_small, monkeypatch):
@@ -326,11 +408,11 @@ def test_windowed_sectors_match_all_channel_reference(ws_name, request):
             assert (info["rows_kept"], info["rank"]) == (kept, rank)
         op = js.mode_operator(ws, n)
         w = op.eigen[0]
-        for s, info in zip(op.sectors, op.info["sectors"]):
+        for s in op.sectors:
             m, g = oracles.pencil_all_channels(ws, n, _full_columns(cfg, s))
             assert np.max(np.abs(m - s.M)) <= 1e-12 * np.max(np.abs(m))
             assert np.max(np.abs(g - s.G)) <= 1e-12 * np.max(np.abs(g))
-            null, _, _ = oracles.sector_nullspace_all_channels(ws, n, info["j"])
+            null, _, _ = oracles.sector_nullspace_all_channels(ws, n, s.info["j"])
             mo, go = oracles.pencil_all_channels(ws, n, null)
             wo = scipy.linalg.eigh(go, mo, eigvals_only=True)
             assert np.max(np.abs(wo - np.sort(w[s.cols]))) <= 1e-12 * w[-1]
@@ -393,8 +475,13 @@ def test_hermiticity_and_agreement(ws_small):
             a, g = s.A, s.G
             assert np.linalg.norm(a - a.conj().T) / np.linalg.norm(a) < 1e-10
             assert np.linalg.norm(a - g) / np.linalg.norm(g) < 1e-8
-        assert op.info["dim"] == op.basis.shape[1]
-        assert op.info["sv_at_rank"] > op.info["sv_past_rank"]
+        assert op.eigen[0].size == op.basis.shape[1]
+        for s in op.sectors:
+            assert s.info["sv_at_rank"] > s.info["sv_past_rank"]
+        # one rank gap shared by every sector of the mode
+        assert min(s.info["sv_at_rank"] for s in op.sectors) > max(
+            s.info["sv_past_rank"] for s in op.sectors
+        )
 
 
 def test_apply_A_kills_rotation(ws_small):
