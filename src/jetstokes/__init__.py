@@ -8,11 +8,22 @@ linearized time evolution with energy monitoring.
 """
 
 import os as _os
+import sys as _sys
+import warnings as _warnings
 
 # Pin BLAS thread pools before numpy is imported anywhere downstream. Keeps
 # factorizations bitwise deterministic across runs and honors the
-# single-threaded runtime budget. Effective whenever this package is imported
-# before numpy (always true for the CLI entry point).
+# single-threaded runtime budget. Effective only when this package is
+# imported before numpy (always true for the CLI entry point): OpenBLAS
+# reads its thread count once, when numpy loads it.
+if "OPENBLAS_NUM_THREADS" not in _os.environ and "numpy" in _sys.modules:
+    _warnings.warn(
+        "numpy was imported before jetstokes, so OpenBLAS already runs its "
+        "default thread pool and the pin to one thread cannot take effect; "
+        "set OPENBLAS_NUM_THREADS=1 in the environment before starting Python",
+        RuntimeWarning,
+        stacklevel=2,
+    )
 for _var in (
     "OPENBLAS_NUM_THREADS",
     "MKL_NUM_THREADS",
@@ -21,7 +32,7 @@ for _var in (
     "VECLIB_MAXIMUM_THREADS",
 ):
     _os.environ.setdefault(_var, "1")
-del _os, _var
+del _os, _sys, _warnings, _var
 
 __version__ = "0.1.0"
 

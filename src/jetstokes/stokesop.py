@@ -6,18 +6,26 @@ vanishes and whose Cartesian channel profiles are smooth through the axis.
 Every constraint commutes with rotations about the axis, so the subspace
 is an exact direct sum of angular-momentum sectors j: sector j holds
 u+ = u_x + i u_y at m = j + 1, u- = u_x - i u_y at m = j - 1 and u_z at
-m = j, at most 3 * n_r unknowns. Each sector's part is the numerical
-nullspace of its own stacked constraint rows (divergence, tangential
-traction, pole regularity), found by a small SVD with a relative cutoff.
-A sector is carried on its own channel window m in [j - 1, j + 1]: its
-constraint rows, samples and eigenvectors are computed there, and every
-kernel widens the window by its own band growth only.
+m = j, at most 3 * n_r unknowns. The sector's unit fields carry its z
+piece times i, which cancels the i of d/dz = i beta: every constraint row
+on them is then a unit phase times a real row, so each sector is built in
+real arithmetic. Its constraint rows r0 + beta r1 (divergence, tangential
+traction, pole regularity) are formed once per sector per workspace,
+rotated to their real form; its part of the subspace is their numerical
+nullspace Z, found by a small real SVD with a relative cutoff. A sector
+is carried on its own channel window m in [j - 1, j + 1]: its fields and
+eigenvectors live there, and every kernel widens the window by its own
+band growth only.
 
-On each sector's nullspace N the Galerkin pencil is sampled by quadrature:
+On each sector's nullspace Z the Galerkin pencil is real symmetric:
 
-  M[i, j] = (b_j, b_i)                  L^2 Gram matrix,
-  G[i, j] = (mu/2) sum_ij integral E(b_j) conj(E(b_i))
-                                         dissipation form (Hermitian PSD).
+  M = Z^T M_u Z                         L^2 Gram matrix, from the block-
+                                         diagonal Gram M_u of the units,
+  G[i, j] = (mu/2) sum_ij Re (E(b_j), E(b_i))
+                                         dissipation form (symmetric PSD),
+
+where G pairs the strain entries E of the columns b = units Z through the
+radial Gram, in one real product.
 
 Each mode is stored as its sectors, each in the M-orthonormal eigenbasis
 V of its pencil: the fields N V on the entries the sector reaches,
@@ -38,9 +46,10 @@ them with G.
 Mode n = 0 receives special treatment: the kernel fields e1 + i e2
 (sector 1), e1 - i e2 (sector -1), e3 and the rigid rotation (sector 0)
 are installed as exact leading columns of their sectors with unit L^2
-norm, and the remaining columns are M-projected against them. The sector
-eigh sees only the non-kernel rows and columns, so the kernel columns are
-eigenvectors as they stand. Eigenvalues below 1e-8 * lam_max, the kernel
+norm, each times the unit phase that makes its coordinates real (1 for
+e1 +- i e2), and the remaining columns are M-projected against them. The
+sector eigh sees only the non-kernel rows and columns, so the kernel
+columns are eigenvectors as they stand. Eigenvalues below 1e-8 * lam_max, the kernel
 ones included, are measured as quadrature-dissipation quotients of their
 eigenvectors, which are nonnegative by construction.
 
@@ -228,6 +237,22 @@ class ModeOperator:
 # symmetric derivative entries and traction
 
 
+def _strain(d1, d2, dz):
+    """Entries E_ij = D_j v_i + D_i v_j from the three derivatives of each component.
+
+    d1, d2 and dz are indexed by component and hold d/dx, d/dy and d/dz.
+    Returns a dict keyed (i, j), i <= j.
+    """
+    return {
+        (0, 0): 2.0 * d1[0],
+        (1, 1): 2.0 * d2[1],
+        (2, 2): 2.0 * dz[2],
+        (0, 1): d2[0] + d1[1],
+        (0, 2): dz[0] + d1[2],
+        (1, 2): dz[1] + d2[2],
+    }
+
+
 def _sym_entries(t, varr, beta, lo=None):
     """Entries E_ij = D_j v_i + D_i v_j of one or many axial slices.
 
@@ -238,14 +263,25 @@ def _sym_entries(t, varr, beta, lo=None):
     # one derivative pair per component keeps each array a third of varr
     d1, d2 = zip(*[_dxy(t, varr[..., c, :, :], lo) for c in range(3)])
     dz = [_pad(1j * beta * varr[..., c, :, :], 1) for c in range(3)]
-    return {
-        (0, 0): 2.0 * d1[0],
-        (1, 1): 2.0 * d2[1],
-        (2, 2): 2.0 * dz[2],
-        (0, 1): d2[0] + d1[1],
-        (0, 2): dz[0] + d1[2],
-        (1, 2): dz[1] + d2[2],
-    }
+    return _strain(d1, d2, dz)
+
+
+def _surface_entries(t, varr, beta, lo=None):
+    """The entries of _sym_entries at the surface node r = kappa only.
+
+    Each transversal derivative is read from row 0 of the raising and
+    lowering stacks (node 0 is r = kappa), as helmholtz._surface_datum
+    reads d_r, so no profile is differentiated at the other nodes. Returns
+    a dict keyed (i, j), i <= j, of (..., n_m + 2) arrays on lo - 1..hi + 1.
+    """
+    st = _stacks(t, varr, lo)
+    shape = (3,) + varr.shape[:-3] + (varr.shape[-2] + 2,)
+    up, down = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
+    # up moves channel m to m + 1 and down moves it to m - 1 (fields._up_down)
+    up[..., 2:] = np.einsum("mi,...cmi->c...m", st.raising[:, 0], varr)
+    down[..., :-2] = np.einsum("mi,...cmi->c...m", st.lowering[:, 0], varr)
+    dz = [_tr_pad((1j * beta * varr[..., c, :, :1])[..., 0], 1) for c in range(3)]
+    return _strain(0.5 * (up + down), -0.5j * (up - down), dz)
 
 
 def _tr_cos(arr):
@@ -275,11 +311,11 @@ def _traction_arrays(t, varr, beta, mu, lo=None):
     """Viscous traction traces S_i = -mu sum_j E_ij n_j, two channels wider.
 
     varr (..., 3, n_m, n_r) on the channels lo..hi (see _sym_entries);
-    beta is a scalar or broadcasts with the slice axes. Returns a list of
-    three (..., n_m + 4) arrays on lo - 2..hi + 2.
+    beta is a scalar or broadcasts with the slice axes. The strain is
+    evaluated at the surface node only (_surface_entries). Returns a list
+    of three (..., n_m + 4) arrays on lo - 2..hi + 2.
     """
-    e = _sym_entries(t, varr, beta, lo)
-    tr = {key: val[..., :, 0] for key, val in e.items()}
+    tr = _surface_entries(t, varr, beta, lo)
     s1 = -mu * (_tr_cos(tr[(0, 0)]) + _tr_sin(tr[(0, 1)]))
     s2 = -mu * (_tr_cos(tr[(0, 1)]) + _tr_sin(tr[(1, 1)]))
     s3 = -mu * (_tr_cos(tr[(0, 2)]) + _tr_sin(tr[(1, 2)]))
@@ -324,18 +360,6 @@ def _apply_weight(t, ell, arr, lo=None):
     return 2.0 * math.pi * ell * apply_stack(_stacks(t, arr, lo).gram, arr)
 
 
-def _sample_matrix(t, ell, arr, lo=None):
-    """Weighted quadrature samples of channel profiles, flattened per row.
-
-    arr has shape (K, ..., n_m, n_r) on the channels lo..hi; rows of the
-    result are ready for Gram products: conj(Y) @ Y.T reproduces the L^2
-    pairing exactly for the polynomial degrees the grid carries.
-    """
-    vals = apply_stack(_stacks(t, arr, lo).resample, arr)
-    vals *= np.sqrt(2.0 * math.pi * ell * t.w_quad)
-    return vals.reshape(arr.shape[0], -1)
-
-
 def _sector_window(cfg, j):
     """The channel window (lo, hi) of sector j: m in [j - 1, j + 1] within the band."""
     return max(j - 1, -cfg.n_theta), min(j + 1, cfg.n_theta)
@@ -347,27 +371,120 @@ def _window_rows(cfg, lo, hi):
     return full[:, cfg.n_theta + lo : cfg.n_theta + hi + 1].reshape(-1)
 
 
+def _sector_pieces(cfg, j):
+    """(m, Cartesian vector) of each piece of sector j that lies in the band.
+
+    u+ = u_x + i u_y at m = j + 1, u- = u_x - i u_y at m = j - 1 and u_z at
+    m = j. The entries 1/sqrt(2) and +-i/sqrt(2) make the embedding
+    unitary, and the z piece carries the phase i, which cancels the i of
+    d/dz = i beta (see _sector_units).
+    """
+    h = math.sqrt(0.5)
+    pieces = [(j + 1, (h, -1j * h, 0.0)), (j - 1, (h, 1j * h, 0.0)), (j, (0.0, 0.0, 1j))]
+    return [(m, vec) for m, vec in pieces if abs(m) <= cfg.n_theta]
+
+
+def _sector_fields(cfg, j, z):
+    """Window fields (K, 3, n_w, n_r) of the sector-j coordinates z (k, K).
+
+    Row p * n_r + i of z is the coefficient of the unit field at node i of
+    piece p of _sector_pieces, on the n_w channels of _sector_window.
+    """
+    lo, hi = _sector_window(cfg, j)
+    nr = cfg.n_r
+    out = np.zeros((z.shape[1], 3, hi - lo + 1, nr), dtype=complex)
+    for p, (m, vec) in enumerate(_sector_pieces(cfg, j)):
+        zp = z[p * nr : (p + 1) * nr].T
+        for c in range(3):
+            if vec[c]:
+                out[:, c, m - lo] = vec[c] * zp
+    return out
+
+
 def _sector_units(cfg, j):
     """Unit fields of angular-momentum sector j on its channel window.
 
     Sector j holds u+ = u_x + i u_y at m = j + 1, u- = u_x - i u_y at
-    m = j - 1 and u_z at m = j; pieces outside the band are dropped. The
-    entries 1/sqrt(2) and +-i/sqrt(2) make the embedding unitary.
+    m = j - 1 and i u_z at m = j (_sector_pieces); pieces outside the band
+    are dropped. With the z piece multiplied by i, every constraint row on
+    these units is a unit phase times a real row, as for the helical
+    components of polar spectral bases (Matsushima & Marcus, JCP 120,
+    1995): the nullspace has a real basis, and the Gram M_u and the
+    dissipation form on the units are real. So the sector's pencil is
+    real symmetric.
 
     Returns (units, m_abs): units (k, 3, n_w, n_r) on the n_w channels of
     _sector_window(cfg, j), k = n_r per piece, and the |m| of each piece
     in order.
     """
-    lo, hi = _sector_window(cfg, j)
+    pieces = _sector_pieces(cfg, j)
+    return _sector_fields(cfg, j, np.eye(len(pieces) * cfg.n_r)), [abs(m) for m, _ in pieces]
+
+
+def _unit_weight(t, cfg, j, z):
+    """M_u z: the L^2 Gram of sector j's unit fields applied to real coordinates z (k, K).
+
+    The embedding is unitary and its pieces sit on distinct channels, so
+    M_u is block diagonal: 2 pi ell times the radial Gram of each piece's
+    parity. It is real, and no sample is needed.
+    """
     nr = cfg.n_r
-    h = math.sqrt(0.5)
-    pieces = [(j + 1, (h, -1j * h, 0.0)), (j - 1, (h, 1j * h, 0.0)), (j, (0.0, 0.0, 1.0))]
-    pieces = [(m, vec) for m, vec in pieces if abs(m) <= cfg.n_theta]
-    units = np.zeros((len(pieces), nr, 3, hi - lo + 1, nr), dtype=complex)
-    for p, (m, vec) in enumerate(pieces):
-        for c in range(3):
-            units[p, :, c, m - lo, :] = vec[c] * np.eye(nr)
-    return units.reshape(-1, 3, hi - lo + 1, nr), [abs(m) for m, _ in pieces]
+    out = np.empty(z.shape)
+    for p, (m, _) in enumerate(_sector_pieces(cfg, j)):
+        out[p * nr : (p + 1) * nr] = t.gram(1 if m % 2 == 0 else -1) @ z[p * nr : (p + 1) * nr]
+    return 2.0 * math.pi * cfg.ell * out
+
+
+def _constraint_rows(t, cfg, units, m_abs, beta, lo):
+    """Complex constraint rows of a sector at axial wavenumber beta.
+
+    Divergence at every collocation point (window + 1), tangential
+    traction surface channels (window + 4), applied to the sector's unit
+    fields units on the channels from lo, and the pole regularity rows of
+    each piece of order m_abs; flattened in (component, m, r) order, so
+    they come in the same order as over the whole band.
+    """
+    k = units.shape[0]
+    return np.concatenate(
+        [_div_slice(t, units, beta, lo).reshape(k, -1).T]
+        + [a.reshape(k, -1).T for a in _tangential_arrays(t, units, beta, cfg.mu, lo)]
+        + [scipy.linalg.block_diag(*[t.pole_rows(m) for m in m_abs])]
+    )
+
+
+def _sector_rows(ws, j):
+    """Real constraint rows (r0, r1) of sector j: the rows at beta are r0 + beta r1.
+
+    Built once per workspace. beta enters the rows only through the
+    i beta u_z term of the divergence and the d/dz entries of the strain,
+    entries that no other term touches, so the rows at beta = 0 and their
+    change at beta = 1 split them exactly. Each row is a unit phase times a
+    real row (_sector_units): it is rotated by the phase of its largest
+    entry and kept real. Rows that vanish at every beta are dropped.
+
+    Raises:
+        RuntimeError if a rotated row keeps an imaginary part above 1e-12
+        of its norm.
+    """
+    got = ws.sector_rows.get(j)
+    if got is None:
+        cfg, t = ws.config, ws.tables
+        units, m_abs = _sector_units(cfg, j)
+        lo = _sector_window(cfg, j)[0]
+        c0 = _constraint_rows(t, cfg, units, m_abs, 0.0, lo)
+        c = np.concatenate([c0, _constraint_rows(t, cfg, units, m_abs, 1.0, lo) - c0], axis=1)
+        c = c[c.any(axis=1)]
+        big = c[np.arange(c.shape[0]), np.argmax(np.abs(c), axis=1)]
+        c *= (np.conj(big) / np.abs(big))[:, None]
+        worst = np.max(np.linalg.norm(c.imag, axis=1) / np.linalg.norm(c, axis=1))
+        if worst > 1e-12:
+            raise RuntimeError(
+                "sector %d constraint rows are not real up to a phase: relative "
+                "imaginary residue %.3e" % (j, worst)
+            )
+        k = units.shape[0]
+        got = ws.sector_rows[j] = (c.real[:, :k].copy(), c.real[:, k:].copy())
+    return got
 
 
 def _kernel_fields(cfg, j):
@@ -387,27 +504,16 @@ def _kernel_fields(cfg, j):
     return [f.coeffs[:, cfg.n_z, window].reshape(-1) for f in fields]
 
 
-def _unit_columns(t, cfg, kern, lo):
-    """Window columns kern (size, nk) scaled to unit L^2 norm, and their weighted images."""
-    nk = kern.shape[1]
-    wkern = _apply_weight(t, cfg.ell, kern.T.reshape(nk, 3, -1, cfg.n_r), lo)
-    wkern = wkern.reshape(nk, -1).T
-    scale = 1.0 / np.sqrt(np.sum(np.conj(kern) * wkern, axis=0).real)
-    return kern * scale, wkern * scale
-
-
 def build_constrained_basis(ws, n, j):
     """Spanning set of sector j of the constrained subspace of mode n.
 
-    Everything is computed on the sector's channel window
-    _sector_window(cfg, j), never on the whole band. Constraint rows:
-    divergence at every collocation point (window + 1) and tangential
-    traction surface channels (window + 4), applied to the sector's unit
-    fields, and the pole regularity rows of each piece; they are flattened
-    in (component, m, r) order, so they come in the same order as over the
-    whole band. Rows are normalized to unit length before the SVD so the
-    relative cutoff SVD_TOL * s_max of the sector is meaningful. Works for
-    any sign of j; assemble_A calls it for j >= 0 only.
+    Everything is computed on the sector's unit fields (_sector_units),
+    never on the whole band. The constraint rows are the real rows
+    r0 + beta r1 of _sector_rows, built once per workspace: divergence,
+    tangential traction and the pole regularity rows of each piece. Rows
+    are normalized to unit length before a real SVD so the relative cutoff
+    SVD_TOL * s_max of the sector is meaningful. Works for any sign of j;
+    assemble_A calls it for j >= 0 only.
 
     Args:
         ws: Workspace.
@@ -415,11 +521,12 @@ def build_constrained_basis(ws, n, j):
         j: angular-momentum sector, -n_theta-1..n_theta+1.
 
     Returns:
-        (basis, info): basis is (3*n_w*n_r, K_j) complex with Cartesian
-        columns on the window's n_w channels, flattened in (component, m,
-        r) order; info records the window as (lo, hi), sizes and the
+        (basis, info): basis is (k, K_j) real, the columns' coordinates on
+        the sector's k unit fields (_sector_fields maps them to window
+        fields); info records the window as (lo, hi), sizes and the
         singular value split at the cutoff (sv_at_rank / sv_past_rank).
-        For n = 0 the sector's kernel fields (see _kernel_fields) lead the
+        For n = 0 the sector's kernel fields (see _kernel_fields), each
+        times the unit phase that makes its coordinates real, lead the
         basis with unit L^2 norm, their indices in info["kernel_columns"],
         and the rest is L^2-orthogonal to them.
 
@@ -428,16 +535,8 @@ def build_constrained_basis(ws, n, j):
         not lie in the computed nullspace.
     """
     cfg = ws.config
-    t = ws.tables
-    lo, hi = _sector_window(cfg, j)
-    units, m_abs = _sector_units(cfg, j)
-    k = units.shape[0]
-    beta = cfg.beta(n)
-    cmat = np.concatenate(
-        [_div_slice(t, units, beta, lo).reshape(k, -1).T]
-        + [a.reshape(k, -1).T for a in _tangential_arrays(t, units, beta, cfg.mu, lo)]
-        + [scipy.linalg.block_diag(*[t.pole_rows(m) for m in m_abs])]
-    )
+    r0, r1 = _sector_rows(ws, j)
+    cmat = r0 + cfg.beta(n) * r1
     norms = np.linalg.norm(cmat, axis=1)
     keep = norms > 1e-14 * norms.max()
     cmat = cmat[keep] / norms[keep][:, None]
@@ -450,11 +549,11 @@ def build_constrained_basis(ws, n, j):
     # cutoff level either way, which is harmless at the tolerances the
     # operators are used at. The kernel checks below stay hard.
     rank = int((s > SVD_TOL * s[0]).sum())
-    null = vh[rank:].conj().T
+    null = vh[rank:].T
     info = {
         "n": int(n),
         "j": int(j),
-        "window": (lo, hi),
+        "window": _sector_window(cfg, j),
         "rows_kept": int(cmat.shape[0]),
         "rank": rank,
         "dim": int(null.shape[1]),
@@ -462,14 +561,17 @@ def build_constrained_basis(ws, n, j):
         "sv_at_rank": float(s[rank - 1]) if rank else 0.0,
         "sv_past_rank": float(s[rank]) if rank < s.size else 0.0,
     }
-    embed = units.reshape(k, -1).T  # sector coordinates -> window Cartesian
     kern = _kernel_fields(cfg, j) if n == 0 else []
     if not kern:
-        return embed @ null, info
+        return null, info
 
-    # mode 0: install the sector's known kernel as exact leading columns
+    # mode 0: install the sector's known kernel as exact leading columns;
+    # each field's coordinates are a unit phase times real ones
     nk = len(kern)
-    kc = np.conj(embed.T) @ np.array(kern).T
+    units = _sector_units(cfg, j)[0].reshape(null.shape[0], -1)
+    kc = np.conj(units) @ np.array(kern).T
+    big = kc[np.argmax(np.abs(kc), axis=0), np.arange(nk)]
+    kc = (kc * (np.conj(big) / np.abs(big))).real
     worst = np.max(np.linalg.norm(cmat @ kc, axis=0) / np.linalg.norm(kc, axis=0))
     if worst > 1e-8:
         raise RuntimeError(
@@ -479,7 +581,7 @@ def build_constrained_basis(ws, n, j):
     # their coordinates there, M-projected against the kernel, spans the
     # rest; within a sector the kernel fields have disjoint supports, so
     # they are L^2-orthogonal and need only be normalized
-    coef = null.conj().T @ kc
+    coef = null.T @ kc
     dist = np.linalg.norm(kc - null @ coef, axis=0) ** 2
     dist /= np.linalg.norm(kc, axis=0) ** 2
     if not np.all(dist < 1e-8):
@@ -488,11 +590,12 @@ def build_constrained_basis(ws, n, j):
             "sector %d, got squared relative distances %s of the kernel fields "
             "from the nullspace" % (nk, j, dist)
         )
-    kern, wkern = _unit_columns(t, cfg, embed @ kc, lo)
-    null = embed @ null
+    wkc = _unit_weight(ws.tables, cfg, j, kc)
+    scale = 1.0 / np.sqrt(np.sum(kc * wkc, axis=0))
+    kc, wkc = kc * scale, wkc * scale
     comp = null @ scipy.linalg.qr(coef)[0][:, nk:]
     info["kernel_columns"] = tuple(range(nk))
-    return np.concatenate([kern, comp - kern @ (wkern.conj().T @ comp)], axis=1), info
+    return np.concatenate([kc, comp - kc @ (wkc.T @ comp)], axis=1), info
 
 
 # ---------------------------------------------------------------------------
@@ -525,12 +628,13 @@ def assemble_A(ws, n):
     """Assemble mode n sector by sector, in the eigenbasis of its pencil.
 
     Only the sectors j = 0..n_theta+1 are built: each gets its own
-    constrained basis, its own M and G samples and a pencil eigh on its
-    non-kernel columns, all on its channel window. Sector -j is a view of
-    sector j read through the mirror (_mirror_rows): it shares sector j's
-    arrays and eigenvalues, and its record negates j and the window. The
-    eigenvalues of all sectors are ranked in ascending order, and each
-    sector records the positions of its own.
+    constrained basis Z, real coordinates on its unit fields, its own M
+    from the unit Gram and G from the strain entries of its columns, and a
+    real pencil eigh on its non-kernel columns, all on its channel window.
+    Sector -j is a view of sector j read through the mirror (_mirror_rows):
+    it shares sector j's arrays and eigenvalues, and its record negates j
+    and the window. The eigenvalues of all sectors are ranked in ascending
+    order, and each sector records the positions of its own.
     Returns a ModeOperator; use mode_operator for the cached accessor.
 
     Raises:
@@ -539,49 +643,51 @@ def assemble_A(ws, n):
     """
     cfg = ws.config
     t = ws.tables
-    nr = cfg.n_r
     beta = cfg.beta(n)
     half = []
     for j in range(cfg.n_theta + 2):
-        null, info = build_constrained_basis(ws, n, j)
-        k = null.shape[1]
+        z, info = build_constrained_basis(ws, n, j)
+        k = z.shape[1]
         if k == 0:
             continue
         lo, hi = info["window"]
-        barr = np.ascontiguousarray(null.T).reshape(k, 3, hi - lo + 1, nr)
-        ym = _sample_matrix(t, cfg.ell, barr, lo)
-        m = np.conj(ym) @ ym.T
-        m = 0.5 * (m + m.conj().T)
-        g = np.zeros((k, k), dtype=complex)
-        entries = _sym_entries(t, barr, beta, lo)
-        for (a, b), wgt in _PAIRS:
-            y = _sample_matrix(t, cfg.ell, entries[(a, b)], lo - 1)
-            g += wgt * (np.conj(y) @ y.T)
-        g *= 0.5 * cfg.mu
-        g = 0.5 * (g + g.conj().T)
+        m = z.T @ _unit_weight(t, cfg, j, z)
+        m = 0.5 * (m + m.T)
+        # G = Re(E^H W E) over the strain entries E of the columns, one
+        # real product on their interleaved views
+        entries = _sym_entries(t, _sector_fields(cfg, j, z), beta, lo)
+        e = np.stack([entries[key] for key, _ in _PAIRS], axis=1)
+        we = _apply_weight(t, cfg.ell, e, lo - 1)
+        we *= np.array([wgt for _, wgt in _PAIRS])[:, None, None]
+        g = 0.5 * cfg.mu * (e.reshape(k, -1).view(float) @ we.reshape(k, -1).view(float).T)
+        g = 0.5 * (g + g.T)
 
         # the installed kernel columns lead the sector and are deflated
         nk = len(info.get("kernel_columns", ()))
         w = np.zeros(k)
-        v = np.zeros_like(g)
-        v[:nk, :nk] = np.diag(1.0 / np.sqrt(np.diag(m)[:nk].real))
+        v = np.zeros((k, k))
+        v[:nk, :nk] = np.diag(1.0 / np.sqrt(np.diag(m)[:nk]))
         w[nk:], v[nk:, nk:] = scipy.linalg.eigh(g[nk:, nk:], m[nk:, nk:])
-        vh = v.conj().T
-        m, g = vh @ (m @ v), vh @ (g @ v)
-        m, g = 0.5 * (m + m.conj().T), 0.5 * (g + g.conj().T)
-        basis = null @ v
+        m, g = v.T @ (m @ v), v.T @ (g @ v)
+        m, g = 0.5 * (m + m.T), 0.5 * (g + g.T)
+        z = z @ v
+        fields = _sector_fields(cfg, j, z).reshape(k, -1)
         # the sector's support: its columns are exactly zero elsewhere
-        local = np.flatnonzero(basis.any(axis=1))
+        local = np.flatnonzero(fields.any(axis=0))
         rows = _window_rows(cfg, lo, hi)[local]
-        half.append((Sector(rows, None, basis[local], m, g, nk, info), w, basis))
+        coef = np.ascontiguousarray(fields[:, local].T)
+        # the blocks meet complex coordinates on every request, so they are
+        # stored complex once rather than cast on each product
+        sector = Sector(rows, None, coef, m.astype(complex), g.astype(complex), nk, info)
+        half.append((sector, w, z))
 
     # mirror pairs share their spectra, so the built half holds lam_max
     lam_max = max(float(np.max(np.abs(w))) for _, w, _ in half)
     mirrored = []
-    for s, w, basis in half:
+    for s, w, z in half:
         lo, hi = s.info["window"]
         for i in np.nonzero(np.abs(w) < 1e-8 * lam_max)[0]:
-            col = basis[:, i].reshape(3, hi - lo + 1, nr)
+            col = _sector_fields(cfg, s.info["j"], z[:, i : i + 1])[0]
             w[i] = _dissipation_slice(ws, n, col, lo) / s.M[i, i].real
         if s.info["j"] > 0:
             info = dict(s.info, j=-s.info["j"], window=(-hi, -lo))
@@ -615,11 +721,13 @@ def _check_mirrored_kernel(ws, s):
     """
     cfg = ws.config
     lo, hi = s.info["window"]
-    kern, _ = _unit_columns(ws.tables, cfg, np.array(_kernel_fields(cfg, -1)).T, lo)
+    kern = _kernel_fields(cfg, -1)[0]
+    wkern = _apply_weight(ws.tables, cfg.ell, kern.reshape(1, 3, -1, cfg.n_r), lo)
+    kern = kern / np.sqrt(np.vdot(kern, wkern.reshape(-1)).real)
     col = np.zeros(3 * cfg.n_modes_theta * cfg.n_r, dtype=complex)
     col[s.rows] = s.coef[:, 0]
     col = _mirror_rows(cfg, col)[_window_rows(cfg, lo, hi)]
-    err = np.max(np.abs(col - kern[:, 0])) / np.max(np.abs(kern))
+    err = np.max(np.abs(col - kern)) / np.max(np.abs(kern))
     if s.nk != 1 or not err <= 1e-12:
         raise RuntimeError(
             "mirrored sector -1 of mode 0 does not lead with e1 - i e2: "

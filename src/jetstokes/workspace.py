@@ -2,8 +2,9 @@
 
 A Workspace owns the radial tables plus every factorization and operator
 block derived from one DomainConfig: inverses of the per-mode elliptic
-operator stacks and the assembled constrained-mode operators. All caches are
-filled lazily and never invalidated (configs are frozen).
+operator stacks, the real constraint rows of each angular-momentum sector
+and the assembled constrained-mode operators. All caches are filled lazily
+and never invalidated (configs are frozen).
 """
 
 from .discretization import tables_for
@@ -17,5 +18,7 @@ class Workspace:
         self.tables = tables_for(config)
         # |n| -> (band, (matrix stack, its inverse)), filled by modesolve._dirichlet_stack
         self.radial_ops = {}
+        # j -> real constraint rows (r0, r1), filled by stokesop._sector_rows
+        self.sector_rows = {}
         # n >= 0 -> ModeOperator, filled by stokesop.mode_operator
         self.mode_ops = {}

@@ -21,3 +21,8 @@ def cfg_medium():
 @pytest.fixture(scope="session")
 def ws_medium(cfg_medium):
     return js.Workspace(cfg_medium)
+
+
+@pytest.fixture(scope="session")
+def ws_wide():
+    return js.Workspace(js.DomainConfig(n_r=24, n_theta=6, n_z=4))

@@ -6,11 +6,14 @@ forms. None of it shares code paths with the package, so agreement is
 evidence rather than tautology. The exceptions are
 dense_constrained_nullspace, which reuses the package's constraint rows
 but none of its angular-momentum sector split; the all-channel sector path
-(unit fields, constraint rows and M/G samples over every channel of the
-band), the layout the package used before each sector was carried on its
-own channel window; the full-band strong assembly, which applies A to a
-sector's columns over the whole band, as the package did before each
-sector's strong block was assembled on its own reach; and the reference
+(unit fields, constraint rows, complex SVD and M/G samples over every
+channel of the band), the layout and the complex arithmetic the package
+used before each sector was carried on its own channel window and built
+in real arithmetic; the sector's constraint rows evaluated directly at
+one beta in complex arithmetic, which the real rows r0 + beta r1 are held
+to; the full-band strong assembly, which applies A to a sector's columns
+over the whole band, as the package did before each sector's strong
+block was assembled on its own reach; and the reference
 kernels at the end: the per-channel stack product, the four-application
 derivatives, divergence and surface pressure, and the step-by-step
 evolution loop. They are the package's earlier implementations, kept so
@@ -179,7 +182,9 @@ def sector_units_all_channels(cfg, j):
 
     The earlier layout of the sector path: every piece of the sector sits
     in a slice over all channels of the band, so each kernel applied to
-    these runs on every channel. Returns (units, |m| of each piece).
+    these runs on every channel, and the u_z piece carries no phase, so
+    the constraint rows on these units are complex and need a complex SVD.
+    Returns (units, |m| of each piece).
     """
     nm, nr = cfg.n_modes_theta, cfg.n_r
     h = math.sqrt(0.5)
@@ -215,6 +220,47 @@ def sector_constraints_all_channels(ws, n, j):
     return cmat[keep] / norms[keep][:, None], units.reshape(k, -1).T
 
 
+def sector_rows_complex(ws, n, j):
+    """Sector j's constraint rows at mode n, evaluated directly in complex arithmetic.
+
+    The rows act on the package's unit fields (stokesop._sector_units) and
+    are restricted to those nonzero at beta = 0 or at beta = 1: the rows
+    stokesop._sector_rows keeps, in the same order. Returns (rows,
+    r0 + beta r1) with the second from the package's real cache.
+    """
+    from jetstokes.stokesop import _constraint_rows, _sector_rows, _sector_units, _sector_window
+
+    cfg, t = ws.config, ws.tables
+    units, m_abs = _sector_units(cfg, j)
+    lo = _sector_window(cfg, j)[0]
+    rows = [_constraint_rows(t, cfg, units, m_abs, b, lo) for b in (cfg.beta(n), 0.0, 1.0)]
+    live = rows[1].any(axis=1) | rows[2].any(axis=1)
+    r0, r1 = _sector_rows(ws, j)
+    return rows[0][live], r0 + cfg.beta(n) * r1
+
+
+def row_phase_defects(ws, n, j):
+    """Realness and split defects of sector j's constraint rows at mode n.
+
+    Each direct row of sector_rows_complex is rotated by the phase of its
+    largest entry. Returns the largest imaginary part left in a rotated
+    row, and the largest distance of a rotated row from +- its row of
+    r0 + beta r1, each relative to the row's norm (to the largest row norm
+    for rows that vanish at this beta).
+    """
+    direct, split = sector_rows_complex(ws, n, j)
+    norms = np.linalg.norm(direct, axis=1)
+    scale = np.where(norms > 0.0, norms, norms.max())
+    big = direct[np.arange(direct.shape[0]), np.argmax(np.abs(direct), axis=1)]
+    # a row that vanishes at this beta stays zero
+    rotated = direct * (np.conj(big) / np.maximum(np.abs(big), 1e-300))[:, None]
+    imag = np.linalg.norm(rotated.imag, axis=1) / scale
+    gap = np.minimum(
+        np.linalg.norm(rotated - split, axis=1), np.linalg.norm(rotated + split, axis=1)
+    )
+    return float(np.max(imag)), float(np.max(gap / scale))
+
+
 def sector_nullspace_all_channels(ws, n, j):
     """Sector j's constraint nullspace over all channels.
 
@@ -229,9 +275,29 @@ def sector_nullspace_all_channels(ws, n, j):
     return embed @ vh[rank:].conj().T, cmat.shape[0], rank
 
 
+def _sample_matrix(t, ell, arr):
+    """Weighted quadrature samples of channel profiles, flattened per row.
+
+    arr has shape (K, ..., n_m, n_r) on the symmetric band; rows of the
+    result are ready for Gram products: conj(Y) @ Y.T reproduces the L^2
+    pairing exactly for the polynomial degrees the grid carries.
+    """
+    from jetstokes.discretization import apply_stack
+    from jetstokes.fields import _stacks
+
+    vals = apply_stack(_stacks(t, arr).resample, arr)
+    vals *= np.sqrt(2.0 * math.pi * ell * t.w_quad)
+    return vals.reshape(arr.shape[0], -1)
+
+
 def pencil_all_channels(ws, n, basis):
-    """M and G of full Cartesian columns basis (3*n_m*n_r, K), sampled on every channel."""
-    from jetstokes.stokesop import _PAIRS, _sample_matrix, _sym_entries
+    """M and G of full Cartesian columns basis (3*n_m*n_r, K), sampled on every channel.
+
+    The complex construction the package used before each sector's pencil
+    was formed in real arithmetic: quadrature samples of the fields and of
+    their strain entries, and conj(Y) @ Y.T products.
+    """
+    from jetstokes.stokesop import _PAIRS, _sym_entries
 
     cfg, t = ws.config, ws.tables
     k = basis.shape[1]

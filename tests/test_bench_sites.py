@@ -59,3 +59,27 @@ def test_tracer_sites_resolve_and_are_restored():
     for old, new in zip(before, after):
         assert new.keys() == old.keys()
         assert all(new[name] is old[name] for name in old)
+
+
+def test_traced_setup_counts_every_basis_build():
+    # the bench wraps stokesop.build_constrained_basis by name, so set-up
+    # must call it through the module global for the counts to be whole
+    spans = _load("spans")
+    tracer = spans.Tracer()
+    cfg = js.DomainConfig(n_r=12, n_theta=3, n_z=2)
+    with spans.instrument(tracer):
+        ws = js.Workspace(cfg)
+        ops = [js.mode_operator(ws, n) for n in range(cfg.n_z + 1)]
+    built = {(op.n, s.info["j"]): s.info for op in ops for s in op.sectors}
+    # a sector with an empty nullspace (j = 4 here) stores no Sector, so its
+    # record comes from a direct build outside the trace
+    infos = [
+        built.get((n, j)) or stokesop.build_constrained_basis(ws, n, j)[1]
+        for n in range(cfg.n_z + 1)
+        for j in range(cfg.n_theta + 2)
+    ]
+    assert any(i["dim"] == 0 for i in infos)
+    _, _, calls = tracer.totals()
+    assert calls["stokesop.basis"] == len(infos)
+    assert tracer.counts["stokesop.constraint_rows"] == sum(i["rows_kept"] for i in infos)
+    assert tracer.counts["stokesop.basis_dim"] == sum(i["dim"] for i in infos)

@@ -1,8 +1,8 @@
 """Sector invariants over randomized small configurations.
 
-Hypothesis draws kappa, n_r and n_theta (derandomized, so every run sees
-the same draws) and each test checks one structural fact of the sector
-layout on modes 0 and 1:
+Hypothesis draws kappa, ell, mu, n_r and n_theta (derandomized, so every
+run sees the same draws) and each test checks one structural fact of the
+sector layout on modes 0 and 1:
 
 - the projection P = expand o reduce commutes with the mirror
   theta -> -theta, u_y -> -u_y, for modes n and -n;
@@ -10,23 +10,41 @@ layout on modes 0 and 1:
   source's pencil, hence its eigenvalues;
 - every sector pencil is Hermitian, with M positive definite and G
   positive semidefinite;
-- the kernel has dimension 4 at n = 0 and is empty at n = 1.
+- the kernel has dimension 4 at n = 0 and is empty at n = 1;
+- every built sector's constraint rows are a phase times a real row, and
+  the cached r0 + beta r1 is that row;
+- the resolvent obeys the sector bound ||v|| <= sqrt(2) ||g|| / |lam|
+  for lam with |Im lam| > Re lam.
 """
+
+import cmath
+import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import jetstokes as js
 import oracles
+from jetstokes.fields import random_smooth_vector
 from jetstokes.rng import stream
 from jetstokes.spectral import KERNEL_TOL
 from jetstokes.stokesop import _mirror_rows, expand_slice, reduce_slice
 
 CONFIGS = st.builds(
-    lambda kappa, n_r, n_theta: js.DomainConfig(kappa=kappa, n_r=n_r, n_theta=n_theta, n_z=1),
+    lambda kappa, ell, mu, n_r, n_theta: js.DomainConfig(
+        kappa=kappa, ell=ell, mu=mu, n_r=n_r, n_theta=n_theta, n_z=1
+    ),
     st.floats(0.1, 0.95),
+    st.floats(1.0, 20.0),
+    st.floats(0.1, 10.0),
     st.integers(6, 16),
     st.integers(1, 4),
+)
+# |lam| e^{i phi} with phi in (pi/4, 7 pi/4): |Im lam| > Re lam
+LAMBDAS = st.builds(
+    lambda r, phi: r * cmath.exp(1j * phi),
+    st.floats(0.1, 100.0),
+    st.floats(math.pi / 4 + 0.01, 7 * math.pi / 4 - 0.01),
 )
 PROPERTY = settings(derandomize=True, max_examples=10, deadline=None)
 
@@ -89,3 +107,23 @@ def test_kernel_is_four_dimensional_at_mode_0_only(cfg):
     assert js.kernel_dimension(ws) == 4
     w = js.mode_operator(ws, 1).eigen[0]
     assert np.sum(np.abs(w) < KERNEL_TOL * np.max(np.abs(w))) == 0
+
+
+@PROPERTY
+@given(CONFIGS)
+def test_sector_rows_are_real_up_to_a_phase(cfg):
+    ws = js.Workspace(cfg)
+    for n in (0, 1):
+        for j in range(cfg.n_theta + 2):
+            imag, split = oracles.row_phase_defects(ws, n, j)
+            assert imag <= 1e-14 and split <= 1e-14
+
+
+@PROPERTY
+@given(CONFIGS, LAMBDAS)
+def test_resolvent_obeys_the_sector_bound(cfg, lam):
+    ws = js.Workspace(cfg)
+    g = random_smooth_vector(cfg, stream(82, "tests"), real=False)
+    v, info = js.resolve(ws, lam, g)
+    assert info["max_rel_residual"] < 1e-8
+    assert js.norm_L2(v) <= (1.0 + 1e-10) * math.sqrt(2.0) * js.norm_L2(g) / abs(lam)

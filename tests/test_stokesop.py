@@ -223,8 +223,10 @@ def _full_columns(cfg, s):
 def _direct_columns(ws, n, j):
     """Sector j of mode n built directly, as full Cartesian columns, and its info."""
     cfg = ws.config
-    null, info = stokesop.build_constrained_basis(ws, n, j)
-    out = np.zeros((3 * cfg.n_modes_theta * cfg.n_r, null.shape[1]), dtype=complex)
+    z, info = stokesop.build_constrained_basis(ws, n, j)
+    out = np.zeros((3 * cfg.n_modes_theta * cfg.n_r, z.shape[1]), dtype=complex)
+    fields = stokesop._sector_fields(cfg, j, z)
+    null = fields.reshape(z.shape[1], math.prod(fields.shape[1:])).T
     out[stokesop._window_rows(cfg, *info["window"])] = null
     return out, info
 
@@ -396,7 +398,9 @@ def test_set_up_builds_nonnegative_sectors_on_their_windows(cfg_small, monkeypat
     assert all(hi - lo <= 4 and lo >= -2 for lo, hi in ranges)
 
 
-@pytest.mark.parametrize("ws_name", ["ws_small", "ws_medium"])
+# the all-channel reference is the complex construction (complex rows,
+# SVD, samples and eigh), so this also holds the real set-up to it
+@pytest.mark.parametrize("ws_name", ["ws_small", "ws_medium", "ws_wide"])
 def test_windowed_sectors_match_all_channel_reference(ws_name, request):
     ws = request.getfixturevalue(ws_name)
     cfg = ws.config
@@ -421,6 +425,42 @@ def test_windowed_sectors_match_all_channel_reference(ws_name, request):
         basis = op.basis
         leak = basis - null @ (null.conj().T @ basis)
         assert np.linalg.norm(leak) < 1e-10 * np.linalg.norm(basis)
+
+
+@pytest.mark.parametrize("ws_name", ["ws_small", "ws_wide"])
+def test_sector_rows_are_real_and_split_in_beta(ws_name, request):
+    # with the z piece times i, every constraint row of every (n, j) is a
+    # phase times a real row, and the cached r0 + beta r1 is that row
+    ws = request.getfixturevalue(ws_name)
+    cfg = ws.config
+    for n in range(-cfg.n_z, cfg.n_z + 1):
+        for j in range(-cfg.n_theta - 1, cfg.n_theta + 2):
+            imag, split = oracles.row_phase_defects(ws, n, j)
+            assert imag <= 1e-14 and split <= 1e-14, (n, j, imag, split)
+
+
+@pytest.mark.parametrize("ws_name", ["ws_small", "ws_wide"])
+def test_sector_grams_have_no_imaginary_part(ws_name, request):
+    ws = request.getfixturevalue(ws_name)
+    cfg = ws.config
+    t = ws.tables
+    for j in range(-cfg.n_theta - 1, cfg.n_theta + 2):
+        # the unit Gram is real and block diagonal, as _unit_weight forms it
+        units, _ = stokesop._sector_units(cfg, j)
+        lo = stokesop._sector_window(cfg, j)[0]
+        k = units.shape[0]
+        mu = np.conj(units.reshape(k, -1)) @ _apply_weight(t, cfg.ell, units, lo).reshape(k, -1).T
+        assert np.max(np.abs(mu.imag)) <= 1e-14 * np.max(np.abs(mu))
+        want = stokesop._unit_weight(t, cfg, j, np.eye(k))
+        assert np.max(np.abs(mu.real - want)) <= 1e-14 * np.max(np.abs(want))
+        # M and G of each real basis, sampled in complex arithmetic
+        for n in range(cfg.n_z + 1):
+            cols, _ = _direct_columns(ws, n, j)
+            if not cols.size:
+                continue
+            m, g = oracles.pencil_all_channels(ws, n, cols)
+            assert np.max(np.abs(m.imag)) <= 1e-14 * np.max(np.abs(m))
+            assert np.max(np.abs(g.imag)) <= 1e-14 * np.max(np.abs(g))
 
 
 def test_mass_matrix_matches_inner_product(ws_small):
