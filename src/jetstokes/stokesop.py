@@ -28,11 +28,14 @@ where G pairs the strain entries E of the columns b = units Z through the
 radial Gram, in one real product.
 
 Each mode is stored as its sectors, each in the M-orthonormal eigenbasis
-V of its pencil: the fields N V on the entries the sector reaches,
-V^H M V ~ I, V^H G V ~ diag(w) and its eigenvalues' ranks in the mode. In
-these coordinates the L^2 projection, the resolvent and both time
-steppers are diagonal scalings done sector by sector; the blocks are kept
-to measure residuals against. The strong operator
+V of its pencil: the real coordinates z = Z V of its eigenvector fields on
+its unit fields, V^T M V ~ I, V^T G V ~ diag(w) and its eigenvalues' ranks
+in the mode. The built sectors are packed into zero-padded real stacks
+with two index tables (ModeOperator), so reducing a slice, expanding
+coordinates and the M/G products are each one gather, one batched real
+product and one scatter per mode. In these coordinates the L^2
+projection, the resolvent and both time steppers are diagonal scalings;
+the blocks are kept to measure residuals against. The strong operator
 
   A v = -mu P laplacian(v) + grad(Q v)
 
@@ -57,11 +60,12 @@ Negative modes are never assembled, and negative sectors are never built.
 Coefficients of mode -n are conjugate m-reversals of mode +n quantities:
 reduce_slice / expand_slice flip the field slice (_conj_flip), so mode -n
 uses mode-|n| coordinates everywhere else. Within a mode, the mirror
-theta -> -theta with u_y -> -u_y sends channel m to -m and negates the y
-component (_mirror_rows); it commutes with every constraint and with both
-forms and maps sector j onto sector -j. So only j = 0..n_theta+1 are built.
-Sector -j is a view of sector j: it shares its rows, coefficients, blocks
-and eigenvalues, and every reader takes its fields through the mirror.
+theta -> -theta with u_y -> -u_y sends channel m to -m and swaps the u+
+and u- pieces (_mirror_piece); it commutes with every constraint and with
+both forms and maps sector j onto sector -j. So only j = 0..n_theta+1 are
+built. Sector -j stores nothing: it shares sector j's coordinates, blocks
+and eigenvalues, and the slot table reads its pieces at the mirrored
+entries of the same stack entry.
 """
 
 import dataclasses
@@ -89,6 +93,11 @@ from .helmholtz import _q_slice
 # relative singular-value cutoff of each sector's constraint SVD
 SVD_TOL = 1e-9
 
+# columns u+ = (h, -i h, 0), u- = (h, i h, 0) and i e_z, h = 1/sqrt(2): the
+# Cartesian vectors of the three sector pieces, a unitary matrix
+_H = math.sqrt(0.5)
+_PIECE_VECTORS = np.array([[_H, _H, 0.0], [-1j * _H, 1j * _H, 0.0], [0.0, 0.0, 1j]])
+
 # pair -> multiplicity in sum_ij over the full symmetric table
 _PAIRS = (
     ((0, 0), 1.0),
@@ -104,23 +113,24 @@ _PAIRS = (
 class Sector:
     """One angular-momentum sector of a mode in its pencil eigenbasis.
 
-    rows are the flat Cartesian-slice entries the sector reaches (x and y
-    at m = j +- 1, z at m = j), cols the positions of its coordinates in
-    the mode's ascending order, coef its eigenvector fields on those rows,
-    M ~ I and G ~ diag(w) its pencil blocks, and nk its number of leading
-    kernel columns. info is its basis record (build_constrained_basis),
+    cols are the positions of its coordinates in the mode's ascending
+    order, z (k, K) the real coordinates of its eigenvector fields on its k
+    unit fields (_sector_fields maps them to window fields), M ~ I and
+    G ~ diag(w) its real pencil blocks, and nk its number of leading
+    kernel columns. z, M and G are views into the mode's packed stacks
+    (ModeOperator). info is its basis record (build_constrained_basis),
     with its j and channel window. A is its strong block and leak the
     relative norm of A b outside the sector's unit embedding; both stay
     None until ModeOperator.assemble_strong fills them.
 
     A mirrored sector -j names its source sector j in mirror_of and shares
-    that sector's rows, coef, M, G and nk: its fields are the _mirror_rows
-    image of the source's. Only cols and info are its own.
+    that sector's z, M, G and nk: its fields are the mirror images of the
+    source's, read on the mirrored pieces (_mirror_piece). Only cols and
+    info are its own.
     """
 
-    rows: np.ndarray
     cols: np.ndarray
-    coef: np.ndarray
+    z: np.ndarray
     M: np.ndarray
     G: np.ndarray
     nk: int
@@ -138,8 +148,22 @@ class ModeOperator:
     -n slice these are the mode-n coordinates of its conjugate m-reversal
     (see reduce_slice). eigen is (w, residual) with the ascending
     eigenvalues and each pair's pencil residual ||G e_i - w_i M e_i|| /
-    sqrt(M_ii); each sector keeps its own basis record in Sector.info. ws
-    is a weak reference to the owning Workspace, so the cache holds no
+    sqrt(M_ii); each sector keeps its own basis record in Sector.info.
+
+    The S built sectors j >= 0 are packed, in order of j, into zero-padded
+    real stacks: Z (S, K_max, 3 n_r) holds each sector's z transposed, ZW
+    the same with the unit Gram folded in ((M_u z)^T), and M and G
+    (S, K_max, K_max) its blocks. Slices meet them through their piece
+    array (_pieces): the coefficients on u+, u- and i e_z at every
+    channel, flattened in (piece, m, r) order, plus one zero entry. slots
+    (S, 3 n_r, 2) name the piece entry each row of Z reads, for the sector
+    ([..., 0]) and for its mirror image -j ([..., 1]); cols (S, K_max, 2)
+    name the mode coordinate of each column, likewise. Padding reads the
+    zero entry and writes the spare coordinate dim; sector 0 has no mirror
+    and pads its second half. So every request is one gather, one batched
+    real product on the interleaved view and one scatter.
+
+    ws is a weak reference to the owning Workspace, so the cache holds no
     reference cycle. basis, M_block, G_block and A_block are dense views
     built on each read for checks and export; no solve reads them, and
     basis and the first strong read need that workspace alive.
@@ -149,26 +173,31 @@ class ModeOperator:
     sectors: tuple
     eigen: tuple
     kernel_columns: tuple
+    Z: np.ndarray
+    ZW: np.ndarray
+    M: np.ndarray
+    G: np.ndarray
+    cols: np.ndarray
+    slots: np.ndarray
     ws: object = dataclasses.field(repr=False, compare=False)
 
     def apply(self, name, y):
-        """Product of the block "M", "G" or "A" with coordinates y, per sector.
+        """Product of the pencil block "M" or "G" with coordinates y.
 
         y is (dim,) or (dim, k): each column is one coordinate vector.
         """
-        if name == "A":
-            self.assemble_strong()
-        out = np.empty(y.shape, dtype=complex)
-        for s in self.sectors:
-            out[s.cols] = getattr(s, name) @ y[s.cols]
-        return out
+        if name not in ("M", "G"):
+            raise ValueError("ModeOperator.apply takes the block 'M' or 'G', not %r" % (name,))
+        x = _gather(self.cols, _padded(y.reshape(y.shape[0], -1)))
+        out = _scatter(self.cols, np.matmul(getattr(self, name), x), y.shape[0] + 1)
+        return out[:-1].reshape(y.shape)
 
     def assemble_strong(self):
         """Strong block of each sector on first call; returns the largest leak.
 
-        A is applied to each built sector's columns on its reach, the window
-        [lo - 2, hi + 2] clipped to the band, which holds all of A b: the
-        block is coef^H (W A b) on the sector's rows, and the leak is the
+        A is applied to each built sector's window fields on its reach, the
+        window [lo - 2, hi + 2] clipped to the band, which holds all of A b:
+        the block is b^H (W A b) on the window, and the leak is the
         relative Euclidean norm of A b outside the sector's unit embedding,
         which bounds every off-sector entry of (A b_c, b_i). A mirrored
         sector takes its source's block and leak.
@@ -179,21 +208,20 @@ class ModeOperator:
         for s in reversed(self.sectors):
             if s.A is not None or s.mirror_of is not None:
                 continue
-            lo, hi = s.info["window"]
+            j, (lo, hi), k = s.info["j"], s.info["window"], s.cols.size
             rlo, rhi = max(lo - 2, -cfg.n_theta), min(hi + 2, cfg.n_theta)
-            reach = _window_rows(cfg, rlo, rhi)
-            rows = np.searchsorted(reach, s.rows)
-            barr = np.zeros((s.cols.size, reach.size), dtype=complex)
-            barr[:, rows] = s.coef.T
-            ab = _apply_A_slice(ws, self.n, barr.reshape(-1, 3, rhi - rlo + 1, cfg.n_r), rlo)
-            wab = _apply_weight(ws.tables, cfg.ell, ab, rlo).reshape(s.cols.size, -1)
-            s.A = s.coef.conj().T @ wab[:, rows].T
-            ab = ab.reshape(s.cols.size, -1)
+            win = slice(lo - rlo, hi - rlo + 1)
+            fields = _sector_fields(cfg, j, s.z)
+            barr = np.zeros((k, 3, rhi - rlo + 1, cfg.n_r), dtype=complex)
+            barr[:, :, win] = fields
+            ab = _apply_A_slice(ws, self.n, barr, rlo)
+            wab = _apply_weight(ws.tables, cfg.ell, ab, rlo)[:, :, win]
+            s.A = fields.reshape(k, -1).conj() @ wab.reshape(k, -1).T
             total = np.linalg.norm(ab)
             # the unit embedding lives on the sector's window
-            wrows = np.searchsorted(reach, _window_rows(cfg, lo, hi))
-            units = _sector_units(cfg, s.info["j"])[0].reshape(-1, wrows.size)
-            ab[:, wrows] -= (ab[:, wrows] @ units.conj().T) @ units
+            units = _sector_units(cfg, j)[0].reshape(-1, fields[0].size)
+            abw = ab[:, :, win].reshape(k, -1)
+            ab[:, :, win] = (abw - (abw @ units.conj().T) @ units).reshape(fields.shape)
             s.leak = float(np.linalg.norm(ab) / total)
         for s in self.sectors:
             if s.mirror_of is not None:
@@ -210,22 +238,23 @@ class ModeOperator:
 
     @property
     def A_block(self):
-        return self.apply("A", np.eye(self.eigen[0].size))
+        self.assemble_strong()
+        out = np.zeros((self.eigen[0].size,) * 2, dtype=complex)
+        for s in self.sectors:
+            out[np.ix_(s.cols, s.cols)] = s.A
+        return out
 
     def synthesize(self, y):
         """Flat Cartesian slices (3 * n_m * n_r, k) of coordinates y (dim, k).
 
-        The mirrored sectors sum on their sources' rows first; mirroring
-        that sum puts them in place, and the built sectors add onto it.
+        Z^T maps each sector's coordinates, and its mirror's, to their
+        pieces; the slots put them in the piece array P (_pieces), and the
+        slices are v = V P.
         """
         cfg = self.ws().config
-        v = np.zeros((3 * cfg.n_modes_theta * cfg.n_r, y.shape[1]), dtype=complex)
-        for mirrored in (True, False):
-            for s in self.sectors:
-                if (s.mirror_of is not None) is mirrored:
-                    v[s.rows] += s.coef @ y[s.cols]
-            v = _mirror_rows(cfg, v) if mirrored else v
-        return v
+        prod = np.matmul(self.Z.transpose(0, 2, 1), _gather(self.cols, _padded(y)))
+        p = _scatter(self.slots, prod, 3 * cfg.n_modes_theta * cfg.n_r + 1)[:-1]
+        return np.matmul(_PIECE_VECTORS, p.reshape(3, -1)).reshape(p.shape)
 
     @property
     def basis(self):
@@ -372,16 +401,36 @@ def _window_rows(cfg, lo, hi):
 
 
 def _sector_pieces(cfg, j):
-    """(m, Cartesian vector) of each piece of sector j that lies in the band.
+    """(kind, m, Cartesian vector) of each piece of sector j that lies in the band.
 
-    u+ = u_x + i u_y at m = j + 1, u- = u_x - i u_y at m = j - 1 and u_z at
-    m = j. The entries 1/sqrt(2) and +-i/sqrt(2) make the embedding
-    unitary, and the z piece carries the phase i, which cancels the i of
-    d/dz = i beta (see _sector_units).
+    u+ = u_x + i u_y at m = j + 1 (kind 0), u- = u_x - i u_y at m = j - 1
+    (kind 1) and u_z at m = j (kind 2). The vectors are the columns of the
+    unitary _PIECE_VECTORS, so the embedding is unitary, and the z piece
+    carries the phase i, which cancels the i of d/dz = i beta (see
+    _sector_units).
     """
-    h = math.sqrt(0.5)
-    pieces = [(j + 1, (h, -1j * h, 0.0)), (j - 1, (h, 1j * h, 0.0)), (j, (0.0, 0.0, 1j))]
-    return [(m, vec) for m, vec in pieces if abs(m) <= cfg.n_theta]
+    pieces = [(0, j + 1), (1, j - 1), (2, j)]
+    return [(p, m, _PIECE_VECTORS[:, p]) for p, m in pieces if abs(m) <= cfg.n_theta]
+
+
+def _mirror_piece(kind, m):
+    """The piece that theta -> -theta, u_y -> -u_y maps piece kind at channel m to.
+
+    The mirror sends channel m to -m and swaps u+ and u-; it maps sector j
+    onto sector -j, so sector -j is sector j read on the mirrored pieces.
+    """
+    return (1, 0, 2)[kind], -m
+
+
+def _piece_slots(cfg, j, mirrored=False):
+    """Piece-array entries (_pieces) of the rows of sector j's z, or of their mirror images."""
+    out = []
+    for kind, m, _ in _sector_pieces(cfg, j):
+        if mirrored:
+            kind, m = _mirror_piece(kind, m)
+        start = (kind * cfg.n_modes_theta + cfg.n_theta + m) * cfg.n_r
+        out.append(np.arange(start, start + cfg.n_r))
+    return np.concatenate(out)
 
 
 def _sector_fields(cfg, j, z):
@@ -393,7 +442,7 @@ def _sector_fields(cfg, j, z):
     lo, hi = _sector_window(cfg, j)
     nr = cfg.n_r
     out = np.zeros((z.shape[1], 3, hi - lo + 1, nr), dtype=complex)
-    for p, (m, vec) in enumerate(_sector_pieces(cfg, j)):
+    for p, (_, m, vec) in enumerate(_sector_pieces(cfg, j)):
         zp = z[p * nr : (p + 1) * nr].T
         for c in range(3):
             if vec[c]:
@@ -418,7 +467,7 @@ def _sector_units(cfg, j):
     in order.
     """
     pieces = _sector_pieces(cfg, j)
-    return _sector_fields(cfg, j, np.eye(len(pieces) * cfg.n_r)), [abs(m) for m, _ in pieces]
+    return _sector_fields(cfg, j, np.eye(len(pieces) * cfg.n_r)), [abs(m) for _, m, _ in pieces]
 
 
 def _unit_weight(t, cfg, j, z):
@@ -430,7 +479,7 @@ def _unit_weight(t, cfg, j, z):
     """
     nr = cfg.n_r
     out = np.empty(z.shape)
-    for p, (m, _) in enumerate(_sector_pieces(cfg, j)):
+    for p, (_, m, _) in enumerate(_sector_pieces(cfg, j)):
         out[p * nr : (p + 1) * nr] = t.gram(1 if m % 2 == 0 else -1) @ z[p * nr : (p + 1) * nr]
     return 2.0 * math.pi * cfg.ell * out
 
@@ -631,10 +680,11 @@ def assemble_A(ws, n):
     constrained basis Z, real coordinates on its unit fields, its own M
     from the unit Gram and G from the strain entries of its columns, and a
     real pencil eigh on its non-kernel columns, all on its channel window.
-    Sector -j is a view of sector j read through the mirror (_mirror_rows):
-    it shares sector j's arrays and eigenvalues, and its record negates j
-    and the window. The eigenvalues of all sectors are ranked in ascending
-    order, and each sector records the positions of its own.
+    They are packed into the real stacks of ModeOperator. Sector -j is
+    sector j read on the mirrored pieces (_mirror_piece): it shares sector
+    j's arrays and eigenvalues, and its record negates j and the window.
+    The eigenvalues of all sectors are ranked in ascending order, and each
+    sector records the positions of its own.
     Returns a ModeOperator; use mode_operator for the cached accessor.
 
     Raises:
@@ -644,14 +694,15 @@ def assemble_A(ws, n):
     cfg = ws.config
     t = ws.tables
     beta = cfg.beta(n)
-    half = []
+    built = []
     for j in range(cfg.n_theta + 2):
         z, info = build_constrained_basis(ws, n, j)
         k = z.shape[1]
         if k == 0:
             continue
-        lo, hi = info["window"]
-        m = z.T @ _unit_weight(t, cfg, j, z)
+        lo = info["window"][0]
+        zw = _unit_weight(t, cfg, j, z)
+        m = z.T @ zw
         m = 0.5 * (m + m.T)
         # G = Re(E^H W E) over the strain entries E of the columns, one
         # real product on their interleaved views
@@ -669,32 +720,33 @@ def assemble_A(ws, n):
         v[:nk, :nk] = np.diag(1.0 / np.sqrt(np.diag(m)[:nk]))
         w[nk:], v[nk:, nk:] = scipy.linalg.eigh(g[nk:, nk:], m[nk:, nk:])
         m, g = v.T @ (m @ v), v.T @ (g @ v)
-        m, g = 0.5 * (m + m.T), 0.5 * (g + g.T)
-        z = z @ v
-        fields = _sector_fields(cfg, j, z).reshape(k, -1)
-        # the sector's support: its columns are exactly zero elsewhere
-        local = np.flatnonzero(fields.any(axis=0))
-        rows = _window_rows(cfg, lo, hi)[local]
-        coef = np.ascontiguousarray(fields[:, local].T)
-        # the blocks meet complex coordinates on every request, so they are
-        # stored complex once rather than cast on each product
-        sector = Sector(rows, None, coef, m.astype(complex), g.astype(complex), nk, info)
-        half.append((sector, w, z))
+        built.append((info, nk, z @ v, zw @ v, 0.5 * (m + m.T), 0.5 * (g + g.T), w))
+
+    # the packed real stacks; each sector's arrays are views into them
+    k_max = max(w.size for *_, w in built)
+    zs = np.zeros((len(built), k_max, 3 * cfg.n_r))
+    zws = np.zeros_like(zs)
+    ms = np.zeros((len(built), k_max, k_max))
+    gs = np.zeros_like(ms)
+    half = []
+    for i, (info, nk, z, zw, m, g, w) in enumerate(built):
+        rows, k = z.shape
+        zs[i, :k, :rows], zws[i, :k, :rows] = z.T, zw.T
+        ms[i, :k, :k], gs[i, :k, :k] = m, g
+        half.append((Sector(None, zs[i, :k, :rows].T, ms[i, :k, :k], gs[i, :k, :k], nk, info), w))
 
     # mirror pairs share their spectra, so the built half holds lam_max
-    lam_max = max(float(np.max(np.abs(w))) for _, w, _ in half)
+    lam_max = max(float(np.max(np.abs(w))) for _, w in half)
     mirrored = []
-    for s, w, z in half:
+    for s, w in half:
         lo, hi = s.info["window"]
         for i in np.nonzero(np.abs(w) < 1e-8 * lam_max)[0]:
-            col = _sector_fields(cfg, s.info["j"], z[:, i : i + 1])[0]
-            w[i] = _dissipation_slice(ws, n, col, lo) / s.M[i, i].real
+            col = _sector_fields(cfg, s.info["j"], s.z[:, i : i + 1])[0]
+            w[i] = _dissipation_slice(ws, n, col, lo) / s.M[i, i]
         if s.info["j"] > 0:
             info = dict(s.info, j=-s.info["j"], window=(-hi, -lo))
-            mirrored.insert(0, (dataclasses.replace(s, info=info, mirror_of=s), w, None))
-    sectors, eigvals, _ = zip(*(mirrored + half))
-    if n == 0:
-        _check_mirrored_kernel(ws, next(s for s in sectors if s.info["j"] == -1))
+            mirrored.insert(0, (dataclasses.replace(s, info=info, mirror_of=s), w))
+    sectors, eigvals = zip(*(mirrored + half))
 
     w = np.concatenate(eigvals)
     rank = np.argsort(np.argsort(w, kind="stable"))
@@ -702,31 +754,52 @@ def assemble_A(ws, n):
     splits = np.cumsum([sw.size for sw in eigvals])[:-1]
     for s, sw, cols in zip(sectors, eigvals, np.split(rank, splits)):
         s.cols = cols
-        residual[cols] = np.linalg.norm(s.G - s.M * sw, axis=0) / np.sqrt(np.diag(s.M).real)
-    return ModeOperator(
+        residual[cols] = np.linalg.norm(s.G - s.M * sw, axis=0) / np.sqrt(np.diag(s.M))
+
+    # index tables: a sector and its mirror share their stack entry
+    cols = np.full((len(half), k_max, 2), w.size)
+    slots = np.full((len(half), zs.shape[2], 2), 3 * cfg.n_modes_theta * cfg.n_r)
+    entry = {id(s): i for i, (s, _) in enumerate(half)}
+    for s in sectors:
+        src = s if s.mirror_of is None else s.mirror_of
+        i, side = entry[id(src)], int(s.mirror_of is not None)
+        cols[i, : s.cols.size, side] = s.cols
+        slots[i, : src.z.shape[0], side] = _piece_slots(cfg, src.info["j"], bool(side))
+    op = ModeOperator(
         n=int(n),
         sectors=sectors,
         eigen=(np.sort(w, kind="stable"), residual),
         kernel_columns=tuple(sorted(int(i) for s in sectors for i in s.cols[: s.nk])),
+        Z=zs,
+        ZW=zws,
+        M=ms,
+        G=gs,
+        cols=cols,
+        slots=slots,
         ws=weakref.ref(ws),
     )
+    if n == 0:
+        _check_mirrored_kernel(op, next(s for s in sectors if s.info["j"] == -1))
+    return op
 
 
-def _check_mirrored_kernel(ws, s):
+def _check_mirrored_kernel(op, s):
     """Raise RuntimeError unless s, the mirrored sector -1 of mode 0, leads with e1 - i e2.
 
-    The column, read through _mirror_rows from sector 1, must equal the
-    kernel field of _kernel_fields(cfg, -1) at unit L^2 norm to 1e-12, so
-    the kernel check still covers every sector.
+    The column, synthesized through the slot table as every request reads
+    it, must equal the kernel field of _kernel_fields(cfg, -1) at unit L^2
+    norm to 1e-12 on the sector's window, so the kernel check still covers
+    every sector and the mirror that serves it.
     """
+    ws = op.ws()
     cfg = ws.config
     lo, hi = s.info["window"]
     kern = _kernel_fields(cfg, -1)[0]
     wkern = _apply_weight(ws.tables, cfg.ell, kern.reshape(1, 3, -1, cfg.n_r), lo)
     kern = kern / np.sqrt(np.vdot(kern, wkern.reshape(-1)).real)
-    col = np.zeros(3 * cfg.n_modes_theta * cfg.n_r, dtype=complex)
-    col[s.rows] = s.coef[:, 0]
-    col = _mirror_rows(cfg, col)[_window_rows(cfg, lo, hi)]
+    unit = np.zeros((op.eigen[0].size, 1))
+    unit[s.cols[0]] = 1.0
+    col = op.synthesize(unit)[_window_rows(cfg, lo, hi), 0]
     err = np.max(np.abs(col - kern)) / np.max(np.abs(kern))
     if s.nk != 1 or not err <= 1e-12:
         raise RuntimeError(
@@ -759,17 +832,44 @@ def _conj_flip(arr):
     return np.conj(arr[..., ::-1, :])
 
 
-def _mirror_rows(cfg, arr):
-    """Image of flat Cartesian-slice rows under theta -> -theta, u_y -> -u_y.
+def _pieces(arr):
+    """Piece array (3 * n_m * n_r + 1, L) of the slices arr (L, 3, n_m, n_r).
 
-    arr (3 * n_m * n_r, ...) holds slices in (component, m, r) order on its
-    leading axis; the image moves channel m to -m and negates the y rows.
-    The map is a signed permutation and its own inverse, so it reads a
-    mirrored sector's fields off its source's and pairs them with a slice.
+    Row (p, m, r) holds each slice's coefficient on piece vector p at
+    channel m, node r: P = V^H v with V = _PIECE_VECTORS, so
+    P+ = h (x + i y), P- = h (x - i y) and Pz = -i z. The last row is the
+    zero entry that padding reads.
     """
-    out = arr.reshape((3, cfg.n_modes_theta, cfg.n_r) + arr.shape[1:])[:, ::-1].copy()
-    out[1] *= -1.0
-    return out.reshape(arr.shape)
+    size = math.prod(arr.shape[1:])
+    p = np.matmul(_PIECE_VECTORS.conj().T, arr.reshape(arr.shape[0], 3, size // 3))
+    out = np.empty((size + 1, arr.shape[0]), dtype=complex)
+    out[:-1] = p.reshape(arr.shape[0], size).T
+    out[-1] = 0.0
+    return out
+
+
+def _padded(y):
+    """Coordinates y (dim, L) as a complex array with the zero row dim appended."""
+    out = np.zeros((y.shape[0] + 1, y.shape[1]), dtype=complex)
+    out[:-1] = y
+    return out
+
+
+def _gather(table, arr):
+    """Rows table (S, T, 2) of arr (rows, L) as the real view (S, T, 4 L) the stacks multiply.
+
+    A sector's and its mirror's columns sit side by side, each complex
+    entry as two reals, so one real product per stack entry serves both.
+    """
+    x = arr[table]
+    return x.reshape(x.shape[:2] + (-1,)).view(float)
+
+
+def _scatter(table, prod, rows):
+    """(rows, L) complex array holding the real product prod (S, T, 4 L) at table (S, T, 2)."""
+    out = np.zeros((rows, prod.shape[-1] // 4), dtype=complex)
+    out[table] = prod.view(complex).reshape(table.shape + (-1,))
+    return out
 
 
 def reduce_slice(ws, n, arr):
@@ -777,25 +877,20 @@ def reduce_slice(ws, n, arr):
 
     arr is (..., 3, n_m, n_r): mode-n slices of fields, with any leading
     stack axes. The result is (dim, ...): coordinates lead and the stack
-    axes trail, as ModeOperator.apply takes them, so each sector costs one
-    product for the whole stack. For n < 0 the slices are conjugated and
-    m-reversed first, so the values are mode-|n| coordinates of that image.
-    The basis is M-orthonormal, so these are also the coordinates of the
-    L^2 projection onto the subspace.
+    axes trail, as ModeOperator.apply takes them. The values are
+    r = (M_u z)^T P of each sector on its slots of the piece array P, one
+    batched real product for every sector, mirror and slice at once. For
+    n < 0 the slices are conjugated and m-reversed first, so the values
+    are mode-|n| coordinates of that image. The basis is M-orthonormal, so
+    these are also the coordinates of the L^2 projection onto the subspace.
     """
     op = mode_operator(ws, abs(n))
     if n < 0:
         arr = _conj_flip(arr)
     lead = arr.shape[:-3]
-    # r = conj(coef^T conj(W g)): the conjugates stay out of the sector loop
-    wg = _apply_weight(ws.tables, ws.config.ell, arr).reshape(-1, math.prod(arr.shape[-3:]))
-    wg = np.conj(wg.T)
-    # a mirrored sector pairs its source's fields with the mirrored slice
-    wgs = (wg, _mirror_rows(ws.config, wg))
-    y = np.empty((op.eigen[0].size, wg.shape[1]), dtype=complex)
-    for s in op.sectors:
-        y[s.cols] = s.coef.T @ wgs[s.mirror_of is not None][s.rows]
-    return np.conj(y).reshape(y.shape[:1] + lead)
+    pieces = _pieces(arr.reshape((-1,) + arr.shape[-3:]))
+    y = _scatter(op.cols, np.matmul(op.ZW, _gather(op.slots, pieces)), op.eigen[0].size + 1)
+    return y[:-1].reshape((y.shape[0] - 1,) + lead)
 
 
 def expand_slice(ws, n, y):
@@ -872,4 +967,4 @@ def kernel_rayleigh_quotients(ws):
     """
     op = mode_operator(ws, 0)
     op.assemble_strong()
-    return [float(abs(s.A[i, i]) / s.M[i, i].real) for s in op.sectors for i in range(s.nk)]
+    return [float(abs(s.A[i, i]) / s.M[i, i]) for s in op.sectors for i in range(s.nk)]

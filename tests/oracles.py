@@ -13,8 +13,11 @@ in real arithmetic; the sector's constraint rows evaluated directly at
 one beta in complex arithmetic, which the real rows r0 + beta r1 are held
 to; the full-band strong assembly, which applies A to a sector's columns
 over the whole band, as the package did before each sector's strong
-block was assembled on its own reach; and the reference
-kernels at the end: the per-channel stack product, the four-application
+block was assembled on its own reach; the per-sector request path
+(PerSectorMaps), which reduced, expanded and multiplied one sector at a
+time with complex fields on Cartesian rows and a slice-level mirror, as
+the package did before the sectors were packed into real stacks; and the
+reference kernels at the end: the per-channel stack product, the four-application
 derivatives, divergence and surface pressure, and the step-by-step
 evolution loop. They are the package's earlier implementations, kept so
 the batched and windowed ones can be held to them.
@@ -273,6 +276,81 @@ def sector_nullspace_all_channels(ws, n, j):
     _, s, vh = scipy.linalg.svd(cmat)
     rank = int((s > SVD_TOL * s[0]).sum())
     return embed @ vh[rank:].conj().T, cmat.shape[0], rank
+
+
+def mirror_rows(cfg, arr):
+    """Image of flat Cartesian-slice rows under theta -> -theta, u_y -> -u_y.
+
+    arr (3 * n_m * n_r, ...) holds slices in (component, m, r) order on its
+    leading axis; the image moves channel m to -m and negates the y rows.
+    The map is a signed permutation and its own inverse.
+    """
+    out = arr.reshape((3, cfg.n_modes_theta, cfg.n_r) + arr.shape[1:])[:, ::-1].copy()
+    out[1] *= -1.0
+    return out.reshape(arr.shape)
+
+
+class PerSectorMaps:
+    """The per-sector complex request path of mode n, one sector at a time.
+
+    Each built sector carries coef = _sector_fields(z), its eigenvector
+    fields on the flat Cartesian rows they reach; a mirrored sector -j
+    pairs its source's coef with the mirror_rows image of the slice, and
+    M and G act as complex blocks. reduce, expand and apply are the
+    package's reduce_slice, expand_slice and ModeOperator.apply before the
+    sectors were packed into real stacks read through index tables.
+    """
+
+    def __init__(self, ws, n):
+        from jetstokes.stokesop import _sector_fields, _window_rows, mode_operator
+
+        self.ws, self.n = ws, n
+        self.op = mode_operator(ws, abs(n))
+        cfg = ws.config
+        self.parts = []
+        for s in self.op.sectors:
+            src = s if s.mirror_of is None else s.mirror_of
+            fields = _sector_fields(cfg, src.info["j"], src.z).reshape(src.cols.size, -1)
+            local = np.flatnonzero(fields.any(axis=0))
+            rows = _window_rows(cfg, *src.info["window"])[local]
+            coef = np.ascontiguousarray(fields[:, local].T)
+            self.parts.append((s, rows, coef, s.mirror_of is not None))
+
+    def reduce(self, arr):
+        """Coordinates (dim, ...) of the mode-n slices arr (..., 3, n_m, n_r)."""
+        from jetstokes.stokesop import _apply_weight
+
+        cfg = self.ws.config
+        if self.n < 0:
+            arr = np.conj(arr[..., ::-1, :])
+        lead = arr.shape[:-3]
+        wg = _apply_weight(self.ws.tables, cfg.ell, arr).reshape(-1, math.prod(arr.shape[-3:]))
+        wg = np.conj(wg.T)
+        wgs = (wg, mirror_rows(cfg, wg))
+        y = np.empty((self.op.eigen[0].size, wg.shape[1]), dtype=complex)
+        for s, rows, coef, mirrored in self.parts:
+            y[s.cols] = coef.T @ wgs[mirrored][rows]
+        return np.conj(y).reshape(y.shape[:1] + lead)
+
+    def expand(self, y):
+        """Mode-n slices (..., 3, n_m, n_r) of coordinates y (dim, ...)."""
+        cfg = self.ws.config
+        flat = y.reshape(y.shape[0], -1)
+        v = np.zeros((3 * cfg.n_modes_theta * cfg.n_r, flat.shape[1]), dtype=complex)
+        for mirrored in (True, False):
+            for s, rows, coef, is_mirror in self.parts:
+                if is_mirror is mirrored:
+                    v[rows] += coef @ flat[s.cols]
+            v = mirror_rows(cfg, v) if mirrored else v
+        v = v.T.reshape(y.shape[1:] + (3, cfg.n_modes_theta, cfg.n_r))
+        return np.conj(v[..., ::-1, :]) if self.n < 0 else v
+
+    def apply(self, name, y):
+        """Product of the block "M" or "G" with coordinates y, sector by sector."""
+        out = np.empty(y.shape, dtype=complex)
+        for s, _, _, _ in self.parts:
+            out[s.cols] = getattr(s, name).astype(complex) @ y[s.cols]
+        return out
 
 
 def _sample_matrix(t, ell, arr):

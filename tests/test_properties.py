@@ -6,6 +6,7 @@ sector layout on modes 0 and 1:
 
 - the projection P = expand o reduce commutes with the mirror
   theta -> -theta, u_y -> -u_y, for modes n and -n;
+- P is idempotent and self-adjoint in L^2 at n = 0 and +-1;
 - a mirrored sector's columns, read through the mirror, have their
   source's pencil, hence its eigenvalues;
 - every sector pencil is Hermitian, with M positive definite and G
@@ -28,7 +29,7 @@ import oracles
 from jetstokes.fields import random_smooth_vector
 from jetstokes.rng import stream
 from jetstokes.spectral import KERNEL_TOL
-from jetstokes.stokesop import _mirror_rows, expand_slice, reduce_slice
+from jetstokes.stokesop import _apply_weight, expand_slice, reduce_slice
 
 CONFIGS = st.builds(
     lambda kappa, ell, mu, n_r, n_theta: js.DomainConfig(
@@ -50,7 +51,7 @@ PROPERTY = settings(derandomize=True, max_examples=10, deadline=None)
 
 
 def _mirror_slice(cfg, arr):
-    return _mirror_rows(cfg, arr.reshape(-1)).reshape(arr.shape)
+    return oracles.mirror_rows(cfg, arr.reshape(-1)).reshape(arr.shape)
 
 
 @PROPERTY
@@ -72,17 +73,38 @@ def test_projection_commutes_with_the_mirror(cfg):
 
 @PROPERTY
 @given(CONFIGS)
+def test_projection_is_idempotent_and_self_adjoint(cfg):
+    ws = js.Workspace(cfg)
+    rng = stream(83, "tests")
+    shape = (2, 3, cfg.n_modes_theta, cfg.n_r)
+    u, v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def inner(a, b):
+        return np.vdot(b, _apply_weight(ws.tables, cfg.ell, a))
+
+    for n in (0, 1, -1):
+
+        def project(arr):
+            return expand_slice(ws, n, reduce_slice(ws, n, arr))
+
+        pu, pv = project(u), project(v)
+        assert np.linalg.norm(project(pu) - pu) <= 1e-12 * np.linalg.norm(pu)
+        scale = math.sqrt(inner(u, u).real * inner(v, v).real)
+        assert abs(inner(pu, v) - inner(u, pv)) <= 1e-12 * scale
+
+
+@PROPERTY
+@given(CONFIGS)
 def test_mirrored_sectors_carry_their_source_pencil(cfg):
     ws = js.Workspace(cfg)
     for n in (0, 1):
         op = js.mode_operator(ws, n)
         w = op.eigen[0]
+        basis = op.basis
         for s in op.sectors:
             if s.mirror_of is None:
                 continue
-            cols = np.zeros((3 * cfg.n_modes_theta * cfg.n_r, s.coef.shape[1]), dtype=complex)
-            cols[s.rows] = s.coef
-            m, g = oracles.pencil_all_channels(ws, n, _mirror_rows(cfg, cols))
+            m, g = oracles.pencil_all_channels(ws, n, basis[:, s.cols])
             assert np.max(np.abs(m - s.M)) <= 1e-12 * np.max(np.abs(m))
             assert np.max(np.abs(g - s.G)) <= 1e-12 * np.max(np.abs(g))
             assert np.array_equal(w[s.cols], w[s.mirror_of.cols])

@@ -210,16 +210,6 @@ def test_mode_operator_caches_no_dense_block(cfg_small):
         assert max(a.size for a in _cached_arrays(op)) < k * k
 
 
-def _full_columns(cfg, s):
-    """A sector's columns as full Cartesian slices in (component, m, r) order.
-
-    A mirrored sector's columns are its source's, read through the mirror.
-    """
-    out = np.zeros((3 * cfg.n_modes_theta * cfg.n_r, s.coef.shape[1]), dtype=complex)
-    out[s.rows] = s.coef
-    return out if s.mirror_of is None else stokesop._mirror_rows(cfg, out)
-
-
 def _direct_columns(ws, n, j):
     """Sector j of mode n built directly, as full Cartesian columns, and its info."""
     cfg = ws.config
@@ -236,10 +226,10 @@ def test_mirrored_sectors_match_direct_builds(ws_name, request):
     # set-up builds j >= 0 and mirrors them; sector -j built directly must
     # span the same space with the same pencil spectrum
     ws = request.getfixturevalue(ws_name)
-    cfg = ws.config
     for n in range(3):
         op = js.mode_operator(ws, n)
         w = op.eigen[0]
+        basis = op.basis
         mirrored = [s for s in op.sectors if s.mirror_of is not None]
         built = [s.info["j"] for s in op.sectors if s.mirror_of is None]
         assert sorted(-s.info["j"] for s in mirrored) == [j for j in built if j > 0]
@@ -261,7 +251,7 @@ def test_mirrored_sectors_match_direct_builds(ws_name, request):
                 res = np.linalg.norm(cmat @ (embed.conj().T @ cols), axis=0)
                 return np.max(res / np.linalg.norm(cols, axis=0))
 
-            mirror = _full_columns(cfg, s)
+            mirror = basis[:, s.cols]
             assert worst(mirror) <= 2.0 * worst(direct) + 1e-14
             q, _ = np.linalg.qr(direct)
             leak = mirror - q @ (q.conj().T @ mirror)
@@ -269,19 +259,22 @@ def test_mirrored_sectors_match_direct_builds(ws_name, request):
 
 
 def test_mirrored_kernel_column_is_checked(cfg_small, monkeypatch):
-    # a mirror that forgets the sign of u_y maps e1 + i e2 onto itself, not
+    # a mirror that forgets the sign of u_y keeps u+ as u+ instead of
+    # swapping it with u-: its slot table maps e1 + i e2 onto itself, not
     # onto e1 - i e2, and mode 0's set-up must refuse it
-    mirror = stokesop._mirror_rows
-
-    def unsigned(cfg, arr):
-        out = mirror(cfg, arr).reshape((3, -1) + arr.shape[1:])
-        out[1] *= -1.0
-        return out.reshape(arr.shape)
-
-    monkeypatch.setattr(stokesop, "_mirror_rows", unsigned)
+    monkeypatch.setattr(stokesop, "_mirror_piece", lambda kind, m: (kind, -m))
     with pytest.raises(RuntimeError, match="mirrored sector -1"):
         assemble_A(js.Workspace(cfg_small), 0)
-    assemble_A(js.Workspace(cfg_small), 1)
+    # mode 1 has no kernel check, but its mirrored columns leave the
+    # sectors that sector -j built directly spans
+    ws = js.Workspace(cfg_small)
+    op = assemble_A(ws, 1)
+    basis = op.basis
+    s = next(s for s in op.sectors if s.info["j"] == -2)
+    q, _ = np.linalg.qr(_direct_columns(ws, 1, -2)[0])
+    mirror = basis[:, s.cols]
+    leak = mirror - q @ (q.conj().T @ mirror)
+    assert np.linalg.norm(leak) > 0.1 * np.linalg.norm(mirror)
 
 
 def test_mirrored_sectors_are_views_of_their_sources(cfg_small):
@@ -297,10 +290,53 @@ def test_mirrored_sectors_are_views_of_their_sources(cfg_small):
             assert any(src is b for b in built)
             lo, hi = src.info["window"]
             assert (s.info["j"], s.info["window"]) == (-src.info["j"], (-hi, -lo))
-            for name in ("rows", "coef", "M", "G", "A"):
+            for name in ("z", "M", "G", "A"):
                 assert getattr(s, name) is getattr(src, name)
-        # no coefficient array is stored twice
-        assert len({id(s.coef) for s in op.sectors}) == len(built)
+        # mirrored sectors store nothing: the stacks hold the built
+        # sectors only, and every sector array is a view into them
+        assert op.Z.shape[0] == op.ZW.shape[0] == op.M.shape[0] == op.G.shape[0] == len(built)
+        for s in built:
+            assert np.shares_memory(s.z, op.Z)
+            assert np.shares_memory(s.M, op.M) and np.shares_memory(s.G, op.G)
+
+
+@pytest.mark.parametrize("ws_name", ["ws_small", "ws_wide"])
+def test_packed_maps_match_the_per_sector_reference(ws_name, request):
+    # the packed stacks and index tables against the per-sector complex
+    # path with its slice-level mirror, at 1 and 10 columns
+    ws = request.getfixturevalue(ws_name)
+    cfg = ws.config
+    rng = stream(49, "tests")
+
+    def rel(a, b):
+        return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+    for n in sorted({0, 1, -1, cfg.n_z, -cfg.n_z}):
+        ref = oracles.PerSectorMaps(ws, n)
+        op = js.mode_operator(ws, abs(n))
+        for lead in ((), (10,)):
+            shape = lead + (3, cfg.n_modes_theta, cfg.n_r)
+            g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert rel(stokesop.reduce_slice(ws, n, g), ref.reduce(g)) <= 1e-13
+            shape = (op.eigen[0].size,) + lead
+            y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert rel(expand_slice(ws, n, y), ref.expand(y)) <= 1e-13
+            for name in ("M", "G"):
+                assert rel(op.apply(name, y), ref.apply(name, y)) <= 1e-13
+
+
+def test_stored_sector_arrays_are_real(cfg_small):
+    # set-up stores real stacks and integer index tables only; the strong
+    # blocks are complex and are built on first strong read
+    ws = js.Workspace(cfg_small)
+    for n in range(cfg_small.n_z + 1):
+        op = js.mode_operator(ws, n)
+        arrays = list(_cached_arrays(op))
+        assert arrays
+        for a in arrays:
+            assert a.dtype == np.float64 or a.dtype.kind == "i", a.dtype
+    with pytest.raises(ValueError, match="'A'"):
+        op.apply("A", np.zeros(op.eigen[0].size))
 
 
 def test_strong_assembly_stays_on_each_sector_reach(cfg_medium, monkeypatch):
@@ -358,8 +394,9 @@ def test_windowed_strong_blocks_match_full_band_reference(ws_name, request):
     for n in range(cfg.n_z + 1):
         op = js.mode_operator(ws, n)
         op.assemble_strong()
+        basis = op.basis
         for s in op.sectors:
-            a, leak = oracles.strong_block_full_band(ws, n, _full_columns(cfg, s), s.info["j"])
+            a, leak = oracles.strong_block_full_band(ws, n, basis[:, s.cols], s.info["j"])
             assert np.linalg.norm(s.A - a) <= 1e-12 * np.linalg.norm(a)
             assert abs(s.leak - leak) <= 1e-12
 
@@ -412,8 +449,9 @@ def test_windowed_sectors_match_all_channel_reference(ws_name, request):
             assert (info["rows_kept"], info["rank"]) == (kept, rank)
         op = js.mode_operator(ws, n)
         w = op.eigen[0]
+        basis = op.basis
         for s in op.sectors:
-            m, g = oracles.pencil_all_channels(ws, n, _full_columns(cfg, s))
+            m, g = oracles.pencil_all_channels(ws, n, basis[:, s.cols])
             assert np.max(np.abs(m - s.M)) <= 1e-12 * np.max(np.abs(m))
             assert np.max(np.abs(g - s.G)) <= 1e-12 * np.max(np.abs(g))
             null, _, _ = oracles.sector_nullspace_all_channels(ws, n, s.info["j"])
@@ -422,7 +460,6 @@ def test_windowed_sectors_match_all_channel_reference(ws_name, request):
             assert np.max(np.abs(wo - np.sort(w[s.cols]))) <= 1e-12 * w[-1]
         null = oracles.dense_constrained_nullspace(ws, n)
         assert null.shape[1] == w.size
-        basis = op.basis
         leak = basis - null @ (null.conj().T @ basis)
         assert np.linalg.norm(leak) < 1e-10 * np.linalg.norm(basis)
 
