@@ -23,10 +23,12 @@ derivatives from two stack applications. _div_slice is the one divergence
 kernel, built on the same identity: d/dx v1 + d/dy v2 = up(v1 - i v2)/2 +
 down(v1 + i v2)/2, again two applications; div, the Helmholtz projection
 and the constraint rows of stokesop all call it. The Sobolev inner product
-stacks all derivatives of one order of a component on a leading axis, so
-each order costs one derivative pair per component. The field-level div and
-laplacian are reference operators that the tests check closed forms and
-solves against.
+differentiates nothing at request time: RadialTables.sobolev_words holds,
+per order, every word of raising and lowering applications already
+multiplied by the Cholesky factor of the disk Gram, so one order of a
+field, all components at once, costs one batched real GEMM and one dot
+product per word pair. The field-level div and laplacian are reference
+operators that the tests check closed forms and solves against.
 
 An array's channels need not be the symmetric band: the stack kernels
 (_up_down, _dxy, _div_slice) take lo, the azimuthal mode of channel index
@@ -37,6 +39,7 @@ and band widening act on both ends alike, so they serve either kind.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -344,20 +347,6 @@ def _axial_factors(config):
     return (2j * math.pi / config.ell * n)[:, None, None]
 
 
-def _disk_inner_per_n(t, a, b):
-    """2*pi * sum_m (a_m, b_m)_{L^2(r dr)} for each axial slice.
-
-    a and b carry shape (..., n_modes_z, n_channels, n_r) on a common band;
-    the leading axes are summed too, and the result has shape (n_modes_z,).
-    """
-    shape = (-1,) + a.shape[-3:]
-    ga = apply_stack(_stacks(t, a).gram, a).reshape(shape)
-    # the Gram stack is real, so sum (G a) conj(b) = conj(sum conj(G a) b):
-    # ga, a fresh array, is conjugated in place instead of copying b
-    np.conj(ga, out=ga)
-    return 2.0 * np.pi * np.conj(np.einsum("knmi,knmi->n", ga, b.reshape(shape)))
-
-
 # ---------------------------------------------------------------------------
 # differential operators
 
@@ -424,56 +413,69 @@ def laplacian(field):
 # inner products, norms, traces
 
 
-def _component_arrays(field):
-    if isinstance(field, VectorField):
-        return [field.coeffs[c] for c in range(3)]
-    return [field.coeffs]
+@functools.lru_cache(maxsize=None)
+def _order_scales(ell, n_z, k):
+    """sqrt(w_j(n)) for the orders j = 0..k, shaped (k + 1, 2*n_z + 1).
+
+    w_j(n) = ell * 2*pi * sum_{i <= k-j} beta_n^(2i) weighs the disk inner
+    products of transversal order j in (u, v)_{H^k_p}.
+    """
+    beta_sq = (2.0 * math.pi * np.arange(-n_z, n_z + 1) / ell) ** 2
+    sums = np.cumsum(beta_sq ** np.arange(k + 1)[:, None], axis=0)[::-1]
+    out = np.sqrt(2.0 * math.pi * ell * sums)
+    out.flags.writeable = False
+    return out
+
+
+def _scaled_columns(a, s):
+    """a (..., n_modes_z, n_m, n_r) as (n_m, n_r, 2q) reals, slice n times s[n].
+
+    The one pass that scales also moves the channels first, so every
+    component and axial slice is a pair of interleaved real columns.
+    """
+    x = np.empty(a.shape[-2:] + a.shape[:-2], dtype=complex)
+    np.multiply(np.moveaxis(a, (-2, -1), (0, 1)), s, out=x)
+    return x.reshape(x.shape[:2] + (-1,)).view(float)
 
 
 def inner_product_Hkp(u, v, k=0):
     """Periodic Sobolev inner product (u, v)_{H^k_p}.
 
-    Sums ell * beta_n^(2j) times disk inner products of all derivative
-    combinations with j axial and up to k-j transversal derivatives, each
+    Sums ell * beta_n^(2i) times disk inner products of all derivative
+    combinations with i axial and up to k-i transversal derivatives, each
     transversal multi-index counted once.
+
+    Each transversal order j is a form over the precomposed derivative
+    words of RadialTables.sobolev_words: the columns of every component
+    and axial slice are scaled by sqrt(w_j(n)), w_j(n) = ell * 2*pi *
+    sum_{i <= k-j} beta_n^(2i), one real batched GEMM applies every word's
+    stack to them at once, and each nonzero word pair adds one dot product
+    over the channels where both outputs sit.
 
     Args:
         u, v: fields of the same kind on the same config.
         k: integer order, at most MAX_SOBOLEV_ORDER.
 
     Returns:
-        complex inner product value (real for u = v up to roundoff).
+        complex inner product value (real when u is v).
     """
     kk = _as_order(k)
     if type(u) is not type(v) or u.config != v.config:
         raise ValueError("inner product requires matching fields")
     cfg = u.config
-    t = tables_for(cfg)
-    n = np.arange(-cfg.n_z, cfg.n_z + 1)
-    beta_sq = (2.0 * math.pi * n / cfg.ell) ** 2
-    # order_sums[j] = sum over |alpha| = j of the per-n disk inners
-    order_sums = np.zeros((kk + 1, n.size), dtype=complex)
-    for ua, va in zip(_component_arrays(u), _component_arrays(v)):
-        # a chain holds every derivative of one order of its component,
-        # stacked with entry p = d_x^(order - p) d_y^p; the next order is
-        # d/dx of every entry and d/dy of the last. A norm call passes one
-        # field twice and builds one chain.
-        chains = [ua[None]] if u is v else [ua[None], va[None]]
-        order_sums[0] += _disk_inner_per_n(t, chains[0], chains[-1])
-        for order in range(1, kk + 1):
-            pairs = [_dxy(t, c) for c in chains]
-            (dxu, dyu), (dxv, dyv) = pairs[0], pairs[-1]
-            order_sums[order] += _disk_inner_per_n(t, dxu, dxv)
-            order_sums[order] += _disk_inner_per_n(t, dyu[-1:], dyv[-1:])
-            if order < kk:
-                chains = [np.concatenate([dx, dy[-1:]]) for dx, dy in pairs]
-            # free this order before the next one is built
-            del pairs, dxu, dyu, dxv, dyv
-    total = 0.0 + 0.0j
-    for mm in range(kk + 1):
-        weight = cfg.ell * beta_sq**mm
-        for order in range(kk + 1 - mm):
-            total += (weight * order_sums[order]).sum()
+    words = tables_for(cfg).sobolev_words(cfg.n_theta, kk)
+    fields = (u,) if u is v else (u, v)
+    total = 0.0
+    for order, s in zip(words, _order_scales(cfg.ell, cfg.n_z, kk)):
+        # ys[f][w]: word w applied to field f's scaled columns
+        ys = [order.stack @ _scaled_columns(f.coeffs, s) for f in fields]
+        if u is v:
+            for w, w2, c, sa, sb in order.sym:
+                total += c * np.vdot(ys[0][w, sa], ys[0][w2, sb])
+        else:
+            yu, yv = (y.view(complex) for y in ys)
+            for w, w2, c, sa, sb in order.pairs:
+                total += c * np.vdot(yv[w2, sb], yu[w, sa])
     return complex(total)
 
 

@@ -16,7 +16,10 @@ over the whole band, as the package did before each sector's strong
 block was assembled on its own reach; the per-sector request path
 (PerSectorMaps), which reduced, expanded and multiplied one sector at a
 time with complex fields on Cartesian rows and a slice-level mirror, as
-the package did before the sectors were packed into real stacks; and the
+the package did before the sectors were packed into real stacks; the
+derivative-chain Sobolev inner product (chain_inner_Hkp), which
+differentiated each component order by order, as the package did before
+the derivative words were precomposed with the Gram factors; and the
 reference kernels at the end: the per-channel stack product, the four-application
 derivatives, divergence and surface pressure, and the step-by-step
 evolution loop. They are the package's earlier implementations, kept so
@@ -428,6 +431,55 @@ def disk_inner_einsum(gram, a, b):
     gram is (n_channels, n_r, n_r), a and b (n_modes_z, n_channels, n_r).
     """
     return 2.0 * np.pi * np.einsum("mij,nmj,nmi->n", gram, a, np.conj(b))
+
+
+def _disk_inner_per_n(t, a, b):
+    """2*pi * sum_m (a_m, b_m)_{L^2(r dr)} for each axial slice.
+
+    a and b carry shape (..., n_modes_z, n_channels, n_r) on a common band;
+    the leading axes are summed too, and the result has shape (n_modes_z,).
+    """
+    from jetstokes.discretization import apply_stack
+    from jetstokes.fields import _stacks
+
+    shape = (-1,) + a.shape[-3:]
+    ga = apply_stack(_stacks(t, a).gram, a).reshape(shape)
+    np.conj(ga, out=ga)
+    return 2.0 * np.pi * np.conj(np.einsum("knmi,knmi->n", ga, b.reshape(shape)))
+
+
+def chain_inner_Hkp(u, v, k):
+    """(u, v)_{H^k_p} from derivative chains, one component at a time.
+
+    A chain holds every derivative of one order of its component, stacked
+    with entry p = d_x^(order - p) d_y^p; the next order is d/dx of every
+    entry and d/dy of the last, and each order's disk inner products are
+    weighted by ell * beta_n^(2i) for i = 0..k - order. This is how the
+    package evaluated the inner product before the derivative words were
+    precomposed with the Gram factors.
+    """
+    from jetstokes.discretization import tables_for
+    from jetstokes.fields import VectorField, _dxy
+
+    cfg = u.config
+    t = tables_for(cfg)
+    n = np.arange(-cfg.n_z, cfg.n_z + 1)
+    beta_sq = (2.0 * math.pi * n / cfg.ell) ** 2
+    order_sums = np.zeros((k + 1, n.size), dtype=complex)
+    parts = (lambda f: list(f.coeffs) if isinstance(f, VectorField) else [f.coeffs])
+    for ua, va in zip(parts(u), parts(v)):
+        chains = [ua[None], va[None]]
+        order_sums[0] += _disk_inner_per_n(t, chains[0], chains[1])
+        for order in range(1, k + 1):
+            (dxu, dyu), (dxv, dyv) = pairs = [_dxy(t, c) for c in chains]
+            order_sums[order] += _disk_inner_per_n(t, dxu, dxv)
+            order_sums[order] += _disk_inner_per_n(t, dyu[-1:], dyv[-1:])
+            chains = [np.concatenate([dx, dy[-1:]]) for dx, dy in pairs]
+    total = 0.0 + 0.0j
+    for mm in range(k + 1):
+        for order in range(k + 1 - mm):
+            total += (cfg.ell * beta_sq**mm * order_sums[order]).sum()
+    return complex(total)
 
 
 # time stepping recurrences (scalar model problems)

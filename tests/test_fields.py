@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import jetstokes as js
-from jetstokes.discretization import tables_for
+from jetstokes.discretization import RadialTables, tables_for
 from jetstokes.fields import (
+    ScalarField,
     _axial_factors,
-    _disk_inner_per_n,
     _truncate,
     constant_scalar,
     constant_vector,
@@ -132,18 +132,62 @@ def test_sym_grad_closed_forms(cfg_small):
 
 
 def test_disk_inner_matches_three_operand_einsum(cfg_small):
-    t = tables_for(cfg_small)
+    # the order-0 form is ell times the disk inner products of every slice
+    gram = tables_for(cfg_small).stacks(-cfg_small.n_theta, cfg_small.n_theta).gram
     rng = stream(4, "tests")
     u = random_smooth_vector(cfg_small, rng, real=False)
     v = random_smooth_vector(cfg_small, rng, real=False)
     for a, b in zip(u.coeffs, v.coeffs):
-        got = _disk_inner_per_n(t, a, b)
-        want = oracles.disk_inner_einsum(t.stacks(-cfg_small.n_theta, cfg_small.n_theta).gram, a, b)
-        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        fa, fb = ScalarField(cfg_small, a, False), ScalarField(cfg_small, b, False)
+        for x, y in ((fa, fb), (fa, fa)):
+            got = js.inner_product_Hkp(x, y, 0)
+            want = cfg_small.ell * oracles.disk_inner_einsum(gram, x.coeffs, y.coeffs).sum()
+            assert abs(got - want) <= 1e-14 * abs(want)
+
+
+# largest |new - chain| / (|u|_k |v|_k) seen with these draws: 1.2e-13 at
+# k <= 2, 4.0e-12 at k = 3 and 2.6e-11 at k = 4, all on the scalar field at
+# 32/8/2 (cross products alone: 2.5e-14, 2.0e-12 and 2.6e-11)
+@pytest.mark.parametrize("grid", [(12, 3, 2), (24, 6, 4), (32, 8, 2)], ids=lambda g: "%d/%d/%d" % g)
+def test_inner_product_matches_the_chain_oracle(grid):
+    cfg = js.DomainConfig(n_r=grid[0], n_theta=grid[1], n_z=grid[2])
+    rng = stream(6, "tests")
+    for draw in (random_smooth_scalar, random_smooth_vector):
+        u = draw(cfg, rng, real=False)
+        v = draw(cfg, rng, real=False)
+        for k in range(5):
+            bound = 1e-12 if k <= 2 else 1e-9
+            nu = math.sqrt(oracles.chain_inner_Hkp(u, u, k).real)
+            nv = math.sqrt(oracles.chain_inner_Hkp(v, v, k).real)
+            for a, b, scale in ((u, u, nu * nu), (u, v, nu * nv), (v, u, nu * nv)):
+                err = abs(js.inner_product_Hkp(a, b, k) - oracles.chain_inner_Hkp(a, b, k))
+                assert err <= bound * scale, (draw.__name__, k, err / scale)
+
+
+def test_word_stacks_are_built_once_per_band_and_order(cfg_small, monkeypatch):
+    fresh = RadialTables(cfg_small.kappa, cfg_small.n_r)
+    assert fresh._words == {}
+    first = fresh.sobolev_words(cfg_small.n_theta, 2)
+    assert fresh.sobolev_words(cfg_small.n_theta, 2) is first
+    assert list(fresh._words) == [(cfg_small.n_theta, 2)]
+    assert [o.stack.shape[0] for o in first] == [1, 2, 4]
+    # the inner product reads the shared instance's entries and builds no more
+    u = random_smooth_vector(cfg_small, stream(7, "tests"))
+    want = js.norm_Hkp(u, 2)
+    t = tables_for(cfg_small)
+    kept = t.sobolev_words(cfg_small.n_theta, 2)
+
+    def refuse(band, j):
+        raise AssertionError("word order (%d, %d) rebuilt" % (band, j))
+
+    monkeypatch.setattr(t, "_word_order", refuse)
+    assert js.norm_Hkp(u, 2) == want
+    assert t.sobolev_words(cfg_small.n_theta, 2) is kept
 
 
 @pytest.mark.parametrize("k", range(5))
 def test_norm_shares_one_derivative_chain(cfg_small, k):
+    # u is u reads the symmetric word pairs, a copy the ordered ones
     u = random_smooth_vector(cfg_small, stream(5, "tests"), real=False)
     same = js.inner_product_Hkp(u, u, k)
     apart = js.inner_product_Hkp(u, u.copy(), k)

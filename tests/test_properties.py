@@ -16,6 +16,10 @@ sector layout on modes 0 and 1:
   the cached r0 + beta r1 is that row;
 - the resolvent obeys the sector bound ||v|| <= sqrt(2) ||g|| / |lam|
   for lam with |Im lam| > Re lam.
+
+One more test draws n_z too and checks the Sobolev inner product on
+random fields: Hermitian symmetry, a real nonnegative (u, u), norms that
+grow with the order, and agreement with the derivative-chain oracle.
 """
 
 import cmath
@@ -26,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 import jetstokes as js
 import oracles
-from jetstokes.fields import random_smooth_vector
+from jetstokes.fields import random_smooth_scalar, random_smooth_vector
 from jetstokes.rng import stream
 from jetstokes.spectral import KERNEL_TOL
 from jetstokes.stokesop import _apply_weight, expand_slice, reduce_slice
@@ -46,6 +50,16 @@ LAMBDAS = st.builds(
     lambda r, phi: r * cmath.exp(1j * phi),
     st.floats(0.1, 100.0),
     st.floats(math.pi / 4 + 0.01, 7 * math.pi / 4 - 0.01),
+)
+SOBOLEV_CONFIGS = st.builds(
+    lambda kappa, ell, n_r, n_theta, n_z: js.DomainConfig(
+        kappa=kappa, ell=ell, n_r=n_r, n_theta=n_theta, n_z=n_z
+    ),
+    st.floats(0.1, 0.95),
+    st.floats(1.0, 20.0),
+    st.integers(6, 16),
+    st.integers(1, 4),
+    st.integers(0, 2),
 )
 PROPERTY = settings(derandomize=True, max_examples=10, deadline=None)
 
@@ -149,3 +163,24 @@ def test_resolvent_obeys_the_sector_bound(cfg, lam):
     v, info = js.resolve(ws, lam, g)
     assert info["max_rel_residual"] < 1e-8
     assert js.norm_L2(v) <= (1.0 + 1e-10) * math.sqrt(2.0) * js.norm_L2(g) / abs(lam)
+
+
+@PROPERTY
+@given(SOBOLEV_CONFIGS, st.booleans())
+def test_sobolev_inner_product_is_a_graded_hermitian_form(cfg, vector):
+    draw = random_smooth_vector if vector else random_smooth_scalar
+    rng = stream(84, "tests")
+    u = draw(cfg, rng, real=False)
+    v = draw(cfg, rng, real=False)
+    norms = []
+    for k in range(3):
+        uu = js.inner_product_Hkp(u, u, k)
+        nu = math.sqrt(uu.real)
+        nv = js.norm_Hkp(v, k)
+        uv = js.inner_product_Hkp(u, v, k)
+        assert uu.imag == 0.0 and uu.real >= 0.0
+        assert abs(uv - np.conj(js.inner_product_Hkp(v, u, k))) <= 1e-13 * nu * nv
+        assert abs(uu - oracles.chain_inner_Hkp(u, u, k)) <= 1e-12 * nu * nu
+        assert abs(uv - oracles.chain_inner_Hkp(u, v, k)) <= 1e-12 * nu * nv
+        norms.append(nu)
+    assert norms[0] <= norms[1] <= norms[2]
