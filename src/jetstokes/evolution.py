@@ -9,15 +9,16 @@ and G = diag(w) up to roundoff, so both schemes are scalar recurrences:
   implicit Euler   (1 + dt w) c' = c + dt f(t'),
   Crank-Nicolson   (1 + dt/2 w) c' = (1 - dt/2 w) c + dt (f(t) + f(t'))/2.
 
-The eigenvalues w are real and nonnegative, so homogeneous energies are
-monotone, and the mode-0 kernel is deflated exactly in the eigenbasis, so
+c is packed as in stokesop.ModeOperator, and w is 0 on its zero padding,
+which both factors then keep. w is real and nonnegative, so homogeneous
+energies are monotone, and the mode-0 kernel is deflated exactly, so
 constant states persist to roundoff. Energies are sum |c|^2 and
-sum w |c|^2. The per-step residual is measured against the per-sector M
-and G blocks, so every step checks the eigenbasis instead of trusting it.
+sum w |c|^2. The per-step residual is measured against the packed M and
+G stacks, so every step checks the eigenbasis instead of trusting it.
 
 Only the recurrence itself runs step by step. Everything around it works
 over the step axis in blocks of STEP_BLOCK steps: the forcing of a block is
-reduced with one product per (|n|, sector), and so are the M and G residual
+reduced with one batched product per mode, and so are the M and G residual
 products and the snapshot expansions; energies and the Crank-Nicolson
 identity terms are summed per mode for the whole block. The forcing
 callable is still called once per time point, in time order (after one
@@ -35,7 +36,7 @@ import numpy as np
 from .fields import VectorField, norm_L2, trace_norm_L2, trace_SF, zeros_vector
 from .fields import grad, inner_product_Hkp
 from .helmholtz import _require_config, operator_Q, project_P
-from .stokesop import expand_slice, mode_operator, project_constrained, reduce_slice
+from .stokesop import expand_slice, mode_operator, packed_product, project_constrained, reduce_slice
 
 SCHEMES = ("implicit-euler", "crank-nicolson")
 
@@ -93,7 +94,8 @@ class EnergyTrace:
 class EvolutionResult:
     """Trajectory, energy trace, final field and final eigen coordinates.
 
-    coords of a mode n < 0 are mode-|n| coordinates, see reduce_slice.
+    coords are packed, zero on the padding (stokesop.ModeOperator); those
+    of a mode n < 0 are mode-|n| coordinates, see reduce_slice.
     """
 
     fields: list
@@ -137,9 +139,9 @@ def evolve(ws, evo):
     if coupling > 1e-8:
         warnings.append("mode 0: dissipation form couples to the kernel (%.3e)" % coupling)
     # one state is a row holding every mode's coordinates; mode n owns span[n]
-    edges = np.cumsum([0] + [ops[abs(n)].eigen[0].size for n in modes])
+    edges = np.cumsum([0] + [ops[abs(n)].w.size for n in modes])
     span = {n: slice(edges[i], edges[i + 1]) for i, n in enumerate(modes)}
-    w = np.concatenate([ops[abs(n)].eigen[0] for n in modes])
+    w = np.concatenate([ops[abs(n)].w for n in modes])
 
     c = np.zeros((1, edges[-1]), dtype=complex)
     if evo.initial is not None:
@@ -232,8 +234,8 @@ def evolve(ws, evo):
         for n in modes:
             op, wn, xn = ops[abs(n)], w[span[n]], x[:, span[n]]
             c_eval = theta * xn[1:] + (1.0 - theta) * xn[:-1]
-            dc = op.apply("M", ((xn[1:] - xn[:-1]) / dt).T)
-            ge = op.apply("G", c_eval.T)
+            dc = packed_product(op.M, ((xn[1:] - xn[:-1]) / dt).T)
+            ge = packed_product(op.G, c_eval.T)
             d = dc + ge
             s = np.linalg.norm(dc, axis=0) + np.linalg.norm(ge, axis=0)
             if r is not None:

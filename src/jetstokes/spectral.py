@@ -9,12 +9,12 @@ exactly and near-zero values are measured through the nonnegative
 quadrature form on their eigenvectors, which pins kernel eigenvalues at
 tiny nonnegative numbers instead of order eps*||G|| jitter.
 
-In those coordinates a resolvent solve is the diagonal scaling
-(G - lam M)^{-1} r = r / (w - lam), followed by one refinement pass
-against the per-sector blocks. Negative modes are conjugate m-reversals
-of positive ones: their coordinates are mode-|n| coordinates of the
-flipped slice (see stokesop.reduce_slice), so the solve conjugates only
-lam instead of assembling them.
+In those packed coordinates a resolvent solve is the diagonal scaling
+(G - lam M)^{-1} r = r / (w - lam), w = 0 on the padding, followed by one
+refinement pass against the packed M and G stacks. Negative modes are
+conjugate m-reversals of positive ones: their coordinates are mode-|n|
+coordinates of the flipped slice (see stokesop.reduce_slice), so the
+solve conjugates only lam instead of assembling them.
 
 Eigenvalues of mode -n equal those of mode n, so eigensolve serves
 negative modes from the |n| decomposition.
@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .fields import norm_Hkp, norm_L2, random_smooth_vector, zeros_vector
-from .stokesop import expand_slice, mode_operator, reduce_slice
+from .stokesop import expand_slice, mode_operator, packed_product, reduce_slice
 
 # slack for sector membership |Im lam| <= Re lam + SECTOR_TOL
 SECTOR_TOL = 1e-8
@@ -85,27 +85,28 @@ def kernel_dimension(ws):
 
 
 def _pencil_solve(ws, n, lam, r):
-    """Solve (G - lam M) y = r of mode n in mode-|n| coordinates (any n).
+    """Solve (G - lam M) y = r of mode n in packed mode-|n| coordinates (any n).
 
-    Returns y and the relative algebraic residual ||r - (G - lam M) y|| /
-    ||r|| of the sector blocks after one refinement pass.
+    r is (dim, ...); its zero padding stays zero. Returns y and the
+    relative algebraic residual ||r - (G - lam M) y|| / ||r|| after one
+    refinement pass.
     """
     op = mode_operator(ws, abs(n))
     # the pencil of mode -n is the conjugate of the mode |n| one
     shift = np.conj(lam) if n < 0 else lam
     w = op.eigen[0]
-    d = w - shift
-    gap = np.min(np.abs(d))
+    gap = np.min(np.abs(w - shift))
     if gap < 1e-12 * max(float(np.max(np.abs(w))), 1.0):
         raise RuntimeError(
             "resolvent parameter %s is within %.3e of the mode-%d spectrum"
             % (lam, gap, n)
         )
+    d = (op.w - shift).reshape((-1,) + (1,) * (r.ndim - 1))
     y = np.zeros_like(r)
     res = r
     for _ in range(2):  # the solve, then one refinement pass
         y += res / d
-        res = r - (op.apply("G", y) - shift * op.apply("M", y))
+        res = r - (packed_product(op.G, y) - shift * packed_product(op.M, y))
     return y, float(np.linalg.norm(res) / np.linalg.norm(r))
 
 

@@ -29,13 +29,17 @@ radial Gram, in one real product.
 
 Each mode is stored as its sectors, each in the M-orthonormal eigenbasis
 V of its pencil: the real coordinates z = Z V of its eigenvector fields on
-its unit fields, V^T M V ~ I, V^T G V ~ diag(w) and its eigenvalues' ranks
-in the mode. The built sectors are packed into zero-padded real stacks
-with two index tables (ModeOperator), so reducing a slice, expanding
-coordinates and the M/G products are each one gather, one batched real
-product and one scatter per mode. In these coordinates the L^2
-projection, the resolvent and both time steppers are diagonal scalings;
-the blocks are kept to measure residuals against. The strong operator
+its unit fields, V^T M V ~ I and V^T G V ~ diag(w). The built sectors are
+packed into zero-padded real stacks (ModeOperator), and a mode's
+coordinates are that packed layout itself: one entry per (stack entry,
+column, [sector j, mirror -j]), zero on the padding, where the packed
+eigenvalues are 0 too. So reducing a slice is one gather of its pieces
+and one batched real product, expanding is one batched real product and
+one scatter to the pieces, and the M/G products are one batched real
+product each, with no index work on the coordinates. In these
+coordinates the L^2 projection, the resolvent and both time steppers are
+diagonal scalings; the blocks are kept to measure residuals against.
+The strong operator
 
   A v = -mu P laplacian(v) + grad(Q v)
 
@@ -113,8 +117,7 @@ _PAIRS = (
 class Sector:
     """One angular-momentum sector of a mode in its pencil eigenbasis.
 
-    cols are the positions of its coordinates in the mode's ascending
-    order, z (k, K) the real coordinates of its eigenvector fields on its k
+    z (k, K) holds the real coordinates of its eigenvector fields on its k
     unit fields (_sector_fields maps them to window fields), M ~ I and
     G ~ diag(w) its real pencil blocks, and nk its number of leading
     kernel columns. z, M and G are views into the mode's packed stacks
@@ -125,11 +128,10 @@ class Sector:
 
     A mirrored sector -j names its source sector j in mirror_of and shares
     that sector's z, M, G and nk: its fields are the mirror images of the
-    source's, read on the mirrored pieces (_mirror_piece). Only cols and
-    info are its own.
+    source's, read on the mirrored pieces (_mirror_piece). Only info is
+    its own.
     """
 
-    cols: np.ndarray
     z: np.ndarray
     M: np.ndarray
     G: np.ndarray
@@ -144,53 +146,43 @@ class Sector:
 class ModeOperator:
     """One axial mode in the eigenbasis of its pencil, stored as sectors.
 
-    The cols of the sectors partition the mode's coordinates; for a mode
-    -n slice these are the mode-n coordinates of its conjugate m-reversal
-    (see reduce_slice). eigen is (w, residual) with the ascending
-    eigenvalues and each pair's pencil residual ||G e_i - w_i M e_i|| /
-    sqrt(M_ii); each sector keeps its own basis record in Sector.info.
-
     The S built sectors j >= 0 are packed, in order of j, into zero-padded
     real stacks: Z (S, K_max, 3 n_r) holds each sector's z transposed, ZW
     the same with the unit Gram folded in ((M_u z)^T), and M and G
-    (S, K_max, K_max) its blocks. Slices meet them through their piece
-    array (_pieces): the coefficients on u+, u- and i e_z at every
-    channel, flattened in (piece, m, r) order, plus one zero entry. slots
-    (S, 3 n_r, 2) name the piece entry each row of Z reads, for the sector
-    ([..., 0]) and for its mirror image -j ([..., 1]); cols (S, K_max, 2)
-    name the mode coordinate of each column, likewise. Padding reads the
-    zero entry and writes the spare coordinate dim; sector 0 has no mirror
-    and pads its second half. So every request is one gather, one batched
-    real product on the interleaved view and one scatter.
+    (S, K_max, K_max) its blocks. The mode's coordinates are packed alike:
+    (dim, ...) with dim = S * K_max * 2 in (stack entry, column,
+    [sector j, mirror -j]) order, zero on the padding (columns past K_j
+    and the mirror half of sector 0); for a mode -n slice they are the
+    mode-n coordinates of its conjugate m-reversal (see reduce_slice). w
+    (dim,) holds their eigenvalues, 0 on the padding, and order the packed
+    index of each eigenvalue in ascending order, ties in order of j. eigen
+    is (w[order], residual), with each pair's pencil residual
+    ||G e_i - w_i M e_i|| / sqrt(M_ii) in the same order.
+
+    Slices meet the stacks through their piece array (_pieces): the
+    coefficients on u+, u- and i e_z at every channel, flattened in
+    (piece, m, r) order, plus one zero entry. slots (S, 3 n_r, 2) name the
+    piece entry each row of Z reads, for the sector ([..., 0]) and for its
+    mirror image -j ([..., 1]); padding reads and writes the zero entry.
 
     ws is a weak reference to the owning Workspace, so the cache holds no
-    reference cycle. basis, M_block, G_block and A_block are dense views
-    built on each read for checks and export; no solve reads them, and
-    basis and the first strong read need that workspace alive.
+    reference cycle. basis, M_block, G_block and A_block are dense views in
+    ascending order, built through order on each read for checks and
+    export; no solve reads them, and basis and the first strong read need
+    that workspace alive.
     """
 
     n: int
     sectors: tuple
     eigen: tuple
-    kernel_columns: tuple
     Z: np.ndarray
     ZW: np.ndarray
     M: np.ndarray
     G: np.ndarray
-    cols: np.ndarray
+    w: np.ndarray
+    order: np.ndarray
     slots: np.ndarray
     ws: object = dataclasses.field(repr=False, compare=False)
-
-    def apply(self, name, y):
-        """Product of the pencil block "M" or "G" with coordinates y.
-
-        y is (dim,) or (dim, k): each column is one coordinate vector.
-        """
-        if name not in ("M", "G"):
-            raise ValueError("ModeOperator.apply takes the block 'M' or 'G', not %r" % (name,))
-        x = _gather(self.cols, _padded(y.reshape(y.shape[0], -1)))
-        out = _scatter(self.cols, np.matmul(getattr(self, name), x), y.shape[0] + 1)
-        return out[:-1].reshape(y.shape)
 
     def assemble_strong(self):
         """Strong block of each sector on first call; returns the largest leak.
@@ -208,7 +200,7 @@ class ModeOperator:
         for s in reversed(self.sectors):
             if s.A is not None or s.mirror_of is not None:
                 continue
-            j, (lo, hi), k = s.info["j"], s.info["window"], s.cols.size
+            j, (lo, hi), k = s.info["j"], s.info["window"], s.M.shape[0]
             rlo, rhi = max(lo - 2, -cfg.n_theta), min(hi + 2, cfg.n_theta)
             win = slice(lo - rlo, hi - rlo + 1)
             fields = _sector_fields(cfg, j, s.z)
@@ -228,38 +220,63 @@ class ModeOperator:
                 s.A, s.leak = s.mirror_of.A, s.mirror_of.leak
         return max(s.leak for s in self.sectors)
 
+    def _eye(self):
+        """Packed coordinates (dim, K) of the eigenvectors in ascending order."""
+        eye = np.zeros((self.w.size, self.order.size), dtype=complex)
+        eye[self.order, np.arange(self.order.size)] = 1.0
+        return eye
+
     @property
     def M_block(self):
-        return self.apply("M", np.eye(self.eigen[0].size))
+        return packed_product(self.M, self._eye())[self.order]
 
     @property
     def G_block(self):
-        return self.apply("G", np.eye(self.eigen[0].size))
+        return packed_product(self.G, self._eye())[self.order]
 
     @property
     def A_block(self):
         self.assemble_strong()
-        out = np.zeros((self.eigen[0].size,) * 2, dtype=complex)
-        for s in self.sectors:
-            out[np.ix_(s.cols, s.cols)] = s.A
-        return out
+        a = np.zeros(self.M.shape, dtype=complex)
+        for i, s in enumerate(s for s in self.sectors if s.mirror_of is None):
+            a[i, : s.A.shape[0], : s.A.shape[0]] = s.A
+        # entries couple only within one sector: same stack entry and side
+        e, c, side = np.unravel_index(self.order, self.M.shape[:2] + (2,))
+        same = (e[:, None] == e) & (side[:, None] == side)
+        return np.where(same, a[e[:, None], c[:, None], c], 0.0)
 
     def synthesize(self, y):
-        """Flat Cartesian slices (3 * n_m * n_r, k) of coordinates y (dim, k).
+        """Flat Cartesian slices (3 * n_m * n_r, k) of packed coordinates y (dim, k).
 
         Z^T maps each sector's coordinates, and its mirror's, to their
         pieces; the slots put them in the piece array P (_pieces), and the
         slices are v = V P.
         """
         cfg = self.ws().config
-        prod = np.matmul(self.Z.transpose(0, 2, 1), _gather(self.cols, _padded(y)))
-        p = _scatter(self.slots, prod, 3 * cfg.n_modes_theta * cfg.n_r + 1)[:-1]
+        p = np.zeros((3 * cfg.n_modes_theta * cfg.n_r + 1, y.shape[1]), dtype=complex)
+        prod = packed_product(self.Z.transpose(0, 2, 1), y)
+        p[self.slots] = prod.reshape(self.slots.shape + (-1,))
+        p = p[:-1]
         return np.matmul(_PIECE_VECTORS, p.reshape(3, -1)).reshape(p.shape)
 
     @property
     def basis(self):
         """Eigenvector fields as Cartesian columns in (component, m, r) order."""
-        return self.synthesize(np.eye(self.eigen[0].size))
+        return self.synthesize(self._eye())
+
+
+def packed_product(stack, y):
+    """Product of a packed real stack (S, R, K) with packed complex vectors y (S * K * 2, ...).
+
+    y is read as its interleaved real view (S, K, 4 L): a sector's and its
+    mirror's entries side by side, each complex entry as two reals, so one
+    batched real product serves both. The result is (S * R * 2, ...) in the
+    same layout; for ModeOperator.M or .G that is packed coordinates again,
+    and a zero padding stays zero.
+    """
+    y = np.ascontiguousarray(y, dtype=complex)
+    x = y.reshape(stack.shape[0], stack.shape[2], -1).view(float)
+    return np.matmul(stack, x).view(complex).reshape((-1,) + y.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -682,9 +699,9 @@ def assemble_A(ws, n):
     real pencil eigh on its non-kernel columns, all on its channel window.
     They are packed into the real stacks of ModeOperator. Sector -j is
     sector j read on the mirrored pieces (_mirror_piece): it shares sector
-    j's arrays and eigenvalues, and its record negates j and the window.
-    The eigenvalues of all sectors are ranked in ascending order, and each
-    sector records the positions of its own.
+    j's arrays and eigenvalues and the other half of its stack entry, and
+    its record negates j and the window. order ranks the eigenvalues of
+    all sectors in ascending order.
     Returns a ModeOperator; use mode_operator for the cached accessor.
 
     Raises:
@@ -733,63 +750,58 @@ def assemble_A(ws, n):
         rows, k = z.shape
         zs[i, :k, :rows], zws[i, :k, :rows] = z.T, zw.T
         ms[i, :k, :k], gs[i, :k, :k] = m, g
-        half.append((Sector(None, zs[i, :k, :rows].T, ms[i, :k, :k], gs[i, :k, :k], nk, info), w))
+        half.append((Sector(zs[i, :k, :rows].T, ms[i, :k, :k], gs[i, :k, :k], nk, info), w))
 
-    # mirror pairs share their spectra, so the built half holds lam_max
+    # a sector and its mirror -j share a stack entry, sides 0 and 1 of the
+    # packed coordinates and of the slot table; the built half holds lam_max
     lam_max = max(float(np.max(np.abs(w))) for _, w in half)
-    mirrored = []
-    for s, w in half:
-        lo, hi = s.info["window"]
-        for i in np.nonzero(np.abs(w) < 1e-8 * lam_max)[0]:
-            col = _sector_fields(cfg, s.info["j"], s.z[:, i : i + 1])[0]
-            w[i] = _dissipation_slice(ws, n, col, lo) / s.M[i, i]
-        if s.info["j"] > 0:
-            info = dict(s.info, j=-s.info["j"], window=(-hi, -lo))
-            mirrored.insert(0, (dataclasses.replace(s, info=info, mirror_of=s), w))
-    sectors, eigvals = zip(*(mirrored + half))
-
-    w = np.concatenate(eigvals)
-    rank = np.argsort(np.argsort(w, kind="stable"))
-    residual = np.empty(w.size)
-    splits = np.cumsum([sw.size for sw in eigvals])[:-1]
-    for s, sw, cols in zip(sectors, eigvals, np.split(rank, splits)):
-        s.cols = cols
-        residual[cols] = np.linalg.norm(s.G - s.M * sw, axis=0) / np.sqrt(np.diag(s.M))
-
-    # index tables: a sector and its mirror share their stack entry
-    cols = np.full((len(half), k_max, 2), w.size)
     slots = np.full((len(half), zs.shape[2], 2), 3 * cfg.n_modes_theta * cfg.n_r)
-    entry = {id(s): i for i, (s, _) in enumerate(half)}
-    for s in sectors:
-        src = s if s.mirror_of is None else s.mirror_of
-        i, side = entry[id(src)], int(s.mirror_of is not None)
-        cols[i, : s.cols.size, side] = s.cols
-        slots[i, : src.z.shape[0], side] = _piece_slots(cfg, src.info["j"], bool(side))
+    mirrored, own = [], []
+    for i, (s, w) in enumerate(half):
+        j, (lo, hi), rows = s.info["j"], s.info["window"], s.z.shape[0]
+        for c in np.nonzero(np.abs(w) < 1e-8 * lam_max)[0]:
+            col = _sector_fields(cfg, j, s.z[:, c : c + 1])[0]
+            w[c] = _dissipation_slice(ws, n, col, lo) / s.M[c, c]
+        res = np.linalg.norm(s.G - s.M * w, axis=0) / np.sqrt(np.diag(s.M))
+        index = 2 * (i * k_max + np.arange(w.size))
+        own.append((s, index, w, res))
+        slots[i, :rows, 0] = _piece_slots(cfg, j)
+        if j > 0:
+            info = dict(s.info, j=-j, window=(-hi, -lo))
+            mirrored.insert(0, (dataclasses.replace(s, info=info, mirror_of=s), index + 1, w, res))
+            slots[i, :rows, 1] = _piece_slots(cfg, j, True)
+    sectors, index, w, res = zip(*(mirrored + own))
+    index, w, res = (np.concatenate(a) for a in (index, w, res))
+    # ascending order, ties in the order of sectors (j = -J..J)
+    rank = np.argsort(w, kind="stable")
+    packed = np.zeros(zs.shape[0] * k_max * 2)
+    packed[index] = w
     op = ModeOperator(
         n=int(n),
         sectors=sectors,
-        eigen=(np.sort(w, kind="stable"), residual),
-        kernel_columns=tuple(sorted(int(i) for s in sectors for i in s.cols[: s.nk])),
+        eigen=(w[rank], res[rank]),
         Z=zs,
         ZW=zws,
         M=ms,
         G=gs,
-        cols=cols,
+        w=packed,
+        order=index[rank],
         slots=slots,
         ws=weakref.ref(ws),
     )
     if n == 0:
-        _check_mirrored_kernel(op, next(s for s in sectors if s.info["j"] == -1))
+        _check_mirrored_kernel(op, *next((s, p[0]) for s, p, *_ in mirrored if s.info["j"] == -1))
     return op
 
 
-def _check_mirrored_kernel(op, s):
+def _check_mirrored_kernel(op, s, index):
     """Raise RuntimeError unless s, the mirrored sector -1 of mode 0, leads with e1 - i e2.
 
-    The column, synthesized through the slot table as every request reads
-    it, must equal the kernel field of _kernel_fields(cfg, -1) at unit L^2
-    norm to 1e-12 on the sector's window, so the kernel check still covers
-    every sector and the mirror that serves it.
+    The column at packed index index, synthesized through the slot table
+    as every request reads it, must equal the kernel field of
+    _kernel_fields(cfg, -1) at unit L^2 norm to 1e-12 on the sector's
+    window, so the kernel check still covers every sector and the mirror
+    that serves it.
     """
     ws = op.ws()
     cfg = ws.config
@@ -797,8 +809,8 @@ def _check_mirrored_kernel(op, s):
     kern = _kernel_fields(cfg, -1)[0]
     wkern = _apply_weight(ws.tables, cfg.ell, kern.reshape(1, 3, -1, cfg.n_r), lo)
     kern = kern / np.sqrt(np.vdot(kern, wkern.reshape(-1)).real)
-    unit = np.zeros((op.eigen[0].size, 1))
-    unit[s.cols[0]] = 1.0
+    unit = np.zeros((op.w.size, 1))
+    unit[index] = 1.0
     col = op.synthesize(unit)[_window_rows(cfg, lo, hi), 0]
     err = np.max(np.abs(col - kern)) / np.max(np.abs(kern))
     if s.nk != 1 or not err <= 1e-12:
@@ -848,39 +860,16 @@ def _pieces(arr):
     return out
 
 
-def _padded(y):
-    """Coordinates y (dim, L) as a complex array with the zero row dim appended."""
-    out = np.zeros((y.shape[0] + 1, y.shape[1]), dtype=complex)
-    out[:-1] = y
-    return out
-
-
-def _gather(table, arr):
-    """Rows table (S, T, 2) of arr (rows, L) as the real view (S, T, 4 L) the stacks multiply.
-
-    A sector's and its mirror's columns sit side by side, each complex
-    entry as two reals, so one real product per stack entry serves both.
-    """
-    x = arr[table]
-    return x.reshape(x.shape[:2] + (-1,)).view(float)
-
-
-def _scatter(table, prod, rows):
-    """(rows, L) complex array holding the real product prod (S, T, 4 L) at table (S, T, 2)."""
-    out = np.zeros((rows, prod.shape[-1] // 4), dtype=complex)
-    out[table] = prod.view(complex).reshape(table.shape + (-1,))
-    return out
-
-
 def reduce_slice(ws, n, arr):
     """Functional values r_i = (g, b_i) of one axial slice g or a stack of them.
 
     arr is (..., 3, n_m, n_r): mode-n slices of fields, with any leading
-    stack axes. The result is (dim, ...): coordinates lead and the stack
-    axes trail, as ModeOperator.apply takes them. The values are
-    r = (M_u z)^T P of each sector on its slots of the piece array P, one
-    batched real product for every sector, mirror and slice at once. For
-    n < 0 the slices are conjugated and m-reversed first, so the values
+    stack axes. The result is (dim, ...) in the packed layout of
+    ModeOperator: coordinates lead, the stack axes trail, and padding
+    entries are zero. The values are r = (M_u z)^T P of each sector on its
+    slots of the piece array P, one batched real product for every sector,
+    mirror and slice at once, whose result is that layout as it stands.
+    For n < 0 the slices are conjugated and m-reversed first, so the values
     are mode-|n| coordinates of that image. The basis is M-orthonormal, so
     these are also the coordinates of the L^2 projection onto the subspace.
     """
@@ -889,15 +878,15 @@ def reduce_slice(ws, n, arr):
         arr = _conj_flip(arr)
     lead = arr.shape[:-3]
     pieces = _pieces(arr.reshape((-1,) + arr.shape[-3:]))
-    y = _scatter(op.cols, np.matmul(op.ZW, _gather(op.slots, pieces)), op.eigen[0].size + 1)
-    return y[:-1].reshape((y.shape[0] - 1,) + lead)
+    y = packed_product(op.ZW, pieces[op.slots].reshape(-1, pieces.shape[1]))
+    return y.reshape((op.w.size,) + lead)
 
 
 def expand_slice(ws, n, y):
-    """Mode-n field slices of mode-|n| coordinates y (inverse of reduce_slice).
+    """Mode-n field slices of packed mode-|n| coordinates y (inverse of reduce_slice).
 
     y is (dim, ...) with any trailing stack axes; the result is
-    (..., 3, n_m, n_r).
+    (..., 3, n_m, n_r). Padding entries of y do not contribute.
     """
     cfg = ws.config
     op = mode_operator(ws, abs(n))
@@ -910,7 +899,8 @@ def project_constrained(ws, v):
     """L^2-orthogonal projection of a field onto the constrained subspace.
 
     The basis is M-orthonormal, so the coordinates are the reduced
-    functionals r themselves. Coordinates of a mode n < 0 are mode-|n|
+    functionals r themselves, in the packed layout of ModeOperator with
+    zeros on the padding. Coordinates of a mode n < 0 are mode-|n|
     coordinates (see reduce_slice): for a real field, n and -n share them.
 
     Returns (projected VectorField, per-mode coordinate dict).

@@ -293,15 +293,54 @@ def mirror_rows(cfg, arr):
     return out.reshape(arr.shape)
 
 
+def packed_index(op):
+    """Packed coordinate indices of each sector of op, in the order of op.sectors.
+
+    Built sector j >= 0 at stack entry i owns the entries (i, c, 0) of the
+    (S, K_max, 2) layout and its mirror -j the entries (i, c, 1), for its
+    columns c < K_j; every other entry is padding.
+    """
+    built = [s for s in op.sectors if s.mirror_of is None]
+    k_max = op.M.shape[1]
+    out = []
+    for s in op.sectors:
+        src = s if s.mirror_of is None else s.mirror_of
+        i = next(i for i, b in enumerate(built) if b is src)
+        out.append(2 * (i * k_max + np.arange(src.M.shape[0])) + (s.mirror_of is not None))
+    return out
+
+
+def ascending_rank(op):
+    """Position of each packed coordinate in the ascending order of op.eigen, -1 on the padding."""
+    rank = np.full(op.w.size, -1)
+    rank[op.order] = np.arange(op.order.size)
+    return rank
+
+
+def packed(op, y):
+    """Packed coordinates (dim, ...) of coordinates y (K, ...) in op.eigen's ascending order."""
+    out = np.zeros(op.w.shape + y.shape[1:], dtype=complex)
+    out[op.order] = y
+    return out
+
+
+def sector_columns(op, index):
+    """Cartesian columns (3 * n_m * n_r, k) of the eigenvector fields at packed indices index."""
+    unit = np.zeros((op.w.size, index.size))
+    unit[index, np.arange(index.size)] = 1.0
+    return op.synthesize(unit)
+
+
 class PerSectorMaps:
     """The per-sector complex request path of mode n, one sector at a time.
 
     Each built sector carries coef = _sector_fields(z), its eigenvector
     fields on the flat Cartesian rows they reach; a mirrored sector -j
     pairs its source's coef with the mirror_rows image of the slice, and
-    M and G act as complex blocks. reduce, expand and apply are the
-    package's reduce_slice, expand_slice and ModeOperator.apply before the
-    sectors were packed into real stacks read through index tables.
+    M and G act as complex blocks. Coordinates are read and written at
+    each sector's packed indices (packed_index), and the padding is zero.
+    reduce, expand and apply are the package's reduce_slice, expand_slice
+    and M/G products before the sectors were packed into real stacks.
     """
 
     def __init__(self, ws, n):
@@ -311,13 +350,13 @@ class PerSectorMaps:
         self.op = mode_operator(ws, abs(n))
         cfg = ws.config
         self.parts = []
-        for s in self.op.sectors:
+        for s, index in zip(self.op.sectors, packed_index(self.op)):
             src = s if s.mirror_of is None else s.mirror_of
-            fields = _sector_fields(cfg, src.info["j"], src.z).reshape(src.cols.size, -1)
+            fields = _sector_fields(cfg, src.info["j"], src.z).reshape(index.size, -1)
             local = np.flatnonzero(fields.any(axis=0))
             rows = _window_rows(cfg, *src.info["window"])[local]
             coef = np.ascontiguousarray(fields[:, local].T)
-            self.parts.append((s, rows, coef, s.mirror_of is not None))
+            self.parts.append((s, index, rows, coef, s.mirror_of is not None))
 
     def reduce(self, arr):
         """Coordinates (dim, ...) of the mode-n slices arr (..., 3, n_m, n_r)."""
@@ -330,9 +369,9 @@ class PerSectorMaps:
         wg = _apply_weight(self.ws.tables, cfg.ell, arr).reshape(-1, math.prod(arr.shape[-3:]))
         wg = np.conj(wg.T)
         wgs = (wg, mirror_rows(cfg, wg))
-        y = np.empty((self.op.eigen[0].size, wg.shape[1]), dtype=complex)
-        for s, rows, coef, mirrored in self.parts:
-            y[s.cols] = coef.T @ wgs[mirrored][rows]
+        y = np.zeros((self.op.w.size, wg.shape[1]), dtype=complex)
+        for _, index, rows, coef, mirrored in self.parts:
+            y[index] = coef.T @ wgs[mirrored][rows]
         return np.conj(y).reshape(y.shape[:1] + lead)
 
     def expand(self, y):
@@ -341,19 +380,26 @@ class PerSectorMaps:
         flat = y.reshape(y.shape[0], -1)
         v = np.zeros((3 * cfg.n_modes_theta * cfg.n_r, flat.shape[1]), dtype=complex)
         for mirrored in (True, False):
-            for s, rows, coef, is_mirror in self.parts:
+            for _, index, rows, coef, is_mirror in self.parts:
                 if is_mirror is mirrored:
-                    v[rows] += coef @ flat[s.cols]
+                    v[rows] += coef @ flat[index]
             v = mirror_rows(cfg, v) if mirrored else v
         v = v.T.reshape(y.shape[1:] + (3, cfg.n_modes_theta, cfg.n_r))
         return np.conj(v[..., ::-1, :]) if self.n < 0 else v
 
     def apply(self, name, y):
         """Product of the block "M" or "G" with coordinates y, sector by sector."""
-        out = np.empty(y.shape, dtype=complex)
-        for s, _, _, _ in self.parts:
-            out[s.cols] = getattr(s, name).astype(complex) @ y[s.cols]
+        out = np.zeros(y.shape, dtype=complex)
+        for s, index, _, _, _ in self.parts:
+            out[index] = getattr(s, name).astype(complex) @ y[index]
         return out
+
+    def pencil_solve(self, lam, r):
+        """(G - lam M) y = r, r (dim, ...): the diagonal scaling and one refinement pass."""
+        shift = np.conj(lam) if self.n < 0 else lam
+        d = (self.op.w - shift).reshape((-1,) + (1,) * (r.ndim - 1))
+        y = r / d
+        return y + (r - self.apply("G", y) + shift * self.apply("M", y)) / d
 
 
 def _sample_matrix(t, ell, arr):
@@ -619,12 +665,7 @@ def evolve_per_step(ws, evo):
     from jetstokes.evolution import EnergyTrace, EvolutionResult
     from jetstokes.fields import norm_L2, zeros_vector
     from jetstokes.helmholtz import project_P
-    from jetstokes.stokesop import (
-        expand_slice,
-        mode_operator,
-        project_constrained,
-        reduce_slice,
-    )
+    from jetstokes.stokesop import expand_slice, project_constrained, reduce_slice
 
     cfg = ws.config
     steps = max(int(round(evo.t_final / evo.dt)), 1)
@@ -635,8 +676,8 @@ def evolve_per_step(ws, evo):
             "horizon adjusted to %d steps of dt=%g (t_final=%g)" % (steps, dt, evo.t_final)
         )
     modes = list(range(-cfg.n_z, cfg.n_z + 1))
-    ops = {a: mode_operator(ws, a) for a in range(cfg.n_z + 1)}
-    eig = {a: op.eigen[0] for a, op in ops.items()}
+    maps = {a: PerSectorMaps(ws, a) for a in range(cfg.n_z + 1)}
+    eig = {a: m.op.w for a, m in maps.items()}
 
     def field_from_coords(coords):
         out = zeros_vector(cfg)
@@ -686,15 +727,15 @@ def evolve_per_step(ws, evo):
         defect_sq = scale_sq = fp_mid = diss_mid = 0.0
         for n in modes:
             w = eig[abs(n)]
-            op = ops[abs(n)]
+            maps_n = maps[abs(n)]
             b = (1.0 - (1.0 - theta) * dt * w) * c[n]
             if r_next is not None:
                 r_eval = theta * r_next[n] + (1.0 - theta) * r_prev[n]
                 b += dt * r_eval
             c_new[n] = b / (1.0 + theta * dt * w)
             c_eval = theta * c_new[n] + (1.0 - theta) * c[n]
-            dc = op.apply("M", (c_new[n] - c[n]) / dt)
-            ge = op.apply("G", c_eval)
+            dc = maps_n.apply("M", (c_new[n] - c[n]) / dt)
+            ge = maps_n.apply("G", c_eval)
             d = dc + ge
             s = np.linalg.norm(dc) + np.linalg.norm(ge)
             if r_next is not None:

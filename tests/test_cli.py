@@ -109,12 +109,22 @@ def test_spectrum_with_block_export(tmp_path):
     lines = (tmp_path / "out" / "eigenvalues.csv").read_text().splitlines()
     assert lines[0] == "n,re_lambda,im_lambda,residual,in_sector"
     assert len(lines) == 7
+    rows = [line.split(",") for line in lines[1:]]
+    ws = js.Workspace(js.DomainConfig(**SMALL_DOMAIN))
     for n in (0, 1):
         a = js.read_matrix(tmp_path / "out" / ("mode_%d_A.json" % n))
         m = js.read_matrix(tmp_path / "out" / ("mode_%d_M.json" % n))
         g = js.read_matrix(tmp_path / "out" / ("mode_%d_G.json" % n))
         assert a.shape == m.shape == g.shape
         assert np.linalg.norm(a - g) < 1e-8 * np.linalg.norm(g)
+        # the blocks are in ascending eigenvalue order: M = I and G's
+        # diagonal is the spectrum, whose lowest rows the CSV holds
+        assert np.max(np.abs(m - np.eye(m.shape[0]))) < 1e-12
+        w = np.array([e.lam.real for e in js.eigensolve(ws, n, m.shape[0])])
+        assert w.size == m.shape[0] and np.all(np.diff(w) >= 0.0)
+        assert np.max(np.abs(np.diag(g) - w)) < 1e-12 * w[-1]
+        csv_w = [float(row[1]) for row in rows if row[0] == str(n)]
+        assert np.max(np.abs(np.diag(g).real[:3] - csv_w)) < 1e-12 * w[-1]
 
 
 def test_spectrum_rejects_bad_mode(tmp_path):

@@ -19,15 +19,15 @@ from jetstokes.stokesop import expand_slice, random_constrained_vector
 
 
 def _eigen_initial(ws, j):
-    """Initial field along the j-th mode-1 eigenvector, plus its eigenvalue."""
+    """Field along the j-th lowest mode-1 eigenvector, its packed coordinates and eigenvalue."""
     cfg = ws.config
-    w = js.mode_operator(ws, 1).eigen[0]
-    y0 = np.zeros(w.size, dtype=complex)
-    y0[j] = 1.0
+    op = js.mode_operator(ws, 1)
+    y0 = np.zeros(op.w.size, dtype=complex)
+    y0[op.order[j]] = 1.0
     u = zeros_vector(cfg)
     u.coeffs[:, cfg.n_z + 1] = expand_slice(ws, 1, y0)
     u.real_flag = False
-    return u, y0, float(w[j])
+    return u, y0, float(op.eigen[0][j])
 
 
 def test_implicit_euler_matches_scalar_recurrence(ws_small):

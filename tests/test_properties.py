@@ -30,9 +30,10 @@ from hypothesis import given, settings, strategies as st
 
 import jetstokes as js
 import oracles
-from jetstokes.fields import random_smooth_scalar, random_smooth_vector
+from jetstokes.fields import random_smooth_scalar, random_smooth_vector, zeros_vector
 from jetstokes.rng import stream
-from jetstokes.spectral import KERNEL_TOL
+from jetstokes.evolution import SCHEMES
+from jetstokes.spectral import KERNEL_TOL, _pencil_solve
 from jetstokes.stokesop import _apply_weight, expand_slice, reduce_slice
 
 CONFIGS = st.builds(
@@ -113,15 +114,14 @@ def test_mirrored_sectors_carry_their_source_pencil(cfg):
     ws = js.Workspace(cfg)
     for n in (0, 1):
         op = js.mode_operator(ws, n)
-        w = op.eigen[0]
-        basis = op.basis
-        for s in op.sectors:
+        for s, index in zip(op.sectors, oracles.packed_index(op)):
             if s.mirror_of is None:
                 continue
-            m, g = oracles.pencil_all_channels(ws, n, basis[:, s.cols])
+            m, g = oracles.pencil_all_channels(ws, n, oracles.sector_columns(op, index))
             assert np.max(np.abs(m - s.M)) <= 1e-12 * np.max(np.abs(m))
             assert np.max(np.abs(g - s.G)) <= 1e-12 * np.max(np.abs(g))
-            assert np.array_equal(w[s.cols], w[s.mirror_of.cols])
+            # the mirror half of the stack entry repeats its source's eigenvalues
+            assert np.array_equal(op.w[index], op.w[index - 1])
 
 
 @PROPERTY
@@ -163,6 +163,40 @@ def test_resolvent_obeys_the_sector_bound(cfg, lam):
     v, info = js.resolve(ws, lam, g)
     assert info["max_rel_residual"] < 1e-8
     assert js.norm_L2(v) <= (1.0 + 1e-10) * math.sqrt(2.0) * js.norm_L2(g) / abs(lam)
+
+
+@PROPERTY
+@given(CONFIGS, LAMBDAS)
+def test_packed_padding_stays_zero_and_every_entry_finite(cfg, lam):
+    # a padding eigenvalue of +inf would turn Crank-Nicolson's keep factor
+    # into -inf and its zero coordinate into NaN; 0 keeps both factors 1
+    ws = js.Workspace(cfg)
+    rng = stream(84, "tests")
+    g = random_smooth_vector(cfg, rng, real=False)
+    ops = {n: js.mode_operator(ws, abs(n)) for n in (-1, 0, 1)}
+    pad = {n: oracles.ascending_rank(op) < 0 for n, op in ops.items()}
+    for n in ops:
+        r = reduce_slice(ws, n, g.coeffs[:, cfg.n_z + n])
+        y, _ = _pencil_solve(ws, n, lam, r)
+        for c in (r, y):
+            assert np.all(np.isfinite(c)) and not np.any(c[pad[n]])
+        assert np.all(np.isfinite(expand_slice(ws, n, y)))
+    # a rough initial state: unit-size coordinates on every live entry
+    u = zeros_vector(cfg)
+    for n, op in ops.items():
+        k = op.order.size
+        c0 = oracles.packed(op, rng.standard_normal(k) + 1j * rng.standard_normal(k))
+        u.coeffs[:, cfg.n_z + n] = expand_slice(ws, n, c0)
+    u.real_flag = False
+    for scheme in SCHEMES:
+        evo = js.EvolutionConfig(
+            t_final=0.03, dt=0.01, scheme=scheme, initial=u, forcing=lambda t: g * math.sin(t)
+        )
+        res = js.evolve(ws, evo)
+        for n, c in res.coords.items():
+            assert np.all(np.isfinite(c)) and not np.any(c[pad[n]])
+        assert all(np.all(np.isfinite(f.coeffs)) for f in res.fields)
+        assert np.all(np.isfinite(res.trace.l2_norm_sq)) and np.all(np.isfinite(res.trace.residual))
 
 
 @PROPERTY

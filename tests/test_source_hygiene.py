@@ -1,7 +1,8 @@
 """Static checks on the package source, using only the standard library.
 
-No linter ships with the project, so three of the checks a linter would
-make run here on the syntax trees of src/jetstokes:
+No linter ships with the project, so four of the checks a linter would
+make run here on the syntax trees of src/jetstokes (and of bench for the
+last one):
 
 - every module-level import of a module other than __init__.py is used in
   that module (__init__.py re-exports by design);
@@ -10,7 +11,10 @@ make run here on the syntax trees of src/jetstokes:
   leave a private helper behind;
 - every parameter of every function, method or lambda is read in its body
   (loaded, or discarded with an explicit del), so an argument a caller
-  passes cannot be silently ignored.
+  passes cannot be silently ignored;
+- every field of the stokesop.Sector and stokesop.ModeOperator dataclasses
+  is read as an attribute somewhere in src/jetstokes or bench, so a
+  refactor cannot leave a dead field behind.
 """
 
 import ast
@@ -18,8 +22,10 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "jetstokes"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "jetstokes"
 MODULES = sorted(SRC.glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 
 def _tree(path):
@@ -118,3 +124,37 @@ def test_unread_parameter_check_sees_a_dropped_argument():
         ("f", "b"),
         ("<lambda>", "y"),
     ]
+
+
+def _dataclass_fields(tree, name):
+    """Names of the annotated fields of the module-level class name."""
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name)
+    return [n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)]
+
+
+def _read_attributes(trees):
+    """Every attribute name loaded (not only assigned) in the trees."""
+    return {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+@pytest.mark.parametrize("name", ["Sector", "ModeOperator"])
+def test_stokesop_dataclass_fields_are_read(name):
+    fields = _dataclass_fields(_tree(SRC / "stokesop.py"), name)
+    assert fields
+    read = _read_attributes(_tree(p) for p in MODULES + BENCH)
+    unread = [f for f in fields if f not in read]
+    assert not unread, "stokesop.%s fields nothing reads: %s" % (name, unread)
+
+
+def test_unread_field_check_sees_a_dead_field():
+    tree = ast.parse(
+        "class C:\n    a: int\n    b: int\n    c: int\n"
+        "def f(x):\n    x.b = x.a\n    return C(c=1)\n"
+    )
+    read = _read_attributes([tree])
+    assert [f for f in _dataclass_fields(tree, "C") if f not in read] == ["b", "c"]

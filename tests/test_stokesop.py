@@ -13,7 +13,7 @@ from jetstokes.fields import (
     rigid_rotation,
     zeros_vector,
 )
-from jetstokes import modesolve, stokesop
+from jetstokes import modesolve, spectral, stokesop
 from jetstokes.discretization import RadialTables
 from jetstokes.rng import stream
 from jetstokes.stokesop import (
@@ -57,23 +57,24 @@ def _twisted_rotation(cfg):
 def test_kernel_columns_are_exact(ws_small):
     cfg = ws_small.config
     op = js.mode_operator(ws_small, 0)
-    assert op.kernel_columns == (0, 1, 2, 3)
+    # every packed entry but the four lowest, the kernel, stays empty
+    rest = np.ones(op.w.size, dtype=bool)
+    rest[op.order[:4]] = False
     for vals in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
         v = constant_vector(cfg, vals)
         proj, coords = project_constrained(ws_small, v)
         assert js.norm_L2(proj - v) / js.norm_L2(v) < 1e-12
-        assert np.max(np.abs(coords[0][4:])) < 1e-10
+        assert np.max(np.abs(coords[0][rest])) < 1e-10
     rot = rigid_rotation(cfg)
     proj, coords = project_constrained(ws_small, rot)
     assert js.norm_L2(proj - rot) / js.norm_L2(rot) < 1e-12
-    assert np.max(np.abs(coords[0][4:])) < 1e-10
+    assert np.max(np.abs(coords[0][rest])) < 1e-10
 
 
 def test_eigen_cache_holds_kernel_columns_exactly(ws_small):
     cfg = ws_small.config
     op = js.mode_operator(ws_small, 0)
     w, _ = op.eigen
-    assert op.kernel_columns == (0, 1, 2, 3)
     # each leading column is one installed kernel field as it stands, with
     # no leak into the rest of the nullspace; e1 + i e2 and e1 - i e2 share
     # their support, so a match needs the support and a constant ratio
@@ -177,8 +178,9 @@ def test_strong_operator_stays_in_its_sector(ws_name, request):
         assert op.assemble_strong() < 1e-12
         # the dense view is the per-sector blocks: exact zeros off-sector
         a = op.A_block
-        for s in op.sectors:
-            assert np.array_equal(a[np.ix_(s.cols, s.cols)], s.A)
+        rank = oracles.ascending_rank(op)
+        for s, index in zip(op.sectors, oracles.packed_index(op)):
+            assert np.array_equal(a[np.ix_(rank[index], rank[index])], s.A)
         assert np.count_nonzero(a) <= sum(s.A.size for s in op.sectors)
 
 
@@ -229,20 +231,23 @@ def test_mirrored_sectors_match_direct_builds(ws_name, request):
     for n in range(3):
         op = js.mode_operator(ws, n)
         w = op.eigen[0]
-        basis = op.basis
-        mirrored = [s for s in op.sectors if s.mirror_of is not None]
+        mirrored = [
+            (s, index)
+            for s, index in zip(op.sectors, oracles.packed_index(op))
+            if s.mirror_of is not None
+        ]
         built = [s.info["j"] for s in op.sectors if s.mirror_of is None]
-        assert sorted(-s.info["j"] for s in mirrored) == [j for j in built if j > 0]
-        for s in mirrored:
+        assert sorted(-s.info["j"] for s, _ in mirrored) == [j for j in built if j > 0]
+        for s, index in mirrored:
             j = s.info["j"]
             assert s.mirror_of.info["j"] == -j
             direct, dinfo = _direct_columns(ws, n, j)
-            assert direct.shape[1] == s.cols.size
+            assert direct.shape[1] == index.size
             nk = len(dinfo.get("kernel_columns", ()))
             assert s.nk == nk
             m, g = oracles.pencil_all_channels(ws, n, direct)
             wd = scipy.linalg.eigh(g[nk:, nk:], m[nk:, nk:], eigvals_only=True)
-            assert np.max(np.abs(wd - w[s.cols[nk:]])) <= 1e-12 * w[-1]
+            assert np.max(np.abs(wd - op.w[index[nk:]])) <= 1e-12 * w[-1]
             # both sets meet sector -j's stacked div/traction/pole rows to
             # roundoff of the same rows
             cmat, embed = oracles.sector_constraints_all_channels(ws, n, j)
@@ -251,7 +256,7 @@ def test_mirrored_sectors_match_direct_builds(ws_name, request):
                 res = np.linalg.norm(cmat @ (embed.conj().T @ cols), axis=0)
                 return np.max(res / np.linalg.norm(cols, axis=0))
 
-            mirror = basis[:, s.cols]
+            mirror = oracles.sector_columns(op, index)
             assert worst(mirror) <= 2.0 * worst(direct) + 1e-14
             q, _ = np.linalg.qr(direct)
             leak = mirror - q @ (q.conj().T @ mirror)
@@ -269,10 +274,9 @@ def test_mirrored_kernel_column_is_checked(cfg_small, monkeypatch):
     # sectors that sector -j built directly spans
     ws = js.Workspace(cfg_small)
     op = assemble_A(ws, 1)
-    basis = op.basis
-    s = next(s for s in op.sectors if s.info["j"] == -2)
+    index = next(p for s, p in zip(op.sectors, oracles.packed_index(op)) if s.info["j"] == -2)
     q, _ = np.linalg.qr(_direct_columns(ws, 1, -2)[0])
-    mirror = basis[:, s.cols]
+    mirror = oracles.sector_columns(op, index)
     leak = mirror - q @ (q.conj().T @ mirror)
     assert np.linalg.norm(leak) > 0.1 * np.linalg.norm(mirror)
 
@@ -302,11 +306,13 @@ def test_mirrored_sectors_are_views_of_their_sources(cfg_small):
 
 @pytest.mark.parametrize("ws_name", ["ws_small", "ws_wide"])
 def test_packed_maps_match_the_per_sector_reference(ws_name, request):
-    # the packed stacks and index tables against the per-sector complex
-    # path with its slice-level mirror, at 1 and 10 columns
+    # the packed stacks and coordinates against the per-sector complex
+    # path with its slice-level mirror, at 1 and 10 columns; y fills the
+    # padding too, which the expansion may not read
     ws = request.getfixturevalue(ws_name)
     cfg = ws.config
     rng = stream(49, "tests")
+    lam = -1.0 + 2.0j
 
     def rel(a, b):
         return np.linalg.norm(a - b) / np.linalg.norm(b)
@@ -317,12 +323,46 @@ def test_packed_maps_match_the_per_sector_reference(ws_name, request):
         for lead in ((), (10,)):
             shape = lead + (3, cfg.n_modes_theta, cfg.n_r)
             g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            assert rel(stokesop.reduce_slice(ws, n, g), ref.reduce(g)) <= 1e-13
-            shape = (op.eigen[0].size,) + lead
+            r = stokesop.reduce_slice(ws, n, g)
+            assert rel(r, ref.reduce(g)) <= 1e-13
+            y, _ = spectral._pencil_solve(ws, n, lam, r)
+            assert rel(y, ref.pencil_solve(lam, r)) <= 1e-13
+            shape = (op.w.size,) + lead
             y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             assert rel(expand_slice(ws, n, y), ref.expand(y)) <= 1e-13
+            # the products take a zero padding, as every request makes it
+            y[oracles.ascending_rank(op) < 0] = 0.0
             for name in ("M", "G"):
-                assert rel(op.apply(name, y), ref.apply(name, y)) <= 1e-13
+                got = stokesop.packed_product(getattr(op, name), y)
+                assert rel(got, ref.apply(name, y)) <= 1e-13
+    # resolve over every mode, against the reference's reduce, solve and expand
+    g = random_smooth_vector(cfg, rng, real=False)
+    v, _ = js.resolve(ws, lam, g)
+    want = np.zeros_like(g.coeffs)
+    for i_n in range(cfg.n_modes_z):
+        ref = oracles.PerSectorMaps(ws, i_n - cfg.n_z)
+        want[:, i_n] = ref.expand(ref.pencil_solve(lam, ref.reduce(g.coeffs[:, i_n])))
+    assert rel(v.coeffs, want) <= 1e-13
+
+
+def test_order_ranks_the_packed_eigenvalues(ws_small):
+    for n in range(ws_small.config.n_z + 1):
+        op = js.mode_operator(ws_small, n)
+        w = op.eigen[0]
+        assert np.array_equal(op.w.flat[op.order], w)
+        live = np.zeros(op.w.size, dtype=bool)
+        for s, index in zip(op.sectors, oracles.packed_index(op)):
+            # the live entries of a sector hold its pencil's eigenvalues
+            want = scipy.linalg.eigh(s.G, s.M, eigvals_only=True)
+            assert np.max(np.abs(np.sort(op.w[index]) - want)) <= 1e-12 * w[-1]
+            live[index] = True
+        assert np.array_equal(np.sort(op.order), np.flatnonzero(live))
+        assert not np.any(op.w[~live])
+        if n == 0:
+            # the four kernel entries are the four lowest
+            parts = zip(op.sectors, oracles.packed_index(op))
+            kernel = [p for s, index in parts for p in index[: s.nk]]
+            assert sorted(oracles.ascending_rank(op)[kernel]) == [0, 1, 2, 3]
 
 
 def test_stored_sector_arrays_are_real(cfg_small):
@@ -335,8 +375,6 @@ def test_stored_sector_arrays_are_real(cfg_small):
         assert arrays
         for a in arrays:
             assert a.dtype == np.float64 or a.dtype.kind == "i", a.dtype
-    with pytest.raises(ValueError, match="'A'"):
-        op.apply("A", np.zeros(op.eigen[0].size))
 
 
 def test_strong_assembly_stays_on_each_sector_reach(cfg_medium, monkeypatch):
@@ -394,9 +432,9 @@ def test_windowed_strong_blocks_match_full_band_reference(ws_name, request):
     for n in range(cfg.n_z + 1):
         op = js.mode_operator(ws, n)
         op.assemble_strong()
-        basis = op.basis
-        for s in op.sectors:
-            a, leak = oracles.strong_block_full_band(ws, n, basis[:, s.cols], s.info["j"])
+        for s, index in zip(op.sectors, oracles.packed_index(op)):
+            cols = oracles.sector_columns(op, index)
+            a, leak = oracles.strong_block_full_band(ws, n, cols, s.info["j"])
             assert np.linalg.norm(s.A - a) <= 1e-12 * np.linalg.norm(a)
             assert abs(s.leak - leak) <= 1e-12
 
@@ -450,14 +488,14 @@ def test_windowed_sectors_match_all_channel_reference(ws_name, request):
         op = js.mode_operator(ws, n)
         w = op.eigen[0]
         basis = op.basis
-        for s in op.sectors:
-            m, g = oracles.pencil_all_channels(ws, n, basis[:, s.cols])
+        for s, index in zip(op.sectors, oracles.packed_index(op)):
+            m, g = oracles.pencil_all_channels(ws, n, oracles.sector_columns(op, index))
             assert np.max(np.abs(m - s.M)) <= 1e-12 * np.max(np.abs(m))
             assert np.max(np.abs(g - s.G)) <= 1e-12 * np.max(np.abs(g))
             null, _, _ = oracles.sector_nullspace_all_channels(ws, n, s.info["j"])
             mo, go = oracles.pencil_all_channels(ws, n, null)
             wo = scipy.linalg.eigh(go, mo, eigvals_only=True)
-            assert np.max(np.abs(wo - np.sort(w[s.cols]))) <= 1e-12 * w[-1]
+            assert np.max(np.abs(wo - np.sort(op.w[index]))) <= 1e-12 * w[-1]
         null = oracles.dense_constrained_nullspace(ws, n)
         assert null.shape[1] == w.size
         leak = basis - null @ (null.conj().T @ basis)
@@ -509,10 +547,10 @@ def test_mass_matrix_matches_inner_product(ws_small):
     y2 = rng.standard_normal(k) + 1j * rng.standard_normal(k)
 
     u = zeros_vector(cfg)
-    u.coeffs[:, cfg.n_z + 1] = expand_slice(ws_small, 1, y1)
+    u.coeffs[:, cfg.n_z + 1] = expand_slice(ws_small, 1, oracles.packed(op, y1))
     u.real_flag = False
     v = zeros_vector(cfg)
-    v.coeffs[:, cfg.n_z + 1] = expand_slice(ws_small, 1, y2)
+    v.coeffs[:, cfg.n_z + 1] = expand_slice(ws_small, 1, oracles.packed(op, y2))
     v.real_flag = False
     want = js.inner_product_Hkp(u, v, 0)
     got = np.conj(y2) @ (op.M_block @ y1)
@@ -525,7 +563,7 @@ def test_dissipation_matches_weak_block(ws_small):
     k = op.basis.shape[1]
     y = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     quad = float(np.real(np.conj(y) @ (op.G_block @ y)))
-    diss = _dissipation_slice(ws_small, 1, expand_slice(ws_small, 1, y))
+    diss = _dissipation_slice(ws_small, 1, expand_slice(ws_small, 1, oracles.packed(op, y)))
     assert diss == pytest.approx(quad, rel=1e-11)
 
 
