@@ -15,7 +15,7 @@ import sys
 
 from .config import ConfigError, default_run_config, load_run_config
 from .evolution import EvolutionConfig, estimate_report, evolve, recover_pressure, write_energy_csv
-from .fieldio import _canonical_json, read_field, write_field, write_matrix
+from .fieldio import read_field, write_field, write_json, write_matrix
 from .fields import ScalarField, VectorField, constant_vector
 from .fields import random_smooth_vector, scalar_from_profile
 from .helmholtz import project_P
@@ -188,8 +188,7 @@ def cmd_evolve(run):
         rep = estimate_report(
             ws, res.fields, pressures, forcings, blk.dt, float(t_grid[-1])
         )
-        with open(out / "estimate.json", "w", encoding="utf-8") as fh:
-            fh.write(_canonical_json(rep))
+        write_json(out / "estimate.json", rep)
         print("evolve: estimate ratio %.6g" % rep["ratio"])
     print(
         "evolve: %d steps, final energy %.6e, wrote %s"
@@ -204,8 +203,7 @@ def cmd_verify_all(run):
     )
     out = _outdir(run)
     path = out / "verify_report.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_canonical_json(records))
+    write_json(path, records)
     passed = sum(1 for r in records.values() if r["pass"])
     print("verify-all: %d/%d criteria pass, report at %s" % (passed, len(records), path))
     return 0 if ok else 1

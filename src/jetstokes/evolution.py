@@ -33,6 +33,7 @@ import math
 
 import numpy as np
 
+from .fieldio import write_csv
 from .fields import VectorField, norm_L2, trace_norm_L2, trace_SF, zeros_vector
 from .fields import grad, inner_product_Hkp
 from .helmholtz import _require_config, operator_Q, project_P
@@ -289,27 +290,12 @@ def recover_pressure(ws, v, f=None):
 
 def energy_csv_rows(trace):
     """Rows (t, l2_norm_sq, dissipation, residual) for energy.csv."""
-    rows = []
-    for k in range(trace.t.size):
-        rows.append(
-            (
-                float(trace.t[k]),
-                float(trace.l2_norm_sq[k]),
-                float(trace.dissipation[k]),
-                float(trace.residual[k]),
-            )
-        )
-    return rows
+    cols = (trace.t, trace.l2_norm_sq, trace.dissipation, trace.residual)
+    return [tuple(map(float, row)) for row in zip(*cols)]
 
 
 def write_energy_csv(path, trace):
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "l2_norm_sq", "dissipation", "residual"])
-        for row in energy_csv_rows(trace):
-            w.writerow([repr(x) for x in row])
+    write_csv(path, ["t", "l2_norm_sq", "dissipation", "residual"], energy_csv_rows(trace))
 
 
 def estimate_report(ws, fields, pressures, forcings, dt, t_final):

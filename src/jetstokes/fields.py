@@ -7,6 +7,14 @@ the half Chebyshev-Lobatto grid of discretization.RadialTables. Axial index
 fields keep three Cartesian components; Cartesian components stay smooth
 through the axis r = 0, unlike cylindrical ones.
 
+ScalarField and VectorField share one dataclass body (_Field): the
+shape check, copy and the arithmetic + - * and unary -, each of which
+keeps the kind. They differ only in their leading axes, none for a
+scalar and (3,) for a vector, and in the vector's x/y/z component views.
+The random generators share one draw, which symmetrizes to the real
+part when asked, and one unit-L^2 normalization (_normalized, also used
+by stokesop.random_constrained_vector).
+
 Derivatives in x and y couple azimuthal neighbors through the raising and
 lowering combinations (d/dr -+ m/r); multiplication by x or y couples them
 through r/2 shifts. The internal helpers therefore return arrays on a
@@ -59,14 +67,18 @@ def _as_order(k):
 
 
 @dataclasses.dataclass
-class ScalarField:
-    """Scalar field in coefficient space.
+class _Field:
+    """The body ScalarField and VectorField share.
 
     Attributes:
         config: DomainConfig the coefficients refer to.
-        coeffs: complex array (2*n_z+1, 2*n_theta+1, n_r).
+        coeffs: complex array _lead + (2*n_z+1, 2*n_theta+1, n_r).
         real_flag: whether the field is meant to be real valued (its
-            coefficients then satisfy c[-n, -m] = conj(c[n, m])).
+            coefficients then satisfy c[..., -n, -m, :] = conj(c[..., n, m, :])).
+
+    Arithmetic (+, -, unary -, multiplication by a scalar) keeps the kind;
+    a result is real when its operands are and the scalar has no
+    imaginary part. Mixing kinds or configs raises ValueError.
     """
 
     config: object
@@ -74,20 +86,21 @@ class ScalarField:
     real_flag: bool = True
 
     def __post_init__(self):
-        want = (self.config.n_modes_z, self.config.n_modes_theta, self.config.n_r)
+        cfg = self.config
+        want = self._lead + (cfg.n_modes_z, cfg.n_modes_theta, cfg.n_r)
         if self.coeffs.shape != want:
             raise ValueError(
-                "scalar coefficient shape %s does not match config %s"
-                % (self.coeffs.shape, want)
+                "%s coefficient shape %s does not match config %s"
+                % (type(self).__name__, self.coeffs.shape, want)
             )
 
     def copy(self):
-        return ScalarField(self.config, self.coeffs.copy(), self.real_flag)
+        return type(self)(self.config, self.coeffs.copy(), self.real_flag)
 
     def _binary(self, other, op):
-        if not isinstance(other, ScalarField) or other.config != self.config:
+        if type(other) is not type(self) or other.config != self.config:
             raise ValueError("field mismatch in arithmetic")
-        return ScalarField(
+        return type(self)(
             self.config, op(self.coeffs, other.coeffs), self.real_flag and other.real_flag
         )
 
@@ -99,67 +112,30 @@ class ScalarField:
 
     def __mul__(self, scalar):
         out_real = self.real_flag and getattr(scalar, "imag", 0.0) == 0.0
-        return ScalarField(self.config, self.coeffs * scalar, out_real)
+        return type(self)(self.config, self.coeffs * scalar, out_real)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return ScalarField(self.config, -self.coeffs, self.real_flag)
+        return type(self)(self.config, -self.coeffs, self.real_flag)
 
 
-@dataclasses.dataclass
-class VectorField:
+class ScalarField(_Field):
+    """Scalar field in coefficient space, coeffs (2*n_z+1, 2*n_theta+1, n_r)."""
+
+    _lead = ()
+
+
+def _component(c):
+    """Property: component c of a VectorField as a ScalarField view (shares memory)."""
+    return property(lambda self: ScalarField(self.config, self.coeffs[c], self.real_flag))
+
+
+class VectorField(_Field):
     """Velocity field with Cartesian components stacked on the first axis."""
 
-    config: object
-    coeffs: np.ndarray
-    real_flag: bool = True
-
-    def __post_init__(self):
-        want = (3, self.config.n_modes_z, self.config.n_modes_theta, self.config.n_r)
-        if self.coeffs.shape != want:
-            raise ValueError(
-                "vector coefficient shape %s does not match config %s"
-                % (self.coeffs.shape, want)
-            )
-
-    @property
-    def x(self):
-        """First component as a ScalarField view (shares memory)."""
-        return ScalarField(self.config, self.coeffs[0], self.real_flag)
-
-    @property
-    def y(self):
-        return ScalarField(self.config, self.coeffs[1], self.real_flag)
-
-    @property
-    def z(self):
-        return ScalarField(self.config, self.coeffs[2], self.real_flag)
-
-    def copy(self):
-        return VectorField(self.config, self.coeffs.copy(), self.real_flag)
-
-    def _binary(self, other, op):
-        if not isinstance(other, VectorField) or other.config != self.config:
-            raise ValueError("field mismatch in arithmetic")
-        return VectorField(
-            self.config, op(self.coeffs, other.coeffs), self.real_flag and other.real_flag
-        )
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __mul__(self, scalar):
-        out_real = self.real_flag and getattr(scalar, "imag", 0.0) == 0.0
-        return VectorField(self.config, self.coeffs * scalar, out_real)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return VectorField(self.config, -self.coeffs, self.real_flag)
+    _lead = (3,)
+    x, y, z = map(_component, range(3))
 
 
 @dataclasses.dataclass
@@ -398,15 +374,7 @@ def _lap3d_arr(t, config, arr):
 def laplacian(field):
     """Laplacian of a ScalarField or a VectorField (componentwise)."""
     t = tables_for(field.config)
-    if isinstance(field, ScalarField):
-        return ScalarField(
-            field.config, _lap3d_arr(t, field.config, field.coeffs), field.real_flag
-        )
-    out = zeros_vector(field.config)
-    for c in range(3):
-        out.coeffs[c] = _lap3d_arr(t, field.config, field.coeffs[c])
-    out.real_flag = field.real_flag
-    return out
+    return type(field)(field.config, _lap3d_arr(t, field.config, field.coeffs), field.real_flag)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +478,8 @@ def trace_norm_L2(tr):
 # random smooth fields
 
 
-def _draw_smooth_coeffs(config, rng, margin_m, margin_deg):
+def _draw_smooth_coeffs(config, rng, margin_m, margin_deg, real):
+    """One component's smooth coefficients, those of their real part when real."""
     t = tables_for(config)
     coeffs = np.zeros(
         (config.n_modes_z, config.n_modes_theta, config.n_r), dtype=complex
@@ -523,7 +492,17 @@ def _draw_smooth_coeffs(config, rng, margin_m, margin_deg):
             c = rng.standard_normal(depth) + 1j * rng.standard_normal(depth)
             c *= 0.5 ** np.arange(depth)
             coeffs[i_n, config.n_theta + m] = basis[:, :depth] @ c
+    if real:
+        coeffs = 0.5 * (coeffs + np.conj(coeffs[::-1, ::-1]))
     return coeffs
+
+
+def _normalized(f):
+    """f scaled in place to unit L^2 norm (left alone when zero); returns f."""
+    nrm = norm_L2(f)
+    if nrm > 0.0:
+        f.coeffs /= nrm
+    return f
 
 
 def random_smooth_scalar(config, rng, margin_m=2, margin_deg=2, real=True):
@@ -535,27 +514,14 @@ def random_smooth_scalar(config, rng, margin_m=2, margin_deg=2, real=True):
     Draw order is deterministic (n ascending, then m ascending). The result
     is normalized to unit L^2 norm.
     """
-    coeffs = _draw_smooth_coeffs(config, rng, margin_m, margin_deg)
-    if real:
-        coeffs = 0.5 * (coeffs + np.conj(coeffs[::-1, ::-1]))
-    f = ScalarField(config, coeffs, real_flag=real)
-    nrm = norm_L2(f)
-    if nrm > 0.0:
-        f.coeffs /= nrm
-    return f
+    coeffs = _draw_smooth_coeffs(config, rng, margin_m, margin_deg, real)
+    return _normalized(ScalarField(config, coeffs, real_flag=real))
 
 
 def random_smooth_vector(config, rng, margin_m=2, margin_deg=2, real=True):
     """Random pole-regular vector field, components drawn in x, y, z order."""
-    parts = [_draw_smooth_coeffs(config, rng, margin_m, margin_deg) for _ in range(3)]
-    coeffs = np.stack(parts)
-    if real:
-        coeffs = 0.5 * (coeffs + np.conj(coeffs[:, ::-1, ::-1]))
-    f = VectorField(config, coeffs, real_flag=real)
-    nrm = norm_L2(f)
-    if nrm > 0.0:
-        f.coeffs /= nrm
-    return f
+    parts = [_draw_smooth_coeffs(config, rng, margin_m, margin_deg, real) for _ in range(3)]
+    return _normalized(VectorField(config, np.stack(parts), real_flag=real))
 
 
 def random_zero_trace_potential(config, rng, margin_m=2, margin_deg=2, real=True):
@@ -567,9 +533,7 @@ def random_zero_trace_potential(config, rng, margin_m=2, margin_deg=2, real=True
     potential.
     """
     t = tables_for(config)
-    coeffs = _draw_smooth_coeffs(config, rng, margin_m, margin_deg)
-    if real:
-        coeffs = 0.5 * (coeffs + np.conj(coeffs[::-1, ::-1]))
+    coeffs = _draw_smooth_coeffs(config, rng, margin_m, margin_deg, real)
     mb = max(config.n_theta - margin_m, 0)
     for m in range(-mb, mb + 1):
         basis = t.smooth_basis(abs(m))
@@ -579,8 +543,4 @@ def random_zero_trace_potential(config, rng, margin_m=2, margin_deg=2, real=True
         im = config.n_theta + m
         coeffs[:, im, :] -= np.outer(coeffs[:, im, 0], correction)
         coeffs[:, im, 0] = 0.0
-    f = ScalarField(config, coeffs, real_flag=real)
-    nrm = norm_L2(f)
-    if nrm > 0.0:
-        f.coeffs /= nrm
-    return f
+    return _normalized(ScalarField(config, coeffs, real_flag=real))

@@ -20,12 +20,12 @@ Eigenvalues of mode -n equal those of mode n, so eigensolve serves
 negative modes from the |n| decomposition.
 """
 
-import csv
 import dataclasses
 import math
 
 import numpy as np
 
+from .fieldio import write_csv
 from .fields import norm_Hkp, norm_L2, random_smooth_vector, zeros_vector
 from .stokesop import expand_slice, mode_operator, packed_product, reduce_slice
 
@@ -176,42 +176,19 @@ def resolvent_sweep(ws, lam_grid, rng):
 # CSV output
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 def write_eigenvalues_csv(path, entries):
     """Write eigenvalue rows: n, re_lambda, im_lambda, residual, in_sector."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["n", "re_lambda", "im_lambda", "residual", "in_sector"])
-        for e in entries:
-            w.writerow(
-                [
-                    str(e.n),
-                    _fmt(e.lam.real),
-                    _fmt(e.lam.imag),
-                    _fmt(e.residual),
-                    "true" if e.in_sector else "false",
-                ]
-            )
+    write_csv(
+        path,
+        ["n", "re_lambda", "im_lambda", "residual", "in_sector"],
+        [(e.n, e.lam.real, e.lam.imag, e.residual, e.in_sector) for e in entries],
+    )
 
 
 def write_resolvent_csv(path, samples):
     """Write sweep rows: re_lambda, im_lambda, l2_gain, l2_bound, hk_gain, bound_ok."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(
-            ["re_lambda", "im_lambda", "l2_gain", "l2_bound", "hk_gain", "bound_ok"]
-        )
-        for s in samples:
-            w.writerow(
-                [
-                    _fmt(s.lam.real),
-                    _fmt(s.lam.imag),
-                    _fmt(s.l2_gain),
-                    _fmt(s.l2_bound),
-                    _fmt(s.hk_gain),
-                    "true" if s.bound_ok else "false",
-                ]
-            )
+    write_csv(
+        path,
+        ["re_lambda", "im_lambda", "l2_gain", "l2_bound", "hk_gain", "bound_ok"],
+        [(s.lam.real, s.lam.imag, s.l2_gain, s.l2_bound, s.hk_gain, s.bound_ok) for s in samples],
+    )

@@ -84,10 +84,10 @@ from .fields import (
     _axial_factors,
     _div_slice,
     _dxy,
+    _normalized,
     _pad,
     _stacks,
     constant_vector,
-    norm_L2,
     random_smooth_vector,
     rigid_rotation,
     zeros_vector,
@@ -919,11 +919,7 @@ def project_constrained(ws, v):
 def random_constrained_vector(ws, rng):
     """Random unit-norm member of the constrained subspace."""
     f = random_smooth_vector(ws.config, rng, real=False)
-    v, _ = project_constrained(ws, f)
-    nrm = norm_L2(v)
-    if nrm > 0.0:
-        v.coeffs /= nrm
-    return v
+    return _normalized(project_constrained(ws, f)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,14 @@ def test_energy_csv(ws_small, tmp_path):
     assert lines[0] == "t,l2_norm_sq,dissipation,residual"
     assert len(lines) == 4
     assert float(lines[1].split(",")[1]) == pytest.approx(1.0, rel=1e-10)
+    # exact bytes: repr floats and "\n" line ends
+    tr = result.trace
+    want = "t,l2_norm_sq,dissipation,residual\n" + "".join(
+        "%r,%r,%r,%r\n"
+        % (float(tr.t[k]), float(tr.l2_norm_sq[k]), float(tr.dissipation[k]), float(tr.residual[k]))
+        for k in range(tr.t.size)
+    )
+    assert path.read_bytes() == want.encode("utf-8")
 
 
 def test_recover_pressure_velocity_part(ws_small):

@@ -1,9 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 import jetstokes as js
+from jetstokes.cli import main
 from jetstokes.fieldio import _canonical_json
 from jetstokes.fields import random_smooth_scalar, random_smooth_vector
 from jetstokes.rng import stream
@@ -146,3 +148,87 @@ def test_canonical_json_shape():
     text = _canonical_json({"b": 1, "a": [1.5, True]})
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
+
+
+# ---------------------------------------------------------------------------
+# malformed headers: a ValueError naming the file, exit status 1 in the CLI
+
+
+def _rewrite(path, **entries):
+    """Replace entries of the header at path."""
+    header = json.loads(path.read_text())
+    header.update(entries)
+    path.write_text(_canonical_json(header))
+
+
+def _assert_rejected(reader, path, tmp_path, capsys):
+    """reader(path) raises a ValueError naming path; so does the CLI, with status 1."""
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        reader(path)
+    if reader is js.read_field:
+        run = tmp_path / "run.json"
+        run.write_text(
+            json.dumps(
+                {
+                    "domain": {"n_r": 12, "n_theta": 3, "n_z": 2},
+                    "project": {"source": str(path)},
+                    "output_dir": str(tmp_path / "out"),
+                }
+            )
+        )
+        assert main(["project", "--config", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "Traceback" not in err
+
+
+def test_header_must_be_a_json_object(tmp_path, capsys):
+    for reader in (js.read_field, js.read_matrix):
+        path = tmp_path / "five.json"
+        path.write_text("5\n")
+        _assert_rejected(reader, path, tmp_path, capsys)
+        path.write_text("[1, 2]\n")
+        _assert_rejected(reader, path, tmp_path, capsys)
+        path.write_text('{"rows": 2,\n')
+        _assert_rejected(reader, path, tmp_path, capsys)
+        path.write_bytes(b"\xff\xfe")
+        _assert_rejected(reader, path, tmp_path, capsys)
+
+
+def test_payload_must_be_a_plain_file_name(cfg_small, tmp_path, capsys):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    field = sub / "field.json"
+    js.write_field(field, random_smooth_vector(cfg_small, stream(78, "tests")))
+    mat = sub / "mat.json"
+    js.write_matrix(mat, np.eye(2))
+    # valid payloads outside the header's directory must not be read
+    (tmp_path / "field.bin").write_bytes((sub / "field.bin").read_bytes())
+    (tmp_path / "mat.bin").write_bytes((sub / "mat.bin").read_bytes())
+    for path, reader in ((field, js.read_field), (mat, js.read_matrix)):
+        outside = tmp_path / path.with_suffix(".bin").name
+        for name in (5, None, "", "..", "../" + outside.name, str(outside)):
+            _rewrite(path, payload=name)
+            _assert_rejected(reader, path, tmp_path, capsys)
+
+
+def test_real_flag_must_be_a_json_boolean(cfg_small, tmp_path, capsys):
+    path = tmp_path / "field.json"
+    js.write_field(path, random_smooth_scalar(cfg_small, stream(79, "tests")))
+    for flag in ("false", 0, 1, None):
+        _rewrite(path, real_flag=flag)
+        _assert_rejected(js.read_field, path, tmp_path, capsys)
+
+
+def test_counts_must_be_integers(cfg_small, tmp_path, capsys):
+    path = tmp_path / "field.json"
+    js.write_field(path, random_smooth_vector(cfg_small, stream(80, "tests")))
+    for count in (True, 3.0, "3"):
+        _rewrite(path, components=count)
+        _assert_rejected(js.read_field, path, tmp_path, capsys)
+    mat = tmp_path / "mat.json"
+    js.write_matrix(mat, np.eye(2))
+    for key, count in (("rows", "2"), ("rows", True), ("cols", 2.0), ("cols", -2)):
+        js.write_matrix(mat, np.eye(2))
+        _rewrite(mat, **{key: count})
+        _assert_rejected(js.read_matrix, mat, tmp_path, capsys)

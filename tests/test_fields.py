@@ -254,12 +254,46 @@ def test_field_shape_validation(cfg_small):
         js.VectorField(cfg_small, np.zeros((2, 2, 2, 2), dtype=complex))
 
 
-def test_field_arithmetic(cfg_small):
-    u = constant_scalar(cfg_small, 1.0)
-    v = constant_scalar(cfg_small, 2.0)
-    assert js.norm_L2((u + v) - constant_scalar(cfg_small, 3.0)) == 0.0
+# each kind's constant field of amplitude a, and the other kind
+_KINDS = {
+    "scalar": (constant_scalar, "vector"),
+    "vector": (lambda cfg, a: constant_vector(cfg, (a, 2.0 * a, -a)), "scalar"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_field_arithmetic(cfg_small, kind):
+    make, other = _KINDS[kind]
+    u = make(cfg_small, 1.0)
+    v = make(cfg_small, 2.0)
+    assert js.norm_L2((u + v) - make(cfg_small, 3.0)) == 0.0
     assert js.norm_L2((v - u) - u) == 0.0
     assert js.norm_L2(2.0 * u - v) == 0.0
-    assert (1j * u).real_flag is False
-    with pytest.raises(ValueError, match="mismatch"):
-        u + constant_vector(cfg_small, (1.0, 0.0, 0.0))
+    assert js.norm_L2(u * 2.0 - v) == 0.0
+    assert js.norm_L2(-u + u) == 0.0
+    # results keep their kind; they are real exactly when every operand is
+    c = 1j * u
+    real = (u + v, v - u, 2.0 * u, -u, u.copy())
+    complex_ = (c, u * 1j, c + u, u - c, -c, 2.0 * c, c.copy())
+    for results, flag in ((real, True), (complex_, False)):
+        for w in results:
+            assert type(w) is type(u)
+            assert w.real_flag is flag
+    # a copy shares no memory with the original
+    w = u.copy()
+    assert np.array_equal(w.coeffs, u.coeffs)
+    assert not np.shares_memory(w.coeffs, u.coeffs)
+    w.coeffs[...] = 0.0
+    assert js.norm_L2(u) > 0.0
+    if kind == "vector":
+        for i, part in enumerate((u.x, u.y, u.z)):
+            assert isinstance(part, ScalarField)
+            assert np.shares_memory(part.coeffs, u.coeffs[i])
+    # mixing kinds or configs fails from either operand
+    coarse = js.DomainConfig(n_r=10, n_theta=3, n_z=2)
+    for foreign in (_KINDS[other][0](cfg_small, 1.0), make(coarse, 1.0)):
+        for a, b in ((u, foreign), (foreign, u)):
+            with pytest.raises(ValueError, match="mismatch"):
+                a + b
+            with pytest.raises(ValueError, match="mismatch"):
+                a - b

@@ -1,8 +1,8 @@
 """Static checks on the package source, using only the standard library.
 
-No linter ships with the project, so four of the checks a linter would
-make run here on the syntax trees of src/jetstokes (and of bench for the
-last one):
+No linter ships with the project, so five checks a linter would make
+run here on the syntax trees of src/jetstokes (and of bench for the
+fourth one):
 
 - every module-level import of a module other than __init__.py is used in
   that module (__init__.py re-exports by design);
@@ -14,7 +14,11 @@ last one):
   passes cannot be silently ignored;
 - every field of the stokesop.Sector and stokesop.ModeOperator dataclasses
   is read as an attribute somewhere in src/jetstokes or bench, so a
-  refactor cannot leave a dead field behind.
+  refactor cannot leave a dead field behind;
+- no module but fieldio, which owns every output and field file format,
+  and config, which reads the run configuration, opens a file: none
+  names the builtin open or calls an open, read_text, write_text,
+  read_bytes or write_bytes method.
 """
 
 import ast
@@ -158,3 +162,46 @@ def test_unread_field_check_sees_a_dead_field():
     )
     read = _read_attributes([tree])
     assert [f for f in _dataclass_fields(tree, "C") if f not in read] == ["b", "c"]
+
+
+# the modules that may open files
+FILE_OWNERS = ("fieldio.py", "config.py")
+# method names that open a file (io.open, os.open and pathlib's shortcuts)
+_OPEN_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def _file_opens(tree):
+    """(line, name) of each use of the builtin open and each call of a file-opening method."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "open":
+            out.append((node.lineno, "open"))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _OPEN_METHODS
+        ):
+            out.append((node.lineno, node.func.attr))
+    return sorted(out)
+
+
+def test_only_fieldio_and_config_open_files():
+    opens = [
+        "%s:%d %s" % (path.name, line, name)
+        for path in MODULES
+        if path.name not in FILE_OWNERS
+        for line, name in _file_opens(_tree(path))
+    ]
+    assert not opens, "files opened outside %s: %s" % (FILE_OWNERS, opens)
+
+
+def test_file_open_check_sees_every_opener():
+    tree = ast.parse(
+        "import io, pathlib\n"
+        "with open('a') as fh:\n    fh.read()\n"
+        "io.open('b')\n"
+        "pathlib.Path('c').write_text('x')\n"
+        "reader = open\n"
+        "fh.close()\n"
+    )
+    assert _file_opens(tree) == [(2, "open"), (4, "open"), (5, "write_text"), (6, "open")]

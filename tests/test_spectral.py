@@ -152,6 +152,13 @@ def test_eigenvalues_csv(ws_small, tmp_path):
     assert first[0] == "1"
     assert float(first[1]) == pytest.approx(MODE1_SMALLEST[0], rel=1e-5)
     assert first[4] == "true"
+    # exact bytes: repr floats, true/false, "\n" line ends
+    want = "n,re_lambda,im_lambda,residual,in_sector\n" + "".join(
+        "%d,%r,%r,%r,%s\n"
+        % (e.n, float(e.lam.real), float(e.lam.imag), float(e.residual), str(e.in_sector).lower())
+        for e in entries
+    )
+    assert path.read_bytes() == want.encode("utf-8")
 
 
 def test_resolvent_csv(ws_small, tmp_path):
@@ -164,3 +171,17 @@ def test_resolvent_csv(ws_small, tmp_path):
     assert float(row[0]) == 0.0
     assert float(row[1]) == 2.0
     assert row[5] == "true"
+    # exact bytes: repr floats, true/false, "\n" line ends
+    want = "re_lambda,im_lambda,l2_gain,l2_bound,hk_gain,bound_ok\n" + "".join(
+        "%r,%r,%r,%r,%r,%s\n"
+        % (
+            float(s.lam.real),
+            float(s.lam.imag),
+            float(s.l2_gain),
+            float(s.l2_bound),
+            float(s.hk_gain),
+            str(s.bound_ok).lower(),
+        )
+        for s in samples
+    )
+    assert path.read_bytes() == want.encode("utf-8")
