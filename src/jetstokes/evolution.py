@@ -16,16 +16,14 @@ constant states persist to roundoff. Energies are sum |c|^2 and
 sum w |c|^2. The per-step residual is measured against the packed M and
 G stacks, so every step checks the eigenbasis instead of trusting it.
 
-Only the recurrence itself runs step by step. Everything around it works
-over the step axis in blocks of STEP_BLOCK steps: the forcing of a block is
-reduced with one batched product per mode, and so are the M and G residual
-products and the snapshot expansions; energies and the Crank-Nicolson
-identity terms are summed per mode for the whole block. The forcing
-callable is still called once per time point, in time order (after one
-extra call at t = 0 for the hypothesis check).
-
-Negative modes step in mode-|n| coordinates, the ones reduce_slice and
-expand_slice use: w is real, so the recurrences are those of mode |n|.
+The state and w are field coordinate arrays (n_z + 1, dim, 2) (see
+stokesop.reduce_slice), so each step is a few whole-array operations: the
+recurrence, the M/G residual products (one batched product per |n|), the
+residual's per-mode scale, the energies and the Crank-Nicolson midpoint
+terms. The forcing of a block of STEP_BLOCK steps is reduced, and its
+snapshots expanded, in one call each; the forcing callable is called once
+per time point, in time order (after one extra call at t = 0 for the
+hypothesis check). w is real, so nothing here depends on the sign of n.
 """
 
 import dataclasses
@@ -34,15 +32,21 @@ import math
 import numpy as np
 
 from .fieldio import write_csv
-from .fields import VectorField, norm_L2, trace_norm_L2, trace_SF, zeros_vector
+from .fields import VectorField, norm_L2, trace_norm_L2, trace_SF
 from .fields import grad, inner_product_Hkp
 from .helmholtz import _require_config, operator_Q, project_P
-from .stokesop import expand_slice, mode_operator, packed_product, project_constrained, reduce_slice
+from .stokesop import (
+    expand_slice,
+    field_eigenvalues,
+    field_product,
+    mode_operator,
+    project_constrained,
+    reduce_slice,
+)
 
 SCHEMES = ("implicit-euler", "crank-nicolson")
 
-# steps per block: the recurrence runs step by step, and the forcing
-# reductions, residual products, energies and snapshot expansions run once
+# steps per block: the forcing reductions and snapshot expansions run once
 # per block, so transient memory is bounded by the block, not the run
 STEP_BLOCK = 16
 
@@ -95,14 +99,22 @@ class EnergyTrace:
 class EvolutionResult:
     """Trajectory, energy trace, final field and final eigen coordinates.
 
-    coords are packed, zero on the padding (stokesop.ModeOperator); those
-    of a mode n < 0 are mode-|n| coordinates, see reduce_slice.
+    coords is the final field coordinate array (n_z + 1, dim, 2) of
+    stokesop.reduce_slice: [|n|, :, 0] is mode +|n|, [|n|, :, 1] mode -|n|,
+    zero on the padding, side 1 of |n| = 0 included.
     """
 
     fields: list
     trace: EnergyTrace
     final: VectorField
-    coords: dict
+    coords: np.ndarray
+
+
+def _mode_norms(y):
+    """Euclidean norm (n_z + 1, 2) of each mode's part of field coordinates y."""
+    yr = y.view(float).reshape(y.shape[0], -1, 4)
+    sq = np.einsum("adc,adc->ac", yr, yr)
+    return np.sqrt(sq[:, 0::2] + sq[:, 1::2])
 
 
 def evolve(ws, evo):
@@ -130,26 +142,20 @@ def evolve(ws, evo):
             % (steps, dt, evo.t_final)
         )
 
-    modes = list(range(-cfg.n_z, cfg.n_z + 1))
-    ops = {a: mode_operator(ws, a) for a in range(cfg.n_z + 1)}
+    w = field_eigenvalues(ws)
     # the eigenbasis deflates the mode-0 kernel columns, which is exact
     # only while G couples to them at roundoff level
-    sectors = ops[0].sectors
+    sectors = mode_operator(ws, 0).sectors
     coupling = math.sqrt(sum(np.linalg.norm(s.G[: s.nk]) ** 2 for s in sectors))
     coupling /= max(math.sqrt(sum(np.linalg.norm(s.G) ** 2 for s in sectors)), 1e-300)
     if coupling > 1e-8:
         warnings.append("mode 0: dissipation form couples to the kernel (%.3e)" % coupling)
-    # one state is a row holding every mode's coordinates; mode n owns span[n]
-    edges = np.cumsum([0] + [ops[abs(n)].w.size for n in modes])
-    span = {n: slice(edges[i], edges[i + 1]) for i, n in enumerate(modes)}
-    w = np.concatenate([ops[abs(n)].w for n in modes])
 
-    c = np.zeros((1, edges[-1]), dtype=complex)
+    # a state is one field coordinate array
+    c = np.zeros(w.shape, dtype=complex)
     if evo.initial is not None:
         vnorm = norm_L2(evo.initial)
-        proj, coords = project_constrained(ws, evo.initial)
-        for n in modes:
-            c[0, span[n]] = coords[n]
+        proj, c = project_constrained(ws, evo.initial)
         if vnorm > 0.0:
             defect = norm_L2(evo.initial - proj) / vnorm
             if defect > 1e-8:
@@ -171,26 +177,15 @@ def evolve(ws, evo):
                     "the evolution hypothesis requires P f(0) = 0" % sol_part
                 )
 
-    def reduce_forcing(k, out):
-        """Write the forcing functionals at time points k, k + 1, ... into out's rows."""
-        stack = np.empty((len(out), 3, cfg.n_modes_z, cfg.n_modes_theta, cfg.n_r), complex)
-        for i in range(len(out)):
-            f = evo.forcing(dt * (k + i))
+    def reduce_forcing(ks):
+        """Forcing functionals (len(ks), ...) at the time points ks, reduced in one call."""
+        stack = np.empty((len(ks), 3, cfg.n_modes_z, cfg.n_modes_theta, cfg.n_r), complex)
+        for i, k in enumerate(ks):
+            f = evo.forcing(dt * k)
             if not isinstance(f, VectorField):
                 raise ValueError("forcing callable must return a VectorField")
             stack[i] = f.coeffs
-        for n in modes:
-            out[:, span[n]] = reduce_slice(ws, n, stack[:, :, cfg.n_z + n]).T
-
-    def snapshots(x):
-        """VectorFields of the states in the rows of x."""
-        out = [zeros_vector(cfg) for _ in x]
-        for n in modes:
-            for f, v in zip(out, expand_slice(ws, n, x[:, span[n]].T)):
-                f.coeffs[:, cfg.n_z + n] = v
-        for f in out:
-            f.real_flag = False
-        return out
+        return np.moveaxis(reduce_slice(ws, stack), -1, 0)
 
     # implicit Euler evaluates G and f at the new time, Crank-Nicolson at
     # the midpoint
@@ -201,70 +196,59 @@ def evolve(ws, evo):
     l2_arr = np.zeros(steps + 1)
     diss_arr = np.zeros(steps + 1)
     res_arr = np.zeros(steps + 1)
-    ident_res = np.zeros(steps) if evo.scheme == "crank-nicolson" else None
-    ident_scale = np.zeros(steps) if evo.scheme == "crank-nicolson" else None
+    diss_mid = np.zeros(steps)
+    fp_mid = np.zeros(steps)
 
+    def energies(z):
+        return np.vdot(z, z).real, np.vdot(z, w * z).real
+
+    l2_arr[0], diss_arr[0] = energies(c)
     fields = []
     r = None
     for k0 in range(0, steps, STEP_BLOCK):
         k1 = min(k0 + STEP_BLOCK, steps)
-        # rows of x and r are the time points k0..k1; row 0 carries over,
+        # x[i] and r[i] are the time points k0 + i; point 0 carries over,
         # except in the first block, where it is t = 0 itself
         first = 1 if k0 else 0
-        x = np.empty((k1 - k0 + 1, c.shape[1]), dtype=complex)
-        x[0] = c[-1]
+        x = np.empty((k1 - k0 + 1,) + w.shape, dtype=complex)
+        x[0] = c
         if evo.forcing is not None:
-            r_block = np.empty_like(x)
-            if k0:
-                r_block[0] = r[-1]
-            r = r_block
-            reduce_forcing(k0 + first, r[first:])
-        for i in range(k1 - k0):
-            b = keep * x[i]
+            new = reduce_forcing(range(k0 + first, k1 + 1))
+            r = np.concatenate([r[-1:], new]) if k0 else new
+        for i, k in enumerate(range(k0, k1)):
+            c_new = keep * c
             if r is not None:
-                b += dt * (theta * r[i + 1] + (1.0 - theta) * r[i])
-            x[i + 1] = b / denom
-        c = x
-
-        # per mode: residuals against the M and G blocks, energies and the
-        # midpoint terms of the Crank-Nicolson identity, for every step
-        rows = k1 - k0
-        defect_sq, scale_sq = np.zeros(rows), np.zeros(rows)
-        diss_mid, fp_mid = np.zeros(rows), np.zeros(rows)
-        l2, diss = np.zeros(rows + 1 - first), np.zeros(rows + 1 - first)
-        for n in modes:
-            op, wn, xn = ops[abs(n)], w[span[n]], x[:, span[n]]
-            c_eval = theta * xn[1:] + (1.0 - theta) * xn[:-1]
-            dc = packed_product(op.M, ((xn[1:] - xn[:-1]) / dt).T)
-            ge = packed_product(op.G, c_eval.T)
-            d = dc + ge
-            s = np.linalg.norm(dc, axis=0) + np.linalg.norm(ge, axis=0)
+                r_eval = theta * r[i + 1] + (1.0 - theta) * r[i]
+                c_new += dt * r_eval
+            c_new /= denom
+            x[i + 1] = c_new
+            # the step's residual against the M and G stacks, scaled per
+            # mode, its energies and the Crank-Nicolson midpoint terms
+            c_eval = theta * c_new + (1.0 - theta) * c
+            d = field_product(ws, "M", (c_new - c) / dt)
+            ge = field_product(ws, "G", c_eval)
+            scale = _mode_norms(d) + _mode_norms(ge)
+            d += ge
             if r is not None:
-                r_eval = theta * r[1:, span[n]] + (1.0 - theta) * r[:-1, span[n]]
-                d -= r_eval.T
-                s += np.linalg.norm(r_eval, axis=1)
-                fp_mid += np.sum(np.real(np.conj(c_eval) * r_eval), axis=1)
-            defect_sq += np.linalg.norm(d, axis=0) ** 2
-            scale_sq += s * s
-            diss_mid += np.sum(wn * np.abs(c_eval) ** 2, axis=1)
-            power = np.abs(xn[first:]) ** 2
-            l2 += np.sum(power, axis=1)
-            diss += np.sum(wn * power, axis=1)
-        l2_arr[k0 + first : k1 + 1] = l2
-        diss_arr[k0 + first : k1 + 1] = diss
-        scaled = scale_sq > 0.0
-        res_arr[k0 + 1 : k1 + 1][scaled] = np.sqrt(defect_sq[scaled]) / np.sqrt(scale_sq[scaled])
-        if evo.scheme == "crank-nicolson":
-            lhs = np.diff(l2_arr[k0 : k1 + 1]) / dt
-            rhs = -2.0 * diss_mid + 2.0 * fp_mid
-            ident_res[k0:k1] = np.abs(lhs - rhs)
-            ident_scale[k0:k1] = (
-                np.abs(lhs) + 2.0 * np.abs(diss_mid) + 2.0 * np.abs(fp_mid) + 1e-300
-            )
+                d -= r_eval
+                scale += _mode_norms(r_eval)
+                fp_mid[k] = np.vdot(c_eval, r_eval).real
+            scale_sq = np.sum(scale * scale)
+            if scale_sq > 0.0:
+                res_arr[k + 1] = np.linalg.norm(d) / math.sqrt(scale_sq)
+            diss_mid[k] = energies(c_eval)[1]
+            l2_arr[k + 1], diss_arr[k + 1] = energies(c_new)
+            c = c_new
         if evo.store_trajectory:
-            fields += snapshots(x[first:])
+            states = expand_slice(ws, np.moveaxis(x[first:], 0, -1))
+            fields += [VectorField(cfg, v, False) for v in states]
+    ident_res = ident_scale = None
+    if evo.scheme == "crank-nicolson":
+        lhs = np.diff(l2_arr) / dt
+        ident_res = np.abs(lhs - (-2.0 * diss_mid + 2.0 * fp_mid))
+        ident_scale = np.abs(lhs) + 2.0 * np.abs(diss_mid) + 2.0 * np.abs(fp_mid) + 1e-300
 
-    final = fields[-1] if fields else snapshots(c[-1:])[0]
+    final = fields[-1] if fields else VectorField(cfg, expand_slice(ws, c), False)
     trace = EnergyTrace(
         t=t_grid,
         l2_norm_sq=l2_arr,
@@ -274,8 +258,7 @@ def evolve(ws, evo):
         identity_residual=ident_res,
         identity_scale=ident_scale,
     )
-    coords = {n: c[-1, span[n]].copy() for n in modes}
-    return EvolutionResult(fields=fields, trace=trace, final=final, coords=coords)
+    return EvolutionResult(fields=fields, trace=trace, final=final, coords=c)
 
 
 def recover_pressure(ws, v, f=None):

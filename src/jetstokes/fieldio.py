@@ -25,8 +25,9 @@ header must be a JSON object with exactly the expected keys, each of the
 expected JSON type (integers are nonnegative and never booleans, flags
 are JSON booleans), and its payload must be a plain file name in the
 header's directory; the payload must hold exactly the expected number of
-finite values. Any violation, invalid JSON included, raises a ValueError
-naming the file.
+finite values, and a field header must hold a valid DomainConfig. Any
+violation, invalid JSON included, raises a ValueError naming the file.
+JSON is serialized here only (_canonical_json), verify's reports included.
 """
 
 import csv
@@ -35,7 +36,7 @@ import os
 
 import numpy as np
 
-from .config import DomainConfig
+from .config import ConfigError, DomainConfig
 from .fields import ScalarField, VectorField
 
 _LAYOUT = "n-major, then m, then r"
@@ -55,6 +56,8 @@ _FIELD_KEYS = {
     "payload": str,
     "real_flag": bool,
 }
+# the DomainConfig fields a field header records (all but mu)
+_DOMAIN_KEYS = ("kappa", "ell", "n_r", "n_theta", "n_z")
 _MATRIX_KEYS = {"rows": int, "cols": int, "dtype": str, "layout": str, "payload": str}
 
 
@@ -153,18 +156,13 @@ def write_field(path, field):
     Returns:
         the header path.
     """
-    cfg = field.config
-    header = {
-        "kappa": cfg.kappa,
-        "ell": cfg.ell,
-        "n_r": cfg.n_r,
-        "n_theta": cfg.n_theta,
-        "n_z": cfg.n_z,
-        "components": 3 if isinstance(field, VectorField) else 1,
-        "dtype": "c128",
-        "layout": _LAYOUT,
-        "real_flag": bool(field.real_flag),
-    }
+    header = {k: getattr(field.config, k) for k in _DOMAIN_KEYS}
+    header.update(
+        components=3 if isinstance(field, VectorField) else 1,
+        dtype="c128",
+        layout=_LAYOUT,
+        real_flag=bool(field.real_flag),
+    )
     return _write_file(path, header, field.coeffs)
 
 
@@ -181,14 +179,10 @@ def read_field(path, mu=1.0):
     header = _read_header(path, "field", _FIELD_KEYS, _LAYOUT, ("c128",))
     if header["components"] not in (1, 3):
         raise ValueError("field header %s: components must be 1 or 3" % path)
-    cfg = DomainConfig(
-        kappa=header["kappa"],
-        ell=header["ell"],
-        mu=mu,
-        n_r=header["n_r"],
-        n_theta=header["n_theta"],
-        n_z=header["n_z"],
-    )
+    try:
+        cfg = DomainConfig(mu=mu, **{k: header[k] for k in _DOMAIN_KEYS})
+    except ConfigError as exc:  # a bad file, not a bad run configuration
+        raise ValueError("field header %s: %s" % (path, exc)) from None
     kind = VectorField if header["components"] == 3 else ScalarField
     shape = (cfg.n_modes_z, cfg.n_modes_theta, cfg.n_r)
     if kind is VectorField:

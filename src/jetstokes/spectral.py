@@ -11,10 +11,10 @@ tiny nonnegative numbers instead of order eps*||G|| jitter.
 
 In those packed coordinates a resolvent solve is the diagonal scaling
 (G - lam M)^{-1} r = r / (w - lam), w = 0 on the padding, followed by one
-refinement pass against the packed M and G stacks. Negative modes are
-conjugate m-reversals of positive ones: their coordinates are mode-|n|
-coordinates of the flipped slice (see stokesop.reduce_slice), so the
-solve conjugates only lam instead of assembling them.
+refinement pass against the packed M and G stacks, on the whole field
+coordinate array (n_z + 1, dim, 2) of stokesop.reduce_slice at once. Side
+1 of |n| holds mode -|n| in mode-|n| coordinates, so its shift is
+conj(lam): the only place the solve sees the sign of n.
 
 Eigenvalues of mode -n equal those of mode n, so eigensolve serves
 negative modes from the |n| decomposition.
@@ -26,8 +26,8 @@ import math
 import numpy as np
 
 from .fieldio import write_csv
-from .fields import norm_Hkp, norm_L2, random_smooth_vector, zeros_vector
-from .stokesop import expand_slice, mode_operator, packed_product, reduce_slice
+from .fields import VectorField, norm_Hkp, norm_L2, random_smooth_vector
+from .stokesop import expand_slice, field_eigenvalues, field_product, mode_operator, reduce_slice
 
 # slack for sector membership |Im lam| <= Re lam + SECTOR_TOL
 SECTOR_TOL = 1e-8
@@ -84,34 +84,37 @@ def kernel_dimension(ws):
 # resolvent
 
 
-def _pencil_solve(ws, n, lam, r):
-    """Solve (G - lam M) y = r of mode n in packed mode-|n| coordinates (any n).
+def _pencil_solve(ws, lam, r):
+    """Solve (G - lam M) y = r on field coordinates r (n_z + 1, dim, 2, ...).
 
-    r is (dim, ...); its zero padding stays zero. Returns y and the
-    relative algebraic residual ||r - (G - lam M) y|| / ||r|| after one
-    refinement pass.
+    Side 1 (mode -|n|) has the conjugate pencil, so its shift is
+    conj(lam); the padding stays zero. Returns y and each mode's relative
+    residual ||r - (G - lam M) y|| / ||r|| after one refinement pass, in
+    the order n = -n_z..n_z, 0 where r is zero.
     """
-    op = mode_operator(ws, abs(n))
-    # the pencil of mode -n is the conjugate of the mode |n| one
-    shift = np.conj(lam) if n < 0 else lam
-    w = op.eigen[0]
-    gap = np.min(np.abs(w - shift))
-    if gap < 1e-12 * max(float(np.max(np.abs(w))), 1.0):
-        raise RuntimeError(
-            "resolvent parameter %s is within %.3e of the mode-%d spectrum"
-            % (lam, gap, n)
-        )
-    d = (op.w - shift).reshape((-1,) + (1,) * (r.ndim - 1))
+    for a in range(ws.config.n_z + 1):
+        w = mode_operator(ws, a).eigen[0]  # real: as far from lam as from conj(lam)
+        gap = np.min(np.abs(w - lam))
+        if gap < 1e-12 * max(float(np.max(np.abs(w))), 1.0):
+            raise RuntimeError(
+                "resolvent parameter %s is within %.3e of the mode-%d spectrum" % (lam, gap, a)
+            )
+    stack = (1,) * (r.ndim - 3)
+    shift = np.array([lam, np.conj(lam)]).reshape((2,) + stack)
+    d = field_eigenvalues(ws).reshape(r.shape[:3] + stack) - shift
     y = np.zeros_like(r)
     res = r
     for _ in range(2):  # the solve, then one refinement pass
         y += res / d
-        res = r - (packed_product(op.G, y) - shift * packed_product(op.M, y))
-    return y, float(np.linalg.norm(res) / np.linalg.norm(r))
+        res = r - (field_product(ws, "G", y) - shift * field_product(ws, "M", y))
+    axes = (1,) + tuple(range(3, r.ndim))
+    num, den = (np.sqrt(np.sum(np.abs(x) ** 2, axis=axes)) for x in (res, r))
+    rel = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    return y, np.concatenate([rel[:0:-1, 1], rel[:, 0]])
 
 
 def resolve(ws, lam, g):
-    """Weak solve of (A - lam) v = g over all stored modes.
+    """Weak solve of (A - lam) v = g over all stored modes, reduced, solved and expanded at once.
 
     Args:
         ws: Workspace.
@@ -129,21 +132,10 @@ def resolve(ws, lam, g):
             "spectral parameter %s lies outside the sector |Im| > Re" % (lam,)
         )
     cfg = ws.config
-    out = zeros_vector(cfg)
-    worst = 0.0
-    warnings = []
-    for i_n in range(cfg.n_modes_z):
-        n = i_n - cfg.n_z
-        r = reduce_slice(ws, n, g.coeffs[:, i_n])
-        if not np.any(r):
-            continue
-        y, rel = _pencil_solve(ws, n, lam, r)
-        worst = max(worst, rel)
-        if rel > 1e-8:
-            warnings.append("mode %d residual %.3e" % (n, rel))
-        out.coeffs[:, i_n] = expand_slice(ws, n, y)
-    out.real_flag = False
-    return out, {"max_rel_residual": worst, "warnings": warnings}
+    y, rel = _pencil_solve(ws, lam, reduce_slice(ws, g.coeffs))
+    warnings = ["mode %d residual %.3e" % (i - cfg.n_z, rel[i]) for i in np.flatnonzero(rel > 1e-8)]
+    out = VectorField(cfg, expand_slice(ws, y), False)
+    return out, {"max_rel_residual": float(np.max(rel)), "warnings": warnings}
 
 
 def resolvent_sweep(ws, lam_grid, rng):

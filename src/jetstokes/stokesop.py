@@ -33,12 +33,15 @@ its unit fields, V^T M V ~ I and V^T G V ~ diag(w). The built sectors are
 packed into zero-padded real stacks (ModeOperator), and a mode's
 coordinates are that packed layout itself: one entry per (stack entry,
 column, [sector j, mirror -j]), zero on the padding, where the packed
-eigenvalues are 0 too. So reducing a slice is one gather of its pieces
-and one batched real product, expanding is one batched real product and
-one scatter to the pieces, and the M/G products are one batched real
-product each, with no index work on the coordinates. In these
-coordinates the L^2 projection, the resolvent and both time steppers are
-diagonal scalings; the blocks are kept to measure residuals against.
+eigenvalues are 0 too. A field's coordinates are one array
+(n_z + 1, dim, 2, ...): |n|, that mode's packed layout (zero past its
+size) and the sign of n (side 1 is mode -|n|, padding at |n| = 0). The
+M/G products (field_product) are one batched real product per |n|, modes
++|n| and -|n| side by side in its columns; reducing and expanding a field
+take one gather or scatter and one batched real product per mode; none
+does index work on the coordinates. In these coordinates the L^2
+projection, the resolvent and both time steppers are diagonal scalings;
+the blocks are kept to measure residuals against.
 The strong operator
 
   A v = -mu P laplacian(v) + grad(Q v)
@@ -62,8 +65,11 @@ eigenvectors, which are nonnegative by construction.
 
 Negative modes are never assembled, and negative sectors are never built.
 Coefficients of mode -n are conjugate m-reversals of mode +n quantities:
-reduce_slice / expand_slice flip the field slice (_conj_flip), so mode -n
-uses mode-|n| coordinates everywhere else. Within a mode, the mirror
+reduce_slice / expand_slice flip the mode -n slices (_conj_flip) onto
+side 1 of the field coordinates and back (_sides names each mode's side).
+The side-1 pencil is the conjugate of the mode-|n| one, with the same
+real eigenvalues, so beyond them only the resolvent shift
+(spectral._pencil_solve) sees the sign. Within a mode, the mirror
 theta -> -theta with u_y -> -u_y sends channel m to -m and swaps the u+
 and u- pieces (_mirror_piece); it commutes with every constraint and with
 both forms and maps sector j onto sector -j. So only j = 0..n_theta+1 are
@@ -81,6 +87,7 @@ import scipy.linalg
 
 from .discretization import apply_stack
 from .fields import (
+    VectorField,
     _axial_factors,
     _div_slice,
     _dxy,
@@ -90,7 +97,6 @@ from .fields import (
     constant_vector,
     random_smooth_vector,
     rigid_rotation,
-    zeros_vector,
 )
 from .helmholtz import _q_slice
 
@@ -152,8 +158,8 @@ class ModeOperator:
     (S, K_max, K_max) its blocks. The mode's coordinates are packed alike:
     (dim, ...) with dim = S * K_max * 2 in (stack entry, column,
     [sector j, mirror -j]) order, zero on the padding (columns past K_j
-    and the mirror half of sector 0); for a mode -n slice they are the
-    mode-n coordinates of its conjugate m-reversal (see reduce_slice). w
+    and the mirror half of sector 0); a field holds one such vector per
+    mode, with mode -n on the mode-n layout (see reduce_slice). w
     (dim,) holds their eigenvalues, 0 on the padding, and order the packed
     index of each eigenvalue in ascending order, ties in order of j. eigen
     is (w[order], residual), with each pair's pencil residual
@@ -269,10 +275,10 @@ def packed_product(stack, y):
     """Product of a packed real stack (S, R, K) with packed complex vectors y (S * K * 2, ...).
 
     y is read as its interleaved real view (S, K, 4 L): a sector's and its
-    mirror's entries side by side, each complex entry as two reals, so one
-    batched real product serves both. The result is (S * R * 2, ...) in the
-    same layout; for ModeOperator.M or .G that is packed coordinates again,
-    and a zero padding stays zero.
+    mirror's entries side by side with their L trailing columns, each
+    complex entry as two reals, so one batched real product serves them
+    all. The result is (S * R * 2, ...) in the same layout; for ModeOperator.M
+    or .G that is packed coordinates again, and a zero padding stays zero.
     """
     y = np.ascontiguousarray(y, dtype=complex)
     x = y.reshape(stack.shape[0], stack.shape[2], -1).view(float)
@@ -837,7 +843,19 @@ def mode_operator(ws, n):
 
 
 # ---------------------------------------------------------------------------
-# reduction to and expansion from mode coordinates
+# reduction to and expansion from field coordinates
+
+
+def _mode_ops(ws):
+    return [mode_operator(ws, a) for a in range(ws.config.n_z + 1)]
+
+
+def _sides(ws):
+    """(ModeOperator, side, axial index) of every mode: side 0 of |n| is +|n|, side 1 is -|n|."""
+    n_z = ws.config.n_z
+    for op in _mode_ops(ws):
+        for side in range(1 + (op.n > 0)):
+            yield op, side, n_z - op.n if side else n_z + op.n
 
 
 def _conj_flip(arr):
@@ -860,60 +878,71 @@ def _pieces(arr):
     return out
 
 
-def reduce_slice(ws, n, arr):
-    """Functional values r_i = (g, b_i) of one axial slice g or a stack of them.
+def field_product(ws, name, y):
+    """Each mode's stack name ("M" or "G") times field coordinates y (n_z + 1, dim, 2, ...)."""
+    out = np.zeros(y.shape, dtype=complex)
+    for a, op in enumerate(_mode_ops(ws)):
+        out[a, : op.w.size] = packed_product(getattr(op, name), y[a, : op.w.size])
+    return out
 
-    arr is (..., 3, n_m, n_r): mode-n slices of fields, with any leading
-    stack axes. The result is (dim, ...) in the packed layout of
-    ModeOperator: coordinates lead, the stack axes trail, and padding
-    entries are zero. The values are r = (M_u z)^T P of each sector on its
-    slots of the piece array P, one batched real product for every sector,
-    mirror and slice at once, whose result is that layout as it stands.
-    For n < 0 the slices are conjugated and m-reversed first, so the values
-    are mode-|n| coordinates of that image. The basis is M-orthonormal, so
-    these are also the coordinates of the L^2 projection onto the subspace.
+
+def field_eigenvalues(ws):
+    """Eigenvalues (n_z + 1, dim, 2) of the field coordinates, 0 on the padding."""
+    ops = _mode_ops(ws)
+    w = np.zeros((len(ops), max(op.w.size for op in ops), 2))
+    for op, side, _ in _sides(ws):
+        w[op.n, : op.w.size, side] = op.w
+    return w
+
+
+def reduce_slice(ws, arr):
+    """Functional values r_i = (g, b_i) of a field g, or of a stack of fields.
+
+    arr is (..., 3, n_modes_z, n_m, n_r); the result is the field
+    coordinate array (n_z + 1, dim, 2, ...), stack axes trailing (stored
+    stack-major). [|n|, :, 0] holds mode +|n| and [|n|, :, 1] mode -|n|,
+    conjugated and m-reversed first, in the packed layout of ModeOperator;
+    the padding, side 1 of |n| = 0 included, is zero. r = (M_u z)^T P on
+    the slots of the piece array P takes one gather and one batched real
+    product per mode, so no transient outgrows one mode's slice stack. The
+    basis is M-orthonormal: these are also the L^2 projection coordinates.
     """
-    op = mode_operator(ws, abs(n))
-    if n < 0:
-        arr = _conj_flip(arr)
-    lead = arr.shape[:-3]
-    pieces = _pieces(arr.reshape((-1,) + arr.shape[-3:]))
-    y = packed_product(op.ZW, pieces[op.slots].reshape(-1, pieces.shape[1]))
-    return y.reshape((op.w.size,) + lead)
+    flat = arr.reshape((-1,) + arr.shape[-4:])
+    ops = _mode_ops(ws)
+    y = np.zeros((flat.shape[0], len(ops), max(op.w.size for op in ops), 2), dtype=complex)
+    for op, side, i_n in _sides(ws):
+        g = flat[:, :, i_n]
+        x = _pieces(_conj_flip(g) if side else g)[op.slots].reshape(-1, flat.shape[0])
+        y[:, op.n, : op.w.size, side] = packed_product(op.ZW, x).T
+    lead = arr.shape[:-4]
+    return np.moveaxis(y.reshape(lead + y.shape[1:]), range(len(lead)), range(3, 3 + len(lead)))
 
 
-def expand_slice(ws, n, y):
-    """Mode-n field slices of packed mode-|n| coordinates y (inverse of reduce_slice).
+def expand_slice(ws, y):
+    """Fields (..., 3, n_modes_z, n_m, n_r) of field coordinates y (inverse of reduce_slice).
 
-    y is (dim, ...) with any trailing stack axes; the result is
-    (..., 3, n_m, n_r). Padding entries of y do not contribute.
+    y is (n_z + 1, dim, 2, ...); its padding, side 1 of |n| = 0 included,
+    does not contribute, and side 1 is conjugated and m-reversed back onto
+    mode -|n|. Each mode is one batched real product and one scatter.
     """
     cfg = ws.config
-    op = mode_operator(ws, abs(n))
-    v = op.synthesize(y.reshape(y.shape[0], -1))
-    v = v.T.reshape(y.shape[1:] + (3, cfg.n_modes_theta, cfg.n_r))
-    return _conj_flip(v) if n < 0 else v
+    lead = y.shape[3:]
+    out = np.empty((math.prod(lead), 3, cfg.n_modes_z, cfg.n_modes_theta, cfg.n_r), dtype=complex)
+    for op, side, i_n in _sides(ws):
+        v = op.synthesize(y[op.n, : op.w.size, side].reshape(op.w.size, -1)).T
+        v = v.reshape(out.shape[:2] + out.shape[3:])
+        out[:, :, i_n] = _conj_flip(v) if side else v
+    return out.reshape(lead + out.shape[1:])
 
 
 def project_constrained(ws, v):
     """L^2-orthogonal projection of a field onto the constrained subspace.
 
-    The basis is M-orthonormal, so the coordinates are the reduced
-    functionals r themselves, in the packed layout of ModeOperator with
-    zeros on the padding. Coordinates of a mode n < 0 are mode-|n|
-    coordinates (see reduce_slice): for a real field, n and -n share them.
-
-    Returns (projected VectorField, per-mode coordinate dict).
+    Returns (projected VectorField, its field coordinates): the basis is
+    M-orthonormal, so these are the reduced functionals (reduce_slice).
     """
-    cfg = ws.config
-    out = zeros_vector(cfg)
-    coords = {}
-    for i_n in range(cfg.n_modes_z):
-        n = i_n - cfg.n_z
-        y = coords[n] = reduce_slice(ws, n, v.coeffs[:, i_n])
-        out.coeffs[:, i_n] = expand_slice(ws, n, y)
-    out.real_flag = False
-    return out, coords
+    y = reduce_slice(ws, v.coeffs)
+    return VectorField(ws.config, expand_slice(ws, y), False), y
 
 
 def random_constrained_vector(ws, rng):

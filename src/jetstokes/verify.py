@@ -8,7 +8,6 @@ verify_report.json.
 """
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -16,6 +15,7 @@ import scipy.special
 
 from .config import DomainConfig
 from .evolution import EvolutionConfig, estimate_report, evolve, recover_pressure
+from .fieldio import _canonical_json
 from .fields import (
     constant_vector,
     grad,
@@ -429,8 +429,8 @@ def _c10_determinism(config, seed, determinism):
         cfg = config
     rep1 = run_core(cfg, seed, echo=False)
     rep2 = run_core(cfg, seed, echo=False)
-    b1 = json.dumps(rep1, sort_keys=True, indent=2).encode("utf-8")
-    b2 = json.dumps(rep2, sort_keys=True, indent=2).encode("utf-8")
+    b1 = _canonical_json(rep1).encode("utf-8")
+    b2 = _canonical_json(rep2).encode("utf-8")
     identical = b1 == b2
     measured = {
         "identical": bool(identical),

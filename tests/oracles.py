@@ -22,7 +22,8 @@ differentiated each component order by order, as the package did before
 the derivative words were precomposed with the Gram factors; and the
 reference kernels at the end: the per-channel stack product, the four-application
 derivatives, divergence and surface pressure, and the step-by-step
-evolution loop. They are the package's earlier implementations, kept so
+evolution loop, which maps fields to coordinates mode by mode through
+PerSectorMaps. They are the package's earlier implementations, kept so
 the batched and windowed ones can be held to them.
 """
 
@@ -324,6 +325,38 @@ def packed(op, y):
     return out
 
 
+def mode_coords(ws, c):
+    """Per-mode packed coordinates {n: (dim_n, ...)} of a field coordinate array c.
+
+    c is (n_z + 1, dim, 2, ...): mode n >= 0 is side 0 of entry n and mode
+    -n side 1, each cut to the packed size of mode |n|.
+    """
+    from jetstokes.stokesop import mode_operator
+
+    n_z = ws.config.n_z
+    return {
+        n: c[abs(n), : mode_operator(ws, abs(n)).w.size, int(n < 0)]
+        for n in range(-n_z, n_z + 1)
+    }
+
+
+def field_coords(ws, coords):
+    """Field coordinate array (n_z + 1, dim, 2, ...) of per-mode packed coordinates.
+
+    coords maps modes n to (dim_n, ...) arrays, as mode_coords returns them;
+    every other entry, side 1 of |n| = 0 included, is zero.
+    """
+    from jetstokes.stokesop import mode_operator
+
+    n_z = ws.config.n_z
+    dim = max(mode_operator(ws, a).w.size for a in range(n_z + 1))
+    trail = next(iter(coords.values())).shape[1:]
+    out = np.zeros((n_z + 1, dim, 2) + trail, dtype=complex)
+    for n, y in coords.items():
+        out[abs(n), : y.shape[0], int(n < 0)] = y
+    return out
+
+
 def sector_columns(op, index):
     """Cartesian columns (3 * n_m * n_r, k) of the eigenvector fields at packed indices index."""
     unit = np.zeros((op.w.size, index.size))
@@ -340,7 +373,10 @@ class PerSectorMaps:
     M and G act as complex blocks. Coordinates are read and written at
     each sector's packed indices (packed_index), and the padding is zero.
     reduce, expand and apply are the package's reduce_slice, expand_slice
-    and M/G products before the sectors were packed into real stacks.
+    and M/G products before the sectors were packed into real stacks and
+    before a field's modes were handled as one coordinate array; they take
+    one mode's slices and coordinates (dim, ...), which mode_coords and
+    field_coords cut from and place into the field coordinate array.
     """
 
     def __init__(self, ws, n):
@@ -657,15 +693,15 @@ def project_P_per_slice(ws, u):
 
 
 def evolve_per_step(ws, evo):
-    """The evolution loop with one reduction, expansion and M/G product per step.
+    """The evolution loop with one reduction, expansion and M/G product per mode and step.
 
     Same arguments and result type as jetstokes.evolve; the warnings are
-    abbreviated and the argument checks left out.
+    abbreviated and the argument checks left out. Fields meet coordinates
+    through PerSectorMaps only, one mode at a time.
     """
     from jetstokes.evolution import EnergyTrace, EvolutionResult
     from jetstokes.fields import norm_L2, zeros_vector
     from jetstokes.helmholtz import project_P
-    from jetstokes.stokesop import expand_slice, project_constrained, reduce_slice
 
     cfg = ws.config
     steps = max(int(round(evo.t_final / evo.dt)), 1)
@@ -676,29 +712,30 @@ def evolve_per_step(ws, evo):
             "horizon adjusted to %d steps of dt=%g (t_final=%g)" % (steps, dt, evo.t_final)
         )
     modes = list(range(-cfg.n_z, cfg.n_z + 1))
-    maps = {a: PerSectorMaps(ws, a) for a in range(cfg.n_z + 1)}
-    eig = {a: m.op.w for a, m in maps.items()}
+    maps = {n: PerSectorMaps(ws, n) for n in modes}
+    eig = {n: m.op.w for n, m in maps.items()}
 
     def field_from_coords(coords):
         out = zeros_vector(cfg)
         for n, y in coords.items():
-            out.coeffs[:, cfg.n_z + n] = expand_slice(ws, n, y)
+            out.coeffs[:, cfg.n_z + n] = maps[n].expand(y)
         out.real_flag = False
         return out
 
+    def reduce_field(f):
+        return {n: maps[n].reduce(f.coeffs[:, cfg.n_z + n]) for n in modes}
+
     if evo.initial is None:
-        c = {n: np.zeros(eig[abs(n)].size, dtype=complex) for n in modes}
+        c = {n: np.zeros(eig[n].size, dtype=complex) for n in modes}
     else:
         vnorm = norm_L2(evo.initial)
-        proj, c = project_constrained(ws, evo.initial)
+        c = reduce_field(evo.initial)
+        proj = field_from_coords(c)
         if vnorm > 0.0 and norm_L2(evo.initial - proj) / vnorm > 1e-8:
             warnings.append("initial state lies outside the constrained subspace")
 
     def reduced_forcing(t):
-        if evo.forcing is None:
-            return None
-        f = evo.forcing(t)
-        return {n: reduce_slice(ws, n, f.coeffs[:, cfg.n_z + n]) for n in modes}
+        return None if evo.forcing is None else reduce_field(evo.forcing(t))
 
     if evo.forcing is not None:
         f0 = evo.forcing(0.0)
@@ -708,7 +745,7 @@ def evolve_per_step(ws, evo):
 
     def energies(cur):
         l2 = sum(float(np.sum(np.abs(cur[n]) ** 2)) for n in modes)
-        diss = sum(float(np.sum(eig[abs(n)] * np.abs(cur[n]) ** 2)) for n in modes)
+        diss = sum(float(np.sum(eig[n] * np.abs(cur[n]) ** 2)) for n in modes)
         return l2, diss
 
     theta = 1.0 if evo.scheme == "implicit-euler" else 0.5
@@ -726,8 +763,8 @@ def evolve_per_step(ws, evo):
         c_new = {}
         defect_sq = scale_sq = fp_mid = diss_mid = 0.0
         for n in modes:
-            w = eig[abs(n)]
-            maps_n = maps[abs(n)]
+            w = eig[n]
+            maps_n = maps[n]
             b = (1.0 - (1.0 - theta) * dt * w) * c[n]
             if r_next is not None:
                 r_eval = theta * r_next[n] + (1.0 - theta) * r_prev[n]
@@ -768,4 +805,4 @@ def evolve_per_step(ws, evo):
         identity_residual=ident_res,
         identity_scale=ident_scale,
     )
-    return EvolutionResult(fields=fields, trace=trace, final=final, coords=c)
+    return EvolutionResult(fields=fields, trace=trace, final=final, coords=field_coords(ws, c))

@@ -13,6 +13,8 @@ import pathlib
 
 import jetstokes as js
 from jetstokes import evolution, helmholtz, spectral, stokesop, workspace
+from jetstokes.fields import random_smooth_vector
+from jetstokes.rng import stream
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 MODULES = (workspace, stokesop, spectral, evolution, helmholtz)
@@ -83,3 +85,21 @@ def test_traced_setup_counts_every_basis_build():
     assert calls["stokesop.basis"] == len(infos)
     assert tracer.counts["stokesop.constraint_rows"] == sum(i["rows_kept"] for i in infos)
     assert tracer.counts["stokesop.basis_dim"] == sum(i["dim"] for i in infos)
+
+
+def test_traced_requests_record_reduce_and_expand_spans():
+    # the bench wraps reduce_slice and expand_slice at their import sites in
+    # spectral and evolution, so a resolve and an evolve must call them
+    # through those module globals for the traced layers to be whole
+    spans = _load("spans")
+    cfg = js.DomainConfig(n_r=12, n_theta=3, n_z=2)
+    ws = js.Workspace(cfg)
+    g = random_smooth_vector(cfg, stream(51, "tests"), real=False)
+    evo = js.EvolutionConfig(t_final=0.03, dt=0.01, forcing=lambda t: g * math.sin(t))
+    for request in (lambda: js.resolve(ws, -1.0 + 2.0j, g), lambda: js.evolve(ws, evo)):
+        tracer = spans.Tracer()
+        with spans.instrument(tracer):
+            request()
+        _, _, calls = tracer.totals()
+        assert calls["stokesop.reduce_slice"] >= 1
+        assert calls["stokesop.expand_slice"] >= 1

@@ -253,6 +253,25 @@ def test_exit_code_on_non_string_or_bool_value(tmp_path, capsys, command, blocks
     assert not (tmp_path / "out").exists()
 
 
+def test_project_rejects_a_source_with_an_invalid_domain(tmp_path, capsys):
+    # an out-of-range value in a field header is a bad file (status 1,
+    # naming it), not a bad run configuration (status 2)
+    first = _config(tmp_path, name="first.json", output_dir=str(tmp_path / "first"))
+    assert main(["project", "--config", first]) == 0
+    src = tmp_path / "first" / "solenoidal.json"
+    header = json.loads(src.read_text())
+    header["kappa"] = 2.0
+    src.write_text(json.dumps(header))
+    again = _config(
+        tmp_path, name="again.json", output_dir=str(tmp_path / "again"),
+        project={"source": str(src)},
+    )
+    assert main(["project", "--config", again]) == 1
+    err = capsys.readouterr().err
+    assert str(src) in err and "kappa" in err
+    assert "config:" not in err and "Traceback" not in err
+
+
 def test_exit_code_on_missing_field_file(tmp_path, capsys):
     cfgp = _config(tmp_path, project={"source": str(tmp_path / "absent.json")})
     assert main(["project", "--config", cfgp]) == 1

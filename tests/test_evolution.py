@@ -24,9 +24,7 @@ def _eigen_initial(ws, j):
     op = js.mode_operator(ws, 1)
     y0 = np.zeros(op.w.size, dtype=complex)
     y0[op.order[j]] = 1.0
-    u = zeros_vector(cfg)
-    u.coeffs[:, cfg.n_z + 1] = expand_slice(ws, 1, y0)
-    u.real_flag = False
+    u = js.VectorField(cfg, expand_slice(ws, oracles.field_coords(ws, {1: y0})), False)
     return u, y0, float(op.eigen[0][j])
 
 
@@ -38,7 +36,7 @@ def test_implicit_euler_matches_scalar_recurrence(ws_small):
     )
     result = js.evolve(ws_small, evo)
     want = y0 * oracles.implicit_euler_decay(lam, dt, steps)
-    err = np.linalg.norm(result.coords[1] - want) / np.linalg.norm(want)
+    err = np.linalg.norm(oracles.mode_coords(ws_small, result.coords)[1] - want) / np.linalg.norm(want)
     assert err < 1e-10
     assert result.trace.warnings == []
     assert np.max(result.trace.residual) < 1e-10
@@ -52,7 +50,7 @@ def test_crank_nicolson_matches_scalar_recurrence(ws_small):
     evo = js.EvolutionConfig(t_final=dt * steps, dt=dt, initial=u)
     result = js.evolve(ws_small, evo)
     want = y0 * oracles.crank_nicolson_decay(lam, dt, steps)
-    err = np.linalg.norm(result.coords[1] - want) / np.linalg.norm(want)
+    err = np.linalg.norm(oracles.mode_coords(ws_small, result.coords)[1] - want) / np.linalg.norm(want)
     assert err < 1e-10
 
 
@@ -313,6 +311,9 @@ def test_evolve_matches_per_step_loop(ws_small, scheme, forced, initial, store):
     assert len(got.fields) == len(want.fields) == (38 if store else 0)
     for a, b in zip(got.fields + [got.final], want.fields + [want.final]):
         assert _rel(a.coeffs, b.coeffs) <= 1e-12
-    assert got.coords.keys() == want.coords.keys()
-    for n in got.coords:
-        assert _rel(got.coords[n], want.coords[n]) <= 1e-12
+    # one coordinate array per field; side 1 of |n| = 0 is padding
+    assert got.coords.shape == want.coords.shape
+    assert not np.any(got.coords[0, :, 1])
+    want_coords = oracles.mode_coords(ws_small, want.coords)
+    for n, y in oracles.mode_coords(ws_small, got.coords).items():
+        assert _rel(y, want_coords[n]) <= 1e-12

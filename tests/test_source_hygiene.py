@@ -1,6 +1,6 @@
 """Static checks on the package source, using only the standard library.
 
-No linter ships with the project, so five checks a linter would make
+No linter ships with the project, so six checks a linter would make
 run here on the syntax trees of src/jetstokes (and of bench for the
 fourth one):
 
@@ -18,7 +18,9 @@ fourth one):
 - no module but fieldio, which owns every output and field file format,
   and config, which reads the run configuration, opens a file: none
   names the builtin open or calls an open, read_text, write_text,
-  read_bytes or write_bytes method.
+  read_bytes or write_bytes method;
+- no module but fieldio serializes JSON: none calls json.dumps (or a
+  dumps imported from json).
 """
 
 import ast
@@ -205,3 +207,49 @@ def test_file_open_check_sees_every_opener():
         "fh.close()\n"
     )
     assert _file_opens(tree) == [(2, "open"), (4, "open"), (5, "write_text"), (6, "open")]
+
+
+def _json_dumps_calls(tree):
+    """Line of each call of json.dumps, or of a dumps imported from json."""
+    imported = {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "json"
+        for a in node.names
+        if a.name == "dumps"
+    }
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr == "dumps"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "json"
+        ) or (isinstance(func, ast.Name) and func.id in imported):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_only_fieldio_serializes_json():
+    calls = [
+        "%s:%d" % (path.name, line)
+        for path in MODULES
+        if path.name != "fieldio.py"
+        for line in _json_dumps_calls(_tree(path))
+    ]
+    assert not calls, "json.dumps called outside fieldio: %s" % calls
+
+
+def test_json_dumps_check_sees_every_call():
+    tree = ast.parse(
+        "import json\n"
+        "from json import dumps as to_text\n"
+        "a = json.dumps({})\n"
+        "b = json.loads('1')\n"
+        "c = to_text([1])\n"
+        "d = json.dumps(\n    [2]\n)\n"
+    )
+    assert _json_dumps_calls(tree) == [3, 5, 6]

@@ -64,11 +64,11 @@ def test_kernel_columns_are_exact(ws_small):
         v = constant_vector(cfg, vals)
         proj, coords = project_constrained(ws_small, v)
         assert js.norm_L2(proj - v) / js.norm_L2(v) < 1e-12
-        assert np.max(np.abs(coords[0][rest])) < 1e-10
+        assert np.max(np.abs(coords[0, : op.w.size, 0][rest])) < 1e-10
     rot = rigid_rotation(cfg)
     proj, coords = project_constrained(ws_small, rot)
     assert js.norm_L2(proj - rot) / js.norm_L2(rot) < 1e-12
-    assert np.max(np.abs(coords[0][rest])) < 1e-10
+    assert np.max(np.abs(coords[0, : op.w.size, 0][rest])) < 1e-10
 
 
 def test_eigen_cache_holds_kernel_columns_exactly(ws_small):
@@ -304,45 +304,90 @@ def test_mirrored_sectors_are_views_of_their_sources(cfg_small):
             assert np.shares_memory(s.M, op.M) and np.shares_memory(s.G, op.G)
 
 
-@pytest.mark.parametrize("ws_name", ["ws_small", "ws_wide"])
+@pytest.fixture(scope="module")
+def ws_n_z0():
+    return js.Workspace(js.DomainConfig(n_r=12, n_theta=3, n_z=0))
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("ws_name", ["ws_small", "ws_wide", "ws_n_z0"])
 def test_packed_maps_match_the_per_sector_reference(ws_name, request):
-    # the packed stacks and coordinates against the per-sector complex
-    # path with its slice-level mirror, at 1 and 10 columns; y fills the
-    # padding too, which the expansion may not read
+    # the whole-field maps against the per-sector complex path with its
+    # slice-level mirror, mode by mode, for one field and a stack of 10
     ws = request.getfixturevalue(ws_name)
     cfg = ws.config
     rng = stream(49, "tests")
     lam = -1.0 + 2.0j
-
-    def rel(a, b):
-        return np.linalg.norm(a - b) / np.linalg.norm(b)
-
-    for n in sorted({0, 1, -1, cfg.n_z, -cfg.n_z}):
-        ref = oracles.PerSectorMaps(ws, n)
-        op = js.mode_operator(ws, abs(n))
-        for lead in ((), (10,)):
-            shape = lead + (3, cfg.n_modes_theta, cfg.n_r)
-            g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            r = stokesop.reduce_slice(ws, n, g)
-            assert rel(r, ref.reduce(g)) <= 1e-13
-            y, _ = spectral._pencil_solve(ws, n, lam, r)
-            assert rel(y, ref.pencil_solve(lam, r)) <= 1e-13
-            shape = (op.w.size,) + lead
-            y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            assert rel(expand_slice(ws, n, y), ref.expand(y)) <= 1e-13
-            # the products take a zero padding, as every request makes it
-            y[oracles.ascending_rank(op) < 0] = 0.0
-            for name in ("M", "G"):
-                got = stokesop.packed_product(getattr(op, name), y)
-                assert rel(got, ref.apply(name, y)) <= 1e-13
+    refs = {n: oracles.PerSectorMaps(ws, n) for n in range(-cfg.n_z, cfg.n_z + 1)}
+    live = {n: oracles.ascending_rank(ref.op) >= 0 for n, ref in refs.items()}
+    pad = oracles.field_coords(ws, {n: m.astype(complex) for n, m in live.items()}) == 0.0
+    for lead in ((), (10,)):
+        shape = lead + (3, cfg.n_modes_z, cfg.n_modes_theta, cfg.n_r)
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        r = stokesop.reduce_slice(ws, g)
+        y, _ = spectral._pencil_solve(ws, lam, r)
+        assert r.shape == pad.shape + lead
+        # the padding, side 1 of |n| = 0 included, is exactly zero
+        assert not np.any(r[pad]) and not np.any(y[pad])
+        assert not np.any(r[0, :, 1]) and not np.any(y[0, :, 1])
+        got_r, got_y = oracles.mode_coords(ws, r), oracles.mode_coords(ws, y)
+        for n, ref in refs.items():
+            want = ref.reduce(g[..., cfg.n_z + n, :, :])
+            assert _rel(got_r[n], want) <= 1e-13
+            assert _rel(got_y[n], ref.pencil_solve(lam, want)) <= 1e-13
+        # c fills the padding too, which the expansion may not read
+        c = rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape)
+        v = expand_slice(ws, c)
+        assert v.shape == shape
+        for n, c_n in oracles.mode_coords(ws, c).items():
+            assert _rel(v[..., cfg.n_z + n, :, :], refs[n].expand(c_n)) <= 1e-13
+        # the products take a zero padding, as every request makes it
+        c[pad] = 0.0
+        for name in ("M", "G"):
+            got = oracles.mode_coords(ws, stokesop.field_product(ws, name, c))
+            for n, c_n in oracles.mode_coords(ws, c).items():
+                assert _rel(got[n], refs[n].apply(name, c_n)) <= 1e-13
     # resolve over every mode, against the reference's reduce, solve and expand
     g = random_smooth_vector(cfg, rng, real=False)
     v, _ = js.resolve(ws, lam, g)
     want = np.zeros_like(g.coeffs)
-    for i_n in range(cfg.n_modes_z):
-        ref = oracles.PerSectorMaps(ws, i_n - cfg.n_z)
-        want[:, i_n] = ref.expand(ref.pencil_solve(lam, ref.reduce(g.coeffs[:, i_n])))
-    assert rel(v.coeffs, want) <= 1e-13
+    for n, ref in refs.items():
+        want[:, cfg.n_z + n] = ref.expand(ref.pencil_solve(lam, ref.reduce(g.coeffs[:, cfg.n_z + n])))
+    assert _rel(v.coeffs, want) <= 1e-13
+    # both schemes keep side 1 of |n| = 0 at zero, from a state and a forcing
+    # on every mode
+    u = random_constrained_vector(ws, rng)
+    for scheme in js.evolution.SCHEMES:
+        evo = js.EvolutionConfig(t_final=0.05, dt=0.01, scheme=scheme, initial=u, forcing=lambda t: g)
+        res = js.evolve(ws, evo)
+        assert np.any(res.coords[0, :, 0]) and not np.any(res.coords[pad])
+
+
+@pytest.mark.parametrize("ws_name", ["ws_small", "ws_n_z0"])
+def test_resolve_of_one_mode_leaves_the_others_zero(ws_name, request):
+    # modes whose right-hand side is zero have no residual to report
+    ws = request.getfixturevalue(ws_name)
+    cfg = ws.config
+    g = random_smooth_vector(cfg, stream(50, "tests"), real=False)
+    lam = -1.0 + 2.0j
+    for n in sorted({0, 1, -1, cfg.n_z, -cfg.n_z}):
+        if abs(n) > cfg.n_z:
+            continue
+        one = zeros_vector(cfg)
+        one.coeffs[:, cfg.n_z + n] = g.coeffs[:, cfg.n_z + n]
+        v, info = js.resolve(ws, lam, one)
+        assert math.isfinite(info["max_rel_residual"]) and info["max_rel_residual"] < 1e-8
+        assert info["warnings"] == []
+        others = np.delete(v.coeffs, cfg.n_z + n, axis=1)
+        assert not np.any(others)
+        ref = oracles.PerSectorMaps(ws, n)
+        want = ref.expand(ref.pencil_solve(lam, ref.reduce(one.coeffs[:, cfg.n_z + n])))
+        assert _rel(v.coeffs[:, cfg.n_z + n], want) <= 1e-13
+    v, info = js.resolve(ws, lam, zeros_vector(cfg))
+    assert info == {"max_rel_residual": 0.0, "warnings": []} and not np.any(v.coeffs)
 
 
 def test_order_ranks_the_packed_eigenvalues(ws_small):
@@ -538,6 +583,11 @@ def test_sector_grams_have_no_imaginary_part(ws_name, request):
             assert np.max(np.abs(g.imag)) <= 1e-14 * np.max(np.abs(g))
 
 
+def _expand_mode(ws, n, y):
+    """Field coefficients of packed mode-n coordinates y, zero on every other mode."""
+    return expand_slice(ws, oracles.field_coords(ws, {n: y}))
+
+
 def test_mass_matrix_matches_inner_product(ws_small):
     cfg = ws_small.config
     op = js.mode_operator(ws_small, 1)
@@ -546,12 +596,8 @@ def test_mass_matrix_matches_inner_product(ws_small):
     y1 = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     y2 = rng.standard_normal(k) + 1j * rng.standard_normal(k)
 
-    u = zeros_vector(cfg)
-    u.coeffs[:, cfg.n_z + 1] = expand_slice(ws_small, 1, oracles.packed(op, y1))
-    u.real_flag = False
-    v = zeros_vector(cfg)
-    v.coeffs[:, cfg.n_z + 1] = expand_slice(ws_small, 1, oracles.packed(op, y2))
-    v.real_flag = False
+    u = js.VectorField(cfg, _expand_mode(ws_small, 1, oracles.packed(op, y1)), False)
+    v = js.VectorField(cfg, _expand_mode(ws_small, 1, oracles.packed(op, y2)), False)
     want = js.inner_product_Hkp(u, v, 0)
     got = np.conj(y2) @ (op.M_block @ y1)
     assert got == pytest.approx(want, rel=1e-11)
@@ -563,7 +609,8 @@ def test_dissipation_matches_weak_block(ws_small):
     k = op.basis.shape[1]
     y = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     quad = float(np.real(np.conj(y) @ (op.G_block @ y)))
-    diss = _dissipation_slice(ws_small, 1, expand_slice(ws_small, 1, oracles.packed(op, y)))
+    slice_1 = _expand_mode(ws_small, 1, oracles.packed(op, y))[:, ws_small.config.n_z + 1]
+    diss = _dissipation_slice(ws_small, 1, slice_1)
     assert diss == pytest.approx(quad, rel=1e-11)
 
 
@@ -670,9 +717,10 @@ def test_real_field_shares_coordinates_across_signs(ws_small):
     cfg = ws_small.config
     u = random_smooth_vector(cfg, stream(49, "tests"), real=True)
     _, coords = project_constrained(ws_small, u)
+    # side 1 of |n| holds mode -|n|, read on its conjugate m-reversal
     for n in range(1, cfg.n_z + 1):
-        err = np.linalg.norm(coords[-n] - coords[n])
-        assert err < 1e-12 * np.linalg.norm(coords[n])
+        err = np.linalg.norm(coords[n, :, 1] - coords[n, :, 0])
+        assert err < 1e-12 * np.linalg.norm(coords[n, :, 0])
 
 
 def test_mode_operator_rejects_negative(ws_small):

@@ -16,7 +16,7 @@ import pytest
 
 import jetstokes as js
 import oracles
-from jetstokes.fields import random_smooth_vector, zeros_vector
+from jetstokes.fields import random_smooth_vector
 from jetstokes.rng import stream
 from jetstokes.stokesop import expand_slice, reduce_slice
 
@@ -56,12 +56,12 @@ def _rel_error(got, want):
 
 def _field(ws, coords):
     """The field of per-mode coordinates."""
-    cfg = ws.config
-    u = zeros_vector(cfg)
-    for n, y in coords.items():
-        u.coeffs[:, cfg.n_z + n] = expand_slice(ws, n, y)
-    u.real_flag = False
-    return u
+    return js.VectorField(ws.config, expand_slice(ws, oracles.field_coords(ws, coords)), False)
+
+
+def _reduce(ws, v):
+    """Per-mode coordinates of a field."""
+    return oracles.mode_coords(ws, reduce_slice(ws, v.coeffs))
 
 
 def _run(ws, scheme, dt, **kwargs):
@@ -74,14 +74,12 @@ def test_forced_run_converges_to_the_duhamel_solution(ws_grid, scheme):
     cfg = ws_grid.config
     g = random_smooth_vector(cfg, stream(71, "tests"))
     w = _eigenvalues(ws_grid)
-    exact = {
-        n: oracles.duhamel_sine(wn, reduce_slice(ws_grid, n, g.coeffs[:, cfg.n_z + n]), OMEGA, T)
-        for n, wn in w.items()
-    }
+    r = _reduce(ws_grid, g)
+    exact = {n: oracles.duhamel_sine(wn, r[n], OMEGA, T) for n, wn in w.items()}
     errors = []
     for dt in (0.02, 0.01):
         res = _run(ws_grid, scheme, dt, forcing=lambda t: g * math.sin(OMEGA * t), store_trajectory=False)
-        errors.append(_rel_error(res.coords, exact))
+        errors.append(_rel_error(oracles.mode_coords(ws_grid, res.coords), exact))
     order = ORDERS[scheme]
     assert math.log2(errors[0] / errors[1]) == pytest.approx(order, abs=0.01)
     constant = ERROR_CONSTANTS[(scheme, cfg.n_r)]
@@ -103,7 +101,7 @@ def test_smooth_homogeneous_state_decays_as_exp_minus_w_t(ws_grid, scheme):
         res = _run(ws_grid, scheme, dt, initial=u)
         worst = 0.0
         for k, v in enumerate(res.fields):
-            got = {n: reduce_slice(ws_grid, n, v.coeffs[:, ws_grid.config.n_z + n]) for n in w}
+            got = _reduce(ws_grid, v)
             worst = max(worst, _rel_error(got, {n: np.exp(-w[n] * dt * k) * c0[n] for n in w}))
         errors.append(worst)
     assert math.log2(errors[0] / errors[1]) == pytest.approx(ORDERS[scheme], abs=0.03)
@@ -126,12 +124,13 @@ def test_rough_initial_state_exercises_the_stiff_amplification(ws_grid):
         for dt in (0.02, 0.01):
             steps = round(T / dt)
             res = _run(ws_grid, scheme, dt, initial=u, store_trajectory=False)
+            got = oracles.mode_coords(ws_grid, res.coords)
             # every coordinate, the stiff ones included, follows its own
             # amplification factor to roundoff
             for n, wn in w.items():
                 amp = ((1.0 - (1.0 - theta) * dt * wn) / (1.0 + theta * dt * wn)) ** steps
-                assert np.max(np.abs(res.coords[n] - amp * c0[n])) <= 1e-12 * scale
-            errors[scheme].append(_rel_error(res.coords, exact))
+                assert np.max(np.abs(got[n] - amp * c0[n])) <= 1e-12 * scale
+            errors[scheme].append(_rel_error(got, exact))
     # implicit Euler damps the stiff coordinates and stays first order
     ie = errors["implicit-euler"]
     assert math.log2(ie[0] / ie[1]) == pytest.approx(1.0, abs=0.02)
