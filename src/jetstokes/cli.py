@@ -168,7 +168,8 @@ def cmd_evolve(run):
         scheme=blk.scheme,
         forcing=forcing,
         initial=initial,
-        store_trajectory=True,
+        # the snapshots and the estimate are the only readers of the fields
+        store_trajectory=forcing is not None or blk.snapshot_stride > 0,
     )
     res = evolve(ws, evo)
     out = _outdir(run)

@@ -127,18 +127,19 @@ def band_views(cached, lo, hi, build):
 
 
 # per-channel operator stacks for the azimuthal modes m = lo..hi
-_ChannelStacks = collections.namedtuple("_ChannelStacks", "ms raising lowering lap resample gram")
+_ChannelStacks = collections.namedtuple("_ChannelStacks", "ms raising lowering lap factor gram")
 # the derivative words of one Sobolev order (see RadialTables.sobolev_words)
 _WordOrder = collections.namedtuple("_WordOrder", "stack pairs sym")
 
 
 class RadialTables:
-    """Folded differentiation, quadrature and resampling tables.
+    """Folded differentiation tables, disk Grams and their Cholesky factors.
 
-    All quadrature uses quad_order = 2*n_r Gauss-Legendre points on
-    (0, kappa), exact for the products of two profiles the grid carries.
-    Shared instances come from tables_for / tables_for_key, which cache
-    one per (kappa, n_r).
+    The Gram of each parity comes from 2*n_r Gauss-Legendre points on
+    (0, kappa), exact for the products of two profiles the grid carries;
+    its factor L^T (gram = L L^T) turns a disk norm into a Euclidean one,
+    |L^T a|^2 = (a, a). Shared instances come from tables_for /
+    tables_for_key, which cache one per (kappa, n_r).
 
     Args:
         kappa: surface radius.
@@ -148,7 +149,6 @@ class RadialTables:
     def __init__(self, kappa, n_r):
         self.kappa = float(kappa)
         self.n_r = int(n_r)
-        self.quad_order = 2 * self.n_r
 
         x, d1, d2 = chebyshev_lobatto(self.n_r, self.kappa)
         self.r = x[: self.n_r]
@@ -161,20 +161,19 @@ class RadialTables:
         self._d1 = {1: fold(d1, 1.0), -1: fold(d1, -1.0)}
         self._d2 = {1: fold(d2, 1.0), -1: fold(d2, -1.0)}
 
-        t, w = np.polynomial.legendre.leggauss(self.quad_order)
-        self.r_quad = 0.5 * self.kappa * (t + 1.0)
-        # quadrature weight includes the area measure factor r
-        self.w_quad = 0.5 * self.kappa * w * self.r_quad
-
-        b = lagrange_eval_matrix(x, self.r_quad, self.kappa)
-        self._resample = {
-            1: b[:, : self.n_r] + b[:, mirror],
-            -1: b[:, : self.n_r] - b[:, mirror],
-        }
-        self._gram = {}
+        # the Gram of each parity from 2*n_r Gauss-Legendre points on (0, kappa),
+        # the weights including the area measure factor r, and its Cholesky
+        # factor: gram = L L^T
+        t, w = np.polynomial.legendre.leggauss(2 * self.n_r)
+        r_quad = 0.5 * self.kappa * (t + 1.0)
+        w_quad = 0.5 * self.kappa * w * r_quad
+        b = lagrange_eval_matrix(x, r_quad, self.kappa)
+        self._gram, self._factor = {}, {}
         for p in (1, -1):
-            g = self._resample[p].T @ (self.w_quad[:, None] * self._resample[p])
+            resample = b[:, : self.n_r] + p * b[:, mirror]
+            g = resample.T @ (w_quad[:, None] * resample)
             self._gram[p] = 0.5 * (g + g.T)
+            self._factor[p] = np.linalg.cholesky(self._gram[p]).T
         self._full, self._stacks, self._words = None, {}, {}
 
     def ddr(self, parity):
@@ -274,9 +273,9 @@ class RadialTables:
         shift = steps.sum(axis=1)
         signs = np.stack([np.prod(steps[:, :p], axis=1) for p in range(j + 1)])
         coef = signs.T @ signs / 4.0**j
-        factor = {p: np.linalg.cholesky(self._gram[p]).T for p in (1, -1)}
-        # the output channel m + s_w has the parity of m + j
-        lt = np.stack([factor[1 if (m + j) % 2 == 0 else -1] for m in range(-band, band + 1)])
+        # the output channel m + s_w of input m has the parity of m + j: its
+        # factor sits at index 2 j + (m + band) of st
+        lt = st.factor[2 * j : 2 * j + nm]
         stack = np.empty((n_words, nm, self.n_r, self.n_r))
         for w in range(n_words):
             # at: the index in st of the channel that input -band has reached
@@ -304,7 +303,7 @@ class RadialTables:
         raising = np.empty((nm, nr, nr))
         lowering = np.empty((nm, nr, nr))
         lap = np.empty((nm, nr, nr))
-        resample = np.empty((nm, self.quad_order, nr))
+        factor = np.empty((nm, nr, nr))
         gram = np.empty((nm, nr, nr))
         for im, m in enumerate(ms):
             p = 1 if m % 2 == 0 else -1
@@ -313,9 +312,9 @@ class RadialTables:
             raising[im] = d - mr
             lowering[im] = d + mr
             lap[im] = self.lap2d(abs(int(m)))
-            resample[im] = self._resample[p]
+            factor[im] = self._factor[p]
             gram[im] = self._gram[p]
-        return ms, raising, lowering, lap, resample, gram
+        return ms, raising, lowering, lap, factor, gram
 
 
 @functools.lru_cache(maxsize=None)

@@ -117,6 +117,15 @@ def _mode_norms(y):
     return np.sqrt(sq[:, 0::2] + sq[:, 1::2])
 
 
+def _forcing_value(ws, forcing, t):
+    """forcing(t), checked to be a VectorField on ws.config (ValueError otherwise)."""
+    f = forcing(t)
+    if not isinstance(f, VectorField):
+        raise ValueError("forcing callable must return a VectorField")
+    _require_config(ws, f, "evolve: forcing at t = %g" % t)
+    return f
+
+
 def evolve(ws, evo):
     """Run the linearized evolution described by an EvolutionConfig.
 
@@ -125,6 +134,10 @@ def evolve(ws, evo):
         hypothesis (the solenoidal part of f at t = 0 must vanish), an
         initial state outside the constrained subspace, and conditioning
         alerts; they never silence the run.
+
+    Raises:
+        ValueError for an unknown scheme, a bad step or horizon, or an
+        initial state or forcing value that is not on ws.config.
     """
     cfg = ws.config
     if evo.scheme not in SCHEMES:
@@ -133,6 +146,8 @@ def evolve(ws, evo):
         raise ValueError("dt must be positive")
     if evo.t_final < evo.dt:
         raise ValueError("t_final must be at least dt")
+    if evo.initial is not None:
+        _require_config(ws, evo.initial, "evolve: initial state")
     steps = max(int(round(evo.t_final / evo.dt)), 1)
     dt = evo.dt
     warnings = []
@@ -165,9 +180,7 @@ def evolve(ws, evo):
                 )
 
     if evo.forcing is not None:
-        f0 = evo.forcing(0.0)
-        if not isinstance(f0, VectorField):
-            raise ValueError("forcing callable must return a VectorField")
+        f0 = _forcing_value(ws, evo.forcing, 0.0)
         n0 = norm_L2(f0)
         if n0 > 0.0:
             sol_part = norm_L2(project_P(ws, f0).solenoidal) / n0
@@ -181,10 +194,7 @@ def evolve(ws, evo):
         """Forcing functionals (len(ks), ...) at the time points ks, reduced in one call."""
         stack = np.empty((len(ks), 3, cfg.n_modes_z, cfg.n_modes_theta, cfg.n_r), complex)
         for i, k in enumerate(ks):
-            f = evo.forcing(dt * k)
-            if not isinstance(f, VectorField):
-                raise ValueError("forcing callable must return a VectorField")
-            stack[i] = f.coeffs
+            stack[i] = _forcing_value(ws, evo.forcing, dt * k).coeffs
         return np.moveaxis(reduce_slice(ws, stack), -1, 0)
 
     # implicit Euler evaluates G and f at the new time, Crank-Nicolson at

@@ -8,6 +8,14 @@ coordinate contraction of the transversal strain entries, harmonically
 extended into the cylinder; given a forcing field, the same solve adds the
 forcing's zero-trace potential.
 
+The surface stresses have one kernel, _surface_stresses, in helical form:
+U = e^{-i theta} (v1 + i v2) and W = e^{i theta} (v1 - i v2) at r = kappa,
+their radial derivatives read from the surface row of the derivative by
+parity. Q's datum is mu d_r (U + W) = 2 mu d_r u_r; the tangential traces
+tau_rtheta and tau_rz that stokesop imposes as constraint rows and reports
+through tangential_traction come from the same traces, and Q pays only for
+its datum.
+
 Each entry point forms its right-hand sides and surface data for all axial
 slices at once and makes one Dirichlet solve per |n|: modes n and -n share
 the cached inverse stack of their band, so both ride on the leading axis of
@@ -116,24 +124,55 @@ def project_P(ws, u):
     return DecompositionResult(sol, pot, u.copy())
 
 
-def _surface_datum(t, mu, varr, lo=None):
-    """Q's surface datum for slices varr (..., 3, n_m, n_r), shape (..., n_m + 2).
+def _helical_sum(x, sign):
+    """U + sign W on band + 1 from Cartesian traces x (..., 2, n_m).
 
-    With e = grad v + grad v^T, mu/kappa^2 (x^2 e11 + 2xy e12 + y^2 e22) is
-    2 mu d_r v_r at r = kappa, and 2 v_r = e^{i theta} (v1 - i v2) +
-    e^{-i theta} (v1 + i v2). So channel m of the datum, on band + 1, is mu
-    times d_r (v1 - i v2) from channel m - 1 plus d_r (v1 + i v2) from m + 1,
-    each read from row 0 (node 0 is r = kappa) of its channel's derivative.
-    lo is the channel of varr's index 0 (fields._stacks).
+    U = e^{-i theta} (x1 + i x2) moves channel m to m - 1 and
+    W = e^{i theta} (x1 - i x2) moves it to m + 1.
+    """
+    out = np.zeros(x.shape[:-2] + (x.shape[-1] + 2,), dtype=complex)
+    out[..., 2:] = x[..., 0, :] - 1j * x[..., 1, :]
+    if sign < 0:
+        np.negative(out, out=out)
+    out[..., :-2] += x[..., 0, :] + 1j * x[..., 1, :]
+    return out
+
+
+def _surface_stresses(t, mu, varr, beta=None, lo=None):
+    """Surface stresses at r = kappa of slices varr (..., 3, n_m, n_r), on band + 1.
+
+    In helical form, U = e^{-i theta} (v1 + i v2) = u_r + i u_theta and
+    W = e^{i theta} (v1 - i v2) = u_r - i u_theta; d_r of each is read from
+    row 0 (node 0 is r = kappa) of its channel's derivative, by parity.
+    Q's normal datum mu/kappa^2 (x^2 e11 + 2xy e12 + y^2 e22), with
+    e = grad v + grad v^T, is 2 mu d_r u_r = mu d_r (U + W). With beta,
+    a scalar or an array broadcasting with the slice axes, the two
+    tangential traces follow at channel m:
+
+      tau_rtheta = mu [(d_r - 1/kappa) (U - W) / (2i) + (i m / kappa) (U + W) / 2],
+      tau_rz     = mu [d_r v3 + i beta (U + W) / 2].
+
+    Returns the datum (..., n_m + 2) without beta, and (..., 3, n_m + 2),
+    the datum, tau_rtheta and tau_rz, with it. lo is the channel of varr's
+    index 0 (fields._stacks).
     """
     ms = _stacks(t, varr, lo).ms
     d0 = np.where(ms[:, None] % 2 == 0, t.ddr(1)[0], t.ddr(-1)[0])
-    dr = np.einsum("mi,...cmi->...cm", d0, varr[..., :2, :, :])
-    out = np.zeros(dr.shape[:-2] + (ms.size + 2,), dtype=complex)
-    out[..., 2:] = dr[..., 0, :] - 1j * dr[..., 1, :]
-    out[..., :-2] += dr[..., 0, :] + 1j * dr[..., 1, :]
-    out *= mu
-    return out
+    dr = np.einsum("mi,...cmi->...cm", d0, varr[..., : 2 if beta is None else 3, :, :])
+    datum = _helical_sum(dr, 1.0)
+    datum *= mu
+    if beta is None:
+        return datum
+    # (U + W) / 2 = u_r and (U - W) / (2i) = u_theta; beta loses the
+    # radial axis it broadcasts over on the slices
+    vals = varr[..., :2, :, 0]
+    rad = _helical_sum(vals, 1.0)
+    tau_rt = _helical_sum(dr, -1.0) - _helical_sum(vals, -1.0) / t.kappa
+    tau_rt *= -0.5j * mu
+    tau_rt += (0.5j * mu / t.kappa) * np.arange(ms[0] - 1, ms[-1] + 2) * rad
+    tau_rz = 0.5j * mu * (np.asarray(beta)[..., 0] if np.ndim(beta) else beta) * rad
+    tau_rz[..., 1:-1] += mu * dr[..., 2, :]
+    return np.stack([datum, tau_rt, tau_rz], axis=-2)
 
 
 def _q_data(t, cfg, varr, beta, farr=None, lo=None):
@@ -146,7 +185,7 @@ def _q_data(t, cfg, varr, beta, farr=None, lo=None):
     div(farr), through the same solve: the channels are independent, so
     div(farr) is the right-hand side.
     """
-    surface = _surface_datum(t, cfg.mu, varr, lo)
+    surface = _surface_stresses(t, cfg.mu, varr, lo=lo)
     if farr is None:
         return np.zeros(surface.shape + varr.shape[-1:], dtype=complex), surface
     return _div_slice(t, farr, beta, lo), surface

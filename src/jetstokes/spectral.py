@@ -5,9 +5,9 @@ its Hermitian pencil (G, M), see stokesop: G is the dissipation form,
 exactly Hermitian and positive semidefinite by construction, so the
 spectrum is real and clean down to roundoff, and eigenvalues and their
 residuals are read from ModeOperator.eigen. The mode-0 kernel is deflated
-exactly and near-zero values are measured through the nonnegative
-quadrature form on their eigenvectors, which pins kernel eigenvalues at
-tiny nonnegative numbers instead of order eps*||G|| jitter.
+exactly and near-zero values are measured as |F v|^2 / (v, v) through
+the factor F of G = F^T F, which pins kernel eigenvalues at tiny
+nonnegative numbers instead of order eps*||G|| jitter.
 
 In those packed coordinates a resolvent solve is the diagonal scaling
 (G - lam M)^{-1} r = r / (w - lam), w = 0 on the padding, followed by one
@@ -27,6 +27,7 @@ import numpy as np
 
 from .fieldio import write_csv
 from .fields import VectorField, norm_Hkp, norm_L2, random_smooth_vector
+from .helmholtz import _require_config
 from .stokesop import expand_slice, field_eigenvalues, field_product, mode_operator, reduce_slice
 
 # slack for sector membership |Im lam| <= Re lam + SECTOR_TOL
@@ -120,7 +121,7 @@ def resolve(ws, lam, g):
         ws: Workspace.
         lam: spectral parameter with |Im lam| > Re lam (the sector where
             the form is coercive).
-        g: VectorField right-hand side.
+        g: VectorField right-hand side on ws.config (ValueError otherwise).
 
     Returns:
         (VectorField, info dict) where info holds the max relative
@@ -131,6 +132,7 @@ def resolve(ws, lam, g):
         raise ValueError(
             "spectral parameter %s lies outside the sector |Im| > Re" % (lam,)
         )
+    _require_config(ws, g, "resolve: right-hand side")
     cfg = ws.config
     y, rel = _pencil_solve(ws, lam, reduce_slice(ws, g.coeffs))
     warnings = ["mode %d residual %.3e" % (i - cfg.n_z, rel[i]) for i in np.flatnonzero(rel > 1e-8)]

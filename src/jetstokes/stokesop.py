@@ -3,6 +3,9 @@
 Per axial mode n the velocity space is cut down to the constrained
 subspace: divergence-free fields whose tangential surface traction
 vanishes and whose Cartesian channel profiles are smooth through the axis.
+The traction is read in polar form at r = kappa
+(helmholtz._surface_stresses): tau_rtheta and tau_rz, from the helical
+traces U = e^{-i theta} (v1 + i v2) and W = e^{i theta} (v1 - i v2).
 Every constraint commutes with rotations about the axis, so the subspace
 is an exact direct sum of angular-momentum sectors j: sector j holds
 u+ = u_x + i u_y at m = j + 1, u- = u_x - i u_y at m = j - 1 and u_z at
@@ -12,20 +15,25 @@ on them is then a unit phase times a real row, so each sector is built in
 real arithmetic. Its constraint rows r0 + beta r1 (divergence, tangential
 traction, pole regularity) are formed once per sector per workspace,
 rotated to their real form; its part of the subspace is their numerical
-nullspace Z, found by a small real SVD with a relative cutoff. A sector
-is carried on its own channel window m in [j - 1, j + 1]: its fields and
-eigenvectors live there, and every kernel widens the window by its own
-band growth only.
+nullspace Z, found by a small real SVD with a relative cutoff. Every
+piece of sector j reaches the surface traces at m = j only, so each
+sector has exactly two traction rows, tau_rtheta and tau_rz at m = j. A
+sector is carried on its own channel window m in [j - 1, j + 1]: its
+fields and eigenvectors live there, and every kernel widens the window by
+its own band growth only.
 
 On each sector's nullspace Z the Galerkin pencil is real symmetric:
 
   M = Z^T M_u Z                         L^2 Gram matrix, from the block-
                                          diagonal Gram M_u of the units,
-  G[i, j] = (mu/2) sum_ij Re (E(b_j), E(b_i))
-                                         dissipation form (symmetric PSD),
+  G = F^T F                             dissipation form (symmetric PSD),
+                                         G[i, j] = (mu/2) sum_ij Re (E(b_j), E(b_i)),
 
-where G pairs the strain entries E of the columns b = units Z through the
-radial Gram, in one real product.
+where F holds the strain entries E of the columns b = units Z through the
+Cholesky factor L^T of each channel's radial Gram (L L^T = Gram), scaled
+by sqrt(mu/2 2 pi ell) and the square root of each entry's multiplicity,
+so |F y|^2 is the dissipation of coordinates y. G is one real syrk, so
+it is exactly symmetric.
 
 Each mode is stored as its sectors, each in the M-orthonormal eigenbasis
 V of its pencil: the real coordinates z = Z V of its eigenvector fields on
@@ -59,9 +67,9 @@ are installed as exact leading columns of their sectors with unit L^2
 norm, each times the unit phase that makes its coordinates real (1 for
 e1 +- i e2), and the remaining columns are M-projected against them. The
 sector eigh sees only the non-kernel rows and columns, so the kernel
-columns are eigenvectors as they stand. Eigenvalues below 1e-8 * lam_max, the kernel
-ones included, are measured as quadrature-dissipation quotients of their
-eigenvectors, which are nonnegative by construction.
+columns are eigenvectors as they stand. Eigenvalues below 1e-8 * lam_max,
+the kernel ones included, are measured as |F v_c|^2 / M_cc on their
+eigenvectors v_c, which are nonnegative by construction.
 
 Negative modes are never assembled, and negative sectors are never built.
 Coefficients of mode -n are conjugate m-reversals of mode +n quantities:
@@ -98,7 +106,7 @@ from .fields import (
     random_smooth_vector,
     rigid_rotation,
 )
-from .helmholtz import _q_slice
+from .helmholtz import _q_slice, _require_config, _surface_stresses
 
 # relative singular-value cutoff of each sector's constraint SVD
 SVD_TOL = 1e-9
@@ -289,22 +297,6 @@ def packed_product(stack, y):
 # symmetric derivative entries and traction
 
 
-def _strain(d1, d2, dz):
-    """Entries E_ij = D_j v_i + D_i v_j from the three derivatives of each component.
-
-    d1, d2 and dz are indexed by component and hold d/dx, d/dy and d/dz.
-    Returns a dict keyed (i, j), i <= j.
-    """
-    return {
-        (0, 0): 2.0 * d1[0],
-        (1, 1): 2.0 * d2[1],
-        (2, 2): 2.0 * dz[2],
-        (0, 1): d2[0] + d1[1],
-        (0, 2): dz[0] + d1[2],
-        (1, 2): dz[1] + d2[2],
-    }
-
-
 def _sym_entries(t, varr, beta, lo=None):
     """Entries E_ij = D_j v_i + D_i v_j of one or many axial slices.
 
@@ -315,89 +307,36 @@ def _sym_entries(t, varr, beta, lo=None):
     # one derivative pair per component keeps each array a third of varr
     d1, d2 = zip(*[_dxy(t, varr[..., c, :, :], lo) for c in range(3)])
     dz = [_pad(1j * beta * varr[..., c, :, :], 1) for c in range(3)]
-    return _strain(d1, d2, dz)
-
-
-def _surface_entries(t, varr, beta, lo=None):
-    """The entries of _sym_entries at the surface node r = kappa only.
-
-    Each transversal derivative is read from row 0 of the raising and
-    lowering stacks (node 0 is r = kappa), as helmholtz._surface_datum
-    reads d_r, so no profile is differentiated at the other nodes. Returns
-    a dict keyed (i, j), i <= j, of (..., n_m + 2) arrays on lo - 1..hi + 1.
-    """
-    st = _stacks(t, varr, lo)
-    shape = (3,) + varr.shape[:-3] + (varr.shape[-2] + 2,)
-    up, down = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
-    # up moves channel m to m + 1 and down moves it to m - 1 (fields._up_down)
-    up[..., 2:] = np.einsum("mi,...cmi->c...m", st.raising[:, 0], varr)
-    down[..., :-2] = np.einsum("mi,...cmi->c...m", st.lowering[:, 0], varr)
-    dz = [_tr_pad((1j * beta * varr[..., c, :, :1])[..., 0], 1) for c in range(3)]
-    return _strain(0.5 * (up + down), -0.5j * (up - down), dz)
-
-
-def _tr_cos(arr):
-    """Multiply a trace coefficient array by cos(theta) (band + 1)."""
-    out = np.zeros(arr.shape[:-1] + (arr.shape[-1] + 2,), dtype=complex)
-    out[..., 2:] += 0.5 * arr
-    out[..., :-2] += 0.5 * arr
-    return out
-
-
-def _tr_sin(arr):
-    """Multiply a trace coefficient array by sin(theta) (band + 1)."""
-    out = np.zeros(arr.shape[:-1] + (arr.shape[-1] + 2,), dtype=complex)
-    out[..., 2:] += -0.5j * arr
-    out[..., :-2] += 0.5j * arr
-    return out
-
-
-def _tr_pad(arr, extra):
-    """Zero-pad a trace coefficient array by extra bands on each side."""
-    out = np.zeros(arr.shape[:-1] + (arr.shape[-1] + 2 * extra,), dtype=complex)
-    out[..., extra : out.shape[-1] - extra] = arr
-    return out
-
-
-def _traction_arrays(t, varr, beta, mu, lo=None):
-    """Viscous traction traces S_i = -mu sum_j E_ij n_j, two channels wider.
-
-    varr (..., 3, n_m, n_r) on the channels lo..hi (see _sym_entries);
-    beta is a scalar or broadcasts with the slice axes. The strain is
-    evaluated at the surface node only (_surface_entries). Returns a list
-    of three (..., n_m + 4) arrays on lo - 2..hi + 2.
-    """
-    tr = _surface_entries(t, varr, beta, lo)
-    s1 = -mu * (_tr_cos(tr[(0, 0)]) + _tr_sin(tr[(0, 1)]))
-    s2 = -mu * (_tr_cos(tr[(0, 1)]) + _tr_sin(tr[(1, 1)]))
-    s3 = -mu * (_tr_cos(tr[(0, 2)]) + _tr_sin(tr[(1, 2)]))
-    return [s1, s2, s3]
-
-
-def _tangential_arrays(t, varr, beta, mu, lo=None):
-    """Tangential traction traces on lo - 4..hi + 4 (pressure independent)."""
-    s = _traction_arrays(t, varr, beta, mu, lo)
-    sn = _tr_cos(s[0]) + _tr_sin(s[1])
-    st1 = _tr_pad(s[0], 2) - _tr_cos(sn)
-    st2 = _tr_pad(s[1], 2) - _tr_sin(sn)
-    st3 = _tr_pad(s[2], 2)
-    return [st1, st2, st3]
+    return {
+        (0, 0): 2.0 * d1[0],
+        (1, 1): 2.0 * d2[1],
+        (2, 2): 2.0 * dz[2],
+        (0, 1): d2[0] + d1[1],
+        (0, 2): dz[0] + d1[2],
+        (1, 2): dz[1] + d2[2],
+    }
 
 
 def tangential_traction(ws, v):
-    """Tangential surface traction S - (S . n) n of a velocity field.
+    """Tangential surface traction (tau_rtheta, tau_rz) of a velocity field.
 
     The pressure contribution q n is purely normal and drops out, so no
     pressure argument is needed. This is the field-level check of the
-    stress-free surface condition.
+    stress-free surface condition; the traces are the polar ones of
+    helmholtz._surface_stresses, read at r = kappa.
 
     Returns:
-        complex array (3, 2*n_z+1, 2*(n_theta+4)+1): the Cartesian
-        components of the trace, each on azimuthal band n_theta + 4.
+        complex array (2, 2*n_z+1, 2*(n_theta+1)+1): tau_rtheta, then
+        tau_rz, each on azimuthal band n_theta + 1.
+
+    Raises:
+        ValueError if v is not on ws.config.
     """
+    _require_config(ws, v, "tangential_traction: field")
     cfg = ws.config
     varr = np.moveaxis(v.coeffs, 0, 1)
-    return np.stack(_tangential_arrays(ws.tables, varr, _axial_factors(cfg).imag, cfg.mu))
+    stresses = _surface_stresses(ws.tables, cfg.mu, varr, _axial_factors(cfg).imag)
+    return np.moveaxis(stresses[:, 1:], 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -510,17 +449,22 @@ def _unit_weight(t, cfg, j, z):
 def _constraint_rows(t, cfg, units, m_abs, beta, lo):
     """Complex constraint rows of a sector at axial wavenumber beta.
 
-    Divergence at every collocation point (window + 1), tangential
-    traction surface channels (window + 4), applied to the sector's unit
-    fields units on the channels from lo, and the pole regularity rows of
-    each piece of order m_abs; flattened in (component, m, r) order, so
-    they come in the same order as over the whole band.
+    Divergence at every collocation point (window + 1) and the polar
+    tangential traces tau_rtheta and tau_rz at r = kappa (window + 1,
+    helmholtz._surface_stresses), applied to the sector's unit fields
+    units on the channels from lo, and the pole regularity rows of each
+    piece of order m_abs. Sector j's pieces all reach the surface traces
+    at m = j, so only two traction rows are nonzero: the stress-free
+    condition has rank 2 per sector, known in advance.
     """
     k = units.shape[0]
+    tangential = _surface_stresses(t, cfg.mu, units, beta, lo)[:, 1:]
     return np.concatenate(
-        [_div_slice(t, units, beta, lo).reshape(k, -1).T]
-        + [a.reshape(k, -1).T for a in _tangential_arrays(t, units, beta, cfg.mu, lo)]
-        + [scipy.linalg.block_diag(*[t.pole_rows(m) for m in m_abs])]
+        [
+            _div_slice(t, units, beta, lo).reshape(k, -1).T,
+            tangential.reshape(k, -1).T,
+            scipy.linalg.block_diag(*[t.pole_rows(m) for m in m_abs]),
+        ]
     )
 
 
@@ -528,8 +472,8 @@ def _sector_rows(ws, j):
     """Real constraint rows (r0, r1) of sector j: the rows at beta are r0 + beta r1.
 
     Built once per workspace. beta enters the rows only through the
-    i beta u_z term of the divergence and the d/dz entries of the strain,
-    entries that no other term touches, so the rows at beta = 0 and their
+    i beta u_z term of the divergence and the i beta u_r term of tau_rz,
+    terms that no other term touches, so the rows at beta = 0 and their
     change at beta = 1 split them exactly. Each row is a unit phase times a
     real row (_sector_units): it is rotated by the phase of its largest
     entry and kept real. Rows that vanish at every beta are dropped.
@@ -696,6 +640,22 @@ def _apply_A_slice(ws, n, varr, lo=None):
     return out
 
 
+def _dissipation_factor(t, cfg, j, z, beta, lo):
+    """F^T for sector j's coordinates z (k, K): (K, N) reals, |F y|^2 the dissipation of z y.
+
+    Row c holds the strain entries (_sym_entries) of column c's field on
+    the channels lo - 1..hi + 1 through the Cholesky factor L^T of each
+    channel's Gram, each entry scaled by sqrt(mu/2 2 pi ell) and the
+    square root of its multiplicity, as interleaved reals.
+    """
+    entries = _sym_entries(t, _sector_fields(cfg, j, z), beta, lo)
+    e = np.stack([entries[key] for key, _ in _PAIRS], axis=1)
+    f = apply_stack(_stacks(t, e, lo - 1).factor, e)
+    scales = np.sqrt([wgt * math.pi * cfg.mu * cfg.ell for _, wgt in _PAIRS])
+    f *= scales[:, None, None]
+    return f.reshape(z.shape[1], -1).view(float)
+
+
 def assemble_A(ws, n):
     """Assemble mode n sector by sector, in the eigenbasis of its pencil.
 
@@ -727,14 +687,9 @@ def assemble_A(ws, n):
         zw = _unit_weight(t, cfg, j, z)
         m = z.T @ zw
         m = 0.5 * (m + m.T)
-        # G = Re(E^H W E) over the strain entries E of the columns, one
-        # real product on their interleaved views
-        entries = _sym_entries(t, _sector_fields(cfg, j, z), beta, lo)
-        e = np.stack([entries[key] for key, _ in _PAIRS], axis=1)
-        we = _apply_weight(t, cfg.ell, e, lo - 1)
-        we *= np.array([wgt for _, wgt in _PAIRS])[:, None, None]
-        g = 0.5 * cfg.mu * (e.reshape(k, -1).view(float) @ we.reshape(k, -1).view(float).T)
-        g = 0.5 * (g + g.T)
+        f = _dissipation_factor(t, cfg, j, z, beta, lo)
+        # numpy runs f @ f.T as one syrk, so G = F^T F is exactly symmetric
+        g = f @ f.T
 
         # the installed kernel columns lead the sector and are deflated
         nk = len(info.get("kernel_columns", ()))
@@ -765,9 +720,11 @@ def assemble_A(ws, n):
     mirrored, own = [], []
     for i, (s, w) in enumerate(half):
         j, (lo, hi), rows = s.info["j"], s.info["window"], s.z.shape[0]
-        for c in np.nonzero(np.abs(w) < 1e-8 * lam_max)[0]:
-            col = _sector_fields(cfg, j, s.z[:, c : c + 1])[0]
-            w[c] = _dissipation_slice(ws, n, col, lo) / s.M[c, c]
+        # near-zero eigenvalues as |F v_c|^2 / M_cc, nonnegative by construction
+        near = np.flatnonzero(np.abs(w) < 1e-8 * lam_max)
+        if near.size:
+            f = _dissipation_factor(t, cfg, j, s.z[:, near], beta, lo)
+            w[near] = np.einsum("ci,ci->c", f, f) / np.diag(s.M)[near]
         res = np.linalg.norm(s.G - s.M * w, axis=0) / np.sqrt(np.diag(s.M))
         index = 2 * (i * k_max + np.arange(w.size))
         own.append((s, index, w, res))
@@ -940,7 +897,9 @@ def project_constrained(ws, v):
 
     Returns (projected VectorField, its field coordinates): the basis is
     M-orthonormal, so these are the reduced functionals (reduce_slice).
+    v must be on ws.config (ValueError otherwise).
     """
+    _require_config(ws, v, "project_constrained: field")
     y = reduce_slice(ws, v.coeffs)
     return VectorField(ws.config, expand_slice(ws, y), False), y
 
@@ -952,26 +911,7 @@ def random_constrained_vector(ws, rng):
 
 
 # ---------------------------------------------------------------------------
-# dissipation
-
-
-def _dissipation_slice(ws, n, varr, lo=None):
-    """Quadrature dissipation of one axial slice, structurally >= 0.
-
-    varr (3, n_m, n_r) is on the channels lo..hi, the whole band by
-    default. Computed as a weighted sum of squared sample values, so the
-    result is nonnegative no matter the rounding; used to pin near-zero
-    Rayleigh quotients.
-    """
-    cfg = ws.config
-    t = ws.tables
-    entries = _sym_entries(t, varr, cfg.beta(n), lo)
-    total = 0.0
-    for key, wgt in _PAIRS:
-        arr = entries[key]
-        vals = apply_stack(_stacks(t, arr, None if lo is None else lo - 1).resample, arr)
-        total += wgt * float(np.sum(t.w_quad * np.abs(vals) ** 2))
-    return 0.5 * cfg.mu * 2.0 * math.pi * cfg.ell * total
+# kernel check
 
 
 def kernel_rayleigh_quotients(ws):

@@ -4,8 +4,9 @@ Everything here is deliberately built from scratch: power series, a
 finite-volume radial solver on a staggered grid, and hand-derived closed
 forms. None of it shares code paths with the package, so agreement is
 evidence rather than tautology. The exceptions are
-dense_constrained_nullspace, which reuses the package's constraint rows
-but none of its angular-momentum sector split; the all-channel sector path
+dense_constrained_nullspace, which reuses the package's divergence and
+pole rows but none of its angular-momentum sector split, with the
+Cartesian tangential traction rows below; the all-channel sector path
 (unit fields, constraint rows, complex SVD and M/G samples over every
 channel of the band), the layout and the complex arithmetic the package
 used before each sector was carried on its own channel window and built
@@ -19,7 +20,14 @@ time with complex fields on Cartesian rows and a slice-level mirror, as
 the package did before the sectors were packed into real stacks; the
 derivative-chain Sobolev inner product (chain_inner_Hkp), which
 differentiated each component order by order, as the package did before
-the derivative words were precomposed with the Gram factors; and the
+the derivative words were precomposed with the Gram factors; the
+quadrature dissipation (dissipation_slice), which samples every strain
+entry at the Gauss-Legendre nodes (resample_stack), as the package pinned
+near-zero eigenvalues before the dissipation form was factored; the
+Cartesian traction (cartesian_traction, cartesian_tangential_traction),
+which contracts the surface strain with n = (cos, sin, 0) and imposed the
+stress-free condition as three Cartesian components on band + 4, as the
+package did before it read tau_rtheta and tau_rz in polar form; and the
 reference kernels at the end: the per-channel stack product, the four-application
 derivatives, divergence and surface pressure, and the step-by-step
 evolution loop, which maps fields to coordinates mode by mode through
@@ -159,13 +167,14 @@ def shear_q_profile(r, kappa, mu):
 def dense_constrained_nullspace(ws, n):
     """Constrained space of mode n from one SVD over all unit fields.
 
-    The package's divergence, tangential-traction and pole rows are
-    applied to every one of the 3*n_m*n_r Cartesian unit fields at once;
-    rows are normalized, and the nullspace is cut at SVD_TOL * s_max of
-    the whole mode. Returns orthonormal columns in (component, m, r) order.
+    The package's divergence and pole rows and the Cartesian tangential
+    traction rows (cartesian_tangential_traction) are applied to every one
+    of the 3*n_m*n_r Cartesian unit fields at once; rows are normalized,
+    and the nullspace is cut at SVD_TOL * s_max of the whole mode. Returns
+    orthonormal columns in (component, m, r) order.
     """
     from jetstokes.fields import _div_slice
-    from jetstokes.stokesop import SVD_TOL, _tangential_arrays
+    from jetstokes.stokesop import SVD_TOL
 
     cfg, t = ws.config, ws.tables
     nfield = 3 * cfg.n_modes_theta * cfg.n_r
@@ -174,7 +183,7 @@ def dense_constrained_nullspace(ws, n):
     ms = range(-cfg.n_theta, cfg.n_theta + 1)
     cmat = np.concatenate(
         [_div_slice(t, unit, beta).reshape(nfield, -1).T]
-        + [a.reshape(nfield, -1).T for a in _tangential_arrays(t, unit, beta, cfg.mu)]
+        + [a.reshape(nfield, -1).T for a in cartesian_tangential_traction(t, unit, beta, cfg.mu)]
         + [scipy.linalg.block_diag(*[t.pole_rows(abs(m)) for _ in range(3) for m in ms])]
     )
     norms = np.linalg.norm(cmat, axis=1)
@@ -207,11 +216,12 @@ def sector_units_all_channels(cfg, j):
 def sector_constraints_all_channels(ws, n, j):
     """Kept, row-normalized constraint rows of sector j over all channels.
 
+    The rows are the package's divergence and pole rows and the Cartesian
+    tangential traction rows of cartesian_tangential_traction, on band + 4.
     Returns (cmat, embed): cmat acts on the sector's unit coordinates and
     embed (3*n_m*n_r, k) maps those coordinates to full Cartesian columns.
     """
     from jetstokes.fields import _div_slice
-    from jetstokes.stokesop import _tangential_arrays
 
     cfg, t = ws.config, ws.tables
     units, m_abs = sector_units_all_channels(cfg, j)
@@ -219,7 +229,7 @@ def sector_constraints_all_channels(ws, n, j):
     beta = cfg.beta(n)
     cmat = np.concatenate(
         [_div_slice(t, units, beta).reshape(k, -1).T]
-        + [a.reshape(k, -1).T for a in _tangential_arrays(t, units, beta, cfg.mu)]
+        + [a.reshape(k, -1).T for a in cartesian_tangential_traction(t, units, beta, cfg.mu)]
         + [scipy.linalg.block_diag(*[t.pole_rows(m) for m in m_abs])]
     )
     norms = np.linalg.norm(cmat, axis=1)
@@ -438,6 +448,124 @@ class PerSectorMaps:
         return y + (r - self.apply("G", y) + shift * self.apply("M", y)) / d
 
 
+def quadrature(t):
+    """2*n_r Gauss-Legendre nodes on (0, kappa) and their weights times r."""
+    x, w = np.polynomial.legendre.leggauss(2 * t.n_r)
+    r = 0.5 * t.kappa * (x + 1.0)
+    return r, 0.5 * t.kappa * w * r
+
+
+def resample_stack(t, lo, hi):
+    """Per-channel maps (n_m, 2*n_r, n_r) of stored profiles to their quadrature samples.
+
+    Channel m = lo..hi continues its profile to the negative half axis
+    with parity (-1)^m, and the Lagrange interpolant of the full diameter
+    grid is evaluated at the nodes of quadrature(t): the sampling the
+    package formed its Grams and the dissipation from before they were
+    factored.
+    """
+    from jetstokes.discretization import chebyshev_lobatto, lagrange_eval_matrix
+
+    x = chebyshev_lobatto(t.n_r, t.kappa)[0]
+    b = lagrange_eval_matrix(x, quadrature(t)[0], t.kappa)
+    mirror = np.arange(2 * t.n_r - 1, t.n_r - 1, -1)
+    folded = {p: b[:, : t.n_r] + p * b[:, mirror] for p in (1, -1)}
+    return np.stack([folded[1 if m % 2 == 0 else -1] for m in range(lo, hi + 1)])
+
+
+def dissipation_slice(ws, n, varr, lo=None):
+    """Quadrature dissipation (mu/2) sum_ij ||E_ij||^2 of one axial slice.
+
+    varr (3, n_m, n_r) is on the channels lo..hi, the whole band by
+    default. Every strain entry is sampled at the quadrature nodes, one
+    mat-vec per channel, and its squared samples are summed with the
+    quadrature weights, so the result is nonnegative whatever the
+    rounding. The package pinned near-zero Rayleigh quotients with it
+    before the dissipation form was factored.
+    """
+    from jetstokes.stokesop import _PAIRS, _sym_entries
+
+    cfg, t = ws.config, ws.tables
+    entries = _sym_entries(t, varr, cfg.beta(n), lo)
+    w_quad = quadrature(t)[1]
+    total = 0.0
+    for key, wgt in _PAIRS:
+        arr = entries[key]
+        first = -((arr.shape[-2] - 1) // 2) if lo is None else lo - 1
+        vals = apply_stack_per_channel(resample_stack(t, first, first + arr.shape[-2] - 1), arr)
+        total += wgt * float(np.sum(w_quad * np.abs(vals) ** 2))
+    return 0.5 * cfg.mu * 2.0 * math.pi * cfg.ell * total
+
+
+def _trace_cos(arr):
+    """A trace coefficient array (..., n_m) times cos(theta), on band + 1."""
+    out = np.zeros(arr.shape[:-1] + (arr.shape[-1] + 2,), dtype=complex)
+    out[..., 2:] += 0.5 * arr
+    out[..., :-2] += 0.5 * arr
+    return out
+
+
+def _trace_sin(arr):
+    """A trace coefficient array (..., n_m) times sin(theta), on band + 1."""
+    out = np.zeros(arr.shape[:-1] + (arr.shape[-1] + 2,), dtype=complex)
+    out[..., 2:] += -0.5j * arr
+    out[..., :-2] += 0.5j * arr
+    return out
+
+
+def _trace_pad(arr, extra):
+    """A trace coefficient array zero-padded by extra channels on each side."""
+    pad = [(0, 0)] * (arr.ndim - 1) + [(extra, extra)]
+    return np.pad(arr, pad)
+
+
+def cartesian_traction(t, varr, beta, mu, lo=None):
+    """Viscous traction S_i = -mu sum_j E_ij n_j at r = kappa, in Cartesian components.
+
+    varr (..., 3, n_m, n_r) on the channels lo..hi (the symmetric band by
+    default); beta is a scalar or broadcasts with the slice axes. The
+    strain entries E of stokesop._sym_entries are read at node 0
+    (r = kappa) and contracted with n = (cos, sin, 0). Returns a list of
+    three (..., n_m + 4) arrays on lo - 2..hi + 2.
+    """
+    from jetstokes.stokesop import _sym_entries
+
+    e = {key: val[..., 0] for key, val in _sym_entries(t, varr, beta, lo).items()}
+    s1 = -mu * (_trace_cos(e[(0, 0)]) + _trace_sin(e[(0, 1)]))
+    s2 = -mu * (_trace_cos(e[(0, 1)]) + _trace_sin(e[(1, 1)]))
+    s3 = -mu * (_trace_cos(e[(0, 2)]) + _trace_sin(e[(1, 2)]))
+    return [s1, s2, s3]
+
+
+def cartesian_tangential_traction(t, varr, beta, mu, lo=None):
+    """Tangential traction S - (S . n) n in Cartesian components, on lo - 4..hi + 4.
+
+    The constraint rows the package imposed before it read the surface
+    stresses in polar form: three components, each on four more channels
+    a side than varr, and most of them linearly dependent.
+    """
+    s = cartesian_traction(t, varr, beta, mu, lo)
+    sn = _trace_cos(s[0]) + _trace_sin(s[1])
+    return [
+        _trace_pad(s[0], 2) - _trace_cos(sn),
+        _trace_pad(s[1], 2) - _trace_sin(sn),
+        _trace_pad(s[2], 2),
+    ]
+
+
+def polar_components(trace):
+    """The n, e_theta and e_z components, on band + 1, of Cartesian surface traces.
+
+    trace is a list of three arrays as cartesian_traction returns them;
+    S . n = cos(theta) S_1 + sin(theta) S_2 and
+    S . e_theta = -sin(theta) S_1 + cos(theta) S_2.
+    """
+    s1, s2, s3 = trace
+    return np.stack(
+        [_trace_cos(s1) + _trace_sin(s2), _trace_cos(s2) - _trace_sin(s1), _trace_pad(s3, 1)]
+    )
+
+
 def _sample_matrix(t, ell, arr):
     """Weighted quadrature samples of channel profiles, flattened per row.
 
@@ -446,10 +574,10 @@ def _sample_matrix(t, ell, arr):
     pairing exactly for the polynomial degrees the grid carries.
     """
     from jetstokes.discretization import apply_stack
-    from jetstokes.fields import _stacks
 
-    vals = apply_stack(_stacks(t, arr).resample, arr)
-    vals *= np.sqrt(2.0 * math.pi * ell * t.w_quad)
+    band = (arr.shape[-2] - 1) // 2
+    vals = apply_stack(resample_stack(t, -band, band), arr)
+    vals *= np.sqrt(2.0 * math.pi * ell * quadrature(t)[1])
     return vals.reshape(arr.shape[0], -1)
 
 

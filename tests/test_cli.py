@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 import jetstokes as js
 import oracles
+from jetstokes import cli
 from jetstokes.cli import main
 from jetstokes.discretization import tables_for
 from jetstokes.fields import random_smooth_scalar
@@ -181,6 +183,34 @@ def test_evolve_homogeneous_run(tmp_path):
     first = float(lines[1].split(",")[1])
     last = float(lines[-1].split(",")[1])
     assert last == pytest.approx(first, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "forcing, stride, stored",
+    [("none", 0, False), ("none", 2, True), ("sinusoidal", 0, True)],
+)
+def test_evolve_keeps_fields_only_for_their_readers(tmp_path, monkeypatch, forcing, stride, stored):
+    # snapshots and the estimate read the trajectory; energy.csv does not,
+    # and it is the same whether the fields were kept or not
+    seen = []
+    real = cli.evolve
+
+    def spy(ws, evo, keep=None):
+        seen.append(evo.store_trajectory)
+        if keep is not None:
+            evo = dataclasses.replace(evo, store_trajectory=keep)
+        return real(ws, evo)
+
+    block = {"t_final": 0.1, "dt": 0.02, "initial": "random", "forcing": forcing}
+    block["snapshot_stride"] = stride
+    energies = []
+    for name, keep in (("a", None), ("b", True)):
+        cfgp = _config(tmp_path, name + ".json", evolve=block)
+        monkeypatch.setattr(cli, "evolve", lambda ws, evo: spy(ws, evo, keep))
+        assert main(["evolve", "--config", cfgp, "--out", str(tmp_path / name)]) == 0
+        energies.append((tmp_path / name / "energy.csv").read_bytes())
+    assert seen == [stored, stored]
+    assert energies[0] == energies[1]
 
 
 def test_out_and_seed_overrides(tmp_path):

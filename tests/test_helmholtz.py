@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import jetstokes as js
-from jetstokes import helmholtz
+from jetstokes import helmholtz, stokesop
 from jetstokes.discretization import tables_for
 from jetstokes.fields import (
     random_smooth_vector,
@@ -167,6 +167,10 @@ def test_project_p_residual_is_computed_when_read(ws_small, monkeypatch):
 def _calls(ws, v):
     """Every entry point, given v as its velocity, forcing, field or trace."""
     own = zeros_vector(ws.config)
+
+    def run(**kwargs):
+        return js.evolve(ws, js.EvolutionConfig(t_final=0.04, dt=0.02, **kwargs))
+
     return {
         "operator_Q-v": lambda: js.operator_Q(ws, v),
         "operator_Q-f": lambda: js.operator_Q(ws, own, v),
@@ -174,6 +178,13 @@ def _calls(ws, v):
         "recover_pressure-f": lambda: js.recover_pressure(ws, own, v),
         "project_P": lambda: js.project_P(ws, v),
         "harmonic_extension": lambda: js.harmonic_extension(ws, js.trace_SF(v.x)),
+        "resolve": lambda: js.resolve(ws, 2j, v),
+        "project_constrained": lambda: stokesop.project_constrained(ws, v),
+        "tangential_traction": lambda: js.tangential_traction(ws, v),
+        "evolve-initial": lambda: run(initial=v),
+        "evolve-forcing": lambda: run(forcing=lambda t: v),
+        # a forcing on the workspace's config at t = 0 only
+        "evolve-forcing-later": lambda: run(forcing=lambda t: own if t == 0.0 else v),
     }
 
 
@@ -186,10 +197,18 @@ def _calls(ws, v):
         "recover_pressure-f",
         "project_P",
         "harmonic_extension",
+        "resolve",
+        "project_constrained",
+        "tangential_traction",
+        "evolve-initial",
+        "evolve-forcing",
+        "evolve-forcing-later",
     ],
 )
 @pytest.mark.parametrize(
-    "other", [dict(n_z=3), dict(mu=2.0), dict(n_z=1)], ids=["nz3", "mu2", "nz1"]
+    "other",
+    [dict(n_z=3), dict(mu=2.0), dict(n_z=1), dict(kappa=0.3)],
+    ids=["nz3", "mu2", "nz1", "kappa03"],
 )
 def test_field_from_another_config_is_rejected(ws_small, call, other):
     cfg = ws_small.config

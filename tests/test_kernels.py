@@ -34,9 +34,11 @@ def _close(got, want):
 
 @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("lead", LEADS, ids=str)
-@pytest.mark.parametrize("name", ["raising", "lap", "resample", "gram"])
+@pytest.mark.parametrize("name", ["raising", "lap", "resample", "gram", "factor"])
 def test_apply_stack_matches_per_channel(ws_small, name, lead, complex_values):
-    st = getattr(ws_small.tables.stacks(-4, 4), name)
+    # resample is the oracle's quadrature sampling, a non-square stack
+    t = ws_small.tables
+    st = oracles.resample_stack(t, -4, 4) if name == "resample" else getattr(t.stacks(-4, 4), name)
     arr = _random(stream(91, "tests"), lead + (st.shape[0], st.shape[2]), complex_values)
     got = apply_stack(st, arr)
     want = oracles.apply_stack_per_channel(st, arr)

@@ -15,7 +15,11 @@ sector layout on modes 0 and 1:
 - every built sector's constraint rows are a phase times a real row, and
   the cached r0 + beta r1 is that row;
 - the resolvent obeys the sector bound ||v|| <= sqrt(2) ||g|| / |lam|
-  for lam with |Im lam| > Re lam.
+  for lam with |Im lam| > Re lam;
+- the polar surface stresses of random slices, on the symmetric band or
+  on a sector window, at random beta, are the e_theta and e_z components
+  of the Cartesian tangential traction oracle, and Q's datum is minus its
+  normal component.
 
 One more test draws n_z too and checks the Sobolev inner product on
 random fields: Hermitian symmetry, a real nonnegative (u, u), norms that
@@ -33,8 +37,9 @@ import oracles
 from jetstokes.fields import random_smooth_scalar, random_smooth_vector
 from jetstokes.rng import stream
 from jetstokes.evolution import SCHEMES
+from jetstokes.helmholtz import _surface_stresses
 from jetstokes.spectral import KERNEL_TOL, _pencil_solve
-from jetstokes.stokesop import _apply_weight, expand_slice, reduce_slice
+from jetstokes.stokesop import _apply_weight, _sector_window, expand_slice, reduce_slice
 
 CONFIGS = st.builds(
     lambda kappa, ell, mu, n_r, n_theta: js.DomainConfig(
@@ -213,3 +218,39 @@ def test_sobolev_inner_product_is_a_graded_hermitian_form(cfg, vector):
         assert abs(uv - oracles.chain_inner_Hkp(u, v, k)) <= 1e-12 * nu * nv
         norms.append(nu)
     assert norms[0] <= norms[1] <= norms[2]
+
+
+@PROPERTY
+@given(CONFIGS, st.floats(-20.0, 20.0), st.one_of(st.none(), st.integers(-6, 6)))
+def test_polar_surface_stresses_are_the_cartesian_traction(cfg, beta, j):
+    # j None: the symmetric band; otherwise sector j's window, clipped to
+    # the band, whose low end is not -band
+    t = js.Workspace(cfg).tables
+    if j is None:
+        lo, n_w = None, cfg.n_modes_theta
+    else:
+        lo, hi = _sector_window(cfg, max(-cfg.n_theta - 1, min(j, cfg.n_theta + 1)))
+        n_w = hi - lo + 1
+    rng = stream(85, "tests")
+    shape = (2, 3, n_w, cfg.n_r)
+    varr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # one beta per slice, broadcasting with the slice axes
+    betas = np.array([beta, -0.5 * beta])[:, None, None]
+    got = _surface_stresses(t, cfg.mu, varr, betas, lo)
+    # S = -mu E n: the oracle's traction sits on lo - 2..hi + 2, so its
+    # normal component on lo - 3..hi + 3, and its tangential part on
+    # lo - 4..hi + 4, so that part's components on lo - 5..hi + 5; the
+    # polar traces live on lo - 1..hi + 1 only
+    normal = -oracles.polar_components(oracles.cartesian_traction(t, varr, betas, cfg.mu, lo))[0]
+    tangential = oracles.cartesian_tangential_traction(t, varr, betas, cfg.mu, lo)
+    want = -np.moveaxis(oracles.polar_components(tangential), 0, 1)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(want[:, 0])) <= 1e-13 * scale
+    assert np.max(np.abs(want[..., :4])) + np.max(np.abs(want[..., -4:])) <= 1e-13 * scale
+    assert np.max(np.abs(got[:, 1:] - want[:, 1:, 4:-4])) <= 1e-13 * scale
+    scale = np.max(np.abs(normal))
+    assert np.max(np.abs(normal[..., :2])) + np.max(np.abs(normal[..., -2:])) <= 1e-13 * scale
+    assert np.max(np.abs(got[:, 0] - normal[..., 2:-2])) <= 1e-13 * scale
+    # Q reads the datum alone
+    datum = _surface_stresses(t, cfg.mu, varr, lo=lo)
+    assert np.array_equal(datum, got[:, 0])

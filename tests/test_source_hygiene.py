@@ -13,8 +13,10 @@ fourth one):
   (loaded, or discarded with an explicit del), so an argument a caller
   passes cannot be silently ignored;
 - every field of the stokesop.Sector and stokesop.ModeOperator dataclasses
-  is read as an attribute somewhere in src/jetstokes or bench, so a
-  refactor cannot leave a dead field behind;
+  and of the discretization._ChannelStacks and discretization._WordOrder
+  namedtuples is read as an attribute somewhere in src/jetstokes or bench
+  (an attribute of an imported module, such as np.stack, does not count),
+  so a refactor cannot leave a dead field behind;
 - no module but fieldio, which owns every output and field file format,
   and config, which reads the run configuration, opens a file: none
   names the builtin open or calls an open, read_text, write_text,
@@ -138,23 +140,65 @@ def _dataclass_fields(tree, name):
     return [n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)]
 
 
-def _read_attributes(trees):
-    """Every attribute name loaded (not only assigned) in the trees."""
+def _namedtuple_fields(tree, name):
+    """Field names of the module-level namedtuple name, made by collections.namedtuple."""
+    for node in tree.body:
+        func = getattr(node, "value", None) if isinstance(node, ast.Assign) else None
+        func = func.func if isinstance(func, ast.Call) else None
+        if (
+            func is not None
+            and [getattr(t, "id", None) for t in node.targets] == [name]
+            and getattr(func, "attr", getattr(func, "id", None)) == "namedtuple"
+        ):
+            spec = ast.literal_eval(node.value.args[1])
+            return spec.replace(",", " ").split() if isinstance(spec, str) else list(spec)
+    raise LookupError(name)
+
+
+def _module_aliases(tree):
+    """Names that plain imports bind to modules (import numpy as np binds np)."""
     return {
-        node.attr
-        for tree in trees
+        (a.asname or a.name).split(".")[0]
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        if isinstance(node, ast.Import)
+        for a in node.names
     }
+
+
+def _read_attributes(trees):
+    """Every attribute name loaded (not only assigned) in the trees, off imported modules."""
+    out = set()
+    for tree in trees:
+        modules = _module_aliases(tree)
+        out |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and not (isinstance(node.value, ast.Name) and node.value.id in modules)
+        }
+    return out
+
+
+def _unread_fields(fields):
+    read = _read_attributes(_tree(p) for p in MODULES + BENCH)
+    return [f for f in fields if f not in read]
 
 
 @pytest.mark.parametrize("name", ["Sector", "ModeOperator"])
 def test_stokesop_dataclass_fields_are_read(name):
     fields = _dataclass_fields(_tree(SRC / "stokesop.py"), name)
     assert fields
-    read = _read_attributes(_tree(p) for p in MODULES + BENCH)
-    unread = [f for f in fields if f not in read]
+    unread = _unread_fields(fields)
     assert not unread, "stokesop.%s fields nothing reads: %s" % (name, unread)
+
+
+@pytest.mark.parametrize("name", ["_ChannelStacks", "_WordOrder"])
+def test_discretization_namedtuple_fields_are_read(name):
+    fields = _namedtuple_fields(_tree(SRC / "discretization.py"), name)
+    assert fields
+    unread = _unread_fields(fields)
+    assert not unread, "discretization.%s fields nothing reads: %s" % (name, unread)
 
 
 def test_unread_field_check_sees_a_dead_field():
@@ -164,6 +208,19 @@ def test_unread_field_check_sees_a_dead_field():
     )
     read = _read_attributes([tree])
     assert [f for f in _dataclass_fields(tree, "C") if f not in read] == ["b", "c"]
+
+
+def test_unread_field_check_sees_a_dead_namedtuple_field():
+    # a field read only as a module attribute (np.stack) counts as unread
+    tree = ast.parse(
+        "import collections\nimport numpy as np\nfrom collections import namedtuple\n"
+        "T = collections.namedtuple('T', 'a b stack')\n"
+        "U = namedtuple('U', ['c', 'd'])\n"
+        "def f(x):\n    x.b = x.a\n    return np.stack([x.d]), T(*x)\n"
+    )
+    read = _read_attributes([tree])
+    assert [f for f in _namedtuple_fields(tree, "T") if f not in read] == ["b", "stack"]
+    assert [f for f in _namedtuple_fields(tree, "U") if f not in read] == ["c"]
 
 
 # the modules that may open files

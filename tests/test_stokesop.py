@@ -19,8 +19,6 @@ from jetstokes.rng import stream
 from jetstokes.stokesop import (
     _apply_A_slice,
     _apply_weight,
-    _dissipation_slice,
-    _traction_arrays,
     assemble_A,
     expand_slice,
     kernel_rayleigh_quotients,
@@ -42,7 +40,7 @@ def _traction(ws, v):
     """Viscous surface traction of v as one (3, n_modes_z, band + 2) array."""
     cfg = ws.config
     varr = np.moveaxis(v.coeffs, 0, 1)
-    return np.stack(_traction_arrays(ws.tables, varr, _axial_factors(cfg).imag, cfg.mu))
+    return np.stack(oracles.cartesian_traction(ws.tables, varr, _axial_factors(cfg).imag, cfg.mu))
 
 
 def _twisted_rotation(cfg):
@@ -525,11 +523,16 @@ def test_windowed_sectors_match_all_channel_reference(ws_name, request):
     ws = request.getfixturevalue(ws_name)
     cfg = ws.config
     for n in range(cfg.n_z + 1):
-        # the windowed constraint SVD keeps the same rows and rank
+        # the windowed constraint SVD on the polar traction rows has the
+        # rank and the nullspace of the Cartesian rows over all channels,
+        # from fewer rows
         for j in range(-cfg.n_theta - 1, cfg.n_theta + 2):
-            _, info = stokesop.build_constrained_basis(ws, n, j)
-            _, kept, rank = oracles.sector_nullspace_all_channels(ws, n, j)
-            assert (info["rows_kept"], info["rank"]) == (kept, rank)
+            cols, info = _direct_columns(ws, n, j)
+            null, kept, rank = oracles.sector_nullspace_all_channels(ws, n, j)
+            assert info["rank"] == rank and info["rows_kept"] < kept
+            assert cols.shape[1] == null.shape[1]
+            leak = cols - null @ (null.conj().T @ cols)
+            assert np.linalg.norm(leak) <= 1e-10 * np.linalg.norm(cols)
         op = js.mode_operator(ws, n)
         w = op.eigen[0]
         basis = op.basis
@@ -610,8 +613,31 @@ def test_dissipation_matches_weak_block(ws_small):
     y = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     quad = float(np.real(np.conj(y) @ (op.G_block @ y)))
     slice_1 = _expand_mode(ws_small, 1, oracles.packed(op, y))[:, ws_small.config.n_z + 1]
-    diss = _dissipation_slice(ws_small, 1, slice_1)
+    diss = oracles.dissipation_slice(ws_small, 1, slice_1)
     assert diss == pytest.approx(quad, rel=1e-11)
+
+
+@pytest.mark.parametrize("ws_name", ["ws_small", "ws_medium"])
+def test_near_zero_eigenvalues_are_dissipation_quotients(ws_name, request):
+    # below 1e-8 lam_max an eigenvalue is |F v|^2 / M_vv of its eigenvector:
+    # a positive roundoff-level number, the quadrature dissipation quotient
+    # of the same field, not the 0 or the eps ||G|| jitter of the pencil eigh
+    ws = request.getfixturevalue(ws_name)
+    cfg = ws.config
+    op = js.mode_operator(ws, 0)
+    w = op.eigen[0]
+    pinned = 0
+    for s, index in zip(op.sectors, oracles.packed_index(op)):
+        src = s if s.mirror_of is None else s.mirror_of
+        lo = src.info["window"][0]
+        for c in np.flatnonzero(op.w[index] < 1e-8 * w[-1]):
+            col = stokesop._sector_fields(cfg, src.info["j"], src.z[:, c : c + 1])[0]
+            want = oracles.dissipation_slice(ws, 0, col, lo) / src.M[c, c]
+            got = op.w[index[c]]
+            assert 0.0 < got <= 1e-20 * w[-1]
+            assert got == pytest.approx(want, rel=1e-12)
+            pinned += 1
+    assert pinned == 4
 
 
 def test_form_sector_coercivity(ws_small):
@@ -621,7 +647,7 @@ def test_form_sector_coercivity(ws_small):
     v = random_constrained_vector(ws_small, stream(44, "tests"))
     nv2 = js.norm_L2(v) ** 2
     diss = sum(
-        _dissipation_slice(ws_small, n, v.coeffs[:, cfg.n_z + n])
+        oracles.dissipation_slice(ws_small, n, v.coeffs[:, cfg.n_z + n])
         for n in range(-cfg.n_z, cfg.n_z + 1)
     )
     for lam in (1j, -1.0 + 2.0j, 4j):
@@ -686,7 +712,17 @@ def test_traction_closed_form(ws_small):
     want[1, cfg.n_z, b - 1] = -1j * mu
     assert np.max(np.abs(tr - want)) < 1e-12
     tt = js.tangential_traction(ws_small, v)
+    assert tt.shape == (2, cfg.n_modes_z, 2 * cfg.n_theta + 3)
     assert np.max(np.abs(tt)) < 1e-12
+    # the shear (x, -y, 0): u_r = r cos(2 theta), u_theta = -r sin(2 theta),
+    # so tau_rtheta = -2 mu sin(2 theta) and tau_rz = 0
+    v.coeffs[1] *= -1.0
+    tt = js.tangential_traction(ws_small, v)
+    want = np.zeros_like(tt)
+    b = cfg.n_theta + 1
+    want[0, cfg.n_z, b + 2] = 1j * mu
+    want[0, cfg.n_z, b - 2] = -1j * mu
+    assert np.max(np.abs(tt - want)) < 1e-12
 
 
 def test_negative_mode_spectra_match(ws_small):
