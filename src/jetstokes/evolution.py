@@ -32,9 +32,9 @@ import math
 import numpy as np
 
 from .fieldio import write_csv
-from .fields import VectorField, norm_L2, trace_norm_L2, trace_SF
+from .fields import VectorField, _require_config, norm_L2, trace_norm_L2, trace_SF
 from .fields import grad, inner_product_Hkp
-from .helmholtz import _require_config, operator_Q, project_P
+from .helmholtz import operator_Q, project_P
 from .stokesop import (
     expand_slice,
     field_eigenvalues,
@@ -160,9 +160,10 @@ def evolve(ws, evo):
     w = field_eigenvalues(ws)
     # the eigenbasis deflates the mode-0 kernel columns, which is exact
     # only while G couples to them at roundoff level
-    sectors = mode_operator(ws, 0).sectors
-    coupling = math.sqrt(sum(np.linalg.norm(s.G[: s.nk]) ** 2 for s in sectors))
-    coupling /= max(math.sqrt(sum(np.linalg.norm(s.G) ** 2 for s in sectors)), 1e-300)
+    op0 = mode_operator(ws, 0)
+    kernel_rows = np.arange(op0.G.shape[1])[:, None] < np.array(op0.nk)[:, None, None]
+    coupling = op0.sector_norm(np.where(kernel_rows, op0.G, 0.0))
+    coupling /= max(op0.sector_norm(op0.G), 1e-300)
     if coupling > 1e-8:
         warnings.append("mode 0: dissipation form couples to the kernel (%.3e)" % coupling)
 

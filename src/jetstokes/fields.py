@@ -159,6 +159,14 @@ class TraceField:
             )
 
 
+def _require_config(ws, field, role):
+    """Raise ValueError unless field (or trace) lives on the workspace's config."""
+    if field.config != ws.config:
+        raise ValueError(
+            "%s is on %r, but the workspace is on %r" % (role, field.config, ws.config)
+        )
+
+
 # ---------------------------------------------------------------------------
 # constructors
 

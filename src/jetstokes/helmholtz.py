@@ -38,6 +38,7 @@ from .fields import (
     _axial_factors,
     _div_slice,
     _dxy,
+    _require_config,
     _stacks,
     _truncate,
     grad,
@@ -66,14 +67,6 @@ class DecompositionResult:
         if unorm == 0.0:
             return 0.0
         return norm_L2(self.source - self.solenoidal - grad(self.potential)) / unorm
-
-
-def _require_config(ws, field, role):
-    """Raise ValueError unless field (or trace) lives on the workspace's config."""
-    if field.config != ws.config:
-        raise ValueError(
-            "%s is on %r, but the workspace is on %r" % (role, field.config, ws.config)
-        )
 
 
 def _slices(field):

@@ -16,7 +16,7 @@ grids.
 import numpy as np
 
 from .discretization import _channels_first, _channels_last, apply_stack, band_views
-from .fields import _band, zeros_scalar
+from .fields import _band, _require_config, zeros_scalar
 
 # relative interior residual bound of solve_mode_dirichlet
 SOLVER_TOL = 1e-10
@@ -69,20 +69,26 @@ def laplace_solve_channels(ws, n, f_arr, bc_arr=None, lo=None):
     return _channels_last(y.view(complex), f_arr.shape[:-2])
 
 
+def _mode_index(cfg, n):
+    """Index of axial mode n in the stored band; ValueError outside it."""
+    if abs(n) > cfg.n_z:
+        raise ValueError("axial mode %d outside the stored band" % n)
+    return cfg.n_z + n
+
+
 def solve_mode_dirichlet(ws, n, f):
     """Solve laplacian(u) = f on axial mode n with u = 0 on the surface.
 
     Only the mode-n slice of f enters; the result occupies mode n alone.
 
     Returns:
-        ScalarField. Raises RuntimeError if the relative collocation
+        ScalarField. Raises ValueError if f is not on ws.config or n lies
+        outside the stored band, RuntimeError if the relative collocation
         residual exceeds SOLVER_TOL.
     """
-    cfg = ws.config
-    if abs(n) > cfg.n_z:
-        raise ValueError("axial mode %d outside the stored band" % n)
-    i_n = cfg.n_z + n
-    u = zeros_scalar(cfg)
+    _require_config(ws, f, "solve_mode_dirichlet: forcing")
+    i_n = _mode_index(ws.config, n)
+    u = zeros_scalar(ws.config)
     u.coeffs[i_n] = laplace_solve_channels(ws, n, f.coeffs[i_n])
     u.real_flag = False
     res = dirichlet_residual(ws, n, f, u)
@@ -95,9 +101,15 @@ def solve_mode_dirichlet(ws, n, f):
 
 
 def dirichlet_residual(ws, n, f, u):
-    """Relative interior collocation residual of laplacian(u) = f at mode n."""
+    """Relative interior collocation residual of laplacian(u) = f at mode n.
+
+    Raises ValueError if f or u is not on ws.config or n lies outside the
+    stored band.
+    """
+    _require_config(ws, f, "dirichlet_residual: forcing")
+    _require_config(ws, u, "dirichlet_residual: solution")
     cfg = ws.config
-    i_n = cfg.n_z + n
+    i_n = _mode_index(cfg, n)
     mat, _ = _dirichlet_stack(ws, n, -cfg.n_theta, cfg.n_theta)
     b = -f.coeffs[i_n]
     r = apply_stack(mat, u.coeffs[i_n]) - b

@@ -26,8 +26,7 @@ import math
 import numpy as np
 
 from .fieldio import write_csv
-from .fields import VectorField, norm_Hkp, norm_L2, random_smooth_vector
-from .helmholtz import _require_config
+from .fields import VectorField, _require_config, norm_Hkp, norm_L2, random_smooth_vector
 from .stokesop import expand_slice, field_eigenvalues, field_product, mode_operator, reduce_slice
 
 # slack for sector membership |Im lam| <= Re lam + SECTOR_TOL

@@ -35,31 +35,31 @@ by sqrt(mu/2 2 pi ell) and the square root of each entry's multiplicity,
 so |F y|^2 is the dissipation of coordinates y. G is one real syrk, so
 it is exactly symmetric.
 
-Each mode is stored as its sectors, each in the M-orthonormal eigenbasis
-V of its pencil: the real coordinates z = Z V of its eigenvector fields on
-its unit fields, V^T M V ~ I and V^T G V ~ diag(w). The built sectors are
-packed into zero-padded real stacks (ModeOperator), and a mode's
-coordinates are that packed layout itself: one entry per (stack entry,
-column, [sector j, mirror -j]), zero on the padding, where the packed
-eigenvalues are 0 too. A field's coordinates are one array
-(n_z + 1, dim, 2, ...): |n|, that mode's packed layout (zero past its
-size) and the sign of n (side 1 is mode -|n|, padding at |n| = 0). The
-M/G products (field_product) are one batched real product per |n|, modes
-+|n| and -|n| side by side in its columns; reducing and expanding a field
-take one gather or scatter and one batched real product per mode; none
-does index work on the coordinates. In these coordinates the L^2
-projection, the resolvent and both time steppers are diagonal scalings;
-the blocks are kept to measure residuals against.
+Each mode is stored as its built sectors j >= 0, each in the
+M-orthonormal eigenbasis V of its pencil: the real coordinates z = Z V of
+its eigenvector fields on its unit fields, V^T M V ~ I and V^T G V ~
+diag(w). They are packed into zero-padded real stacks (ModeOperator), the
+only copy of a mode, and a mode's coordinates are that packed layout
+itself: one entry per (stack entry, column, [sector j, mirror -j]), zero
+on the padding, where the packed eigenvalues are 0 too. A field's
+coordinates are one array (n_z + 1, dim, 2, ...): |n|, that mode's packed
+layout (zero past its size) and the sign of n (side 1 is mode -|n|,
+padding at |n| = 0). The M/G products (field_product) are one batched
+real product per |n|, modes +|n| and -|n| side by side in its columns;
+reducing and expanding a field take one gather or scatter and one batched
+real product per mode; none does index work on the coordinates. In these
+coordinates the L^2 projection, the resolvent and both time steppers are
+diagonal scalings; the blocks are kept to measure residuals against.
 The strong operator
 
   A v = -mu P laplacian(v) + grad(Q v)
 
 commutes with rotations about the axis, so it maps each sector into
-itself. Its per-sector blocks A[i, c] = (A b_c, b_i) are assembled on
-first use only, on each sector's reach (its window plus the two channels
-A adds on each side), together with the part of A b that leaves the
-sector (an exact zero, measured in roundoff); criterion checks compare
-them with G.
+itself. Its per-sector blocks A[i, c] = (A b_c, b_i) are a pure function
+of the stacks (strong_blocks), computed on each sector's reach (its window
+plus the two channels A adds on each side) when a check or the block
+export asks, together with the part of A b that leaves the sector (an
+exact zero, measured in roundoff); criterion checks compare them with G.
 
 Mode n = 0 receives special treatment: the kernel fields e1 + i e2
 (sector 1), e1 - i e2 (sector -1), e3 and the rigid rotation (sector 0)
@@ -81,9 +81,9 @@ real eigenvalues, so beyond them only the resolvent shift
 theta -> -theta with u_y -> -u_y sends channel m to -m and swaps the u+
 and u- pieces (_mirror_piece); it commutes with every constraint and with
 both forms and maps sector j onto sector -j. So only j = 0..n_theta+1 are
-built. Sector -j stores nothing: it shares sector j's coordinates, blocks
-and eigenvalues, and the slot table reads its pieces at the mirrored
-entries of the same stack entry.
+built, and sector -j is side 1 of sector j's stack entry: the slot table
+reads its pieces at the mirrored entries, and every block of entry j
+stands for both sectors.
 """
 
 import dataclasses
@@ -101,12 +101,13 @@ from .fields import (
     _dxy,
     _normalized,
     _pad,
+    _require_config,
     _stacks,
     constant_vector,
     random_smooth_vector,
     rigid_rotation,
 )
-from .helmholtz import _q_slice, _require_config, _surface_stresses
+from .helmholtz import _q_slice, _surface_stresses
 
 # relative singular-value cutoff of each sector's constraint SVD
 SVD_TOL = 1e-9
@@ -127,50 +128,26 @@ _PAIRS = (
 )
 
 
-@dataclasses.dataclass
-class Sector:
-    """One angular-momentum sector of a mode in its pencil eigenbasis.
-
-    z (k, K) holds the real coordinates of its eigenvector fields on its k
-    unit fields (_sector_fields maps them to window fields), M ~ I and
-    G ~ diag(w) its real pencil blocks, and nk its number of leading
-    kernel columns. z, M and G are views into the mode's packed stacks
-    (ModeOperator). info is its basis record (build_constrained_basis),
-    with its j and channel window. A is its strong block and leak the
-    relative norm of A b outside the sector's unit embedding; both stay
-    None until ModeOperator.assemble_strong fills them.
-
-    A mirrored sector -j names its source sector j in mirror_of and shares
-    that sector's z, M, G and nk: its fields are the mirror images of the
-    source's, read on the mirrored pieces (_mirror_piece). Only info is
-    its own.
-    """
-
-    z: np.ndarray
-    M: np.ndarray
-    G: np.ndarray
-    nk: int
-    info: dict
-    mirror_of: "Sector" = None
-    A: np.ndarray = None
-    leak: float = None
-
-
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class ModeOperator:
-    """One axial mode in the eigenbasis of its pencil, stored as sectors.
+    """One axial mode in the eigenbasis of its pencil, as packed real stacks.
 
     The S built sectors j >= 0 are packed, in order of j, into zero-padded
-    real stacks: Z (S, K_max, 3 n_r) holds each sector's z transposed, ZW
-    the same with the unit Gram folded in ((M_u z)^T), and M and G
-    (S, K_max, K_max) its blocks. The mode's coordinates are packed alike:
-    (dim, ...) with dim = S * K_max * 2 in (stack entry, column,
-    [sector j, mirror -j]) order, zero on the padding (columns past K_j
-    and the mirror half of sector 0); a field holds one such vector per
-    mode, with mode -n on the mode-n layout (see reduce_slice). w
-    (dim,) holds their eigenvalues, 0 on the padding, and order the packed
-    index of each eigenvalue in ascending order, ties in order of j. eigen
-    is (w[order], residual), with each pair's pencil residual
+    real stacks: Z (S, K_max, 3 n_r) holds each sector's coordinates z on
+    its unit fields transposed, ZW the same with the unit Gram folded in
+    ((M_u z)^T), and M and G (S, K_max, K_max) its blocks. info holds each
+    entry's basis record (build_constrained_basis; K_j is its "dim") and nk
+    its number of leading kernel columns. Sector -j is entry j read on the
+    mirrored pieces, so an entry j > 0 stands for two sectors (sector_norm).
+
+    The mode's coordinates are packed alike: (dim, ...) with
+    dim = S * K_max * 2 in (stack entry, column, [sector j, mirror -j])
+    order, zero on the padding (columns past K_j and the mirror half of
+    sector 0); a field holds one such vector per mode, with mode -n on the
+    mode-n layout (see reduce_slice). w (dim,) holds their eigenvalues, 0
+    on the padding, and order the packed index of each eigenvalue in
+    ascending order, ties in order of j = -J..J. eigen is
+    (w[order], residual), with each pair's pencil residual
     ||G e_i - w_i M e_i|| / sqrt(M_ii) in the same order.
 
     Slices meet the stacks through their piece array (_pieces): the
@@ -180,14 +157,16 @@ class ModeOperator:
     mirror image -j ([..., 1]); padding reads and writes the zero entry.
 
     ws is a weak reference to the owning Workspace, so the cache holds no
-    reference cycle. basis, M_block, G_block and A_block are dense views in
+    reference cycle. Nothing is written to an operator once assemble_A
+    returns. basis, M_block, G_block and A_block are dense views in
     ascending order, built through order on each read for checks and
-    export; no solve reads them, and basis and the first strong read need
-    that workspace alive.
+    export; no solve reads them, and basis and A_block need that workspace
+    alive.
     """
 
     n: int
-    sectors: tuple
+    info: tuple
+    nk: tuple
     eigen: tuple
     Z: np.ndarray
     ZW: np.ndarray
@@ -198,41 +177,10 @@ class ModeOperator:
     slots: np.ndarray
     ws: object = dataclasses.field(repr=False, compare=False)
 
-    def assemble_strong(self):
-        """Strong block of each sector on first call; returns the largest leak.
-
-        A is applied to each built sector's window fields on its reach, the
-        window [lo - 2, hi + 2] clipped to the band, which holds all of A b:
-        the block is b^H (W A b) on the window, and the leak is the
-        relative Euclidean norm of A b outside the sector's unit embedding,
-        which bounds every off-sector entry of (A b_c, b_i). A mirrored
-        sector takes its source's block and leak.
-        """
-        ws = self.ws()
-        cfg = ws.config
-        # widest reach first, so each cached stack is built once on its band
-        for s in reversed(self.sectors):
-            if s.A is not None or s.mirror_of is not None:
-                continue
-            j, (lo, hi), k = s.info["j"], s.info["window"], s.M.shape[0]
-            rlo, rhi = max(lo - 2, -cfg.n_theta), min(hi + 2, cfg.n_theta)
-            win = slice(lo - rlo, hi - rlo + 1)
-            fields = _sector_fields(cfg, j, s.z)
-            barr = np.zeros((k, 3, rhi - rlo + 1, cfg.n_r), dtype=complex)
-            barr[:, :, win] = fields
-            ab = _apply_A_slice(ws, self.n, barr, rlo)
-            wab = _apply_weight(ws.tables, cfg.ell, ab, rlo)[:, :, win]
-            s.A = fields.reshape(k, -1).conj() @ wab.reshape(k, -1).T
-            total = np.linalg.norm(ab)
-            # the unit embedding lives on the sector's window
-            units = _sector_units(cfg, j)[0].reshape(-1, fields[0].size)
-            abw = ab[:, :, win].reshape(k, -1)
-            ab[:, :, win] = (abw - (abw @ units.conj().T) @ units).reshape(fields.shape)
-            s.leak = float(np.linalg.norm(ab) / total)
-        for s in self.sectors:
-            if s.mirror_of is not None:
-                s.A, s.leak = s.mirror_of.A, s.mirror_of.leak
-        return max(s.leak for s in self.sectors)
+    def sector_norm(self, stack):
+        """Frobenius norm of a packed stack (S, ...) over all sectors: entry j > 0 counts twice."""
+        sq = np.linalg.norm(stack.reshape(len(self.info), -1), axis=1) ** 2
+        return math.sqrt(sum((1 + (info["j"] > 0)) * x for info, x in zip(self.info, sq)))
 
     def _eye(self):
         """Packed coordinates (dim, K) of the eigenvectors in ascending order."""
@@ -240,24 +188,21 @@ class ModeOperator:
         eye[self.order, np.arange(self.order.size)] = 1.0
         return eye
 
+    def _dense(self, stack):
+        """The block of a packed stack (S, K_max, K_max) in ascending eigen coordinates."""
+        return packed_product(stack, self._eye())[self.order]
+
     @property
     def M_block(self):
-        return packed_product(self.M, self._eye())[self.order]
+        return self._dense(self.M)
 
     @property
     def G_block(self):
-        return packed_product(self.G, self._eye())[self.order]
+        return self._dense(self.G)
 
     @property
     def A_block(self):
-        self.assemble_strong()
-        a = np.zeros(self.M.shape, dtype=complex)
-        for i, s in enumerate(s for s in self.sectors if s.mirror_of is None):
-            a[i, : s.A.shape[0], : s.A.shape[0]] = s.A
-        # entries couple only within one sector: same stack entry and side
-        e, c, side = np.unravel_index(self.order, self.M.shape[:2] + (2,))
-        same = (e[:, None] == e) & (side[:, None] == side)
-        return np.where(same, a[e[:, None], c[:, None], c], 0.0)
+        return self._dense(strong_blocks(self)[0])
 
     def synthesize(self, y):
         """Flat Cartesian slices (3 * n_m * n_r, k) of packed coordinates y (dim, k).
@@ -640,6 +585,51 @@ def _apply_A_slice(ws, n, varr, lo=None):
     return out
 
 
+def strong_blocks(op):
+    """Strong blocks and leaks of a mode's built sectors: (A, leak).
+
+    A (S, K_max, K_max) is a packed real stack like op.M and op.G: entry i
+    holds (A b_c, b_i) over its columns, zero on the padding, and stands
+    for its mirror -j too. A is applied to each sector's window fields on
+    its reach, the window [lo - 2, hi + 2] clipped to the band, which holds
+    all of A b: the block is b^H (W A b) on the window. leak (S,) is the
+    relative Euclidean norm of A b outside the sector's unit embedding,
+    which bounds every off-sector entry of (A b_c, b_i). Nothing is cached;
+    the owning workspace must be alive.
+
+    Raises:
+        RuntimeError if a block's imaginary part exceeds 1e-12 of its norm.
+    """
+    ws = op.ws()
+    cfg = ws.config
+    a = np.zeros(op.M.shape)
+    leak = np.zeros(len(op.info))
+    # widest reach first, so each cached stack is built once on its band
+    for i in reversed(range(len(op.info))):
+        j, (lo, hi), k = op.info[i]["j"], op.info[i]["window"], op.info[i]["dim"]
+        rlo, rhi = max(lo - 2, -cfg.n_theta), min(hi + 2, cfg.n_theta)
+        win = slice(lo - rlo, hi - rlo + 1)
+        fields = _sector_fields(cfg, j, op.Z[i, :k].T)
+        barr = np.zeros((k, 3, rhi - rlo + 1, cfg.n_r), dtype=complex)
+        barr[:, :, win] = fields
+        ab = _apply_A_slice(ws, op.n, barr, rlo)
+        wab = _apply_weight(ws.tables, cfg.ell, ab, rlo)[:, :, win]
+        block = fields.reshape(k, -1).conj() @ wab.reshape(k, -1).T
+        if np.linalg.norm(block.imag) > 1e-12 * np.linalg.norm(block):
+            raise RuntimeError(
+                "mode %d sector %d strong block is not real: relative imaginary part %.3e"
+                % (op.n, j, np.linalg.norm(block.imag) / np.linalg.norm(block))
+            )
+        a[i, :k, :k] = block.real
+        total = np.linalg.norm(ab)
+        # the unit embedding lives on the sector's window
+        units = _sector_units(cfg, j)[0].reshape(-1, fields[0].size)
+        abw = ab[:, :, win].reshape(k, -1)
+        ab[:, :, win] = (abw - (abw @ units.conj().T) @ units).reshape(fields.shape)
+        leak[i] = np.linalg.norm(ab) / total
+    return a, leak
+
+
 def _dissipation_factor(t, cfg, j, z, beta, lo):
     """F^T for sector j's coordinates z (k, K): (K, N) reals, |F y|^2 the dissipation of z y.
 
@@ -663,11 +653,10 @@ def assemble_A(ws, n):
     constrained basis Z, real coordinates on its unit fields, its own M
     from the unit Gram and G from the strain entries of its columns, and a
     real pencil eigh on its non-kernel columns, all on its channel window.
-    They are packed into the real stacks of ModeOperator. Sector -j is
-    sector j read on the mirrored pieces (_mirror_piece): it shares sector
-    j's arrays and eigenvalues and the other half of its stack entry, and
-    its record negates j and the window. order ranks the eigenvalues of
-    all sectors in ascending order.
+    They are packed into the real stacks of ModeOperator. The mirror
+    sector -j is sector j read on the mirrored pieces (_mirror_piece): the
+    other half of its stack entry, with sector j's arrays and eigenvalues.
+    order ranks the eigenvalues of all sectors in ascending order.
     Returns a ModeOperator; use mode_operator for the cached accessor.
 
     Raises:
@@ -700,48 +689,41 @@ def assemble_A(ws, n):
         m, g = v.T @ (m @ v), v.T @ (g @ v)
         built.append((info, nk, z @ v, zw @ v, 0.5 * (m + m.T), 0.5 * (g + g.T), w))
 
-    # the packed real stacks; each sector's arrays are views into them
+    # the packed real stacks; a sector and its mirror -j share a stack
+    # entry, sides 0 and 1 of the packed coordinates and of the slot table
     k_max = max(w.size for *_, w in built)
     zs = np.zeros((len(built), k_max, 3 * cfg.n_r))
     zws = np.zeros_like(zs)
     ms = np.zeros((len(built), k_max, k_max))
     gs = np.zeros_like(ms)
-    half = []
-    for i, (info, nk, z, zw, m, g, w) in enumerate(built):
-        rows, k = z.shape
+    slots = np.full((len(built), zs.shape[2], 2), 3 * cfg.n_modes_theta * cfg.n_r)
+    lam_max = max(float(np.max(np.abs(w))) for *_, w in built)
+    mirrored, own = [], []
+    for i, (info, _, z, zw, m, g, w) in enumerate(built):
+        j, lo, (rows, k) = info["j"], info["window"][0], z.shape
         zs[i, :k, :rows], zws[i, :k, :rows] = z.T, zw.T
         ms[i, :k, :k], gs[i, :k, :k] = m, g
-        half.append((Sector(zs[i, :k, :rows].T, ms[i, :k, :k], gs[i, :k, :k], nk, info), w))
-
-    # a sector and its mirror -j share a stack entry, sides 0 and 1 of the
-    # packed coordinates and of the slot table; the built half holds lam_max
-    lam_max = max(float(np.max(np.abs(w))) for _, w in half)
-    slots = np.full((len(half), zs.shape[2], 2), 3 * cfg.n_modes_theta * cfg.n_r)
-    mirrored, own = [], []
-    for i, (s, w) in enumerate(half):
-        j, (lo, hi), rows = s.info["j"], s.info["window"], s.z.shape[0]
         # near-zero eigenvalues as |F v_c|^2 / M_cc, nonnegative by construction
         near = np.flatnonzero(np.abs(w) < 1e-8 * lam_max)
         if near.size:
-            f = _dissipation_factor(t, cfg, j, s.z[:, near], beta, lo)
-            w[near] = np.einsum("ci,ci->c", f, f) / np.diag(s.M)[near]
-        res = np.linalg.norm(s.G - s.M * w, axis=0) / np.sqrt(np.diag(s.M))
-        index = 2 * (i * k_max + np.arange(w.size))
-        own.append((s, index, w, res))
+            f = _dissipation_factor(t, cfg, j, z[:, near], beta, lo)
+            w[near] = np.einsum("ci,ci->c", f, f) / np.diag(m)[near]
+        res = np.linalg.norm(g - m * w, axis=0) / np.sqrt(np.diag(m))
+        index = 2 * (i * k_max + np.arange(k))
+        own.append((index, w, res))
         slots[i, :rows, 0] = _piece_slots(cfg, j)
         if j > 0:
-            info = dict(s.info, j=-j, window=(-hi, -lo))
-            mirrored.insert(0, (dataclasses.replace(s, info=info, mirror_of=s), index + 1, w, res))
+            mirrored.insert(0, (index + 1, w, res))
             slots[i, :rows, 1] = _piece_slots(cfg, j, True)
-    sectors, index, w, res = zip(*(mirrored + own))
-    index, w, res = (np.concatenate(a) for a in (index, w, res))
+    index, w, res = (np.concatenate(a) for a in zip(*(mirrored + own)))
     # ascending order, ties in the order of sectors (j = -J..J)
     rank = np.argsort(w, kind="stable")
     packed = np.zeros(zs.shape[0] * k_max * 2)
     packed[index] = w
     op = ModeOperator(
         n=int(n),
-        sectors=sectors,
+        info=tuple(info for info, *_ in built),
+        nk=tuple(nk for _, nk, *_ in built),
         eigen=(w[rank], res[rank]),
         Z=zs,
         ZW=zws,
@@ -753,33 +735,32 @@ def assemble_A(ws, n):
         ws=weakref.ref(ws),
     )
     if n == 0:
-        _check_mirrored_kernel(op, *next((s, p[0]) for s, p, *_ in mirrored if s.info["j"] == -1))
+        _check_mirrored_kernel(op, [info["j"] for info in op.info].index(1))
     return op
 
 
-def _check_mirrored_kernel(op, s, index):
-    """Raise RuntimeError unless s, the mirrored sector -1 of mode 0, leads with e1 - i e2.
+def _check_mirrored_kernel(op, i):
+    """Raise RuntimeError unless sector -1 of mode 0, the mirror of entry i, leads with e1 - i e2.
 
-    The column at packed index index, synthesized through the slot table
-    as every request reads it, must equal the kernel field of
-    _kernel_fields(cfg, -1) at unit L^2 norm to 1e-12 on the sector's
-    window, so the kernel check still covers every sector and the mirror
-    that serves it.
+    Its first column, synthesized through the slot table as every request
+    reads it, must equal the kernel field of _kernel_fields(cfg, -1) at
+    unit L^2 norm to 1e-12 on the sector's window, so the kernel check
+    still covers every sector and the mirror that serves it.
     """
     ws = op.ws()
     cfg = ws.config
-    lo, hi = s.info["window"]
+    lo, hi = _sector_window(cfg, -1)
     kern = _kernel_fields(cfg, -1)[0]
     wkern = _apply_weight(ws.tables, cfg.ell, kern.reshape(1, 3, -1, cfg.n_r), lo)
     kern = kern / np.sqrt(np.vdot(kern, wkern.reshape(-1)).real)
     unit = np.zeros((op.w.size, 1))
-    unit[index] = 1.0
+    unit[2 * i * op.M.shape[1] + 1] = 1.0
     col = op.synthesize(unit)[_window_rows(cfg, lo, hi), 0]
     err = np.max(np.abs(col - kern)) / np.max(np.abs(kern))
-    if s.nk != 1 or not err <= 1e-12:
+    if op.nk[i] != 1 or not err <= 1e-12:
         raise RuntimeError(
             "mirrored sector -1 of mode 0 does not lead with e1 - i e2: "
-            "%d kernel columns, relative deviation %.3e" % (s.nk, err)
+            "%d kernel columns, relative deviation %.3e" % (op.nk[i], err)
         )
 
 
@@ -908,18 +889,3 @@ def random_constrained_vector(ws, rng):
     """Random unit-norm member of the constrained subspace."""
     f = random_smooth_vector(ws.config, rng, real=False)
     return _normalized(project_constrained(ws, f)[0])
-
-
-# ---------------------------------------------------------------------------
-# kernel check
-
-
-def kernel_rayleigh_quotients(ws):
-    """Rayleigh quotients of the four installed kernel fields at mode 0.
-
-    Returns a list of |(A b_k, b_k)| / (b_k, b_k) over the kernel columns,
-    sector by sector, read off each sector's strong and mass blocks.
-    """
-    op = mode_operator(ws, 0)
-    op.assemble_strong()
-    return [float(abs(s.A[i, i]) / s.M[i, i]) for s in op.sectors for i in range(s.nk)]

@@ -35,6 +35,7 @@ PerSectorMaps. They are the package's earlier implementations, kept so
 the batched and windowed ones can be held to them.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -304,21 +305,33 @@ def mirror_rows(cfg, arr):
     return out.reshape(arr.shape)
 
 
-def packed_index(op):
-    """Packed coordinate indices of each sector of op, in the order of op.sectors.
+SectorPart = collections.namedtuple("SectorPart", "entry info nk z M G index mirrored")
+
+
+def sector_parts(op):
+    """Every sector of op, j = -J..J, as a SectorPart read off its packed stacks.
 
     Built sector j >= 0 at stack entry i owns the entries (i, c, 0) of the
     (S, K_max, 2) layout and its mirror -j the entries (i, c, 1), for its
-    columns c < K_j; every other entry is padding.
+    columns c < K_j; every other entry is padding. A part holds its stack
+    entry, its record (a mirror's negates j and the window), its kernel
+    column count nk, its coordinates z (3 n_r, K) on its unit fields (rows
+    past its pieces are zero), its (K, K) blocks M and G, its packed
+    indices and whether it is the side-1 mirror; a mirror shares its
+    entry's z, M, G and nk.
     """
-    built = [s for s in op.sectors if s.mirror_of is None]
     k_max = op.M.shape[1]
-    out = []
-    for s in op.sectors:
-        src = s if s.mirror_of is None else s.mirror_of
-        i = next(i for i, b in enumerate(built) if b is src)
-        out.append(2 * (i * k_max + np.arange(src.M.shape[0])) + (s.mirror_of is not None))
-    return out
+    own, mirrored = [], []
+    for i, (info, nk) in enumerate(zip(op.info, op.nk)):
+        k = info["dim"]
+        blocks = (op.Z[i, :k].T, op.M[i, :k, :k], op.G[i, :k, :k])
+        index = 2 * (i * k_max + np.arange(k))
+        own.append(SectorPart(i, info, nk, *blocks, index, False))
+        if info["j"] > 0:
+            lo, hi = info["window"]
+            image = dict(info, j=-info["j"], window=(-hi, -lo))
+            mirrored.insert(0, SectorPart(i, image, nk, *blocks, index + 1, True))
+    return mirrored + own
 
 
 def ascending_rank(op):
@@ -381,7 +394,7 @@ class PerSectorMaps:
     fields on the flat Cartesian rows they reach; a mirrored sector -j
     pairs its source's coef with the mirror_rows image of the slice, and
     M and G act as complex blocks. Coordinates are read and written at
-    each sector's packed indices (packed_index), and the padding is zero.
+    each sector's packed indices (sector_parts), and the padding is zero.
     reduce, expand and apply are the package's reduce_slice, expand_slice
     and M/G products before the sectors were packed into real stacks and
     before a field's modes were handled as one coordinate array; they take
@@ -396,13 +409,13 @@ class PerSectorMaps:
         self.op = mode_operator(ws, abs(n))
         cfg = ws.config
         self.parts = []
-        for s, index in zip(self.op.sectors, packed_index(self.op)):
-            src = s if s.mirror_of is None else s.mirror_of
-            fields = _sector_fields(cfg, src.info["j"], src.z).reshape(index.size, -1)
+        for part in sector_parts(self.op):
+            own = self.op.info[part.entry]
+            fields = _sector_fields(cfg, own["j"], part.z).reshape(part.index.size, -1)
             local = np.flatnonzero(fields.any(axis=0))
-            rows = _window_rows(cfg, *src.info["window"])[local]
+            rows = _window_rows(cfg, *own["window"])[local]
             coef = np.ascontiguousarray(fields[:, local].T)
-            self.parts.append((s, index, rows, coef, s.mirror_of is not None))
+            self.parts.append((part, part.index, rows, coef, part.mirrored))
 
     def reduce(self, arr):
         """Coordinates (dim, ...) of the mode-n slices arr (..., 3, n_m, n_r)."""

@@ -72,9 +72,9 @@ def test_traced_setup_counts_every_basis_build():
     with spans.instrument(tracer):
         ws = js.Workspace(cfg)
         ops = [js.mode_operator(ws, n) for n in range(cfg.n_z + 1)]
-    built = {(op.n, s.info["j"]): s.info for op in ops for s in op.sectors}
-    # a sector with an empty nullspace (j = 4 here) stores no Sector, so its
-    # record comes from a direct build outside the trace
+    built = {(op.n, info["j"]): info for op in ops for info in op.info}
+    # a sector with an empty nullspace (j = 4 here) has no stack entry, so
+    # its record comes from a direct build outside the trace
     infos = [
         built.get((n, j)) or stokesop.build_constrained_basis(ws, n, j)[1]
         for n in range(cfg.n_z + 1)

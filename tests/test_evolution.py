@@ -114,6 +114,20 @@ def test_warning_for_solenoidal_forcing(ws_small):
     assert any("solenoidal part" in w for w in result.trace.warnings)
 
 
+def test_warning_for_kernel_coupling(cfg_small):
+    # a fresh workspace, since the perturbation edits its cached mode 0
+    ws = js.Workspace(cfg_small)
+    evo = js.EvolutionConfig(t_final=0.02, dt=0.01)
+    assert js.evolve(ws, evo).trace.warnings == []
+    op = js.mode_operator(ws, 0)
+    i = [info["j"] for info in op.info].index(0)
+    nk = op.nk[i]
+    # couple the kernel rows of sector 0 to its first non-kernel column
+    op.G[i, :nk, nk] = op.G[i, :nk, nk] + 1e-4 * np.max(np.abs(op.G))
+    warnings = js.evolve(ws, evo).trace.warnings
+    assert len(warnings) == 1 and "dissipation form couples to the kernel" in warnings[0]
+
+
 def test_horizon_adjustment_warning(ws_small):
     evo = js.EvolutionConfig(
         t_final=0.25, dt=0.1, initial=constant_vector(ws_small.config, (1.0, 0.0, 0.0))

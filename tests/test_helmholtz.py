@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import jetstokes as js
-from jetstokes import helmholtz, stokesop
+from jetstokes import helmholtz, modesolve, stokesop
 from jetstokes.discretization import tables_for
 from jetstokes.fields import (
     random_smooth_vector,
@@ -181,6 +181,9 @@ def _calls(ws, v):
         "resolve": lambda: js.resolve(ws, 2j, v),
         "project_constrained": lambda: stokesop.project_constrained(ws, v),
         "tangential_traction": lambda: js.tangential_traction(ws, v),
+        "solve_mode_dirichlet": lambda: js.solve_mode_dirichlet(ws, 1, v.x),
+        "dirichlet_residual-f": lambda: modesolve.dirichlet_residual(ws, 1, v.x, own.x),
+        "dirichlet_residual-u": lambda: modesolve.dirichlet_residual(ws, 1, own.x, v.x),
         "evolve-initial": lambda: run(initial=v),
         "evolve-forcing": lambda: run(forcing=lambda t: v),
         # a forcing on the workspace's config at t = 0 only
@@ -200,6 +203,9 @@ def _calls(ws, v):
         "resolve",
         "project_constrained",
         "tangential_traction",
+        "solve_mode_dirichlet",
+        "dirichlet_residual-f",
+        "dirichlet_residual-u",
         "evolve-initial",
         "evolve-forcing",
         "evolve-forcing-later",

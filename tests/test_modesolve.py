@@ -179,6 +179,16 @@ def test_dirichlet_residual_and_tolerance(ws_small, monkeypatch):
         js.solve_mode_dirichlet(ws_small, 0, f)
 
 
+@pytest.mark.parametrize("n", [-3, 3, 7])
+def test_modes_outside_the_band_are_rejected(ws_small, n):
+    # n_z = 2: mode -3 would read index -1, which wraps to mode +2
+    f = constant_scalar(ws_small.config, 1.0)
+    with pytest.raises(ValueError, match="axial mode %d outside" % n):
+        js.solve_mode_dirichlet(ws_small, n, f)
+    with pytest.raises(ValueError, match="axial mode %d outside" % n):
+        dirichlet_residual(ws_small, n, f, f)
+
+
 def test_stability_constant_closed_form(ws_small):
     cfg = ws_small.config
     f = constant_scalar(cfg, 1.0)

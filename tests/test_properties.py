@@ -115,14 +115,14 @@ def test_mirrored_sectors_carry_their_source_pencil(cfg):
     ws = js.Workspace(cfg)
     for n in (0, 1):
         op = js.mode_operator(ws, n)
-        for s, index in zip(op.sectors, oracles.packed_index(op)):
-            if s.mirror_of is None:
+        for p in oracles.sector_parts(op):
+            if not p.mirrored:
                 continue
-            m, g = oracles.pencil_all_channels(ws, n, oracles.sector_columns(op, index))
-            assert np.max(np.abs(m - s.M)) <= 1e-12 * np.max(np.abs(m))
-            assert np.max(np.abs(g - s.G)) <= 1e-12 * np.max(np.abs(g))
+            m, g = oracles.pencil_all_channels(ws, n, oracles.sector_columns(op, p.index))
+            assert np.max(np.abs(m - p.M)) <= 1e-12 * np.max(np.abs(m))
+            assert np.max(np.abs(g - p.G)) <= 1e-12 * np.max(np.abs(g))
             # the mirror half of the stack entry repeats its source's eigenvalues
-            assert np.array_equal(op.w[index], op.w[index - 1])
+            assert np.array_equal(op.w[p.index], op.w[p.index - 1])
 
 
 @PROPERTY
@@ -130,11 +130,11 @@ def test_mirrored_sectors_carry_their_source_pencil(cfg):
 def test_sector_pencils_are_hermitian_psd(cfg):
     ws = js.Workspace(cfg)
     for n in (0, 1):
-        for s in js.mode_operator(ws, n).sectors:
-            assert np.array_equal(s.M, s.M.conj().T)
-            assert np.array_equal(s.G, s.G.conj().T)
-            assert np.min(np.linalg.eigvalsh(s.M)) > 0.0
-            assert np.min(np.linalg.eigvalsh(s.G)) >= -1e-12 * np.max(np.abs(s.G))
+        for p in oracles.sector_parts(js.mode_operator(ws, n)):
+            assert np.array_equal(p.M, p.M.conj().T)
+            assert np.array_equal(p.G, p.G.conj().T)
+            assert np.min(np.linalg.eigvalsh(p.M)) > 0.0
+            assert np.min(np.linalg.eigvalsh(p.G)) >= -1e-12 * np.max(np.abs(p.G))
 
 
 @PROPERTY

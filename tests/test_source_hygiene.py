@@ -12,8 +12,8 @@ fourth one):
 - every parameter of every function, method or lambda is read in its body
   (loaded, or discarded with an explicit del), so an argument a caller
   passes cannot be silently ignored;
-- every field of the stokesop.Sector and stokesop.ModeOperator dataclasses
-  and of the discretization._ChannelStacks and discretization._WordOrder
+- every field of the stokesop.ModeOperator dataclass and of the
+  discretization._ChannelStacks and discretization._WordOrder
   namedtuples is read as an attribute somewhere in src/jetstokes or bench
   (an attribute of an imported module, such as np.stack, does not count),
   so a refactor cannot leave a dead field behind;
@@ -185,7 +185,7 @@ def _unread_fields(fields):
     return [f for f in fields if f not in read]
 
 
-@pytest.mark.parametrize("name", ["Sector", "ModeOperator"])
+@pytest.mark.parametrize("name", ["ModeOperator"])
 def test_stokesop_dataclass_fields_are_read(name):
     fields = _dataclass_fields(_tree(SRC / "stokesop.py"), name)
     assert fields

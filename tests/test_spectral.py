@@ -71,13 +71,13 @@ def test_mode0_antiplane_family_matches_bessel_zeros(ws_name, request):
     ws = request.getfixturevalue(ws_name)
     cfg = ws.config
     op = js.mode_operator(ws, 0)
-    for s, index in zip(op.sectors, oracles.packed_index(op)):
-        j = s.info["j"]
+    for p in oracles.sector_parts(op):
+        j = p.info["j"]
         if abs(j) > cfg.n_theta - 1:
             continue
         for zero in scipy.special.jnp_zeros(abs(j), 3):
             want = cfg.mu * (zero / cfg.kappa) ** 2
-            assert np.min(np.abs(op.w[index] - want)) <= 1e-9 * want
+            assert np.min(np.abs(op.w[p.index] - want)) <= 1e-9 * want
 
 
 def test_resolve_constant_right_hand_side(ws_small):

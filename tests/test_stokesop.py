@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,9 +22,9 @@ from jetstokes.stokesop import (
     _apply_weight,
     assemble_A,
     expand_slice,
-    kernel_rayleigh_quotients,
     project_constrained,
     random_constrained_vector,
+    strong_blocks,
 )
 
 
@@ -156,16 +157,32 @@ def test_strong_block_stays_off_the_solve_path(cfg_small, monkeypatch):
     monkeypatch.undo()
     for n in range(cfg_small.n_z + 1):
         op = js.mode_operator(ws, n)
-        op.assemble_strong()
-        for s in op.sectors:
-            assert np.linalg.norm(s.A - s.G) / np.linalg.norm(s.G) < 1e-8
+        a, _ = strong_blocks(op)
+        for i in range(len(op.info)):
+            assert np.linalg.norm(a[i] - op.G[i]) / np.linalg.norm(op.G[i]) < 1e-8
 
 
 def test_kernel_rayleigh_quotients(ws_small):
     op = js.mode_operator(ws_small, 0)
-    op.assemble_strong()
-    scale = math.sqrt(sum(np.linalg.norm(s.A) ** 2 for s in op.sectors))
-    assert float(np.max(kernel_rayleigh_quotients(ws_small))) < 1e-10 * scale
+    a, _ = strong_blocks(op)
+    parts = oracles.sector_parts(op)
+    quotients = [abs(a[p.entry, c, c]) / p.M[c, c] for p in parts for c in range(p.nk)]
+    assert len(quotients) == 4
+    # the norm over every sector, each mirror counted on its own
+    scale = math.sqrt(sum(np.linalg.norm(a[p.entry]) ** 2 for p in parts))
+    assert op.sector_norm(a) == pytest.approx(scale, rel=1e-14)
+    assert max(quotients) < 1e-10 * scale
+
+
+def test_strong_blocks_refuse_an_imaginary_part(cfg_small, monkeypatch):
+    ws = js.Workspace(cfg_small)
+    op = js.mode_operator(ws, 1)
+    apply_a = stokesop._apply_A_slice
+    monkeypatch.setattr(stokesop, "_apply_A_slice", lambda *args: apply_a(*args) * (1.0 + 1e-6j))
+    # the widest reach, the last stack entry, is assembled first
+    j = op.info[-1]["j"]
+    with pytest.raises(RuntimeError, match="mode 1 sector %d strong block is not real" % j):
+        strong_blocks(op)
 
 
 @pytest.mark.parametrize("ws_name", ["ws_small", "ws_medium"])
@@ -173,13 +190,16 @@ def test_strong_operator_stays_in_its_sector(ws_name, request):
     ws = request.getfixturevalue(ws_name)
     for n in range(ws.config.n_z + 1):
         op = js.mode_operator(ws, n)
-        assert op.assemble_strong() < 1e-12
+        blocks, leak = strong_blocks(op)
+        assert np.max(leak) < 1e-12
         # the dense view is the per-sector blocks: exact zeros off-sector
         a = op.A_block
         rank = oracles.ascending_rank(op)
-        for s, index in zip(op.sectors, oracles.packed_index(op)):
-            assert np.array_equal(a[np.ix_(rank[index], rank[index])], s.A)
-        assert np.count_nonzero(a) <= sum(s.A.size for s in op.sectors)
+        parts = oracles.sector_parts(op)
+        for p in parts:
+            k = p.index.size
+            assert np.array_equal(a[np.ix_(rank[p.index], rank[p.index])], blocks[p.entry, :k, :k])
+        assert np.count_nonzero(a) <= sum(p.index.size**2 for p in parts)
 
 
 def _cached_arrays(obj):
@@ -191,22 +211,26 @@ def _cached_arrays(obj):
     elif isinstance(obj, (tuple, list)):
         for val in obj:
             yield from _cached_arrays(val)
-    elif isinstance(obj, (stokesop.ModeOperator, stokesop.Sector)):
+    elif isinstance(obj, stokesop.ModeOperator):
         yield from _cached_arrays(vars(obj))
 
 
 def test_mode_operator_caches_no_dense_block(cfg_small):
     ws = js.Workspace(cfg_small)
-    # the reads of criteria 03 and 06 and of the block export
-    kernel_rayleigh_quotients(ws)
     for n in range(cfg_small.n_z + 1):
         op = js.mode_operator(ws, n)
-        op.assemble_strong()
+        before = dict(vars(op))
+        # the reads of criteria 03 and 06 and of the block export store
+        # nothing on the operator, which is frozen
+        strong_blocks(op)
         for name in ("basis", "M_block", "G_block", "A_block"):
             getattr(op, name)
+        assert vars(op).keys() == before.keys()
+        assert all(vars(op)[key] is val for key, val in before.items())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.M = op.G
     for op in ws.mode_ops.values():
         k = op.eigen[0].size
-        assert all(s.A is not None for s in op.sectors)
         assert max(a.size for a in _cached_arrays(op)) < k * k
 
 
@@ -229,20 +253,16 @@ def test_mirrored_sectors_match_direct_builds(ws_name, request):
     for n in range(3):
         op = js.mode_operator(ws, n)
         w = op.eigen[0]
-        mirrored = [
-            (s, index)
-            for s, index in zip(op.sectors, oracles.packed_index(op))
-            if s.mirror_of is not None
-        ]
-        built = [s.info["j"] for s in op.sectors if s.mirror_of is None]
-        assert sorted(-s.info["j"] for s, _ in mirrored) == [j for j in built if j > 0]
-        for s, index in mirrored:
-            j = s.info["j"]
-            assert s.mirror_of.info["j"] == -j
+        mirrored = [p for p in oracles.sector_parts(op) if p.mirrored]
+        built = [info["j"] for info in op.info]
+        assert sorted(-p.info["j"] for p in mirrored) == [j for j in built if j > 0]
+        for p in mirrored:
+            j, index = p.info["j"], p.index
+            assert op.info[p.entry]["j"] == -j
             direct, dinfo = _direct_columns(ws, n, j)
             assert direct.shape[1] == index.size
             nk = len(dinfo.get("kernel_columns", ()))
-            assert s.nk == nk
+            assert p.nk == nk
             m, g = oracles.pencil_all_channels(ws, n, direct)
             wd = scipy.linalg.eigh(g[nk:, nk:], m[nk:, nk:], eigvals_only=True)
             assert np.max(np.abs(wd - op.w[index[nk:]])) <= 1e-12 * w[-1]
@@ -272,7 +292,7 @@ def test_mirrored_kernel_column_is_checked(cfg_small, monkeypatch):
     # sectors that sector -j built directly spans
     ws = js.Workspace(cfg_small)
     op = assemble_A(ws, 1)
-    index = next(p for s, p in zip(op.sectors, oracles.packed_index(op)) if s.info["j"] == -2)
+    index = next(p.index for p in oracles.sector_parts(op) if p.info["j"] == -2)
     q, _ = np.linalg.qr(_direct_columns(ws, 1, -2)[0])
     mirror = oracles.sector_columns(op, index)
     leak = mirror - q @ (q.conj().T @ mirror)
@@ -281,25 +301,25 @@ def test_mirrored_kernel_column_is_checked(cfg_small, monkeypatch):
 
 def test_mirrored_sectors_are_views_of_their_sources(cfg_small):
     ws = js.Workspace(cfg_small)
+    pad = 3 * cfg_small.n_modes_theta * cfg_small.n_r
     for n in range(cfg_small.n_z + 1):
         op = js.mode_operator(ws, n)
-        op.assemble_strong()
-        built = [s for s in op.sectors if s.mirror_of is None]
-        mirrored = [s for s in op.sectors if s.mirror_of is not None]
-        assert len(mirrored) == len(built) - 1
-        for s in mirrored:
-            src = s.mirror_of
-            assert any(src is b for b in built)
-            lo, hi = src.info["window"]
-            assert (s.info["j"], s.info["window"]) == (-src.info["j"], (-hi, -lo))
-            for name in ("z", "M", "G", "A"):
-                assert getattr(s, name) is getattr(src, name)
-        # mirrored sectors store nothing: the stacks hold the built
-        # sectors only, and every sector array is a view into them
+        # mirrored sectors store nothing: the stacks hold one entry per
+        # built sector j >= 0, in order of j, and sector -j is side 1 of
+        # entry j, read through the slot table on the mirrored pieces
+        built = [info["j"] for info in op.info]
+        assert built == sorted(built) and built[0] == 0
         assert op.Z.shape[0] == op.ZW.shape[0] == op.M.shape[0] == op.G.shape[0] == len(built)
-        for s in built:
-            assert np.shares_memory(s.z, op.Z)
-            assert np.shares_memory(s.M, op.M) and np.shares_memory(s.G, op.G)
+        assert len(op.nk) == len(built)
+        w = op.w.reshape(len(built), -1, 2)
+        for i, j in enumerate(built):
+            rows = np.count_nonzero(op.slots[i, :, 0] != pad)
+            if j > 0:
+                assert np.array_equal(w[i, :, 1], w[i, :, 0])
+                mirror = stokesop._piece_slots(cfg_small, j, True)
+                assert np.array_equal(op.slots[i, :rows, 1], mirror)
+            else:
+                assert not np.any(w[i, :, 1]) and np.all(op.slots[i, :, 1] == pad)
 
 
 @pytest.fixture(scope="module")
@@ -394,23 +414,23 @@ def test_order_ranks_the_packed_eigenvalues(ws_small):
         w = op.eigen[0]
         assert np.array_equal(op.w.flat[op.order], w)
         live = np.zeros(op.w.size, dtype=bool)
-        for s, index in zip(op.sectors, oracles.packed_index(op)):
+        parts = oracles.sector_parts(op)
+        for p in parts:
             # the live entries of a sector hold its pencil's eigenvalues
-            want = scipy.linalg.eigh(s.G, s.M, eigvals_only=True)
-            assert np.max(np.abs(np.sort(op.w[index]) - want)) <= 1e-12 * w[-1]
-            live[index] = True
+            want = scipy.linalg.eigh(p.G, p.M, eigvals_only=True)
+            assert np.max(np.abs(np.sort(op.w[p.index]) - want)) <= 1e-12 * w[-1]
+            live[p.index] = True
         assert np.array_equal(np.sort(op.order), np.flatnonzero(live))
         assert not np.any(op.w[~live])
         if n == 0:
             # the four kernel entries are the four lowest
-            parts = zip(op.sectors, oracles.packed_index(op))
-            kernel = [p for s, index in parts for p in index[: s.nk]]
+            kernel = [q for p in parts for q in p.index[: p.nk]]
             assert sorted(oracles.ascending_rank(op)[kernel]) == [0, 1, 2, 3]
 
 
 def test_stored_sector_arrays_are_real(cfg_small):
     # set-up stores real stacks and integer index tables only; the strong
-    # blocks are complex and are built on first strong read
+    # blocks are never stored (strong_blocks computes them on each call)
     ws = js.Workspace(cfg_small)
     for n in range(cfg_small.n_z + 1):
         op = js.mode_operator(ws, n)
@@ -449,13 +469,12 @@ def test_strong_assembly_stays_on_each_sector_reach(cfg_medium, monkeypatch):
     monkeypatch.setattr(modesolve, "_dirichlet_stack", recorded_dirichlet)
     windows = set()
     for op in ops:
-        op.assemble_strong()
+        strong_blocks(op)
         reach = set()
-        for s in op.sectors:
-            if s.mirror_of is None:
-                lo, hi = s.info["window"]
-                windows.add((lo, hi))
-                reach.add((max(lo - 2, -nt), min(hi + 2, nt)))
+        for info in op.info:
+            lo, hi = info["window"]
+            windows.add((lo, hi))
+            reach.add((max(lo - 2, -nt), min(hi + 2, nt)))
         assert {key for key in solves if key[0] == op.n} == {
             (op.n, lo - 1, hi + 1) for lo, hi in reach
         }
@@ -474,12 +493,13 @@ def test_windowed_strong_blocks_match_full_band_reference(ws_name, request):
     cfg = ws.config
     for n in range(cfg.n_z + 1):
         op = js.mode_operator(ws, n)
-        op.assemble_strong()
-        for s, index in zip(op.sectors, oracles.packed_index(op)):
-            cols = oracles.sector_columns(op, index)
-            a, leak = oracles.strong_block_full_band(ws, n, cols, s.info["j"])
-            assert np.linalg.norm(s.A - a) <= 1e-12 * np.linalg.norm(a)
-            assert abs(s.leak - leak) <= 1e-12
+        blocks, leaks = strong_blocks(op)
+        for p in oracles.sector_parts(op):
+            k = p.index.size
+            cols = oracles.sector_columns(op, p.index)
+            a, leak = oracles.strong_block_full_band(ws, n, cols, p.info["j"])
+            assert np.linalg.norm(blocks[p.entry, :k, :k] - a) <= 1e-12 * np.linalg.norm(a)
+            assert abs(leaks[p.entry] - leak) <= 1e-12
 
 
 def test_set_up_builds_nonnegative_sectors_on_their_windows(cfg_small, monkeypatch):
@@ -536,14 +556,14 @@ def test_windowed_sectors_match_all_channel_reference(ws_name, request):
         op = js.mode_operator(ws, n)
         w = op.eigen[0]
         basis = op.basis
-        for s, index in zip(op.sectors, oracles.packed_index(op)):
-            m, g = oracles.pencil_all_channels(ws, n, oracles.sector_columns(op, index))
-            assert np.max(np.abs(m - s.M)) <= 1e-12 * np.max(np.abs(m))
-            assert np.max(np.abs(g - s.G)) <= 1e-12 * np.max(np.abs(g))
-            null, _, _ = oracles.sector_nullspace_all_channels(ws, n, s.info["j"])
+        for p in oracles.sector_parts(op):
+            m, g = oracles.pencil_all_channels(ws, n, oracles.sector_columns(op, p.index))
+            assert np.max(np.abs(m - p.M)) <= 1e-12 * np.max(np.abs(m))
+            assert np.max(np.abs(g - p.G)) <= 1e-12 * np.max(np.abs(g))
+            null, _, _ = oracles.sector_nullspace_all_channels(ws, n, p.info["j"])
             mo, go = oracles.pencil_all_channels(ws, n, null)
             wo = scipy.linalg.eigh(go, mo, eigvals_only=True)
-            assert np.max(np.abs(wo - np.sort(op.w[index]))) <= 1e-12 * w[-1]
+            assert np.max(np.abs(wo - np.sort(op.w[p.index]))) <= 1e-12 * w[-1]
         null = oracles.dense_constrained_nullspace(ws, n)
         assert null.shape[1] == w.size
         leak = basis - null @ (null.conj().T @ basis)
@@ -627,13 +647,12 @@ def test_near_zero_eigenvalues_are_dissipation_quotients(ws_name, request):
     op = js.mode_operator(ws, 0)
     w = op.eigen[0]
     pinned = 0
-    for s, index in zip(op.sectors, oracles.packed_index(op)):
-        src = s if s.mirror_of is None else s.mirror_of
-        lo = src.info["window"][0]
-        for c in np.flatnonzero(op.w[index] < 1e-8 * w[-1]):
-            col = stokesop._sector_fields(cfg, src.info["j"], src.z[:, c : c + 1])[0]
-            want = oracles.dissipation_slice(ws, 0, col, lo) / src.M[c, c]
-            got = op.w[index[c]]
+    for p in oracles.sector_parts(op):
+        own = op.info[p.entry]
+        for c in np.flatnonzero(op.w[p.index] < 1e-8 * w[-1]):
+            col = stokesop._sector_fields(cfg, own["j"], p.z[:, c : c + 1])[0]
+            want = oracles.dissipation_slice(ws, 0, col, own["window"][0]) / p.M[c, c]
+            got = op.w[p.index[c]]
             assert 0.0 < got <= 1e-20 * w[-1]
             assert got == pytest.approx(want, rel=1e-12)
             pinned += 1
@@ -658,17 +677,18 @@ def test_form_sector_coercivity(ws_small):
 def test_hermiticity_and_agreement(ws_small):
     for n in range(ws_small.config.n_z + 1):
         op = js.mode_operator(ws_small, n)
-        op.assemble_strong()
-        for s in op.sectors:
-            a, g = s.A, s.G
-            assert np.linalg.norm(a - a.conj().T) / np.linalg.norm(a) < 1e-10
-            assert np.linalg.norm(a - g) / np.linalg.norm(g) < 1e-8
+        blocks, _ = strong_blocks(op)
+        for p in oracles.sector_parts(op):
+            k = p.index.size
+            a = blocks[p.entry, :k, :k]
+            assert np.linalg.norm(a - a.T) / np.linalg.norm(a) < 1e-10
+            assert np.linalg.norm(a - p.G) / np.linalg.norm(p.G) < 1e-8
         assert op.eigen[0].size == op.basis.shape[1]
-        for s in op.sectors:
-            assert s.info["sv_at_rank"] > s.info["sv_past_rank"]
+        for info in op.info:
+            assert info["sv_at_rank"] > info["sv_past_rank"]
         # one rank gap shared by every sector of the mode
-        assert min(s.info["sv_at_rank"] for s in op.sectors) > max(
-            s.info["sv_past_rank"] for s in op.sectors
+        assert min(info["sv_at_rank"] for info in op.info) > max(
+            info["sv_past_rank"] for info in op.info
         )
 
 
