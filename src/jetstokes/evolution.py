@@ -16,14 +16,25 @@ constant states persist to roundoff. Energies are sum |c|^2 and
 sum w |c|^2. The per-step residual is measured against the packed M and
 G stacks, so every step checks the eigenbasis instead of trusting it.
 
-The state and w are field coordinate arrays (n_z + 1, dim, 2) (see
+The state and w are field coordinate arrays (n_z + 1, dim, sides) (see
 stokesop.reduce_slice), so each step is a few whole-array operations: the
 recurrence, the M/G residual products (one batched product per |n|), the
 residual's per-mode scale, the energies and the Crank-Nicolson midpoint
 terms. The forcing of a block of STEP_BLOCK steps is reduced, and its
 snapshots expanded, in one call each; the forcing callable is called once
 per time point, in time order (after one extra call at t = 0 for the
-hypothesis check). w is real, so nothing here depends on the sign of n.
+hypothesis check). w is real, so the recurrence is the same on both signs
+of n.
+
+A real run carries one side. When the initial state (if any) and the
+forcing at t = 0 are flagged real (fields.real_flag), the state holds
+side 0 only (sides = 1): side 1 of a real field repeats it, so the steps,
+reductions and expansions touch modes n >= 0 only, the energies, the
+midpoint forcing term and the residual scale count each |n| > 0 twice,
+and the snapshots are flagged real. The decision reads the flags, never
+the data. A later forcing value flagged complex widens the state to two
+sides from its block on, side 1 a copy of side 0 (_two_sided), which is
+exact for a real state. EvolutionResult.coords is always two-sided.
 """
 
 import dataclasses
@@ -32,7 +43,7 @@ import math
 import numpy as np
 
 from .fieldio import write_csv
-from .fields import VectorField, _require_config, norm_L2, trace_norm_L2, trace_SF
+from .fields import VectorField, _field, _require_config, norm_L2, trace_norm_L2, trace_SF
 from .fields import grad, inner_product_Hkp
 from .helmholtz import operator_Q, project_P
 from .stokesop import (
@@ -111,10 +122,33 @@ class EvolutionResult:
 
 
 def _mode_norms(y):
-    """Euclidean norm (n_z + 1, 2) of each mode's part of field coordinates y."""
-    yr = y.view(float).reshape(y.shape[0], -1, 4)
+    """Euclidean norm (n_z + 1, sides) of each mode's part of coordinates (n_z + 1, dim, sides)."""
+    yr = y.view(float).reshape(y.shape[0], -1, 2 * y.shape[2])
     sq = np.einsum("adc,adc->ac", yr, yr)
     return np.sqrt(sq[:, 0::2] + sq[:, 1::2])
+
+
+def _two_sided(y):
+    """Coordinates (..., n_z + 1, dim, 2) of real fields from their side 0 (..., n_z + 1, dim, 1).
+
+    Side 1 of |n| > 0 repeats side 0; side 1 of |n| = 0 is padding.
+    """
+    out = np.zeros(y.shape[:-1] + (2,), dtype=complex)
+    out[..., 0] = y[..., 0]
+    out[..., 1:, :, 1] = y[..., 1:, :, 0]
+    return out
+
+
+def _side_weights(n_z, sides):
+    """Weights (n_z + 1, 1, sides) of each mode's coordinates in sums over all modes.
+
+    1 everywhere for two sides; with one side, each |n| > 0 stands for
+    +|n| and -|n| and weighs 2.
+    """
+    mult = np.ones((n_z + 1, 1, sides))
+    if sides == 1:
+        mult[1:] = 2.0
+    return mult
 
 
 def _forcing_value(ws, forcing, t):
@@ -138,6 +172,9 @@ def evolve(ws, evo):
     Raises:
         ValueError for an unknown scheme, a bad step or horizon, or an
         initial state or forcing value that is not on ws.config.
+
+    The run carries one side while the initial state and the forcing
+    values are flagged real (see the module docstring).
     """
     cfg = ws.config
     if evo.scheme not in SCHEMES:
@@ -157,7 +194,7 @@ def evolve(ws, evo):
             % (steps, dt, evo.t_final)
         )
 
-    w = field_eigenvalues(ws)
+    w_all = field_eigenvalues(ws)
     # the eigenbasis deflates the mode-0 kernel columns, which is exact
     # only while G couples to them at roundoff level
     op0 = mode_operator(ws, 0)
@@ -167,11 +204,15 @@ def evolve(ws, evo):
     if coupling > 1e-8:
         warnings.append("mode 0: dissipation form couples to the kernel (%.3e)" % coupling)
 
+    f0 = None if evo.forcing is None else _forcing_value(ws, evo.forcing, 0.0)
+    sides = 1 if all(x is None or x.real_flag for x in (evo.initial, f0)) else 2
+
     # a state is one field coordinate array
-    c = np.zeros(w.shape, dtype=complex)
+    c = np.zeros(w_all.shape[:2] + (sides,), dtype=complex)
     if evo.initial is not None:
         vnorm = norm_L2(evo.initial)
         proj, c = project_constrained(ws, evo.initial)
+        c = np.ascontiguousarray(c[:, :, :sides])
         if vnorm > 0.0:
             defect = norm_L2(evo.initial - proj) / vnorm
             if defect > 1e-8:
@@ -180,8 +221,7 @@ def evolve(ws, evo):
                     "(relative defect %.3e); evolving its projection" % defect
                 )
 
-    if evo.forcing is not None:
-        f0 = _forcing_value(ws, evo.forcing, 0.0)
+    if f0 is not None:
         n0 = norm_L2(f0)
         if n0 > 0.0:
             sol_part = norm_L2(project_P(ws, f0).solenoidal) / n0
@@ -191,18 +231,9 @@ def evolve(ws, evo):
                     "the evolution hypothesis requires P f(0) = 0" % sol_part
                 )
 
-    def reduce_forcing(ks):
-        """Forcing functionals (len(ks), ...) at the time points ks, reduced in one call."""
-        stack = np.empty((len(ks), 3, cfg.n_modes_z, cfg.n_modes_theta, cfg.n_r), complex)
-        for i, k in enumerate(ks):
-            stack[i] = _forcing_value(ws, evo.forcing, dt * k).coeffs
-        return np.moveaxis(reduce_slice(ws, stack), -1, 0)
-
     # implicit Euler evaluates G and f at the new time, Crank-Nicolson at
     # the midpoint
     theta = 1.0 if evo.scheme == "implicit-euler" else 0.5
-    keep = 1.0 - (1.0 - theta) * dt * w
-    denom = 1.0 + theta * dt * w
     t_grid = dt * np.arange(steps + 1)
     l2_arr = np.zeros(steps + 1)
     diss_arr = np.zeros(steps + 1)
@@ -210,9 +241,16 @@ def evolve(ws, evo):
     diss_mid = np.zeros(steps)
     fp_mid = np.zeros(steps)
 
-    def energies(z):
-        return np.vdot(z, z).real, np.vdot(z, w * z).real
+    def widths(sides):
+        """The eigenvalues, mode weights and step factors at a state width."""
+        w = np.ascontiguousarray(w_all[:, :, :sides])
+        return w, _side_weights(cfg.n_z, sides), 1.0 - (1.0 - theta) * dt * w, 1.0 + theta * dt * w
 
+    def energies(z):
+        mz = mult * z
+        return np.vdot(z, mz).real, np.vdot(z, w * mz).real
+
+    w, mult, keep, denom = widths(sides)
     l2_arr[0], diss_arr[0] = energies(c)
     fields = []
     r = None
@@ -221,11 +259,26 @@ def evolve(ws, evo):
         # x[i] and r[i] are the time points k0 + i; point 0 carries over,
         # except in the first block, where it is t = 0 itself
         first = 1 if k0 else 0
-        x = np.empty((k1 - k0 + 1,) + w.shape, dtype=complex)
-        x[0] = c
         if evo.forcing is not None:
-            new = reduce_forcing(range(k0 + first, k1 + 1))
+            # the block's forcing functionals, reduced in one call
+            ks = range(k0 + first, k1 + 1)
+            stack = np.empty((len(ks), 3, cfg.n_modes_z, cfg.n_modes_theta, cfg.n_r), complex)
+            real = True
+            for i, k in enumerate(ks):
+                f = _forcing_value(ws, evo.forcing, dt * k)
+                stack[i] = f.coeffs
+                real = real and f.real_flag
+            if sides == 1 and not real:
+                sides = 2
+                c = _two_sided(c)
+                r = None if r is None else _two_sided(r)
+                w, mult, keep, denom = widths(sides)
+            new = np.moveaxis(reduce_slice(ws, stack, real=sides == 1), -1, 0)
+            # freed before the block's snapshots are expanded, which reuse its memory
+            del stack
             r = np.concatenate([r[-1:], new]) if k0 else new
+        x = np.empty((k1 - k0 + 1,) + c.shape, dtype=complex)
+        x[0] = c
         for i, k in enumerate(range(k0, k1)):
             c_new = keep * c
             if r is not None:
@@ -243,23 +296,23 @@ def evolve(ws, evo):
             if r is not None:
                 d -= r_eval
                 scale += _mode_norms(r_eval)
-                fp_mid[k] = np.vdot(c_eval, r_eval).real
-            scale_sq = np.sum(scale * scale)
+                fp_mid[k] = np.vdot(c_eval, mult * r_eval).real
+            scale_sq = np.sum(mult[:, 0] * scale * scale)
             if scale_sq > 0.0:
-                res_arr[k + 1] = np.linalg.norm(d) / math.sqrt(scale_sq)
+                res_arr[k + 1] = math.sqrt(np.vdot(d, mult * d).real / scale_sq)
             diss_mid[k] = energies(c_eval)[1]
             l2_arr[k + 1], diss_arr[k + 1] = energies(c_new)
             c = c_new
         if evo.store_trajectory:
             states = expand_slice(ws, np.moveaxis(x[first:], 0, -1))
-            fields += [VectorField(cfg, v, False) for v in states]
+            fields += [_field(VectorField, cfg, v, sides == 1) for v in states]
     ident_res = ident_scale = None
     if evo.scheme == "crank-nicolson":
         lhs = np.diff(l2_arr) / dt
         ident_res = np.abs(lhs - (-2.0 * diss_mid + 2.0 * fp_mid))
         ident_scale = np.abs(lhs) + 2.0 * np.abs(diss_mid) + 2.0 * np.abs(fp_mid) + 1e-300
 
-    final = fields[-1] if fields else VectorField(cfg, expand_slice(ws, c), False)
+    final = fields[-1] if fields else _field(VectorField, cfg, expand_slice(ws, c), sides == 1)
     trace = EnergyTrace(
         t=t_grid,
         l2_norm_sq=l2_arr,
@@ -269,15 +322,17 @@ def evolve(ws, evo):
         identity_residual=ident_res,
         identity_scale=ident_scale,
     )
-    return EvolutionResult(fields=fields, trace=trace, final=final, coords=c)
+    coords = _two_sided(c) if sides == 1 else c
+    return EvolutionResult(fields=fields, trace=trace, final=final, coords=coords)
 
 
 def recover_pressure(ws, v, f=None):
     """Pressure field of a trajectory snapshot, one Dirichlet solve per |n|.
 
     q = Q v plus, when a forcing snapshot f is given, the zero-trace
-    potential solving laplacian(phi) = div(f); see helmholtz.operator_Q.
-    Both fields must be on ws.config (ValueError otherwise).
+    potential solving laplacian(phi) = div(f); see helmholtz.operator_Q,
+    which solves the slices n >= 0 only when v (and f) are real. Both
+    fields must be on ws.config (ValueError otherwise).
     """
     return operator_Q(ws, v, f)
 

@@ -25,8 +25,10 @@ header must be a JSON object with exactly the expected keys, each of the
 expected JSON type (integers are nonnegative and never booleans, flags
 are JSON booleans), and its payload must be a plain file name in the
 header's directory; the payload must hold exactly the expected number of
-finite values, and a field header must hold a valid DomainConfig. Any
-violation, invalid JSON included, raises a ValueError naming the file.
+finite values, and a field header must hold a valid DomainConfig. A field
+whose header sets real_flag must have Hermitian-symmetric coefficients
+(fields.REAL_TOL). Any violation, invalid JSON included, raises a
+ValueError naming the file.
 JSON is serialized here only (_canonical_json), verify's reports included.
 """
 
@@ -175,6 +177,11 @@ def read_field(path, mu=1.0):
 
     Returns:
         ScalarField or VectorField according to the components entry.
+
+    Raises:
+        ValueError naming the file for a malformed header or payload, or
+        for a payload that is not Hermitian symmetric when the header
+        says real_flag.
     """
     header = _read_header(path, "field", _FIELD_KEYS, _LAYOUT, ("c128",))
     if header["components"] not in (1, 3):
@@ -187,7 +194,11 @@ def read_field(path, mu=1.0):
     shape = (cfg.n_modes_z, cfg.n_modes_theta, cfg.n_r)
     if kind is VectorField:
         shape = (3,) + shape
-    return kind(cfg, _read_payload(path, header, shape), header["real_flag"])
+    coeffs = _read_payload(path, header, shape)
+    try:
+        return kind(cfg, coeffs, header["real_flag"])
+    except ValueError as exc:  # real_flag set on coefficients that are not real
+        raise ValueError("field file %s: %s" % (path, exc)) from None
 
 
 def write_matrix(path, mat):

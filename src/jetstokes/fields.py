@@ -15,6 +15,20 @@ The random generators share one draw, which symmetrizes to the real
 part when asked, and one unit-L^2 normalization (_normalized, also used
 by stokesop.random_constrained_vector).
 
+real_flag is a contract: a field flagged real has Hermitian-symmetric
+coefficients, c[..., -n, -m, :] = conj(c[..., n, m, :]) to roundoff. It is
+checked where realness enters: a caller passing real_flag=True to a
+constructor (ValueError naming the defect), fieldio.read_field and
+scalar_from_profile. Everything that derives a field from checked ones
+(arithmetic, grad, div, laplacian, the constants and random generators,
+which symmetrize exactly, and the solvers of helmholtz, stokesop and
+evolution) sets the flag through _field, which does not check again. The
+mode -n slices of a real field repeat the mode n ones (_conj_flip), so
+inner_product_Hkp of two real fields and grad of a real one compute the
+slices n >= 0 only, weigh each n > 0 twice where they sum, and mirror
+(_mirror_modes) where they return a field. The complex path is the same
+code over all slices.
+
 Derivatives in x and y couple azimuthal neighbors through the raising and
 lowering combinations (d/dr -+ m/r); multiplication by x or y couples them
 through r/2 shifts. The internal helpers therefore return arrays on a
@@ -57,6 +71,9 @@ from .discretization import _channels_first, _channels_last, apply_stack, tables
 # Highest Sobolev order the inner product supports.
 MAX_SOBOLEV_ORDER = 4
 
+# relative Hermitian defect a field may carry when a caller flags it real
+REAL_TOL = 1e-12
+
 
 def _as_order(k):
     if not isinstance(k, int) or not 0 <= k <= MAX_SOBOLEV_ORDER:
@@ -73,8 +90,11 @@ class _Field:
     Attributes:
         config: DomainConfig the coefficients refer to.
         coeffs: complex array _lead + (2*n_z+1, 2*n_theta+1, n_r).
-        real_flag: whether the field is meant to be real valued (its
-            coefficients then satisfy c[..., -n, -m, :] = conj(c[..., n, m, :])).
+        real_flag: whether the field is real valued: its coefficients
+            satisfy c[..., -n, -m, :] = conj(c[..., n, m, :]) to roundoff
+            (relative defect at most REAL_TOL). Passing True checks it
+            (ValueError otherwise); the default is False, which holds for
+            any coefficients.
 
     Arithmetic (+, -, unary -, multiplication by a scalar) keeps the kind;
     a result is real when its operands are and the scalar has no
@@ -83,9 +103,14 @@ class _Field:
 
     config: object
     coeffs: np.ndarray
-    real_flag: bool = True
+    real_flag: bool = False
 
     def __post_init__(self):
+        self._check_shape()
+        if self.real_flag:
+            _check_hermitian(self.coeffs, type(self).__name__)
+
+    def _check_shape(self):
         cfg = self.config
         want = self._lead + (cfg.n_modes_z, cfg.n_modes_theta, cfg.n_r)
         if self.coeffs.shape != want:
@@ -95,13 +120,16 @@ class _Field:
             )
 
     def copy(self):
-        return type(self)(self.config, self.coeffs.copy(), self.real_flag)
+        return _field(type(self), self.config, self.coeffs.copy(), self.real_flag)
 
     def _binary(self, other, op):
         if type(other) is not type(self) or other.config != self.config:
             raise ValueError("field mismatch in arithmetic")
-        return type(self)(
-            self.config, op(self.coeffs, other.coeffs), self.real_flag and other.real_flag
+        return _field(
+            type(self),
+            self.config,
+            op(self.coeffs, other.coeffs),
+            self.real_flag and other.real_flag,
         )
 
     def __add__(self, other):
@@ -112,12 +140,65 @@ class _Field:
 
     def __mul__(self, scalar):
         out_real = self.real_flag and getattr(scalar, "imag", 0.0) == 0.0
-        return type(self)(self.config, self.coeffs * scalar, out_real)
+        return _field(type(self), self.config, self.coeffs * scalar, out_real)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return type(self)(self.config, -self.coeffs, self.real_flag)
+        return _field(type(self), self.config, -self.coeffs, self.real_flag)
+
+
+def _field(kind, config, coeffs, real_flag):
+    """kind(config, coeffs, real_flag) without the symmetry check.
+
+    For results whose realness follows from inputs that were checked:
+    arithmetic, derivatives, the generators and the solvers. The shape is
+    still checked.
+    """
+    f = object.__new__(kind)
+    f.config, f.coeffs, f.real_flag = config, coeffs, bool(real_flag)
+    f._check_shape()
+    return f
+
+
+def _conj_flip(arr, out=None):
+    """The conjugate m-reversal of slices (..., n_m, n_r), written to out when given.
+
+    For a real field, mode -n is the conjugate m-reversal of mode n; the
+    one mirror between the two signs of n.
+    """
+    return np.conjugate(arr[..., ::-1, :], out=out)
+
+
+def _mirror_modes(arr):
+    """Write the slices n < 0 of arr (..., 2 n_z + 1, n_m, n_r) from those n > 0, in place.
+
+    This makes arr the coefficients of a real field whose slices n >= 0
+    it holds. Returns arr.
+    """
+    n_z = arr.shape[-3] // 2
+    _conj_flip(arr[..., : n_z : -1, :, :], out=arr[..., :n_z, :, :])
+    return arr
+
+
+def _whole(half):
+    """The slices (..., 2 h - 1, n_m, n_r) of a real field from its slices n >= 0 (..., h, ...)."""
+    h = half.shape[-3]
+    out = np.empty(half.shape[:-3] + (2 * h - 1,) + half.shape[-2:], dtype=complex)
+    out[..., h - 1 :, :, :] = half
+    return _mirror_modes(out)
+
+
+def _check_hermitian(coeffs, what):
+    """Raise ValueError unless coeffs are Hermitian symmetric to REAL_TOL (relative)."""
+    defect = np.linalg.norm(coeffs - _conj_flip(coeffs[..., ::-1, :, :]))
+    scale = np.linalg.norm(coeffs)
+    if not defect <= REAL_TOL * scale:
+        raise ValueError(
+            "%s is flagged real, but its coefficients are not Hermitian symmetric: "
+            "c[-n, -m] differs from conj(c[n, m]) by %.3e relative to the field"
+            % (what, defect / scale)
+        )
 
 
 class ScalarField(_Field):
@@ -128,7 +209,7 @@ class ScalarField(_Field):
 
 def _component(c):
     """Property: component c of a VectorField as a ScalarField view (shares memory)."""
-    return property(lambda self: ScalarField(self.config, self.coeffs[c], self.real_flag))
+    return property(lambda self: _field(ScalarField, self.config, self.coeffs[c], self.real_flag))
 
 
 class VectorField(_Field):
@@ -203,10 +284,22 @@ def constant_vector(config, values):
 
 
 def scalar_from_profile(config, n, m, profile, real_flag=False):
-    """Single-mode scalar field with the given radial profile."""
+    """Single-mode scalar field with the given radial profile.
+
+    real_flag=True needs (n, m) = (0, 0) and a real profile, the only
+    single-mode fields that are real (ValueError otherwise).
+    """
+    if real_flag:
+        if (n, m) != (0, 0):
+            raise ValueError(
+                "scalar_from_profile: a field at the single mode (n, m) = (%d, %d) "
+                "is not real; only (0, 0) is" % (n, m)
+            )
+        if np.any(np.imag(profile) != 0.0):
+            raise ValueError("scalar_from_profile: a real field needs a real profile")
     f = zeros_scalar(config)
     f.coeffs[config.n_z + n, config.n_theta + m, :] = profile
-    f.real_flag = real_flag
+    f.real_flag = bool(real_flag)
     return f
 
 
@@ -218,6 +311,7 @@ def rigid_rotation(config):
     f = zeros_vector(config)
     f.coeffs[0, config.n_z] = _truncate(-_mul_y(t, one), config.n_theta)
     f.coeffs[1, config.n_z] = _truncate(_mul_x(t, one), config.n_theta)
+    f.real_flag = True
     return f
 
 
@@ -336,16 +430,17 @@ def _axial_factors(config):
 
 
 def grad(u):
-    """Gradient of a scalar field as a VectorField."""
-    t = tables_for(u.config)
-    arr = u.coeffs
-    out = zeros_vector(u.config)
+    """Gradient of a scalar field as a VectorField (slices n >= 0 and a mirror when u is real)."""
+    cfg = u.config
+    t = tables_for(cfg)
+    h = cfg.n_z if u.real_flag else 0
+    arr = u.coeffs[h:]
     dx, dy = _dxy(t, arr)
-    out.coeffs[0] = _truncate(dx, u.config.n_theta)
-    out.coeffs[1] = _truncate(dy, u.config.n_theta)
-    out.coeffs[2] = _axial_factors(u.config) * arr
-    out.real_flag = u.real_flag
-    return out
+    out = np.empty((3,) + arr.shape, dtype=complex)
+    out[0] = _truncate(dx, cfg.n_theta)
+    out[1] = _truncate(dy, cfg.n_theta)
+    out[2] = _axial_factors(cfg)[h:] * arr
+    return _field(VectorField, cfg, _whole(out) if h else out, u.real_flag)
 
 
 def _div_slice(t, varr, beta, lo=None):
@@ -372,7 +467,7 @@ def div(v):
     t = tables_for(v.config)
     beta = _axial_factors(v.config).imag
     s = _div_slice(t, np.moveaxis(v.coeffs, 0, 1), beta)
-    return ScalarField(v.config, _truncate(s, v.config.n_theta), v.real_flag)
+    return _field(ScalarField, v.config, _truncate(s, v.config.n_theta), v.real_flag)
 
 
 def _lap3d_arr(t, config, arr):
@@ -382,7 +477,9 @@ def _lap3d_arr(t, config, arr):
 def laplacian(field):
     """Laplacian of a ScalarField or a VectorField (componentwise)."""
     t = tables_for(field.config)
-    return type(field)(field.config, _lap3d_arr(t, field.config, field.coeffs), field.real_flag)
+    return _field(
+        type(field), field.config, _lap3d_arr(t, field.config, field.coeffs), field.real_flag
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +487,19 @@ def laplacian(field):
 
 
 @functools.lru_cache(maxsize=None)
-def _order_scales(ell, n_z, k):
+def _order_scales(ell, n_z, k, real=False):
     """sqrt(w_j(n)) for the orders j = 0..k, shaped (k + 1, 2*n_z + 1).
 
     w_j(n) = ell * 2*pi * sum_{i <= k-j} beta_n^(2i) weighs the disk inner
-    products of transversal order j in (u, v)_{H^k_p}.
+    products of transversal order j in (u, v)_{H^k_p}. With real, only
+    n = 0..n_z are held, shaped (k + 1, n_z + 1), and w_j(n) is doubled
+    for n > 0, which then stands for -n too.
     """
-    beta_sq = (2.0 * math.pi * np.arange(-n_z, n_z + 1) / ell) ** 2
+    n = np.arange(0 if real else -n_z, n_z + 1)
+    beta_sq = (2.0 * math.pi * n / ell) ** 2
     sums = np.cumsum(beta_sq ** np.arange(k + 1)[:, None], axis=0)[::-1]
+    if real:
+        sums[:, 1:] *= 2.0
     out = np.sqrt(2.0 * math.pi * ell * sums)
     out.flags.writeable = False
     return out
@@ -428,23 +530,29 @@ def inner_product_Hkp(u, v, k=0):
     stack to them at once, and each nonzero word pair adds one dot product
     over the channels where both outputs sit.
 
+    When both fields are real, the slices n < 0 contribute the conjugates
+    of the slices n > 0: only n >= 0 are read, each n > 0 weighs twice
+    (_order_scales), and the value is the real part.
+
     Args:
         u, v: fields of the same kind on the same config.
         k: integer order, at most MAX_SOBOLEV_ORDER.
 
     Returns:
-        complex inner product value (real when u is v).
+        complex inner product value (real when u is v or both are real).
     """
     kk = _as_order(k)
     if type(u) is not type(v) or u.config != v.config:
         raise ValueError("inner product requires matching fields")
     cfg = u.config
+    real = u.real_flag and v.real_flag
+    h = cfg.n_z if real else 0
     words = tables_for(cfg).sobolev_words(cfg.n_theta, kk)
     fields = (u,) if u is v else (u, v)
     total = 0.0
-    for order, s in zip(words, _order_scales(cfg.ell, cfg.n_z, kk)):
+    for order, s in zip(words, _order_scales(cfg.ell, cfg.n_z, kk, real)):
         # ys[f][w]: word w applied to field f's scaled columns
-        ys = [order.stack @ _scaled_columns(f.coeffs, s) for f in fields]
+        ys = [order.stack @ _scaled_columns(f.coeffs[..., h:, :, :], s) for f in fields]
         if u is v:
             for w, w2, c, sa, sb in order.sym:
                 total += c * np.vdot(ys[0][w, sa], ys[0][w2, sb])
@@ -452,7 +560,7 @@ def inner_product_Hkp(u, v, k=0):
             yu, yv = (y.view(complex) for y in ys)
             for w, w2, c, sa, sb in order.pairs:
                 total += c * np.vdot(yv[w2, sb], yu[w, sa])
-    return complex(total)
+    return complex(total.real if real else total)
 
 
 def norm_Hkp(u, k=0):
@@ -523,13 +631,13 @@ def random_smooth_scalar(config, rng, margin_m=2, margin_deg=2, real=True):
     is normalized to unit L^2 norm.
     """
     coeffs = _draw_smooth_coeffs(config, rng, margin_m, margin_deg, real)
-    return _normalized(ScalarField(config, coeffs, real_flag=real))
+    return _normalized(_field(ScalarField, config, coeffs, real))
 
 
 def random_smooth_vector(config, rng, margin_m=2, margin_deg=2, real=True):
     """Random pole-regular vector field, components drawn in x, y, z order."""
     parts = [_draw_smooth_coeffs(config, rng, margin_m, margin_deg, real) for _ in range(3)]
-    return _normalized(VectorField(config, np.stack(parts), real_flag=real))
+    return _normalized(_field(VectorField, config, np.stack(parts), real))
 
 
 def random_zero_trace_potential(config, rng, margin_m=2, margin_deg=2, real=True):
@@ -551,4 +659,4 @@ def random_zero_trace_potential(config, rng, margin_m=2, margin_deg=2, real=True
         im = config.n_theta + m
         coeffs[:, im, :] -= np.outer(coeffs[:, im, 0], correction)
         coeffs[:, im, 0] = 0.0
-    return _normalized(ScalarField(config, coeffs, real_flag=real))
+    return _normalized(_field(ScalarField, config, coeffs, real))

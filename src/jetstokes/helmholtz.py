@@ -19,7 +19,10 @@ its datum.
 Each entry point forms its right-hand sides and surface data for all axial
 slices at once and makes one Dirichlet solve per |n|: modes n and -n share
 the cached inverse stack of their band, so both ride on the leading axis of
-one laplace_solve_channels call.
+one laplace_solve_channels call. When the input fields are real (real_flag,
+see fields), project_P and operator_Q form the data of the slices n >= 0
+only, solve one slice per |n| and mirror mode -n from mode n
+(fields._whole); their results are flagged real.
 
 Azimuthal bands: div(u) lives one band above u and q inherits that band;
 grad(q) is formed there and truncated back, so the reconstruction residual
@@ -38,9 +41,11 @@ from .fields import (
     _axial_factors,
     _div_slice,
     _dxy,
+    _field,
     _require_config,
     _stacks,
     _truncate,
+    _whole,
     grad,
     norm_L2,
 )
@@ -69,22 +74,25 @@ class DecompositionResult:
         return norm_L2(self.source - self.solenoidal - grad(self.potential)) / unorm
 
 
-def _slices(field):
-    """The (n_modes_z, 3, n_m, n_r) slice-major view of a VectorField."""
-    return np.moveaxis(field.coeffs, 0, 1)
+def _slices(field, h=0):
+    """The slice-major view (n_modes_z - h, 3, n_m, n_r) of a VectorField's slices from index h."""
+    return np.moveaxis(field.coeffs[:, h:], 0, 1)
 
 
 def _solve_per_abs_n(ws, rhs, surface=None):
-    """Dirichlet solves of all axial slices, one call per |n|.
+    """Dirichlet solves of axial slices, one call per |n|.
 
-    rhs (n_modes_z, n_m, n_r) and surface (n_modes_z, n_m) are indexed by
-    n + n_z. Modes n and -n share the cached stack of their band, so they are
-    stacked on the leading axis of one laplace_solve_channels call.
+    rhs (n_slices, n_m, n_r) and surface (n_slices, n_m) hold either all
+    slices, indexed by n + n_z, or the slices n >= 0 of a real field,
+    indexed by n (n_slices = n_z + 1). Modes n and -n share the cached
+    stack of their band, so with all slices they are stacked on the
+    leading axis of one laplace_solve_channels call.
     """
     n_z = ws.config.n_z
+    half = rhs.shape[0] == n_z + 1
     out = np.empty_like(rhs)
     for a in range(n_z + 1):
-        idx = [n_z - a, n_z + a] if a else [n_z]
+        idx = [a] if half else [n_z - a, n_z + a] if a else [n_z]
         out[idx] = laplace_solve_channels(
             ws, a, rhs[idx], None if surface is None else surface[idx]
         )
@@ -100,21 +108,23 @@ def project_P(ws, u):
 
     Returns:
         DecompositionResult with P u, the potential, and the relative
-        reconstruction residual, computed when it is first read.
+        reconstruction residual, computed when it is first read. Both
+        fields are real when u is.
     """
     _require_config(ws, u, "project_P: field")
     cfg = ws.config
     t = ws.tables
-    i_beta = _axial_factors(cfg)
+    h = cfg.n_z if u.real_flag else 0
+    i_beta = _axial_factors(cfg)[h:]
     # q on band n_theta + 1, the band of div(u)
-    q = _solve_per_abs_n(ws, _div_slice(t, _slices(u), i_beta.imag))
+    q = _solve_per_abs_n(ws, _div_slice(t, _slices(u, h), i_beta.imag))
     gx, gy = _dxy(t, q)
-    pot = ScalarField(cfg, np.ascontiguousarray(_truncate(q, cfg.n_theta)), False)
-    grad_q = np.stack(
-        [_truncate(gx, cfg.n_theta), _truncate(gy, cfg.n_theta), i_beta * pot.coeffs]
-    )
-    sol = VectorField(cfg, u.coeffs - grad_q, False)
-    return DecompositionResult(sol, pot, u.copy())
+    pot = np.ascontiguousarray(_truncate(q, cfg.n_theta))
+    grad_q = np.stack([_truncate(gx, cfg.n_theta), _truncate(gy, cfg.n_theta), i_beta * pot])
+    if h:
+        pot, grad_q = _whole(pot), _whole(grad_q)
+    sol = _field(VectorField, cfg, u.coeffs - grad_q, u.real_flag)
+    return DecompositionResult(sol, _field(ScalarField, cfg, pot, u.real_flag), u.copy())
 
 
 def _helical_sum(x, sign):
@@ -200,16 +210,21 @@ def operator_Q(ws, v, f=None):
 
     With a forcing field f the result also holds the zero-trace potential
     phi of f, laplacian(phi) = div(f), from the same solves: one per |n|,
-    with the surface datum and div(f) of all slices formed at once.
+    with the surface datum and div(f) of all slices formed at once. When v
+    (and f) are real, only the slices n >= 0 are formed and solved, mode
+    -n is mirrored, and the result is flagged real.
     """
     _require_config(ws, v, "operator_Q: velocity field")
     if f is not None:
         _require_config(ws, f, "operator_Q: forcing field")
     cfg = ws.config
-    beta = _axial_factors(cfg).imag
-    farr = None if f is None else _slices(f)
-    q = _solve_per_abs_n(ws, *_q_data(ws.tables, cfg, _slices(v), beta, farr))
-    return ScalarField(cfg, np.ascontiguousarray(_truncate(q, cfg.n_theta)), False)
+    real = v.real_flag and (f is None or f.real_flag)
+    h = cfg.n_z if real else 0
+    beta = _axial_factors(cfg).imag[h:]
+    farr = None if f is None else _slices(f, h)
+    q = _solve_per_abs_n(ws, *_q_data(ws.tables, cfg, _slices(v, h), beta, farr))
+    q = _truncate(q, cfg.n_theta)
+    return _field(ScalarField, cfg, _whole(q) if h else np.ascontiguousarray(q), real)
 
 
 def harmonic_extension(ws, g):

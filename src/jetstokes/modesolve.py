@@ -90,7 +90,6 @@ def solve_mode_dirichlet(ws, n, f):
     i_n = _mode_index(ws.config, n)
     u = zeros_scalar(ws.config)
     u.coeffs[i_n] = laplace_solve_channels(ws, n, f.coeffs[i_n])
-    u.real_flag = False
     res = dirichlet_residual(ws, n, f, u)
     if res > SOLVER_TOL:
         raise RuntimeError(

@@ -73,8 +73,12 @@ eigenvectors v_c, which are nonnegative by construction.
 
 Negative modes are never assembled, and negative sectors are never built.
 Coefficients of mode -n are conjugate m-reversals of mode +n quantities:
-reduce_slice / expand_slice flip the mode -n slices (_conj_flip) onto
-side 1 of the field coordinates and back (_sides names each mode's side).
+reduce_slice / expand_slice flip the mode -n slices (fields._conj_flip)
+onto side 1 of the field coordinates and back (_sides names each mode's
+side). A real field's side 1 equals its side 0, so its coordinates may
+hold side 0 only, width 1 on the side axis: reduce_slice(..., real=True)
+reads the slices n >= 0, and expand_slice writes mode -n as the mirror of
+mode n. field_product works at either width.
 The side-1 pencil is the conjugate of the mode-|n| one, with the same
 real eigenvalues, so beyond them only the resolvent shift
 (spectral._pencil_solve) sees the sign. Within a mode, the mirror
@@ -97,8 +101,11 @@ from .discretization import apply_stack
 from .fields import (
     VectorField,
     _axial_factors,
+    _conj_flip,
     _div_slice,
     _dxy,
+    _field,
+    _mirror_modes,
     _normalized,
     _pad,
     _require_config,
@@ -594,8 +601,9 @@ def strong_blocks(op):
     its reach, the window [lo - 2, hi + 2] clipped to the band, which holds
     all of A b: the block is b^H (W A b) on the window. leak (S,) is the
     relative Euclidean norm of A b outside the sector's unit embedding,
-    which bounds every off-sector entry of (A b_c, b_i). Nothing is cached;
-    the owning workspace must be alive.
+    which bounds every off-sector entry of (A b_c, b_i). Nothing is cached
+    here (verify keeps each mode's result in Workspace.strong); the owning
+    workspace must be alive.
 
     Raises:
         RuntimeError if a block's imaginary part exceeds 1e-12 of its norm.
@@ -788,16 +796,15 @@ def _mode_ops(ws):
     return [mode_operator(ws, a) for a in range(ws.config.n_z + 1)]
 
 
-def _sides(ws):
-    """(ModeOperator, side, axial index) of every mode: side 0 of |n| is +|n|, side 1 is -|n|."""
+def _sides(ws, width=2):
+    """(ModeOperator, side, axial index) of every mode: side 0 of |n| is +|n|, side 1 is -|n|.
+
+    width 1 yields side 0 only, the coordinates of a real field.
+    """
     n_z = ws.config.n_z
     for op in _mode_ops(ws):
-        for side in range(1 + (op.n > 0)):
+        for side in range(min(width, 1 + (op.n > 0))):
             yield op, side, n_z - op.n if side else n_z + op.n
-
-
-def _conj_flip(arr):
-    return np.conj(arr[..., ::-1, :])
 
 
 def _pieces(arr):
@@ -817,7 +824,7 @@ def _pieces(arr):
 
 
 def field_product(ws, name, y):
-    """Each mode's stack name ("M" or "G") times field coordinates y (n_z + 1, dim, 2, ...)."""
+    """Each mode's stack name ("M" or "G") times field coordinates y (n_z + 1, dim, 1 or 2, ...)."""
     out = np.zeros(y.shape, dtype=complex)
     for a, op in enumerate(_mode_ops(ws)):
         out[a, : op.w.size] = packed_product(getattr(op, name), y[a, : op.w.size])
@@ -833,7 +840,7 @@ def field_eigenvalues(ws):
     return w
 
 
-def reduce_slice(ws, arr):
+def reduce_slice(ws, arr, real=False):
     """Functional values r_i = (g, b_i) of a field g, or of a stack of fields.
 
     arr is (..., 3, n_modes_z, n_m, n_r); the result is the field
@@ -844,11 +851,16 @@ def reduce_slice(ws, arr):
     the slots of the piece array P takes one gather and one batched real
     product per mode, so no transient outgrows one mode's slice stack. The
     basis is M-orthonormal: these are also the L^2 projection coordinates.
+
+    With real, the fields are real: only the slices n >= 0 are read, and
+    the result holds side 0 only, (n_z + 1, dim, 1, ...); side 1 would
+    repeat it.
     """
     flat = arr.reshape((-1,) + arr.shape[-4:])
     ops = _mode_ops(ws)
-    y = np.zeros((flat.shape[0], len(ops), max(op.w.size for op in ops), 2), dtype=complex)
-    for op, side, i_n in _sides(ws):
+    width = 1 if real else 2
+    y = np.zeros((flat.shape[0], len(ops), max(op.w.size for op in ops), width), dtype=complex)
+    for op, side, i_n in _sides(ws, width):
         g = flat[:, :, i_n]
         x = _pieces(_conj_flip(g) if side else g)[op.slots].reshape(-1, flat.shape[0])
         y[:, op.n, : op.w.size, side] = packed_product(op.ZW, x).T
@@ -861,15 +873,20 @@ def expand_slice(ws, y):
 
     y is (n_z + 1, dim, 2, ...); its padding, side 1 of |n| = 0 included,
     does not contribute, and side 1 is conjugated and m-reversed back onto
-    mode -|n|. Each mode is one batched real product and one scatter.
+    mode -|n|. Each mode is one batched real product and one scatter. A y
+    of width 1 on the side axis holds real fields (reduce_slice with
+    real): only modes n >= 0 are synthesized, and mode -n is mirrored
+    from mode n.
     """
     cfg = ws.config
     lead = y.shape[3:]
     out = np.empty((math.prod(lead), 3, cfg.n_modes_z, cfg.n_modes_theta, cfg.n_r), dtype=complex)
-    for op, side, i_n in _sides(ws):
+    for op, side, i_n in _sides(ws, y.shape[2]):
         v = op.synthesize(y[op.n, : op.w.size, side].reshape(op.w.size, -1)).T
         v = v.reshape(out.shape[:2] + out.shape[3:])
         out[:, :, i_n] = _conj_flip(v) if side else v
+    if y.shape[2] == 1:
+        _mirror_modes(out)
     return out.reshape(lead + out.shape[1:])
 
 
@@ -877,12 +894,13 @@ def project_constrained(ws, v):
     """L^2-orthogonal projection of a field onto the constrained subspace.
 
     Returns (projected VectorField, its field coordinates): the basis is
-    M-orthonormal, so these are the reduced functionals (reduce_slice).
-    v must be on ws.config (ValueError otherwise).
+    M-orthonormal, so these are the reduced functionals (reduce_slice),
+    both sides of every mode. The projection is real when v is. v must be
+    on ws.config (ValueError otherwise).
     """
     _require_config(ws, v, "project_constrained: field")
     y = reduce_slice(ws, v.coeffs)
-    return VectorField(ws.config, expand_slice(ws, y), False), y
+    return _field(VectorField, ws.config, expand_slice(ws, y), v.real_flag), y
 
 
 def random_constrained_vector(ws, rng):

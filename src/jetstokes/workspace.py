@@ -2,9 +2,10 @@
 
 A Workspace owns the radial tables plus every factorization and operator
 block derived from one DomainConfig: inverses of the per-mode elliptic
-operator stacks, the real constraint rows of each angular-momentum sector
-and the assembled constrained-mode operators. All caches are filled lazily
-and never invalidated (configs are frozen).
+operator stacks, the real constraint rows of each angular-momentum sector,
+the assembled constrained-mode operators and, once a check asks, their
+strong blocks. All caches are filled lazily and never invalidated
+(configs are frozen).
 """
 
 from .discretization import tables_for
@@ -22,3 +23,6 @@ class Workspace:
         self.sector_rows = {}
         # n >= 0 -> ModeOperator, filled by stokesop.mode_operator
         self.mode_ops = {}
+        # n >= 0 -> (A, leak) of stokesop.strong_blocks, filled by the
+        # verify criteria that read them
+        self.strong = {}

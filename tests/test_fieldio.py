@@ -220,6 +220,15 @@ def test_real_flag_must_be_a_json_boolean(cfg_small, tmp_path, capsys):
         _assert_rejected(js.read_field, path, tmp_path, capsys)
 
 
+def test_real_flag_must_hold_for_the_payload(cfg_small, tmp_path, capsys):
+    path = tmp_path / "field.json"
+    js.write_field(path, random_smooth_vector(cfg_small, stream(81, "tests"), real=False))
+    _rewrite(path, real_flag=True)
+    _assert_rejected(js.read_field, path, tmp_path, capsys)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        js.read_field(path)
+
+
 def test_counts_must_be_integers(cfg_small, tmp_path, capsys):
     path = tmp_path / "field.json"
     js.write_field(path, random_smooth_vector(cfg_small, stream(80, "tests")))

@@ -254,6 +254,45 @@ def test_field_shape_validation(cfg_small):
         js.VectorField(cfg_small, np.zeros((2, 2, 2, 2), dtype=complex))
 
 
+def test_real_flag_defaults_to_false(cfg_small):
+    shape = (cfg_small.n_modes_z, cfg_small.n_modes_theta, cfg_small.n_r)
+    fields = (
+        js.ScalarField(cfg_small, np.ones(shape, dtype=complex)),
+        js.VectorField(cfg_small, np.ones((3,) + shape, dtype=complex)),
+        zeros_scalar(cfg_small),
+        zeros_vector(cfg_small),
+    )
+    assert not any(f.real_flag for f in fields)
+
+
+def test_constructors_check_a_real_flag(cfg_small):
+    u = random_smooth_vector(cfg_small, stream(5, "tests"))
+    s = random_smooth_scalar(cfg_small, stream(5, "tests"))
+    assert js.VectorField(cfg_small, u.coeffs, True).real_flag
+    assert js.ScalarField(cfg_small, s.coeffs, real_flag=True).real_flag
+    c = random_smooth_vector(cfg_small, stream(6, "tests"), real=False)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        js.VectorField(cfg_small, c.coeffs, True)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        js.ScalarField(cfg_small, c.coeffs[0], real_flag=True)
+    # one coefficient off its mirror is enough
+    bad = u.coeffs.copy()
+    bad[0, cfg_small.n_z + 1, cfg_small.n_theta, 0] += 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        js.VectorField(cfg_small, bad, True)
+
+
+def test_scalar_from_profile_rejects_a_false_real_flag(cfg_small):
+    r = tables_for(cfg_small).r
+    for n, m in ((1, 0), (0, 1), (-1, 2)):
+        with pytest.raises(ValueError, match="not real"):
+            scalar_from_profile(cfg_small, n, m, r, real_flag=True)
+        assert not scalar_from_profile(cfg_small, n, m, r).real_flag
+    with pytest.raises(ValueError, match="real profile"):
+        scalar_from_profile(cfg_small, 0, 0, (1.0 + 1j) * r, real_flag=True)
+    assert scalar_from_profile(cfg_small, 0, 0, r + 0j, real_flag=True).real_flag
+
+
 # each kind's constant field of amplitude a, and the other kind
 _KINDS = {
     "scalar": (constant_scalar, "vector"),
