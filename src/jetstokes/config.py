@@ -77,8 +77,11 @@ class DomainConfig:
             raise ConfigError("domain.mu must be positive")
         if self.n_r < 4:
             raise ConfigError("domain.n_r must be at least 4")
-        if self.n_theta < 1:
-            raise ConfigError("domain.n_theta must be at least 1")
+        if self.n_theta < 2:
+            raise ConfigError(
+                "domain.n_theta must be at least 2: sectors j = +-1 must be complete "
+                "to hold the mode-0 kernel fields e1 +- i e2"
+            )
         if self.n_z < 0:
             raise ConfigError("domain.n_z must be nonnegative")
 

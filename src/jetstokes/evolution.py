@@ -32,8 +32,9 @@ side 0 only (sides = 1): side 1 of a real field repeats it, so the steps,
 reductions and expansions touch modes n >= 0 only, the energies, the
 midpoint forcing term and the residual scale count each |n| > 0 twice,
 and the snapshots are flagged real. The decision reads the flags, never
-the data. A later forcing value flagged complex widens the state to two
-sides from its block on, side 1 a copy of side 0 (_two_sided), which is
+the data. A real initial state is projected on side 0 only. A complex
+f(0), or a later forcing value flagged complex, widens the state to two
+sides (from its block on), side 1 a copy of side 0 (_two_sided), which is
 exact for a real state. EvolutionResult.coords is always two-sided.
 """
 
@@ -198,7 +199,8 @@ def evolve(ws, evo):
     # the eigenbasis deflates the mode-0 kernel columns, which is exact
     # only while G couples to them at roundoff level
     op0 = mode_operator(ws, 0)
-    kernel_rows = np.arange(op0.G.shape[1])[:, None] < np.array(op0.nk)[:, None, None]
+    nk = [len(info["kernel_columns"]) for info in op0.info]
+    kernel_rows = np.arange(op0.G.shape[1])[:, None] < np.array(nk)[:, None, None]
     coupling = op0.sector_norm(np.where(kernel_rows, op0.G, 0.0))
     coupling /= max(op0.sector_norm(op0.G), 1e-300)
     if coupling > 1e-8:
@@ -212,7 +214,8 @@ def evolve(ws, evo):
     if evo.initial is not None:
         vnorm = norm_L2(evo.initial)
         proj, c = project_constrained(ws, evo.initial)
-        c = np.ascontiguousarray(c[:, :, :sides])
+        if c.shape[2] < sides:
+            c = _two_sided(c)
         if vnorm > 0.0:
             defect = norm_L2(evo.initial - proj) / vnorm
             if defect > 1e-8:

@@ -84,10 +84,11 @@ real eigenvalues, so beyond them only the resolvent shift
 (spectral._pencil_solve) sees the sign. Within a mode, the mirror
 theta -> -theta with u_y -> -u_y sends channel m to -m and swaps the u+
 and u- pieces (_mirror_piece); it commutes with every constraint and with
-both forms and maps sector j onto sector -j. So only j = 0..n_theta+1 are
-built, and sector -j is side 1 of sector j's stack entry: the slot table
-reads its pieces at the mirrored entries, and every block of entry j
-stands for both sectors.
+both forms and maps sector j onto sector -j. The band |m| <= n_theta holds
+all three pieces of sector j only for |j| < n_theta, so only these
+complete sectors j = 0..n_theta-1 are built, as stack entries j, and
+sector -j is side 1 of entry j: the slot table reads its pieces at the
+mirrored entries, and every block of entry j stands for both sectors.
 """
 
 import dataclasses
@@ -139,13 +140,13 @@ _PAIRS = (
 class ModeOperator:
     """One axial mode in the eigenbasis of its pencil, as packed real stacks.
 
-    The S built sectors j >= 0 are packed, in order of j, into zero-padded
-    real stacks: Z (S, K_max, 3 n_r) holds each sector's coordinates z on
-    its unit fields transposed, ZW the same with the unit Gram folded in
-    ((M_u z)^T), and M and G (S, K_max, K_max) its blocks. info holds each
-    entry's basis record (build_constrained_basis; K_j is its "dim") and nk
-    its number of leading kernel columns. Sector -j is entry j read on the
-    mirrored pieces, so an entry j > 0 stands for two sectors (sector_norm).
+    The S = n_theta built sectors j are packed, as entries j, into
+    zero-padded real stacks: Z (S, K_max, 3 n_r) holds each sector's
+    coordinates z on its unit fields transposed, ZW the same with the unit
+    Gram folded in ((M_u z)^T), and M and G (S, K_max, K_max) its blocks.
+    info holds each entry's basis record (build_constrained_basis; K_j is
+    its "dim"). Sector -j is entry j read on the mirrored pieces, so an
+    entry j > 0 stands for two sectors (sector_norm).
 
     The mode's coordinates are packed alike: (dim, ...) with
     dim = S * K_max * 2 in (stack entry, column, [sector j, mirror -j])
@@ -173,7 +174,6 @@ class ModeOperator:
 
     n: int
     info: tuple
-    nk: tuple
     eigen: tuple
     Z: np.ndarray
     ZW: np.ndarray
@@ -187,7 +187,7 @@ class ModeOperator:
     def sector_norm(self, stack):
         """Frobenius norm of a packed stack (S, ...) over all sectors: entry j > 0 counts twice."""
         sq = np.linalg.norm(stack.reshape(len(self.info), -1), axis=1) ** 2
-        return math.sqrt(sum((1 + (info["j"] > 0)) * x for info, x in zip(self.info, sq)))
+        return math.sqrt(sq[0] + 2.0 * sq[1:].sum())
 
     def _eye(self):
         """Packed coordinates (dim, K) of the eigenvectors in ascending order."""
@@ -304,8 +304,10 @@ def _apply_weight(t, ell, arr, lo=None):
 
 
 def _sector_window(cfg, j):
-    """The channel window (lo, hi) of sector j: m in [j - 1, j + 1] within the band."""
-    return max(j - 1, -cfg.n_theta), min(j + 1, cfg.n_theta)
+    """The channel window (j - 1, j + 1) of sector j; ValueError unless the band holds it."""
+    if abs(j) >= cfg.n_theta:
+        raise ValueError("sector j = %d is not complete in the band |m| <= %d" % (j, cfg.n_theta))
+    return j - 1, j + 1
 
 
 def _window_rows(cfg, lo, hi):
@@ -314,8 +316,8 @@ def _window_rows(cfg, lo, hi):
     return full[:, cfg.n_theta + lo : cfg.n_theta + hi + 1].reshape(-1)
 
 
-def _sector_pieces(cfg, j):
-    """(kind, m, Cartesian vector) of each piece of sector j that lies in the band.
+def _sector_pieces(j):
+    """(kind, m, Cartesian vector) of each piece of sector j.
 
     u+ = u_x + i u_y at m = j + 1 (kind 0), u- = u_x - i u_y at m = j - 1
     (kind 1) and u_z at m = j (kind 2). The vectors are the columns of the
@@ -323,8 +325,7 @@ def _sector_pieces(cfg, j):
     carries the phase i, which cancels the i of d/dz = i beta (see
     _sector_units).
     """
-    pieces = [(0, j + 1), (1, j - 1), (2, j)]
-    return [(p, m, _PIECE_VECTORS[:, p]) for p, m in pieces if abs(m) <= cfg.n_theta]
+    return [(p, m, _PIECE_VECTORS[:, p]) for p, m in ((0, j + 1), (1, j - 1), (2, j))]
 
 
 def _mirror_piece(kind, m):
@@ -339,7 +340,7 @@ def _mirror_piece(kind, m):
 def _piece_slots(cfg, j, mirrored=False):
     """Piece-array entries (_pieces) of the rows of sector j's z, or of their mirror images."""
     out = []
-    for kind, m, _ in _sector_pieces(cfg, j):
+    for kind, m, _ in _sector_pieces(j):
         if mirrored:
             kind, m = _mirror_piece(kind, m)
         start = (kind * cfg.n_modes_theta + cfg.n_theta + m) * cfg.n_r
@@ -348,19 +349,17 @@ def _piece_slots(cfg, j, mirrored=False):
 
 
 def _sector_fields(cfg, j, z):
-    """Window fields (K, 3, n_w, n_r) of the sector-j coordinates z (k, K).
+    """Window fields (K, 3, 3, n_r) of the sector-j coordinates z (k, K).
 
     Row p * n_r + i of z is the coefficient of the unit field at node i of
-    piece p of _sector_pieces, on the n_w channels of _sector_window.
+    piece p of _sector_pieces, on the three channels of _sector_window.
     """
-    lo, hi = _sector_window(cfg, j)
+    lo = _sector_window(cfg, j)[0]
     nr = cfg.n_r
-    out = np.zeros((z.shape[1], 3, hi - lo + 1, nr), dtype=complex)
-    for p, (_, m, vec) in enumerate(_sector_pieces(cfg, j)):
-        zp = z[p * nr : (p + 1) * nr].T
-        for c in range(3):
-            if vec[c]:
-                out[:, c, m - lo] = vec[c] * zp
+    out = np.zeros((z.shape[1], 3, 3, nr), dtype=complex)
+    for p, (_, m, vec) in enumerate(_sector_pieces(j)):
+        c = np.flatnonzero(vec)
+        out[:, c, m - lo] = vec[c, None] * z[p * nr : (p + 1) * nr].T[:, None]
     return out
 
 
@@ -368,20 +367,15 @@ def _sector_units(cfg, j):
     """Unit fields of angular-momentum sector j on its channel window.
 
     Sector j holds u+ = u_x + i u_y at m = j + 1, u- = u_x - i u_y at
-    m = j - 1 and i u_z at m = j (_sector_pieces); pieces outside the band
-    are dropped. With the z piece multiplied by i, every constraint row on
-    these units is a unit phase times a real row, as for the helical
-    components of polar spectral bases (Matsushima & Marcus, JCP 120,
-    1995): the nullspace has a real basis, and the Gram M_u and the
-    dissipation form on the units are real. So the sector's pencil is
-    real symmetric.
-
-    Returns (units, m_abs): units (k, 3, n_w, n_r) on the n_w channels of
-    _sector_window(cfg, j), k = n_r per piece, and the |m| of each piece
-    in order.
+    m = j - 1 and i u_z at m = j (_sector_pieces). With the z piece
+    multiplied by i, every constraint row on these units is a unit phase
+    times a real row, as for the helical components of polar spectral
+    bases (Matsushima & Marcus, JCP 120, 1995): the nullspace has a real
+    basis, and the Gram M_u and the dissipation form on the units are
+    real. So the sector's pencil is real symmetric. Returns the k = 3 n_r
+    units (k, 3, 3, n_r) on the channels of _sector_window(cfg, j).
     """
-    pieces = _sector_pieces(cfg, j)
-    return _sector_fields(cfg, j, np.eye(len(pieces) * cfg.n_r)), [abs(m) for _, m, _ in pieces]
+    return _sector_fields(cfg, j, np.eye(3 * cfg.n_r))
 
 
 def _unit_weight(t, cfg, j, z):
@@ -393,29 +387,29 @@ def _unit_weight(t, cfg, j, z):
     """
     nr = cfg.n_r
     out = np.empty(z.shape)
-    for p, (_, m, _) in enumerate(_sector_pieces(cfg, j)):
+    for p, (_, m, _) in enumerate(_sector_pieces(j)):
         out[p * nr : (p + 1) * nr] = t.gram(1 if m % 2 == 0 else -1) @ z[p * nr : (p + 1) * nr]
     return 2.0 * math.pi * cfg.ell * out
 
 
-def _constraint_rows(t, cfg, units, m_abs, beta, lo):
-    """Complex constraint rows of a sector at axial wavenumber beta.
+def _constraint_rows(t, cfg, j, units, beta):
+    """Complex constraint rows of sector j at axial wavenumber beta.
 
     Divergence at every collocation point (window + 1) and the polar
     tangential traces tau_rtheta and tau_rz at r = kappa (window + 1,
     helmholtz._surface_stresses), applied to the sector's unit fields
-    units on the channels from lo, and the pole regularity rows of each
-    piece of order m_abs. Sector j's pieces all reach the surface traces
-    at m = j, so only two traction rows are nonzero: the stress-free
-    condition has rank 2 per sector, known in advance.
+    units (_sector_units), and the pole regularity rows of each piece.
+    Sector j's pieces all reach the surface traces at m = j, so only two
+    traction rows are nonzero: the stress-free condition has rank 2 per
+    sector, known in advance.
     """
-    k = units.shape[0]
+    k, lo = units.shape[0], j - 1
     tangential = _surface_stresses(t, cfg.mu, units, beta, lo)[:, 1:]
     return np.concatenate(
         [
             _div_slice(t, units, beta, lo).reshape(k, -1).T,
             tangential.reshape(k, -1).T,
-            scipy.linalg.block_diag(*[t.pole_rows(m) for m in m_abs]),
+            scipy.linalg.block_diag(*[t.pole_rows(abs(m)) for _, m, _ in _sector_pieces(j)]),
         ]
     )
 
@@ -437,10 +431,9 @@ def _sector_rows(ws, j):
     got = ws.sector_rows.get(j)
     if got is None:
         cfg, t = ws.config, ws.tables
-        units, m_abs = _sector_units(cfg, j)
-        lo = _sector_window(cfg, j)[0]
-        c0 = _constraint_rows(t, cfg, units, m_abs, 0.0, lo)
-        c = np.concatenate([c0, _constraint_rows(t, cfg, units, m_abs, 1.0, lo) - c0], axis=1)
+        units = _sector_units(cfg, j)
+        c0 = _constraint_rows(t, cfg, j, units, 0.0)
+        c = np.concatenate([c0, _constraint_rows(t, cfg, j, units, 1.0) - c0], axis=1)
         c = c[c.any(axis=1)]
         big = c[np.arange(c.shape[0]), np.argmax(np.abs(c), axis=1)]
         c *= (np.conj(big) / np.abs(big))[:, None]
@@ -467,9 +460,8 @@ def _kernel_fields(cfg, j):
         fields = [constant_vector(cfg, (1.0, 1j * j, 0.0))]
     else:
         fields = []
-    lo, hi = _sector_window(cfg, j)
-    window = slice(cfg.n_theta + lo, cfg.n_theta + hi + 1)
-    return [f.coeffs[:, cfg.n_z, window].reshape(-1) for f in fields]
+    lo = cfg.n_theta + _sector_window(cfg, j)[0]
+    return [f.coeffs[:, cfg.n_z, lo : lo + 3].reshape(-1) for f in fields]
 
 
 def build_constrained_basis(ws, n, j):
@@ -486,19 +478,20 @@ def build_constrained_basis(ws, n, j):
     Args:
         ws: Workspace.
         n: axial mode (any sign).
-        j: angular-momentum sector, -n_theta-1..n_theta+1.
+        j: angular-momentum sector, complete in the band: |j| < n_theta.
 
     Returns:
         (basis, info): basis is (k, K_j) real, the columns' coordinates on
         the sector's k unit fields (_sector_fields maps them to window
-        fields); info records the window as (lo, hi), sizes and the
-        singular value split at the cutoff (sv_at_rank / sv_past_rank).
-        For n = 0 the sector's kernel fields (see _kernel_fields), each
-        times the unit phase that makes its coordinates real, lead the
-        basis with unit L^2 norm, their indices in info["kernel_columns"],
-        and the rest is L^2-orthogonal to them.
+        fields); info records the window as (lo, hi), sizes, the singular
+        value split at the cutoff (sv_at_rank / sv_past_rank) and the
+        indices of the leading kernel columns ("kernel_columns"): for n = 0
+        the sector's kernel fields (see _kernel_fields), each times the
+        unit phase that makes its coordinates real, lead the basis with
+        unit L^2 norm, and the rest is L^2-orthogonal to them.
 
     Raises:
+        ValueError if |j| >= n_theta (_sector_window).
         RuntimeError if the known kernel fields fail the constraints or do
         not lie in the computed nullspace.
     """
@@ -528,6 +521,7 @@ def build_constrained_basis(ws, n, j):
         "sv_max": float(s[0]),
         "sv_at_rank": float(s[rank - 1]) if rank else 0.0,
         "sv_past_rank": float(s[rank]) if rank < s.size else 0.0,
+        "kernel_columns": (),
     }
     kern = _kernel_fields(cfg, j) if n == 0 else []
     if not kern:
@@ -536,7 +530,7 @@ def build_constrained_basis(ws, n, j):
     # mode 0: install the sector's known kernel as exact leading columns;
     # each field's coordinates are a unit phase times real ones
     nk = len(kern)
-    units = _sector_units(cfg, j)[0].reshape(null.shape[0], -1)
+    units = _sector_units(cfg, j).reshape(null.shape[0], -1)
     kc = np.conj(units) @ np.array(kern).T
     big = kc[np.argmax(np.abs(kc), axis=0), np.arange(nk)]
     kc = (kc * (np.conj(big) / np.abs(big))).real
@@ -595,15 +589,15 @@ def _apply_A_slice(ws, n, varr, lo=None):
 def strong_blocks(op):
     """Strong blocks and leaks of a mode's built sectors: (A, leak).
 
-    A (S, K_max, K_max) is a packed real stack like op.M and op.G: entry i
-    holds (A b_c, b_i) over its columns, zero on the padding, and stands
-    for its mirror -j too. A is applied to each sector's window fields on
-    its reach, the window [lo - 2, hi + 2] clipped to the band, which holds
-    all of A b: the block is b^H (W A b) on the window. leak (S,) is the
-    relative Euclidean norm of A b outside the sector's unit embedding,
-    which bounds every off-sector entry of (A b_c, b_i). Nothing is cached
-    here (verify keeps each mode's result in Workspace.strong); the owning
-    workspace must be alive.
+    A (S, K_max, K_max) is a packed real stack like op.M and op.G: entry j
+    holds (A b_c, b_i) over sector j's columns, zero on the padding, and
+    stands for its mirror -j too. A is applied to each sector's window
+    fields on its reach, the window [lo - 2, hi + 2] clipped to the band,
+    which holds all of A b: the block is b^H (W A b) on the window. leak
+    (S,) is the relative Euclidean norm of A b outside the sector's unit
+    embedding, which bounds every off-sector entry of (A b_c, b_i). Nothing
+    is cached here (verify keeps each mode's result in Workspace.strong);
+    the owning workspace must be alive.
 
     Raises:
         RuntimeError if a block's imaginary part exceeds 1e-12 of its norm.
@@ -613,11 +607,11 @@ def strong_blocks(op):
     a = np.zeros(op.M.shape)
     leak = np.zeros(len(op.info))
     # widest reach first, so each cached stack is built once on its band
-    for i in reversed(range(len(op.info))):
-        j, (lo, hi), k = op.info[i]["j"], op.info[i]["window"], op.info[i]["dim"]
+    for j in reversed(range(len(op.info))):
+        (lo, hi), k = op.info[j]["window"], op.info[j]["dim"]
         rlo, rhi = max(lo - 2, -cfg.n_theta), min(hi + 2, cfg.n_theta)
         win = slice(lo - rlo, hi - rlo + 1)
-        fields = _sector_fields(cfg, j, op.Z[i, :k].T)
+        fields = _sector_fields(cfg, j, op.Z[j, :k].T)
         barr = np.zeros((k, 3, rhi - rlo + 1, cfg.n_r), dtype=complex)
         barr[:, :, win] = fields
         ab = _apply_A_slice(ws, op.n, barr, rlo)
@@ -628,27 +622,27 @@ def strong_blocks(op):
                 "mode %d sector %d strong block is not real: relative imaginary part %.3e"
                 % (op.n, j, np.linalg.norm(block.imag) / np.linalg.norm(block))
             )
-        a[i, :k, :k] = block.real
+        a[j, :k, :k] = block.real
         total = np.linalg.norm(ab)
         # the unit embedding lives on the sector's window
-        units = _sector_units(cfg, j)[0].reshape(-1, fields[0].size)
+        units = _sector_units(cfg, j).reshape(-1, fields[0].size)
         abw = ab[:, :, win].reshape(k, -1)
         ab[:, :, win] = (abw - (abw @ units.conj().T) @ units).reshape(fields.shape)
-        leak[i] = np.linalg.norm(ab) / total
+        leak[j] = np.linalg.norm(ab) / total
     return a, leak
 
 
-def _dissipation_factor(t, cfg, j, z, beta, lo):
+def _dissipation_factor(t, cfg, j, z, beta):
     """F^T for sector j's coordinates z (k, K): (K, N) reals, |F y|^2 the dissipation of z y.
 
     Row c holds the strain entries (_sym_entries) of column c's field on
-    the channels lo - 1..hi + 1 through the Cholesky factor L^T of each
+    the channels j - 2..j + 2 through the Cholesky factor L^T of each
     channel's Gram, each entry scaled by sqrt(mu/2 2 pi ell) and the
     square root of its multiplicity, as interleaved reals.
     """
-    entries = _sym_entries(t, _sector_fields(cfg, j, z), beta, lo)
+    entries = _sym_entries(t, _sector_fields(cfg, j, z), beta, j - 1)
     e = np.stack([entries[key] for key, _ in _PAIRS], axis=1)
-    f = apply_stack(_stacks(t, e, lo - 1).factor, e)
+    f = apply_stack(_stacks(t, e, j - 2).factor, e)
     scales = np.sqrt([wgt * math.pi * cfg.mu * cfg.ell for _, wgt in _PAIRS])
     f *= scales[:, None, None]
     return f.reshape(z.shape[1], -1).view(float)
@@ -657,8 +651,8 @@ def _dissipation_factor(t, cfg, j, z, beta, lo):
 def assemble_A(ws, n):
     """Assemble mode n sector by sector, in the eigenbasis of its pencil.
 
-    Only the sectors j = 0..n_theta+1 are built: each gets its own
-    constrained basis Z, real coordinates on its unit fields, its own M
+    Only the complete sectors j = 0..n_theta-1 are built: each gets its
+    own constrained basis Z, real coordinates on its unit fields, its own M
     from the unit Gram and G from the strain entries of its columns, and a
     real pencil eigh on its non-kernel columns, all on its channel window.
     They are packed into the real stacks of ModeOperator. The mirror
@@ -675,27 +669,24 @@ def assemble_A(ws, n):
     t = ws.tables
     beta = cfg.beta(n)
     built = []
-    for j in range(cfg.n_theta + 2):
+    for j in range(cfg.n_theta):
         z, info = build_constrained_basis(ws, n, j)
         k = z.shape[1]
-        if k == 0:
-            continue
-        lo = info["window"][0]
         zw = _unit_weight(t, cfg, j, z)
         m = z.T @ zw
         m = 0.5 * (m + m.T)
-        f = _dissipation_factor(t, cfg, j, z, beta, lo)
+        f = _dissipation_factor(t, cfg, j, z, beta)
         # numpy runs f @ f.T as one syrk, so G = F^T F is exactly symmetric
         g = f @ f.T
 
         # the installed kernel columns lead the sector and are deflated
-        nk = len(info.get("kernel_columns", ()))
+        nk = len(info["kernel_columns"])
         w = np.zeros(k)
         v = np.zeros((k, k))
         v[:nk, :nk] = np.diag(1.0 / np.sqrt(np.diag(m)[:nk]))
         w[nk:], v[nk:, nk:] = scipy.linalg.eigh(g[nk:, nk:], m[nk:, nk:])
         m, g = v.T @ (m @ v), v.T @ (g @ v)
-        built.append((info, nk, z @ v, zw @ v, 0.5 * (m + m.T), 0.5 * (g + g.T), w))
+        built.append((info, z @ v, zw @ v, 0.5 * (m + m.T), 0.5 * (g + g.T), w))
 
     # the packed real stacks; a sector and its mirror -j share a stack
     # entry, sides 0 and 1 of the packed coordinates and of the slot table
@@ -707,22 +698,22 @@ def assemble_A(ws, n):
     slots = np.full((len(built), zs.shape[2], 2), 3 * cfg.n_modes_theta * cfg.n_r)
     lam_max = max(float(np.max(np.abs(w))) for *_, w in built)
     mirrored, own = [], []
-    for i, (info, _, z, zw, m, g, w) in enumerate(built):
-        j, lo, (rows, k) = info["j"], info["window"][0], z.shape
-        zs[i, :k, :rows], zws[i, :k, :rows] = z.T, zw.T
-        ms[i, :k, :k], gs[i, :k, :k] = m, g
+    for j, (info, z, zw, m, g, w) in enumerate(built):
+        k = z.shape[1]
+        zs[j, :k], zws[j, :k] = z.T, zw.T
+        ms[j, :k, :k], gs[j, :k, :k] = m, g
         # near-zero eigenvalues as |F v_c|^2 / M_cc, nonnegative by construction
         near = np.flatnonzero(np.abs(w) < 1e-8 * lam_max)
         if near.size:
-            f = _dissipation_factor(t, cfg, j, z[:, near], beta, lo)
+            f = _dissipation_factor(t, cfg, j, z[:, near], beta)
             w[near] = np.einsum("ci,ci->c", f, f) / np.diag(m)[near]
         res = np.linalg.norm(g - m * w, axis=0) / np.sqrt(np.diag(m))
-        index = 2 * (i * k_max + np.arange(k))
+        index = 2 * (j * k_max + np.arange(k))
         own.append((index, w, res))
-        slots[i, :rows, 0] = _piece_slots(cfg, j)
+        slots[j, :, 0] = _piece_slots(cfg, j)
         if j > 0:
             mirrored.insert(0, (index + 1, w, res))
-            slots[i, :rows, 1] = _piece_slots(cfg, j, True)
+            slots[j, :, 1] = _piece_slots(cfg, j, True)
     index, w, res = (np.concatenate(a) for a in zip(*(mirrored + own)))
     # ascending order, ties in the order of sectors (j = -J..J)
     rank = np.argsort(w, kind="stable")
@@ -731,7 +722,6 @@ def assemble_A(ws, n):
     op = ModeOperator(
         n=int(n),
         info=tuple(info for info, *_ in built),
-        nk=tuple(nk for _, nk, *_ in built),
         eigen=(w[rank], res[rank]),
         Z=zs,
         ZW=zws,
@@ -743,12 +733,12 @@ def assemble_A(ws, n):
         ws=weakref.ref(ws),
     )
     if n == 0:
-        _check_mirrored_kernel(op, [info["j"] for info in op.info].index(1))
+        _check_mirrored_kernel(op)
     return op
 
 
-def _check_mirrored_kernel(op, i):
-    """Raise RuntimeError unless sector -1 of mode 0, the mirror of entry i, leads with e1 - i e2.
+def _check_mirrored_kernel(op):
+    """Raise RuntimeError unless sector -1 of mode 0, the mirror of entry 1, leads with e1 - i e2.
 
     Its first column, synthesized through the slot table as every request
     reads it, must equal the kernel field of _kernel_fields(cfg, -1) at
@@ -762,13 +752,13 @@ def _check_mirrored_kernel(op, i):
     wkern = _apply_weight(ws.tables, cfg.ell, kern.reshape(1, 3, -1, cfg.n_r), lo)
     kern = kern / np.sqrt(np.vdot(kern, wkern.reshape(-1)).real)
     unit = np.zeros((op.w.size, 1))
-    unit[2 * i * op.M.shape[1] + 1] = 1.0
+    unit[2 * op.M.shape[1] + 1] = 1.0
     col = op.synthesize(unit)[_window_rows(cfg, lo, hi), 0]
     err = np.max(np.abs(col - kern)) / np.max(np.abs(kern))
-    if op.nk[i] != 1 or not err <= 1e-12:
+    if not err <= 1e-12:
         raise RuntimeError(
-            "mirrored sector -1 of mode 0 does not lead with e1 - i e2: "
-            "%d kernel columns, relative deviation %.3e" % (op.nk[i], err)
+            "mirrored sector -1 of mode 0 does not lead with e1 - i e2: relative "
+            "deviation %.3e" % err
         )
 
 
@@ -895,11 +885,12 @@ def project_constrained(ws, v):
 
     Returns (projected VectorField, its field coordinates): the basis is
     M-orthonormal, so these are the reduced functionals (reduce_slice),
-    both sides of every mode. The projection is real when v is. v must be
-    on ws.config (ValueError otherwise).
+    both sides of every mode, or side 0 only, (n_z + 1, dim, 1), when v is
+    flagged real, as the projection then is. v must be on ws.config
+    (ValueError otherwise).
     """
     _require_config(ws, v, "project_constrained: field")
-    y = reduce_slice(ws, v.coeffs)
+    y = reduce_slice(ws, v.coeffs, real=v.real_flag)
     return _field(VectorField, ws.config, expand_slice(ws, y), v.real_flag), y
 
 

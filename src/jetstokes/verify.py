@@ -58,7 +58,7 @@ def _c01_mode_solver(ws, seed):
     errs = []
     for nr in sizes:
         cfg = DomainConfig(
-            kappa=base.kappa, ell=base.ell, mu=base.mu, n_r=nr, n_theta=1, n_z=1
+            kappa=base.kappa, ell=base.ell, mu=base.mu, n_r=nr, n_theta=2, n_z=1
         )
         w = Workspace(cfg)
         beta = cfg.beta(1)
@@ -143,7 +143,8 @@ def _c03_kernel(ws, seed):
     op0 = mode_operator(ws, 0)
     a, _ = _strong_blocks(ws, 0)
     # |(A b_k, b_k)| / (b_k, b_k) over the installed kernel columns
-    quotients = [abs(a[i, c, c]) / op0.M[i, c, c] for i, nk in enumerate(op0.nk) for c in range(nk)]
+    kernel = [(i, c) for i, info in enumerate(op0.info) for c in info["kernel_columns"]]
+    quotients = [abs(a[i, c, c]) / op0.M[i, c, c] for i, c in kernel]
     ray = float(max(quotients)) / op0.sector_norm(a)
     dim0 = kernel_dimension(ws)
     cfg2 = dataclasses.replace(cfg, n_r=cfg.n_r + 8, n_theta=cfg.n_theta + 2)

@@ -170,9 +170,13 @@ def dense_constrained_nullspace(ws, n):
 
     The package's divergence and pole rows and the Cartesian tangential
     traction rows (cartesian_tangential_traction) are applied to every one
-    of the 3*n_m*n_r Cartesian unit fields at once; rows are normalized,
-    and the nullspace is cut at SVD_TOL * s_max of the whole mode. Returns
-    orthonormal columns in (component, m, r) order.
+    of the 3*n_m*n_r Cartesian unit fields at once, with rows that zero
+    the pieces of the sectors the band clips (|j| >= n_theta): u- at
+    m = n_theta - 1 and n_theta, u+ at m = -(n_theta - 1) and -n_theta,
+    and u_z at m = +-n_theta. Every constraint commutes with the sectors,
+    so this is exactly the direct sum of the complete sectors. Rows are
+    normalized, and the nullspace is cut at SVD_TOL * s_max of the whole
+    mode. Returns orthonormal columns in (component, m, r) order.
     """
     from jetstokes.fields import _div_slice
     from jetstokes.stokesop import SVD_TOL
@@ -182,10 +186,20 @@ def dense_constrained_nullspace(ws, n):
     beta = cfg.beta(n)
     unit = np.eye(nfield, dtype=complex).reshape(nfield, 3, cfg.n_modes_theta, cfg.n_r)
     ms = range(-cfg.n_theta, cfg.n_theta + 1)
+    # a piece's coefficient is its conjugate Cartesian vector on the rows
+    h, nt = math.sqrt(0.5), cfg.n_theta
+    edge = [((h, 1j * h, 0.0), m) for m in (-nt, 1 - nt)]
+    edge += [((h, -1j * h, 0.0), m) for m in (nt - 1, nt)]
+    edge += [((0.0, 0.0, 1.0), m) for m in (-nt, nt)]
+    clip = np.zeros((len(edge), cfg.n_r, 3, cfg.n_modes_theta, cfg.n_r), dtype=complex)
+    for e, (vec, m) in enumerate(edge):
+        for c in range(3):
+            clip[e, :, c, nt + m] = vec[c] * np.eye(cfg.n_r)
     cmat = np.concatenate(
         [_div_slice(t, unit, beta).reshape(nfield, -1).T]
         + [a.reshape(nfield, -1).T for a in cartesian_tangential_traction(t, unit, beta, cfg.mu)]
         + [scipy.linalg.block_diag(*[t.pole_rows(abs(m)) for _ in range(3) for m in ms])]
+        + [clip.reshape(-1, nfield)]
     )
     norms = np.linalg.norm(cmat, axis=1)
     keep = norms > 1e-14 * norms.max()
@@ -246,12 +260,11 @@ def sector_rows_complex(ws, n, j):
     stokesop._sector_rows keeps, in the same order. Returns (rows,
     r0 + beta r1) with the second from the package's real cache.
     """
-    from jetstokes.stokesop import _constraint_rows, _sector_rows, _sector_units, _sector_window
+    from jetstokes.stokesop import _constraint_rows, _sector_rows, _sector_units
 
     cfg, t = ws.config, ws.tables
-    units, m_abs = _sector_units(cfg, j)
-    lo = _sector_window(cfg, j)[0]
-    rows = [_constraint_rows(t, cfg, units, m_abs, b, lo) for b in (cfg.beta(n), 0.0, 1.0)]
+    units = _sector_units(cfg, j)
+    rows = [_constraint_rows(t, cfg, j, units, b) for b in (cfg.beta(n), 0.0, 1.0)]
     live = rows[1].any(axis=1) | rows[2].any(axis=1)
     r0, r1 = _sector_rows(ws, j)
     return rows[0][live], r0 + cfg.beta(n) * r1
@@ -315,15 +328,15 @@ def sector_parts(op):
     (S, K_max, 2) layout and its mirror -j the entries (i, c, 1), for its
     columns c < K_j; every other entry is padding. A part holds its stack
     entry, its record (a mirror's negates j and the window), its kernel
-    column count nk, its coordinates z (3 n_r, K) on its unit fields (rows
-    past its pieces are zero), its (K, K) blocks M and G, its packed
+    column count nk (the record's "kernel_columns"), its coordinates z
+    (3 n_r, K) on its unit fields, its (K, K) blocks M and G, its packed
     indices and whether it is the side-1 mirror; a mirror shares its
     entry's z, M, G and nk.
     """
     k_max = op.M.shape[1]
     own, mirrored = [], []
-    for i, (info, nk) in enumerate(zip(op.info, op.nk)):
-        k = info["dim"]
+    for i, info in enumerate(op.info):
+        k, nk = info["dim"], len(info["kernel_columns"])
         blocks = (op.Z[i, :k].T, op.M[i, :k, :k], op.G[i, :k, :k])
         index = 2 * (i * k_max + np.arange(k))
         own.append(SectorPart(i, info, nk, *blocks, index, False))
@@ -640,7 +653,7 @@ def strong_block_full_band(ws, n, cols, j):
     block = cols.conj().T @ wab.T
     ab = ab.reshape(k, -1)
     total = np.linalg.norm(ab)
-    units = _sector_units(cfg, j)[0]
+    units = _sector_units(cfg, j)
     units = units.reshape(units.shape[0], -1)
     wrows = _window_rows(cfg, *_sector_window(cfg, j))
     ab[:, wrows] -= (ab[:, wrows] @ units.conj().T) @ units

@@ -11,6 +11,8 @@ import importlib.util
 import math
 import pathlib
 
+import pytest
+
 import jetstokes as js
 from jetstokes import evolution, helmholtz, spectral, stokesop, workspace
 from jetstokes.fields import random_smooth_vector
@@ -72,15 +74,14 @@ def test_traced_setup_counts_every_basis_build():
     with spans.instrument(tracer):
         ws = js.Workspace(cfg)
         ops = [js.mode_operator(ws, n) for n in range(cfg.n_z + 1)]
-    built = {(op.n, info["j"]): info for op in ops for info in op.info}
-    # a sector with an empty nullspace (j = 4 here) has no stack entry, so
-    # its record comes from a direct build outside the trace
-    infos = [
-        built.get((n, j)) or stokesop.build_constrained_basis(ws, n, j)[1]
-        for n in range(cfg.n_z + 1)
-        for j in range(cfg.n_theta + 2)
+    # set-up builds the complete sectors j = 0..n_theta-1 of every mode,
+    # each a stack entry; the edge sector j = n_theta is not built
+    with pytest.raises(ValueError, match="j = %d is not complete" % cfg.n_theta):
+        stokesop.build_constrained_basis(ws, 0, cfg.n_theta)
+    infos = [info for op in ops for info in op.info]
+    assert [(i["n"], i["j"]) for i in infos] == [
+        (n, j) for n in range(cfg.n_z + 1) for j in range(cfg.n_theta)
     ]
-    assert any(i["dim"] == 0 for i in infos)
     _, _, calls = tracer.totals()
     assert calls["stokesop.basis"] == len(infos)
     assert tracer.counts["stokesop.constraint_rows"] == sum(i["rows_kept"] for i in infos)

@@ -21,10 +21,10 @@ def test_domain_defaults():
 
 
 def test_beta_and_ranges():
-    cfg = js.DomainConfig(ell=4.0, n_z=2, n_theta=1, n_r=8)
+    cfg = js.DomainConfig(ell=4.0, n_z=2, n_theta=2, n_r=8)
     assert cfg.beta(1) == pytest.approx(math.pi / 2.0)
     assert cfg.beta(-2) == -cfg.beta(2)
-    assert (cfg.n_modes_z, cfg.n_modes_theta) == (5, 3)
+    assert (cfg.n_modes_z, cfg.n_modes_theta) == (5, 5)
 
 
 @pytest.mark.parametrize(
@@ -49,6 +49,18 @@ def test_beta_and_ranges():
 def test_domain_validation(kwargs):
     with pytest.raises(js.ConfigError):
         js.DomainConfig(**kwargs)
+
+
+def test_one_azimuthal_channel_exits_2(tmp_path, capsys):
+    # at n_theta = 1 the band clips sectors +-1, which hold the mode-0
+    # kernel fields e1 +- i e2
+    from jetstokes.cli import main
+
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"domain": {"n_theta": 1}}))
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "sectors j = +-1 must be complete" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_radius_error_message():

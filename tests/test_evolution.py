@@ -120,10 +120,9 @@ def test_warning_for_kernel_coupling(cfg_small):
     evo = js.EvolutionConfig(t_final=0.02, dt=0.01)
     assert js.evolve(ws, evo).trace.warnings == []
     op = js.mode_operator(ws, 0)
-    i = [info["j"] for info in op.info].index(0)
-    nk = op.nk[i]
+    nk = len(op.info[0]["kernel_columns"])
     # couple the kernel rows of sector 0 to its first non-kernel column
-    op.G[i, :nk, nk] = op.G[i, :nk, nk] + 1e-4 * np.max(np.abs(op.G))
+    op.G[0, :nk, nk] = op.G[0, :nk, nk] + 1e-4 * np.max(np.abs(op.G))
     warnings = js.evolve(ws, evo).trace.warnings
     assert len(warnings) == 1 and "dissipation form couples to the kernel" in warnings[0]
 

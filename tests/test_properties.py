@@ -30,6 +30,7 @@ import cmath
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import jetstokes as js
@@ -49,7 +50,7 @@ CONFIGS = st.builds(
     st.floats(1.0, 20.0),
     st.floats(0.1, 10.0),
     st.integers(6, 16),
-    st.integers(1, 4),
+    st.integers(2, 4),
 )
 # |lam| e^{i phi} with phi in (pi/4, 7 pi/4): |Im lam| > Re lam
 LAMBDAS = st.builds(
@@ -64,7 +65,7 @@ SOBOLEV_CONFIGS = st.builds(
     st.floats(0.1, 0.95),
     st.floats(1.0, 20.0),
     st.integers(6, 16),
-    st.integers(1, 4),
+    st.integers(2, 4),
     st.integers(0, 2),
 )
 PROPERTY = settings(derandomize=True, max_examples=10, deadline=None)
@@ -150,8 +151,10 @@ def test_kernel_is_four_dimensional_at_mode_0_only(cfg):
 @given(CONFIGS)
 def test_sector_rows_are_real_up_to_a_phase(cfg):
     ws = js.Workspace(cfg)
+    with pytest.raises(ValueError, match="j = %d is not complete" % cfg.n_theta):
+        oracles.row_phase_defects(ws, 0, cfg.n_theta)
     for n in (0, 1):
-        for j in range(cfg.n_theta + 2):
+        for j in range(cfg.n_theta):
             imag, split = oracles.row_phase_defects(ws, n, j)
             assert imag <= 1e-14 and split <= 1e-14
 
@@ -223,13 +226,15 @@ def test_sobolev_inner_product_is_a_graded_hermitian_form(cfg, vector):
 @PROPERTY
 @given(CONFIGS, st.floats(-20.0, 20.0), st.one_of(st.none(), st.integers(-6, 6)))
 def test_polar_surface_stresses_are_the_cartesian_traction(cfg, beta, j):
-    # j None: the symmetric band; otherwise sector j's window, clipped to
-    # the band, whose low end is not -band
+    # j None: the symmetric band; otherwise the window of sector j, held to
+    # the complete sectors, whose low end need not be -band
     t = js.Workspace(cfg).tables
+    with pytest.raises(ValueError, match="j = %d is not complete" % -cfg.n_theta):
+        _sector_window(cfg, -cfg.n_theta)
     if j is None:
         lo, n_w = None, cfg.n_modes_theta
     else:
-        lo, hi = _sector_window(cfg, max(-cfg.n_theta - 1, min(j, cfg.n_theta + 1)))
+        lo, hi = _sector_window(cfg, max(1 - cfg.n_theta, min(j, cfg.n_theta - 1)))
         n_w = hi - lo + 1
     rng = stream(85, "tests")
     shape = (2, 3, n_w, cfg.n_r)

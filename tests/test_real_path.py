@@ -18,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 import jetstokes as js
 from jetstokes.evolution import STEP_BLOCK
-from jetstokes.fields import grad, random_smooth_scalar, random_smooth_vector
+from jetstokes.fields import constant_vector, grad, random_smooth_scalar, random_smooth_vector
 from jetstokes.helmholtz import operator_Q
 from jetstokes.rng import stream
+from jetstokes.stokesop import project_constrained
 
 GRIDS = st.builds(
     lambda kappa, ell, mu, n_r, n_theta, n_z: js.DomainConfig(
@@ -30,7 +31,7 @@ GRIDS = st.builds(
     st.floats(1.0, 10.0),
     st.floats(0.5, 2.0),
     st.integers(6, 10),
-    st.integers(1, 3),
+    st.integers(2, 3),
     st.integers(0, 2),
 )
 PROPERTY = settings(derandomize=True, max_examples=8, deadline=None)
@@ -145,6 +146,39 @@ def test_forcing_that_turns_complex_widens_the_run(ws_small, switch):
     first_complex = block * STEP_BLOCK + 1 if block else 0
     flags = [v.real_flag for v in res.fields]
     assert flags == [k < first_complex for k in range(steps + 1)]
+    for name in ("l2_norm_sq", "dissipation"):
+        a, b = getattr(res.trace, name), getattr(ref.trace, name)
+        assert np.max(np.abs(a - b)) <= REL * np.max(np.abs(b))
+    assert _close(ref.coords, res.coords)
+    for v, w in zip(res.fields, ref.fields):
+        assert _close(w.coeffs, v.coeffs, np.linalg.norm(ref.fields[-1].coeffs))
+
+
+@pytest.mark.parametrize("initial", ["constant", "random"])
+@pytest.mark.parametrize("forcing", [None, "real", "complex"])
+def test_real_initial_state_is_projected_on_one_side(ws_small, initial, forcing):
+    # a real initial state is projected on side 0 only, and evolve widens
+    # it when f(0) is complex; the reference flags it complex, so it is
+    # projected on both sides
+    cfg = ws_small.config
+    rng = stream(96, "tests")
+    if initial == "constant":
+        u0 = constant_vector(cfg, (1.0, 0.0, 0.0))
+    else:
+        u0 = random_smooth_vector(cfg, rng)
+    proj, c = project_constrained(ws_small, u0)
+    ref_proj, ref_c = project_constrained(ws_small, _complex(u0))
+    assert c.shape[2] == 1 and ref_c.shape[2] == 2
+    assert proj.real_flag and _close(ref_proj.coeffs, proj.coeffs)
+    assert _close(ref_c[:, :, :1], c)
+    g = None if forcing is None else random_smooth_vector(cfg, rng, real=forcing == "real")
+
+    def run(u):
+        f = None if g is None else (lambda t: g * math.cos(t))
+        return js.evolve(ws_small, js.EvolutionConfig(t_final=0.06, dt=0.01, initial=u, forcing=f))
+
+    res, ref = run(u0), run(_complex(u0))
+    assert [v.real_flag for v in res.fields] == [forcing != "complex"] * 7
     for name in ("l2_norm_sq", "dissipation"):
         a, b = getattr(res.trace, name), getattr(ref.trace, name)
         assert np.max(np.abs(a - b)) <= REL * np.max(np.abs(b))

@@ -261,7 +261,7 @@ def test_mirrored_sectors_match_direct_builds(ws_name, request):
             assert op.info[p.entry]["j"] == -j
             direct, dinfo = _direct_columns(ws, n, j)
             assert direct.shape[1] == index.size
-            nk = len(dinfo.get("kernel_columns", ()))
+            nk = len(dinfo["kernel_columns"])
             assert p.nk == nk
             m, g = oracles.pencil_all_channels(ws, n, direct)
             wd = scipy.linalg.eigh(g[nk:, nk:], m[nk:, nk:], eigvals_only=True)
@@ -305,15 +305,17 @@ def test_mirrored_sectors_are_views_of_their_sources(cfg_small):
     for n in range(cfg_small.n_z + 1):
         op = js.mode_operator(ws, n)
         # mirrored sectors store nothing: the stacks hold one entry per
-        # built sector j >= 0, in order of j, and sector -j is side 1 of
-        # entry j, read through the slot table on the mirrored pieces
+        # complete sector j = 0..n_theta-1, entry i holding sector j = i,
+        # and sector -j is side 1 of entry j, read through the slot table
+        # on the mirrored pieces
         built = [info["j"] for info in op.info]
-        assert built == sorted(built) and built[0] == 0
+        assert built == list(range(cfg_small.n_theta))
         assert op.Z.shape[0] == op.ZW.shape[0] == op.M.shape[0] == op.G.shape[0] == len(built)
-        assert len(op.nk) == len(built)
         w = op.w.reshape(len(built), -1, 2)
         for i, j in enumerate(built):
+            # every piece of a complete sector lies in the band
             rows = np.count_nonzero(op.slots[i, :, 0] != pad)
+            assert rows == 3 * cfg_small.n_r
             if j > 0:
                 assert np.array_equal(w[i, :, 1], w[i, :, 0])
                 mirror = stokesop._piece_slots(cfg_small, j, True)
@@ -527,8 +529,8 @@ def test_set_up_builds_nonnegative_sectors_on_their_windows(cfg_small, monkeypat
     for n in range(cfg_small.n_z + 1):
         js.mode_operator(ws, n)
     nt = cfg_small.n_theta
-    assert calls == [(n, j) for n in range(cfg_small.n_z + 1) for j in range(nt + 2)]
-    assert len(eighs) <= (cfg_small.n_z + 1) * (nt + 2)
+    assert calls == [(n, j) for n in range(cfg_small.n_z + 1) for j in range(nt)]
+    assert len(eighs) <= (cfg_small.n_z + 1) * nt
     # each kernel ran on a sector window [j - 1, j + 1], j >= 0, widened by
     # at most one channel on each side for the strain entries; sector -1's
     # window [-2, 0] is read once at mode 0 for its kernel check
@@ -542,11 +544,14 @@ def test_set_up_builds_nonnegative_sectors_on_their_windows(cfg_small, monkeypat
 def test_windowed_sectors_match_all_channel_reference(ws_name, request):
     ws = request.getfixturevalue(ws_name)
     cfg = ws.config
+    # a sector the band clips is not built
+    with pytest.raises(ValueError, match="j = %d is not complete" % cfg.n_theta):
+        _direct_columns(ws, 0, cfg.n_theta)
     for n in range(cfg.n_z + 1):
         # the windowed constraint SVD on the polar traction rows has the
         # rank and the nullspace of the Cartesian rows over all channels,
         # from fewer rows
-        for j in range(-cfg.n_theta - 1, cfg.n_theta + 2):
+        for j in range(1 - cfg.n_theta, cfg.n_theta):
             cols, info = _direct_columns(ws, n, j)
             null, kept, rank = oracles.sector_nullspace_all_channels(ws, n, j)
             assert info["rank"] == rank and info["rows_kept"] < kept
@@ -576,8 +581,10 @@ def test_sector_rows_are_real_and_split_in_beta(ws_name, request):
     # phase times a real row, and the cached r0 + beta r1 is that row
     ws = request.getfixturevalue(ws_name)
     cfg = ws.config
+    with pytest.raises(ValueError, match="j = %d is not complete" % -cfg.n_theta):
+        oracles.row_phase_defects(ws, 0, -cfg.n_theta)
     for n in range(-cfg.n_z, cfg.n_z + 1):
-        for j in range(-cfg.n_theta - 1, cfg.n_theta + 2):
+        for j in range(1 - cfg.n_theta, cfg.n_theta):
             imag, split = oracles.row_phase_defects(ws, n, j)
             assert imag <= 1e-14 and split <= 1e-14, (n, j, imag, split)
 
@@ -587,9 +594,11 @@ def test_sector_grams_have_no_imaginary_part(ws_name, request):
     ws = request.getfixturevalue(ws_name)
     cfg = ws.config
     t = ws.tables
-    for j in range(-cfg.n_theta - 1, cfg.n_theta + 2):
+    with pytest.raises(ValueError, match="j = %d is not complete" % cfg.n_theta):
+        stokesop._sector_units(cfg, cfg.n_theta)
+    for j in range(1 - cfg.n_theta, cfg.n_theta):
         # the unit Gram is real and block diagonal, as _unit_weight forms it
-        units, _ = stokesop._sector_units(cfg, j)
+        units = stokesop._sector_units(cfg, j)
         lo = stokesop._sector_window(cfg, j)[0]
         k = units.shape[0]
         mu = np.conj(units.reshape(k, -1)) @ _apply_weight(t, cfg.ell, units, lo).reshape(k, -1).T
@@ -599,8 +608,6 @@ def test_sector_grams_have_no_imaginary_part(ws_name, request):
         # M and G of each real basis, sampled in complex arithmetic
         for n in range(cfg.n_z + 1):
             cols, _ = _direct_columns(ws, n, j)
-            if not cols.size:
-                continue
             m, g = oracles.pencil_all_channels(ws, n, cols)
             assert np.max(np.abs(m.imag)) <= 1e-14 * np.max(np.abs(m))
             assert np.max(np.abs(g.imag)) <= 1e-14 * np.max(np.abs(g))
@@ -772,7 +779,7 @@ def test_negative_mode_projection_matches_direct(ws_small):
 def test_real_field_shares_coordinates_across_signs(ws_small):
     cfg = ws_small.config
     u = random_smooth_vector(cfg, stream(49, "tests"), real=True)
-    _, coords = project_constrained(ws_small, u)
+    coords = stokesop.reduce_slice(ws_small, u.coeffs)
     # side 1 of |n| holds mode -|n|, read on its conjugate m-reversal
     for n in range(1, cfg.n_z + 1):
         err = np.linalg.norm(coords[n, :, 1] - coords[n, :, 0])
@@ -792,3 +799,31 @@ def test_random_constrained_vector_properties(ws_small):
     assert np.max(np.abs(tt)) < 1e-6
     again = random_constrained_vector(ws_small, stream(46, "tests"))
     assert np.array_equal(v.coeffs, again.coeffs)
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(12, 3), (16, 4)])
+def test_built_sectors_do_not_see_the_band_edge(n_r, n_theta):
+    # every built sector holds all three pieces, so two more channels on
+    # each side of the band leave its pencil as it is
+    ws = js.Workspace(js.DomainConfig(n_r=n_r, n_theta=n_theta, n_z=2))
+    wide = js.Workspace(js.DomainConfig(n_r=n_r, n_theta=n_theta + 2, n_z=2))
+    for n in range(3):
+        op, op2 = js.mode_operator(ws, n), js.mode_operator(wide, n)
+        lam_max = op.eigen[0][-1]
+        assert len(op.info) == n_theta and len(op2.info) == n_theta + 2
+        w = op.w.reshape(n_theta, -1, 2)
+        w2 = op2.w.reshape(n_theta + 2, -1, 2)
+        for j, info in enumerate(op.info):
+            k = info["dim"]
+            assert op2.info[j]["dim"] == k
+            assert np.max(np.abs(w[j, :k, 0] - w2[j, :k, 0])) <= 1e-12 * lam_max
+
+
+def test_no_reported_eigenvalue_comes_from_a_clipped_sector():
+    # at 12/3/2 the clipped sectors +-3 put 70.6, 68.8938 and 65.2089 twice
+    # each among the 20 lowest eigenvalues of modes 0, 1 and 2
+    ws = js.Workspace(js.DomainConfig(n_r=12, n_theta=3, n_z=2))
+    for n, clipped in ((0, 70.59995), (1, 68.8938), (2, 65.2089)):
+        got = np.array([e.lam.real for e in js.eigensolve(ws, n, 20)])
+        assert got.size == 20
+        assert np.min(np.abs(got - clipped)) > 1e-3
