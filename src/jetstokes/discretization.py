@@ -174,7 +174,7 @@ class RadialTables:
             g = resample.T @ (w_quad[:, None] * resample)
             self._gram[p] = 0.5 * (g + g.T)
             self._factor[p] = np.linalg.cholesky(self._gram[p]).T
-        self._full, self._stacks, self._words = None, {}, {}
+        self._full, self._stacks, self._words, self._dirichlet = None, {}, {}, None
 
     def ddr(self, parity):
         return self._d1[parity]
@@ -232,6 +232,26 @@ class RadialTables:
                 self._full, self._stacks = full, {}
             got = self._stacks[(lo, hi)] = _ChannelStacks(*views)
         return got
+
+    def dirichlet(self, lo, hi):
+        """Eigen tables (S, S^-1, lam) of the Dirichlet Laplacians of channels m = lo..hi.
+
+        Per channel S diag(lam) S^-1 = -lap2d(|m|) on the interior nodes
+        1..n_r - 1 (node 0 is the surface). Built on the first call, every
+        range a view of one band (see band_views); RuntimeError unless every
+        lam is real and positive.
+        """
+        self._dirichlet, views = band_views(self._dirichlet, lo, hi, self._band_dirichlet)
+        return views
+
+    def _band_dirichlet(self, band):
+        # channels m and -m share lap2d(|m|): decompose m = 0..band once
+        lam, s = np.linalg.eig(-self.stacks(-band, band).lap[band:, 1:, 1:])
+        if lam.dtype.kind == "c" or not np.all(lam > 0.0):
+            msg = "discretization: Dirichlet Laplacian spectrum on band %d is not real and positive"
+            raise RuntimeError(msg % band)
+        mirror = np.abs(np.arange(-band, band + 1))
+        return s[mirror], np.linalg.inv(s)[mirror], lam[mirror]
 
     def sobolev_words(self, band, k):
         """Precomposed derivative words of the orders 0..k on channels -band..band (cached).

@@ -330,7 +330,7 @@ def evolve(ws, evo):
 
 
 def recover_pressure(ws, v, f=None):
-    """Pressure field of a trajectory snapshot, one Dirichlet solve per |n|.
+    """Pressure field of a trajectory snapshot, from one Dirichlet solve call.
 
     q = Q v plus, when a forcing snapshot f is given, the zero-trace
     potential solving laplacian(phi) = div(f); see helmholtz.operator_Q,

@@ -609,7 +609,7 @@ def _draw_smooth_coeffs(config, rng, margin_m, margin_deg, real):
             c *= 0.5 ** np.arange(depth)
             coeffs[i_n, config.n_theta + m] = basis[:, :depth] @ c
     if real:
-        coeffs = 0.5 * (coeffs + np.conj(coeffs[::-1, ::-1]))
+        coeffs = 0.5 * (coeffs + _conj_flip(coeffs[::-1]))
     return coeffs
 
 

@@ -17,12 +17,12 @@ through tangential_traction come from the same traces, and Q pays only for
 its datum.
 
 Each entry point forms its right-hand sides and surface data for all axial
-slices at once and makes one Dirichlet solve per |n|: modes n and -n share
-the cached inverse stack of their band, so both ride on the leading axis of
-one laplace_solve_channels call. When the input fields are real (real_flag,
-see fields), project_P and operator_Q form the data of the slices n >= 0
-only, solve one slice per |n| and mirror mode -n from mode n
-(fields._whole); their results are flagged real.
+slices at once and solves them in one laplace_solve_channels call, the
+axial modes riding on its leading axis: every mode shares the eigen tables
+of the channel Laplacians (RadialTables.dirichlet) up to its shift beta^2.
+When the input fields are real (real_flag, see fields), project_P and
+operator_Q form and solve the slices n >= 0 only and mirror mode -n from
+mode n (fields._whole); their results are flagged real.
 
 Azimuthal bands: div(u) lives one band above u and q inherits that band;
 grad(q) is formed there and truncated back, so the reconstruction residual
@@ -79,26 +79,6 @@ def _slices(field, h=0):
     return np.moveaxis(field.coeffs[:, h:], 0, 1)
 
 
-def _solve_per_abs_n(ws, rhs, surface=None):
-    """Dirichlet solves of axial slices, one call per |n|.
-
-    rhs (n_slices, n_m, n_r) and surface (n_slices, n_m) hold either all
-    slices, indexed by n + n_z, or the slices n >= 0 of a real field,
-    indexed by n (n_slices = n_z + 1). Modes n and -n share the cached
-    stack of their band, so with all slices they are stacked on the
-    leading axis of one laplace_solve_channels call.
-    """
-    n_z = ws.config.n_z
-    half = rhs.shape[0] == n_z + 1
-    out = np.empty_like(rhs)
-    for a in range(n_z + 1):
-        idx = [a] if half else [n_z - a, n_z + a] if a else [n_z]
-        out[idx] = laplace_solve_channels(
-            ws, a, rhs[idx], None if surface is None else surface[idx]
-        )
-    return out
-
-
 def project_P(ws, u):
     """Helmholtz projection of a velocity field.
 
@@ -117,7 +97,8 @@ def project_P(ws, u):
     h = cfg.n_z if u.real_flag else 0
     i_beta = _axial_factors(cfg)[h:]
     # q on band n_theta + 1, the band of div(u)
-    q = _solve_per_abs_n(ws, _div_slice(t, _slices(u, h), i_beta.imag))
+    modes = np.arange(h - cfg.n_z, cfg.n_z + 1)
+    q = laplace_solve_channels(ws, modes, _div_slice(t, _slices(u, h), i_beta.imag))
     gx, gy = _dxy(t, q)
     pot = np.ascontiguousarray(_truncate(q, cfg.n_theta))
     grad_q = np.stack([_truncate(gx, cfg.n_theta), _truncate(gy, cfg.n_theta), i_beta * pot])
@@ -209,8 +190,8 @@ def operator_Q(ws, v, f=None):
     """Free-surface pressure potential Q v as a ScalarField.
 
     With a forcing field f the result also holds the zero-trace potential
-    phi of f, laplacian(phi) = div(f), from the same solves: one per |n|,
-    with the surface datum and div(f) of all slices formed at once. When v
+    phi of f, laplacian(phi) = div(f), from the same solve: one call for
+    all slices, with the surface datum and div(f) formed at once. When v
     (and f) are real, only the slices n >= 0 are formed and solved, mode
     -n is mirrored, and the result is flagged real.
     """
@@ -222,7 +203,8 @@ def operator_Q(ws, v, f=None):
     h = cfg.n_z if real else 0
     beta = _axial_factors(cfg).imag[h:]
     farr = None if f is None else _slices(f, h)
-    q = _solve_per_abs_n(ws, *_q_data(ws.tables, cfg, _slices(v, h), beta, farr))
+    rhs, surface = _q_data(ws.tables, cfg, _slices(v, h), beta, farr)
+    q = laplace_solve_channels(ws, np.arange(h - cfg.n_z, cfg.n_z + 1), rhs, surface)
     q = _truncate(q, cfg.n_theta)
     return _field(ScalarField, cfg, _whole(q) if h else np.ascontiguousarray(q), real)
 
@@ -245,4 +227,5 @@ def harmonic_extension(ws, g):
     pad = cfg.n_theta - g.band
     surface = np.pad(g.coeffs, [(0, 0), (pad, pad)])
     rhs = np.zeros(surface.shape + (cfg.n_r,), dtype=complex)
-    return ScalarField(cfg, _solve_per_abs_n(ws, rhs, surface), False)
+    q = laplace_solve_channels(ws, np.arange(-cfg.n_z, cfg.n_z + 1), rhs, surface)
+    return ScalarField(cfg, q, False)

@@ -483,7 +483,7 @@ def build_constrained_basis(ws, n, j):
     Returns:
         (basis, info): basis is (k, K_j) real, the columns' coordinates on
         the sector's k unit fields (_sector_fields maps them to window
-        fields); info records the window as (lo, hi), sizes, the singular
+        fields); info records the sector j, sizes, the singular
         value split at the cutoff (sv_at_rank / sv_past_rank) and the
         indices of the leading kernel columns ("kernel_columns"): for n = 0
         the sector's kernel fields (see _kernel_fields), each times the
@@ -514,7 +514,6 @@ def build_constrained_basis(ws, n, j):
     info = {
         "n": int(n),
         "j": int(j),
-        "window": _sector_window(cfg, j),
         "rows_kept": int(cmat.shape[0]),
         "rank": rank,
         "dim": int(null.shape[1]),
@@ -608,7 +607,7 @@ def strong_blocks(op):
     leak = np.zeros(len(op.info))
     # widest reach first, so each cached stack is built once on its band
     for j in reversed(range(len(op.info))):
-        (lo, hi), k = op.info[j]["window"], op.info[j]["dim"]
+        (lo, hi), k = _sector_window(cfg, j), op.info[j]["dim"]
         rlo, rhi = max(lo - 2, -cfg.n_theta), min(hi + 2, cfg.n_theta)
         win = slice(lo - rlo, hi - rlo + 1)
         fields = _sector_fields(cfg, j, op.Z[j, :k].T)

@@ -1,11 +1,10 @@
 """Shared per-configuration caches.
 
 A Workspace owns the radial tables plus every factorization and operator
-block derived from one DomainConfig: inverses of the per-mode elliptic
-operator stacks, the real constraint rows of each angular-momentum sector,
-the assembled constrained-mode operators and, once a check asks, their
-strong blocks. All caches are filled lazily and never invalidated
-(configs are frozen).
+block derived from one DomainConfig: the real constraint rows of each
+angular-momentum sector, the assembled constrained-mode operators and,
+once a check asks, their strong blocks (the elliptic solves keep no
+per-mode state). All caches are filled lazily and never invalidated.
 """
 
 from .discretization import tables_for
@@ -17,8 +16,6 @@ class Workspace:
     def __init__(self, config):
         self.config = config
         self.tables = tables_for(config)
-        # |n| -> (band, (matrix stack, its inverse)), filled by modesolve._dirichlet_stack
-        self.radial_ops = {}
         # j -> real constraint rows (r0, r1), filled by stokesop._sector_rows
         self.sector_rows = {}
         # n >= 0 -> ModeOperator, filled by stokesop.mode_operator

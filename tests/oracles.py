@@ -327,7 +327,7 @@ def sector_parts(op):
     Built sector j >= 0 at stack entry i owns the entries (i, c, 0) of the
     (S, K_max, 2) layout and its mirror -j the entries (i, c, 1), for its
     columns c < K_j; every other entry is padding. A part holds its stack
-    entry, its record (a mirror's negates j and the window), its kernel
+    entry, its record (a mirror's negates j), its kernel
     column count nk (the record's "kernel_columns"), its coordinates z
     (3 n_r, K) on its unit fields, its (K, K) blocks M and G, its packed
     indices and whether it is the side-1 mirror; a mirror shares its
@@ -341,8 +341,7 @@ def sector_parts(op):
         index = 2 * (i * k_max + np.arange(k))
         own.append(SectorPart(i, info, nk, *blocks, index, False))
         if info["j"] > 0:
-            lo, hi = info["window"]
-            image = dict(info, j=-info["j"], window=(-hi, -lo))
+            image = dict(info, j=-info["j"])
             mirrored.insert(0, SectorPart(i, image, nk, *blocks, index + 1, True))
     return mirrored + own
 
@@ -416,7 +415,7 @@ class PerSectorMaps:
     """
 
     def __init__(self, ws, n):
-        from jetstokes.stokesop import _sector_fields, _window_rows, mode_operator
+        from jetstokes.stokesop import _sector_fields, _sector_window, _window_rows, mode_operator
 
         self.ws, self.n = ws, n
         self.op = mode_operator(ws, abs(n))
@@ -426,7 +425,7 @@ class PerSectorMaps:
             own = self.op.info[part.entry]
             fields = _sector_fields(cfg, own["j"], part.z).reshape(part.index.size, -1)
             local = np.flatnonzero(fields.any(axis=0))
-            rows = _window_rows(cfg, *own["window"])[local]
+            rows = _window_rows(cfg, *_sector_window(cfg, own["j"]))[local]
             coef = np.ascontiguousarray(fields[:, local].T)
             self.parts.append((part, part.index, rows, coef, part.mirrored))
 

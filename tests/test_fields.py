@@ -8,6 +8,7 @@ from jetstokes.discretization import RadialTables, tables_for
 from jetstokes.fields import (
     ScalarField,
     _axial_factors,
+    _draw_smooth_coeffs,
     _truncate,
     constant_scalar,
     constant_vector,
@@ -252,6 +253,15 @@ def test_field_shape_validation(cfg_small):
         js.ScalarField(cfg_small, np.zeros((2, 2, 2), dtype=complex))
     with pytest.raises(ValueError, match="shape"):
         js.VectorField(cfg_small, np.zeros((2, 2, 2, 2), dtype=complex))
+
+
+def test_real_draw_is_the_mirror_average_of_the_complex_draw(cfg_small):
+    # a real draw averages the complex draw of the same seed with its
+    # mirror conj(c[-n, -m]), bit for bit
+    for seed in (40, 41):
+        c = _draw_smooth_coeffs(cfg_small, stream(seed, "tests"), 2, 2, False)
+        got = _draw_smooth_coeffs(cfg_small, stream(seed, "tests"), 2, 2, True)
+        assert np.array_equal(got, 0.5 * (c + np.conj(c[::-1, ::-1])))
 
 
 def test_real_flag_defaults_to_false(cfg_small):

@@ -128,23 +128,31 @@ def test_project_p_matches_per_slice_reference(request, ws_name, real):
     assert abs(d.residual - residual) < REF
 
 
-def test_one_dirichlet_solve_per_abs_n(cfg_small, monkeypatch):
+def test_one_dirichlet_solve_per_field(cfg_small, monkeypatch):
+    # each entry point solves all its axial slices in one call, carrying
+    # the modes 0..n_z of a real field and -n_z..n_z of a complex one
     ws = js.Workspace(cfg_small)
+    n_z = cfg_small.n_z
     rng = stream(36, "tests")
-    v = random_smooth_vector(cfg_small, rng)
-    f = random_smooth_vector(cfg_small, rng)
     calls = []
     solve = helmholtz.laplace_solve_channels
 
     def counted(ws, n, *args):
-        calls.append(n)
+        calls.append(list(n))
         return solve(ws, n, *args)
 
     monkeypatch.setattr(helmholtz, "laplace_solve_channels", counted)
-    for run in (lambda: js.operator_Q(ws, v, f), lambda: js.project_P(ws, v)):
-        calls.clear()
-        run()
-        assert sorted(calls) == list(range(cfg_small.n_z + 1))
+    for real in (True, False):
+        v = random_smooth_vector(cfg_small, rng, real=real)
+        f = random_smooth_vector(cfg_small, rng, real=real)
+        modes = list(range(0 if real else -n_z, n_z + 1))
+        for run in (lambda: js.operator_Q(ws, v, f), lambda: js.project_P(ws, v)):
+            calls.clear()
+            run()
+            assert calls == [modes]
+    calls.clear()
+    js.harmonic_extension(ws, js.trace_SF(v.x))
+    assert calls == [list(range(-n_z, n_z + 1))]
 
 
 def test_project_p_residual_is_computed_when_read(ws_small, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import jetstokes as js
-from jetstokes.discretization import band_views, tables_for
+from jetstokes.discretization import RadialTables, band_views, tables_for
 from jetstokes.fields import (
     constant_scalar,
     random_smooth_scalar,
@@ -11,8 +11,8 @@ from jetstokes.fields import (
     random_zero_trace_potential,
     scalar_from_profile,
 )
-from jetstokes import modesolve
-from jetstokes.modesolve import _dirichlet_stack, dirichlet_residual, laplace_solve_channels
+from jetstokes import helmholtz, modesolve
+from jetstokes.modesolve import dirichlet_residual, laplace_solve_channels
 from jetstokes.rng import stream
 
 import oracles
@@ -144,7 +144,10 @@ def test_channel_solve_matches_dense_solve(n_r, n_theta, tol):
         f = rng.standard_normal(shape + (n_r,)) + 1j * rng.standard_normal(shape + (n_r,))
         bc = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         got = laplace_solve_channels(ws, n, f, bc)
-        mat, _ = _dirichlet_stack(ws, n, -n_theta, n_theta)
+        # the collocation matrices beta^2 - lap with the surface row the identity
+        mat = ws.config.beta(n) ** 2 * np.eye(n_r) - ws.tables.stacks(-n_theta, n_theta).lap
+        mat[:, 0, :] = 0.0
+        mat[:, 0, 0] = 1.0
         b = -f
         b[..., 0] = bc
         want = np.array([[scipy.linalg.solve(m, bm) for m, bm in zip(mat, bk)] for bk in b])
@@ -235,8 +238,8 @@ def test_pole_rows_annihilate_smooth_basis(cfg_small):
 
 
 def test_channel_ranges_are_views_of_one_band_stack():
-    # a sector's channel range solves on the rows of the band's stack:
-    # the same numbers as the band solve, from one cached stack per |n|
+    # a sector's channel range solves on the rows of the band's tables:
+    # the same numbers as the band solve, from one eigen table per band
     ws = js.Workspace(js.DomainConfig(n_r=12, n_theta=3, n_z=1))
     t = ws.tables
     rng = stream(25, "tests")
@@ -248,11 +251,73 @@ def test_channel_ranges_are_views_of_one_band_stack():
         cut = slice(lo + 3, hi + 4)
         part = laplace_solve_channels(ws, 1, f[:, cut], bc[:, cut], lo)
         assert np.array_equal(part, full[:, cut])
-        assert np.shares_memory(_dirichlet_stack(ws, 1, lo, hi)[1], ws.radial_ops[1][1][1])
+        for window, band in zip(t.dirichlet(lo, hi), t.dirichlet(-3, 3)):
+            assert np.shares_memory(window, band)
         st = t.stacks(lo, hi)
         assert list(st.ms) == list(range(lo, hi + 1))
         assert all(np.array_equal(st.lap[i], t.lap2d(abs(m))) for i, m in enumerate(st.ms))
-    assert sorted(ws.radial_ops) == [1]
+
+
+@pytest.mark.parametrize("n_r", [8, 24, 128])
+def test_dirichlet_tables_are_real_positive_and_well_conditioned(n_r):
+    t = tables_for(js.DomainConfig(n_r=n_r, n_theta=2, n_z=1))
+    s, s_inv, lam = t.dirichlet(-12, 12)
+    assert lam.dtype == np.float64 and np.all(lam > 0.0)
+    assert np.max(np.linalg.cond(s)) <= 1e2
+    for i, m in enumerate(range(-12, 13)):
+        lap = t.lap2d(abs(m))[1:, 1:]
+        back = (s[i] * lam[i]) @ s_inv[i]
+        assert np.linalg.norm(back + lap) <= 1e-12 * np.linalg.norm(lap)
+
+
+def test_dirichlet_tables_refuse_a_spectrum_that_is_not_real_and_positive():
+    # a negative and a purely imaginary interior spectrum
+    skew = np.diag(np.ones(7), 1) - np.diag(np.ones(7), -1)
+    for lap in (np.eye(8), skew):
+        t = RadialTables(0.5, 8)
+        t.lap2d = lambda m_abs, lap=lap: lap
+        with pytest.raises(RuntimeError, match="not real and positive"):
+            t.dirichlet(-1, 1)
+
+
+def test_set_up_resolve_and_steps_solve_no_dirichlet_problem(monkeypatch):
+    # the blocks, the eigendecomposition, resolve and the evolution steps
+    # stay off the elliptic solver and never build its tables
+    cfg = js.DomainConfig(n_r=12, n_theta=3, n_z=2)
+    ws = js.Workspace(cfg)
+
+    def refuse(*args):
+        raise AssertionError("Dirichlet problem solved")
+
+    monkeypatch.setattr(helmholtz, "laplace_solve_channels", refuse)
+    monkeypatch.setattr(RadialTables, "dirichlet", refuse)
+    g = random_smooth_vector(cfg, stream(27, "tests"), real=False)
+    for n in range(cfg.n_z + 1):
+        js.eigensolve(ws, n, 4)
+    js.resolve(ws, -1.0 + 2.0j, g)
+    js.evolve(ws, js.EvolutionConfig(t_final=0.03, dt=0.01, initial=g))
+
+
+def test_mode_array_matches_per_mode_calls():
+    # one call over a mode array gives each mode's own solve: the real
+    # layout (modes 0..n_z), the complex one (-n_z..n_z) and a channel window
+    n_z = 2
+    ws = js.Workspace(js.DomainConfig(n_r=16, n_theta=3, n_z=n_z))
+    rng = stream(26, "tests")
+    for modes, lo, n_m in (
+        (np.arange(n_z + 1), None, 7),
+        (np.arange(-n_z, n_z + 1), None, 9),
+        (np.arange(-n_z, n_z + 1), -1, 4),
+    ):
+        shape = (modes.size, 3, n_m, 16)
+        f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        bc = rng.standard_normal(shape[:-1]) + 1j * rng.standard_normal(shape[:-1])
+        got = laplace_solve_channels(ws, modes, f, bc, lo)
+        for i, n in enumerate(modes):
+            want = laplace_solve_channels(ws, int(n), f[i], bc[i], lo)
+            assert np.linalg.norm(got[i] - want) <= 1e-14 * np.linalg.norm(want)
+    with pytest.raises(ValueError, match="3 modes for 5 slices"):
+        laplace_solve_channels(ws, np.arange(3), f, bc, lo)
 
 
 def test_band_views_grow_only_for_a_wider_range():

@@ -14,7 +14,7 @@ from jetstokes.fields import (
     rigid_rotation,
     zeros_vector,
 )
-from jetstokes import modesolve, spectral, stokesop
+from jetstokes import helmholtz, spectral, stokesop
 from jetstokes.discretization import RadialTables
 from jetstokes.rng import stream
 from jetstokes.stokesop import (
@@ -241,7 +241,7 @@ def _direct_columns(ws, n, j):
     out = np.zeros((3 * cfg.n_modes_theta * cfg.n_r, z.shape[1]), dtype=complex)
     fields = stokesop._sector_fields(cfg, j, z)
     null = fields.reshape(z.shape[1], math.prod(fields.shape[1:])).T
-    out[stokesop._window_rows(cfg, *info["window"])] = null
+    out[stokesop._window_rows(cfg, *stokesop._sector_window(cfg, j))] = null
     return out, info
 
 
@@ -451,30 +451,35 @@ def test_strong_assembly_stays_on_each_sector_reach(cfg_medium, monkeypatch):
     ops = [js.mode_operator(ws, n) for n in range(cfg_medium.n_z + 1)]
     ranges, solves, building = [], [], []
     stacks = RadialTables.stacks
-    dirichlet = modesolve._dirichlet_stack
+    dirichlet = RadialTables.dirichlet
+    solve = helmholtz.laplace_solve_channels
 
     def recorded_stacks(self, lo, hi):
         if not building:
             ranges.append((lo, hi))
         return stacks(self, lo, hi)
 
-    def recorded_dirichlet(ws_, n, lo, hi):
-        # the cache reads the band stacks it slices the range from
-        solves.append((n, lo, hi))
-        building.append(n)
+    def recorded_dirichlet(self, lo, hi):
+        # the tables read the band stacks they slice the range from
+        building.append(lo)
         try:
-            return dirichlet(ws_, n, lo, hi)
+            return dirichlet(self, lo, hi)
         finally:
             building.pop()
 
+    def recorded_solve(ws_, n, f_arr, bc_arr, lo):
+        solves.append((n, lo, lo + f_arr.shape[-2] - 1))
+        return solve(ws_, n, f_arr, bc_arr, lo)
+
     monkeypatch.setattr(RadialTables, "stacks", recorded_stacks)
-    monkeypatch.setattr(modesolve, "_dirichlet_stack", recorded_dirichlet)
+    monkeypatch.setattr(RadialTables, "dirichlet", recorded_dirichlet)
+    monkeypatch.setattr(helmholtz, "laplace_solve_channels", recorded_solve)
     windows = set()
     for op in ops:
         strong_blocks(op)
         reach = set()
         for info in op.info:
-            lo, hi = info["window"]
+            lo, hi = stokesop._sector_window(cfg_medium, info["j"])
             windows.add((lo, hi))
             reach.add((max(lo - 2, -nt), min(hi + 2, nt)))
         assert {key for key in solves if key[0] == op.n} == {
@@ -484,9 +489,6 @@ def test_strong_assembly_stays_on_each_sector_reach(cfg_medium, monkeypatch):
     for lo, hi in [key[1:] for key in solves] + ranges:
         assert any(wlo - 3 <= lo and hi <= whi + 3 for wlo, whi in windows)
         assert hi - lo <= 8 < 2 * nt
-    # one cached Dirichlet stack per |n|, on at most the pressure band
-    assert sorted(ws.radial_ops) == [0, 1, 2]
-    assert all(band <= nt + 1 for band, _ in ws.radial_ops.values())
 
 
 @pytest.mark.parametrize("ws_name", ["ws_small", "ws_medium"])
@@ -658,7 +660,8 @@ def test_near_zero_eigenvalues_are_dissipation_quotients(ws_name, request):
         own = op.info[p.entry]
         for c in np.flatnonzero(op.w[p.index] < 1e-8 * w[-1]):
             col = stokesop._sector_fields(cfg, own["j"], p.z[:, c : c + 1])[0]
-            want = oracles.dissipation_slice(ws, 0, col, own["window"][0]) / p.M[c, c]
+            lo = stokesop._sector_window(cfg, own["j"])[0]
+            want = oracles.dissipation_slice(ws, 0, col, lo) / p.M[c, c]
             got = op.w[p.index[c]]
             assert 0.0 < got <= 1e-20 * w[-1]
             assert got == pytest.approx(want, rel=1e-12)
