@@ -13,9 +13,11 @@ import warnings as _warnings
 
 # Pin BLAS thread pools before numpy is imported anywhere downstream. Keeps
 # factorizations bitwise deterministic across runs and honors the
-# single-threaded runtime budget. Effective only when this package is
-# imported before numpy (always true for the CLI entry point): OpenBLAS
-# reads its thread count once, when numpy loads it.
+# single-threaded runtime budget. Every factorization and product of the
+# package runs on numpy's OpenBLAS (no scipy is imported), so there is one
+# OpenBLAS to pin. Effective only when this package is imported before
+# numpy (always true for the CLI entry point): OpenBLAS reads its thread
+# count once, when numpy loads it.
 if "OPENBLAS_NUM_THREADS" not in _os.environ and "numpy" in _sys.modules:
     _warnings.warn(
         "numpy was imported before jetstokes, so OpenBLAS already runs its "

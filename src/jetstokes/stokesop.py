@@ -96,7 +96,6 @@ import math
 import weakref
 
 import numpy as np
-import scipy.linalg
 
 from .discretization import apply_stack
 from .fields import (
@@ -405,11 +404,18 @@ def _constraint_rows(t, cfg, j, units, beta):
     """
     k, lo = units.shape[0], j - 1
     tangential = _surface_stresses(t, cfg.mu, units, beta, lo)[:, 1:]
+    # each piece's pole rows act on its own n_r unknowns
+    poles = [t.pole_rows(abs(m)) for _, m, _ in _sector_pieces(j)]
+    pole = np.zeros((sum(p.shape[0] for p in poles), k))
+    row = 0
+    for p, rows in enumerate(poles):
+        pole[row : row + rows.shape[0], p * cfg.n_r : (p + 1) * cfg.n_r] = rows
+        row += rows.shape[0]
     return np.concatenate(
         [
             _div_slice(t, units, beta, lo).reshape(k, -1).T,
             tangential.reshape(k, -1).T,
-            scipy.linalg.block_diag(*[t.pole_rows(abs(m)) for _, m, _ in _sector_pieces(j)]),
+            pole,
         ]
     )
 
@@ -472,8 +478,12 @@ def build_constrained_basis(ws, n, j):
     r0 + beta r1 of _sector_rows, built once per workspace: divergence,
     tangential traction and the pole regularity rows of each piece. Rows
     are normalized to unit length before a real SVD so the relative cutoff
-    SVD_TOL * s_max of the sector is meaningful. Works for any sign of j;
-    assemble_A calls it for j >= 0 only.
+    SVD_TOL * s_max of the sector is meaningful; the nullspace is the
+    trailing rows of the SVD's full V^T. At mode 0 the rest of the sector
+    is the complement of the kernel's nullspace coordinates in a complete
+    QR. The sector's pencil on this basis is later reduced by the Cholesky
+    factor of its M (assemble_A). Works for any sign of j; assemble_A
+    calls it for j >= 0 only.
 
     Args:
         ws: Workspace.
@@ -502,7 +512,7 @@ def build_constrained_basis(ws, n, j):
     keep = norms > 1e-14 * norms.max()
     cmat = cmat[keep] / norms[keep][:, None]
 
-    _, s, vh = scipy.linalg.svd(cmat)
+    _, s, vh = np.linalg.svd(cmat)
     # Differentiation-matrix conditioning smears exact row dependencies
     # into a noise cloud that climbs toward the cutoff on fine grids, so
     # the rank call is tolerance-based by nature. The split is recorded
@@ -554,7 +564,7 @@ def build_constrained_basis(ws, n, j):
     wkc = _unit_weight(ws.tables, cfg, j, kc)
     scale = 1.0 / np.sqrt(np.sum(kc * wkc, axis=0))
     kc, wkc = kc * scale, wkc * scale
-    comp = null @ scipy.linalg.qr(coef)[0][:, nk:]
+    comp = null @ np.linalg.qr(coef, mode="complete")[0][:, nk:]
     info["kernel_columns"] = tuple(range(nk))
     return np.concatenate([kc, comp - kc @ (wkc.T @ comp)], axis=1), info
 
@@ -647,6 +657,24 @@ def _dissipation_factor(t, cfg, j, z, beta):
     return f.reshape(z.shape[1], -1).view(float)
 
 
+def _pencil_eigh(g, m):
+    """Ascending eigenpairs (w, v) of the symmetric-definite pencil (g, m), with v^T m v = I.
+
+    The reduction of LAPACK sygvd (Golub & Van Loan, Matrix Computations,
+    4th ed., 8.7): with the Cholesky factor m = L L^T, the symmetrized
+    C = L^-1 g L^-T has the pencil's eigenvalues, and v = L^-T u maps the
+    orthonormal eigenvectors u of C back.
+
+    Raises:
+        numpy.linalg.LinAlgError if m is not positive definite.
+    """
+    low = np.linalg.cholesky(m)
+    # g is symmetric, so (L^-1 g)^T = g L^-T
+    c = np.linalg.solve(low, np.linalg.solve(low, g).T)
+    w, u = np.linalg.eigh(0.5 * (c + c.T))
+    return w, np.linalg.solve(low.T, u)
+
+
 def assemble_A(ws, n):
     """Assemble mode n sector by sector, in the eigenbasis of its pencil.
 
@@ -654,6 +682,8 @@ def assemble_A(ws, n):
     own constrained basis Z, real coordinates on its unit fields, its own M
     from the unit Gram and G from the strain entries of its columns, and a
     real pencil eigh on its non-kernel columns, all on its channel window.
+    The pencil is reduced by the Cholesky factor of M to one symmetric
+    eigh (_pencil_eigh).
     They are packed into the real stacks of ModeOperator. The mirror
     sector -j is sector j read on the mirrored pieces (_mirror_piece): the
     other half of its stack entry, with sector j's arrays and eigenvalues.
@@ -683,7 +713,7 @@ def assemble_A(ws, n):
         w = np.zeros(k)
         v = np.zeros((k, k))
         v[:nk, :nk] = np.diag(1.0 / np.sqrt(np.diag(m)[:nk]))
-        w[nk:], v[nk:, nk:] = scipy.linalg.eigh(g[nk:, nk:], m[nk:, nk:])
+        w[nk:], v[nk:, nk:] = _pencil_eigh(g[nk:, nk:], m[nk:, nk:])
         m, g = v.T @ (m @ v), v.T @ (g @ v)
         built.append((info, z @ v, zw @ v, 0.5 * (m + m.T), 0.5 * (g + g.T), w))
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 import jetstokes as js
 from jetstokes.discretization import RadialTables, band_views, tables_for
@@ -95,6 +96,18 @@ def test_harmonic_extension_closed_forms(ws_small):
     prof = oracles.bessel_i0(beta * r) / float(oracles.bessel_i0(beta * cfg.kappa))
     ref = scalar_from_profile(cfg, 1, 0, prof)
     assert js.norm_L2(u - ref) / js.norm_L2(ref) < 1e-11
+
+
+def test_numpy_i0_matches_scipy_on_c01_arguments():
+    # verify's c01 reference profile I0(beta r) / I0(beta kappa) uses np.i0;
+    # scipy.special.i0 is the independent reference, at every beta r of
+    # c01's three default grids and at the surface
+    cfg = js.DomainConfig()
+    beta = cfg.beta(1)
+    for n_r in (32, 64, 128):
+        x = beta * np.append(RadialTables(cfg.kappa, n_r).r, cfg.kappa)
+        want = scipy.special.i0(x)
+        assert np.max(np.abs(np.i0(x) - want) / want) <= 1e-15
 
 
 def test_solver_linearity(ws_small):

@@ -24,6 +24,11 @@ sector layout on modes 0 and 1:
 One more test draws n_z too and checks the Sobolev inner product on
 random fields: Hermitian symmetry, a real nonnegative (u, u), norms that
 grow with the order, and agreement with the derivative-chain oracle.
+
+The last test draws random symmetric-definite pencils (size K <= 40,
+cond(M) <= 1e6) and checks the Cholesky reduction of the sector pencil
+eigh: ascending eigenvalues, small residuals and M-orthonormal
+eigenvectors, each within 10 K eps cond(M) of exact.
 """
 
 import cmath
@@ -40,7 +45,13 @@ from jetstokes.rng import stream
 from jetstokes.evolution import SCHEMES
 from jetstokes.helmholtz import _surface_stresses
 from jetstokes.spectral import KERNEL_TOL, _pencil_solve
-from jetstokes.stokesop import _apply_weight, _sector_window, expand_slice, reduce_slice
+from jetstokes.stokesop import (
+    _apply_weight,
+    _pencil_eigh,
+    _sector_window,
+    expand_slice,
+    reduce_slice,
+)
 
 CONFIGS = st.builds(
     lambda kappa, ell, mu, n_r, n_theta: js.DomainConfig(
@@ -259,3 +270,32 @@ def test_polar_surface_stresses_are_the_cartesian_traction(cfg, beta, j):
     # Q reads the datum alone
     datum = _surface_stresses(t, cfg.mu, varr, lo=lo)
     assert np.array_equal(datum, got[:, 0])
+
+
+# (K, log10 cond(M), log10 of M's scale, log10 of G's scale, seed)
+PENCILS = st.tuples(
+    st.integers(1, 40),
+    st.floats(0.0, 6.0),
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(PENCILS)
+def test_pencil_eigh_on_random_definite_pencils(draw):
+    k, log_cond, m_scale, g_scale, seed = draw
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    m = (q * np.logspace(m_scale, m_scale + log_cond, k)) @ q.T
+    m = 0.5 * (m + m.T)
+    a = 10.0**g_scale * rng.standard_normal((k, k))
+    g = a + a.T
+    w, v = _pencil_eigh(g, m)
+    assert np.all(np.diff(w) >= 0.0)
+    # Golub & Van Loan 8.7: the Cholesky method's errors scale with cond(M)
+    tol = 10.0 * k * np.finfo(float).eps * np.linalg.cond(m)
+    scale = (np.linalg.norm(g, 2) + np.abs(w) * np.linalg.norm(m, 2)) * np.linalg.norm(v, axis=0)
+    assert np.all(np.linalg.norm(g @ v - (m @ v) * w, axis=0) <= tol * scale)
+    assert np.max(np.abs(v.T @ m @ v - np.eye(k))) <= tol

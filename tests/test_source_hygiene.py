@@ -1,6 +1,6 @@
 """Static checks on the package source, using only the standard library.
 
-No linter ships with the project, so six checks a linter would make
+No linter ships with the project, so seven checks a linter would make
 run here on the syntax trees of src/jetstokes (and of bench for the
 fourth one):
 
@@ -22,11 +22,19 @@ fourth one):
   names the builtin open or calls an open, read_text, write_text,
   read_bytes or write_bytes method;
 - no module but fieldio serializes JSON: none calls json.dumps (or a
-  dumps imported from json).
+  dumps imported from json);
+- no module imports scipy, anywhere in its body: every factorization runs
+  on numpy's OpenBLAS, and scipy.linalg would map a second one.
+
+One more check runs the import itself in a fresh interpreter:
+importing jetstokes and jetstokes.cli loads no scipy module.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -310,3 +318,50 @@ def test_json_dumps_check_sees_every_call():
         "d = json.dumps(\n    [2]\n)\n"
     )
     assert _json_dumps_calls(tree) == [3, 5, 6]
+
+
+def _imported_modules(tree):
+    """(line, dotted module) of each absolute import anywhere in the tree."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.append((node.lineno, node.module))
+    return out
+
+
+def _scipy_imports(tree):
+    return [(line, name) for line, name in _imported_modules(tree) if name.split(".")[0] == "scipy"]
+
+
+def test_package_imports_no_scipy():
+    found = [
+        "%s:%d %s" % (path.name, line, name)
+        for path in MODULES
+        for line, name in _scipy_imports(_tree(path))
+    ]
+    assert not found, "scipy imported in the package: %s" % found
+
+
+def test_scipy_import_check_sees_every_form():
+    tree = ast.parse(
+        "import numpy, scipy.linalg as sl\n"
+        "from scipy import special\n"
+        "from . import scipy_local\n"
+        "def f():\n    import scipy\n"
+    )
+    assert _scipy_imports(tree) == [(1, "scipy.linalg"), (2, "scipy"), (5, "scipy")]
+
+
+def test_package_import_loads_no_scipy():
+    code = (
+        "import sys, jetstokes, jetstokes.cli; "
+        "print(sorted(k for k in sys.modules if k.startswith('scipy')))"
+    )
+    path = [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]", "importing jetstokes loads %s" % out.stdout.strip()

@@ -506,12 +506,45 @@ def test_windowed_strong_blocks_match_full_band_reference(ws_name, request):
             assert abs(leaks[p.entry] - leak) <= 1e-12
 
 
+@pytest.mark.parametrize("grid", [(12, 3, 2), (24, 6, 4)], ids=["12-3-2", "24-6-4"])
+def test_pencil_eigh_matches_scipy_on_every_sector(grid, monkeypatch):
+    # scipy's sygvd is an independent reference for the Cholesky reduction:
+    # every sector pencil that set-up solves has its eigenvalues, and the
+    # eigenvectors are M-orthonormal
+    n_r, n_theta, n_z = grid
+    ws = js.Workspace(js.DomainConfig(n_r=n_r, n_theta=n_theta, n_z=n_z))
+    seen = []
+    eigh = stokesop._pencil_eigh
+
+    def recorded(g, m):
+        w, v = eigh(g, m)
+        seen.append((g, m, w, v))
+        return w, v
+
+    monkeypatch.setattr(stokesop, "_pencil_eigh", recorded)
+    for n in range(n_z + 1):
+        js.mode_operator(ws, n)
+    assert len(seen) == (n_z + 1) * n_theta
+    for g, m, w, v in seen:
+        want = scipy.linalg.eigh(g, m, eigvals_only=True)
+        assert np.max(np.abs(w - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.linalg.norm(v.T @ m @ v - np.eye(w.size)) <= 1e-12
+
+
+def test_pencil_eigh_refuses_an_indefinite_m():
+    g, m = np.eye(2), np.diag([1.0, -1.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy.linalg.eigh(g, m)
+    with pytest.raises(np.linalg.LinAlgError):
+        stokesop._pencil_eigh(g, m)
+
+
 def test_set_up_builds_nonnegative_sectors_on_their_windows(cfg_small, monkeypatch):
     ws = js.Workspace(cfg_small)
     calls, ranges, eighs = [], [], []
     build = stokesop.build_constrained_basis
     stacks = RadialTables.stacks
-    eigh = scipy.linalg.eigh
+    eigh = stokesop._pencil_eigh
 
     def counted_build(ws_, n, j):
         calls.append((n, j))
@@ -521,18 +554,25 @@ def test_set_up_builds_nonnegative_sectors_on_their_windows(cfg_small, monkeypat
         ranges.append((lo, hi))
         return stacks(self, lo, hi)
 
-    def counted_eigh(*args, **kwargs):
-        eighs.append(args[0].shape)
-        return eigh(*args, **kwargs)
+    def counted_eigh(g, m):
+        eighs.append(g.shape)
+        return eigh(g, m)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("set-up reached scipy.linalg")
 
     monkeypatch.setattr(stokesop, "build_constrained_basis", counted_build)
     monkeypatch.setattr(RadialTables, "stacks", recorded_stacks)
-    monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(stokesop, "_pencil_eigh", counted_eigh)
+    # set-up runs on numpy's LAPACK alone
+    for name in ("eigh", "svd", "qr", "block_diag"):
+        monkeypatch.setattr(scipy.linalg, name, refuse)
     for n in range(cfg_small.n_z + 1):
         js.mode_operator(ws, n)
     nt = cfg_small.n_theta
     assert calls == [(n, j) for n in range(cfg_small.n_z + 1) for j in range(nt)]
-    assert len(eighs) <= (cfg_small.n_z + 1) * nt
+    # one pencil eigh per built sector
+    assert len(eighs) == (cfg_small.n_z + 1) * nt
     # each kernel ran on a sector window [j - 1, j + 1], j >= 0, widened by
     # at most one channel on each side for the strain entries; sector -1's
     # window [-2, 0] is read once at mode 0 for its kernel check
