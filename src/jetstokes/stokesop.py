@@ -29,11 +29,21 @@ On each sector's nullspace Z the Galerkin pencil is real symmetric:
   G = F^T F                             dissipation form (symmetric PSD),
                                          G[i, j] = (mu/2) sum_ij Re (E(b_j), E(b_i)),
 
-where F holds the strain entries E of the columns b = units Z through the
-Cholesky factor L^T of each channel's radial Gram (L L^T = Gram), scaled
-by sqrt(mu/2 2 pi ell) and the square root of each entry's multiplicity,
-so |F y|^2 is the dissipation of coordinates y. G is one real syrk, so
-it is exactly symmetric.
+where F holds the strain of the columns b = units Z in the helical frame
+of the sector's pieces (_dissipation_factor). A sector's coordinates are
+three real radial profiles: a = u+ at m = j + 1, b = u- at m = j - 1 and
+c = i u_z at m = j. With the raising and lowering stacks U and D
+(d/dx +- i d/dy) and h = 1/sqrt(2), its strain has six distinct helical
+entries, each a real profile on one channel:
+
+  U a (m = j + 2),  D b (m = j - 2),  D a + U b and beta c (m = j),
+  beta a + h U c (m = j + 1),  beta b + h D c (m = j - 1),
+
+up to constants. F stacks these six blocks through the Cholesky factor
+L^T of their channel's radial Gram (L L^T = Gram), scaled by
+sqrt(pi mu ell) and the square root of each entry's multiplicity, so
+|F y|^2 is the dissipation of coordinates y. G is one real syrk, so it
+is exactly symmetric.
 
 Each mode is stored as its built sectors j >= 0, each in the
 M-orthonormal eigenbasis V of its pencil: the real coordinates z = Z V of
@@ -67,9 +77,10 @@ are installed as exact leading columns of their sectors with unit L^2
 norm, each times the unit phase that makes its coordinates real (1 for
 e1 +- i e2), and the remaining columns are M-projected against them. The
 sector eigh sees only the non-kernel rows and columns, so the kernel
-columns are eigenvectors as they stand. Eigenvalues below 1e-8 * lam_max,
-the kernel ones included, are measured as |F v_c|^2 / M_cc on their
-eigenvectors v_c, which are nonnegative by construction.
+columns are eigenvectors as they stand. Every eigenvalue, the kernel ones
+included, is measured as the Rayleigh quotient |F v_c|^2 / M_cc of its
+eigenvector v_c: nonnegative by construction, and accurate relative to its
+own size rather than to eps * lam_max.
 
 Negative modes are never assembled, and negative sectors are never built.
 Coefficients of mode -n are conjugate m-reversals of mode +n quantities:
@@ -107,7 +118,6 @@ from .fields import (
     _field,
     _mirror_modes,
     _normalized,
-    _pad,
     _require_config,
     _stacks,
     constant_vector,
@@ -123,16 +133,6 @@ SVD_TOL = 1e-9
 # Cartesian vectors of the three sector pieces, a unitary matrix
 _H = math.sqrt(0.5)
 _PIECE_VECTORS = np.array([[_H, _H, 0.0], [-1j * _H, 1j * _H, 0.0], [0.0, 0.0, 1j]])
-
-# pair -> multiplicity in sum_ij over the full symmetric table
-_PAIRS = (
-    ((0, 0), 1.0),
-    ((1, 1), 1.0),
-    ((2, 2), 1.0),
-    ((0, 1), 2.0),
-    ((0, 2), 2.0),
-    ((1, 2), 2.0),
-)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -245,27 +245,7 @@ def packed_product(stack, y):
 
 
 # ---------------------------------------------------------------------------
-# symmetric derivative entries and traction
-
-
-def _sym_entries(t, varr, beta, lo=None):
-    """Entries E_ij = D_j v_i + D_i v_j of one or many axial slices.
-
-    varr has shape (..., 3, n_m, n_r) on the channels lo..hi (the symmetric
-    band by default); beta is a scalar or broadcasts with the slice axes.
-    Returns a dict keyed (i, j), i <= j, on the channels lo - 1..hi + 1.
-    """
-    # one derivative pair per component keeps each array a third of varr
-    d1, d2 = zip(*[_dxy(t, varr[..., c, :, :], lo) for c in range(3)])
-    dz = [_pad(1j * beta * varr[..., c, :, :], 1) for c in range(3)]
-    return {
-        (0, 0): 2.0 * d1[0],
-        (1, 1): 2.0 * d2[1],
-        (2, 2): 2.0 * dz[2],
-        (0, 1): d2[0] + d1[1],
-        (0, 2): dz[0] + d1[2],
-        (1, 2): dz[1] + d2[2],
-    }
+# surface traction
 
 
 def tangential_traction(ws, v):
@@ -642,19 +622,48 @@ def strong_blocks(op):
 
 
 def _dissipation_factor(t, cfg, j, z, beta):
-    """F^T for sector j's coordinates z (k, K): (K, N) reals, |F y|^2 the dissipation of z y.
+    """F^T for sector j's coordinates z (k, K): (K, 6 n_r) reals, |F y|^2 the dissipation of z y.
 
-    Row c holds the strain entries (_sym_entries) of column c's field on
-    the channels j - 2..j + 2 through the Cholesky factor L^T of each
-    channel's Gram, each entry scaled by sqrt(mu/2 2 pi ell) and the
-    square root of its multiplicity, as interleaved reals.
+    The rows of z are the sector's real radial profiles a (u+ at
+    m = j + 1), b (u- at m = j - 1) and c (i u_z at m = j): the field
+    v_x + i v_y = sqrt(2) a, v_x - i v_y = sqrt(2) b, v_z = i c. Its
+    strain E_ij = D_j v_i + D_i v_j, read in the helical frame of the
+    unitary Q = _PIECE_VECTORS (columns q+, q-, q_z) as E' = Q^H E conj(Q),
+    keeps its Frobenius norm and its symmetry. With d/dx + i d/dy = U
+    (raising), d/dx - i d/dy = D (lowering), d/dz = i beta and
+    h = 1/sqrt(2), e.g. E'_++ = q-^T E q- = h^2 (E_xx + 2i E_xy - E_yy)
+    = U (v_x + i v_y), and the six distinct entries are real profiles:
+      E'_++ = sqrt(2) U_{j+1} a                on m = j + 2,
+      E'_-- = sqrt(2) D_{j-1} b                on m = j - 2,
+      E'_+- = E'_-+ = h (D_{j+1} a + U_{j-1} b)  on m = j,
+      E'_zz = 2 beta c                         on m = j,
+      E'_+z = E'_z+ = beta a + h U_j c          on m = j + 1,
+      E'_-z = E'_z- = beta b + h D_j c          on m = j - 1.
+    The dissipation (mu/2) 2 pi ell sum |E'|^2 is then six real blocks:
+    each profile through the Cholesky factor L^T of its channel's Gram,
+    times sigma = sqrt(pi mu ell) and the square root of its multiplicity
+    (2 for the off-diagonal pairs), all read off t.stacks(j - 2, j + 2).
     """
-    entries = _sym_entries(t, _sector_fields(cfg, j, z), beta, j - 1)
-    e = np.stack([entries[key] for key, _ in _PAIRS], axis=1)
-    f = apply_stack(_stacks(t, e, j - 2).factor, e)
-    scales = np.sqrt([wgt * math.pi * cfg.mu * cfg.ell for _, wgt in _PAIRS])
-    f *= scales[:, None, None]
-    return f.reshape(z.shape[1], -1).view(float)
+    nr = cfg.n_r
+    a, b, c = z[:nr].T, z[nr : 2 * nr].T, z[2 * nr :].T
+    st = t.stacks(j - 2, j + 2)
+    lt, up, down = st.factor, st.raising, st.lowering
+    # index i of the stacks is channel j - 2 + i; a block is its profile
+    # rows times (L^T X)^T, X the raising or lowering stack (if any) that
+    # carries them into the block's channel
+    s = math.sqrt(math.pi * cfg.mu * cfg.ell)
+    s2 = math.sqrt(2.0) * s
+    return np.concatenate(
+        [
+            s2 * (a @ (lt[4] @ up[3]).T),
+            s2 * (b @ (lt[0] @ down[1]).T),
+            s * (a @ (lt[2] @ down[3]).T + b @ (lt[2] @ up[1]).T),
+            2.0 * s * beta * (c @ lt[2].T),
+            s2 * (beta * (a @ lt[3].T) + _H * (c @ (lt[3] @ up[2]).T)),
+            s2 * (beta * (b @ lt[1].T) + _H * (c @ (lt[1] @ down[2]).T)),
+        ],
+        axis=1,
+    )
 
 
 def _pencil_eigh(g, m):
@@ -680,10 +689,12 @@ def assemble_A(ws, n):
 
     Only the complete sectors j = 0..n_theta-1 are built: each gets its
     own constrained basis Z, real coordinates on its unit fields, its own M
-    from the unit Gram and G from the strain entries of its columns, and a
-    real pencil eigh on its non-kernel columns, all on its channel window.
-    The pencil is reduced by the Cholesky factor of M to one symmetric
-    eigh (_pencil_eigh).
+    from the unit Gram and G = F^T F from the six helical strain blocks of
+    its profiles (_dissipation_factor), and a real pencil eigh on its
+    non-kernel columns, all on its channel window. The pencil is reduced
+    by the Cholesky factor of M to one symmetric eigh (_pencil_eigh), and
+    each eigenvalue is taken as the Rayleigh quotient of its eigenvector
+    on the same F.
     They are packed into the real stacks of ModeOperator. The mirror
     sector -j is sector j read on the mirrored pieces (_mirror_piece): the
     other half of its stack entry, with sector j's arrays and eigenvalues.
@@ -710,11 +721,14 @@ def assemble_A(ws, n):
 
         # the installed kernel columns lead the sector and are deflated
         nk = len(info["kernel_columns"])
-        w = np.zeros(k)
         v = np.zeros((k, k))
         v[:nk, :nk] = np.diag(1.0 / np.sqrt(np.diag(m)[:nk]))
-        w[nk:], v[nk:, nk:] = _pencil_eigh(g[nk:, nk:], m[nk:, nk:])
+        _, v[nk:, nk:] = _pencil_eigh(g[nk:, nk:], m[nk:, nk:])
         m, g = v.T @ (m @ v), v.T @ (g @ v)
+        # every eigenvalue as its Rayleigh quotient |F v_c|^2 / M_cc:
+        # nonnegative, and accurate to its own size, not to eps lam_max
+        fv = v.T @ f
+        w = np.einsum("ci,ci->c", fv, fv) / np.diag(m)
         built.append((info, z @ v, zw @ v, 0.5 * (m + m.T), 0.5 * (g + g.T), w))
 
     # the packed real stacks; a sector and its mirror -j share a stack
@@ -725,17 +739,11 @@ def assemble_A(ws, n):
     ms = np.zeros((len(built), k_max, k_max))
     gs = np.zeros_like(ms)
     slots = np.full((len(built), zs.shape[2], 2), 3 * cfg.n_modes_theta * cfg.n_r)
-    lam_max = max(float(np.max(np.abs(w))) for *_, w in built)
     mirrored, own = [], []
     for j, (info, z, zw, m, g, w) in enumerate(built):
         k = z.shape[1]
         zs[j, :k], zws[j, :k] = z.T, zw.T
         ms[j, :k, :k], gs[j, :k, :k] = m, g
-        # near-zero eigenvalues as |F v_c|^2 / M_cc, nonnegative by construction
-        near = np.flatnonzero(np.abs(w) < 1e-8 * lam_max)
-        if near.size:
-            f = _dissipation_factor(t, cfg, j, z[:, near], beta)
-            w[near] = np.einsum("ci,ci->c", f, f) / np.diag(m)[near]
         res = np.linalg.norm(g - m * w, axis=0) / np.sqrt(np.diag(m))
         index = 2 * (j * k_max + np.arange(k))
         own.append((index, w, res))

@@ -18,7 +18,10 @@ block was assembled on its own reach; the per-sector request path
 (PerSectorMaps), which reduced, expanded and multiplied one sector at a
 time with complex fields on Cartesian rows and a slice-level mirror, as
 the package did before the sectors were packed into real stacks; the
-derivative-chain Sobolev inner product (chain_inner_Hkp), which
+Cartesian strain entries (_sym_entries) and the dissipation factor built
+from them (cartesian_dissipation_factor), which read a sector's complex
+window fields, as the package did before it formed six real helical
+strain blocks from the sector's profiles; the derivative-chain Sobolev inner product (chain_inner_Hkp), which
 differentiated each component order by order, as the package did before
 the derivative words were precomposed with the Gram factors; the
 quadrature dissipation (dissipation_slice), which samples every strain
@@ -498,6 +501,63 @@ def resample_stack(t, lo, hi):
     return np.stack([folded[1 if m % 2 == 0 else -1] for m in range(lo, hi + 1)])
 
 
+# pair -> multiplicity in sum_ij over the full symmetric table
+_PAIRS = (
+    ((0, 0), 1.0),
+    ((1, 1), 1.0),
+    ((2, 2), 1.0),
+    ((0, 1), 2.0),
+    ((0, 2), 2.0),
+    ((1, 2), 2.0),
+)
+
+
+def _sym_entries(t, varr, beta, lo=None):
+    """Cartesian strain entries E_ij = D_j v_i + D_i v_j of one or many axial slices.
+
+    varr has shape (..., 3, n_m, n_r) on the channels lo..hi (the symmetric
+    band by default); beta is a scalar or broadcasts with the slice axes.
+    Returns a dict keyed (i, j), i <= j, on the channels lo - 1..hi + 1.
+    The package formed its dissipation factor from these entries of a
+    sector's complex window fields before it read the six real helical
+    blocks of stokesop._dissipation_factor.
+    """
+    from jetstokes.fields import _dxy, _pad
+
+    # one derivative pair per component keeps each array a third of varr
+    d1, d2 = zip(*[_dxy(t, varr[..., c, :, :], lo) for c in range(3)])
+    dz = [_pad(1j * beta * varr[..., c, :, :], 1) for c in range(3)]
+    return {
+        (0, 0): 2.0 * d1[0],
+        (1, 1): 2.0 * d2[1],
+        (2, 2): 2.0 * dz[2],
+        (0, 1): d2[0] + d1[1],
+        (0, 2): dz[0] + d1[2],
+        (1, 2): dz[1] + d2[2],
+    }
+
+
+def cartesian_dissipation_factor(ws, j, z, beta):
+    """F^T of sector j's coordinates z (k, K) from the Cartesian strain entries: (K, N) reals.
+
+    Row c holds the entries (_sym_entries) of column c's window field on
+    the channels j - 2..j + 2 through the Cholesky factor L^T of each
+    channel's Gram, each scaled by sqrt(mu/2 2 pi ell) and the square root
+    of its multiplicity, as interleaved reals: the factor as the package
+    built it before the helical blocks.
+    """
+    from jetstokes.discretization import apply_stack
+    from jetstokes.stokesop import _sector_fields
+
+    cfg, t = ws.config, ws.tables
+    entries = _sym_entries(t, _sector_fields(cfg, j, z), beta, j - 1)
+    e = np.stack([entries[key] for key, _ in _PAIRS], axis=1)
+    f = apply_stack(t.stacks(j - 2, j + 2).factor, e)
+    scales = np.sqrt([wgt * math.pi * cfg.mu * cfg.ell for _, wgt in _PAIRS])
+    f *= scales[:, None, None]
+    return f.reshape(z.shape[1], -1).view(float)
+
+
 def dissipation_slice(ws, n, varr, lo=None):
     """Quadrature dissipation (mu/2) sum_ij ||E_ij||^2 of one axial slice.
 
@@ -508,8 +568,6 @@ def dissipation_slice(ws, n, varr, lo=None):
     rounding. The package pinned near-zero Rayleigh quotients with it
     before the dissipation form was factored.
     """
-    from jetstokes.stokesop import _PAIRS, _sym_entries
-
     cfg, t = ws.config, ws.tables
     entries = _sym_entries(t, varr, cfg.beta(n), lo)
     w_quad = quadrature(t)[1]
@@ -549,12 +607,10 @@ def cartesian_traction(t, varr, beta, mu, lo=None):
 
     varr (..., 3, n_m, n_r) on the channels lo..hi (the symmetric band by
     default); beta is a scalar or broadcasts with the slice axes. The
-    strain entries E of stokesop._sym_entries are read at node 0
+    strain entries E of _sym_entries are read at node 0
     (r = kappa) and contracted with n = (cos, sin, 0). Returns a list of
     three (..., n_m + 4) arrays on lo - 2..hi + 2.
     """
-    from jetstokes.stokesop import _sym_entries
-
     e = {key: val[..., 0] for key, val in _sym_entries(t, varr, beta, lo).items()}
     s1 = -mu * (_trace_cos(e[(0, 0)]) + _trace_sin(e[(0, 1)]))
     s2 = -mu * (_trace_cos(e[(0, 1)]) + _trace_sin(e[(1, 1)]))
@@ -613,8 +669,6 @@ def pencil_all_channels(ws, n, basis):
     was formed in real arithmetic: quadrature samples of the fields and of
     their strain entries, and conj(Y) @ Y.T products.
     """
-    from jetstokes.stokesop import _PAIRS, _sym_entries
-
     cfg, t = ws.config, ws.tables
     k = basis.shape[1]
     barr = np.ascontiguousarray(basis.T).reshape(k, 3, cfg.n_modes_theta, cfg.n_r)

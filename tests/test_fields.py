@@ -22,7 +22,6 @@ from jetstokes.fields import (
     zeros_vector,
 )
 from jetstokes.rng import stream
-from jetstokes.stokesop import _sym_entries
 
 import oracles
 
@@ -105,11 +104,11 @@ def test_div_grad_equals_laplacian(cfg_small):
 
 
 def _sym_entry_fields(v):
-    """The entries E_ij = D_j v_i + D_i v_j (i <= j) of the kernel the
-    operator blocks use, as ScalarFields on the stored band."""
+    """The Cartesian strain entries E_ij = D_j v_i + D_i v_j (i <= j) of
+    oracles._sym_entries, as ScalarFields on the stored band."""
     cfg = v.config
     varr = np.moveaxis(v.coeffs, 0, 1)
-    e = _sym_entries(tables_for(cfg), varr, _axial_factors(cfg).imag)
+    e = oracles._sym_entries(tables_for(cfg), varr, _axial_factors(cfg).imag)
     return {key: js.ScalarField(cfg, _truncate(arr, cfg.n_theta)) for key, arr in e.items()}
 
 

@@ -14,6 +14,8 @@ sector layout on modes 0 and 1:
 - the kernel has dimension 4 at n = 0 and is empty at n = 1;
 - every built sector's constraint rows are a phase times a real row, and
   the cached r0 + beta r1 is that row;
+- each sector's helical dissipation factor, on random real coordinates
+  at random beta, gives the G of the Cartesian strain entries;
 - the resolvent obeys the sector bound ||v|| <= sqrt(2) ||g|| / |lam|
   for lam with |Im lam| > Re lam;
 - the polar surface stresses of random slices, on the symmetric band or
@@ -47,6 +49,7 @@ from jetstokes.helmholtz import _surface_stresses
 from jetstokes.spectral import KERNEL_TOL, _pencil_solve
 from jetstokes.stokesop import (
     _apply_weight,
+    _dissipation_factor,
     _pencil_eigh,
     _sector_window,
     expand_slice,
@@ -61,6 +64,16 @@ CONFIGS = st.builds(
     st.floats(1.0, 20.0),
     st.floats(0.1, 10.0),
     st.integers(6, 16),
+    st.integers(2, 4),
+)
+FACTOR_CONFIGS = st.builds(
+    lambda kappa, ell, mu, n_r, n_theta: js.DomainConfig(
+        kappa=kappa, ell=ell, mu=mu, n_r=n_r, n_theta=n_theta, n_z=1
+    ),
+    st.floats(0.1, 0.95),
+    st.floats(1.0, 20.0),
+    st.floats(0.1, 10.0),
+    st.integers(8, 16),
     st.integers(2, 4),
 )
 # |lam| e^{i phi} with phi in (pi/4, 7 pi/4): |Im lam| > Re lam
@@ -168,6 +181,19 @@ def test_sector_rows_are_real_up_to_a_phase(cfg):
         for j in range(cfg.n_theta):
             imag, split = oracles.row_phase_defects(ws, n, j)
             assert imag <= 1e-14 and split <= 1e-14
+
+
+@PROPERTY
+@given(FACTOR_CONFIGS, st.floats(-20.0, 20.0))
+def test_helical_factor_gives_the_cartesian_dissipation_form(cfg, beta):
+    ws = js.Workspace(cfg)
+    rng = stream(62, "tests")
+    for j in range(cfg.n_theta):
+        z = rng.standard_normal((3 * cfg.n_r, 7))
+        f = _dissipation_factor(ws.tables, cfg, j, z, beta)
+        want = oracles.cartesian_dissipation_factor(ws, j, z, beta)
+        g, g_want = f @ f.T, want @ want.T
+        assert np.linalg.norm(g - g_want) <= 1e-13 * np.linalg.norm(g_want)
 
 
 @PROPERTY

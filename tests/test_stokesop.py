@@ -14,7 +14,7 @@ from jetstokes.fields import (
     rigid_rotation,
     zeros_vector,
 )
-from jetstokes import helmholtz, spectral, stokesop
+from jetstokes import fields, helmholtz, spectral, stokesop
 from jetstokes.discretization import RadialTables
 from jetstokes.rng import stream
 from jetstokes.stokesop import (
@@ -688,9 +688,10 @@ def test_dissipation_matches_weak_block(ws_small):
 
 @pytest.mark.parametrize("ws_name", ["ws_small", "ws_medium"])
 def test_near_zero_eigenvalues_are_dissipation_quotients(ws_name, request):
-    # below 1e-8 lam_max an eigenvalue is |F v|^2 / M_vv of its eigenvector:
-    # a positive roundoff-level number, the quadrature dissipation quotient
-    # of the same field, not the 0 or the eps ||G|| jitter of the pencil eigh
+    # every eigenvalue is |F v|^2 / M_vv of its eigenvector; below
+    # 1e-8 lam_max that is a positive roundoff-level number, the quadrature
+    # dissipation quotient of the same field, not the 0 or the eps ||G||
+    # jitter of the pencil eigh
     ws = request.getfixturevalue(ws_name)
     cfg = ws.config
     op = js.mode_operator(ws, 0)
@@ -707,6 +708,60 @@ def test_near_zero_eigenvalues_are_dissipation_quotients(ws_name, request):
             assert got == pytest.approx(want, rel=1e-12)
             pinned += 1
     assert pinned == 4
+
+
+@pytest.mark.parametrize(
+    "grid", [(12, 3, 2), (24, 6, 4), (32, 8, 8)], ids=["12-3-2", "24-6-4", "32-8-8"]
+)
+def test_helical_factor_matches_the_cartesian_strain(grid):
+    # the six real helical blocks carry the form of the Cartesian strain
+    # entries: the same G on every sector, and |F y|^2 the quadrature
+    # dissipation of the sector field of coordinates y
+    cfg = js.DomainConfig(n_r=grid[0], n_theta=grid[1], n_z=grid[2])
+    ws = js.Workspace(cfg)
+    rng = stream(61, "tests")
+    for n in (0, 1, cfg.n_z):
+        beta = cfg.beta(n)
+        for j in range(cfg.n_theta):
+            z, _ = stokesop.build_constrained_basis(ws, n, j)
+            f = stokesop._dissipation_factor(ws.tables, cfg, j, z, beta)
+            assert f.dtype == np.float64 and f.shape == (z.shape[1], 6 * cfg.n_r)
+            want = oracles.cartesian_dissipation_factor(ws, j, z, beta)
+            g, g_want = f @ f.T, want @ want.T
+            assert np.linalg.norm(g - g_want) <= 1e-13 * np.linalg.norm(g_want)
+            y = rng.standard_normal(z.shape[1])
+            field = stokesop._sector_fields(cfg, j, z @ y[:, None])[0]
+            diss = oracles.dissipation_slice(ws, n, field, j - 1)
+            assert np.sum((y @ f) ** 2) == pytest.approx(diss, rel=1e-12)
+
+
+def test_lowest_eigenvalue_is_accurate_to_its_own_size():
+    # mode 1's lowest eigenvalue at 32/8 is 0.15035260570934 to the digits
+    # shown (a 40-digit solve of its sector pencil); read off the pencil
+    # eigh it would carry an error of about eps * lam_max, 1e-10 relative
+    cfg = js.DomainConfig(n_r=32, n_theta=8, n_z=1)
+    w = js.mode_operator(js.Workspace(cfg), 1).eigen[0]
+    assert w[0] == pytest.approx(0.15035260570934, rel=5e-11)
+
+
+def test_per_mode_set_up_stays_real(cfg_small, monkeypatch):
+    # mode 0 builds and caches every sector's constraint rows; past it a
+    # mode's set-up forms no complex sector field and no Cartesian derivative
+    ws = js.Workspace(cfg_small)
+    js.mode_operator(ws, 0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex sector field in the per-mode set-up")
+
+    for module, name in (
+        (stokesop, "_sector_fields"),
+        (stokesop, "_dxy"),
+        (fields, "_dxy"),
+        (fields, "_up_down"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    for n in range(1, cfg_small.n_z + 1):
+        assert js.mode_operator(ws, n).n == n
 
 
 def test_form_sector_coercivity(ws_small):
