@@ -13,24 +13,25 @@ c is packed as in stokesop.ModeOperator, and w is 0 on its zero padding,
 which both factors then keep. w is real and nonnegative, so homogeneous
 energies are monotone, and the mode-0 kernel is deflated exactly, so
 constant states persist to roundoff. Energies are sum |c|^2 and
-sum w |c|^2. The per-step residual is measured against the packed M and
-G stacks, so every step checks the eigenbasis instead of trusting it.
+sum w |c|^2. The recurrence is exact, so a step's residual against the
+blocks set-up formed is (M - I) dc/dt + (G - diag w) c_eval; the
+residual column bounds it by ||eps_M dc/dt|| + ||eps_G c_eval|| per mode
+(stokesop.field_pencil), over ||dc/dt|| + ||w c_eval|| + ||f||.
 
 The state and w are field coordinate arrays (n_z + 1, dim, sides) (see
 stokesop.reduce_slice), so each step is a few whole-array operations: the
-recurrence, the M/G residual products (one batched product per |n|), the
-residual's per-mode scale, the energies and the Crank-Nicolson midpoint
-terms. The forcing of a block of STEP_BLOCK steps is reduced, and its
-snapshots expanded, in one call each; the forcing callable is called once
-per time point, in time order (after one extra call at t = 0 for the
-hypothesis check). w is real, so the recurrence is the same on both signs
-of n.
+recurrence, the residual bound and its per-mode scale, the energies and
+the Crank-Nicolson midpoint terms. The forcing of a block of STEP_BLOCK
+steps is reduced, and its snapshots expanded, in one call each; the
+forcing callable is called once per time point, in time order (after one
+extra call at t = 0 for the hypothesis check). w is real, so the
+recurrence is the same on both signs of n.
 
 A real run carries one side. When the initial state (if any) and the
 forcing at t = 0 are flagged real (fields.real_flag), the state holds
 side 0 only (sides = 1): side 1 of a real field repeats it, so the steps,
 reductions and expansions touch modes n >= 0 only, the energies, the
-midpoint forcing term and the residual scale count each |n| > 0 twice,
+midpoint forcing term and the residual terms count each |n| > 0 twice,
 and the snapshots are flagged real. The decision reads the flags, never
 the data. A real initial state is projected on side 0 only. A complex
 f(0), or a later forcing value flagged complex, widens the state to two
@@ -49,8 +50,7 @@ from .fields import grad, inner_product_Hkp
 from .helmholtz import operator_Q, project_P
 from .stokesop import (
     expand_slice,
-    field_eigenvalues,
-    field_product,
+    field_pencil,
     mode_operator,
     project_constrained,
     reduce_slice,
@@ -195,14 +195,10 @@ def evolve(ws, evo):
             % (steps, dt, evo.t_final)
         )
 
-    w_all = field_eigenvalues(ws)
+    w_all, eps_m, eps_g = field_pencil(ws)
     # the eigenbasis deflates the mode-0 kernel columns, which is exact
     # only while G couples to them at roundoff level
-    op0 = mode_operator(ws, 0)
-    nk = [len(info["kernel_columns"]) for info in op0.info]
-    kernel_rows = np.arange(op0.G.shape[1])[:, None] < np.array(nk)[:, None, None]
-    coupling = op0.sector_norm(np.where(kernel_rows, op0.G, 0.0))
-    coupling /= max(op0.sector_norm(op0.G), 1e-300)
+    coupling = max(info["kernel_coupling"] for info in mode_operator(ws, 0).info)
     if coupling > 1e-8:
         warnings.append("mode 0: dissipation form couples to the kernel (%.3e)" % coupling)
 
@@ -289,20 +285,18 @@ def evolve(ws, evo):
                 c_new += dt * r_eval
             c_new /= denom
             x[i + 1] = c_new
-            # the step's residual against the M and G stacks, scaled per
-            # mode, its energies and the Crank-Nicolson midpoint terms
+            # the bound on the step's residual and its scale, per mode, its
+            # energies and the Crank-Nicolson midpoint terms
             c_eval = theta * c_new + (1.0 - theta) * c
-            d = field_product(ws, "M", (c_new - c) / dt)
-            ge = field_product(ws, "G", c_eval)
-            scale = _mode_norms(d) + _mode_norms(ge)
-            d += ge
+            dc = (c_new - c) / dt
+            bound = _mode_norms(eps_m * dc) + _mode_norms(eps_g * c_eval)
+            scale = _mode_norms(dc) + _mode_norms(w * c_eval)
             if r is not None:
-                d -= r_eval
                 scale += _mode_norms(r_eval)
                 fp_mid[k] = np.vdot(c_eval, mult * r_eval).real
             scale_sq = np.sum(mult[:, 0] * scale * scale)
             if scale_sq > 0.0:
-                res_arr[k + 1] = math.sqrt(np.vdot(d, mult * d).real / scale_sq)
+                res_arr[k + 1] = math.sqrt(np.sum(mult[:, 0] * bound * bound) / scale_sq)
             diss_mid[k] = energies(c_eval)[1]
             l2_arr[k + 1], diss_arr[k + 1] = energies(c_new)
             c = c_new

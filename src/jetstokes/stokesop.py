@@ -47,19 +47,20 @@ is exactly symmetric.
 
 Each mode is stored as its built sectors j >= 0, each in the
 M-orthonormal eigenbasis V of its pencil: the real coordinates z = Z V of
-its eigenvector fields on its unit fields, V^T M V ~ I and V^T G V ~
-diag(w). They are packed into zero-padded real stacks (ModeOperator), the
+its eigenvector fields on its unit fields. There the pencil is M = I and
+G = diag(w), so no block is stored, only each sector's defects
+eps_M = ||V^T M V - I|| and eps_G = ||V^T G V - diag(w)|| (assemble_A).
+The sectors are packed into zero-padded real stacks (ModeOperator), the
 only copy of a mode, and a mode's coordinates are that packed layout
 itself: one entry per (stack entry, column, [sector j, mirror -j]), zero
 on the padding, where the packed eigenvalues are 0 too. A field's
 coordinates are one array (n_z + 1, dim, 2, ...): |n|, that mode's packed
 layout (zero past its size) and the sign of n (side 1 is mode -|n|,
-padding at |n| = 0). The M/G products (field_product) are one batched
-real product per |n|, modes +|n| and -|n| side by side in its columns;
-reducing and expanding a field take one gather or scatter and one batched
-real product per mode; none does index work on the coordinates. In these
-coordinates the L^2 projection, the resolvent and both time steppers are
-diagonal scalings; the blocks are kept to measure residuals against.
+padding at |n| = 0). Reducing and expanding a field take one gather or
+scatter and one batched real product per mode; none does index work on
+the coordinates. In these coordinates the L^2 projection, the resolvent
+and both time steppers are diagonal scalings; eps_M and eps_G bound their
+residuals against the blocks set-up formed (field_pencil).
 The strong operator
 
   A v = -mu P laplacian(v) + grad(Q v)
@@ -69,7 +70,7 @@ itself. Its per-sector blocks A[i, c] = (A b_c, b_i) are a pure function
 of the stacks (strong_blocks), computed on each sector's reach (its window
 plus the two channels A adds on each side) when a check or the block
 export asks, together with the part of A b that leaves the sector (an
-exact zero, measured in roundoff); criterion checks compare them with G.
+exact zero, measured in roundoff); criterion checks compare them with w.
 
 Mode n = 0 receives special treatment: the kernel fields e1 + i e2
 (sector 1), e1 - i e2 (sector -1), e3 and the rigid rotation (sector 0)
@@ -89,7 +90,7 @@ onto side 1 of the field coordinates and back (_sides names each mode's
 side). A real field's side 1 equals its side 0, so its coordinates may
 hold side 0 only, width 1 on the side axis: reduce_slice(..., real=True)
 reads the slices n >= 0, and expand_slice writes mode -n as the mirror of
-mode n. field_product works at either width.
+mode n.
 The side-1 pencil is the conjugate of the mode-|n| one, with the same
 real eigenvalues, so beyond them only the resolvent shift
 (spectral._pencil_solve) sees the sign. Within a mode, the mirror
@@ -141,10 +142,10 @@ class ModeOperator:
 
     The S = n_theta built sectors j are packed, as entries j, into
     zero-padded real stacks: Z (S, K_max, 3 n_r) holds each sector's
-    coordinates z on its unit fields transposed, ZW the same with the unit
-    Gram folded in ((M_u z)^T), and M and G (S, K_max, K_max) its blocks.
-    info holds each entry's basis record (build_constrained_basis; K_j is
-    its "dim"). Sector -j is entry j read on the mirrored pieces, so an
+    coordinates z on its unit fields transposed, and ZW the same with the
+    unit Gram folded in ((M_u z)^T). info holds each entry's record
+    (build_constrained_basis, K_j its "dim", and assemble_A's pencil
+    defects). Sector -j is entry j read on the mirrored pieces, so an
     entry j > 0 stands for two sectors (sector_norm).
 
     The mode's coordinates are packed alike: (dim, ...) with
@@ -166,9 +167,9 @@ class ModeOperator:
     ws is a weak reference to the owning Workspace, so the cache holds no
     reference cycle. Nothing is written to an operator once assemble_A
     returns. basis, M_block, G_block and A_block are dense views in
-    ascending order, built through order on each read for checks and
-    export; no solve reads them, and basis and A_block need that workspace
-    alive.
+    ascending order for checks and export, which no solve reads: M_block
+    and G_block are exactly I and diag(eigen[0]), and basis and A_block
+    need that workspace alive.
     """
 
     n: int
@@ -176,8 +177,6 @@ class ModeOperator:
     eigen: tuple
     Z: np.ndarray
     ZW: np.ndarray
-    M: np.ndarray
-    G: np.ndarray
     w: np.ndarray
     order: np.ndarray
     slots: np.ndarray
@@ -194,21 +193,17 @@ class ModeOperator:
         eye[self.order, np.arange(self.order.size)] = 1.0
         return eye
 
-    def _dense(self, stack):
-        """The block of a packed stack (S, K_max, K_max) in ascending eigen coordinates."""
-        return packed_product(stack, self._eye())[self.order]
-
     @property
     def M_block(self):
-        return self._dense(self.M)
+        return np.eye(self.order.size, dtype=complex)
 
     @property
     def G_block(self):
-        return self._dense(self.G)
+        return np.diag(self.eigen[0].astype(complex))
 
     @property
     def A_block(self):
-        return self._dense(strong_blocks(self)[0])
+        return packed_product(strong_blocks(self)[0], self._eye())[self.order]
 
     def synthesize(self, y):
         """Flat Cartesian slices (3 * n_m * n_r, k) of packed coordinates y (dim, k).
@@ -236,8 +231,8 @@ def packed_product(stack, y):
     y is read as its interleaved real view (S, K, 4 L): a sector's and its
     mirror's entries side by side with their L trailing columns, each
     complex entry as two reals, so one batched real product serves them
-    all. The result is (S * R * 2, ...) in the same layout; for ModeOperator.M
-    or .G that is packed coordinates again, and a zero padding stays zero.
+    all. The result is (S * R * 2, ...) in the same layout: reduce_slice
+    applies ZW this way, and ModeOperator.synthesize Z^T.
     """
     y = np.ascontiguousarray(y, dtype=complex)
     x = y.reshape(stack.shape[0], stack.shape[2], -1).view(float)
@@ -578,7 +573,7 @@ def _apply_A_slice(ws, n, varr, lo=None):
 def strong_blocks(op):
     """Strong blocks and leaks of a mode's built sectors: (A, leak).
 
-    A (S, K_max, K_max) is a packed real stack like op.M and op.G: entry j
+    A (S, K_max, K_max) is a packed real stack of blocks: entry j
     holds (A b_c, b_i) over sector j's columns, zero on the padding, and
     stands for its mirror -j too. A is applied to each sector's window
     fields on its reach, the window [lo - 2, hi + 2] clipped to the band,
@@ -593,7 +588,7 @@ def strong_blocks(op):
     """
     ws = op.ws()
     cfg = ws.config
-    a = np.zeros(op.M.shape)
+    a = np.zeros(op.Z.shape[:2] + op.Z.shape[1:2])
     leak = np.zeros(len(op.info))
     # widest reach first, so each cached stack is built once on its band
     for j in reversed(range(len(op.info))):
@@ -694,8 +689,10 @@ def assemble_A(ws, n):
     non-kernel columns, all on its channel window. The pencil is reduced
     by the Cholesky factor of M to one symmetric eigh (_pencil_eigh), and
     each eigenvalue is taken as the Rayleigh quotient of its eigenvector
-    on the same F.
-    They are packed into the real stacks of ModeOperator. The mirror
+    on the same F. Each record gains the Frobenius norms eps_M and eps_G of
+    V^T M V - I and V^T G V - diag(w), and kernel_coupling, that norm of
+    G's kernel rows over G's (0 without kernel columns).
+    The sectors are packed into the real stacks of ModeOperator. The mirror
     sector -j is sector j read on the mirrored pieces (_mirror_piece): the
     other half of its stack entry, with sector j's arrays and eigenvalues.
     order ranks the eigenvalues of all sectors in ascending order.
@@ -729,22 +726,24 @@ def assemble_A(ws, n):
         # nonnegative, and accurate to its own size, not to eps lam_max
         fv = v.T @ f
         w = np.einsum("ci,ci->c", fv, fv) / np.diag(m)
-        built.append((info, z @ v, zw @ v, 0.5 * (m + m.T), 0.5 * (g + g.T), w))
+        m, g = 0.5 * (m + m.T), 0.5 * (g + g.T)
+        # Frobenius norms bound the spectral norms, at no eigensolve's cost
+        info["eps_M"] = float(np.linalg.norm(m - np.eye(k)))
+        info["eps_G"] = float(np.linalg.norm(g - np.diag(w)))
+        info["kernel_coupling"] = float(np.linalg.norm(g[:nk]) / np.linalg.norm(g))
+        res = np.linalg.norm(g - m * w, axis=0) / np.sqrt(np.diag(m))
+        built.append((info, z @ v, zw @ v, w, res))
 
     # the packed real stacks; a sector and its mirror -j share a stack
     # entry, sides 0 and 1 of the packed coordinates and of the slot table
-    k_max = max(w.size for *_, w in built)
+    k_max = max(w.size for *_, w, _ in built)
     zs = np.zeros((len(built), k_max, 3 * cfg.n_r))
     zws = np.zeros_like(zs)
-    ms = np.zeros((len(built), k_max, k_max))
-    gs = np.zeros_like(ms)
     slots = np.full((len(built), zs.shape[2], 2), 3 * cfg.n_modes_theta * cfg.n_r)
     mirrored, own = [], []
-    for j, (info, z, zw, m, g, w) in enumerate(built):
+    for j, (info, z, zw, w, res) in enumerate(built):
         k = z.shape[1]
         zs[j, :k], zws[j, :k] = z.T, zw.T
-        ms[j, :k, :k], gs[j, :k, :k] = m, g
-        res = np.linalg.norm(g - m * w, axis=0) / np.sqrt(np.diag(m))
         index = 2 * (j * k_max + np.arange(k))
         own.append((index, w, res))
         slots[j, :, 0] = _piece_slots(cfg, j)
@@ -762,8 +761,6 @@ def assemble_A(ws, n):
         eigen=(w[rank], res[rank]),
         Z=zs,
         ZW=zws,
-        M=ms,
-        G=gs,
         w=packed,
         order=index[rank],
         slots=slots,
@@ -789,7 +786,7 @@ def _check_mirrored_kernel(op):
     wkern = _apply_weight(ws.tables, cfg.ell, kern.reshape(1, 3, -1, cfg.n_r), lo)
     kern = kern / np.sqrt(np.vdot(kern, wkern.reshape(-1)).real)
     unit = np.zeros((op.w.size, 1))
-    unit[2 * op.M.shape[1] + 1] = 1.0
+    unit[2 * op.Z.shape[1] + 1] = 1.0
     col = op.synthesize(unit)[_window_rows(cfg, lo, hi), 0]
     err = np.max(np.abs(col - kern)) / np.max(np.abs(kern))
     if not err <= 1e-12:
@@ -850,21 +847,22 @@ def _pieces(arr):
     return out
 
 
-def field_product(ws, name, y):
-    """Each mode's stack name ("M" or "G") times field coordinates y (n_z + 1, dim, 1 or 2, ...)."""
-    out = np.zeros(y.shape, dtype=complex)
-    for a, op in enumerate(_mode_ops(ws)):
-        out[a, : op.w.size] = packed_product(getattr(op, name), y[a, : op.w.size])
-    return out
+def field_pencil(ws):
+    """Eigenvalues w (n_z + 1, dim, 2) of the field coordinates and their defects eps_M, eps_G.
 
-
-def field_eigenvalues(ws):
-    """Eigenvalues (n_z + 1, dim, 2) of the field coordinates, 0 on the padding."""
+    w is 0 on the padding. eps_M and eps_G (n_z + 1, dim, 1) give each
+    coordinate, on either side, its sector's record (assemble_A); the
+    padding, where coordinates are zero, carries its stack entry's.
+    """
     ops = _mode_ops(ws)
     w = np.zeros((len(ops), max(op.w.size for op in ops), 2))
+    eps = np.zeros((2,) + w.shape[:2] + (1,))
     for op, side, _ in _sides(ws):
         w[op.n, : op.w.size, side] = op.w
-    return w
+    for op in ops:
+        rec = [[info["eps_M"], info["eps_G"]] for info in op.info]
+        eps[:, op.n, : op.w.size, 0] = np.repeat(rec, op.w.size // len(op.info), axis=0).T
+    return w, eps[0], eps[1]
 
 
 def reduce_slice(ws, arr, real=False):

@@ -138,9 +138,9 @@ def _c03_kernel(ws, seed):
     cfg = ws.config
     op0 = mode_operator(ws, 0)
     a, _ = _strong_blocks(ws, 0)
-    # |(A b_k, b_k)| / (b_k, b_k) over the installed kernel columns
+    # |(A b_k, b_k)| over the installed kernel columns, which have unit norm
     kernel = [(i, c) for i, info in enumerate(op0.info) for c in info["kernel_columns"]]
-    quotients = [abs(a[i, c, c]) / op0.M[i, c, c] for i, c in kernel]
+    quotients = [abs(a[i, c, c]) for i, c in kernel]
     ray = float(max(quotients)) / op0.sector_norm(a)
     dim0 = kernel_dimension(ws)
     cfg2 = dataclasses.replace(cfg, n_r=cfg.n_r + 8, n_theta=cfg.n_theta + 2)
@@ -226,7 +226,7 @@ def _c05_resolvent(ws, seed):
 
 
 def _c06_agreement(ws, seed):
-    """Per-sector strong blocks (apply then weight) against the weak form."""
+    """Per-sector strong blocks (apply then weight) against the weak form diag(w)."""
     del seed
     cfg = ws.config
     rels = {}
@@ -235,7 +235,9 @@ def _c06_agreement(ws, seed):
         op = mode_operator(ws, n)
         a, leak = _strong_blocks(ws, n)
         max_off = max(max_off, float(np.max(leak)))
-        rels[str(n)] = op.sector_norm(a - op.G) / op.sector_norm(op.G)
+        w = op.w.reshape(len(op.info), -1, 2)[:, :, 0]
+        g = w[:, :, None] * np.eye(w.shape[1])
+        rels[str(n)] = op.sector_norm(a - g) / op.sector_norm(g)
     worst = max(rels.values())
     measured = {"max_relative_frobenius": worst, "max_off_sector": max_off, "per_mode": rels}
     return _record(

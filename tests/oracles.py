@@ -325,7 +325,7 @@ SectorPart = collections.namedtuple("SectorPart", "entry info nk z M G index mir
 
 
 def sector_parts(op):
-    """Every sector of op, j = -J..J, as a SectorPart read off its packed stacks.
+    """Every sector of op, j = -J..J, as a SectorPart with its pencil rebuilt from the stacks.
 
     Built sector j >= 0 at stack entry i owns the entries (i, c, 0) of the
     (S, K_max, 2) layout and its mirror -j the entries (i, c, 1), for its
@@ -334,19 +334,42 @@ def sector_parts(op):
     column count nk (the record's "kernel_columns"), its coordinates z
     (3 n_r, K) on its unit fields, its (K, K) blocks M and G, its packed
     indices and whether it is the side-1 mirror; a mirror shares its
-    entry's z, M, G and nk.
+    entry's z, M, G and nk. The operator stores no blocks: M = z^T (M_u z)
+    is rebuilt from the stacks Z and ZW and symmetrized, and G = F^T F
+    from the helical factor of z, so in eigen coordinates they are I and
+    diag(w) up to the pencil's defects.
     """
-    k_max = op.M.shape[1]
+    from jetstokes.stokesop import _dissipation_factor
+
+    ws = op.ws()
+    k_max = op.Z.shape[1]
     own, mirrored = [], []
     for i, info in enumerate(op.info):
         k, nk = info["dim"], len(info["kernel_columns"])
-        blocks = (op.Z[i, :k].T, op.M[i, :k, :k], op.G[i, :k, :k])
+        z = op.Z[i, :k].T
+        m = z.T @ op.ZW[i, :k].T
+        f = _dissipation_factor(ws.tables, ws.config, info["j"], z, ws.config.beta(op.n))
+        blocks = (z, 0.5 * (m + m.T), f @ f.T)
         index = 2 * (i * k_max + np.arange(k))
         own.append(SectorPart(i, info, nk, *blocks, index, False))
         if info["j"] > 0:
             image = dict(info, j=-info["j"])
             mirrored.insert(0, SectorPart(i, image, nk, *blocks, index + 1, True))
     return mirrored + own
+
+
+def dense_blocks(op):
+    """The rebuilt M and G (K, K) of sector_parts in the ascending order of op.eigen.
+
+    Each coordinate belongs to one sector, so both are block diagonal over
+    the sectors, with exact zeros between them.
+    """
+    rank = ascending_rank(op)
+    m, g = np.zeros((2, op.order.size, op.order.size))
+    for p in sector_parts(op):
+        at = np.ix_(rank[p.index], rank[p.index])
+        m[at], g[at] = p.M, p.G
+    return m, g
 
 
 def ascending_rank(op):
@@ -408,13 +431,15 @@ class PerSectorMaps:
     Each built sector carries coef = _sector_fields(z), its eigenvector
     fields on the flat Cartesian rows they reach; a mirrored sector -j
     pairs its source's coef with the mirror_rows image of the slice, and
-    M and G act as complex blocks. Coordinates are read and written at
-    each sector's packed indices (sector_parts), and the padding is zero.
-    reduce, expand and apply are the package's reduce_slice, expand_slice
-    and M/G products before the sectors were packed into real stacks and
-    before a field's modes were handled as one coordinate array; they take
-    one mode's slices and coordinates (dim, ...), which mode_coords and
-    field_coords cut from and place into the field coordinate array.
+    the rebuilt M and G of sector_parts act as complex blocks. Coordinates
+    are read and written at each sector's packed indices (sector_parts),
+    and the padding is zero. reduce and expand are the package's
+    reduce_slice and expand_slice before the sectors were packed into real
+    stacks and before a field's modes were handled as one coordinate
+    array; apply multiplies by the rebuilt blocks, to measure residuals
+    against. They take one mode's slices and coordinates (dim, ...), which
+    mode_coords and field_coords cut from and place into the field
+    coordinate array.
     """
 
     def __init__(self, ws, n):
@@ -469,11 +494,26 @@ class PerSectorMaps:
         return out
 
     def pencil_solve(self, lam, r):
-        """(G - lam M) y = r, r (dim, ...): the diagonal scaling and one refinement pass."""
+        """(G - lam M) y = r, r (dim, ...), in eigen coordinates: the diagonal scaling."""
         shift = np.conj(lam) if self.n < 0 else lam
-        d = (self.op.w - shift).reshape((-1,) + (1,) * (r.ndim - 1))
-        y = r / d
-        return y + (r - self.apply("G", y) + shift * self.apply("M", y)) / d
+        return r / (self.op.w - shift).reshape((-1,) + (1,) * (r.ndim - 1))
+
+
+def pencil_residuals(ws, lam, r, y):
+    """Relative residuals ||r - (G - lam M) y|| / ||r|| per mode n = -n_z..n_z, 0 where r is zero.
+
+    r and y are field coordinate arrays (n_z + 1, dim, 2, ...); G and M are
+    the blocks sector_parts rebuilds, mode -n shifted by conj(lam).
+    """
+    rs, ys = mode_coords(ws, r), mode_coords(ws, y)
+    out = []
+    for n in sorted(rs):
+        ref = PerSectorMaps(ws, n)
+        shift = np.conj(lam) if n < 0 else lam
+        res = rs[n] - ref.apply("G", ys[n]) + shift * ref.apply("M", ys[n])
+        den = np.linalg.norm(rs[n])
+        out.append(np.linalg.norm(res) / den if den > 0.0 else 0.0)
+    return np.array(out)
 
 
 def quadrature(t):
@@ -899,12 +939,17 @@ def project_P_per_slice(ws, u):
     return sol, pot, residual
 
 
-def evolve_per_step(ws, evo):
-    """The evolution loop with one reduction, expansion and M/G product per mode and step.
+def evolve_per_step(ws, evo, measured=False):
+    """The evolution loop with one reduction and expansion per mode and step.
 
     Same arguments and result type as jetstokes.evolve; the warnings are
     abbreviated and the argument checks left out. Fields meet coordinates
-    through PerSectorMaps only, one mode at a time.
+    through PerSectorMaps only, one mode at a time. The residual column is
+    the bound ||eps_M dc/dt|| + ||eps_G c_eval|| per mode from each
+    sector's recorded defects, or, with measured, the residual
+    M dc/dt + G c_eval - f itself against the blocks sector_parts rebuilds;
+    either is divided by the scale ||dc/dt|| + ||w c_eval|| + ||f||, all
+    summed over modes in squares.
     """
     from jetstokes.evolution import EnergyTrace, EvolutionResult
     from jetstokes.fields import norm_L2, zeros_vector
@@ -921,6 +966,11 @@ def evolve_per_step(ws, evo):
     modes = list(range(-cfg.n_z, cfg.n_z + 1))
     maps = {n: PerSectorMaps(ws, n) for n in modes}
     eig = {n: m.op.w for n, m in maps.items()}
+    eps = {}
+    for n, m in maps.items():
+        eps[n] = np.zeros((2, m.op.w.size))
+        for part, index, _, _, _ in m.parts:
+            eps[n][:, index] = [[part.info["eps_M"]], [part.info["eps_G"]]]
 
     def field_from_coords(coords):
         out = zeros_vector(cfg)
@@ -978,15 +1028,19 @@ def evolve_per_step(ws, evo):
                 b += dt * r_eval
             c_new[n] = b / (1.0 + theta * dt * w)
             c_eval = theta * c_new[n] + (1.0 - theta) * c[n]
-            dc = maps_n.apply("M", (c_new[n] - c[n]) / dt)
-            ge = maps_n.apply("G", c_eval)
-            d = dc + ge
-            s = np.linalg.norm(dc) + np.linalg.norm(ge)
+            dc = (c_new[n] - c[n]) / dt
+            s = np.linalg.norm(dc) + np.linalg.norm(w * c_eval)
+            if measured:
+                d = maps_n.apply("M", dc) + maps_n.apply("G", c_eval)
+                if r_next is not None:
+                    d -= r_eval
+                defect = np.linalg.norm(d)
+            else:
+                defect = np.linalg.norm(eps[n][0] * dc) + np.linalg.norm(eps[n][1] * c_eval)
             if r_next is not None:
-                d -= r_eval
                 s += np.linalg.norm(r_eval)
                 fp_mid += float(np.real(np.vdot(c_eval, r_eval)))
-            defect_sq += float(np.linalg.norm(d) ** 2)
+            defect_sq += float(defect**2)
             scale_sq += float(s * s)
             diss_mid += float(np.sum(w * np.abs(c_eval) ** 2))
         l2_new, diss_new = energies(c_new)

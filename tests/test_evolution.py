@@ -13,6 +13,7 @@ from jetstokes.fields import (
     zeros_scalar,
     zeros_vector,
 )
+from jetstokes import stokesop
 from jetstokes.helmholtz import operator_Q
 from jetstokes.rng import stream
 from jetstokes.stokesop import expand_slice, random_constrained_vector
@@ -119,12 +120,59 @@ def test_warning_for_kernel_coupling(cfg_small):
     ws = js.Workspace(cfg_small)
     evo = js.EvolutionConfig(t_final=0.02, dt=0.01)
     assert js.evolve(ws, evo).trace.warnings == []
+    # the warning reads the coupling set-up recorded for sector 0
     op = js.mode_operator(ws, 0)
-    nk = len(op.info[0]["kernel_columns"])
-    # couple the kernel rows of sector 0 to its first non-kernel column
-    op.G[0, :nk, nk] = op.G[0, :nk, nk] + 1e-4 * np.max(np.abs(op.G))
+    op.info[0]["kernel_coupling"] += 1e-4
     warnings = js.evolve(ws, evo).trace.warnings
     assert len(warnings) == 1 and "dissipation form couples to the kernel" in warnings[0]
+
+
+@pytest.mark.parametrize(
+    "grid", [(12, 3, 2), (24, 6, 4), (32, 8, 8)], ids=["12-3-2", "24-6-4", "32-8-8"]
+)
+def test_clean_mode_0_records_no_kernel_coupling(grid):
+    cfg = js.DomainConfig(n_r=grid[0], n_theta=grid[1], n_z=grid[2])
+    op = js.mode_operator(js.Workspace(cfg), 0)
+    coupling = [info["kernel_coupling"] for info in op.info]
+    assert max(coupling) < 1e-8
+    # only the sectors with installed kernel columns can couple to them
+    for info, c in zip(op.info, coupling):
+        assert info["kernel_columns"] or c == 0.0
+
+
+def test_kernel_coupling_is_recorded_from_the_dissipation_form(cfg_small, monkeypatch):
+    # strain on the leading kernel column of each sector couples G to it
+    factor = stokesop._dissipation_factor
+
+    def coupled(t, cfg, j, z, beta):
+        f = factor(t, cfg, j, z, beta)
+        f[0] += 1e-3 * np.max(np.abs(f))
+        return f
+
+    monkeypatch.setattr(stokesop, "_dissipation_factor", coupled)
+    ws = js.Workspace(cfg_small)
+    op = js.mode_operator(ws, 0)
+    assert all(info["kernel_coupling"] > 1e-8 for info in op.info if info["kernel_columns"])
+    warnings = js.evolve(ws, js.EvolutionConfig(t_final=0.02, dt=0.01)).trace.warnings
+    assert len(warnings) == 1 and "dissipation form couples to the kernel" in warnings[0]
+
+
+@pytest.mark.parametrize("ws_name", ["ws_small", "ws_wide"])
+def test_step_residual_bound_holds_on_a_forced_run(ws_name, request):
+    # each step's reported residual bounds the residual the same
+    # Crank-Nicolson steps leave against the blocks rebuilt from the stacks
+    ws = request.getfixturevalue(ws_name)
+    cfg = ws.config
+    rng = stream(69, "tests")
+    profile = random_smooth_vector(cfg, rng, real=False)
+    u0 = random_constrained_vector(ws, rng)
+    evo = js.EvolutionConfig(
+        t_final=0.1, dt=0.01, initial=u0, forcing=lambda t: profile * np.sin(3.0 * t)
+    )
+    bound = js.evolve(ws, evo).trace.residual
+    actual = oracles.evolve_per_step(ws, evo, measured=True).trace.residual
+    assert bound.size == actual.size == 11
+    assert np.all(actual <= bound) and np.max(bound) < 1e-10
 
 
 def test_horizon_adjustment_warning(ws_small):

@@ -17,7 +17,8 @@ sector layout on modes 0 and 1:
 - each sector's helical dissipation factor, on random real coordinates
   at random beta, gives the G of the Cartesian strain entries;
 - the resolvent obeys the sector bound ||v|| <= sqrt(2) ||g|| / |lam|
-  for lam with |Im lam| > Re lam;
+  for lam with |Im lam| > Re lam, and its reported residual bound holds
+  against the pencil rebuilt from the stacks (n_r 8 to 16);
 - the polar surface stresses of random slices, on the symmetric band or
   on a sector window, at random beta, are the e_theta and e_z components
   of the Cartesian tangential traction oracle, and Q's datum is minus its
@@ -77,6 +78,16 @@ FACTOR_CONFIGS = st.builds(
     st.integers(2, 4),
 )
 # |lam| e^{i phi} with phi in (pi/4, 7 pi/4): |Im lam| > Re lam
+BOUND_CONFIGS = st.builds(
+    lambda kappa, ell, mu, n_r, n_theta: js.DomainConfig(
+        kappa=kappa, ell=ell, mu=mu, n_r=n_r, n_theta=n_theta, n_z=1
+    ),
+    st.floats(0.1, 0.95),
+    st.floats(1.0, 20.0),
+    st.floats(0.1, 10.0),
+    st.integers(8, 16),
+    st.integers(2, 4),
+)
 LAMBDAS = st.builds(
     lambda r, phi: r * cmath.exp(1j * phi),
     st.floats(0.1, 100.0),
@@ -204,6 +215,15 @@ def test_resolvent_obeys_the_sector_bound(cfg, lam):
     v, info = js.resolve(ws, lam, g)
     assert info["max_rel_residual"] < 1e-8
     assert js.norm_L2(v) <= (1.0 + 1e-10) * math.sqrt(2.0) * js.norm_L2(g) / abs(lam)
+
+
+@PROPERTY
+@given(BOUND_CONFIGS, LAMBDAS)
+def test_resolve_residual_bound_holds(cfg, lam):
+    ws = js.Workspace(cfg)
+    r = reduce_slice(ws, random_smooth_vector(cfg, stream(85, "tests"), real=False).coeffs)
+    y, bound = _pencil_solve(ws, lam, r)
+    assert np.all(oracles.pencil_residuals(ws, lam, r, y) <= bound)
 
 
 @PROPERTY

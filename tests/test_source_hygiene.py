@@ -28,6 +28,11 @@ fourth one):
 
 One more check runs the import itself in a fresh interpreter:
 importing jetstokes and jetstokes.cli loads no scipy module.
+
+The last checks guard the eigenbasis design: ModeOperator stores no M or
+G stack, no module names field_product, and during a resolve and a
+forced evolve the only callers of stokesop.packed_product are
+reduce_slice and ModeOperator.synthesize.
 """
 
 import ast
@@ -365,3 +370,34 @@ def test_package_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]", "importing jetstokes loads %s" % out.stdout.strip()
+
+
+def test_mode_operator_stores_no_pencil_blocks():
+    fields = _dataclass_fields(_tree(SRC / "stokesop.py"), "ModeOperator")
+    assert "M" not in fields and "G" not in fields
+    named = [p.name for p in MODULES if "field_product" in p.read_text(encoding="utf-8")]
+    assert not named, "field_product named in %s" % named
+
+
+def test_requests_multiply_stacks_only_to_reduce_and_synthesize(monkeypatch):
+    import jetstokes as js
+    from jetstokes import stokesop
+    from jetstokes.fields import random_smooth_vector
+    from jetstokes.rng import stream
+
+    ws = js.Workspace(js.DomainConfig(n_r=12, n_theta=3, n_z=2))
+    for n in range(3):
+        js.mode_operator(ws, n)
+    g = random_smooth_vector(ws.config, stream(47, "tests"), real=False)
+    product = stokesop.packed_product
+    callers = set()
+
+    def recording(*args):
+        callers.add(sys._getframe(1).f_code.co_qualname)
+        return product(*args)
+
+    monkeypatch.setattr(stokesop, "packed_product", recording)
+    js.resolve(ws, 2j, g)
+    evo = js.EvolutionConfig(t_final=0.04, dt=0.02, forcing=lambda t: g * t)
+    js.evolve(ws, evo)
+    assert callers == {"reduce_slice", "ModeOperator.synthesize"}

@@ -6,9 +6,10 @@ import scipy.special
 import jetstokes as js
 import oracles
 from jetstokes.fields import constant_vector, random_smooth_vector
+from jetstokes.config import ResolventBlock
 from jetstokes.rng import stream
-from jetstokes.spectral import write_eigenvalues_csv, write_resolvent_csv
-from jetstokes.stokesop import _apply_weight, assemble_A
+from jetstokes.spectral import _pencil_solve, write_eigenvalues_csv, write_resolvent_csv
+from jetstokes.stokesop import _apply_weight, assemble_A, reduce_slice
 
 # Regression values, converged to nine digits under radial and azimuthal
 # refinement (checked from n_r = 12 up to n_r = 48). The 1.0 entry is the
@@ -104,6 +105,21 @@ def test_resolve_bound_and_residual(ws_small):
         assert js.norm_L2(v) <= bound + 1e-8
 
 
+@pytest.mark.parametrize("ws_name", ["ws_small", "ws_wide"])
+def test_resolve_bound_holds_over_the_sweep_grid(ws_name, request):
+    # the reported max_rel_residual bounds the residual against the blocks
+    # rebuilt from the stacks, mode by mode, at every sweep point
+    ws = request.getfixturevalue(ws_name)
+    g = random_smooth_vector(ws.config, stream(55, "tests"), real=False)
+    r = reduce_slice(ws, g.coeffs)
+    for lam in ResolventBlock().grid():
+        y, bound = _pencil_solve(ws, lam, r)
+        actual = oracles.pencil_residuals(ws, lam, r, y)
+        assert np.all(actual <= bound) and np.max(bound) < 1e-8
+        _, info = js.resolve(ws, lam, g)
+        assert info["max_rel_residual"] == np.max(bound)
+
+
 def test_resolve_negative_mode_matches_direct_assembly(ws_small):
     cfg = ws_small.config
     t = ws_small.tables
@@ -114,7 +130,8 @@ def test_resolve_negative_mode_matches_direct_assembly(ws_small):
     i_n = cfg.n_z - 1
     gw = _apply_weight(t, cfg.ell, g.coeffs[:, i_n]).reshape(-1)
     r = op_m.basis.conj().T @ gw
-    y = scipy.linalg.solve(op_m.G_block - lam * op_m.M_block, r)
+    m, g = oracles.dense_blocks(op_m)
+    y = scipy.linalg.solve(g - lam * m, r)
     direct = (op_m.basis @ y).reshape(v.coeffs[:, i_n].shape)
     err = np.linalg.norm(direct - v.coeffs[:, i_n]) / np.linalg.norm(direct)
     assert err < 1e-8
