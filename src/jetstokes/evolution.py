@@ -21,11 +21,15 @@ residual column bounds it by ||eps_M dc/dt|| + ||eps_G c_eval|| per mode
 The state and w are field coordinate arrays (n_z + 1, dim, sides) (see
 stokesop.reduce_slice), so each step is a few whole-array operations: the
 recurrence, the residual bound and its per-mode scale, the energies and
-the Crank-Nicolson midpoint terms. The forcing of a block of STEP_BLOCK
-steps is reduced, and its snapshots expanded, in one call each; the
-forcing callable is called once per time point, in time order (after one
-extra call at t = 0 for the hypothesis check). w is real, so the
-recurrence is the same on both signs of n.
+the Crank-Nicolson midpoint terms. w, eps_M and eps_G are the cached
+read-only arrays of stokesop.field_pencil. The forcing of a block of
+STEP_BLOCK steps is reduced, and its snapshots expanded, in one call
+each, one pass over every mode and side of the whole block; the reduced
+block is copied once into the state's (time, mode, coordinate, side)
+order, so every step reads contiguous arrays. The forcing callable is
+called once per time point, in time order (after one extra call at
+t = 0 for the hypothesis check). w is real, so the recurrence is the
+same on both signs of n.
 
 A real run carries one side. When the initial state (if any) and the
 forcing at t = 0 are flagged real (fields.real_flag), the state holds
@@ -210,8 +214,7 @@ def evolve(ws, evo):
     if evo.initial is not None:
         vnorm = norm_L2(evo.initial)
         proj, c = project_constrained(ws, evo.initial)
-        if c.shape[2] < sides:
-            c = _two_sided(c)
+        c = _two_sided(c) if c.shape[2] < sides else np.ascontiguousarray(c)
         if vnorm > 0.0:
             defect = norm_L2(evo.initial - proj) / vnorm
             if defect > 1e-8:
@@ -272,7 +275,8 @@ def evolve(ws, evo):
                 c = _two_sided(c)
                 r = None if r is None else _two_sided(r)
                 w, mult, keep, denom = widths(sides)
-            new = np.moveaxis(reduce_slice(ws, stack, real=sides == 1), -1, 0)
+            new = reduce_slice(ws, stack, real=sides == 1)
+            new = np.ascontiguousarray(np.moveaxis(new, -1, 0))
             # freed before the block's snapshots are expanded, which reuse its memory
             del stack
             r = np.concatenate([r[-1:], new]) if k0 else new

@@ -505,17 +505,6 @@ def _order_scales(ell, n_z, k, real=False):
     return out
 
 
-def _scaled_columns(a, s):
-    """a (..., n_modes_z, n_m, n_r) as (n_m, n_r, 2q) reals, slice n times s[n].
-
-    The one pass that scales also moves the channels first, so every
-    component and axial slice is a pair of interleaved real columns.
-    """
-    x = np.empty(a.shape[-2:] + a.shape[:-2], dtype=complex)
-    np.multiply(np.moveaxis(a, (-2, -1), (0, 1)), s, out=x)
-    return x.reshape(x.shape[:2] + (-1,)).view(float)
-
-
 def inner_product_Hkp(u, v, k=0):
     """Periodic Sobolev inner product (u, v)_{H^k_p}.
 
@@ -523,12 +512,13 @@ def inner_product_Hkp(u, v, k=0):
     combinations with i axial and up to k-i transversal derivatives, each
     transversal multi-index counted once.
 
-    Each transversal order j is a form over the precomposed derivative
-    words of RadialTables.sobolev_words: the columns of every component
-    and axial slice are scaled by sqrt(w_j(n)), w_j(n) = ell * 2*pi *
-    sum_{i <= k-j} beta_n^(2i), one real batched GEMM applies every word's
-    stack to them at once, and each nonzero word pair adds one dot product
-    over the channels where both outputs sit.
+    Each field's channels are moved first once, so every component and
+    axial slice is a pair of interleaved real columns. Each transversal
+    order j is a form over the precomposed derivative words of
+    RadialTables.sobolev_words: the columns are scaled by sqrt(w_j(n)),
+    w_j(n) = ell * 2*pi * sum_{i <= k-j} beta_n^(2i), one real batched
+    GEMM applies every word's stack to them at once, and each nonzero word
+    pair adds one dot product over the channels where both outputs sit.
 
     When both fields are real, the slices n < 0 contribute the conjugates
     of the slices n > 0: only n >= 0 are read, each n > 0 weighs twice
@@ -549,10 +539,13 @@ def inner_product_Hkp(u, v, k=0):
     h = cfg.n_z if real else 0
     words = tables_for(cfg).sobolev_words(cfg.n_theta, kk)
     fields = (u,) if u is v else (u, v)
+    # each field moved channels first once: (n_m, n_r, component, slice)
+    shape = (cfg.n_modes_theta, cfg.n_r, -1, cfg.n_modes_z - h)
+    cols = [_channels_first(f.coeffs[..., h:, :, :]).reshape(shape) for f in fields]
     total = 0.0
     for order, s in zip(words, _order_scales(cfg.ell, cfg.n_z, kk, real)):
-        # ys[f][w]: word w applied to field f's scaled columns
-        ys = [order.stack @ _scaled_columns(f.coeffs[..., h:, :, :], s) for f in fields]
+        # ys[f][w]: word w applied to field f's columns, slice n scaled by s[n]
+        ys = [order.stack @ (x * s).reshape(x.shape[:2] + (-1,)).view(float) for x in cols]
         if u is v:
             for w, w2, c, sa, sb in order.sym:
                 total += c * np.vdot(ys[0][w, sa], ys[0][w2, sb])

@@ -12,10 +12,13 @@ In those packed coordinates the pencil is I and diag(w), so a resolvent
 solve is the diagonal scaling y = r / (w - lam), w = 0 on the padding, on
 the whole field coordinate array (n_z + 1, dim, 2) of
 stokesop.reduce_slice at once; its residual against the blocks set-up
-formed is bounded by (eps_G + |lam| eps_M) y sector by sector
-(stokesop.field_pencil). Side 1 of |n| holds mode -|n| in mode-|n|
-coordinates, so its shift is conj(lam): the only place the solve sees the
-sign of n.
+formed is bounded by (eps_G + |lam| eps_M) y sector by sector. w, eps_M
+and eps_G are the cached read-only arrays of the workspace's whole-field
+operator (stokesop.field_operator), which also holds each mode's
+eigenvalues for the gap check, so a resolve is one reduce, one
+whole-array solve and one expand, with no loop over modes. Side 1 of |n|
+holds mode -|n| in mode-|n| coordinates, so its shift is conj(lam): the
+only place the solve sees the sign of n.
 
 Eigenvalues of mode -n equal those of mode n, so eigensolve serves
 negative modes from the |n| decomposition.
@@ -28,7 +31,7 @@ import numpy as np
 
 from .fieldio import write_csv
 from .fields import VectorField, _require_config, norm_Hkp, norm_L2, random_smooth_vector
-from .stokesop import expand_slice, field_pencil, mode_operator, reduce_slice
+from .stokesop import expand_slice, field_operator, mode_operator, reduce_slice
 
 # slack for sector membership |Im lam| <= Re lam + SECTOR_TOL
 SECTOR_TOL = 1e-8
@@ -85,6 +88,17 @@ def kernel_dimension(ws):
 # resolvent
 
 
+def _side_norms(x):
+    """Euclidean norm (n_z + 1, 2) of each mode and side of coordinates x (n_z + 1, dim, 2, ...).
+
+    One sum over the real view of x, read side-major as reduce_slice
+    stores it (copied first if it is stored otherwise).
+    """
+    xs = np.moveaxis(x, 2, 1)
+    xr = np.ascontiguousarray(xs).view(float).reshape(xs.shape[:2] + (-1,))
+    return np.sqrt(np.einsum("asi,asi->as", xr, xr))
+
+
 def _pencil_solve(ws, lam, r):
     """Solve (G - lam M) y = r on field coordinates r (n_z + 1, dim, 2, ...).
 
@@ -93,21 +107,29 @@ def _pencil_solve(ws, lam, r):
     y and, per mode n = -n_z..n_z, ||(eps_G + |lam| eps_M) y|| / ||r||, a
     certified bound on its relative residual ||r - (G - lam M) y|| / ||r||
     against the blocks set-up formed (field_pencil), 0 where r is zero.
+    Every mode is one whole-array operation: the gap check, the scaling
+    and the norms.
+
+    Raises:
+        RuntimeError if lam lies within 1e-12 max(max |w|, 1) of an
+        eigenvalue, naming the lowest such mode.
     """
-    for a in range(ws.config.n_z + 1):
-        w = mode_operator(ws, a).eigen[0]  # real: as far from lam as from conj(lam)
-        gap = np.min(np.abs(w - lam))
-        if gap < 1e-12 * max(float(np.max(np.abs(w))), 1.0):
-            raise RuntimeError(
-                "resolvent parameter %s is within %.3e of the mode-%d spectrum" % (lam, gap, a)
-            )
+    fop = field_operator(ws)
+    # the eigenvalues are real: as far from lam as from conj(lam), and the
+    # nearest is the nearest to Re lam
+    gap = np.hypot(np.min(np.abs(fop.spectrum - lam.real), axis=1), lam.imag)
+    near = np.flatnonzero(gap < 1e-12 * fop.scale)
+    if near.size:
+        raise RuntimeError(
+            "resolvent parameter %s is within %.3e of the mode-%d spectrum"
+            % (lam, gap[near[0]], near[0])
+        )
     stack = (1,) * (r.ndim - 3)
     shift = np.array([lam, np.conj(lam)]).reshape((2,) + stack)
-    w, eps_m, eps_g = (x.reshape(x.shape + stack) for x in field_pencil(ws))
+    w, eps_m, eps_g = (x.reshape(x.shape + stack) for x in (fop.w, fop.eps_M, fop.eps_G))
     y = r / (w - shift)
-    res = (eps_g + abs(lam) * eps_m) * y
-    axes = (1,) + tuple(range(3, r.ndim))
-    num, den = (np.sqrt(np.sum(np.abs(x) ** 2, axis=axes)) for x in (res, r))
+    res = y * (eps_g + abs(lam) * eps_m)
+    num, den = _side_norms(res), _side_norms(r)
     rel = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
     return y, np.concatenate([rel[:0:-1, 1], rel[:, 0]])
 

@@ -50,17 +50,23 @@ M-orthonormal eigenbasis V of its pencil: the real coordinates z = Z V of
 its eigenvector fields on its unit fields. There the pencil is M = I and
 G = diag(w), so no block is stored, only each sector's defects
 eps_M = ||V^T M V - I|| and eps_G = ||V^T G V - diag(w)|| (assemble_A).
-The sectors are packed into zero-padded real stacks (ModeOperator), the
-only copy of a mode, and a mode's coordinates are that packed layout
-itself: one entry per (stack entry, column, [sector j, mirror -j]), zero
-on the padding, where the packed eigenvalues are 0 too. A field's
-coordinates are one array (n_z + 1, dim, 2, ...): |n|, that mode's packed
-layout (zero past its size) and the sign of n (side 1 is mode -|n|,
-padding at |n| = 0). Reducing and expanding a field take one gather or
-scatter and one batched real product per mode; none does index work on
-the coordinates. In these coordinates the L^2 projection, the resolvent
-and both time steppers are diagonal scalings; eps_M and eps_G bound their
-residuals against the blocks set-up formed (field_pencil).
+The sectors are packed into zero-padded real stacks (ModeOperator), and
+a mode's coordinates are that packed layout itself: one entry per (stack
+entry, column, [sector j, mirror -j]), zero on the padding, where the
+packed eigenvalues are 0 too. Set-up builds and checks each mode on its
+own. Every mode has the same packed layout, so on their first
+field-level use the modes 0..n_z are stacked into one whole-field
+operator (FieldOperator, cached on the Workspace): its stacks are the
+only copy, and each cached ModeOperator's stacks are views of them. A
+field's coordinates are one array (n_z + 1, dim, 2, ...): |n|, the packed
+layout and the sign of n (side 1 is mode -|n|, padding at |n| = 0).
+Reducing and expanding a field, or a stack of fields, take one pass for
+every mode and both signs of n: one 3x3 piece transform, one take
+through the shared slot table (or its inverse) and one batched real
+product over (mode, side); none does index work on the coordinates. In
+these coordinates the L^2 projection, the resolvent and both time
+steppers are diagonal scalings; eps_M and eps_G bound their residuals
+against the blocks set-up formed (field_pencil, cached read-only).
 The strong operator
 
   A v = -mu P laplacian(v) + grad(Q v)
@@ -86,11 +92,10 @@ own size rather than to eps * lam_max.
 Negative modes are never assembled, and negative sectors are never built.
 Coefficients of mode -n are conjugate m-reversals of mode +n quantities:
 reduce_slice / expand_slice flip the mode -n slices (fields._conj_flip)
-onto side 1 of the field coordinates and back (_sides names each mode's
-side). A real field's side 1 equals its side 0, so its coordinates may
-hold side 0 only, width 1 on the side axis: reduce_slice(..., real=True)
-reads the slices n >= 0, and expand_slice writes mode -n as the mirror of
-mode n.
+onto side 1 of the field coordinates and back (_sided_slices). A real
+field's side 1 equals its side 0, so its coordinates may hold side 0
+only, width 1 on the side axis: reduce_slice(..., real=True) reads the
+slices n >= 0, and expand_slice writes mode -n as the mirror of mode n.
 The side-1 pencil is the conjugate of the mode-|n| one, with the same
 real eigenvalues, so beyond them only the resolvent shift
 (spectral._pencil_solve) sees the sign. Within a mode, the mirror
@@ -134,6 +139,8 @@ SVD_TOL = 1e-9
 # Cartesian vectors of the three sector pieces, a unitary matrix
 _H = math.sqrt(0.5)
 _PIECE_VECTORS = np.array([[_H, _H, 0.0], [-1j * _H, 1j * _H, 0.0], [0.0, 0.0, 1j]])
+# its inverse V^H, which reads a slice's pieces off its Cartesian components
+_PIECES_OF = np.ascontiguousarray(_PIECE_VECTORS.conj().T)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -158,11 +165,14 @@ class ModeOperator:
     (w[order], residual), with each pair's pencil residual
     ||G e_i - w_i M e_i|| / sqrt(M_ii) in the same order.
 
-    Slices meet the stacks through their piece array (_pieces): the
+    Slices meet the stacks through their piece array (reduce_slice): the
     coefficients on u+, u- and i e_z at every channel, flattened in
     (piece, m, r) order, plus one zero entry. slots (S, 3 n_r, 2) name the
     piece entry each row of Z reads, for the sector ([..., 0]) and for its
     mirror image -j ([..., 1]); padding reads and writes the zero entry.
+
+    Once the workspace stacks its modes (field_operator), the cached
+    operator's Z and ZW are views of the whole-field stacks.
 
     ws is a weak reference to the owning Workspace, so the cache holds no
     reference cycle. Nothing is written to an operator once assemble_A
@@ -209,8 +219,8 @@ class ModeOperator:
         """Flat Cartesian slices (3 * n_m * n_r, k) of packed coordinates y (dim, k).
 
         Z^T maps each sector's coordinates, and its mirror's, to their
-        pieces; the slots put them in the piece array P (_pieces), and the
-        slices are v = V P.
+        pieces; the slots put them in the piece array P (reduce_slice),
+        and the slices are v = V P.
         """
         cfg = self.ws().config
         p = np.zeros((3 * cfg.n_modes_theta * cfg.n_r + 1, y.shape[1]), dtype=complex)
@@ -312,7 +322,7 @@ def _mirror_piece(kind, m):
 
 
 def _piece_slots(cfg, j, mirrored=False):
-    """Piece-array entries (_pieces) of the rows of sector j's z, or of their mirror images."""
+    """Piece-array entries (reduce_slice) of the rows of sector j's z, or of their mirror images."""
     out = []
     for kind, m, _ in _sector_pieces(j):
         if mirrored:
@@ -816,81 +826,155 @@ def mode_operator(ws, n):
 # reduction to and expansion from field coordinates
 
 
-def _mode_ops(ws):
-    return [mode_operator(ws, a) for a in range(ws.config.n_z + 1)]
+@dataclasses.dataclass(frozen=True)
+class FieldOperator:
+    """The modes n = 0..n_z of a workspace as one whole-field operator.
+
+    Every mode has the same packed layout, so their stacks stack: Z and ZW
+    (n_z + 1, S, K_max, 3 n_r) hold each mode's Z and ZW at index n, and
+    the cached ModeOperators' Z and ZW are views of them, the only copy.
+    slots (S, 3 n_r, 2) is the modes' common slot table, and inverse
+    (3 n_m n_r,) its inverse: the entry of a product (S, 3 n_r, 2) that
+    writes each piece, or the zero entry past its end for a piece no
+    sector holds. w, eps_M and eps_G are the read-only arrays of
+    field_pencil. spectrum (n_z + 1, dim) holds each mode's eigenvalues at
+    their packed indices, +inf on the padding, and scale (n_z + 1,) each
+    mode's max(max |w|, 1), the resolvent's gap check
+    (spectral._pencil_solve).
+    """
+
+    Z: np.ndarray
+    ZW: np.ndarray
+    slots: np.ndarray
+    inverse: np.ndarray
+    w: np.ndarray
+    eps_M: np.ndarray
+    eps_G: np.ndarray
+    spectrum: np.ndarray
+    scale: np.ndarray
 
 
-def _sides(ws, width=2):
-    """(ModeOperator, side, axial index) of every mode: side 0 of |n| is +|n|, side 1 is -|n|.
+def _stack_modes(ws):
+    """Stack the ModeOperators of modes 0..n_z into a FieldOperator.
 
-    width 1 yields side 0 only, the coordinates of a real field.
+    Each mode is built by mode_operator if it is not yet. Once every mode
+    is checked, each is copied into the stacks and replaced in the cache
+    by the same operator on views of them, one mode at a time, so its own
+    arrays are freed as it goes.
+
+    Raises:
+        RuntimeError naming the first mode whose stacks or slot table
+        differ in shape or value from mode 0's.
     """
     n_z = ws.config.n_z
-    for op in _mode_ops(ws):
-        for side in range(min(width, 1 + (op.n > 0))):
-            yield op, side, n_z - op.n if side else n_z + op.n
+    op = mode_operator(ws, 0)
+    slots, dim = op.slots, op.w.size
+    z = np.empty((n_z + 1,) + op.Z.shape)
+    for a in range(1, n_z + 1):
+        op = mode_operator(ws, a)
+        same = np.array_equal(op.slots, slots)
+        if op.Z.shape != z.shape[1:] or not same:
+            raise RuntimeError(
+                "mode %d does not share mode 0's packed layout: stacks %s against %s, "
+                "slot tables %s" % (a, op.Z.shape, z.shape[1:], "equal" if same else "differ")
+            )
+    zw = np.empty_like(z)
+    w = np.zeros((n_z + 1, 2, dim))
+    eps = np.zeros((2, n_z + 1, dim, 1))
+    spectrum = np.full((n_z + 1, dim), np.inf)
+    for a in range(n_z + 1):
+        op = ws.mode_ops[a]
+        z[a], zw[a] = op.Z, op.ZW
+        ws.mode_ops[a] = dataclasses.replace(op, Z=z[a], ZW=zw[a])
+        # side 1 of |n| = 0 is padding
+        w[a, : 1 + (a > 0)] = op.w
+        spectrum[a, op.order] = op.eigen[0]
+        rec = [[info["eps_M"], info["eps_G"]] for info in op.info]
+        eps[:, a, :, 0] = np.repeat(rec, dim // len(op.info), axis=0).T
+    inverse = np.full(3 * ws.config.n_modes_theta * ws.config.n_r + 1, slots.size)
+    inverse[slots.reshape(-1)] = np.arange(slots.size)
+    scale = np.maximum(np.max(np.abs(w), axis=(1, 2)), 1.0)
+    w = w.transpose(0, 2, 1)
+    fop = FieldOperator(z, zw, slots, inverse[:-1], w, eps[0], eps[1], spectrum, scale)
+    for a in vars(fop).values():
+        a.flags.writeable = False
+    return fop
 
 
-def _pieces(arr):
-    """Piece array (3 * n_m * n_r + 1, L) of the slices arr (L, 3, n_m, n_r).
-
-    Row (p, m, r) holds each slice's coefficient on piece vector p at
-    channel m, node r: P = V^H v with V = _PIECE_VECTORS, so
-    P+ = h (x + i y), P- = h (x - i y) and Pz = -i z. The last row is the
-    zero entry that padding reads.
-    """
-    size = math.prod(arr.shape[1:])
-    p = np.matmul(_PIECE_VECTORS.conj().T, arr.reshape(arr.shape[0], 3, size // 3))
-    out = np.empty((size + 1, arr.shape[0]), dtype=complex)
-    out[:-1] = p.reshape(arr.shape[0], size).T
-    out[-1] = 0.0
-    return out
+def field_operator(ws):
+    """The cached FieldOperator of ws, stacked on its first field-level use."""
+    if ws.field_op is None:
+        ws.field_op = _stack_modes(ws)
+    return ws.field_op
 
 
 def field_pencil(ws):
     """Eigenvalues w (n_z + 1, dim, 2) of the field coordinates and their defects eps_M, eps_G.
 
-    w is 0 on the padding. eps_M and eps_G (n_z + 1, dim, 1) give each
+    The cached read-only arrays of field_operator. w is 0 on the padding,
+    side 1 of |n| = 0 included, and is stored side-major, as reduce_slice
+    stores coordinates. eps_M and eps_G (n_z + 1, dim, 1) give each
     coordinate, on either side, its sector's record (assemble_A); the
     padding, where coordinates are zero, carries its stack entry's.
     """
-    ops = _mode_ops(ws)
-    w = np.zeros((len(ops), max(op.w.size for op in ops), 2))
-    eps = np.zeros((2,) + w.shape[:2] + (1,))
-    for op, side, _ in _sides(ws):
-        w[op.n, : op.w.size, side] = op.w
-    for op in ops:
-        rec = [[info["eps_M"], info["eps_G"]] for info in op.info]
-        eps[:, op.n, : op.w.size, 0] = np.repeat(rec, op.w.size // len(op.info), axis=0).T
-    return w, eps[0], eps[1]
+    fop = field_operator(ws)
+    return fop.w, fop.eps_M, fop.eps_G
+
+
+def _sided_slices(flat, n_z, width):
+    """The slices (n_z + 1, width, 3, n_m, n_r, L) of fields flat (L, 3, n_modes_z, n_m, n_r).
+
+    Side 0 of |n| is mode +|n|; side 1 is mode -|n|, conjugated and
+    m-reversed, and zero at |n| = 0. The stack axis comes last.
+    """
+    g = np.empty((n_z + 1, width, 3) + flat.shape[3:] + flat.shape[:1], dtype=complex)
+    gt = g.transpose(1, 5, 2, 0, 3, 4)
+    gt[0] = flat[:, :, n_z:]
+    if width == 2:
+        gt[1, :, :, 0] = 0.0
+        _conj_flip(flat[:, :, :n_z][:, :, ::-1], out=gt[1, :, :, 1:])
+    return g
 
 
 def reduce_slice(ws, arr, real=False):
     """Functional values r_i = (g, b_i) of a field g, or of a stack of fields.
 
     arr is (..., 3, n_modes_z, n_m, n_r); the result is the field
-    coordinate array (n_z + 1, dim, 2, ...), stack axes trailing (stored
-    stack-major). [|n|, :, 0] holds mode +|n| and [|n|, :, 1] mode -|n|,
-    conjugated and m-reversed first, in the packed layout of ModeOperator;
-    the padding, side 1 of |n| = 0 included, is zero. r = (M_u z)^T P on
-    the slots of the piece array P takes one gather and one batched real
-    product per mode, so no transient outgrows one mode's slice stack. The
-    basis is M-orthonormal: these are also the L^2 projection coordinates.
+    coordinate array (n_z + 1, dim, 2, ...), stack axes trailing.
+    [|n|, :, 0] holds mode +|n| and [|n|, :, 1] mode -|n|, conjugated and
+    m-reversed first, in the packed layout of ModeOperator; the padding,
+    side 1 of |n| = 0 included, is zero. r = (M_u z)^T P on the slots of
+    the piece array P is one pass for every mode and both signs of n: one
+    3x3 piece transform, one take through the slots and one batched real
+    product over (mode, side) (field_operator). The result is stored as
+    the product leaves it, (n_z + 1, 2, dim, ...) in memory. The basis is
+    M-orthonormal: these are also the L^2 projection coordinates.
 
     With real, the fields are real: only the slices n >= 0 are read, and
-    the result holds side 0 only, (n_z + 1, dim, 1, ...); side 1 would
-    repeat it.
+    the result holds side 0 only, (n_z + 1, dim, 1, ...), bitwise side 0
+    of the two-sided result; side 1 would repeat it.
     """
-    flat = arr.reshape((-1,) + arr.shape[-4:])
-    ops = _mode_ops(ws)
-    width = 1 if real else 2
-    y = np.zeros((flat.shape[0], len(ops), max(op.w.size for op in ops), width), dtype=complex)
-    for op, side, i_n in _sides(ws, width):
-        g = flat[:, :, i_n]
-        x = _pieces(_conj_flip(g) if side else g)[op.slots].reshape(-1, flat.shape[0])
-        y[:, op.n, : op.w.size, side] = packed_product(op.ZW, x).T
+    fop = field_operator(ws)
+    n_z = ws.config.n_z
     lead = arr.shape[:-4]
-    return np.moveaxis(y.reshape(lead + y.shape[1:]), range(len(lead)), range(3, 3 + len(lead)))
+    flat = arr.reshape((-1,) + arr.shape[-4:])
+    width = 1 if real else 2
+    g = _sided_slices(flat, n_z, width)
+    # the piece array of each slice, and the zero entry that padding reads;
+    # each intermediate is freed before the next is taken
+    size = fop.inverse.size
+    p = np.empty(g.shape[:2] + (size + 1, flat.shape[0]), dtype=complex)
+    p[:, :, size] = 0.0
+    cols = g.shape[:3] + (-1,)
+    np.matmul(_PIECES_OF, g.reshape(cols), out=p[:, :, :size].reshape(cols))
+    del g
+    x = np.take(p, fop.slots, axis=2)
+    del p
+    # (mode, side, sector) batch the products: each is (K, 3 n_r) by (3 n_r, 4 L)
+    x = x.reshape(x.shape[:4] + (-1,)).view(float)
+    y = np.matmul(fop.ZW[:, None], x).view(complex)
+    del x
+    return np.moveaxis(y.reshape(y.shape[:2] + (-1,) + lead), 1, 2)
 
 
 def expand_slice(ws, y):
@@ -898,20 +982,39 @@ def expand_slice(ws, y):
 
     y is (n_z + 1, dim, 2, ...); its padding, side 1 of |n| = 0 included,
     does not contribute, and side 1 is conjugated and m-reversed back onto
-    mode -|n|. Each mode is one batched real product and one scatter. A y
-    of width 1 on the side axis holds real fields (reduce_slice with
-    real): only modes n >= 0 are synthesized, and mode -n is mirrored
-    from mode n.
+    mode -|n|. Every mode and side is one pass: one batched real product
+    Z^T y, one take through the inverse slot table and one 3x3 transform
+    from the pieces. A y of width 1 on the side axis holds real fields
+    (reduce_slice with real): only modes n >= 0 are synthesized, and mode
+    -n is mirrored from mode n.
     """
+    fop = field_operator(ws)
     cfg = ws.config
+    n_z = cfg.n_z
     lead = y.shape[3:]
-    out = np.empty((math.prod(lead), 3, cfg.n_modes_z, cfg.n_modes_theta, cfg.n_r), dtype=complex)
-    for op, side, i_n in _sides(ws, y.shape[2]):
-        v = op.synthesize(y[op.n, : op.w.size, side].reshape(op.w.size, -1)).T
-        v = v.reshape(out.shape[:2] + out.shape[3:])
-        out[:, :, i_n] = _conj_flip(v) if side else v
+    num = math.prod(lead)
+    s, k, rows = fop.Z.shape[1:]
+    # the coordinates as the products read them, (n_z + 1, width, S, K, 2 L)
+    x = np.ascontiguousarray(np.moveaxis(y.reshape(y.shape[:3] + (num,)), 2, 1))
+    x = x.reshape(x.shape[:2] + (s, k, -1)).view(float)
+    # Z^T x on every (mode, side), and the zero entry that unheld pieces read
+    prod = np.empty(x.shape[:2] + (s * rows * 2 + 1, num), dtype=complex)
+    prod[:, :, -1] = 0.0
+    zt = fop.Z.transpose(0, 1, 3, 2)[:, None]
+    np.matmul(zt, x, out=prod[:, :, :-1].reshape(x.shape[:2] + (s, rows, -1)).view(float))
+    del x
+    p = np.take(prod, fop.inverse, axis=2)
+    del prod
+    v = np.matmul(_PIECE_VECTORS, p.reshape(p.shape[:2] + (3, -1)))
+    del p
+    # side 0 onto the modes +|n|, side 1 flipped back onto -|n|, |n| > 0
+    v = v.reshape(v.shape[:2] + (3, cfg.n_modes_theta, cfg.n_r, num)).transpose(1, 5, 2, 0, 3, 4)
+    out = np.empty((num, 3, cfg.n_modes_z, cfg.n_modes_theta, cfg.n_r), dtype=complex)
+    out[:, :, n_z:] = v[0]
     if y.shape[2] == 1:
         _mirror_modes(out)
+    else:
+        _conj_flip(v[1, :, :, :0:-1], out=out[:, :, :n_z])
     return out.reshape(lead + out.shape[1:])
 
 

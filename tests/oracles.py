@@ -23,7 +23,10 @@ from them (cartesian_dissipation_factor), which read a sector's complex
 window fields, as the package did before it formed six real helical
 strain blocks from the sector's profiles; the derivative-chain Sobolev inner product (chain_inner_Hkp), which
 differentiated each component order by order, as the package did before
-the derivative words were precomposed with the Gram factors; the
+the derivative words were precomposed with the Gram factors, and the
+per-order one (inner_product_Hkp_per_order), which moved each field
+channels first once per order, as the package did before it moved each
+field once per call; the
 quadrature dissipation (dissipation_slice), which samples every strain
 entry at the Gauss-Legendre nodes (resample_stack), as the package pinned
 near-zero eigenvalues before the dissipation form was factored; the
@@ -809,6 +812,39 @@ def chain_inner_Hkp(u, v, k):
         for order in range(k + 1 - mm):
             total += (cfg.ell * beta_sq**mm * order_sums[order]).sum()
     return complex(total)
+
+
+def inner_product_Hkp_per_order(u, v, k):
+    """(u, v)_{H^k_p} as the package formed it before it moved each field channels first once.
+
+    Every transversal order scaled and transposed each field afresh, one
+    multiply that wrote the channels-first copy (_scaled_columns), then
+    applied the same word stacks and word pairs as the package does.
+    """
+    from jetstokes.discretization import tables_for
+    from jetstokes.fields import _order_scales
+
+    def scaled_columns(a, s):
+        x = np.empty(a.shape[-2:] + a.shape[:-2], dtype=complex)
+        np.multiply(np.moveaxis(a, (-2, -1), (0, 1)), s, out=x)
+        return x.reshape(x.shape[:2] + (-1,)).view(float)
+
+    cfg = u.config
+    real = u.real_flag and v.real_flag
+    h = cfg.n_z if real else 0
+    words = tables_for(cfg).sobolev_words(cfg.n_theta, k)
+    fields = (u,) if u is v else (u, v)
+    total = 0.0
+    for order, s in zip(words, _order_scales(cfg.ell, cfg.n_z, k, real)):
+        ys = [order.stack @ scaled_columns(f.coeffs[..., h:, :, :], s) for f in fields]
+        if u is v:
+            for w, w2, c, sa, sb in order.sym:
+                total += c * np.vdot(ys[0][w, sa], ys[0][w2, sb])
+        else:
+            yu, yv = (y.view(complex) for y in ys)
+            for w, w2, c, sa, sb in order.pairs:
+                total += c * np.vdot(yv[w2, sb], yu[w, sa])
+    return complex(total.real if real else total)
 
 
 # time stepping recurrences (scalar model problems)

@@ -164,6 +164,19 @@ def test_inner_product_matches_the_chain_oracle(grid):
                 assert err <= bound * scale, (draw.__name__, k, err / scale)
 
 
+@pytest.mark.parametrize("k", range(3))
+def test_inner_product_is_bitwise_the_per_order_formula(k):
+    # one channels-first copy per field, scaled per order, gives the very
+    # values of one scaled transpose per order
+    cfg = js.DomainConfig(n_r=24, n_theta=6, n_z=4)
+    rng = stream(8, "tests")
+    for real in (True, False):
+        u = random_smooth_vector(cfg, rng, real=real)
+        v = random_smooth_vector(cfg, rng, real=real)
+        for a, b in ((u, u), (u, v), (v, u)):
+            assert js.inner_product_Hkp(a, b, k) == oracles.inner_product_Hkp_per_order(a, b, k)
+
+
 def test_word_stacks_are_built_once_per_band_and_order(cfg_small, monkeypatch):
     fresh = RadialTables(cfg_small.kappa, cfg_small.n_r)
     assert fresh._words == {}

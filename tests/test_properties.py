@@ -24,7 +24,10 @@ sector layout on modes 0 and 1:
   of the Cartesian tangential traction oracle, and Q's datum is minus its
   normal component.
 
-One more test draws n_z too and checks the Sobolev inner product on
+Two more tests draw n_z too. With n_r 8 to 16 and n_z 0 to 3, every mode
+stacks into one whole-field operator, and the whole-field reduce and
+expand match the per-sector complex path of every mode n = -n_z..n_z.
+And the Sobolev inner product is checked on
 random fields: Hermitian symmetry, a real nonnegative (u, u), norms that
 grow with the order, and agreement with the derivative-chain oracle.
 
@@ -54,6 +57,7 @@ from jetstokes.stokesop import (
     _pencil_eigh,
     _sector_window,
     expand_slice,
+    field_operator,
     reduce_slice,
 )
 
@@ -102,6 +106,17 @@ SOBOLEV_CONFIGS = st.builds(
     st.integers(6, 16),
     st.integers(2, 4),
     st.integers(0, 2),
+)
+STACK_CONFIGS = st.builds(
+    lambda kappa, ell, mu, n_r, n_theta, n_z: js.DomainConfig(
+        kappa=kappa, ell=ell, mu=mu, n_r=n_r, n_theta=n_theta, n_z=n_z
+    ),
+    st.floats(0.1, 0.95),
+    st.floats(1.0, 20.0),
+    st.floats(0.1, 10.0),
+    st.integers(8, 16),
+    st.integers(2, 4),
+    st.integers(0, 3),
 )
 PROPERTY = settings(derandomize=True, max_examples=10, deadline=None)
 
@@ -257,6 +272,27 @@ def test_packed_padding_stays_zero_and_every_entry_finite(cfg, lam):
         assert np.all(np.isfinite(res.coords)) and not np.any(res.coords[pad])
         assert all(np.all(np.isfinite(f.coeffs)) for f in res.fields)
         assert np.all(np.isfinite(res.trace.l2_norm_sq)) and np.all(np.isfinite(res.trace.residual))
+
+
+@PROPERTY
+@given(STACK_CONFIGS)
+def test_every_mode_stacks_and_the_whole_field_maps_match_the_per_sector_path(cfg):
+    ws = js.Workspace(cfg)
+    fop = field_operator(ws)
+    assert fop.Z.shape[0] == cfg.n_z + 1
+    rng = stream(86, "tests")
+    shape = (3, cfg.n_modes_z, cfg.n_modes_theta, cfg.n_r)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    r = reduce_slice(ws, g)
+    c = rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape)
+    v = expand_slice(ws, c)
+    got_r, got_c = oracles.mode_coords(ws, r), oracles.mode_coords(ws, c)
+    for n in range(-cfg.n_z, cfg.n_z + 1):
+        ref = oracles.PerSectorMaps(ws, n)
+        want = ref.reduce(g[:, cfg.n_z + n])
+        assert np.linalg.norm(got_r[n] - want) <= 1e-13 * np.linalg.norm(want)
+        want = ref.expand(got_c[n])
+        assert np.linalg.norm(v[:, cfg.n_z + n] - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @PROPERTY

@@ -12,9 +12,9 @@ fourth one):
 - every parameter of every function, method or lambda is read in its body
   (loaded, or discarded with an explicit del), so an argument a caller
   passes cannot be silently ignored;
-- every field of the stokesop.ModeOperator dataclass and of the
-  discretization._ChannelStacks and discretization._WordOrder
-  namedtuples is read as an attribute somewhere in src/jetstokes or bench
+- every field of the stokesop.ModeOperator and stokesop.FieldOperator
+  dataclasses and of the discretization._ChannelStacks and
+  discretization._WordOrder namedtuples is read as an attribute somewhere in src/jetstokes or bench
   (an attribute of an imported module, such as np.stack, does not count),
   so a refactor cannot leave a dead field behind;
 - no module but fieldio, which owns every output and field file format,
@@ -29,15 +29,17 @@ fourth one):
 One more check runs the import itself in a fresh interpreter:
 importing jetstokes and jetstokes.cli loads no scipy module.
 
-The last checks guard the eigenbasis design: ModeOperator stores no M or
-G stack, no module names field_product, and during a resolve and a
-forced evolve the only callers of stokesop.packed_product are
-reduce_slice and ModeOperator.synthesize.
+The last checks guard the eigenbasis design and the whole-field
+operator: ModeOperator stores no M or G stack, no module names
+field_product, _sides or _mode_ops, and a resolve and a forced evolve
+call neither ModeOperator.synthesize nor stokesop.packed_product, the
+per-mode products that checks and exports still take.
 """
 
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -198,7 +200,7 @@ def _unread_fields(fields):
     return [f for f in fields if f not in read]
 
 
-@pytest.mark.parametrize("name", ["ModeOperator"])
+@pytest.mark.parametrize("name", ["ModeOperator", "FieldOperator"])
 def test_stokesop_dataclass_fields_are_read(name):
     fields = _dataclass_fields(_tree(SRC / "stokesop.py"), name)
     assert fields
@@ -379,7 +381,8 @@ def test_mode_operator_stores_no_pencil_blocks():
     assert not named, "field_product named in %s" % named
 
 
-def test_requests_multiply_stacks_only_to_reduce_and_synthesize(monkeypatch):
+def test_requests_call_neither_synthesize_nor_packed_product(monkeypatch):
+    # a resolve and a forced evolve run on the whole-field operator only
     import jetstokes as js
     from jetstokes import stokesop
     from jetstokes.fields import random_smooth_vector
@@ -388,16 +391,35 @@ def test_requests_multiply_stacks_only_to_reduce_and_synthesize(monkeypatch):
     ws = js.Workspace(js.DomainConfig(n_r=12, n_theta=3, n_z=2))
     for n in range(3):
         js.mode_operator(ws, n)
-    g = random_smooth_vector(ws.config, stream(47, "tests"), real=False)
-    product = stokesop.packed_product
-    callers = set()
+    rng = stream(47, "tests")
+    g = random_smooth_vector(ws.config, rng, real=False)
+    real = random_smooth_vector(ws.config, rng)
+    calls = []
 
-    def recording(*args):
-        callers.add(sys._getframe(1).f_code.co_qualname)
-        return product(*args)
+    def recording(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
 
-    monkeypatch.setattr(stokesop, "packed_product", recording)
+        return call
+
+    for owner, name in ((stokesop, "packed_product"), (stokesop.ModeOperator, "synthesize")):
+        monkeypatch.setattr(owner, name, recording(name, getattr(owner, name)))
     js.resolve(ws, 2j, g)
-    evo = js.EvolutionConfig(t_final=0.04, dt=0.02, forcing=lambda t: g * t)
-    js.evolve(ws, evo)
-    assert callers == {"reduce_slice", "ModeOperator.synthesize"}
+    # a complex forcing runs both sides, a real one side 0 only
+    for f in (g, real):
+        js.evolve(ws, js.EvolutionConfig(t_final=0.04, dt=0.02, forcing=lambda t, f=f: f * t))
+    assert calls == []
+    # the recorders see the per-mode path that checks and exports still take
+    assert js.mode_operator(ws, 0).basis.shape[0] > 0
+    assert calls == ["synthesize", "packed_product"]
+
+
+def test_per_mode_request_loops_are_gone():
+    named = [
+        "%s: %s" % (p.name, name)
+        for p in MODULES
+        for name in ("_sides", "_mode_ops")
+        if re.search(r"\b%s\b" % name, p.read_text(encoding="utf-8"))
+    ]
+    assert not named, "per-mode request helpers named in %s" % named

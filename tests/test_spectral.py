@@ -96,6 +96,24 @@ def test_resolve_rejects_parameters_outside_sector(ws_small):
             js.resolve(ws_small, lam, g)
 
 
+def test_resolve_refuses_a_parameter_on_the_spectrum(ws_small):
+    # mode 0's kernel eigenvalues lie within 1e-27 of 0, so 1e-15 i is
+    # 1e-15 from them, under the gap 1e-12 * max|w| that the check allows
+    g = random_smooth_vector(ws_small.config, stream(47, "tests"), real=False)
+    with pytest.raises(RuntimeError) as err:
+        js.resolve(ws_small, 1e-15j, g)
+    assert str(err.value) == "resolvent parameter 1e-15j is within 1.000e-15 of the mode-0 spectrum"
+
+
+def test_gap_check_names_the_lowest_mode_near_lam(ws_small):
+    # mode 2's twisted eigenvalue mu beta_2^2 is in no lower mode's spectrum
+    cfg = ws_small.config
+    lam = complex(cfg.mu * cfg.beta(2) ** 2, 1e-14)
+    r = reduce_slice(ws_small, random_smooth_vector(cfg, stream(48, "tests"), real=False).coeffs)
+    with pytest.raises(RuntimeError, match=r"of the mode-2 spectrum$"):
+        _pencil_solve(ws_small, lam, r)
+
+
 def test_resolve_bound_and_residual(ws_small):
     g = random_smooth_vector(ws_small.config, stream(51, "tests"), real=False)
     for lam in (1j, 2j, -1.0 + 2.0j):

@@ -388,6 +388,67 @@ def test_packed_maps_match_the_per_sector_reference(ws_name, request):
         evo = js.EvolutionConfig(t_final=0.05, dt=0.01, scheme=scheme, initial=u, forcing=lambda t: g)
         res = js.evolve(ws, evo)
         assert np.any(res.coords[0, :, 0]) and not np.any(res.coords[pad])
+    # real fields on one side: the slices n >= 0 reduce to side 0, and side 0
+    # expands to modes n >= 0 and, mirrored, to n < 0
+    for count in (1, 10):
+        g = np.stack([random_smooth_vector(cfg, rng).coeffs for _ in range(count)])
+        g = g[0] if count == 1 else g
+        lead = g.shape[:-4]
+        r = stokesop.reduce_slice(ws, g, real=True)
+        assert r.shape == pad.shape[:2] + (1,) + lead
+        assert not np.any(r[pad[:, :, :1]])
+        c = rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape)
+        v = expand_slice(ws, c)
+        assert v.shape == g.shape
+        for n, ref in refs.items():
+            if n >= 0:
+                want = ref.reduce(g[..., cfg.n_z + n, :, :])
+                assert _rel(r[n, : ref.op.w.size, 0], want) <= 1e-13
+            want = ref.expand(c[abs(n), : ref.op.w.size, 0])
+            assert _rel(v[..., cfg.n_z + n, :, :], want) <= 1e-13
+
+
+@pytest.mark.parametrize("ws_name", ["ws_small", "ws_n_z0"])
+def test_one_side_reduce_is_bitwise_side_0_of_the_two_sided_one(ws_name, request):
+    # every (mode, side) is its own product of one shape, whatever the width
+    ws = request.getfixturevalue(ws_name)
+    rng = stream(51, "tests")
+    u = random_smooth_vector(ws.config, rng)
+    stack = np.stack([random_smooth_vector(ws.config, rng).coeffs for _ in range(7)])
+    for g in (u.coeffs, stack):
+        one, two = stokesop.reduce_slice(ws, g, real=True), stokesop.reduce_slice(ws, g)
+        assert np.array_equal(one[:, :, 0], two[:, :, 0])
+
+
+def test_mode_stacks_are_views_of_the_field_operator():
+    ws = js.Workspace(js.DomainConfig(n_r=12, n_theta=3, n_z=2))
+    ops = [js.mode_operator(ws, n) for n in range(3)]
+    assert ws.field_op is None
+    w, eps_m, eps_g = stokesop.field_pencil(ws)
+    fop = ws.field_op
+    assert stokesop.field_pencil(ws)[0] is w and fop.w is w
+    for n, op in enumerate(ops):
+        now = js.mode_operator(ws, n)
+        assert now is not op and now.info is op.info and now.eigen is op.eigen
+        for name in ("Z", "ZW"):
+            view = getattr(now, name)
+            assert view.base is getattr(fop, name) and np.array_equal(view, getattr(op, name))
+        assert np.array_equal(w[n, : op.w.size, 0], op.w)
+    for a in (fop.Z, fop.ZW, w, eps_m, eps_g, fop.spectrum, fop.scale):
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+
+
+@pytest.mark.parametrize("field", ["Z", "slots"])
+def test_stacking_names_a_mode_off_the_shared_layout(field):
+    ws = js.Workspace(js.DomainConfig(n_r=12, n_theta=3, n_z=2))
+    for n in range(3):
+        js.mode_operator(ws, n)
+    op = ws.mode_ops[2]
+    bad = op.Z[:, :-1] if field == "Z" else op.slots[::-1]
+    ws.mode_ops[2] = dataclasses.replace(op, **{field: bad})
+    with pytest.raises(RuntimeError, match="mode 2 does not share mode 0's packed layout"):
+        stokesop.reduce_slice(ws, random_smooth_vector(ws.config, stream(52, "tests")).coeffs)
 
 
 @pytest.mark.parametrize("ws_name", ["ws_small", "ws_n_z0"])
