@@ -175,6 +175,7 @@ class RadialTables:
             self._gram[p] = 0.5 * (g + g.T)
             self._factor[p] = np.linalg.cholesky(self._gram[p]).T
         self._full, self._stacks, self._words, self._dirichlet = None, {}, {}, None
+        self._orders = {}
 
     def ddr(self, parity):
         return self._d1[parity]
@@ -278,11 +279,15 @@ class RadialTables:
                 every nonzero K entry whose outputs share a channel;
             sym: the pairs with w <= w', the coefficient doubled off the
                 diagonal, which give the real form (u, u).
-        The entries are built once per (band, k) on this instance.
+        Each order's entry is built once per band on this instance and shared
+        by every k that reaches it; the tuple is kept per (band, k).
         """
         got = self._words.get((band, k))
         if got is None:
-            got = self._words[(band, k)] = tuple(self._word_order(band, j) for j in range(k + 1))
+            for j in range(k + 1):
+                if (band, j) not in self._orders:
+                    self._orders[(band, j)] = self._word_order(band, j)
+            got = self._words[(band, k)] = tuple(self._orders[(band, j)] for j in range(k + 1))
         return got
 
     def _word_order(self, band, j):

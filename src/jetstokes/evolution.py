@@ -19,17 +19,23 @@ residual column bounds it by ||eps_M dc/dt|| + ||eps_G c_eval|| per mode
 (stokesop.field_pencil), over ||dc/dt|| + ||w c_eval|| + ||f||.
 
 The state and w are field coordinate arrays (n_z + 1, dim, sides) (see
-stokesop.reduce_slice), so each step is a few whole-array operations: the
-recurrence, the residual bound and its per-mode scale, the energies and
-the Crank-Nicolson midpoint terms. w, eps_M and eps_G are the cached
-read-only arrays of stokesop.field_pencil. The forcing of a block of
-STEP_BLOCK steps is reduced, and its snapshots expanded, in one call
+stokesop.reduce_slice), and the run goes in blocks of STEP_BLOCK steps.
+A block's forcing is reduced, and its snapshots expanded, in one call
 each, one pass over every mode and side of the whole block; the reduced
 block is copied once into the state's (time, mode, coordinate, side)
-order, so every step reads contiguous arrays. The forcing callable is
-called once per time point, in time order (after one extra call at
-t = 0 for the hypothesis check). w is real, so the recurrence is the
-same on both signs of n.
+order. Each step runs the recurrence alone, a few whole-array
+operations, and keeps its forcing term at the evaluation point in the
+block's forcing array, in place of the time point it no longer needs.
+The bookkeeping follows once per block (_block_terms), from the block's
+states and those forcing terms: the energies of every point, each step's
+residual bound and its per-mode scale, and the Crank-Nicolson midpoint
+terms. Each is a per-(mode, side) sum of squares of the real view of a
+block array, weighed by 1, w, w^2, eps_M^2 or eps_G^2 in one batched
+product (_block_weights, _block_sums). w, eps_M and eps_G are the cached
+read-only arrays of stokesop.field_pencil. The
+forcing callable is called once per time point, in time order (after
+one extra call at t = 0 for the hypothesis check). w is real, so the
+recurrence is the same on both signs of n.
 
 A real run carries one side. When the initial state (if any) and the
 forcing at t = 0 are flagged real (fields.real_flag), the state holds
@@ -40,7 +46,8 @@ and the snapshots are flagged real. The decision reads the flags, never
 the data. A real initial state is projected on side 0 only. A complex
 f(0), or a later forcing value flagged complex, widens the state to two
 sides (from its block on), side 1 a copy of side 0 (_two_sided), which is
-exact for a real state. EvolutionResult.coords is always two-sided.
+exact for a real state; the block weights are rebuilt at two sides.
+EvolutionResult.coords is always two-sided.
 """
 
 import dataclasses
@@ -49,8 +56,9 @@ import math
 import numpy as np
 
 from .fieldio import write_csv
-from .fields import VectorField, _field, _require_config, norm_L2, trace_norm_L2, trace_SF
-from .fields import grad, inner_product_Hkp
+from .fields import VectorField, _field, _require_config, inner_product_Hkp, norm_L2
+from .fields import _grad_norm_sq, _norms_and_increments
+from .fields import trace_norm_L2, trace_SF
 from .helmholtz import operator_Q, project_P
 from .stokesop import (
     expand_slice,
@@ -126,11 +134,91 @@ class EvolutionResult:
     coords: np.ndarray
 
 
-def _mode_norms(y):
-    """Euclidean norm (n_z + 1, sides) of each mode's part of coordinates (n_z + 1, dim, sides)."""
-    yr = y.view(float).reshape(y.shape[0], -1, 2 * y.shape[2])
-    sq = np.einsum("adc,adc->ac", yr, yr)
-    return np.sqrt(sq[:, 0::2] + sq[:, 1::2])
+# columns of the block weights: a coordinate's |.|^2 weighed by 1, w, w^2,
+# eps_M^2 and eps_G^2
+_ONE, _W, _W2, _EPS_M, _EPS_G = range(5)
+
+
+def _block_weights(w, eps_m, eps_g):
+    """Matmul weights (n_z + 1, dim * 2 sides, 5 sides) of per-(mode, side) sums of squares.
+
+    Row (d, s, part) of mode a is the real or imaginary part of coordinate
+    d on side s in the float view of a coordinate array (n_z + 1, dim,
+    sides); column (j, s') weighs it by the j-th of 1, w, w^2, eps_M^2,
+    eps_G^2 (_ONE .. _EPS_G) when s = s' and by 0 otherwise. eps_M and
+    eps_G (n_z + 1, dim, 1) hold on either side.
+    """
+    a, d, sides = w.shape
+    cols = np.stack(np.broadcast_arrays(np.ones_like(w), w, w * w, eps_m * eps_m, eps_g * eps_g))
+    out = np.zeros((a, d, sides, 2, 5, sides))
+    for s in range(sides):
+        out[:, :, s, :, :, s] = np.moveaxis(cols[..., s], 0, -1)[:, :, None, :]
+    return out.reshape(a, d * 2 * sides, 5 * sides)
+
+
+def _block_sums(p, weights):
+    """Weighted sums (n_z + 1, rows, 5, sides) of squares p (rows, n_z + 1, dim * 2 sides).
+
+    One batched product over the modes with _block_weights; [a, i, j, s]
+    is row i's sum over mode a, side s, weighed by column j.
+    """
+    out = np.matmul(p.transpose(1, 0, 2), weights)
+    return out.reshape(out.shape[:2] + (5, -1))
+
+
+def _block_terms(x, r_eval, theta, dt, pencil):
+    """The bookkeeping of one block of steps from its states x (points, n_z + 1, dim, sides).
+
+    r_eval (steps, n_z + 1, dim, sides) holds each step's forcing term at
+    its evaluation point, or is None for a homogeneous run; it is
+    overwritten. theta is 1 or 1/2 and pencil is (w, eps_M, eps_G) of
+    stokesop.field_pencil; the weights are built at the width of x, so a
+    block that widened gets two-sided ones, and freed on return.
+
+    Returns (energies, residual, diss_mid, fp_mid): energies (2, points)
+    are sum mult |c|^2 and sum mult w |c|^2 at every point of x; the rest
+    are per step. residual is the bound ||eps_M dc/dt|| + ||eps_G c_eval||
+    per mode over the scale ||dc/dt|| + ||w c_eval|| + ||f||, summed over
+    modes in squares (0 where the scale vanishes); diss_mid and fp_mid
+    are sum mult w |c_eval|^2 and Re sum mult conj(c_eval) f. Every term
+    is a batched product (_block_sums) of squares that one buffer holds
+    in turn.
+    """
+    steps, sides = x.shape[0] - 1, x.shape[-1]
+    w, eps_m, eps_g = pencil
+    weights = _block_weights(w[:, :, :sides], eps_m, eps_g)
+    mult = _side_weights(x.shape[1] - 1, sides)
+
+    def total(sums, j):
+        return np.sum(mult * sums[:, :, j], axis=(0, 2))
+
+    rows = x.shape[:2] + (-1,)
+    xf = x.view(float).reshape(rows)
+    buf = np.empty_like(xf)
+    s_x = _block_sums(np.square(xf, out=buf), weights)
+    energies = np.stack([total(s_x, _ONE), total(s_x, _W)])
+    sq = buf[:steps]
+    s_dc = _block_sums(np.square(np.subtract(xf[1:], xf[:-1], out=sq), out=sq), weights)
+    scale = np.sqrt(s_dc[:, :, _ONE]) / dt
+    fp_mid = np.zeros(steps)
+    if r_eval is not None:
+        rf = r_eval.view(float).reshape(r_eval.shape[:2] + (-1,))
+        scale += np.sqrt(_block_sums(np.square(rf, out=sq), weights)[:, :, _ONE])
+    # c_eval = theta x[1:] + (1 - theta) x[:-1]
+    np.multiply(xf[:-1], (1.0 - theta) / theta, out=sq)
+    sq += xf[1:]
+    sq *= theta
+    if r_eval is not None:
+        fp_mid = total(_block_sums(np.multiply(rf, sq, out=rf), weights), _ONE)
+    s_ce = _block_sums(np.square(sq, out=sq), weights)
+    bound = np.sqrt(s_dc[:, :, _EPS_M]) / dt + np.sqrt(s_ce[:, :, _EPS_G])
+    scale += np.sqrt(s_ce[:, :, _W2])
+    scale_sq = np.sum(mult * scale * scale, axis=(0, 2))
+    bound_sq = np.sum(mult * bound * bound, axis=(0, 2))
+    residual = np.zeros(steps)
+    ok = scale_sq > 0.0
+    residual[ok] = np.sqrt(bound_sq[ok] / scale_sq[ok])
+    return energies, residual, total(s_ce, _W), fp_mid
 
 
 def _two_sided(y):
@@ -243,17 +331,12 @@ def evolve(ws, evo):
     diss_mid = np.zeros(steps)
     fp_mid = np.zeros(steps)
 
-    def widths(sides):
-        """The eigenvalues, mode weights and step factors at a state width."""
+    def factors(sides):
+        """The step factors at a state width."""
         w = np.ascontiguousarray(w_all[:, :, :sides])
-        return w, _side_weights(cfg.n_z, sides), 1.0 - (1.0 - theta) * dt * w, 1.0 + theta * dt * w
+        return 1.0 - (1.0 - theta) * dt * w, 1.0 + theta * dt * w
 
-    def energies(z):
-        mz = mult * z
-        return np.vdot(z, mz).real, np.vdot(z, w * mz).real
-
-    w, mult, keep, denom = widths(sides)
-    l2_arr[0], diss_arr[0] = energies(c)
+    keep, denom = factors(sides)
     fields = []
     r = None
     for k0 in range(0, steps, STEP_BLOCK):
@@ -274,36 +357,30 @@ def evolve(ws, evo):
                 sides = 2
                 c = _two_sided(c)
                 r = None if r is None else _two_sided(r)
-                w, mult, keep, denom = widths(sides)
+                keep, denom = factors(sides)
             new = reduce_slice(ws, stack, real=sides == 1)
             new = np.ascontiguousarray(np.moveaxis(new, -1, 0))
             # freed before the block's snapshots are expanded, which reuse its memory
             del stack
             r = np.concatenate([r[-1:], new]) if k0 else new
+            del new
         x = np.empty((k1 - k0 + 1,) + c.shape, dtype=complex)
         x[0] = c
-        for i, k in enumerate(range(k0, k1)):
+        for i in range(k1 - k0):
             c_new = keep * c
             if r is not None:
-                r_eval = theta * r[i + 1] + (1.0 - theta) * r[i]
-                c_new += dt * r_eval
+                # the step's forcing term at its evaluation point, kept in
+                # r[i] for _block_terms; r[i + 1] is still the time point's
+                r[i] = theta * r[i + 1] + (1.0 - theta) * r[i]
+                c_new += dt * r[i]
             c_new /= denom
             x[i + 1] = c_new
-            # the bound on the step's residual and its scale, per mode, its
-            # energies and the Crank-Nicolson midpoint terms
-            c_eval = theta * c_new + (1.0 - theta) * c
-            dc = (c_new - c) / dt
-            bound = _mode_norms(eps_m * dc) + _mode_norms(eps_g * c_eval)
-            scale = _mode_norms(dc) + _mode_norms(w * c_eval)
-            if r is not None:
-                scale += _mode_norms(r_eval)
-                fp_mid[k] = np.vdot(c_eval, mult * r_eval).real
-            scale_sq = np.sum(mult[:, 0] * scale * scale)
-            if scale_sq > 0.0:
-                res_arr[k + 1] = math.sqrt(np.sum(mult[:, 0] * bound * bound) / scale_sq)
-            diss_mid[k] = energies(c_eval)[1]
-            l2_arr[k + 1], diss_arr[k + 1] = energies(c_new)
             c = c_new
+        energies, res_arr[k0 + 1 : k1 + 1], diss_mid[k0:k1], fp_mid[k0:k1] = _block_terms(
+            x, None if r is None else r[:-1], theta, dt, (w_all, eps_m, eps_g)
+        )
+        # the block's first point carries over, except at t = 0
+        l2_arr[k0 + first : k1 + 1], diss_arr[k0 + first : k1 + 1] = energies[:, first:]
         if evo.store_trajectory:
             states = expand_slice(ws, np.moveaxis(x[first:], 0, -1))
             fields += [_field(VectorField, cfg, v, sides == 1) for v in states]
@@ -358,6 +435,21 @@ def estimate_report(ws, fields, pressures, forcings, dt, t_final):
             + ||q|_SF||_{L2t L2(SF)}
       den = ||f||_{L2t L2}
 
+    Each term is a sum over the snapshots k >= 1 of dt times:
+      - (v_k, v_k)_{H^2_p}, from one pass of v_k through the H^2 word
+        stacks (fields._norms_and_increments);
+      - ||v_k - v_(k-1)||^2 / dt^2, from the difference of the order-0
+        outputs of those passes, reweighted per slice from the H^2 to the
+        L^2 weight; no difference field is formed;
+      - ||grad q_k||^2, from q_k's order-0 and order-1 word outputs on the
+        channels grad keeps (fields._grad_norm_sq); no gradient is formed;
+      - the L^2(S_F) norm of the trace of q_k squared;
+      - (f_k, f_k)_{L^2}.
+    The passes read the slices n >= 0 only when every snapshot is flagged
+    real, and all slices otherwise, so the increments of a run that
+    widened compare outputs of the same weights. One snapshot's outputs
+    are held at a time, besides those of the pass in progress.
+
     Args:
         fields, pressures, forcings: aligned lists over the time grid,
         starting at t = 0, all on ws.config; forcings may be None for
@@ -387,15 +479,14 @@ def estimate_report(ws, fields, pressures, forcings, dt, t_final):
     s_gq = 0.0
     s_qt = 0.0
     s_f = 0.0
-    for k in range(1, k_steps + 1):
-        v = fields[k]
+    for k, (h2, increment) in enumerate(_norms_and_increments(fields, 2), 1):
         q = pressures[k]
-        s_h2 += dt * inner_product_Hkp(v, v, 2).real
-        s_dv += dt * (norm_L2(v - fields[k - 1]) / dt) ** 2
-        s_gq += dt * norm_L2(grad(q)) ** 2
+        s_h2 += dt * h2
+        s_dv += increment / dt
+        s_gq += dt * _grad_norm_sq(q)
         s_qt += dt * trace_norm_L2(trace_SF(q)) ** 2
         if forcings is not None:
-            s_f += dt * norm_L2(forcings[k]) ** 2
+            s_f += dt * inner_product_Hkp(forcings[k], forcings[k]).real
     terms = {
         "l2t_h2p_velocity": math.sqrt(max(s_h2, 0.0)),
         "l2t_l2_velocity_increment": math.sqrt(s_dv),

@@ -35,9 +35,11 @@ which contracts the surface strain with n = (cos, sin, 0) and imposed the
 stress-free condition as three Cartesian components on band + 4, as the
 package did before it read tau_rtheta and tau_rz in polar form; and the
 reference kernels at the end: the per-channel stack product, the four-application
-derivatives, divergence and surface pressure, and the step-by-step
+derivatives, divergence and surface pressure, the step-by-step
 evolution loop, which maps fields to coordinates mode by mode through
-PerSectorMaps. They are the package's earlier implementations, kept so
+PerSectorMaps, and the estimate terms field by field
+(estimate_terms_per_field), which formed each snapshot's increment and
+pressure gradient as fields. They are the package's earlier implementations, kept so
 the batched and windowed ones can be held to them.
 """
 
@@ -1103,3 +1105,33 @@ def evolve_per_step(ws, evo, measured=False):
         identity_scale=ident_scale,
     )
     return EvolutionResult(fields=fields, trace=trace, final=final, coords=field_coords(ws, c))
+
+
+def estimate_terms_per_field(fields, pressures, forcings, dt):
+    """The five surrogate terms of estimate_report, formed field by field.
+
+    The loop the package ran before it read the increments and the
+    pressure gradients from word outputs: per snapshot k >= 1,
+    inner_product_Hkp(v, v, 2), norm_L2(v_k - v_(k-1)), norm_L2(grad(q)),
+    the trace norm of q and norm_L2 of the forcing (none when forcings is
+    None), each squared and summed with weight dt.
+    """
+    from jetstokes.fields import grad, inner_product_Hkp, norm_L2, trace_norm_L2, trace_SF
+
+    s_h2 = s_dv = s_gq = s_qt = s_f = 0.0
+    for k in range(1, len(fields)):
+        v = fields[k]
+        q = pressures[k]
+        s_h2 += dt * inner_product_Hkp(v, v, 2).real
+        s_dv += dt * (norm_L2(v - fields[k - 1]) / dt) ** 2
+        s_gq += dt * norm_L2(grad(q)) ** 2
+        s_qt += dt * trace_norm_L2(trace_SF(q)) ** 2
+        if forcings is not None:
+            s_f += dt * norm_L2(forcings[k]) ** 2
+    return {
+        "l2t_h2p_velocity": math.sqrt(max(s_h2, 0.0)),
+        "l2t_l2_velocity_increment": math.sqrt(s_dv),
+        "l2t_l2_grad_pressure": math.sqrt(s_gq),
+        "l2t_l2sf_pressure_trace": math.sqrt(s_qt),
+        "l2t_l2_forcing": math.sqrt(s_f),
+    }

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import jetstokes as js
 import oracles
-from jetstokes.evolution import energy_csv_rows, write_energy_csv
+from jetstokes.evolution import STEP_BLOCK, energy_csv_rows, write_energy_csv
 from jetstokes.fields import (
     constant_scalar,
     constant_vector,
@@ -314,6 +317,69 @@ def test_estimate_report_checks_the_horizon(ws_small):
         js.estimate_report(*args, 0.15)
     # evolve's tolerance, 1e-9 * max(t_final, 1), is accepted
     assert js.estimate_report(*args, 0.1 + 5e-10)["T"] == pytest.approx(0.1)
+
+
+KINDS = ("real", "complex", "widening", "homogeneous")
+
+
+def _trajectory(ws, kind, dt=0.01):
+    """The inputs of estimate_report from a run of STEP_BLOCK + 2 steps of the given kind.
+
+    "real" and "complex" force with a real or a complex field; "widening"
+    forces with a real one until the second block, whose complex values
+    widen the run, so the snapshots carry both flags; "homogeneous" starts
+    from a constrained state with no forcing.
+    """
+    cfg = ws.config
+    rng = stream(97, "tests")
+    real_part = random_smooth_vector(cfg, rng)
+    complex_part = random_smooth_vector(cfg, rng, real=False)
+
+    def forcing(t):
+        f = real_part * math.sin(1.0 + t)
+        if kind == "complex" or (kind == "widening" and t > (STEP_BLOCK + 0.5) * dt):
+            f = f + complex_part * math.cos(t)
+        return f
+
+    g = None if kind == "homogeneous" else forcing
+    initial = random_constrained_vector(ws, rng) if g is None else None
+    steps = STEP_BLOCK + 2
+    evo = js.EvolutionConfig(t_final=steps * dt, dt=dt, forcing=g, initial=initial)
+    fields = js.evolve(ws, evo).fields
+    forcings = None if g is None else [g(dt * k) for k in range(steps + 1)]
+    pressures = [
+        js.recover_pressure(ws, v, None if g is None else forcings[k])
+        for k, v in enumerate(fields)
+    ]
+    return fields, pressures, forcings, dt
+
+
+def _assert_estimate_matches_per_field_terms(ws, fields, pressures, forcings, dt):
+    k_steps = len(fields) - 1
+    got = js.estimate_report(ws, fields, pressures, forcings, dt, k_steps * dt)["surrogate_terms"]
+    want = oracles.estimate_terms_per_field(fields, pressures, forcings, dt)
+    for key, val in want.items():
+        assert abs(got[key] - val) <= 1e-13 * val, key
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("ws_name", ["ws_small", "ws_wide"])
+def test_estimate_report_matches_the_per_field_terms(ws_name, kind, request):
+    # the increments and the pressure gradients come from word outputs,
+    # the oracle forms them as fields
+    ws = request.getfixturevalue(ws_name)
+    fields, pressures, forcings, dt = _trajectory(ws, kind)
+    flags = {v.real_flag for v in fields}
+    want = {"real": {True}, "complex": {False}, "widening": {True, False}}
+    assert flags == want.get(kind, flags)
+    _assert_estimate_matches_per_field_terms(ws, fields, pressures, forcings, dt)
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(st.integers(8, 16), st.integers(2, 4), st.integers(0, 2), st.sampled_from(KINDS))
+def test_estimate_report_matches_the_per_field_terms_on_any_grid(n_r, n_theta, n_z, kind):
+    ws = js.Workspace(js.DomainConfig(n_r=n_r, n_theta=n_theta, n_z=n_z))
+    _assert_estimate_matches_per_field_terms(ws, *_trajectory(ws, kind))
 
 
 def _rel(got, want):

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 import jetstokes as js
-from jetstokes.discretization import RadialTables, tables_for
+from jetstokes.discretization import RadialTables, _channels_first, _channels_last, tables_for
 from jetstokes.fields import (
     ScalarField,
     _axial_factors,
     _draw_smooth_coeffs,
+    _grad_norm_sq,
+    _norms_and_increments,
     _truncate,
     constant_scalar,
     constant_vector,
+    grad,
+    norm_L2,
     rigid_rotation,
     random_smooth_scalar,
     random_smooth_vector,
@@ -177,6 +181,59 @@ def test_inner_product_is_bitwise_the_per_order_formula(k):
             assert js.inner_product_Hkp(a, b, k) == oracles.inner_product_Hkp_per_order(a, b, k)
 
 
+@pytest.mark.parametrize("k", range(3))
+def test_one_word_pass_gives_the_norms_and_the_increments(k):
+    # on the fields' own path the forms are bitwise inner_product_Hkp;
+    # with one field complex every pass reads all slices, and the forms and
+    # increments agree with the field-level ones to roundoff
+    cfg = js.DomainConfig(n_r=24, n_theta=6, n_z=4)
+    rng = stream(9, "tests")
+    for real in (True, False):
+        us = [random_smooth_vector(cfg, rng, real=real) for _ in range(3)]
+        for mixed in (False, True):
+            if mixed:
+                us[1] = js.VectorField(cfg, us[1].coeffs.copy())
+            got = list(_norms_and_increments(us, k))
+            assert len(got) == 2
+            for (form, increment), u, prev in zip(got, us[1:], us):
+                want = js.inner_product_Hkp(u, u, k).real
+                if mixed and real:
+                    assert abs(form - want) <= 1e-13 * want
+                else:
+                    assert form == want
+                want = norm_L2(u - prev) ** 2
+                assert abs(increment - want) <= 1e-13 * want
+
+
+def test_word_pass_leaves_a_channels_last_field_intact(cfg_small):
+    # the last order scales the channels-first copy in place; a field
+    # stored channels-last, as the Dirichlet solves return theirs, is that
+    # copy itself and must come back unchanged
+    base = random_smooth_vector(cfg_small, stream(11, "tests"), real=False)
+    lead = (3, cfg_small.n_modes_z)
+    f = js.VectorField(cfg_small, _channels_last(_channels_first(base.coeffs), lead))
+    assert np.may_share_memory(_channels_first(f.coeffs), f.coeffs)
+    before = f.coeffs.copy()
+    for k in range(3):
+        assert js.norm_Hkp(f, k) == js.norm_Hkp(base, k)
+    assert np.array_equal(f.coeffs, before)
+
+
+# grad keeps the stored band, so the band-edge channels +-n_theta, which
+# margin_m=0 populates, are where the truncation shows
+@pytest.mark.parametrize("grid", [(12, 3, 2), (10, 4, 0)], ids=lambda g: "%d/%d/%d" % g)
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_grad_norm_sq_is_the_norm_of_the_truncated_gradient(grid, real):
+    cfg = js.DomainConfig(n_r=grid[0], n_theta=grid[1], n_z=grid[2])
+    q = random_smooth_scalar(cfg, stream(10, "tests"), margin_m=0, margin_deg=0, real=real)
+    assert np.all(np.abs(q.coeffs[..., [0, -1], :]).max(axis=(1, 2)) > 0.0)
+    want = norm_L2(grad(q)) ** 2
+    assert abs(_grad_norm_sq(q) - want) <= 1e-13 * want
+    # the untruncated gradient, |q|_{H^1}^2 - |q|_{L^2}^2, differs visibly
+    untruncated = js.norm_Hkp(q, 1) ** 2 - norm_L2(q) ** 2
+    assert abs(untruncated - want) > 1e-6 * want
+
+
 def test_word_stacks_are_built_once_per_band_and_order(cfg_small, monkeypatch):
     fresh = RadialTables(cfg_small.kappa, cfg_small.n_r)
     assert fresh._words == {}
@@ -196,6 +253,9 @@ def test_word_stacks_are_built_once_per_band_and_order(cfg_small, monkeypatch):
     monkeypatch.setattr(t, "_word_order", refuse)
     assert js.norm_Hkp(u, 2) == want
     assert t.sobolev_words(cfg_small.n_theta, 2) is kept
+    # a lower order count shares the entries (the gradient norm reads k = 1)
+    for k in (0, 1):
+        assert all(a is b for a, b in zip(t.sobolev_words(cfg_small.n_theta, k), kept))
 
 
 @pytest.mark.parametrize("k", range(5))

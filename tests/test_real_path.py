@@ -149,6 +149,15 @@ def test_forcing_that_turns_complex_widens_the_run(ws_small, switch):
     for name in ("l2_norm_sq", "dissipation"):
         a, b = getattr(res.trace, name), getattr(ref.trace, name)
         assert np.max(np.abs(a - b)) <= REL * np.max(np.abs(b))
+    # the block weights are rebuilt at the width the run widens to; the
+    # residual and the identity ratio are roundoff-level defects already
+    # divided by their scales, so they are compared on that scale
+    assert np.max(np.abs(res.trace.residual - ref.trace.residual)) <= REL
+    scale, ref_scale = res.trace.identity_scale, ref.trace.identity_scale
+    assert np.max(np.abs(scale - ref_scale)) <= REL * np.max(ref_scale)
+    ratio = res.trace.identity_residual / res.trace.identity_scale
+    ref_ratio = ref.trace.identity_residual / ref.trace.identity_scale
+    assert np.max(np.abs(ratio - ref_ratio)) <= REL
     assert _close(ref.coords, res.coords)
     for v, w in zip(res.fields, ref.fields):
         assert _close(w.coeffs, v.coeffs, np.linalg.norm(ref.fields[-1].coeffs))

@@ -33,7 +33,9 @@ The last checks guard the eigenbasis design and the whole-field
 operator: ModeOperator stores no M or G stack, no module names
 field_product, _sides or _mode_ops, and a resolve and a forced evolve
 call neither ModeOperator.synthesize nor stokesop.packed_product, the
-per-mode products that checks and exports still take.
+per-mode products that checks and exports still take. A forced evolve
+does its bookkeeping once per block of steps, and its estimate_report
+forms neither a gradient field nor a difference of velocity fields.
 """
 
 import ast
@@ -423,3 +425,49 @@ def test_per_mode_request_loops_are_gone():
         if re.search(r"\b%s\b" % name, p.read_text(encoding="utf-8"))
     ]
     assert not named, "per-mode request helpers named in %s" % named
+
+
+def test_forced_runs_do_each_snapshots_work_once(monkeypatch):
+    # evolve's per-mode sums run once per block, not once per step; the
+    # estimate reads increments and pressure gradients from word outputs
+    import jetstokes as js
+    from jetstokes import evolution, fields
+    from jetstokes.rng import stream
+
+    ws = js.Workspace(js.DomainConfig(n_r=12, n_theta=3, n_z=2))
+    profile = fields.random_smooth_vector(ws.config, stream(48, "tests"))
+    calls = []
+
+    def recording(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+    def forcing(t):
+        return profile * t
+
+    dt, steps = 0.01, evolution.STEP_BLOCK + 3
+    monkeypatch.setattr(evolution, "_block_terms", recording("block", evolution._block_terms))
+    res = js.evolve(ws, js.EvolutionConfig(t_final=steps * dt, dt=dt, forcing=forcing))
+    assert calls == ["block", "block"]
+    forcings = [forcing(float(t)) for t in res.trace.t]
+    pressures = [js.recover_pressure(ws, v, f) for v, f in zip(res.fields, forcings)]
+    del calls[:]
+    # every package module that holds grad, fields included
+    grad = fields.grad
+    for name in dir(js):
+        mod = getattr(js, name)
+        if type(mod) is type(js) and getattr(mod, "grad", None) is grad:
+            monkeypatch.setattr(mod, "grad", recording("grad", grad))
+    monkeypatch.setattr(
+        fields.VectorField, "__sub__", recording("__sub__", fields.VectorField.__sub__)
+    )
+    # the recorders see the field operations the estimate used to take
+    res.fields[1] - res.fields[0]
+    fields.grad(pressures[1])
+    assert calls == ["__sub__", "grad"]
+    del calls[:]
+    js.estimate_report(ws, res.fields, pressures, forcings, dt, steps * dt)
+    assert calls == []
