@@ -6,8 +6,9 @@ the full diameter [-kappa, kappa], but a profile of azimuthal order m
 continues to the negative half axis with parity (-1)^m, so only the n_r
 nodes with r > 0 are stored and every differentiation matrix is folded to
 half size per parity class. The folded grid contains no node at r = 0;
-smoothness through the axis is imposed separately via pole_rows, the
-complement of the pole-regular radial span r^|m| * (even polynomial).
+a profile is smooth through the axis iff it lies in the pole-regular span
+r^|m| * (even polynomial), which zernike spans orthonormally (pole_rows,
+its complement, is the tests' nodal reference).
 
 Node 0 of a stored profile sits exactly at r = kappa, so boundary traces and
 boundary condition rows always address index 0.
@@ -175,7 +176,7 @@ class RadialTables:
             self._gram[p] = 0.5 * (g + g.T)
             self._factor[p] = np.linalg.cholesky(self._gram[p]).T
         self._full, self._stacks, self._words, self._dirichlet = None, {}, {}, None
-        self._orders = {}
+        self._orders, self._zernike = {}, {}
 
     def ddr(self, parity):
         return self._d1[parity]
@@ -210,13 +211,38 @@ class RadialTables:
 
         Returns an (m_abs // 2, n_r) array; empty for m_abs < 2. A nodal
         profile of the right parity is smooth through the axis iff these
-        rows evaluate to zero on it.
+        rows evaluate to zero on it. Set-up takes zernike coefficients
+        instead; these rows are the tests' independent reference.
         """
         n_pole = m_abs // 2
         if n_pole == 0:
             return np.zeros((0, self.n_r))
         q, _ = np.linalg.qr(self.smooth_basis(m_abs), mode="complete")
         return q[:, self.n_r - n_pole :].T.copy()
+
+    def zernike(self, m_abs):
+        """Disk-orthonormal pole-regular profiles of azimuthal order m_abs (cached).
+
+        Column k < n_r - m_abs // 2 is s^m_abs P_k^(0, m_abs)(2 s^2 - 1),
+        s = r / kappa, at the stored nodes (Boyd & Yu, JCP 230, 2011), from
+        the Jacobi three-term recurrence: the span of smooth_basis. One
+        Cholesky pass makes them orthonormal in the parity Gram to roundoff.
+        """
+        got = self._zernike.get(m_abs)
+        if got is None:
+            s, b = self.r / self.kappa, float(m_abs)
+            x = 2.0 * s * s - 1.0
+            p = [np.ones_like(s), 1.0 + 0.5 * (b + 2.0) * (x - 1.0)]
+            for k in range(1, self.n_r - m_abs // 2 - 1):
+                c = 2 * k + b
+                lead = (c + 1.0) * (c * (c + 2.0) * x - b * b) * p[k]
+                back = 2.0 * k * (k + b) * (c + 2.0) * p[k - 1]
+                p.append((lead - back) / (2.0 * (k + 1) * (k + b + 1.0) * c))
+            z = s[:, None] ** m_abs * np.stack(p[: self.n_r - m_abs // 2], axis=1)
+            gram = self._gram[1 if m_abs % 2 == 0 else -1]
+            # z^T gram z = L L^T, so z L^-T is orthonormal
+            got = self._zernike[m_abs] = np.linalg.solve(np.linalg.cholesky(z.T @ gram @ z), z.T).T
+        return got
 
     def stacks(self, lo, hi):
         """Operator stacks for the contiguous channels m = lo..hi (cached).

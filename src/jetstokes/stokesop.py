@@ -9,26 +9,25 @@ traces U = e^{-i theta} (v1 + i v2) and W = e^{i theta} (v1 - i v2).
 Every constraint commutes with rotations about the axis, so the subspace
 is an exact direct sum of angular-momentum sectors j: sector j holds
 u+ = u_x + i u_y at m = j + 1, u- = u_x - i u_y at m = j - 1 and u_z at
-m = j, at most 3 * n_r unknowns. The sector's unit fields carry its z
-piece times i, which cancels the i of d/dz = i beta: every constraint row
-on them is then a unit phase times a real row, so each sector is built in
-real arithmetic. Its constraint rows r0 + beta r1 (divergence, tangential
-traction, pole regularity) are formed once per sector per workspace,
-rotated to their real form; its part of the subspace is their numerical
-nullspace Z, found by a small real SVD with a relative cutoff. Every
-piece of sector j reaches the surface traces at m = j only, so each
-sector has exactly two traction rows, tau_rtheta and tau_rz at m = j. A
-sector is carried on its own channel window m in [j - 1, j + 1]: its
-fields and eigenvectors live there, and every kernel widens the window by
-its own band growth only.
+m = j. Each piece's unknowns are its coefficients on the Zernike profiles
+of its |m| (RadialTables.zernike), so every sector field is smooth
+through the axis by construction, and the coefficients are
+L^2-orthonormal coordinates (_piece_map). The z piece carries the
+phase i, which cancels the i of d/dz = i beta: every constraint row is
+then a unit phase times a real row, so each sector is built in real
+arithmetic. Its constraint rows r0 + beta r1 (divergence and tangential
+traction) are formed once per sector per workspace, rotated to their real
+form; its part of the subspace is their numerical nullspace Z, found by a
+small real SVD with a relative cutoff. Every piece of sector j reaches
+the surface traces at m = j only, so each sector has exactly two traction
+rows, tau_rtheta and tau_rz at m = j. A sector is carried on its own
+channel window m in [j - 1, j + 1]: its fields and eigenvectors live
+there, and every kernel widens the window by its own band growth only.
 
-On each sector's nullspace Z the Galerkin pencil is real symmetric:
-
-  M = Z^T M_u Z                         L^2 Gram matrix, from the block-
-                                         diagonal Gram M_u of the units,
-  G = F^T F                             dissipation form (symmetric PSD),
-                                         G[i, j] = (mu/2) sum_ij Re (E(b_j), E(b_i)),
-
+Z's columns are L^2-orthonormal, so on each sector the Galerkin pencil is
+real symmetric with M = Z^T M_u Z = I to roundoff (M_u the block-diagonal
+Gram of the unit fields), and its eigenbasis is that of the dissipation
+form G = F^T F, G[i, j] = (mu/2) sum_ij Re (E(b_j), E(b_i)),
 where F holds the strain of the columns b = units Z in the helical frame
 of the sector's pieces (_dissipation_factor). A sector's coordinates are
 three real radial profiles: a = u+ at m = j + 1, b = u- at m = j - 1 and
@@ -46,7 +45,7 @@ sqrt(pi mu ell) and the square root of each entry's multiplicity, so
 is exactly symmetric.
 
 Each mode is stored as its built sectors j >= 0, each in the
-M-orthonormal eigenbasis V of its pencil: the real coordinates z = Z V of
+orthonormal eigenbasis V of its pencil: the real coordinates z = Z V of
 its eigenvector fields on its unit fields. There the pencil is M = I and
 G = diag(w), so no block is stored, only each sector's defects
 eps_M = ||V^T M V - I|| and eps_G = ||V^T G V - diag(w)|| (assemble_A).
@@ -82,7 +81,7 @@ Mode n = 0 receives special treatment: the kernel fields e1 + i e2
 (sector 1), e1 - i e2 (sector -1), e3 and the rigid rotation (sector 0)
 are installed as exact leading columns of their sectors with unit L^2
 norm, each times the unit phase that makes its coordinates real (1 for
-e1 +- i e2), and the remaining columns are M-projected against them. The
+e1 +- i e2), and the remaining columns are projected against them. The
 sector eigh sees only the non-kernel rows and columns, so the kernel
 columns are eigenvectors as they stand. Every eigenvalue, the kernel ones
 included, is measured as the Rayleigh quotient |F v_c|^2 / M_cc of its
@@ -376,44 +375,46 @@ def _unit_weight(t, cfg, j, z):
     return 2.0 * math.pi * cfg.ell * out
 
 
+def _piece_map(t, cfg, j):
+    """Sector j's coefficient map E (3 n_r, k): each piece's zernike table over sqrt(2 pi ell).
+
+    E is block diagonal over the pieces of _sector_pieces and spans exactly
+    their pole-regular profiles, with E^T M_u E = I (_unit_weight).
+    """
+    tabs = [t.zernike(abs(m)) / math.sqrt(2.0 * math.pi * cfg.ell) for _, m, _ in _sector_pieces(j)]
+    cols = np.cumsum([0] + [z.shape[1] for z in tabs])
+    e = np.zeros((3 * cfg.n_r, cols[-1]))
+    for p, z in enumerate(tabs):
+        e[p * cfg.n_r : (p + 1) * cfg.n_r, cols[p] : cols[p + 1]] = z
+    return e
+
+
 def _constraint_rows(t, cfg, j, units, beta):
     """Complex constraint rows of sector j at axial wavenumber beta.
 
     Divergence at every collocation point (window + 1) and the polar
     tangential traces tau_rtheta and tau_rz at r = kappa (window + 1,
-    helmholtz._surface_stresses), applied to the sector's unit fields
-    units (_sector_units), and the pole regularity rows of each piece.
-    Sector j's pieces all reach the surface traces at m = j, so only two
-    traction rows are nonzero: the stress-free condition has rank 2 per
-    sector, known in advance.
+    helmholtz._surface_stresses), applied to the sector's fields units
+    (k, 3, 3, n_r) on its window. Sector j's pieces all reach the surface
+    traces at m = j, so only two traction rows are nonzero: the
+    stress-free condition has rank 2 per sector, known in advance.
     """
     k, lo = units.shape[0], j - 1
     tangential = _surface_stresses(t, cfg.mu, units, beta, lo)[:, 1:]
-    # each piece's pole rows act on its own n_r unknowns
-    poles = [t.pole_rows(abs(m)) for _, m, _ in _sector_pieces(j)]
-    pole = np.zeros((sum(p.shape[0] for p in poles), k))
-    row = 0
-    for p, rows in enumerate(poles):
-        pole[row : row + rows.shape[0], p * cfg.n_r : (p + 1) * cfg.n_r] = rows
-        row += rows.shape[0]
-    return np.concatenate(
-        [
-            _div_slice(t, units, beta, lo).reshape(k, -1).T,
-            tangential.reshape(k, -1).T,
-            pole,
-        ]
-    )
+    div = _div_slice(t, units, beta, lo).reshape(k, -1).T
+    return np.concatenate([div, tangential.reshape(k, -1).T])
 
 
 def _sector_rows(ws, j):
     """Real constraint rows (r0, r1) of sector j: the rows at beta are r0 + beta r1.
 
-    Built once per workspace. beta enters the rows only through the
-    i beta u_z term of the divergence and the i beta u_r term of tau_rz,
-    terms that no other term touches, so the rows at beta = 0 and their
-    change at beta = 1 split them exactly. Each row is a unit phase times a
-    real row (_sector_units): it is rotated by the phase of its largest
-    entry and kept real. Rows that vanish at every beta are dropped.
+    The rows act on the coefficients of _piece_map. Built once per
+    workspace. beta enters the rows only through the i beta u_z term of
+    the divergence and the i beta u_r term of tau_rz, terms that no other
+    term touches, so the rows at beta = 0 and their change at beta = 1
+    split them exactly. Each row is a unit phase times a real row
+    (_sector_units): it is rotated by the phase of its largest entry and
+    kept real. Rows that vanish at every beta are dropped.
 
     Raises:
         RuntimeError if a rotated row keeps an imaginary part above 1e-12
@@ -422,7 +423,7 @@ def _sector_rows(ws, j):
     got = ws.sector_rows.get(j)
     if got is None:
         cfg, t = ws.config, ws.tables
-        units = _sector_units(cfg, j)
+        units = _sector_fields(cfg, j, _piece_map(t, cfg, j))
         c0 = _constraint_rows(t, cfg, j, units, 0.0)
         c = np.concatenate([c0, _constraint_rows(t, cfg, j, units, 1.0) - c0], axis=1)
         c = c[c.any(axis=1)]
@@ -458,17 +459,16 @@ def _kernel_fields(cfg, j):
 def build_constrained_basis(ws, n, j):
     """Spanning set of sector j of the constrained subspace of mode n.
 
-    Everything is computed on the sector's unit fields (_sector_units),
-    never on the whole band. The constraint rows are the real rows
-    r0 + beta r1 of _sector_rows, built once per workspace: divergence,
-    tangential traction and the pole regularity rows of each piece. Rows
-    are normalized to unit length before a real SVD so the relative cutoff
+    Everything is computed on the sector's Zernike coefficients
+    (_piece_map), never on the whole band, so every column is smooth
+    through the axis. The constraint rows are the real rows r0 + beta r1
+    of _sector_rows: divergence and tangential traction. Rows are
+    normalized to unit length before a real SVD so the relative cutoff
     SVD_TOL * s_max of the sector is meaningful; the nullspace is the
-    trailing rows of the SVD's full V^T. At mode 0 the rest of the sector
-    is the complement of the kernel's nullspace coordinates in a complete
-    QR. The sector's pencil on this basis is later reduced by the Cholesky
-    factor of its M (assemble_A). Works for any sign of j; assemble_A
-    calls it for j >= 0 only.
+    trailing rows of the SVD's full V^T, orthonormal coefficients, so the
+    columns are L^2-orthonormal. At mode 0 the rest of the sector is the
+    complement of the kernel's nullspace coordinates in a complete QR.
+    Works for any sign of j; assemble_A calls it for j >= 0 only.
 
     Args:
         ws: Workspace.
@@ -477,8 +477,8 @@ def build_constrained_basis(ws, n, j):
 
     Returns:
         (basis, info): basis is (k, K_j) real, the columns' coordinates on
-        the sector's k unit fields (_sector_fields maps them to window
-        fields); info records the sector j, sizes, the singular
+        the sector's k = 3 n_r unit fields (_sector_fields maps them to
+        window fields); info records the sector j, sizes, the singular
         value split at the cutoff (sv_at_rank / sv_past_rank) and the
         indices of the leading kernel columns ("kernel_columns"): for n = 0
         the sector's kernel fields (see _kernel_fields), each times the
@@ -492,6 +492,7 @@ def build_constrained_basis(ws, n, j):
     """
     cfg = ws.config
     r0, r1 = _sector_rows(ws, j)
+    e = _piece_map(ws.tables, cfg, j)
     cmat = r0 + cfg.beta(n) * r1
     norms = np.linalg.norm(cmat, axis=1)
     keep = norms > 1e-14 * norms.max()
@@ -519,39 +520,35 @@ def build_constrained_basis(ws, n, j):
     }
     kern = _kernel_fields(cfg, j) if n == 0 else []
     if not kern:
-        return null, info
+        return e @ null, info
 
     # mode 0: install the sector's known kernel as exact leading columns;
-    # each field's coordinates are a unit phase times real ones
+    # each field's nodal coordinates are a unit phase times real ones, and
+    # E^T M_u reads its coefficients
     nk = len(kern)
-    units = _sector_units(cfg, j).reshape(null.shape[0], -1)
+    units = _sector_units(cfg, j).reshape(e.shape[0], -1)
     kc = np.conj(units) @ np.array(kern).T
     big = kc[np.argmax(np.abs(kc), axis=0), np.arange(nk)]
-    kc = (kc * (np.conj(big) / np.abs(big))).real
-    worst = np.max(np.linalg.norm(cmat @ kc, axis=0) / np.linalg.norm(kc, axis=0))
+    kc = e.T @ _unit_weight(ws.tables, cfg, j, (kc * (np.conj(big) / np.abs(big))).real)
+    kc /= np.linalg.norm(kc, axis=0)
+    worst = np.max(np.linalg.norm(cmat @ kc, axis=0))
     if worst > 1e-8:
-        raise RuntimeError(
-            "known kernel fields violate the mode-0 constraints by %.3e" % worst
-        )
+        raise RuntimeError("known kernel fields violate the mode-0 constraints by %.3e" % worst)
     # each kernel field lies in the nullspace span, and the complement of
-    # their coordinates there, M-projected against the kernel, spans the
+    # their coordinates there, projected against the kernel, spans the
     # rest; within a sector the kernel fields have disjoint supports, so
-    # they are L^2-orthogonal and need only be normalized
+    # they are orthogonal and need only be normalized
     coef = null.T @ kc
     dist = np.linalg.norm(kc - null @ coef, axis=0) ** 2
-    dist /= np.linalg.norm(kc, axis=0) ** 2
     if not np.all(dist < 1e-8):
         raise RuntimeError(
             "mode-0 kernel deflation expected exactly %d null directions in "
             "sector %d, got squared relative distances %s of the kernel fields "
             "from the nullspace" % (nk, j, dist)
         )
-    wkc = _unit_weight(ws.tables, cfg, j, kc)
-    scale = 1.0 / np.sqrt(np.sum(kc * wkc, axis=0))
-    kc, wkc = kc * scale, wkc * scale
     comp = null @ np.linalg.qr(coef, mode="complete")[0][:, nk:]
     info["kernel_columns"] = tuple(range(nk))
-    return np.concatenate([kc, comp - kc @ (wkc.T @ comp)], axis=1), info
+    return e @ np.concatenate([kc, comp - kc @ (kc.T @ comp)], axis=1), info
 
 
 # ---------------------------------------------------------------------------
@@ -671,41 +668,23 @@ def _dissipation_factor(t, cfg, j, z, beta):
     )
 
 
-def _pencil_eigh(g, m):
-    """Ascending eigenpairs (w, v) of the symmetric-definite pencil (g, m), with v^T m v = I.
-
-    The reduction of LAPACK sygvd (Golub & Van Loan, Matrix Computations,
-    4th ed., 8.7): with the Cholesky factor m = L L^T, the symmetrized
-    C = L^-1 g L^-T has the pencil's eigenvalues, and v = L^-T u maps the
-    orthonormal eigenvectors u of C back.
-
-    Raises:
-        numpy.linalg.LinAlgError if m is not positive definite.
-    """
-    low = np.linalg.cholesky(m)
-    # g is symmetric, so (L^-1 g)^T = g L^-T
-    c = np.linalg.solve(low, np.linalg.solve(low, g).T)
-    w, u = np.linalg.eigh(0.5 * (c + c.T))
-    return w, np.linalg.solve(low.T, u)
-
-
 def assemble_A(ws, n):
     """Assemble mode n sector by sector, in the eigenbasis of its pencil.
 
-    Only the complete sectors j = 0..n_theta-1 are built: each gets its
-    own constrained basis Z, real coordinates on its unit fields, its own M
-    from the unit Gram and G = F^T F from the six helical strain blocks of
-    its profiles (_dissipation_factor), and a real pencil eigh on its
-    non-kernel columns, all on its channel window. The pencil is reduced
-    by the Cholesky factor of M to one symmetric eigh (_pencil_eigh), and
-    each eigenvalue is taken as the Rayleigh quotient of its eigenvector
-    on the same F. Each record gains the Frobenius norms eps_M and eps_G of
-    V^T M V - I and V^T G V - diag(w), and kernel_coupling, that norm of
-    G's kernel rows over G's (0 without kernel columns).
-    The sectors are packed into the real stacks of ModeOperator. The mirror
-    sector -j is sector j read on the mirrored pieces (_mirror_piece): the
-    other half of its stack entry, with sector j's arrays and eigenvalues.
-    order ranks the eigenvalues of all sectors in ascending order.
+    Only the complete sectors j = 0..n_theta-1 are built, each on its
+    channel window: its constrained basis Z (build_constrained_basis), real
+    coordinates on its unit fields with L^2-orthonormal columns, so M = I
+    to roundoff, and G = F^T F from the six helical strain blocks of its
+    profiles (_dissipation_factor). The pencil is one plain symmetric eigh
+    of G on the non-kernel columns, and each eigenvalue is taken as the
+    Rayleigh quotient of its eigenvector on the same F. Each record gains
+    the Frobenius norms eps_M and eps_G of V^T M V - I and
+    V^T G V - diag(w), and kernel_coupling, that norm of G's kernel rows
+    over G's (0 without kernel columns). The sectors are packed into the
+    real stacks of ModeOperator. The mirror sector -j is sector j read on
+    the mirrored pieces (_mirror_piece): the other half of its stack entry,
+    with sector j's arrays and eigenvalues. order ranks the eigenvalues of
+    all sectors in ascending order.
     Returns a ModeOperator; use mode_operator for the cached accessor.
 
     Raises:
@@ -718,31 +697,26 @@ def assemble_A(ws, n):
     built = []
     for j in range(cfg.n_theta):
         z, info = build_constrained_basis(ws, n, j)
-        k = z.shape[1]
-        zw = _unit_weight(t, cfg, j, z)
-        m = z.T @ zw
-        m = 0.5 * (m + m.T)
         f = _dissipation_factor(t, cfg, j, z, beta)
-        # numpy runs f @ f.T as one syrk, so G = F^T F is exactly symmetric
-        g = f @ f.T
-
-        # the installed kernel columns lead the sector and are deflated
+        # the installed kernel columns lead the sector and are deflated; the
+        # columns are L^2-orthonormal, so the pencil is G's own eigh, and
+        # numpy runs each f @ f.T as one syrk, so G = F^T F is exactly symmetric
         nk = len(info["kernel_columns"])
-        v = np.zeros((k, k))
-        v[:nk, :nk] = np.diag(1.0 / np.sqrt(np.diag(m)[:nk]))
-        _, v[nk:, nk:] = _pencil_eigh(g[nk:, nk:], m[nk:, nk:])
-        m, g = v.T @ (m @ v), v.T @ (g @ v)
+        v = np.eye(z.shape[1])
+        _, v[nk:, nk:] = np.linalg.eigh(f[nk:] @ f[nk:].T)
+        z, fv = z @ v, v.T @ f
+        zw = _unit_weight(t, cfg, j, z)
+        m, g = z.T @ zw, fv @ fv.T
+        m = 0.5 * (m + m.T)
         # every eigenvalue as its Rayleigh quotient |F v_c|^2 / M_cc:
         # nonnegative, and accurate to its own size, not to eps lam_max
-        fv = v.T @ f
-        w = np.einsum("ci,ci->c", fv, fv) / np.diag(m)
-        m, g = 0.5 * (m + m.T), 0.5 * (g + g.T)
+        w = np.diag(g) / np.diag(m)
         # Frobenius norms bound the spectral norms, at no eigensolve's cost
-        info["eps_M"] = float(np.linalg.norm(m - np.eye(k)))
+        info["eps_M"] = float(np.linalg.norm(m - np.eye(w.size)))
         info["eps_G"] = float(np.linalg.norm(g - np.diag(w)))
         info["kernel_coupling"] = float(np.linalg.norm(g[:nk]) / np.linalg.norm(g))
         res = np.linalg.norm(g - m * w, axis=0) / np.sqrt(np.diag(m))
-        built.append((info, z @ v, zw @ v, w, res))
+        built.append((info, z, zw, w, res))
 
     # the packed real stacks; a sector and its mirror -j share a stack
     # entry, sides 0 and 1 of the packed coordinates and of the slot table

@@ -18,7 +18,7 @@ class Workspace:
     def __init__(self, config):
         self.config = config
         self.tables = tables_for(config)
-        # j -> real constraint rows (r0, r1), filled by stokesop._sector_rows
+        # j -> real constraint rows (r0, r1) on Zernike coefficients (stokesop._sector_rows)
         self.sector_rows = {}
         # n >= 0 -> ModeOperator, filled by stokesop.mode_operator
         self.mode_ops = {}

@@ -263,15 +263,16 @@ def sector_constraints_all_channels(ws, n, j):
 def sector_rows_complex(ws, n, j):
     """Sector j's constraint rows at mode n, evaluated directly in complex arithmetic.
 
-    The rows act on the package's unit fields (stokesop._sector_units) and
-    are restricted to those nonzero at beta = 0 or at beta = 1: the rows
-    stokesop._sector_rows keeps, in the same order. Returns (rows,
-    r0 + beta r1) with the second from the package's real cache.
+    The rows act on the fields of the sector's Zernike coefficients
+    (stokesop._piece_map) and are restricted to those nonzero at beta = 0
+    or at beta = 1: the rows stokesop._sector_rows keeps, in the same
+    order. Returns (rows, r0 + beta r1) with the second from the package's
+    real cache.
     """
-    from jetstokes.stokesop import _constraint_rows, _sector_rows, _sector_units
+    from jetstokes.stokesop import _constraint_rows, _piece_map, _sector_fields, _sector_rows
 
     cfg, t = ws.config, ws.tables
-    units = _sector_units(cfg, j)
+    units = _sector_fields(cfg, j, _piece_map(t, cfg, j))
     rows = [_constraint_rows(t, cfg, j, units, b) for b in (cfg.beta(n), 0.0, 1.0)]
     live = rows[1].any(axis=1) | rows[2].any(axis=1)
     r0, r1 = _sector_rows(ws, j)

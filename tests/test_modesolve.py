@@ -250,6 +250,41 @@ def test_pole_rows_annihilate_smooth_basis(cfg_small):
         assert np.max(np.abs(rows @ basis)) < 1e-12
 
 
+# (n_r, n_theta): every |m| <= n_theta is a piece of some complete sector
+ZERNIKE_GRIDS = [(12, 3), (24, 6), (48, 16), (64, 32)]
+
+
+@pytest.mark.parametrize("n_r, n_theta", ZERNIKE_GRIDS, ids=lambda v: str(v))
+def test_zernike_tables_are_disk_orthonormal_jacobi_profiles(n_r, n_theta):
+    cfg = js.DomainConfig(n_r=n_r, n_theta=n_theta)
+    t = RadialTables(cfg.kappa, n_r)
+    s = t.r / cfg.kappa
+    for m_abs in range(n_theta + 1):
+        z = t.zernike(m_abs)
+        k = np.arange(n_r - m_abs // 2)
+        assert z.shape == (n_r, k.size)
+        # s^m P_k^(0, m)(2 s^2 - 1) at unit disk norm: int_0^1 of its square
+        # times s ds is 1 / (2 (2k + m + 1))
+        jac = scipy.special.eval_jacobi(k[None, :], 0, m_abs, 2.0 * s[:, None] ** 2 - 1.0)
+        want = s[:, None] ** m_abs * jac * np.sqrt(2.0 * (2 * k + m_abs + 1)) / cfg.kappa
+        dev = np.max(np.abs(z - want), axis=0) / np.max(np.abs(want), axis=0)
+        assert np.max(dev) <= 2e-11, (m_abs, np.max(dev))
+        # the Cholesky pass makes them orthonormal in the parity Gram
+        gram = t.gram(1 if m_abs % 2 == 0 else -1)
+        assert np.max(np.abs(z.T @ gram @ z - np.eye(k.size))) <= 1e-14
+        # the nodal pole rows are the independent reference for the span;
+        # past |m| = 5 and n_r = 48 the rows themselves lose accuracy
+        if m_abs <= 5 and n_r <= 48:
+            rel = np.abs(t.pole_rows(m_abs) @ z) / np.linalg.norm(z, axis=0)
+            assert np.max(rel, initial=0.0) <= 1e-12
+
+
+def test_zernike_tables_are_cached_on_the_instance():
+    t = RadialTables(0.5, 12)
+    assert t.zernike(3) is t.zernike(3)
+    assert RadialTables(0.5, 12).zernike(3) is not t.zernike(3)
+
+
 def test_channel_ranges_are_views_of_one_band_stack():
     # a sector's channel range solves on the rows of the band's tables:
     # the same numbers as the band solve, from one eigen table per band

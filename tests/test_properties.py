@@ -54,7 +54,6 @@ from jetstokes.spectral import KERNEL_TOL, _pencil_solve
 from jetstokes.stokesop import (
     _apply_weight,
     _dissipation_factor,
-    _pencil_eigh,
     _sector_window,
     expand_slice,
     field_operator,
@@ -354,30 +353,3 @@ def test_polar_surface_stresses_are_the_cartesian_traction(cfg, beta, j):
     assert np.array_equal(datum, got[:, 0])
 
 
-# (K, log10 cond(M), log10 of M's scale, log10 of G's scale, seed)
-PENCILS = st.tuples(
-    st.integers(1, 40),
-    st.floats(0.0, 6.0),
-    st.floats(-3.0, 3.0),
-    st.floats(-3.0, 3.0),
-    st.integers(0, 2**32 - 1),
-)
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(PENCILS)
-def test_pencil_eigh_on_random_definite_pencils(draw):
-    k, log_cond, m_scale, g_scale, seed = draw
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((k, k)))
-    m = (q * np.logspace(m_scale, m_scale + log_cond, k)) @ q.T
-    m = 0.5 * (m + m.T)
-    a = 10.0**g_scale * rng.standard_normal((k, k))
-    g = a + a.T
-    w, v = _pencil_eigh(g, m)
-    assert np.all(np.diff(w) >= 0.0)
-    # Golub & Van Loan 8.7: the Cholesky method's errors scale with cond(M)
-    tol = 10.0 * k * np.finfo(float).eps * np.linalg.cond(m)
-    scale = (np.linalg.norm(g, 2) + np.abs(w) * np.linalg.norm(m, 2)) * np.linalg.norm(v, axis=0)
-    assert np.all(np.linalg.norm(g @ v - (m @ v) * w, axis=0) <= tol * scale)
-    assert np.max(np.abs(v.T @ m @ v - np.eye(k))) <= tol

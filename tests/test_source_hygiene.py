@@ -36,6 +36,12 @@ call neither ModeOperator.synthesize nor stokesop.packed_product, the
 per-mode products that checks and exports still take. A forced evolve
 does its bookkeeping once per block of steps, and its estimate_report
 forms neither a gradient field nor a difference of velocity fields.
+
+The radial unknowns are pole-regular by construction: setting up every
+mode reads no RadialTables.pole_rows (the tests' nodal reference), no
+module defines the Cholesky pencil reduction _pencil_eigh, and the
+Zernike tables cached on a RadialTables instance leave with it when
+bench/workloads.clear_caches empties the module-level caches.
 """
 
 import ast
@@ -471,3 +477,67 @@ def test_forced_runs_do_each_snapshots_work_once(monkeypatch):
     del calls[:]
     js.estimate_report(ws, res.fields, pressures, forcings, dt, steps * dt)
     assert calls == []
+
+
+def test_set_up_reads_no_pole_rows(monkeypatch):
+    import jetstokes as js
+    from jetstokes.discretization import RadialTables
+
+    calls = []
+    rows = RadialTables.pole_rows
+
+    def recorded(self, m_abs):
+        calls.append(m_abs)
+        return rows(self, m_abs)
+
+    monkeypatch.setattr(RadialTables, "pole_rows", recorded)
+    ws = js.Workspace(js.DomainConfig(n_r=24, n_theta=6, n_z=4))
+    for n in range(5):
+        js.mode_operator(ws, n)
+    assert calls == []
+    # the recorder sees a direct call
+    ws.tables.pole_rows(3)
+    assert calls == [3]
+
+
+def test_no_module_defines_the_pencil_reduction():
+    named = [
+        p.name
+        for p in MODULES
+        for node in ast.walk(_tree(p))
+        if isinstance(node, ast.FunctionDef) and node.name == "_pencil_eigh"
+    ]
+    assert not named, "_pencil_eigh defined in %s" % named
+
+
+def test_cleared_caches_release_the_radial_tables():
+    # a fresh interpreter, so the suite's own workspaces hold no tables
+    code = (
+        "import gc, importlib.util, sys, weakref\n"
+        "import jetstokes as js\n"
+        "spec = importlib.util.spec_from_file_location('workloads', sys.argv[1])\n"
+        "workloads = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(workloads)\n"
+        "ws = js.Workspace(js.DomainConfig(n_r=12, n_theta=3, n_z=1))\n"
+        "for n in range(2):\n"
+        "    js.mode_operator(ws, n)\n"
+        "ws.tables.pole_rows(3)\n"
+        "ref = weakref.ref(ws.tables)\n"
+        "del ws\n"
+        "gc.collect()\n"
+        "alive = ref() is not None\n"
+        "workloads.clear_caches()\n"
+        "gc.collect()\n"
+        "print(alive, ref() is None)\n"
+    )
+    path = [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "bench" / "workloads.py")],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    # the module caches held the tables until they were cleared
+    assert out.stdout.split() == ["True", "True"]

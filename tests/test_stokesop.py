@@ -573,43 +573,44 @@ def test_windowed_strong_blocks_match_full_band_reference(ws_name, request):
 
 @pytest.mark.parametrize("grid", [(12, 3, 2), (24, 6, 4)], ids=["12-3-2", "24-6-4"])
 def test_pencil_eigh_matches_scipy_on_every_sector(grid, monkeypatch):
-    # scipy's sygvd is an independent reference for the Cholesky reduction:
-    # every sector pencil that set-up solves has its eigenvalues, and the
+    # a sector's columns are L^2-orthonormal, so the plain eigh of G that
+    # set-up runs solves its pencil (G, M): scipy's sygvd on the sector's
+    # actual M is an independent reference for the eigenvalues, and the
     # eigenvectors are M-orthonormal
     n_r, n_theta, n_z = grid
     ws = js.Workspace(js.DomainConfig(n_r=n_r, n_theta=n_theta, n_z=n_z))
+    cfg, t = ws.config, ws.tables
     seen = []
-    eigh = stokesop._pencil_eigh
+    eigh = np.linalg.eigh
 
-    def recorded(g, m):
-        w, v = eigh(g, m)
-        seen.append((g, m, w, v))
+    def recorded(a):
+        w, v = eigh(a)
+        seen.append((a, w, v))
         return w, v
 
-    monkeypatch.setattr(stokesop, "_pencil_eigh", recorded)
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
     for n in range(n_z + 1):
         js.mode_operator(ws, n)
-    assert len(seen) == (n_z + 1) * n_theta
-    for g, m, w, v in seen:
+    monkeypatch.undo()
+    sectors = [(n, j) for n in range(n_z + 1) for j in range(n_theta)]
+    assert len(seen) == len(sectors)
+    for (g, w, v), (n, j) in zip(seen, sectors):
+        z, info = stokesop.build_constrained_basis(ws, n, j)
+        nk = len(info["kernel_columns"])
+        m = z.T @ stokesop._unit_weight(t, cfg, j, z)
+        m = 0.5 * (m + m.T)[nk:, nk:]
+        f = stokesop._dissipation_factor(t, cfg, j, z, cfg.beta(n))
+        assert np.array_equal(g, f[nk:] @ f[nk:].T)
         want = scipy.linalg.eigh(g, m, eigvals_only=True)
         assert np.max(np.abs(w - want)) <= 1e-13 * np.max(np.abs(want))
         assert np.linalg.norm(v.T @ m @ v - np.eye(w.size)) <= 1e-12
 
 
-def test_pencil_eigh_refuses_an_indefinite_m():
-    g, m = np.eye(2), np.diag([1.0, -1.0])
-    with pytest.raises(np.linalg.LinAlgError):
-        scipy.linalg.eigh(g, m)
-    with pytest.raises(np.linalg.LinAlgError):
-        stokesop._pencil_eigh(g, m)
-
-
 def test_set_up_builds_nonnegative_sectors_on_their_windows(cfg_small, monkeypatch):
     ws = js.Workspace(cfg_small)
-    calls, ranges, eighs = [], [], []
+    calls, ranges = [], []
     build = stokesop.build_constrained_basis
     stacks = RadialTables.stacks
-    eigh = stokesop._pencil_eigh
 
     def counted_build(ws_, n, j):
         calls.append((n, j))
@@ -619,16 +620,11 @@ def test_set_up_builds_nonnegative_sectors_on_their_windows(cfg_small, monkeypat
         ranges.append((lo, hi))
         return stacks(self, lo, hi)
 
-    def counted_eigh(g, m):
-        eighs.append(g.shape)
-        return eigh(g, m)
-
     def refuse(*args, **kwargs):
         raise AssertionError("set-up reached scipy.linalg")
 
     monkeypatch.setattr(stokesop, "build_constrained_basis", counted_build)
     monkeypatch.setattr(RadialTables, "stacks", recorded_stacks)
-    monkeypatch.setattr(stokesop, "_pencil_eigh", counted_eigh)
     # set-up runs on numpy's LAPACK alone
     for name in ("eigh", "svd", "qr", "block_diag"):
         monkeypatch.setattr(scipy.linalg, name, refuse)
@@ -636,8 +632,6 @@ def test_set_up_builds_nonnegative_sectors_on_their_windows(cfg_small, monkeypat
         js.mode_operator(ws, n)
     nt = cfg_small.n_theta
     assert calls == [(n, j) for n in range(cfg_small.n_z + 1) for j in range(nt)]
-    # one pencil eigh per built sector
-    assert len(eighs) == (cfg_small.n_z + 1) * nt
     # each kernel ran on a sector window [j - 1, j + 1], j >= 0, widened by
     # at most one channel on each side for the strain entries; sector -1's
     # window [-2, 0] is read once at mode 0 for its kernel check
@@ -655,14 +649,14 @@ def test_windowed_sectors_match_all_channel_reference(ws_name, request):
     with pytest.raises(ValueError, match="j = %d is not complete" % cfg.n_theta):
         _direct_columns(ws, 0, cfg.n_theta)
     for n in range(cfg.n_z + 1):
-        # the windowed constraint SVD on the polar traction rows has the
-        # rank and the nullspace of the Cartesian rows over all channels,
-        # from fewer rows
+        # the windowed constraint SVD on the sector's Zernike coefficients
+        # has the dimension and the nullspace of the Cartesian and nodal
+        # pole rows over all channels, from fewer rows
         for j in range(1 - cfg.n_theta, cfg.n_theta):
             cols, info = _direct_columns(ws, n, j)
-            null, kept, rank = oracles.sector_nullspace_all_channels(ws, n, j)
-            assert info["rank"] == rank and info["rows_kept"] < kept
-            assert cols.shape[1] == null.shape[1]
+            null, kept, _ = oracles.sector_nullspace_all_channels(ws, n, j)
+            assert info["dim"] == cols.shape[1] == null.shape[1]
+            assert info["rows_kept"] < kept
             leak = cols - null @ (null.conj().T @ cols)
             assert np.linalg.norm(leak) <= 1e-10 * np.linalg.norm(cols)
         op = js.mode_operator(ws, n)
@@ -680,6 +674,27 @@ def test_windowed_sectors_match_all_channel_reference(ws_name, request):
         assert null.shape[1] == w.size
         leak = basis - null @ (null.conj().T @ basis)
         assert np.linalg.norm(leak) < 1e-10 * np.linalg.norm(basis)
+
+
+@pytest.mark.parametrize(
+    "n_r, n_theta, modes, decades",
+    [(48, 16, (0, 1), 3.5), (40, 10, (0,), 6.0)],
+    ids=["48-16", "40-10"],
+)
+def test_constraint_svd_has_a_rank_gap(n_r, n_theta, modes, decades):
+    # on Zernike coefficients no pole row enters the SVD, and the kept and
+    # dropped singular values of every sector stay decades apart on grids
+    # where the nodal pole rows left 0.82 (48/16) and 3.38 (40/10, the
+    # refined workspace of criterion 03)
+    ws = js.Workspace(js.DomainConfig(n_r=n_r, n_theta=n_theta, n_z=max(modes)))
+    for n in modes:
+        gaps = []
+        for j in range(n_theta):
+            info = stokesop.build_constrained_basis(ws, n, j)[1]
+            # a sector of full row rank drops no singular value
+            if info["sv_past_rank"] > 0.0:
+                gaps.append(math.log10(info["sv_at_rank"] / info["sv_past_rank"]))
+        assert gaps and min(gaps) >= decades, (n, gaps)
 
 
 @pytest.mark.parametrize("ws_name", ["ws_small", "ws_wide"])
