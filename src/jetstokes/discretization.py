@@ -129,8 +129,6 @@ def band_views(cached, lo, hi, build):
 
 # per-channel operator stacks for the azimuthal modes m = lo..hi
 _ChannelStacks = collections.namedtuple("_ChannelStacks", "ms raising lowering lap factor gram")
-# the derivative words of one Sobolev order (see RadialTables.sobolev_words)
-_WordOrder = collections.namedtuple("_WordOrder", "stack pairs sym")
 
 
 class RadialTables:
@@ -284,29 +282,20 @@ class RadialTables:
         """Precomposed derivative words of the orders 0..k on channels -band..band (cached).
 
         With U and D the raising and lowering applications (see stacks),
-        d/dx = (U + D)/2 and d/dy = -i (U - D)/2, so the derivative
-        d_x^(j-p) d_y^p of order j (d_y applied first) is (-i)^p 2^-j times
-        sum_w C[p, w] w over the words w in {U, D}^j, with signs
-        C[p, w] = +-1. Word w moves channel m to m + s_w, s_w = #U - #D. Its
-        stack holds, per input channel, the product of the letters' matrices
-        followed by the transposed Cholesky factor L^T of the output
-        channel's parity Gram, so |L^T a|^2 is the disk norm of a; call the
-        stack's output Y_w.
+        d/dx = (U + D)/2 and d/dy = -i (U - D)/2. The map (d/dx, d/dy) ->
+        (U, D)/sqrt(2) is unitary, so the full derivative tensor of order j
+        has |grad^j a|^2 = 2^-j sum_w |w a|^2 over the 2^j words w in
+        {U, D}^j: diagonal in the words. Word w moves channel m to m + s_w,
+        s_w = #U - #D. Its stack holds, per input channel, the product of
+        the letters' matrices followed by 2^(-j/2) times the transposed
+        Cholesky factor L^T of the output channel's parity Gram, so the sum
+        of squares of all words' outputs is the disk norm of grad^j a.
 
-        Summing the disk inner products of the j + 1 derivatives of order j,
-        each counted once, gives sum_{w, w'} K[w, w'] (Y_w, Y_w') with
-        K = C^T C / 4^j. Y_w at input channel index i and Y_w' at index
-        i + s_w - s_w' sit on the same output channel.
-
-        Returns one _WordOrder per order j = 0..k:
-            stack: (2^j, 2*band + 1, n_r, n_r) real, letter i of word w is
-                D when bit i of w is set (letter 0 applied first);
-            pairs: (w, w', K[w, w'], channels of Y_w, channels of Y_w') for
-                every nonzero K entry whose outputs share a channel;
-            sym: the pairs with w <= w', the coefficient doubled off the
-                diagonal, which give the real form (u, u).
-        Each order's entry is built once per band on this instance and shared
-        by every k that reaches it; the tuple is kept per (band, k).
+        Returns one stack (2^j, 2*band + 1, n_r, n_r), real, per order
+        j = 0..k; letter i of word w is D when bit i of w is set (letter 0
+        applied first). Each order's stack is built once per band on this
+        instance and shared by every k that reaches it; the tuple is kept
+        per (band, k).
         """
         got = self._words.get((band, k))
         if got is None:
@@ -319,33 +308,19 @@ class RadialTables:
     def _word_order(self, band, j):
         nm = 2 * band + 1
         st = self.stacks(-band - j, band + j)
-        n_words = 2**j
-        steps = 1 - 2 * ((np.arange(n_words)[:, None] >> np.arange(j)) & 1)
-        shift = steps.sum(axis=1)
-        signs = np.stack([np.prod(steps[:, :p], axis=1) for p in range(j + 1)])
-        coef = signs.T @ signs / 4.0**j
         # the output channel m + s_w of input m has the parity of m + j: its
         # factor sits at index 2 j + (m + band) of st
-        lt = st.factor[2 * j : 2 * j + nm]
-        stack = np.empty((n_words, nm, self.n_r, self.n_r))
-        for w in range(n_words):
+        lt = st.factor[2 * j : 2 * j + nm] * 2.0 ** (-j / 2)
+        stack = np.empty((2**j, nm, self.n_r, self.n_r))
+        for w in range(2**j):
             # at: the index in st of the channel that input -band has reached
             prod, at = np.eye(self.n_r), j
-            for step in steps[w]:
+            for i in range(j):
+                step = 1 - 2 * ((w >> i) & 1)
                 prod = (st.raising if step > 0 else st.lowering)[at : at + nm] @ prod
                 at += step
             stack[w] = lt @ prod
-        pairs, sym = [], []
-        for w in range(n_words):
-            for w2 in range(n_words):
-                d = int(shift[w] - shift[w2])
-                if coef[w, w2] == 0.0 or abs(d) >= nm:
-                    continue
-                pair = (slice(max(-d, 0), nm - max(d, 0)), slice(max(d, 0), nm - max(-d, 0)))
-                pairs.append((w, w2, coef[w, w2]) + pair)
-                if w <= w2:
-                    sym.append((w, w2, coef[w, w2] * (1.0 if w == w2 else 2.0)) + pair)
-        return _WordOrder(stack, tuple(pairs), tuple(sym))
+        return stack
 
     def _band_stacks(self, band):
         ms = np.arange(-band, band + 1)

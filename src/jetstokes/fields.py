@@ -45,13 +45,15 @@ derivatives from two stack applications. _div_slice is the one divergence
 kernel, built on the same identity: d/dx v1 + d/dy v2 = up(v1 - i v2)/2 +
 down(v1 + i v2)/2, again two applications; div, the Helmholtz projection
 and the constraint rows of stokesop all call it. The Sobolev inner product
-differentiates nothing at request time: RadialTables.sobolev_words holds,
-per order, every word of raising and lowering applications already
-multiplied by the Cholesky factor of the disk Gram, so one order of a
-field, all components at once, costs one batched real GEMM and one dot
-product per word pair. The GEMM outputs of each order (_word_outputs) and
-their pair form (_pair_form) are separate steps, so a caller can read
-more than the form from one pass: the order-0 outputs are the field's
+weighs each transversal order by the full derivative tensor, |grad^j u|^2,
+which is invariant under rotations about the axis. It differentiates
+nothing at request time: RadialTables.sobolev_words holds, per order j,
+all 2^j words of raising and lowering applications already multiplied by
+2^(-j/2) times the Cholesky factor of the disk Gram, so one order of a
+field, all components at once, costs one batched real GEMM and one sum of
+squares of its outputs. The GEMM outputs of each order (_word_outputs)
+and their form (_form) are separate steps, so a caller can read more than
+the form from one pass: the order-0 outputs are the field's
 values, whose differences give L^2 distances (_norms_and_increments), and a
 scalar's order-0 and order-1 outputs give the norm of its gradient on
 the stored band (_grad_norm_sq). The field-level div and laplacian are
@@ -512,14 +514,15 @@ def _order_scales(ell, n_z, k, real=False):
 
 
 def _word_outputs(f, k, real):
-    """Each order's derivative words applied to a field: (order, ys) for j = 0..k, lazily.
+    """Each order's derivative words applied to a field: ys for j = 0..k, lazily.
 
     f's channels are moved first once, so every component and axial slice
     is a pair of interleaved real columns (n_m, n_r, 2 * columns); with
     real, only the slices n >= 0 are read. ys is one real batched GEMM of
     order j's word stack (RadialTables.sobolev_words) with those columns,
     slice n scaled by sqrt(w_j(n)) of H^k_p (_order_scales), shaped
-    (2^j, n_m, n_r, 2 * columns). The outputs are linear in f.
+    (2^j, n_m, n_r, 2 * columns). The outputs are linear in f, and the
+    sum of squares of order j's is its term of (f, f)_{H^k_p}.
     """
     cfg = f.config
     h = cfg.n_z if real else 0
@@ -530,54 +533,40 @@ def _word_outputs(f, k, real):
     # the last order, the largest product, scales the copy in place and
     # takes no temporary; x is f's own memory when f is a channels-last view
     own = not np.may_share_memory(x, f.coeffs)
-    for j, (order, s) in enumerate(zip(words, _order_scales(cfg.ell, cfg.n_z, k, real))):
+    for j, (stack, s) in enumerate(zip(words, _order_scales(cfg.ell, cfg.n_z, k, real))):
         cols = np.multiply(x, s, out=x if own and j == k else None)
-        ys = order.stack @ cols.reshape(x.shape[:2] + (-1,)).view(float)
+        ys = stack @ cols.reshape(x.shape[:2] + (-1,)).view(float)
         del cols
-        yield order, ys
-
-
-def _pair_form(total, order, yu, yv=None):
-    """total plus order j's word-pair form of the word outputs yu (and yv) of _word_outputs.
-
-    Each nonzero word pair adds one dot product over the channels where
-    both outputs sit: (u, u) from yu alone over order.sym, real, or (u, v)
-    over order.pairs.
-    """
-    if yv is None:
-        for w, w2, c, sa, sb in order.sym:
-            total += c * np.vdot(yu[w, sa], yu[w2, sb])
-    else:
-        yu, yv = yu.view(complex), yv.view(complex)
-        for w, w2, c, sa, sb in order.pairs:
-            total += c * np.vdot(yv[w2, sb], yu[w, sa])
-    return total
+        yield ys
 
 
 def _form(outputs, total=0.0):
-    """total plus the pair forms (u, u) of every order in outputs, (order, ys) of _word_outputs.
+    """total plus (u, u) of every order in outputs, the word outputs ys of _word_outputs.
 
-    The outputs of the last order are dropped on return, not held by a
-    caller's loop variable into its next pass.
+    Each order is one sum of squares. The outputs of the last order are
+    dropped on return, not held by a caller's loop variable into its next
+    pass.
     """
-    for order, ys in outputs:
-        total = _pair_form(total, order, ys)
+    for ys in outputs:
+        total += np.vdot(ys, ys)
     return total
 
 
 def inner_product_Hkp(u, v, k=0):
     """Periodic Sobolev inner product (u, v)_{H^k_p}.
 
-    Sums ell * beta_n^(2i) times disk inner products of all derivative
-    combinations with i axial and up to k-i transversal derivatives, each
-    transversal multi-index counted once.
+    Sums ell * beta_n^(2i) times the disk inner products (grad^j u,
+    grad^j v) of the full transversal derivative tensor of every order
+    j <= k - i: order j weighs d_x^(j-p) d_y^p by the multinomial C(j, p).
+    This form is invariant under rotations about the axis, and it does not
+    couple angular-momentum sectors.
 
-    Each transversal order j is a form over the precomposed derivative
-    words of RadialTables.sobolev_words: the columns of each field are
-    scaled by sqrt(w_j(n)), w_j(n) = ell * 2*pi * sum_{i <= k-j}
-    beta_n^(2i), one real batched GEMM applies every word's stack to them
-    at once (_word_outputs), and each nonzero word pair adds one dot
-    product over the channels where both outputs sit (_pair_form, _form).
+    Each transversal order j is a sum over the precomposed derivative
+    words of RadialTables.sobolev_words, 2^-j sum_w (w u, w v): the columns
+    of each field are scaled by sqrt(w_j(n)), w_j(n) = ell * 2*pi *
+    sum_{i <= k-j} beta_n^(2i), one real batched GEMM applies every word's
+    stack to them at once (_word_outputs), and the order adds one dot
+    product of the two outputs (one sum of squares when u is v, _form).
 
     When both fields are real, the slices n < 0 contribute the conjugates
     of the slices n > 0: only n >= 0 are read, each n > 0 weighs twice
@@ -598,8 +587,8 @@ def inner_product_Hkp(u, v, k=0):
         total = _form(_word_outputs(u, kk, real))
     else:
         total = 0.0
-        for (order, yu), (_, yv) in zip(_word_outputs(u, kk, real), _word_outputs(v, kk, real)):
-            total = _pair_form(total, order, yu, yv)
+        for yu, yv in zip(_word_outputs(u, kk, real), _word_outputs(v, kk, real)):
+            total += np.vdot(yv.view(complex), yu.view(complex))
     return complex(total.real if real else total)
 
 
@@ -625,31 +614,31 @@ def _norms_and_increments(fields, k):
     cfg = fields[0].config
     l2 = _order_scales(cfg.ell, cfg.n_z, 0, real)[0]
     reweight = (l2 / _order_scales(cfg.ell, cfg.n_z, k, real)[0]) ** 2
-    prev = next(_word_outputs(fields[0], k, real))[1]
+    prev = next(_word_outputs(fields[0], k, real))
     for f in fields[1:]:
         outputs = _word_outputs(f, k, real)
-        order, values = next(outputs)
+        values = next(outputs)
         # taken before the higher orders, so the previous outputs are freed first
         increment = float(reweight @ _slice_sums(values - prev, l2.size))
         prev = values
-        yield float(_form(outputs, _pair_form(0.0, order, values))), increment
+        yield float(_form(outputs, np.vdot(values, values))), increment
 
 
 def _grad_norm_sq(q):
     """||grad q||^2_{L^2} of a scalar field from its H^1_p word outputs; equals norm_L2(grad(q))**2.
 
-    With U and D the raising and lowering words, d/dx = (U + D)/2 and
-    d/dy = -i (U - D)/2, so on output channel m, |d/dx q|^2 + |d/dy q|^2 =
-    (|U q_(m-1)|^2 + |D q_(m+1)|^2)/2 in the disk norm. grad keeps the
-    stored band, so U's top input channel and D's bottom one drop out.
-    The order-1 words carry the L^2 weight of each slice; the axial part
-    beta_n^2 |q_n|^2 reweighs the order-0 outputs from 1 + beta_n^2 to
-    beta_n^2.
+    The order-1 outputs are U q and D q, each already weighed by 2^(-1/2)
+    (RadialTables.sobolev_words), and on output channel m, |d/dx q|^2 +
+    |d/dy q|^2 = (|U q_(m-1)|^2 + |D q_(m+1)|^2)/2 in the disk norm. grad
+    keeps the stored band, so U's top input channel and D's bottom one
+    drop out. The order-1 words carry the L^2 weight of each slice; the
+    axial part beta_n^2 |q_n|^2 reweighs the order-0 outputs from
+    1 + beta_n^2 to beta_n^2.
     """
-    (_, y0), (_, y1) = _word_outputs(q, 1, q.real_flag)
+    y0, y1 = _word_outputs(q, 1, q.real_flag)
     beta_sq = _axial_factors(q.config)[q.config.n_z if q.real_flag else 0 :, 0, 0].imag ** 2
     up, down = y1[0, :-1], y1[1, 1:]
-    transversal = 0.5 * (np.vdot(up, up) + np.vdot(down, down))
+    transversal = np.vdot(up, up) + np.vdot(down, down)
     return float(transversal + (beta_sq / (1.0 + beta_sq)) @ _slice_sums(y0, beta_sq.size))
 
 

@@ -23,7 +23,9 @@ from them (cartesian_dissipation_factor), which read a sector's complex
 window fields, as the package did before it formed six real helical
 strain blocks from the sector's profiles; the derivative-chain Sobolev inner product (chain_inner_Hkp), which
 differentiated each component order by order, as the package did before
-the derivative words were precomposed with the Gram factors, and the
+the derivative words were precomposed with the Gram factors, weighing
+each derivative by its multinomial count in the full derivative tensor
+(or once, the form the package used before it weighed that tensor), and the
 per-order one (inner_product_Hkp_per_order), which moved each field
 channels first once per order, as the package did before it moved each
 field once per call; the
@@ -783,14 +785,17 @@ def _disk_inner_per_n(t, a, b):
     return 2.0 * np.pi * np.conj(np.einsum("knmi,knmi->n", ga, b.reshape(shape)))
 
 
-def chain_inner_Hkp(u, v, k):
+def chain_inner_Hkp(u, v, k, once=False):
     """(u, v)_{H^k_p} from derivative chains, one component at a time.
 
     A chain holds every derivative of one order of its component, stacked
     with entry p = d_x^(order - p) d_y^p; the next order is d/dx of every
-    entry and d/dy of the last, and each order's disk inner products are
-    weighted by ell * beta_n^(2i) for i = 0..k - order. This is how the
-    package evaluated the inner product before the derivative words were
+    entry and d/dy of the last. Entry p weighs the multinomial C(order, p),
+    the number of orderings of its derivatives in the full derivative
+    tensor, or 1 with once, the form the package used before it weighed the
+    full tensor. Each order's disk inner products are weighted by
+    ell * beta_n^(2i) for i = 0..k - order. This is how the package
+    evaluated the inner product before the derivative words were
     precomposed with the Gram factors.
     """
     from jetstokes.discretization import tables_for
@@ -806,10 +811,11 @@ def chain_inner_Hkp(u, v, k):
         chains = [ua[None], va[None]]
         order_sums[0] += _disk_inner_per_n(t, chains[0], chains[1])
         for order in range(1, k + 1):
-            (dxu, dyu), (dxv, dyv) = pairs = [_dxy(t, c) for c in chains]
-            order_sums[order] += _disk_inner_per_n(t, dxu, dxv)
-            order_sums[order] += _disk_inner_per_n(t, dyu[-1:], dyv[-1:])
+            pairs = [_dxy(t, c) for c in chains]
             chains = [np.concatenate([dx, dy[-1:]]) for dx, dy in pairs]
+            weights = [1.0 if once else math.comb(order, p) for p in range(order + 1)]
+            weighted = np.asarray(weights)[:, None, None, None] * chains[0]
+            order_sums[order] += _disk_inner_per_n(t, weighted, chains[1])
     total = 0.0 + 0.0j
     for mm in range(k + 1):
         for order in range(k + 1 - mm):
@@ -822,7 +828,8 @@ def inner_product_Hkp_per_order(u, v, k):
 
     Every transversal order scaled and transposed each field afresh, one
     multiply that wrote the channels-first copy (_scaled_columns), then
-    applied the same word stacks and word pairs as the package does.
+    applied the same word stacks and took one dot product of their
+    outputs, as the package does.
     """
     from jetstokes.discretization import tables_for
     from jetstokes.fields import _order_scales
@@ -838,15 +845,12 @@ def inner_product_Hkp_per_order(u, v, k):
     words = tables_for(cfg).sobolev_words(cfg.n_theta, k)
     fields = (u,) if u is v else (u, v)
     total = 0.0
-    for order, s in zip(words, _order_scales(cfg.ell, cfg.n_z, k, real)):
-        ys = [order.stack @ scaled_columns(f.coeffs[..., h:, :, :], s) for f in fields]
+    for stack, s in zip(words, _order_scales(cfg.ell, cfg.n_z, k, real)):
+        ys = [stack @ scaled_columns(f.coeffs[..., h:, :, :], s) for f in fields]
         if u is v:
-            for w, w2, c, sa, sb in order.sym:
-                total += c * np.vdot(ys[0][w, sa], ys[0][w2, sb])
+            total += np.vdot(ys[0], ys[0])
         else:
-            yu, yv = (y.view(complex) for y in ys)
-            for w, w2, c, sa, sb in order.pairs:
-                total += c * np.vdot(yv[w2, sb], yu[w, sa])
+            total += np.vdot(ys[1].view(complex), ys[0].view(complex))
     return complex(total.real if real else total)
 
 

@@ -240,7 +240,7 @@ def test_word_stacks_are_built_once_per_band_and_order(cfg_small, monkeypatch):
     first = fresh.sobolev_words(cfg_small.n_theta, 2)
     assert fresh.sobolev_words(cfg_small.n_theta, 2) is first
     assert list(fresh._words) == [(cfg_small.n_theta, 2)]
-    assert [o.stack.shape[0] for o in first] == [1, 2, 4]
+    assert [o.shape[0] for o in first] == [1, 2, 4]
     # the inner product reads the shared instance's entries and builds no more
     u = random_smooth_vector(cfg_small, stream(7, "tests"))
     want = js.norm_Hkp(u, 2)
@@ -260,7 +260,7 @@ def test_word_stacks_are_built_once_per_band_and_order(cfg_small, monkeypatch):
 
 @pytest.mark.parametrize("k", range(5))
 def test_norm_shares_one_derivative_chain(cfg_small, k):
-    # u is u reads the symmetric word pairs, a copy the ordered ones
+    # u is u takes one sum of squares per order, a copy one complex dot product
     u = random_smooth_vector(cfg_small, stream(5, "tests"), real=False)
     same = js.inner_product_Hkp(u, u, k)
     apart = js.inner_product_Hkp(u, u.copy(), k)

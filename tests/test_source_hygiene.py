@@ -13,8 +13,8 @@ fourth one):
   (loaded, or discarded with an explicit del), so an argument a caller
   passes cannot be silently ignored;
 - every field of the stokesop.ModeOperator and stokesop.FieldOperator
-  dataclasses and of the discretization._ChannelStacks and
-  discretization._WordOrder namedtuples is read as an attribute somewhere in src/jetstokes or bench
+  dataclasses and of the discretization._ChannelStacks namedtuple is read
+  as an attribute somewhere in src/jetstokes or bench
   (an attribute of an imported module, such as np.stack, does not count),
   so a refactor cannot leave a dead field behind;
 - no module but fieldio, which owns every output and field file format,
@@ -216,7 +216,7 @@ def test_stokesop_dataclass_fields_are_read(name):
     assert not unread, "stokesop.%s fields nothing reads: %s" % (name, unread)
 
 
-@pytest.mark.parametrize("name", ["_ChannelStacks", "_WordOrder"])
+@pytest.mark.parametrize("name", ["_ChannelStacks"])
 def test_discretization_namedtuple_fields_are_read(name):
     fields = _namedtuple_fields(_tree(SRC / "discretization.py"), name)
     assert fields

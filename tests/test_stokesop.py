@@ -740,6 +740,38 @@ def _expand_mode(ws, n, y):
     return expand_slice(ws, oracles.field_coords(ws, {n: y}))
 
 
+@pytest.mark.parametrize("ws_name", ["ws_small", "ws_wide"])
+def test_h2_gram_is_sector_diagonal(ws_name, request):
+    # the H^2_p word outputs of a mode's eigenvector fields, stacked as
+    # columns, give its H^2_p Gram in eigen coordinates; the form commutes
+    # with rotations about the axis, so no entry couples two sectors j
+    ws = request.getfixturevalue(ws_name)
+    cfg = ws.config
+    words = ws.tables.sobolev_words(cfg.n_theta, 2)
+    for n in range(-cfg.n_z, cfg.n_z + 1):
+        op = js.mode_operator(ws, abs(n))
+        live = op.order
+        scales = fields._order_scales(cfg.ell, cfg.n_z, 2)[:, cfg.n_z + n]
+        cols = []
+        for chunk in np.array_split(live, -(-live.size // 128)):
+            eye = np.zeros((op.w.size, chunk.size))
+            eye[chunk, np.arange(chunk.size)] = 1.0
+            v = _expand_mode(ws, n, eye)[:, :, cfg.n_z + n]
+            x = v.transpose(2, 3, 1, 0).reshape(cfg.n_modes_theta, cfg.n_r, -1)
+            ys = [s * (stack @ x) for stack, s in zip(words, scales)]
+            cols.append(np.concatenate([y.reshape(-1, chunk.size) for y in ys]))
+        y = np.concatenate(cols, axis=1)
+        gram = y.conj().T @ y
+        # its diagonal holds the squared H^2_p norms of the eigenvector fields
+        first = js.VectorField(cfg, _expand_mode(ws, n, np.eye(op.w.size)[:, live[0]]))
+        assert gram[0, 0].real == pytest.approx(js.norm_Hkp(first, 2) ** 2, rel=1e-12)
+        # packed index (stack entry j, column, [sector j, mirror -j])
+        entry = live // (op.w.size // len(op.info))
+        sector = np.where(live % 2 == 0, entry, -entry)
+        off = sector[:, None] != sector
+        assert np.abs(gram[off]).max() <= 1e-14 * np.abs(gram).max(), n
+
+
 def test_mass_matrix_matches_inner_product(ws_small):
     cfg = ws_small.config
     op = js.mode_operator(ws_small, 1)
