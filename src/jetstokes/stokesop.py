@@ -15,12 +15,14 @@ through the axis by construction, and the coefficients are
 L^2-orthonormal coordinates (_piece_map). The z piece carries the
 phase i, which cancels the i of d/dz = i beta: every constraint row is
 then a unit phase times a real row, so each sector is built in real
-arithmetic. Its constraint rows r0 + beta r1 (divergence and tangential
-traction) are formed once per sector per workspace, rotated to their real
-form; its part of the subspace is their numerical nullspace Z, found by a
-small real SVD with a relative cutoff. Every piece of sector j reaches
-the surface traces at m = j only, so each sector has exactly two traction
-rows, tau_rtheta and tau_rz at m = j. A sector is carried on its own
+arithmetic. Every piece of sector j reaches the divergence and the
+surface traces at m = j only, so its constraint rows r0 + beta r1 are the
+Galerkin divergence rows, one per Zernike(|j|) profile, and exactly two
+traction rows, tau_rtheta and tau_rz at m = j. They are formed once per
+sector per workspace, rotated to their real form, and have full row
+rank, so the sector's part of the subspace is the nullspace Z of the
+known dimension K_j, from a small real SVD with no cutoff
+(build_constrained_basis). A sector is carried on its own
 channel window m in [j - 1, j + 1]: its fields and eigenvectors live
 there, and every kernel widens the window by its own band growth only.
 
@@ -131,9 +133,6 @@ from .fields import (
 )
 from .helmholtz import _q_slice, _surface_stresses
 
-# relative singular-value cutoff of each sector's constraint SVD
-SVD_TOL = 1e-9
-
 # columns u+ = (h, -i h, 0), u- = (h, i h, 0) and i e_z, h = 1/sqrt(2): the
 # Cartesian vectors of the three sector pieces, a unitary matrix
 _H = math.sqrt(0.5)
@@ -150,9 +149,10 @@ class ModeOperator:
     zero-padded real stacks: Z (S, K_max, 3 n_r) holds each sector's
     coordinates z on its unit fields transposed, and ZW the same with the
     unit Gram folded in ((M_u z)^T). info holds each entry's record
-    (build_constrained_basis, K_j its "dim", and assemble_A's pencil
-    defects). Sector -j is entry j read on the mirrored pieces, so an
-    entry j > 0 stands for two sectors (sector_norm).
+    (build_constrained_basis: K_j its "dim" and the constraint rows'
+    "row_conditioning"; and assemble_A's pencil defects). Sector -j is
+    entry j read on the mirrored pieces, so an entry j > 0 stands for two
+    sectors (sector_norm).
 
     The mode's coordinates are packed alike: (dim, ...) with
     dim = S * K_max * 2 in (stack entry, column, [sector j, mirror -j])
@@ -392,29 +392,32 @@ def _piece_map(t, cfg, j):
 def _constraint_rows(t, cfg, j, units, beta):
     """Complex constraint rows of sector j at axial wavenumber beta.
 
-    Divergence at every collocation point (window + 1) and the polar
-    tangential traces tau_rtheta and tau_rz at r = kappa (window + 1,
-    helmholtz._surface_stresses), applied to the sector's fields units
-    (k, 3, 3, n_r) on its window. Sector j's pieces all reach the surface
-    traces at m = j, so only two traction rows are nonzero: the
-    stress-free condition has rank 2 per sector, known in advance.
+    The sector's fields units (k, 3, 3, n_r) on its window reach the
+    divergence and the surface traces at m = j only. The nodal divergence
+    there, projected onto the Zernike(|j|) profiles in the parity Gram
+    (Z_j^T Gram div_j), gives n_r - |j| // 2 Galerkin rows; then come the
+    polar tangential traces tau_rtheta and tau_rz at r = kappa
+    (helmholtz._surface_stresses): the stress-free condition has rank 2
+    per sector, known in advance.
     """
-    k, lo = units.shape[0], j - 1
-    tangential = _surface_stresses(t, cfg.mu, units, beta, lo)[:, 1:]
-    div = _div_slice(t, units, beta, lo).reshape(k, -1).T
-    return np.concatenate([div, tangential.reshape(k, -1).T])
+    # index 2 is channel j: both outputs are one channel wider than the window
+    div = _div_slice(t, units, beta, j - 1)[:, 2]
+    galerkin = t.zernike(abs(j)).T @ t.gram(1 if j % 2 == 0 else -1) @ div.T
+    tangential = _surface_stresses(t, cfg.mu, units, beta, j - 1)[:, 1:, 2]
+    return np.concatenate([galerkin, tangential.T])
 
 
 def _sector_rows(ws, j):
     """Real constraint rows (r0, r1) of sector j: the rows at beta are r0 + beta r1.
 
-    The rows act on the coefficients of _piece_map. Built once per
-    workspace. beta enters the rows only through the i beta u_z term of
-    the divergence and the i beta u_r term of tau_rz, terms that no other
-    term touches, so the rows at beta = 0 and their change at beta = 1
-    split them exactly. Each row is a unit phase times a real row
-    (_sector_units): it is rotated by the phase of its largest entry and
-    kept real. Rows that vanish at every beta are dropped.
+    The rows act on the coefficients of _piece_map, in the order of
+    _constraint_rows: the Galerkin divergence rows, then the two traction
+    rows. Built once per workspace. beta enters the rows only through the
+    i beta u_z term of the divergence and the i beta u_r term of tau_rz,
+    terms that no other term touches, so the rows at beta = 0 and their
+    change at beta = 1 split them exactly. Each row is a unit phase times a
+    real row (_sector_units): it is rotated by the phase of its largest
+    entry and kept real.
 
     Raises:
         RuntimeError if a rotated row keeps an imaginary part above 1e-12
@@ -426,7 +429,6 @@ def _sector_rows(ws, j):
         units = _sector_fields(cfg, j, _piece_map(t, cfg, j))
         c0 = _constraint_rows(t, cfg, j, units, 0.0)
         c = np.concatenate([c0, _constraint_rows(t, cfg, j, units, 1.0) - c0], axis=1)
-        c = c[c.any(axis=1)]
         big = c[np.arange(c.shape[0]), np.argmax(np.abs(c), axis=1)]
         c *= (np.conj(big) / np.abs(big))[:, None]
         worst = np.max(np.linalg.norm(c.imag, axis=1) / np.linalg.norm(c, axis=1))
@@ -462,10 +464,12 @@ def build_constrained_basis(ws, n, j):
     Everything is computed on the sector's Zernike coefficients
     (_piece_map), never on the whole band, so every column is smooth
     through the axis. The constraint rows are the real rows r0 + beta r1
-    of _sector_rows: divergence and tangential traction. Rows are
-    normalized to unit length before a real SVD so the relative cutoff
-    SVD_TOL * s_max of the sector is meaningful; the nullspace is the
-    trailing rows of the SVD's full V^T, orthonormal coefficients, so the
+    of _sector_rows, less the top Zernike(j) divergence row at n = 0 and
+    odd j: at beta = 0, D a + U b reaches degree 2 n_r - 3 and misses that
+    profile, of degree 2 n_r - 1, so the row is rounding. The rest have
+    full row rank, so K_j = 2 n_r - 2 - |j + 1| // 2 - |j - 1| // 2 (plus
+    j mod 2 at n = 0): the nullspace is the trailing rows of the full V^T
+    of the normalized rows' real SVD, orthonormal coefficients, so the
     columns are L^2-orthonormal. At mode 0 the rest of the sector is the
     complement of the kernel's nullspace coordinates in a complete QR.
     Works for any sign of j; assemble_A calls it for j >= 0 only.
@@ -478,44 +482,39 @@ def build_constrained_basis(ws, n, j):
     Returns:
         (basis, info): basis is (k, K_j) real, the columns' coordinates on
         the sector's k = 3 n_r unit fields (_sector_fields maps them to
-        window fields); info records the sector j, sizes, the singular
-        value split at the cutoff (sv_at_rank / sv_past_rank) and the
-        indices of the leading kernel columns ("kernel_columns"): for n = 0
-        the sector's kernel fields (see _kernel_fields), each times the
-        unit phase that makes its coordinates real, lead the basis with
-        unit L^2 norm, and the rest is L^2-orthogonal to them.
+        window fields); info records the sector j, sizes, the normalized
+        rows' s_min / s_max ("row_conditioning") and the indices of the
+        leading kernel columns ("kernel_columns"): for n = 0 the sector's
+        kernel fields (see _kernel_fields), each times the unit phase that
+        makes its coordinates real, lead the basis with unit L^2 norm, and
+        the rest is L^2-orthogonal to them.
 
     Raises:
         ValueError if |j| >= n_theta (_sector_window).
-        RuntimeError if the known kernel fields fail the constraints or do
-        not lie in the computed nullspace.
+        RuntimeError if the rows' s_min / s_max is below 1e-8, or if the
+        known kernel fields fail the constraints or leave the nullspace.
     """
     cfg = ws.config
     r0, r1 = _sector_rows(ws, j)
     e = _piece_map(ws.tables, cfg, j)
     cmat = r0 + cfg.beta(n) * r1
-    norms = np.linalg.norm(cmat, axis=1)
-    keep = norms > 1e-14 * norms.max()
-    cmat = cmat[keep] / norms[keep][:, None]
-
+    if n == 0 and j % 2:
+        # the top Zernike(j) divergence row, just before the traction rows
+        cmat = np.delete(cmat, cmat.shape[0] - 3, axis=0)
+    cmat /= np.linalg.norm(cmat, axis=1)[:, None]
     _, s, vh = np.linalg.svd(cmat)
-    # Differentiation-matrix conditioning smears exact row dependencies
-    # into a noise cloud that climbs toward the cutoff on fine grids, so
-    # the rank call is tolerance-based by nature. The split is recorded
-    # in info; directions near the cutoff violate the constraints at the
-    # cutoff level either way, which is harmless at the tolerances the
-    # operators are used at. The kernel checks below stay hard.
-    rank = int((s > SVD_TOL * s[0]).sum())
-    null = vh[rank:].T
+    cond = float(s[-1] / s[0])
+    if not cond >= 1e-8:
+        raise RuntimeError(
+            "mode %d sector %d constraint rows lost rank: s_min/s_max = %.3e" % (n, j, cond)
+        )
+    null = vh[s.size :].T
     info = {
         "n": int(n),
         "j": int(j),
         "rows_kept": int(cmat.shape[0]),
-        "rank": rank,
         "dim": int(null.shape[1]),
-        "sv_max": float(s[0]),
-        "sv_at_rank": float(s[rank - 1]) if rank else 0.0,
-        "sv_past_rank": float(s[rank]) if rank < s.size else 0.0,
+        "row_conditioning": cond,
         "kernel_columns": (),
     }
     kern = _kernel_fields(cfg, j) if n == 0 else []

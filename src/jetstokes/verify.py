@@ -153,8 +153,7 @@ def _c03_kernel(ws, seed):
         "rayleigh_over_norm": ray,
         "kernel_dim": int(dim0),
         "kernel_dim_refined": int(dim2),
-        "sv_at_rank_refined": min(r["sv_at_rank"] for r in records2),
-        "sv_past_rank_refined": max(r["sv_past_rank"] for r in records2),
+        "row_conditioning_refined": min(r["row_conditioning"] for r in records2),
         "claimed_dim": 1,
         "claim_confirmed": bool(dim0 == 1),
     }

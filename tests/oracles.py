@@ -51,6 +51,10 @@ import math
 import numpy as np
 import scipy.linalg
 
+# relative singular-value cut of the nodal all-channel references: their
+# nodal divergence and pole rows are dependent, so their rank is a cut
+NODAL_SVD_TOL = 1e-9
+
 
 def bessel_i0(x):
     """I0 by the ascending series sum_k (x/2)^(2k) / (k!)^2."""
@@ -185,11 +189,10 @@ def dense_constrained_nullspace(ws, n):
     m = n_theta - 1 and n_theta, u+ at m = -(n_theta - 1) and -n_theta,
     and u_z at m = +-n_theta. Every constraint commutes with the sectors,
     so this is exactly the direct sum of the complete sectors. Rows are
-    normalized, and the nullspace is cut at SVD_TOL * s_max of the whole
-    mode. Returns orthonormal columns in (component, m, r) order.
+    normalized, and the nullspace is cut at NODAL_SVD_TOL * s_max of the
+    whole mode. Returns orthonormal columns in (component, m, r) order.
     """
     from jetstokes.fields import _div_slice
-    from jetstokes.stokesop import SVD_TOL
 
     cfg, t = ws.config, ws.tables
     nfield = 3 * cfg.n_modes_theta * cfg.n_r
@@ -214,8 +217,18 @@ def dense_constrained_nullspace(ws, n):
     norms = np.linalg.norm(cmat, axis=1)
     keep = norms > 1e-14 * norms.max()
     _, s, vh = scipy.linalg.svd(cmat[keep] / norms[keep][:, None])
-    rank = int((s > SVD_TOL * s[0]).sum())
+    rank = int((s > NODAL_SVD_TOL * s[0]).sum())
     return vh[rank:].conj().T
+
+
+def sector_dimension(n_r, n, j):
+    """K_j by counting: sector j's 3 n_r Zernike unknowns less its constraint rows.
+
+    The pieces at |m| = |j + 1|, |j - 1| and |j| have n_r - |m| // 2
+    profiles each; the rows are n_r - |j| // 2 Galerkin divergence rows
+    and two traction rows, one divergence row fewer at n = 0 and odd j.
+    """
+    return 2 * n_r - 2 - abs(j + 1) // 2 - abs(j - 1) // 2 + (j % 2 if n == 0 else 0)
 
 
 def sector_units_all_channels(cfg, j):
@@ -266,19 +279,15 @@ def sector_rows_complex(ws, n, j):
     """Sector j's constraint rows at mode n, evaluated directly in complex arithmetic.
 
     The rows act on the fields of the sector's Zernike coefficients
-    (stokesop._piece_map) and are restricted to those nonzero at beta = 0
-    or at beta = 1: the rows stokesop._sector_rows keeps, in the same
-    order. Returns (rows, r0 + beta r1) with the second from the package's
-    real cache.
+    (stokesop._piece_map), in the order of stokesop._sector_rows. Returns
+    (rows, r0 + beta r1) with the second from the package's real cache.
     """
     from jetstokes.stokesop import _constraint_rows, _piece_map, _sector_fields, _sector_rows
 
     cfg, t = ws.config, ws.tables
     units = _sector_fields(cfg, j, _piece_map(t, cfg, j))
-    rows = [_constraint_rows(t, cfg, j, units, b) for b in (cfg.beta(n), 0.0, 1.0)]
-    live = rows[1].any(axis=1) | rows[2].any(axis=1)
     r0, r1 = _sector_rows(ws, j)
-    return rows[0][live], r0 + cfg.beta(n) * r1
+    return _constraint_rows(t, cfg, j, units, cfg.beta(n)), r0 + cfg.beta(n) * r1
 
 
 def row_phase_defects(ws, n, j):
@@ -307,13 +316,11 @@ def sector_nullspace_all_channels(ws, n, j):
     """Sector j's constraint nullspace over all channels.
 
     Returns (columns in full Cartesian layout, kept-row count, rank) with
-    the rank cut at SVD_TOL * s_max, as the sector SVD cuts it.
+    the rank cut at NODAL_SVD_TOL * s_max.
     """
-    from jetstokes.stokesop import SVD_TOL
-
     cmat, embed = sector_constraints_all_channels(ws, n, j)
     _, s, vh = scipy.linalg.svd(cmat)
-    rank = int((s > SVD_TOL * s[0]).sum())
+    rank = int((s > NODAL_SVD_TOL * s[0]).sum())
     return embed @ vh[rank:].conj().T, cmat.shape[0], rank
 
 

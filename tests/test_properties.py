@@ -27,7 +27,9 @@ sector layout on modes 0 and 1:
 Two more tests draw n_z too. With n_r 8 to 16 and n_z 0 to 3, every mode
 stacks into one whole-field operator, and the whole-field reduce and
 expand match the per-sector complex path of every mode n = -n_z..n_z.
-And the Sobolev inner product is checked on
+With n_theta 2 to 5 and n_z 0 to 2, every built sector of every mode has
+the counted dimension K_j and L^2-orthonormal columns, and the nodal
+divergence and tangential traction of its fields vanish. And the Sobolev inner product is checked on
 random fields: Hermitian symmetry, a real nonnegative (u, u), norms that
 grow with the order, agreement with the derivative-chain oracle, norms
 that a rotation about the axis leaves unchanged, and bounds by the
@@ -48,7 +50,7 @@ from hypothesis import given, settings, strategies as st
 
 import jetstokes as js
 import oracles
-from jetstokes.fields import random_smooth_scalar, random_smooth_vector
+from jetstokes.fields import _div_slice, random_smooth_scalar, random_smooth_vector
 from jetstokes.rng import stream
 from jetstokes.evolution import SCHEMES
 from jetstokes.helmholtz import _surface_stresses
@@ -56,7 +58,10 @@ from jetstokes.spectral import KERNEL_TOL, _pencil_solve
 from jetstokes.stokesop import (
     _apply_weight,
     _dissipation_factor,
+    _sector_fields,
     _sector_window,
+    _unit_weight,
+    build_constrained_basis,
     expand_slice,
     field_operator,
     reduce_slice,
@@ -118,6 +123,17 @@ STACK_CONFIGS = st.builds(
     st.integers(8, 16),
     st.integers(2, 4),
     st.integers(0, 3),
+)
+SECTOR_CONFIGS = st.builds(
+    lambda kappa, ell, mu, n_r, n_theta, n_z: js.DomainConfig(
+        kappa=kappa, ell=ell, mu=mu, n_r=n_r, n_theta=n_theta, n_z=n_z
+    ),
+    st.floats(0.1, 0.95),
+    st.floats(1.0, 20.0),
+    st.floats(0.1, 10.0),
+    st.integers(6, 16),
+    st.integers(2, 5),
+    st.integers(0, 2),
 )
 PROPERTY = settings(derandomize=True, max_examples=10, deadline=None)
 
@@ -208,6 +224,28 @@ def test_sector_rows_are_real_up_to_a_phase(cfg):
         for j in range(cfg.n_theta):
             imag, split = oracles.row_phase_defects(ws, n, j)
             assert imag <= 1e-14 and split <= 1e-14
+
+
+@PROPERTY
+@given(SECTOR_CONFIGS)
+def test_sector_bases_are_counted_orthonormal_and_constrained(cfg):
+    # the nodal divergence and the tangential traction of the synthesized
+    # fields check the Galerkin rows independently of their projection
+    ws = js.Workspace(cfg)
+    t = ws.tables
+    for n in range(cfg.n_z + 1):
+        beta = cfg.beta(n)
+        for j in range(cfg.n_theta):
+            z, info = build_constrained_basis(ws, n, j)
+            assert info["dim"] == z.shape[1] == oracles.sector_dimension(cfg.n_r, n, j)
+            gram = z.T @ _unit_weight(t, cfg, j, z)
+            assert np.max(np.abs(gram - np.eye(z.shape[1]))) <= 1e-12
+            f = _sector_fields(cfg, j, z)
+            size = np.linalg.norm(f.reshape(f.shape[0], -1), axis=1)
+            div = _div_slice(t, f, beta, j - 1).reshape(f.shape[0], -1)
+            tau = _surface_stresses(t, cfg.mu, f, beta, j - 1)[:, 1:].reshape(f.shape[0], -1)
+            assert np.max(np.linalg.norm(div, axis=1) / size) <= 1e-9, (n, j)
+            assert np.max(np.linalg.norm(tau, axis=1) / size) <= 1e-9, (n, j)
 
 
 @PROPERTY

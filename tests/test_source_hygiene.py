@@ -41,7 +41,8 @@ The radial unknowns are pole-regular by construction: setting up every
 mode reads no RadialTables.pole_rows (the tests' nodal reference), no
 module defines the Cholesky pencil reduction _pencil_eigh, and the
 Zernike tables cached on a RadialTables instance leave with it when
-bench/workloads.clear_caches empties the module-level caches.
+bench/workloads.clear_caches empties the module-level caches. No module
+defines SVD_TOL: each sector's nullspace dimension is a count.
 """
 
 import ast
@@ -508,6 +509,18 @@ def test_no_module_defines_the_pencil_reduction():
         if isinstance(node, ast.FunctionDef) and node.name == "_pencil_eigh"
     ]
     assert not named, "_pencil_eigh defined in %s" % named
+
+
+def test_no_module_defines_a_rank_cutoff():
+    # each sector's constraint rows have full row rank, so its nullspace
+    # dimension is their count and no singular-value cutoff decides it
+    named = [
+        p.name
+        for p in MODULES
+        for node in ast.walk(_tree(p))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == "SVD_TOL"
+    ]
+    assert not named, "SVD_TOL defined in %s" % named
 
 
 def test_cleared_caches_release_the_radial_tables():

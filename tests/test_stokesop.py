@@ -677,24 +677,28 @@ def test_windowed_sectors_match_all_channel_reference(ws_name, request):
 
 
 @pytest.mark.parametrize(
-    "n_r, n_theta, modes, decades",
-    [(48, 16, (0, 1), 3.5), (40, 10, (0,), 6.0)],
-    ids=["48-16", "40-10"],
+    "n_r, n_theta",
+    [(12, 3), (24, 6), (32, 8), (40, 10), (48, 16), (64, 32)],
+    ids=["12-3", "24-6", "32-8", "40-10", "48-16", "64-32"],
 )
-def test_constraint_svd_has_a_rank_gap(n_r, n_theta, modes, decades):
-    # on Zernike coefficients no pole row enters the SVD, and the kept and
-    # dropped singular values of every sector stay decades apart on grids
-    # where the nodal pole rows left 0.82 (48/16) and 3.38 (40/10, the
-    # refined workspace of criterion 03)
-    ws = js.Workspace(js.DomainConfig(n_r=n_r, n_theta=n_theta, n_z=max(modes)))
-    for n in modes:
-        gaps = []
+def test_sector_dimension_is_a_count(n_r, n_theta):
+    # the Galerkin divergence and traction rows have full row rank, so K_j
+    # is the count in every sector; the nodal rows with a relative cutoff
+    # left K_j one short in 6 sectors per mode at 48/16 and 22 at 64/32
+    ws = js.Workspace(js.DomainConfig(n_r=n_r, n_theta=n_theta, n_z=1))
+    for n in (0, 1):
         for j in range(n_theta):
             info = stokesop.build_constrained_basis(ws, n, j)[1]
-            # a sector of full row rank drops no singular value
-            if info["sv_past_rank"] > 0.0:
-                gaps.append(math.log10(info["sv_at_rank"] / info["sv_past_rank"]))
-        assert gaps and min(gaps) >= decades, (n, gaps)
+            assert info["dim"] == oracles.sector_dimension(n_r, n, j), (n, j)
+            assert info["row_conditioning"] >= 1e-4, (n, j, info["row_conditioning"])
+
+
+def test_rank_loss_names_its_sector(cfg_small):
+    ws = js.Workspace(cfg_small)
+    r0, r1 = stokesop._sector_rows(ws, 2)
+    ws.sector_rows[2] = (np.concatenate([r0, r0[:1]]), np.concatenate([r1, r1[:1]]))
+    with pytest.raises(RuntimeError, match="mode 1 sector 2 constraint rows lost rank"):
+        stokesop.build_constrained_basis(ws, 1, 2)
 
 
 @pytest.mark.parametrize("ws_name", ["ws_small", "ws_wide"])
@@ -901,12 +905,10 @@ def test_hermiticity_and_agreement(ws_small):
             assert np.linalg.norm(a - a.T) / np.linalg.norm(a) < 1e-10
             assert np.linalg.norm(a - p.G) / np.linalg.norm(p.G) < 1e-8
         assert op.eigen[0].size == op.basis.shape[1]
+        # every sector's rows have full row rank: its nullspace is the count
         for info in op.info:
-            assert info["sv_at_rank"] > info["sv_past_rank"]
-        # one rank gap shared by every sector of the mode
-        assert min(info["sv_at_rank"] for info in op.info) > max(
-            info["sv_past_rank"] for info in op.info
-        )
+            assert info["row_conditioning"] >= 1e-4
+            assert info["dim"] == oracles.sector_dimension(ws_small.config.n_r, n, info["j"])
 
 
 def test_apply_A_kills_rotation(ws_small):
