@@ -42,7 +42,7 @@ def _check_bool(value, name):
 class DomainConfig:
     """Discretization of the periodic cylinder {r < kappa} x (0, ell).
 
-    Radial quadrature always uses 2*n_r Gauss-Legendre points (see
+    The disk Gram is exact, in closed form from the Zernike profiles (see
     discretization.RadialTables), and the residual bound of the Dirichlet
     solves is the constant modesolve.SOLVER_TOL; neither is a setting.
 

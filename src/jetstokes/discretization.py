@@ -51,33 +51,6 @@ def chebyshev_lobatto(n_half, kappa):
     return x, d1, d2
 
 
-def lagrange_eval_matrix(x, targets, kappa):
-    """Barycentric interpolation matrix from Chebyshev-Lobatto nodes.
-
-    Args:
-        x: full Chebyshev-Lobatto grid (descending).
-        targets: evaluation points.
-        kappa: half-width, used only to scale the node-hit guard.
-
-    Returns:
-        Matrix b with (b @ values)[q] = interpolant(targets[q]).
-    """
-    m = x.size
-    w = (-1.0) ** np.arange(m)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    diff = targets[:, None] - x[None, :]
-    hit = np.abs(diff) < 1e-14 * kappa
-    safe = np.where(hit, 1.0, diff)
-    terms = w[None, :] / safe
-    b = terms / terms.sum(axis=1)[:, None]
-    rows_with_hit = hit.any(axis=1)
-    if rows_with_hit.any():
-        b[rows_with_hit] = 0.0
-        b[hit] = 1.0
-    return b
-
-
 def _channels_first(arr, dtype=None):
     """arr (..., n_channels, q) as one contiguous (n_channels, q, k) array.
 
@@ -132,13 +105,15 @@ _ChannelStacks = collections.namedtuple("_ChannelStacks", "ms raising lowering l
 
 
 class RadialTables:
-    """Folded differentiation tables, disk Grams and their Cholesky factors.
+    """Folded differentiation tables, disk Grams and their factors.
 
-    The Gram of each parity comes from 2*n_r Gauss-Legendre points on
-    (0, kappa), exact for the products of two profiles the grid carries;
-    its factor L^T (gram = L L^T) turns a disk norm into a Euclidean one,
-    |L^T a|^2 = (a, a). Shared instances come from tables_for /
-    tables_for_key, which cache one per (kappa, n_r).
+    A parity's nodal space is exactly the span of the n_r Zernike profiles
+    of |m| = 0 (even) or |m| = 1 (odd), whose disk norms are known in closed
+    form (_profiles). With Z their nodal values at unit norm, the factor
+    L^T = Z^-1 maps a profile to its orthonormal Zernike coefficients, so
+    |L^T a|^2 = (a, a), and the Gram is L L^T: no quadrature is needed.
+    Shared instances come from tables_for / tables_for_key, which cache one
+    per (kappa, n_r).
 
     Args:
         kappa: surface radius.
@@ -160,21 +135,33 @@ class RadialTables:
         self._d1 = {1: fold(d1, 1.0), -1: fold(d1, -1.0)}
         self._d2 = {1: fold(d2, 1.0), -1: fold(d2, -1.0)}
 
-        # the Gram of each parity from 2*n_r Gauss-Legendre points on (0, kappa),
-        # the weights including the area measure factor r, and its Cholesky
-        # factor: gram = L L^T
-        t, w = np.polynomial.legendre.leggauss(2 * self.n_r)
-        r_quad = 0.5 * self.kappa * (t + 1.0)
-        w_quad = 0.5 * self.kappa * w * r_quad
-        b = lagrange_eval_matrix(x, r_quad, self.kappa)
+        # the factor L^T of each parity inverts its unit-norm Zernike
+        # profiles of |m| = 0 or 1, and the Gram is L L^T
         self._gram, self._factor = {}, {}
-        for p in (1, -1):
-            resample = b[:, : self.n_r] + p * b[:, mirror]
-            g = resample.T @ (w_quad[:, None] * resample)
-            self._gram[p] = 0.5 * (g + g.T)
-            self._factor[p] = np.linalg.cholesky(self._gram[p]).T
+        for p, m_abs in ((1, 0), (-1, 1)):
+            f = self._factor[p] = np.linalg.inv(self._profiles(m_abs, self.n_r))
+            self._gram[p] = f.T @ f
         self._full, self._stacks, self._words, self._dirichlet = None, {}, {}, None
         self._orders, self._zernike = {}, {}
+
+    def _profiles(self, m_abs, count):
+        """Columns k < count: s^m_abs P_k^(0, m_abs)(2 s^2 - 1) at unit disk norm.
+
+        s = r / kappa at the stored nodes, from the Jacobi three-term
+        recurrence (Boyd & Yu, JCP 230, 2011). The integral of the square
+        over (0, kappa) times r dr is kappa^2 / (2 (2k + m_abs + 1)), so
+        column k is scaled by sqrt(2 (2k + m_abs + 1)) / kappa.
+        """
+        s, b = self.r / self.kappa, float(m_abs)
+        x = 2.0 * s * s - 1.0
+        p = [np.ones_like(s), 1.0 + 0.5 * (b + 2.0) * (x - 1.0)]
+        for k in range(1, count - 1):
+            c = 2 * k + b
+            lead = (c + 1.0) * (c * (c + 2.0) * x - b * b) * p[k]
+            back = 2.0 * k * (k + b) * (c + 2.0) * p[k - 1]
+            p.append((lead - back) / (2.0 * (k + 1) * (k + b + 1.0) * c))
+        scale = np.sqrt(2.0 * (2 * np.arange(count) + b + 1.0)) / self.kappa
+        return s[:, None] ** m_abs * np.stack(p[:count], axis=1) * scale
 
     def ddr(self, parity):
         return self._d1[parity]
@@ -222,21 +209,13 @@ class RadialTables:
         """Disk-orthonormal pole-regular profiles of azimuthal order m_abs (cached).
 
         Column k < n_r - m_abs // 2 is s^m_abs P_k^(0, m_abs)(2 s^2 - 1),
-        s = r / kappa, at the stored nodes (Boyd & Yu, JCP 230, 2011), from
-        the Jacobi three-term recurrence: the span of smooth_basis. One
-        Cholesky pass makes them orthonormal in the parity Gram to roundoff.
+        s = r / kappa, at unit disk norm (_profiles): the span of
+        smooth_basis. One Cholesky pass in the parity Gram takes their
+        roundoff out of orthonormality, which the pencils' eigh assumes.
         """
         got = self._zernike.get(m_abs)
         if got is None:
-            s, b = self.r / self.kappa, float(m_abs)
-            x = 2.0 * s * s - 1.0
-            p = [np.ones_like(s), 1.0 + 0.5 * (b + 2.0) * (x - 1.0)]
-            for k in range(1, self.n_r - m_abs // 2 - 1):
-                c = 2 * k + b
-                lead = (c + 1.0) * (c * (c + 2.0) * x - b * b) * p[k]
-                back = 2.0 * k * (k + b) * (c + 2.0) * p[k - 1]
-                p.append((lead - back) / (2.0 * (k + 1) * (k + b + 1.0) * c))
-            z = s[:, None] ** m_abs * np.stack(p[: self.n_r - m_abs // 2], axis=1)
+            z = self._profiles(m_abs, self.n_r - m_abs // 2)
             gram = self._gram[1 if m_abs % 2 == 0 else -1]
             # z^T gram z = L L^T, so z L^-T is orthonormal
             got = self._zernike[m_abs] = np.linalg.solve(np.linalg.cholesky(z.T @ gram @ z), z.T).T
@@ -287,9 +266,9 @@ class RadialTables:
         has |grad^j a|^2 = 2^-j sum_w |w a|^2 over the 2^j words w in
         {U, D}^j: diagonal in the words. Word w moves channel m to m + s_w,
         s_w = #U - #D. Its stack holds, per input channel, the product of
-        the letters' matrices followed by 2^(-j/2) times the transposed
-        Cholesky factor L^T of the output channel's parity Gram, so the sum
-        of squares of all words' outputs is the disk norm of grad^j a.
+        the letters' matrices followed by 2^(-j/2) times the factor L^T of
+        the output channel's parity Gram (L L^T = Gram), so the sum of
+        squares of all words' outputs is the disk norm of grad^j a.
 
         Returns one stack (2^j, 2*band + 1, n_r, n_r), real, per order
         j = 0..k; letter i of word w is D when bit i of w is set (letter 0

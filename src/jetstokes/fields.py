@@ -49,7 +49,7 @@ weighs each transversal order by the full derivative tensor, |grad^j u|^2,
 which is invariant under rotations about the axis. It differentiates
 nothing at request time: RadialTables.sobolev_words holds, per order j,
 all 2^j words of raising and lowering applications already multiplied by
-2^(-j/2) times the Cholesky factor of the disk Gram, so one order of a
+2^(-j/2) times the factor of the disk Gram, so one order of a
 field, all components at once, costs one batched real GEMM and one sum of
 squares of its outputs. The GEMM outputs of each order (_word_outputs)
 and their form (_form) are separate steps, so a caller can read more than

@@ -40,8 +40,8 @@ entries, each a real profile on one channel:
   U a (m = j + 2),  D b (m = j - 2),  D a + U b and beta c (m = j),
   beta a + h U c (m = j + 1),  beta b + h D c (m = j - 1),
 
-up to constants. F stacks these six blocks through the Cholesky factor
-L^T of their channel's radial Gram (L L^T = Gram), scaled by
+up to constants. F stacks these six blocks through the factor L^T of
+their channel's radial Gram (L L^T = Gram, RadialTables), scaled by
 sqrt(pi mu ell) and the square root of each entry's multiplicity, so
 |F y|^2 is the dissipation of coordinates y. G is one real syrk, so it
 is exactly symmetric.
@@ -641,7 +641,7 @@ def _dissipation_factor(t, cfg, j, z, beta):
       E'_+z = E'_z+ = beta a + h U_j c          on m = j + 1,
       E'_-z = E'_z- = beta b + h D_j c          on m = j - 1.
     The dissipation (mu/2) 2 pi ell sum |E'|^2 is then six real blocks:
-    each profile through the Cholesky factor L^T of its channel's Gram,
+    each profile through the factor L^T of its channel's Gram (L L^T = Gram),
     times sigma = sqrt(pi mu ell) and the square root of its multiplicity
     (2 for the off-diagonal pairs), all read off t.stacks(j - 2, j + 2).
     """

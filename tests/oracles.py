@@ -30,8 +30,10 @@ per-order one (inner_product_Hkp_per_order), which moved each field
 channels first once per order, as the package did before it moved each
 field once per call; the
 quadrature dissipation (dissipation_slice), which samples every strain
-entry at the Gauss-Legendre nodes (resample_stack), as the package pinned
-near-zero eigenvalues before the dissipation form was factored; the
+entry at the Gauss-Legendre nodes (resample_stack, by barycentric
+interpolation, lagrange_eval_matrix), as the package pinned near-zero
+eigenvalues before the dissipation form was factored and formed its disk
+Gram before that Gram was taken in closed form (quadrature_gram); the
 Cartesian traction (cartesian_traction, cartesian_tangential_traction),
 which contracts the surface strain with n = (cos, sin, 0) and imposed the
 stress-free condition as three Cartesian components on band + 4, as the
@@ -538,6 +540,33 @@ def quadrature(t):
     return r, 0.5 * t.kappa * w * r
 
 
+def lagrange_eval_matrix(x, targets, kappa):
+    """Barycentric interpolation matrix from Chebyshev-Lobatto nodes.
+
+    Args:
+        x: full Chebyshev-Lobatto grid (descending).
+        targets: evaluation points.
+        kappa: half-width, used only to scale the node-hit guard.
+
+    Returns:
+        Matrix b with (b @ values)[q] = interpolant(targets[q]).
+    """
+    m = x.size
+    w = (-1.0) ** np.arange(m)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    diff = targets[:, None] - x[None, :]
+    hit = np.abs(diff) < 1e-14 * kappa
+    safe = np.where(hit, 1.0, diff)
+    terms = w[None, :] / safe
+    b = terms / terms.sum(axis=1)[:, None]
+    rows_with_hit = hit.any(axis=1)
+    if rows_with_hit.any():
+        b[rows_with_hit] = 0.0
+        b[hit] = 1.0
+    return b
+
+
 def resample_stack(t, lo, hi):
     """Per-channel maps (n_m, 2*n_r, n_r) of stored profiles to their quadrature samples.
 
@@ -547,13 +576,26 @@ def resample_stack(t, lo, hi):
     package formed its Grams and the dissipation from before they were
     factored.
     """
-    from jetstokes.discretization import chebyshev_lobatto, lagrange_eval_matrix
+    from jetstokes.discretization import chebyshev_lobatto
 
     x = chebyshev_lobatto(t.n_r, t.kappa)[0]
     b = lagrange_eval_matrix(x, quadrature(t)[0], t.kappa)
     mirror = np.arange(2 * t.n_r - 1, t.n_r - 1, -1)
     folded = {p: b[:, : t.n_r] + p * b[:, mirror] for p in (1, -1)}
     return np.stack([folded[1 if m % 2 == 0 else -1] for m in range(lo, hi + 1)])
+
+
+def quadrature_gram(t, parity):
+    """The disk Gram of one parity from the quadrature samples of its profiles.
+
+    Exact for the products of two profiles the grid carries, up to the
+    resampling's roundoff: the Gram the package formed before it took it
+    in closed form.
+    """
+    m = 0 if parity == 1 else 1
+    b = resample_stack(t, m, m)[0]
+    g = b.T @ (quadrature(t)[1][:, None] * b)
+    return 0.5 * (g + g.T)
 
 
 # pair -> multiplicity in sum_ij over the full symmetric table

@@ -230,8 +230,9 @@ def test_exit_code_on_malformed_json(tmp_path, capsys):
 
 def test_exit_code_on_unknown_key(tmp_path):
     path = tmp_path / "run.json"
-    # the SVD cutoff, the quadrature order and the solve tolerance are
-    # constants, not config keys
+    # the SVD cutoff and the solve tolerance are constants, and the disk
+    # Gram is exact in closed form with no quadrature order: none is a
+    # config key
     for key in ("n_rr", "svd_tol", "quad_order", "solver_tol"):
         path.write_text(json.dumps({"domain": {key: 12}}))
         assert main(["spectrum", "--config", str(path)]) == 2

@@ -42,7 +42,9 @@ mode reads no RadialTables.pole_rows (the tests' nodal reference), no
 module defines the Cholesky pencil reduction _pencil_eigh, and the
 Zernike tables cached on a RadialTables instance leave with it when
 bench/workloads.clear_caches empties the module-level caches. No module
-defines SVD_TOL: each sector's nullspace dimension is a count.
+defines SVD_TOL: each sector's nullspace dimension is a count. No module
+calls leggauss or defines lagrange_eval_matrix: the disk Gram is exact in
+closed form, and the Gauss-Legendre resampling is the tests' reference.
 """
 
 import ast
@@ -521,6 +523,21 @@ def test_no_module_defines_a_rank_cutoff():
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == "SVD_TOL"
     ]
     assert not named, "SVD_TOL defined in %s" % named
+
+
+def test_no_module_resamples_for_the_gram():
+    # the disk Gram is factor^T factor, the factor the inverse of the
+    # parity's unit-norm Zernike profiles: no quadrature and no resampling
+    found = []
+    for p in MODULES:
+        for node in ast.walk(_tree(p)):
+            if isinstance(node, ast.FunctionDef) and node.name == "lagrange_eval_matrix":
+                found.append("%s defines lagrange_eval_matrix" % p.name)
+            if isinstance(node, ast.Call):
+                f = node.func
+                if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "leggauss":
+                    found.append("%s calls leggauss" % p.name)
+    assert not found, found
 
 
 def test_cleared_caches_release_the_radial_tables():

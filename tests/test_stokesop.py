@@ -693,6 +693,15 @@ def test_sector_dimension_is_a_count(n_r, n_theta):
             assert info["row_conditioning"] >= 1e-4, (n, j, info["row_conditioning"])
 
 
+def test_zernike_cholesky_pass_keeps_the_pencil_orthonormal():
+    # each sector's eigh assumes M = I; the Cholesky pass in zernike takes
+    # the recurrence's roundoff out of the tables' orthonormality (max
+    # eps_M over mode 0 measured 1.86e-14 with it, about 5.4e-14 without)
+    ws = js.Workspace(js.DomainConfig(n_r=48, n_theta=16, n_z=0))
+    eps_m = max(info["eps_M"] for info in stokesop.mode_operator(ws, 0).info)
+    assert eps_m <= 3e-14, eps_m
+
+
 def test_rank_loss_names_its_sector(cfg_small):
     ws = js.Workspace(cfg_small)
     r0, r1 = stokesop._sector_rows(ws, 2)
