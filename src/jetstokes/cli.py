@@ -199,9 +199,7 @@ def cmd_evolve(run):
 
 
 def cmd_verify_all(run):
-    records, ok = run_all(
-        run.domain, run.seed, determinism=run.verify.determinism, echo=True
-    )
+    records, ok = run_all(run.domain, run.seed, echo=True)
     out = _outdir(run)
     path = out / "verify_report.json"
     write_json(path, records)

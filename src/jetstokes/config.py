@@ -239,18 +239,6 @@ class EvolveBlock:
 
 
 @dataclasses.dataclass(frozen=True)
-class VerifyBlock:
-    """Settings for the verification command."""
-
-    determinism: str = "reduced"
-
-    def __post_init__(self):
-        _check_str(self.determinism, "verify.determinism")
-        if self.determinism not in ("reduced", "full"):
-            raise ConfigError("verify.determinism must be 'reduced' or 'full'")
-
-
-@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Complete declarative description of one run."""
 
@@ -262,7 +250,6 @@ class RunConfig:
     spectrum: SpectrumBlock = dataclasses.field(default_factory=SpectrumBlock)
     resolvent: ResolventBlock = dataclasses.field(default_factory=ResolventBlock)
     evolve: EvolveBlock = dataclasses.field(default_factory=EvolveBlock)
-    verify: VerifyBlock = dataclasses.field(default_factory=VerifyBlock)
 
     def __post_init__(self):
         _check_int(self.seed, "seed")
@@ -278,7 +265,6 @@ _NESTED = {
     "spectrum": SpectrumBlock,
     "resolvent": ResolventBlock,
     "evolve": EvolveBlock,
-    "verify": VerifyBlock,
 }
 
 

@@ -16,7 +16,7 @@ constant states persist to roundoff. Energies are sum |c|^2 and
 sum w |c|^2. The recurrence is exact, so a step's residual against the
 blocks set-up formed is (M - I) dc/dt + (G - diag w) c_eval; the
 residual column bounds it by ||eps_M dc/dt|| + ||eps_G c_eval|| per mode
-(stokesop.field_pencil), over ||dc/dt|| + ||w c_eval|| + ||f||.
+(stokesop.FieldOperator), over ||dc/dt|| + ||w c_eval|| + ||f||.
 
 The state and w are field coordinate arrays (n_z + 1, dim, sides) (see
 stokesop.reduce_slice), and the run goes in blocks of STEP_BLOCK steps.
@@ -32,7 +32,7 @@ residual bound and its per-mode scale, and the Crank-Nicolson midpoint
 terms. Each is a per-(mode, side) sum of squares of the real view of a
 block array, weighed by 1, w, w^2, eps_M^2 or eps_G^2 in one batched
 product (_block_weights, _block_sums). w, eps_M and eps_G are the cached
-read-only arrays of stokesop.field_pencil. The
+read-only arrays of stokesop.field_operator. The
 forcing callable is called once per time point, in time order (after
 one extra call at t = 0 for the hypothesis check). w is real, so the
 recurrence is the same on both signs of n.
@@ -62,7 +62,7 @@ from .fields import trace_norm_L2, trace_SF
 from .helmholtz import operator_Q, project_P
 from .stokesop import (
     expand_slice,
-    field_pencil,
+    field_operator,
     mode_operator,
     project_constrained,
     reduce_slice,
@@ -166,14 +166,15 @@ def _block_sums(p, weights):
     return out.reshape(out.shape[:2] + (5, -1))
 
 
-def _block_terms(x, r_eval, theta, dt, pencil):
+def _block_terms(x, r_eval, theta, dt, fop):
     """The bookkeeping of one block of steps from its states x (points, n_z + 1, dim, sides).
 
     r_eval (steps, n_z + 1, dim, sides) holds each step's forcing term at
     its evaluation point, or is None for a homogeneous run; it is
-    overwritten. theta is 1 or 1/2 and pencil is (w, eps_M, eps_G) of
-    stokesop.field_pencil; the weights are built at the width of x, so a
-    block that widened gets two-sided ones, and freed on return.
+    overwritten. theta is 1 or 1/2 and fop is the stokesop.FieldOperator
+    whose w, eps_M and eps_G weigh the terms; the weights are built at the
+    width of x, so a block that widened gets two-sided ones, and freed on
+    return.
 
     Returns (energies, residual, diss_mid, fp_mid): energies (2, points)
     are sum mult |c|^2 and sum mult w |c|^2 at every point of x; the rest
@@ -185,8 +186,7 @@ def _block_terms(x, r_eval, theta, dt, pencil):
     in turn.
     """
     steps, sides = x.shape[0] - 1, x.shape[-1]
-    w, eps_m, eps_g = pencil
-    weights = _block_weights(w[:, :, :sides], eps_m, eps_g)
+    weights = _block_weights(fop.w[:, :, :sides], fop.eps_M, fop.eps_G)
     mult = _side_weights(x.shape[1] - 1, sides)
 
     def total(sums, j):
@@ -287,7 +287,7 @@ def evolve(ws, evo):
             % (steps, dt, evo.t_final)
         )
 
-    w_all, eps_m, eps_g = field_pencil(ws)
+    fop = field_operator(ws)
     # the eigenbasis deflates the mode-0 kernel columns, which is exact
     # only while G couples to them at roundoff level
     coupling = max(info["kernel_coupling"] for info in mode_operator(ws, 0).info)
@@ -298,7 +298,7 @@ def evolve(ws, evo):
     sides = 1 if all(x is None or x.real_flag for x in (evo.initial, f0)) else 2
 
     # a state is one field coordinate array
-    c = np.zeros(w_all.shape[:2] + (sides,), dtype=complex)
+    c = np.zeros(fop.w.shape[:2] + (sides,), dtype=complex)
     if evo.initial is not None:
         vnorm = norm_L2(evo.initial)
         proj, c = project_constrained(ws, evo.initial)
@@ -333,7 +333,7 @@ def evolve(ws, evo):
 
     def factors(sides):
         """The step factors at a state width."""
-        w = np.ascontiguousarray(w_all[:, :, :sides])
+        w = np.ascontiguousarray(fop.w[:, :, :sides])
         return 1.0 - (1.0 - theta) * dt * w, 1.0 + theta * dt * w
 
     keep, denom = factors(sides)
@@ -377,7 +377,7 @@ def evolve(ws, evo):
             x[i + 1] = c_new
             c = c_new
         energies, res_arr[k0 + 1 : k1 + 1], diss_mid[k0:k1], fp_mid[k0:k1] = _block_terms(
-            x, None if r is None else r[:-1], theta, dt, (w_all, eps_m, eps_g)
+            x, None if r is None else r[:-1], theta, dt, fop
         )
         # the block's first point carries over, except at t = 0
         l2_arr[k0 + first : k1 + 1], diss_arr[k0 + first : k1 + 1] = energies[:, first:]

@@ -106,9 +106,9 @@ def _pencil_solve(ws, lam, r):
     pencil, so its shift is conj(lam), and the padding stays zero. Returns
     y and, per mode n = -n_z..n_z, ||(eps_G + |lam| eps_M) y|| / ||r||, a
     certified bound on its relative residual ||r - (G - lam M) y|| / ||r||
-    against the blocks set-up formed (field_pencil), 0 where r is zero.
-    Every mode is one whole-array operation: the gap check, the scaling
-    and the norms.
+    against the blocks set-up formed (stokesop.FieldOperator's eps_M and
+    eps_G), 0 where r is zero. Every mode is one whole-array operation:
+    the gap check, the scaling and the norms.
 
     Raises:
         RuntimeError if lam lies within 1e-12 max(max |w|, 1) of an

@@ -55,19 +55,21 @@ The sectors are packed into zero-padded real stacks (ModeOperator), and
 a mode's coordinates are that packed layout itself: one entry per (stack
 entry, column, [sector j, mirror -j]), zero on the padding, where the
 packed eigenvalues are 0 too. Set-up builds and checks each mode on its
-own. Every mode has the same packed layout, so on their first
-field-level use the modes 0..n_z are stacked into one whole-field
-operator (FieldOperator, cached on the Workspace): its stacks are the
-only copy, and each cached ModeOperator's stacks are views of them. A
-field's coordinates are one array (n_z + 1, dim, 2, ...): |n|, the packed
-layout and the sign of n (side 1 is mode -|n|, padding at |n| = 0).
-Reducing and expanding a field, or a stack of fields, take one pass for
-every mode and both signs of n: one 3x3 piece transform, one take
-through the shared slot table (or its inverse) and one batched real
-product over (mode, side); none does index work on the coordinates. In
-these coordinates the L^2 projection, the resolvent and both time
-steppers are diagonal scalings; eps_M and eps_G bound their residuals
-against the blocks set-up formed (field_pencil, cached read-only).
+own. Every mode has the same packed layout, and one slot table per
+workspace (_slot_tables), so on their first field-level use the modes
+0..n_z are stacked into one whole-field operator (FieldOperator, cached
+on the Workspace): its stacks are the only copy, and each cached
+ModeOperator's stacks are views of them. A field's coordinates are one
+array (n_z + 1, dim, 2, ...): |n|, the packed layout and the sign of n
+(side 1 is mode -|n|, padding at |n| = 0). Reducing and expanding a
+field, or a stack of fields, take one pass for every mode and both signs
+of n: one 3x3 piece transform, one take through the slot table (or its
+inverse) and one batched real product over (mode, side); none does
+index work on the coordinates. Every synthesis, the dense basis
+included, is that one pass (_synthesize). In these coordinates the L^2
+projection, the resolvent and both time steppers are diagonal scalings;
+eps_M and eps_G bound their residuals against the blocks set-up formed
+(FieldOperator, read-only).
 The strong operator
 
   A v = -mu P laplacian(v) + grad(Q v)
@@ -164,12 +166,8 @@ class ModeOperator:
     (w[order], residual), with each pair's pencil residual
     ||G e_i - w_i M e_i|| / sqrt(M_ii) in the same order.
 
-    Slices meet the stacks through their piece array (reduce_slice): the
-    coefficients on u+, u- and i e_z at every channel, flattened in
-    (piece, m, r) order, plus one zero entry. slots (S, 3 n_r, 2) name the
-    piece entry each row of Z reads, for the sector ([..., 0]) and for its
-    mirror image -j ([..., 1]); padding reads and writes the zero entry.
-
+    Slices meet the stacks through their piece array (reduce_slice) and
+    the workspace's slot table (_slot_tables), which every mode shares.
     Once the workspace stacks its modes (field_operator), the cached
     operator's Z and ZW are views of the whole-field stacks.
 
@@ -177,8 +175,9 @@ class ModeOperator:
     reference cycle. Nothing is written to an operator once assemble_A
     returns. basis, M_block, G_block and A_block are dense views in
     ascending order for checks and export, which no solve reads: M_block
-    and G_block are exactly I and diag(eigen[0]), and basis and A_block
-    need that workspace alive.
+    and G_block are exactly I and diag(eigen[0]), basis is _synthesize of
+    the unit coordinates, A_block is strong_blocks' stack on both sides of
+    each entry, and both need that workspace alive.
     """
 
     n: int
@@ -188,19 +187,12 @@ class ModeOperator:
     ZW: np.ndarray
     w: np.ndarray
     order: np.ndarray
-    slots: np.ndarray
     ws: object = dataclasses.field(repr=False, compare=False)
 
     def sector_norm(self, stack):
         """Frobenius norm of a packed stack (S, ...) over all sectors: entry j > 0 counts twice."""
         sq = np.linalg.norm(stack.reshape(len(self.info), -1), axis=1) ** 2
         return math.sqrt(sq[0] + 2.0 * sq[1:].sum())
-
-    def _eye(self):
-        """Packed coordinates (dim, K) of the eigenvectors in ascending order."""
-        eye = np.zeros((self.w.size, self.order.size), dtype=complex)
-        eye[self.order, np.arange(self.order.size)] = 1.0
-        return eye
 
     @property
     def M_block(self):
@@ -212,40 +204,21 @@ class ModeOperator:
 
     @property
     def A_block(self):
-        return packed_product(strong_blocks(self)[0], self._eye())[self.order]
-
-    def synthesize(self, y):
-        """Flat Cartesian slices (3 * n_m * n_r, k) of packed coordinates y (dim, k).
-
-        Z^T maps each sector's coordinates, and its mirror's, to their
-        pieces; the slots put them in the piece array P (reduce_slice),
-        and the slices are v = V P.
-        """
-        cfg = self.ws().config
-        p = np.zeros((3 * cfg.n_modes_theta * cfg.n_r + 1, y.shape[1]), dtype=complex)
-        prod = packed_product(self.Z.transpose(0, 2, 1), y)
-        p[self.slots] = prod.reshape(self.slots.shape + (-1,))
-        p = p[:-1]
-        return np.matmul(_PIECE_VECTORS, p.reshape(3, -1)).reshape(p.shape)
+        a = strong_blocks(self)[0]
+        out = np.zeros((self.w.size, self.w.size), dtype=complex)
+        # entry i's block acts on the columns of its sector and of its mirror
+        packed = np.arange(self.w.size).reshape(a.shape[:2] + (2,))
+        for side in (0, 1):
+            at = packed[..., side]
+            out[at[:, :, None], at[:, None, :]] = a
+        return out[self.order][:, self.order]
 
     @property
     def basis(self):
         """Eigenvector fields as Cartesian columns in (component, m, r) order."""
-        return self.synthesize(self._eye())
-
-
-def packed_product(stack, y):
-    """Product of a packed real stack (S, R, K) with packed complex vectors y (S * K * 2, ...).
-
-    y is read as its interleaved real view (S, K, 4 L): a sector's and its
-    mirror's entries side by side with their L trailing columns, each
-    complex entry as two reals, so one batched real product serves them
-    all. The result is (S * R * 2, ...) in the same layout: reduce_slice
-    applies ZW this way, and ModeOperator.synthesize Z^T.
-    """
-    y = np.ascontiguousarray(y, dtype=complex)
-    x = y.reshape(stack.shape[0], stack.shape[2], -1).view(float)
-    return np.matmul(stack, x).view(complex).reshape((-1,) + y.shape[1:])
+        unit = np.zeros((self.w.size, self.order.size))
+        unit[self.order, np.arange(self.order.size)] = 1.0
+        return _synthesize(self.ws(), self.Z, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +302,61 @@ def _piece_slots(cfg, j, mirrored=False):
         start = (kind * cfg.n_modes_theta + cfg.n_theta + m) * cfg.n_r
         out.append(np.arange(start, start + cfg.n_r))
     return np.concatenate(out)
+
+
+def _slot_tables(ws):
+    """(slots, inverse): the packed layout's slot table and its inverse, built once per workspace.
+
+    The piece array of a slice (reduce_slice) holds its coefficients on
+    u+, u- and i e_z at every channel, in (piece, m, r) order, plus one
+    zero entry. slots (S, 3 n_r, 2) name the piece entry each row of a
+    stack entry reads, for its sector j ([..., 0]) and for the mirror
+    image -j ([..., 1]); padding reads the zero entry. inverse
+    (3 n_m n_r,) is the entry of a product (S, 3 n_r, 2) that writes each
+    piece, or the zero entry past its end for a piece no sector holds.
+    Both depend on the config only, so every mode shares them; they are
+    cached read-only on Workspace.slots.
+    """
+    if ws.slots is None:
+        cfg = ws.config
+        pad = 3 * cfg.n_modes_theta * cfg.n_r
+        slots = np.full((cfg.n_theta, 3 * cfg.n_r, 2), pad)
+        for j in range(cfg.n_theta):
+            slots[j, :, 0] = _piece_slots(cfg, j)
+            if j > 0:
+                slots[j, :, 1] = _piece_slots(cfg, j, True)
+        inverse = np.full(pad + 1, slots.size)
+        inverse[slots.reshape(-1)] = np.arange(slots.size)
+        inverse = inverse[:-1]
+        slots.flags.writeable = inverse.flags.writeable = False
+        ws.slots = slots, inverse
+    return ws.slots
+
+
+def _synthesize(ws, z, y):
+    """Flat Cartesian slices (..., 3 n_m n_r, L) of packed coordinates y (..., dim, L).
+
+    z is a packed real stack (..., S, K_max, 3 n_r) that broadcasts
+    against y's leading axes. y is read as its interleaved real view
+    (..., S, K_max, 4 L): a sector's and its mirror's entries side by side,
+    each complex entry as two reals, so one batched real product Z^T y
+    serves them all. One take through the inverse slot table (_slot_tables)
+    puts the products in the piece array, the zero entry past their end
+    filling every piece no sector holds, and one 3x3 transform maps the
+    pieces to Cartesian components.
+    """
+    inverse = _slot_tables(ws)[1]
+    s, k, rows = z.shape[-3:]
+    lead, num = y.shape[:-2], y.shape[-1]
+    x = np.ascontiguousarray(y, dtype=complex).reshape(lead + (s, k, -1)).view(float)
+    prod = np.empty(lead + (s * rows * 2 + 1, num), dtype=complex)
+    prod[..., -1, :] = 0.0
+    out = prod[..., :-1, :].reshape(lead + (s, rows, -1)).view(float)
+    np.matmul(z.swapaxes(-1, -2), x, out=out)
+    del x
+    p = np.take(prod, inverse, axis=-2)
+    del prod
+    return np.matmul(_PIECE_VECTORS, p.reshape(lead + (3, -1))).reshape(p.shape)
 
 
 def _sector_fields(cfg, j, z):
@@ -718,21 +746,18 @@ def assemble_A(ws, n):
         built.append((info, z, zw, w, res))
 
     # the packed real stacks; a sector and its mirror -j share a stack
-    # entry, sides 0 and 1 of the packed coordinates and of the slot table
+    # entry, sides 0 and 1 of the packed coordinates and of _slot_tables
     k_max = max(w.size for *_, w, _ in built)
     zs = np.zeros((len(built), k_max, 3 * cfg.n_r))
     zws = np.zeros_like(zs)
-    slots = np.full((len(built), zs.shape[2], 2), 3 * cfg.n_modes_theta * cfg.n_r)
     mirrored, own = [], []
     for j, (info, z, zw, w, res) in enumerate(built):
         k = z.shape[1]
         zs[j, :k], zws[j, :k] = z.T, zw.T
         index = 2 * (j * k_max + np.arange(k))
         own.append((index, w, res))
-        slots[j, :, 0] = _piece_slots(cfg, j)
         if j > 0:
             mirrored.insert(0, (index + 1, w, res))
-            slots[j, :, 1] = _piece_slots(cfg, j, True)
     index, w, res = (np.concatenate(a) for a in zip(*(mirrored + own)))
     # ascending order, ties in the order of sectors (j = -J..J)
     rank = np.argsort(w, kind="stable")
@@ -746,7 +771,6 @@ def assemble_A(ws, n):
         ZW=zws,
         w=packed,
         order=index[rank],
-        slots=slots,
         ws=weakref.ref(ws),
     )
     if n == 0:
@@ -757,8 +781,8 @@ def assemble_A(ws, n):
 def _check_mirrored_kernel(op):
     """Raise RuntimeError unless sector -1 of mode 0, the mirror of entry 1, leads with e1 - i e2.
 
-    Its first column, synthesized through the slot table as every request
-    reads it, must equal the kernel field of _kernel_fields(cfg, -1) at
+    Its first column, synthesized by _synthesize as every request reads
+    it, must equal the kernel field of _kernel_fields(cfg, -1) at
     unit L^2 norm to 1e-12 on the sector's window, so the kernel check
     still covers every sector and the mirror that serves it.
     """
@@ -770,7 +794,7 @@ def _check_mirrored_kernel(op):
     kern = kern / np.sqrt(np.vdot(kern, wkern.reshape(-1)).real)
     unit = np.zeros((op.w.size, 1))
     unit[2 * op.Z.shape[1] + 1] = 1.0
-    col = op.synthesize(unit)[_window_rows(cfg, lo, hi), 0]
+    col = _synthesize(ws, op.Z, unit)[_window_rows(cfg, lo, hi), 0]
     err = np.max(np.abs(col - kern)) / np.max(np.abs(kern))
     if not err <= 1e-12:
         raise RuntimeError(
@@ -806,20 +830,19 @@ class FieldOperator:
     Every mode has the same packed layout, so their stacks stack: Z and ZW
     (n_z + 1, S, K_max, 3 n_r) hold each mode's Z and ZW at index n, and
     the cached ModeOperators' Z and ZW are views of them, the only copy.
-    slots (S, 3 n_r, 2) is the modes' common slot table, and inverse
-    (3 n_m n_r,) its inverse: the entry of a product (S, 3 n_r, 2) that
-    writes each piece, or the zero entry past its end for a piece no
-    sector holds. w, eps_M and eps_G are the read-only arrays of
-    field_pencil. spectrum (n_z + 1, dim) holds each mode's eigenvalues at
+    w (n_z + 1, dim, 2) holds the eigenvalues of the field coordinates, 0
+    on the padding, side 1 of |n| = 0 included, stored side-major, as
+    reduce_slice stores coordinates. eps_M and eps_G (n_z + 1, dim, 1)
+    give each coordinate, on either side, its sector's record
+    (assemble_A); the padding, where coordinates are zero, carries its
+    stack entry's. spectrum (n_z + 1, dim) holds each mode's eigenvalues at
     their packed indices, +inf on the padding, and scale (n_z + 1,) each
     mode's max(max |w|, 1), the resolvent's gap check
-    (spectral._pencil_solve).
+    (spectral._pencil_solve). Every array is read-only.
     """
 
     Z: np.ndarray
     ZW: np.ndarray
-    slots: np.ndarray
-    inverse: np.ndarray
     w: np.ndarray
     eps_M: np.ndarray
     eps_G: np.ndarray
@@ -836,20 +859,19 @@ def _stack_modes(ws):
     arrays are freed as it goes.
 
     Raises:
-        RuntimeError naming the first mode whose stacks or slot table
-        differ in shape or value from mode 0's.
+        RuntimeError naming the first mode whose stacks differ in shape
+        from mode 0's.
     """
     n_z = ws.config.n_z
     op = mode_operator(ws, 0)
-    slots, dim = op.slots, op.w.size
+    dim = op.w.size
     z = np.empty((n_z + 1,) + op.Z.shape)
     for a in range(1, n_z + 1):
         op = mode_operator(ws, a)
-        same = np.array_equal(op.slots, slots)
-        if op.Z.shape != z.shape[1:] or not same:
+        if op.Z.shape != z.shape[1:]:
             raise RuntimeError(
-                "mode %d does not share mode 0's packed layout: stacks %s against %s, "
-                "slot tables %s" % (a, op.Z.shape, z.shape[1:], "equal" if same else "differ")
+                "mode %d does not share mode 0's packed layout: stacks %s against %s"
+                % (a, op.Z.shape, z.shape[1:])
             )
     zw = np.empty_like(z)
     w = np.zeros((n_z + 1, 2, dim))
@@ -864,11 +886,9 @@ def _stack_modes(ws):
         spectrum[a, op.order] = op.eigen[0]
         rec = [[info["eps_M"], info["eps_G"]] for info in op.info]
         eps[:, a, :, 0] = np.repeat(rec, dim // len(op.info), axis=0).T
-    inverse = np.full(3 * ws.config.n_modes_theta * ws.config.n_r + 1, slots.size)
-    inverse[slots.reshape(-1)] = np.arange(slots.size)
     scale = np.maximum(np.max(np.abs(w), axis=(1, 2)), 1.0)
     w = w.transpose(0, 2, 1)
-    fop = FieldOperator(z, zw, slots, inverse[:-1], w, eps[0], eps[1], spectrum, scale)
+    fop = FieldOperator(z, zw, w, eps[0], eps[1], spectrum, scale)
     for a in vars(fop).values():
         a.flags.writeable = False
     return fop
@@ -879,19 +899,6 @@ def field_operator(ws):
     if ws.field_op is None:
         ws.field_op = _stack_modes(ws)
     return ws.field_op
-
-
-def field_pencil(ws):
-    """Eigenvalues w (n_z + 1, dim, 2) of the field coordinates and their defects eps_M, eps_G.
-
-    The cached read-only arrays of field_operator. w is 0 on the padding,
-    side 1 of |n| = 0 included, and is stored side-major, as reduce_slice
-    stores coordinates. eps_M and eps_G (n_z + 1, dim, 1) give each
-    coordinate, on either side, its sector's record (assemble_A); the
-    padding, where coordinates are zero, carries its stack entry's.
-    """
-    fop = field_operator(ws)
-    return fop.w, fop.eps_M, fop.eps_G
 
 
 def _sided_slices(flat, n_z, width):
@@ -918,16 +925,18 @@ def reduce_slice(ws, arr, real=False):
     m-reversed first, in the packed layout of ModeOperator; the padding,
     side 1 of |n| = 0 included, is zero. r = (M_u z)^T P on the slots of
     the piece array P is one pass for every mode and both signs of n: one
-    3x3 piece transform, one take through the slots and one batched real
-    product over (mode, side) (field_operator). The result is stored as
-    the product leaves it, (n_z + 1, 2, dim, ...) in memory. The basis is
-    M-orthonormal: these are also the L^2 projection coordinates.
+    3x3 piece transform, one take through the slot table (_slot_tables)
+    and one batched real product over (mode, side) (field_operator). The
+    result is stored as the product leaves it, (n_z + 1, 2, dim, ...) in
+    memory. The basis is M-orthonormal: these are also the L^2 projection
+    coordinates.
 
     With real, the fields are real: only the slices n >= 0 are read, and
     the result holds side 0 only, (n_z + 1, dim, 1, ...), bitwise side 0
     of the two-sided result; side 1 would repeat it.
     """
     fop = field_operator(ws)
+    slots, inverse = _slot_tables(ws)
     n_z = ws.config.n_z
     lead = arr.shape[:-4]
     flat = arr.reshape((-1,) + arr.shape[-4:])
@@ -935,13 +944,13 @@ def reduce_slice(ws, arr, real=False):
     g = _sided_slices(flat, n_z, width)
     # the piece array of each slice, and the zero entry that padding reads;
     # each intermediate is freed before the next is taken
-    size = fop.inverse.size
+    size = inverse.size
     p = np.empty(g.shape[:2] + (size + 1, flat.shape[0]), dtype=complex)
     p[:, :, size] = 0.0
     cols = g.shape[:3] + (-1,)
     np.matmul(_PIECES_OF, g.reshape(cols), out=p[:, :, :size].reshape(cols))
     del g
-    x = np.take(p, fop.slots, axis=2)
+    x = np.take(p, slots, axis=2)
     del p
     # (mode, side, sector) batch the products: each is (K, 3 n_r) by (3 n_r, 4 L)
     x = x.reshape(x.shape[:4] + (-1,)).view(float)
@@ -955,31 +964,20 @@ def expand_slice(ws, y):
 
     y is (n_z + 1, dim, 2, ...); its padding, side 1 of |n| = 0 included,
     does not contribute, and side 1 is conjugated and m-reversed back onto
-    mode -|n|. Every mode and side is one pass: one batched real product
-    Z^T y, one take through the inverse slot table and one 3x3 transform
-    from the pieces. A y of width 1 on the side axis holds real fields
-    (reduce_slice with real): only modes n >= 0 are synthesized, and mode
-    -n is mirrored from mode n.
+    mode -|n|. Every mode and side is one pass of _synthesize: one batched
+    real product Z^T y, one take through the inverse slot table and one
+    3x3 transform from the pieces. A y of width 1 on the side axis holds
+    real fields (reduce_slice with real): only modes n >= 0 are
+    synthesized, and mode -n is mirrored from mode n.
     """
     fop = field_operator(ws)
     cfg = ws.config
     n_z = cfg.n_z
     lead = y.shape[3:]
     num = math.prod(lead)
-    s, k, rows = fop.Z.shape[1:]
-    # the coordinates as the products read them, (n_z + 1, width, S, K, 2 L)
-    x = np.ascontiguousarray(np.moveaxis(y.reshape(y.shape[:3] + (num,)), 2, 1))
-    x = x.reshape(x.shape[:2] + (s, k, -1)).view(float)
-    # Z^T x on every (mode, side), and the zero entry that unheld pieces read
-    prod = np.empty(x.shape[:2] + (s * rows * 2 + 1, num), dtype=complex)
-    prod[:, :, -1] = 0.0
-    zt = fop.Z.transpose(0, 1, 3, 2)[:, None]
-    np.matmul(zt, x, out=prod[:, :, :-1].reshape(x.shape[:2] + (s, rows, -1)).view(float))
-    del x
-    p = np.take(prod, fop.inverse, axis=2)
-    del prod
-    v = np.matmul(_PIECE_VECTORS, p.reshape(p.shape[:2] + (3, -1)))
-    del p
+    # the coordinates as the products read them, (n_z + 1, width, dim, L)
+    x = np.moveaxis(y.reshape(y.shape[:3] + (num,)), 2, 1)
+    v = _synthesize(ws, fop.Z[:, None], x)
     # side 0 onto the modes +|n|, side 1 flipped back onto -|n|, |n| > 0
     v = v.reshape(v.shape[:2] + (3, cfg.n_modes_theta, cfg.n_r, num)).transpose(1, 5, 2, 0, 3, 4)
     out = np.empty((num, 3, cfg.n_modes_z, cfg.n_modes_theta, cfg.n_r), dtype=complex)

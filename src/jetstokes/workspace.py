@@ -2,7 +2,8 @@
 
 A Workspace owns the radial tables plus every factorization and operator
 block derived from one DomainConfig: the real constraint rows of each
-angular-momentum sector, the assembled constrained-mode operators, the
+angular-momentum sector, the slot table of the packed layout that every
+mode shares, the assembled constrained-mode operators, the
 whole-field operator that stacks modes 0..n_z on their first field-level
 use (its stacks then back the mode operators' own, as views) and, once a
 check asks, their strong blocks (the elliptic solves keep no per-mode
@@ -20,6 +21,8 @@ class Workspace:
         self.tables = tables_for(config)
         # j -> real constraint rows (r0, r1) on Zernike coefficients (stokesop._sector_rows)
         self.sector_rows = {}
+        # the packed layout's slot table and its inverse (stokesop._slot_tables)
+        self.slots = None
         # n >= 0 -> ModeOperator, filled by stokesop.mode_operator
         self.mode_ops = {}
         # modes 0..n_z stacked into one stokesop.FieldOperator on their

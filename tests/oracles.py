@@ -437,9 +437,7 @@ def field_coords(ws, coords):
 
 def sector_columns(op, index):
     """Cartesian columns (3 * n_m * n_r, k) of the eigenvector fields at packed indices index."""
-    unit = np.zeros((op.w.size, index.size))
-    unit[index, np.arange(index.size)] = 1.0
-    return op.synthesize(unit)
+    return op.basis[:, ascending_rank(op)[index]]
 
 
 class PerSectorMaps:

@@ -17,7 +17,7 @@ from jetstokes.verify import CRITERIA, run_all
 
 @pytest.fixture(scope="session")
 def acceptance():
-    records, all_pass = run_all(js.DomainConfig(), 0, determinism="reduced", echo=True)
+    records, all_pass = run_all(js.DomainConfig(), 0, echo=True)
     return records, all_pass
 
 
@@ -40,7 +40,6 @@ def test_all_criteria_pass(acceptance):
 def test_cli_verify_report_is_reproducible(tmp_path):
     body = {
         "domain": {"n_r": 12, "n_theta": 3, "n_z": 2},
-        "verify": {"determinism": "reduced"},
     }
     cfgp = tmp_path / "run.json"
     cfgp.write_text(json.dumps(body))

@@ -147,7 +147,6 @@ NOT_STR_OR_BOOL = [
     ({"evolve": {"scheme": None}}, "evolve.scheme"),
     ({"evolve": {"forcing": 0}}, "evolve.forcing"),
     ({"evolve": {"initial": False}}, "evolve.initial"),
-    ({"verify": {"determinism": 1}}, "verify.determinism"),
     ({"spectrum": {"export_blocks": "no"}}, "spectrum.export_blocks"),
     ({"spectrum": {"export_blocks": 1}}, "spectrum.export_blocks"),
 ]
@@ -207,18 +206,22 @@ def test_evolve_block_validation(tmp_path):
         js.load_run_config(path)
 
 
-def test_verify_block_validation():
-    from jetstokes.config import VerifyBlock
+def test_verify_block_validation(tmp_path, capsys):
+    # no verify section is accepted: a config that still carries one exits 2
+    from jetstokes.cli import main
 
-    with pytest.raises(js.ConfigError, match="determinism"):
-        VerifyBlock(determinism="sometimes")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"verify": {"determinism": "reduced"}}))
+    assert main(["verify-all", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "unknown config key 'run.verify'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_default_run_config():
     run = js.default_run_config()
     assert run.seed == 0
     assert run.output_dir == "runs"
-    assert run.verify.determinism == "reduced"
+    assert not hasattr(run, "verify")
 
 
 def test_rng_streams():

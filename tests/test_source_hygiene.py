@@ -31,11 +31,14 @@ importing jetstokes and jetstokes.cli loads no scipy module.
 
 The last checks guard the eigenbasis design and the whole-field
 operator: ModeOperator stores no M or G stack, no module names
-field_product, _sides or _mode_ops, and a resolve and a forced evolve
-call neither ModeOperator.synthesize nor stokesop.packed_product, the
-per-mode products that checks and exports still take. A forced evolve
-does its bookkeeping once per block of steps, and its estimate_report
-forms neither a gradient field nor a difference of velocity fields.
+field_product, _sides or _mode_ops, and stokesop._synthesize is the one
+synthesis map. No module defines synthesize, _eye, packed_product or
+field_pencil, neither ModeOperator nor FieldOperator declares a slots or
+inverse field (the slot table is built once per workspace), and a
+resolve and a real and a complex forced evolve call _synthesize exactly
+once per expand_slice call. A forced evolve does its bookkeeping once
+per block of steps, and its estimate_report forms neither a gradient
+field nor a difference of velocity fields.
 
 The radial unknowns are pole-regular by construction: setting up every
 mode reads no RadialTables.pole_rows (the tests' nodal reference), no
@@ -392,10 +395,30 @@ def test_mode_operator_stores_no_pencil_blocks():
     assert not named, "field_product named in %s" % named
 
 
-def test_requests_call_neither_synthesize_nor_packed_product(monkeypatch):
-    # a resolve and a forced evolve run on the whole-field operator only
+def test_no_module_defines_a_second_synthesis():
+    # _synthesize is the one map from packed coordinates to fields
+    gone = ("synthesize", "_eye", "packed_product", "field_pencil")
+    named = [
+        "%s: %s" % (p.name, node.name)
+        for p in MODULES
+        for node in ast.walk(_tree(p))
+        if isinstance(node, ast.FunctionDef) and node.name in gone
+    ]
+    assert not named, "second synthesis path defined in %s" % named
+
+
+@pytest.mark.parametrize("name", ["ModeOperator", "FieldOperator"])
+def test_operators_hold_no_slot_table(name):
+    # the slot table is built once per workspace (stokesop._slot_tables)
+    fields = _dataclass_fields(_tree(SRC / "stokesop.py"), name)
+    assert "slots" not in fields and "inverse" not in fields
+
+
+def test_requests_synthesize_once_per_expand(monkeypatch):
+    # a resolve and a real and a complex forced evolve synthesize their
+    # fields through _synthesize, once per expand_slice call
     import jetstokes as js
-    from jetstokes import stokesop
+    from jetstokes import evolution, spectral, stokesop
     from jetstokes.fields import random_smooth_vector
     from jetstokes.rng import stream
 
@@ -414,16 +437,15 @@ def test_requests_call_neither_synthesize_nor_packed_product(monkeypatch):
 
         return call
 
-    for owner, name in ((stokesop, "packed_product"), (stokesop.ModeOperator, "synthesize")):
-        monkeypatch.setattr(owner, name, recording(name, getattr(owner, name)))
+    monkeypatch.setattr(stokesop, "_synthesize", recording("_synthesize", stokesop._synthesize))
+    expand = recording("expand_slice", stokesop.expand_slice)
+    for owner in (stokesop, spectral, evolution):
+        monkeypatch.setattr(owner, "expand_slice", expand)
     js.resolve(ws, 2j, g)
     # a complex forcing runs both sides, a real one side 0 only
     for f in (g, real):
         js.evolve(ws, js.EvolutionConfig(t_final=0.04, dt=0.02, forcing=lambda t, f=f: f * t))
-    assert calls == []
-    # the recorders see the per-mode path that checks and exports still take
-    assert js.mode_operator(ws, 0).basis.shape[0] > 0
-    assert calls == ["synthesize", "packed_product"]
+    assert calls and calls == ["expand_slice", "_synthesize"] * (len(calls) // 2)
 
 
 def test_per_mode_request_loops_are_gone():

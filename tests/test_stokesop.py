@@ -120,6 +120,20 @@ def test_blocks_are_diagonal_in_eigen_coordinates(ws_small):
         assert np.max(residual) < 1e-10
 
 
+@pytest.mark.parametrize("ws_name", ["ws_small", "ws_wide"])
+def test_basis_columns_match_the_per_sector_reference(ws_name, request):
+    # column order and the mirror sectors, against the per-sector complex
+    # synthesis of each column's unit coordinates
+    ws = request.getfixturevalue(ws_name)
+    for n in range(ws.config.n_z + 1):
+        op = js.mode_operator(ws, n)
+        unit = np.zeros((op.w.size, op.order.size))
+        unit[op.order, np.arange(op.order.size)] = 1.0
+        ref = oracles.PerSectorMaps(ws, n).expand(unit).reshape(op.order.size, -1).T
+        err = np.linalg.norm(op.basis - ref, axis=0) / np.linalg.norm(ref, axis=0)
+        assert np.max(err) <= 1e-13
+
+
 def test_basis_columns_lie_in_one_sector(ws_small):
     cfg = ws_small.config
     nm, nr = cfg.n_modes_theta, cfg.n_r
@@ -308,6 +322,7 @@ def test_mirrored_kernel_column_is_checked(cfg_small, monkeypatch):
 def test_mirrored_sectors_are_views_of_their_sources(cfg_small):
     ws = js.Workspace(cfg_small)
     pad = 3 * cfg_small.n_modes_theta * cfg_small.n_r
+    slots = stokesop._slot_tables(ws)[0]
     for n in range(cfg_small.n_z + 1):
         op = js.mode_operator(ws, n)
         # mirrored sectors store nothing: the stacks hold one entry per
@@ -320,14 +335,14 @@ def test_mirrored_sectors_are_views_of_their_sources(cfg_small):
         w = op.w.reshape(len(built), -1, 2)
         for i, j in enumerate(built):
             # every piece of a complete sector lies in the band
-            rows = np.count_nonzero(op.slots[i, :, 0] != pad)
+            rows = np.count_nonzero(slots[i, :, 0] != pad)
             assert rows == 3 * cfg_small.n_r
             if j > 0:
                 assert np.array_equal(w[i, :, 1], w[i, :, 0])
                 mirror = stokesop._piece_slots(cfg_small, j, True)
-                assert np.array_equal(op.slots[i, :rows, 1], mirror)
+                assert np.array_equal(slots[i, :rows, 1], mirror)
             else:
-                assert not np.any(w[i, :, 1]) and np.all(op.slots[i, :, 1] == pad)
+                assert not np.any(w[i, :, 1]) and np.all(slots[i, :, 1] == pad)
 
 
 @pytest.fixture(scope="module")
@@ -424,9 +439,9 @@ def test_mode_stacks_are_views_of_the_field_operator():
     ws = js.Workspace(js.DomainConfig(n_r=12, n_theta=3, n_z=2))
     ops = [js.mode_operator(ws, n) for n in range(3)]
     assert ws.field_op is None
-    w, eps_m, eps_g = stokesop.field_pencil(ws)
-    fop = ws.field_op
-    assert stokesop.field_pencil(ws)[0] is w and fop.w is w
+    fop = stokesop.field_operator(ws)
+    w, eps_m, eps_g = fop.w, fop.eps_M, fop.eps_G
+    assert stokesop.field_operator(ws) is fop and ws.field_op is fop
     for n, op in enumerate(ops):
         now = js.mode_operator(ws, n)
         assert now is not op and now.info is op.info and now.eigen is op.eigen
@@ -439,14 +454,13 @@ def test_mode_stacks_are_views_of_the_field_operator():
             a[(0,) * a.ndim] = 1.0
 
 
-@pytest.mark.parametrize("field", ["Z", "slots"])
+@pytest.mark.parametrize("field", ["Z"])
 def test_stacking_names_a_mode_off_the_shared_layout(field):
     ws = js.Workspace(js.DomainConfig(n_r=12, n_theta=3, n_z=2))
     for n in range(3):
         js.mode_operator(ws, n)
     op = ws.mode_ops[2]
-    bad = op.Z[:, :-1] if field == "Z" else op.slots[::-1]
-    ws.mode_ops[2] = dataclasses.replace(op, **{field: bad})
+    ws.mode_ops[2] = dataclasses.replace(op, **{field: getattr(op, field)[:, :-1]})
     with pytest.raises(RuntimeError, match="mode 2 does not share mode 0's packed layout"):
         stokesop.reduce_slice(ws, random_smooth_vector(ws.config, stream(52, "tests")).coeffs)
 
