@@ -16,6 +16,7 @@ boundary condition rows always address index 0.
 
 import collections
 import functools
+import math
 
 import numpy as np
 
@@ -141,7 +142,7 @@ class RadialTables:
         for p, m_abs in ((1, 0), (-1, 1)):
             f = self._factor[p] = np.linalg.inv(self._profiles(m_abs, self.n_r))
             self._gram[p] = f.T @ f
-        self._full, self._stacks, self._words, self._dirichlet = None, {}, {}, None
+        self._full, self._stacks, self._dirichlet = None, {}, None
         self._orders, self._zernike = {}, {}
 
     def _profiles(self, m_abs, count):
@@ -261,44 +262,40 @@ class RadialTables:
         """Precomposed derivative words of the orders 0..k on channels -band..band (cached).
 
         With U and D the raising and lowering applications (see stacks),
-        d/dx = (U + D)/2 and d/dy = -i (U - D)/2. The map (d/dx, d/dy) ->
-        (U, D)/sqrt(2) is unitary, so the full derivative tensor of order j
-        has |grad^j a|^2 = 2^-j sum_w |w a|^2 over the 2^j words w in
-        {U, D}^j: diagonal in the words. Word w moves channel m to m + s_w,
-        s_w = #U - #D. Its stack holds, per input channel, the product of
-        the letters' matrices followed by 2^(-j/2) times the factor L^T of
-        the output channel's parity Gram (L L^T = Gram), so the sum of
-        squares of all words' outputs is the disk norm of grad^j a.
+        d/dx = (U + D)/2 and d/dy = -i (U - D)/2, a unitary map to
+        (U, D)/sqrt(2), so |grad^j a|^2 = 2^-j sum_w |w a|^2 over the 2^j
+        words w in {U, D}^j. U and D commute on pole-regular profiles (the
+        span of zernike), so this is sum_i C(j, i) 2^-j |U^(j-i) D^i a|^2:
+        word i applies D i times, then U j - i times, and moves channel m
+        to m + j - 2i. Its stack holds, per input channel, the letters'
+        product followed by sqrt(C(j, i) 2^-j) times the factor L^T of the
+        output channel's parity Gram (L L^T = Gram). The sum of squares of
+        an order's outputs is the disk norm of grad^j a on pole-regular
+        profiles; on nodal data off that span it is this j + 1-word form.
 
-        Returns one stack (2^j, 2*band + 1, n_r, n_r), real, per order
-        j = 0..k; letter i of word w is D when bit i of w is set (letter 0
-        applied first). Each order's stack is built once per band on this
-        instance and shared by every k that reaches it; the tuple is kept
-        per (band, k).
+        Returns the tuple of one stack (j + 1, 2*band + 1, n_r, n_r), real,
+        per order j = 0..k; word 0 is U^j, so order 1 is (U, D). Each order
+        is built once per band on this instance and shared by every k.
         """
-        got = self._words.get((band, k))
-        if got is None:
-            for j in range(k + 1):
-                if (band, j) not in self._orders:
-                    self._orders[(band, j)] = self._word_order(band, j)
-            got = self._words[(band, k)] = tuple(self._orders[(band, j)] for j in range(k + 1))
-        return got
+        for j in range(k + 1):
+            if (band, j) not in self._orders:
+                self._orders[(band, j)] = self._word_order(band, j)
+        return tuple(self._orders[(band, j)] for j in range(k + 1))
 
     def _word_order(self, band, j):
         nm = 2 * band + 1
         st = self.stacks(-band - j, band + j)
-        # the output channel m + s_w of input m has the parity of m + j: its
-        # factor sits at index 2 j + (m + band) of st
+        # the output channel m + j - 2i of input m has the parity of m + j:
+        # its factor sits at index 2 j + (m + band) of st
         lt = st.factor[2 * j : 2 * j + nm] * 2.0 ** (-j / 2)
-        stack = np.empty((2**j, nm, self.n_r, self.n_r))
-        for w in range(2**j):
+        stack = np.empty((j + 1, nm, self.n_r, self.n_r))
+        for i in range(j + 1):
             # at: the index in st of the channel that input -band has reached
             prod, at = np.eye(self.n_r), j
-            for i in range(j):
-                step = 1 - 2 * ((w >> i) & 1)
+            for step in (-1,) * i + (1,) * (j - i):
                 prod = (st.raising if step > 0 else st.lowering)[at : at + nm] @ prod
                 at += step
-            stack[w] = lt @ prod
+            stack[i] = math.sqrt(math.comb(j, i)) * lt @ prod
         return stack
 
     def _band_stacks(self, band):

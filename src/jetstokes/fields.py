@@ -48,8 +48,9 @@ and the constraint rows of stokesop all call it. The Sobolev inner product
 weighs each transversal order by the full derivative tensor, |grad^j u|^2,
 which is invariant under rotations about the axis. It differentiates
 nothing at request time: RadialTables.sobolev_words holds, per order j,
-all 2^j words of raising and lowering applications already multiplied by
-2^(-j/2) times the factor of the disk Gram, so one order of a
+the j + 1 commuting words of raising and lowering applications, already
+multiplied by their binomial weights and the factor of the disk Gram
+(exact on pole-regular fields, see inner_product_Hkp), so one order of a
 field, all components at once, costs one batched real GEMM and one sum of
 squares of its outputs. The GEMM outputs of each order (_word_outputs)
 and their form (_form) are separate steps, so a caller can read more than
@@ -521,7 +522,7 @@ def _word_outputs(f, k, real):
     real, only the slices n >= 0 are read. ys is one real batched GEMM of
     order j's word stack (RadialTables.sobolev_words) with those columns,
     slice n scaled by sqrt(w_j(n)) of H^k_p (_order_scales), shaped
-    (2^j, n_m, n_r, 2 * columns). The outputs are linear in f, and the
+    (j + 1, n_m, n_r, 2 * columns). The outputs are linear in f, and the
     sum of squares of order j's is its term of (f, f)_{H^k_p}.
     """
     cfg = f.config
@@ -561,12 +562,16 @@ def inner_product_Hkp(u, v, k=0):
     This form is invariant under rotations about the axis, and it does not
     couple angular-momentum sectors.
 
-    Each transversal order j is a sum over the precomposed derivative
-    words of RadialTables.sobolev_words, 2^-j sum_w (w u, w v): the columns
-    of each field are scaled by sqrt(w_j(n)), w_j(n) = ell * 2*pi *
-    sum_{i <= k-j} beta_n^(2i), one real batched GEMM applies every word's
-    stack to them at once (_word_outputs), and the order adds one dot
-    product of the two outputs (one sum of squares when u is v, _form).
+    Each transversal order j is a sum over the j + 1 precomposed words of
+    RadialTables.sobolev_words, sum_i C(j, i) 2^-j (U^(j-i) D^i u,
+    U^(j-i) D^i v): the columns of each field are scaled by sqrt(w_j(n)),
+    w_j(n) = ell * 2*pi * sum_{i <= k-j} beta_n^(2i), one real batched GEMM
+    applies every word's stack to them at once (_word_outputs), and the
+    order adds one dot product of the two outputs (one sum of squares when
+    u is v, _form). U and D commute on pole-regular fields, so there this
+    is the full tensor; every field the package makes is one. Nodal data
+    off that span (read_field, scalar_from_profile, raw coefficients) is
+    not projected: at k >= 2 its value can be ~4e-4 relative off the tensor.
 
     When both fields are real, the slices n < 0 contribute the conjugates
     of the slices n > 0: only n >= 0 are read, each n > 0 weighs twice
@@ -675,18 +680,16 @@ def trace_norm_L2(tr):
 
 def _draw_smooth_coeffs(config, rng, margin_m, margin_deg, real):
     """One component's smooth coefficients, those of their real part when real."""
-    t = tables_for(config)
-    coeffs = np.zeros(
-        (config.n_modes_z, config.n_modes_theta, config.n_r), dtype=complex
-    )
+    coeffs = np.zeros((config.n_modes_z, config.n_modes_theta, config.n_r), dtype=complex)
     mb = max(config.n_theta - margin_m, 0)
-    for i_n in range(config.n_modes_z):
-        for m in range(-mb, mb + 1):
-            basis = t.smooth_basis(abs(m))
-            depth = max(basis.shape[1] - margin_deg, 1)
-            c = rng.standard_normal(depth) + 1j * rng.standard_normal(depth)
-            c *= 0.5 ** np.arange(depth)
-            coeffs[i_n, config.n_theta + m] = basis[:, :depth] @ c
+    bases = [tables_for(config).smooth_basis(abs(m)) for m in range(-mb, mb + 1)]
+    depths = [max(b.shape[1] - margin_deg, 1) for b in bases]
+    # one draw: row n holds, per m ascending, the real then the imaginary normals
+    normals = rng.standard_normal((config.n_modes_z, 2 * sum(depths)))
+    pieces = np.split(normals, 2 * np.cumsum(depths[:-1]), axis=1)
+    for im, (basis, d, x) in enumerate(zip(bases, depths, pieces), config.n_theta - mb):
+        c = (x[:, :d] + 1j * x[:, d:]) * 0.5 ** np.arange(d)
+        coeffs[:, im] = c @ basis[:, :d].T
     if real:
         coeffs = 0.5 * (coeffs + _conj_flip(coeffs[::-1]))
     return coeffs

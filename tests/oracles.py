@@ -28,7 +28,8 @@ each derivative by its multinomial count in the full derivative tensor
 (or once, the form the package used before it weighed that tensor), and the
 per-order one (inner_product_Hkp_per_order), which moved each field
 channels first once per order, as the package did before it moved each
-field once per call; the
+field once per call, with the 2^j-word stacks (word_stacks_all) that the
+package applied before it kept j + 1 commuting words per order; the
 quadrature dissipation (dissipation_slice), which samples every strain
 entry at the Gauss-Legendre nodes (resample_stack, by barycentric
 interpolation, lagrange_eval_matrix), as the package pinned near-zero
@@ -41,10 +42,12 @@ package did before it read tau_rtheta and tau_rz in polar form; and the
 reference kernels at the end: the per-channel stack product, the four-application
 derivatives, divergence and surface pressure, the step-by-step
 evolution loop, which maps fields to coordinates mode by mode through
-PerSectorMaps, and the estimate terms field by field
+PerSectorMaps, the estimate terms field by field
 (estimate_terms_per_field), which formed each snapshot's increment and
-pressure gradient as fields. They are the package's earlier implementations, kept so
-the batched and windowed ones can be held to them.
+pressure gradient as fields, and the slice-by-slice random draw
+(smooth_coeffs_per_slice), two normal draws and one product per (n, m).
+They are the package's earlier implementations, kept so the batched and
+windowed ones can be held to them.
 """
 
 import collections
@@ -870,13 +873,43 @@ def chain_inner_Hkp(u, v, k, once=False):
     return complex(total)
 
 
-def inner_product_Hkp_per_order(u, v, k):
+def word_stacks_all(t, band, k):
+    """All 2^j derivative words of the orders 0..k on channels -band..band.
+
+    The package kept these before it folded the commuting words: order j
+    holds every word w in {U, D}^j, letter i of word w D when bit i of w is
+    set (letter 0 applied first), each followed by 2^(-j/2) times the
+    factor L^T of its output channel's parity Gram. The sum of squares of
+    an order's outputs is the disk norm of the full derivative tensor
+    grad^j a on any nodal data, pole-regular or not. Shaped like
+    RadialTables.sobolev_words, with 2^j words per order.
+    """
+    nm = 2 * band + 1
+    orders = []
+    for j in range(k + 1):
+        st = t.stacks(-band - j, band + j)
+        lt = st.factor[2 * j : 2 * j + nm] * 2.0 ** (-j / 2)
+        stack = np.empty((2**j, nm, t.n_r, t.n_r))
+        for w in range(2**j):
+            # at: the index in st of the channel that input -band has reached
+            prod, at = np.eye(t.n_r), j
+            for i in range(j):
+                step = 1 - 2 * ((w >> i) & 1)
+                prod = (st.raising if step > 0 else st.lowering)[at : at + nm] @ prod
+                at += step
+            stack[w] = lt @ prod
+        orders.append(stack)
+    return tuple(orders)
+
+
+def inner_product_Hkp_per_order(u, v, k, words=None):
     """(u, v)_{H^k_p} as the package formed it before it moved each field channels first once.
 
     Every transversal order scaled and transposed each field afresh, one
     multiply that wrote the channels-first copy (_scaled_columns), then
-    applied the same word stacks and took one dot product of their
-    outputs, as the package does.
+    applied the word stacks and took one dot product of their outputs, as
+    the package does. words defaults to the package's own
+    (RadialTables.sobolev_words); word_stacks_all gives the 2^j-word form.
     """
     from jetstokes.discretization import tables_for
     from jetstokes.fields import _order_scales
@@ -889,7 +922,8 @@ def inner_product_Hkp_per_order(u, v, k):
     cfg = u.config
     real = u.real_flag and v.real_flag
     h = cfg.n_z if real else 0
-    words = tables_for(cfg).sobolev_words(cfg.n_theta, k)
+    if words is None:
+        words = tables_for(cfg).sobolev_words(cfg.n_theta, k)
     fields = (u,) if u is v else (u, v)
     total = 0.0
     for stack, s in zip(words, _order_scales(cfg.ell, cfg.n_z, k, real)):
@@ -1187,3 +1221,25 @@ def estimate_terms_per_field(fields, pressures, forcings, dt):
         "l2t_l2sf_pressure_trace": math.sqrt(s_qt),
         "l2t_l2_forcing": math.sqrt(s_f),
     }
+
+
+def smooth_coeffs_per_slice(config, rng, margin_m, margin_deg):
+    """One component's complex smooth coefficients, drawn slice by slice.
+
+    The loop the package ran before it drew each component in one call:
+    per axial slice n and per m ascending, depth real normals, then depth
+    imaginary ones, damped by 0.5^i and mapped through smooth_basis(|m|).
+    """
+    from jetstokes.discretization import tables_for
+
+    t = tables_for(config)
+    coeffs = np.zeros((config.n_modes_z, config.n_modes_theta, config.n_r), dtype=complex)
+    mb = max(config.n_theta - margin_m, 0)
+    for i_n in range(config.n_modes_z):
+        for m in range(-mb, mb + 1):
+            basis = t.smooth_basis(abs(m))
+            depth = max(basis.shape[1] - margin_deg, 1)
+            c = rng.standard_normal(depth) + 1j * rng.standard_normal(depth)
+            c *= 0.5 ** np.arange(depth)
+            coeffs[i_n, config.n_theta + m] = basis[:, :depth] @ c
+    return coeffs

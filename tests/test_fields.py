@@ -26,6 +26,7 @@ from jetstokes.fields import (
     zeros_vector,
 )
 from jetstokes.rng import stream
+from jetstokes.stokesop import random_constrained_vector
 
 import oracles
 
@@ -181,6 +182,55 @@ def test_inner_product_is_bitwise_the_per_order_formula(k):
             assert js.inner_product_Hkp(a, b, k) == oracles.inner_product_Hkp_per_order(a, b, k)
 
 
+def _nodal_draw(cfg, rng, pole_regular):
+    """Random complex nodal profiles on every (component, n, m), optionally made pole-regular.
+
+    The projection maps each channel's profiles onto the span of
+    zernike(|m|), orthogonally in the disk Gram of their parity.
+    """
+    t = tables_for(cfg)
+    shape = (3, cfg.n_modes_z, cfg.n_modes_theta, cfg.n_r)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if pole_regular:
+        for im, m in enumerate(range(-cfg.n_theta, cfg.n_theta + 1)):
+            z = t.zernike(abs(m))
+            c[..., im, :] = c[..., im, :] @ t.gram(1 if m % 2 == 0 else -1) @ z @ z.T
+    return js.VectorField(cfg, c)
+
+
+# largest |words - 2^j words| / (|u|_k |v|_k) seen with these draws: 0 at
+# k <= 1 (the same stacks), 2.0e-15 at k = 2, 1.5e-13 at k = 3 and 2.6e-12
+# at k = 4; on raw nodal data 1.1e-5, 1.1e-5 and 1.0e-4 at k = 2, 3 and 4
+@pytest.mark.parametrize("k", range(5))
+def test_commuting_words_match_all_words_on_pole_regular_fields(ws_wide, k):
+    # U and D commute on the pole-regular span, so the j + 1 words of
+    # order j, weighted binomially, give the 2^j-word form of the full
+    # derivative tensor there
+    cfg = ws_wide.config
+    rng = stream(12, "tests")
+    every = oracles.word_stacks_all(tables_for(cfg), cfg.n_theta, k)
+    draws = [
+        (random_smooth_scalar(cfg, rng, real=False), random_smooth_scalar(cfg, rng, real=False)),
+        (random_smooth_vector(cfg, rng, margin_m=0, margin_deg=0), random_smooth_vector(cfg, rng)),
+        (random_constrained_vector(ws_wide, rng), random_constrained_vector(ws_wide, rng)),
+        (_nodal_draw(cfg, rng, True), _nodal_draw(cfg, rng, True)),
+    ]
+    bound = 1e-13 if k <= 2 else 1e-11
+    for u, v in draws:
+        nu = math.sqrt(oracles.inner_product_Hkp_per_order(u, u, k, every).real)
+        nv = math.sqrt(oracles.inner_product_Hkp_per_order(v, v, k, every).real)
+        for a, b, scale in ((u, u, nu * nu), (u, v, nu * nv), (v, u, nu * nv)):
+            want = oracles.inner_product_Hkp_per_order(a, b, k, every)
+            err = abs(js.inner_product_Hkp(a, b, k) - want)
+            assert err <= bound * scale, (k, err / scale)
+    # off the pole-regular span the two forms part from order 2 on: H^k_p
+    # is the full derivative tensor on pole-regular fields only
+    raw = _nodal_draw(cfg, rng, False)
+    want = oracles.inner_product_Hkp_per_order(raw, raw, k, every).real
+    err = abs(js.inner_product_Hkp(raw, raw, k).real - want)
+    assert err > 1e-7 * want if k >= 2 else err <= 1e-13 * want
+
+
 @pytest.mark.parametrize("k", range(3))
 def test_one_word_pass_gives_the_norms_and_the_increments(k):
     # on the fields' own path the forms are bitwise inner_product_Hkp;
@@ -236,11 +286,11 @@ def test_grad_norm_sq_is_the_norm_of_the_truncated_gradient(grid, real):
 
 def test_word_stacks_are_built_once_per_band_and_order(cfg_small, monkeypatch):
     fresh = RadialTables(cfg_small.kappa, cfg_small.n_r)
-    assert fresh._words == {}
+    assert fresh._orders == {}
     first = fresh.sobolev_words(cfg_small.n_theta, 2)
-    assert fresh.sobolev_words(cfg_small.n_theta, 2) is first
-    assert list(fresh._words) == [(cfg_small.n_theta, 2)]
-    assert [o.shape[0] for o in first] == [1, 2, 4]
+    assert all(a is b for a, b in zip(fresh.sobolev_words(cfg_small.n_theta, 2), first))
+    assert list(fresh._orders) == [(cfg_small.n_theta, j) for j in range(3)]
+    assert [o.shape[0] for o in first] == [1, 2, 3]
     # the inner product reads the shared instance's entries and builds no more
     u = random_smooth_vector(cfg_small, stream(7, "tests"))
     want = js.norm_Hkp(u, 2)
@@ -252,7 +302,7 @@ def test_word_stacks_are_built_once_per_band_and_order(cfg_small, monkeypatch):
 
     monkeypatch.setattr(t, "_word_order", refuse)
     assert js.norm_Hkp(u, 2) == want
-    assert t.sobolev_words(cfg_small.n_theta, 2) is kept
+    assert all(a is b for a, b in zip(t.sobolev_words(cfg_small.n_theta, 2), kept))
     # a lower order count shares the entries (the gradient norm reads k = 1)
     for k in (0, 1):
         assert all(a is b for a, b in zip(t.sobolev_words(cfg_small.n_theta, k), kept))
@@ -334,6 +384,18 @@ def test_real_draw_is_the_mirror_average_of_the_complex_draw(cfg_small):
         c = _draw_smooth_coeffs(cfg_small, stream(seed, "tests"), 2, 2, False)
         got = _draw_smooth_coeffs(cfg_small, stream(seed, "tests"), 2, 2, True)
         assert np.array_equal(got, 0.5 * (c + np.conj(c[::-1, ::-1])))
+
+
+def test_one_draw_per_component_reads_the_per_slice_normals():
+    # the same normals in the same stream order as the per-(n, m) loop;
+    # only the products' summation order differs
+    cfg = js.DomainConfig(n_r=16, n_theta=5, n_z=3)
+    for margin_m, margin_deg in ((2, 2), (0, 0), (3, 5), (9, 0)):
+        want_rng, got_rng = stream(42, "tests"), stream(42, "tests")
+        want = oracles.smooth_coeffs_per_slice(cfg, want_rng, margin_m, margin_deg)
+        got = _draw_smooth_coeffs(cfg, got_rng, margin_m, margin_deg, False)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert got_rng.standard_normal() == want_rng.standard_normal()
 
 
 def test_real_flag_defaults_to_false(cfg_small):

@@ -48,6 +48,9 @@ bench/workloads.clear_caches empties the module-level caches. No module
 defines SVD_TOL: each sector's nullspace dimension is a count. No module
 calls leggauss or defines lagrange_eval_matrix: the disk Gram is exact in
 closed form, and the Gauss-Legendre resampling is the tests' reference.
+No module shifts bits right (>> or >>=): H^k_p applies j + 1 commuting
+words per order, and enumerating all 2^j words by the bits of their
+index is the tests' reference (oracles.word_stacks_all).
 """
 
 import ast
@@ -593,3 +596,25 @@ def test_cleared_caches_release_the_radial_tables():
     )
     # the module caches held the tables until they were cleared
     assert out.stdout.split() == ["True", "True"]
+
+
+def _right_shifts(tree):
+    """Lines of every right shift, a >> b or a >>= b, in the tree, ascending."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.RShift)
+    )
+
+
+def test_no_module_enumerates_words_by_bits():
+    # H^k_p applies j + 1 commuting words per order; the 2^j words, indexed
+    # by the bits of their number, are the tests' reference
+    # (oracles.word_stacks_all)
+    found = ["%s:%d" % (p.name, line) for p in MODULES for line in _right_shifts(_tree(p))]
+    assert not found, "right shift in %s" % found
+
+
+def test_right_shift_check_sees_every_form():
+    tree = ast.parse("a = 5 >> 1\nb = 4 << 1\nc = 8\nc >>= 2\nd = (w >> i) & 1\n")
+    assert _right_shifts(tree) == [1, 4, 5]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 import scipy.special
 
 import jetstokes as js
@@ -79,6 +80,49 @@ def test_mode0_antiplane_family_matches_bessel_zeros(ws_name, request):
         for zero in scipy.special.jnp_zeros(abs(j), 3):
             want = cfg.mu * (zero / cfg.kappa) ** 2
             assert np.min(np.abs(op.w[p.index] - want)) <= 1e-9 * want
+
+
+def _planar_determinant(s, j, kappa, mu):
+    """Determinant of the two surface conditions on the beta = 0 planar family of order j.
+
+    psi = A J_j(s r) + B r^j, u_r = (i j / r) psi, u_theta = -psi' and
+    pressure i lam B r^j, lam = mu s^2: its rows are tau_rtheta = 0 and
+    p = 2 mu d_r u_r at r = kappa, columns (A, B), x = s kappa.
+    """
+    x = s * kappa
+    jv, d1, d2 = (scipy.special.jvp(j, x, n) for n in range(3))
+    b1 = -2.0 * j * (j - 1) * kappa ** (j - 2)
+    a1 = -s * s * d2 + s / kappa * d1 - j * j / kappa**2 * jv
+    a2 = -2.0 * mu * j / kappa * (s * d1 - jv / kappa)
+    b2 = mu * s * s * kappa**j + mu * b1
+    return a1 * b2 - b1 * a2
+
+
+@pytest.mark.parametrize("ws_name", ["ws_small", "ws_medium"])
+def test_mode0_planar_family_matches_its_dispersion_relation(ws_name, request):
+    # the stream-function family of sector j != 0 at beta = 0 (the B column
+    # vanishes at j = 0); the first roots at j = 2 and j = 1 are the frozen
+    # 22.163147989 and 37.313452855 of MODE0_NONZERO
+    ws = request.getfixturevalue(ws_name)
+    cfg = ws.config
+    op = js.mode_operator(ws, 0)
+    s = np.linspace(1e-3, 60.0, 6001) / cfg.kappa
+    for p in oracles.sector_parts(op):
+        j = abs(p.info["j"])
+        if not 1 <= j <= cfg.n_theta - 1:
+            continue
+        f = _planar_determinant(s, j, cfg.kappa, cfg.mu)
+        brackets = np.flatnonzero(f[:-1] * f[1:] < 0.0)[:3]
+        assert brackets.size == 3, j
+        args = (j, cfg.kappa, cfg.mu)
+        roots = [
+            scipy.optimize.brentq(_planar_determinant, s[i], s[i + 1], args, 1e-14) for i in brackets
+        ]
+        for want in cfg.mu * np.square(roots):
+            assert np.min(np.abs(op.w[p.index] - want)) <= 1e-9 * want
+        if j in (1, 2):
+            first = MODE0_NONZERO[4 if j == 1 else 2]
+            assert abs(cfg.mu * roots[0] ** 2 - first) <= 1e-9 * first
 
 
 def test_resolve_constant_right_hand_side(ws_small):
