@@ -10,6 +10,9 @@ import dataclasses
 import json
 import math
 
+# the time-stepping schemes of evolution.evolve
+SCHEMES = ("implicit-euler", "crank-nicolson")
+
 
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent configuration input."""
@@ -221,7 +224,7 @@ class EvolveBlock:
             _check_float(getattr(self, name), "evolve." + name)
         for name in ("scheme", "forcing", "initial"):
             _check_str(getattr(self, name), "evolve." + name)
-        if self.scheme not in ("implicit-euler", "crank-nicolson"):
+        if self.scheme not in SCHEMES:
             raise ConfigError(
                 "evolve.scheme must be 'implicit-euler' or 'crank-nicolson'"
             )

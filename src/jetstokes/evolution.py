@@ -29,13 +29,12 @@ block's forcing array, in place of the time point it no longer needs.
 The bookkeeping follows once per block (_block_terms), from the block's
 states and those forcing terms: the energies of every point, each step's
 residual bound and its per-mode scale, and the Crank-Nicolson midpoint
-terms. Each is a per-(mode, side) sum of squares of the real view of a
-block array, weighed by 1, w, w^2, eps_M^2 or eps_G^2 in one batched
-product (_block_weights, _block_sums). w, eps_M and eps_G are the cached
-read-only arrays of stokesop.field_operator. The
-forcing callable is called once per time point, in time order (after
-one extra call at t = 0 for the hypothesis check). w is real, so the
-recurrence is the same on both signs of n.
+terms. Each is a per-(mode, side) sum over the coordinates of the
+squares of a block array, weighed by 1, w, w^2, eps_M^2 or eps_G^2 (the
+cached read-only arrays of stokesop.field_operator). The forcing
+callable is called once per time point, in time order (after one extra
+call at t = 0 for the hypothesis check). w is real, so the recurrence
+is the same on both signs of n.
 
 A real run carries one side. When the initial state (if any) and the
 forcing at t = 0 are flagged real (fields.real_flag), the state holds
@@ -46,7 +45,7 @@ and the snapshots are flagged real. The decision reads the flags, never
 the data. A real initial state is projected on side 0 only. A complex
 f(0), or a later forcing value flagged complex, widens the state to two
 sides (from its block on), side 1 a copy of side 0 (_two_sided), which is
-exact for a real state; the block weights are rebuilt at two sides.
+exact for a real state; its blocks are then weighed at two sides.
 EvolutionResult.coords is always two-sided.
 """
 
@@ -55,6 +54,7 @@ import math
 
 import numpy as np
 
+from .config import SCHEMES
 from .fieldio import write_csv
 from .fields import VectorField, _field, _require_config, inner_product_Hkp, norm_L2
 from .fields import _grad_norm_sq, _norms_and_increments
@@ -68,7 +68,9 @@ from .stokesop import (
     reduce_slice,
 )
 
-SCHEMES = ("implicit-euler", "crank-nicolson")
+# theta per scheme: implicit Euler evaluates G and f at the new time,
+# Crank-Nicolson at the midpoint
+_THETA = dict(zip(SCHEMES, (1.0, 0.5)))
 
 # steps per block: the forcing reductions and snapshot expansions run once
 # per block, so transient memory is bounded by the block, not the run
@@ -134,91 +136,61 @@ class EvolutionResult:
     coords: np.ndarray
 
 
-# columns of the block weights: a coordinate's |.|^2 weighed by 1, w, w^2,
-# eps_M^2 and eps_G^2
-_ONE, _W, _W2, _EPS_M, _EPS_G = range(5)
-
-
-def _block_weights(w, eps_m, eps_g):
-    """Matmul weights (n_z + 1, dim * 2 sides, 5 sides) of per-(mode, side) sums of squares.
-
-    Row (d, s, part) of mode a is the real or imaginary part of coordinate
-    d on side s in the float view of a coordinate array (n_z + 1, dim,
-    sides); column (j, s') weighs it by the j-th of 1, w, w^2, eps_M^2,
-    eps_G^2 (_ONE .. _EPS_G) when s = s' and by 0 otherwise. eps_M and
-    eps_G (n_z + 1, dim, 1) hold on either side.
-    """
-    a, d, sides = w.shape
-    cols = np.stack(np.broadcast_arrays(np.ones_like(w), w, w * w, eps_m * eps_m, eps_g * eps_g))
-    out = np.zeros((a, d, sides, 2, 5, sides))
-    for s in range(sides):
-        out[:, :, s, :, :, s] = np.moveaxis(cols[..., s], 0, -1)[:, :, None, :]
-    return out.reshape(a, d * 2 * sides, 5 * sides)
-
-
-def _block_sums(p, weights):
-    """Weighted sums (n_z + 1, rows, 5, sides) of squares p (rows, n_z + 1, dim * 2 sides).
-
-    One batched product over the modes with _block_weights; [a, i, j, s]
-    is row i's sum over mode a, side s, weighed by column j.
-    """
-    out = np.matmul(p.transpose(1, 0, 2), weights)
-    return out.reshape(out.shape[:2] + (5, -1))
-
-
 def _block_terms(x, r_eval, theta, dt, fop):
     """The bookkeeping of one block of steps from its states x (points, n_z + 1, dim, sides).
 
     r_eval (steps, n_z + 1, dim, sides) holds each step's forcing term at
     its evaluation point, or is None for a homogeneous run; it is
     overwritten. theta is 1 or 1/2 and fop is the stokesop.FieldOperator
-    whose w, eps_M and eps_G weigh the terms; the weights are built at the
-    width of x, so a block that widened gets two-sided ones, and freed on
-    return.
+    whose w, eps_M and eps_G weigh the terms, taken at the width of x, so
+    a block that widened is weighed on both sides.
 
     Returns (energies, residual, diss_mid, fp_mid): energies (2, points)
     are sum mult |c|^2 and sum mult w |c|^2 at every point of x; the rest
     are per step. residual is the bound ||eps_M dc/dt|| + ||eps_G c_eval||
     per mode over the scale ||dc/dt|| + ||w c_eval|| + ||f||, summed over
     modes in squares (0 where the scale vanishes); diss_mid and fp_mid
-    are sum mult w |c_eval|^2 and Re sum mult conj(c_eval) f. Every term
-    is a batched product (_block_sums) of squares that one buffer holds
-    in turn.
+    are sum mult w |c_eval|^2 and Re sum mult conj(c_eval) f. Each term
+    is a per-(mode, side) sum over the coordinates of |x|^2, |dc|^2,
+    |f|^2, |c_eval|^2 or Re conj(c_eval) f, weighed by 1, w, w^2, eps_M^2
+    or eps_G^2; one buffer holds the squares in turn.
     """
     steps, sides = x.shape[0] - 1, x.shape[-1]
-    weights = _block_weights(fop.w[:, :, :sides], fop.eps_M, fop.eps_G)
-    mult = _side_weights(x.shape[1] - 1, sides)
+    # the weights (n_z + 1, sides, dim), their coordinate axis last
+    w, eps_m, eps_g = (np.swapaxes(a, 1, 2) for a in (fop.w[:, :, :sides], fop.eps_M, fop.eps_G))
+    mult = _side_weights(x.shape[1] - 1, sides)[:, 0]
 
-    def total(sums, j):
-        return np.sum(mult * sums[:, :, j], axis=(0, 2))
+    def sums(sq, *weights):
+        """Sums (weights, rows, n_z + 1, sides) of weight * sq (rows, n_z + 1, dim, sides, 2)."""
+        stack = np.stack([np.broadcast_to(v, w.shape) for v in weights], axis=2)
+        return np.moveaxis(np.matmul(stack, np.swapaxes(sq, 2, 3)).sum(axis=-1), -1, 0)
 
-    rows = x.shape[:2] + (-1,)
-    xf = x.view(float).reshape(rows)
+    def total(s):
+        return np.sum(mult * s, axis=(-2, -1))
+
+    xf = x.view(float).reshape(x.shape + (2,))
     buf = np.empty_like(xf)
-    s_x = _block_sums(np.square(xf, out=buf), weights)
-    energies = np.stack([total(s_x, _ONE), total(s_x, _W)])
+    energies = total(sums(np.square(xf, out=buf), 1.0, w))
     sq = buf[:steps]
-    s_dc = _block_sums(np.square(np.subtract(xf[1:], xf[:-1], out=sq), out=sq), weights)
-    scale = np.sqrt(s_dc[:, :, _ONE]) / dt
+    dc_sq, dc_m = sums(np.square(np.subtract(xf[1:], xf[:-1], out=sq), out=sq), 1.0, eps_m**2)
+    scale = np.sqrt(dc_sq) / dt
+    bound = np.sqrt(dc_m) / dt
     fp_mid = np.zeros(steps)
     if r_eval is not None:
-        rf = r_eval.view(float).reshape(r_eval.shape[:2] + (-1,))
-        scale += np.sqrt(_block_sums(np.square(rf, out=sq), weights)[:, :, _ONE])
+        rf = r_eval.view(float).reshape(r_eval.shape + (2,))
+        scale += np.sqrt(sums(np.square(rf, out=sq), 1.0)[0])
     # c_eval = theta x[1:] + (1 - theta) x[:-1]
     np.multiply(xf[:-1], (1.0 - theta) / theta, out=sq)
     sq += xf[1:]
     sq *= theta
     if r_eval is not None:
-        fp_mid = total(_block_sums(np.multiply(rf, sq, out=rf), weights), _ONE)
-    s_ce = _block_sums(np.square(sq, out=sq), weights)
-    bound = np.sqrt(s_dc[:, :, _EPS_M]) / dt + np.sqrt(s_ce[:, :, _EPS_G])
-    scale += np.sqrt(s_ce[:, :, _W2])
-    scale_sq = np.sum(mult * scale * scale, axis=(0, 2))
-    bound_sq = np.sum(mult * bound * bound, axis=(0, 2))
-    residual = np.zeros(steps)
-    ok = scale_sq > 0.0
-    residual[ok] = np.sqrt(bound_sq[ok] / scale_sq[ok])
-    return energies, residual, total(s_ce, _W), fp_mid
+        fp_mid = total(sums(np.multiply(rf, sq, out=rf), 1.0)[0])
+    ce_w, ce_w2, ce_g = sums(np.square(sq, out=sq), w, w * w, eps_g**2)
+    scale += np.sqrt(ce_w2)
+    bound += np.sqrt(ce_g)
+    scale_sq, bound_sq = total(scale * scale), total(bound * bound)
+    residual = np.sqrt(np.divide(bound_sq, scale_sq, out=np.zeros(steps), where=scale_sq > 0.0))
+    return energies, residual, total(ce_w), fp_mid
 
 
 def _two_sided(y):
@@ -321,9 +293,7 @@ def evolve(ws, evo):
                     "the evolution hypothesis requires P f(0) = 0" % sol_part
                 )
 
-    # implicit Euler evaluates G and f at the new time, Crank-Nicolson at
-    # the midpoint
-    theta = 1.0 if evo.scheme == "implicit-euler" else 0.5
+    theta = _THETA[evo.scheme]
     t_grid = dt * np.arange(steps + 1)
     l2_arr = np.zeros(steps + 1)
     diss_arr = np.zeros(steps + 1)

@@ -50,7 +50,9 @@ calls leggauss or defines lagrange_eval_matrix: the disk Gram is exact in
 closed form, and the Gauss-Legendre resampling is the tests' reference.
 No module shifts bits right (>> or >>=): H^k_p applies j + 1 commuting
 words per order, and enumerating all 2^j words by the bits of their
-index is the tests' reference (oracles.word_stacks_all).
+index is the tests' reference (oracles.word_stacks_all). No module
+defines _block_weights, _block_sums or _EPS_G: evolve's block
+bookkeeping is plain per-(mode, side) weighted sums over the coordinates.
 """
 
 import ast
@@ -548,6 +550,19 @@ def test_no_module_defines_a_rank_cutoff():
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == "SVD_TOL"
     ]
     assert not named, "SVD_TOL defined in %s" % named
+
+
+def test_no_module_builds_block_weight_matrices():
+    # the evolution bookkeeping is plain weighted sums over the coordinates,
+    # with no zero-blocked weight matrix and no columns picked by index
+    found = [
+        "%s: %s" % (p.name, getattr(node, "name", getattr(node, "id", None)))
+        for p in MODULES
+        for node in ast.walk(_tree(p))
+        if (isinstance(node, ast.FunctionDef) and node.name in ("_block_weights", "_block_sums"))
+        or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == "_EPS_G")
+    ]
+    assert not found, "block weight matrix machinery defined in %s" % found
 
 
 def test_no_module_resamples_for_the_gram():

@@ -125,6 +125,25 @@ def test_mode0_planar_family_matches_its_dispersion_relation(ws_name, request):
             assert abs(cfg.mu * roots[0] ** 2 - first) <= 1e-9 * first
 
 
+@pytest.mark.parametrize("ws_name", ["ws_small", "ws_medium"])
+def test_swirl_family_matches_bessel_zeros_at_every_beta(ws_name, request):
+    # u = J_1(s r) e_theta e^{i beta z} is divergence-free with zero
+    # pressure; tau_rz and the normal stress vanish, and tau_rtheta =
+    # -mu s J_2(s r), so s kappa is a zero of J_2 and lam = mu (s^2 + beta^2).
+    # As s -> 0 it is the twisted rotation r e_theta, lam = mu beta^2, which
+    # is 0 at n = 0 and is held to 1e-9 mu there
+    ws = request.getfixturevalue(ws_name)
+    cfg = ws.config
+    zeros = scipy.special.jn_zeros(2, 3)
+    for n in range(cfg.n_z + 1):
+        op = js.mode_operator(ws, n)
+        assert op.info[0]["j"] == 0
+        w = op.w.reshape(len(op.info), -1, 2)[0, : op.info[0]["dim"], 0]
+        beta_sq = cfg.beta(n) ** 2
+        for want in cfg.mu * (beta_sq + np.concatenate([[0.0], (zeros / cfg.kappa) ** 2])):
+            assert np.min(np.abs(w - want)) <= 1e-9 * max(want, cfg.mu), (n, want)
+
+
 def test_resolve_constant_right_hand_side(ws_small):
     g = constant_vector(ws_small.config, (0.4, -0.3, 0.9))
     v, info = js.resolve(ws_small, -1.0, g)
